@@ -2,8 +2,9 @@
 
 Exit codes are a function of the result alone: 0 success/equivalent,
 1 not equivalent, 2 inconclusive (or a run that did not quiesce),
-3 usage or parse errors.  ``--json FILE`` additionally writes the
-structured report.  Set ``PRESTO_COLOR=0`` to disable ANSI styling.
+3 usage or parse errors, and internal errors (one line, no traceback),
+so no crash can pass for a verdict.  ``--json FILE`` additionally
+writes the structured report.  Set ``PRESTO_COLOR=0`` to disable ANSI styling.
 """
 
 from __future__ import annotations
@@ -251,11 +252,17 @@ def cmd_check_fsmd(args) -> int:
     doc = _load_scenario(args.scenario)
     if not doc.left or not doc.right:
         raise UsageError("check-fsmd needs both a left and a right model")
-    m1, _ = _as_fsmd(_load_model(doc.resolve(doc.left)), doc.state_bound)
-    m2, _ = _as_fsmd(_load_model(doc.resolve(doc.right)), doc.state_bound)
-    verdict = check_fsmd_equivalence(m1, m2, dict(doc.var_map))
+    warnings = []
+    machines = []
+    for side in (doc.left, doc.right):
+        machine, conv = _as_fsmd(_load_model(doc.resolve(side)), doc.state_bound)
+        machines.append(machine)
+        warnings += [str(w) for w in conv.warnings] if conv else []
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    verdict = check_fsmd_equivalence(*machines, dict(doc.var_map))
     print(_verdict_line(verdict))
-    _write_json(args.json, {"command": "check-fsmd", "verdict": _verdict_json(verdict)})
+    _write_json(args.json, {"command": "check-fsmd", "verdict": _verdict_json(verdict), "warnings": warnings})
     return verdict.exit_code()
 
 
@@ -332,6 +339,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 3
     except (ConvertError, SimError, ex.ExprError) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
+    except Exception as err:  # a bug or a resource limit, never a verdict
+        print(f"error: internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 3
 
 

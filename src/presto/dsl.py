@@ -167,10 +167,21 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+# Deepest nesting of parentheses, applications, `not` and unary minus an
+# expression may have.  Bundled and generated models stay below 10.
+MAX_NESTING = 200
+
+# Binary operators by precedence, loosest first; `not` sits between `and`
+# and the relations, unary minus above `*`.
+_NOT, _REL, _UNARY = 3, 4, 7
+_BINARY = {"or": 1, "and": 2, **dict.fromkeys(ex.REL_OPS, _REL), "+": 5, "-": 5, "*": 6}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -226,59 +237,45 @@ class _Parser:
             names.append(self.expect_name())
         return names
 
-    # Expression grammar, loosest first.
-    def expression(self) -> ex.Expr:
-        return self._or()
-
-    def _or(self) -> ex.Expr:
-        args = [self._and()]
-        while self.at_keyword("or"):
-            self.next()
-            args.append(self._and())
-        return args[0] if len(args) == 1 else ex.BoolOp("or", tuple(args))
-
-    def _and(self) -> ex.Expr:
-        args = [self._not()]
-        while self.at_keyword("and"):
-            self.next()
-            args.append(self._not())
-        return args[0] if len(args) == 1 else ex.BoolOp("and", tuple(args))
-
-    def _not(self) -> ex.Expr:
-        if self.at_keyword("not"):
-            self.next()
-            return ex.BoolOp("not", (self._not(),))
-        return self._relation()
-
-    def _relation(self) -> ex.Expr:
-        lhs = self._additive()
+    # Expressions: precedence climbing over the binary operators, with
+    # `not` and unary minus as prefixes.  A level of nesting costs at most
+    # three stack frames, so MAX_NESTING stays well inside the recursion
+    # limit.
+    def expression(self, level: int = 1) -> ex.Expr:
+        """An expression whose operators bind at least as tightly as ``level``."""
         tok = self.peek()
-        if tok.kind == "punct" and tok.value in ("=", "!=", "<", "<=", ">", ">="):
+        if level <= _NOT and tok.kind == "ident" and tok.value == "not":
             self.next()
-            return ex.Rel(tok.value, lhs, self._additive())
-        return lhs
-
-    def _additive(self) -> ex.Expr:
-        out = self._multiplicative()
+            self._deeper()
+            out, top = ex.BoolOp("not", (self.expression(_NOT),)), _NOT
+            self.depth -= 1
+        else:
+            out, top = self._unary(), _UNARY  # ``top``: precedence of the operator at the root of ``out``
         while True:
             tok = self.peek()
-            if tok.kind == "punct" and tok.value == "+":
-                self.next()
-                rhs = self._multiplicative()
-                out = ex.Arith("+", (*out.args, rhs)) if isinstance(out, ex.Arith) and out.op == "+" else ex.Arith("+", (out, rhs))
-            elif tok.kind == "punct" and tok.value == "-":
-                self.next()
-                out = ex.Arith("-", (out, self._multiplicative()))
-            else:
+            op = tok.value if tok.kind in ("punct", "ident") else None
+            prec = _BINARY.get(op)
+            # Stop below ``level``, above what ``out`` may be an operand of,
+            # and at a second relation (relations do not chain).
+            if prec is None or prec < level or prec > top or prec == top == _REL:
                 return out
-
-    def _multiplicative(self) -> ex.Expr:
-        out = self._unary()
-        while self.peek().kind == "punct" and self.peek().value == "*":
             self.next()
-            rhs = self._unary()
-            out = ex.Arith("*", (*out.args, rhs)) if isinstance(out, ex.Arith) and out.op == "*" else ex.Arith("*", (out, rhs))
-        return out
+            rhs = self.expression(prec + 1)
+            if op in ("or", "and"):
+                out = ex.BoolOp(op, (*out.args, rhs) if top == prec else (out, rhs))
+            elif op in ("+", "*"):
+                out = ex.Arith(op, (*out.args, rhs) if isinstance(out, ex.Arith) and out.op == op else (out, rhs))
+            elif op == "-":
+                out = ex.Arith("-", (out, rhs))
+            else:
+                out = ex.Rel(op, out, rhs)
+            top = prec
+
+    def _deeper(self) -> None:
+        """Enter one more level of nesting; the caller leaves it with ``self.depth -= 1``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.fail(f"expression nested deeper than {MAX_NESTING} levels")
 
     def _unary(self) -> ex.Expr:
         if self.peek().kind == "punct" and self.peek().value == "-":
@@ -287,7 +284,10 @@ class _Parser:
             # `-5` is a constant while `-(5)` stays a negation node.
             if self.peek().kind == "int":
                 return ex.IntConst(-int(self.next().value))
-            return ex.Arith("neg", (self._unary(),))
+            self._deeper()
+            inner = self._unary()
+            self.depth -= 1
+            return ex.Arith("neg", (inner,))
         return self._atom()
 
     def _atom(self) -> ex.Expr:
@@ -297,7 +297,9 @@ class _Parser:
             return ex.IntConst(int(tok.value))
         if tok.kind == "punct" and tok.value == "(":
             self.next()
+            self._deeper()
             inner = self.expression()
+            self.depth -= 1
             self.expect_punct(")")
             return inner
         if tok.kind == "ident":
@@ -312,12 +314,14 @@ class _Parser:
             self.next()
             if self.peek().kind == "punct" and self.peek().value == "(":
                 self.next()
+                self._deeper()
                 args: list[ex.Expr] = []
                 if not (self.peek().kind == "punct" and self.peek().value == ")"):
                     args.append(self.expression())
                     while self.peek().kind == "punct" and self.peek().value == ",":
                         self.next()
                         args.append(self.expression())
+                self.depth -= 1
                 self.expect_punct(")")
                 return ex.Apply(tok.value, tuple(args))
             return ex.Var(tok.value)

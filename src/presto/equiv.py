@@ -73,9 +73,6 @@ class Symbolic:
     confirm a structural mismatch as a real counterexample."""
 
 
-Strategy = object  # Sampled | Symbolic
-
-
 def derive_right_inputs(n1: PresNet, n2: PresNet, pm: PortMap, vector: dict) -> dict:
     """Initial tokens for the right net.
 
@@ -182,7 +179,7 @@ def check_functional(
     n1: PresNet,
     n2: PresNet,
     pm: PortMap,
-    strategy: Strategy,
+    strategy: Sampled | Symbolic,
     vectors: Sequence[dict],
     interp: Interpretation,
     max_steps: int = 1_000,

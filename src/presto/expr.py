@@ -5,6 +5,13 @@ references, applications of uninterpreted function symbols, arithmetic
 (`+`, `-`, `*`, unary negation), arithmetic relations and boolean
 connectives.  All integer arithmetic is unbounded; values never wrap.
 
+Terms are hash-consed: every constructor looks its node up in one weak
+intern table, so two structurally equal terms are the same object and
+``==``/``hash`` are the identity ones.  A node fixes its sort (``None``
+when ill-sorted) and free-variable set when it is built, and lazily
+caches its ordering key and default normal form.  All walks but :func:`evaluate`
+use explicit stacks, so term depth is bounded by memory, not recursion.
+
 Three operations carry the weight of the toolkit:
 
 * :func:`evaluate` gives a term its mathematical value under an
@@ -24,8 +31,11 @@ Three operations carry the weight of the toolkit:
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
+from weakref import ref
 
 Value = Union[int, bool]
 
@@ -38,14 +48,8 @@ BOOL_OPS = ("and", "or", "not")
 
 COMPLEMENT = {"=": "!=", "!=": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
-_REL_FUNCS: dict[str, Callable[[int, int], bool]] = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+_REL_FUNCS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+              "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 class ExprError(Exception):
@@ -68,84 +72,174 @@ class UninterpretedSymbol(ExprError):
         self.name = name
 
 
-class Expr:
-    """Base class; all expression nodes are frozen dataclasses."""
+class _Ref(ref):
+    """Weak reference to an interned node that remembers the node's table key."""
 
-    __slots__ = ()
+    __slots__ = ("key",)
+
+
+# The intern table: structural key -> weak reference to the live node.
+# Children are interned before their parent, so a key holds them by
+# identity and a lookup costs O(arity).  A dead node's entry is dropped by
+# its reference's callback unless a newer node already took the key.
+_table: dict[tuple, _Ref] = {}
+
+
+def _drop(dead: _Ref, table: dict = _table) -> None:
+    if table.get(dead.key) is dead:
+        del table[dead.key]
+
+
+_set = object.__setattr__
+_NO_VARS: frozenset[str] = frozenset()
+_SAME = True  # ``_nf`` marker for a node that is its own normal form (avoids a self-cycle)
+
+
+class Expr:
+    """Base class of the interned term nodes; build them with the subclass constructors.
+
+    Nodes are shared, so assignment is refused; only this module writes
+    them, through ``_set``.  Besides its fields a node holds its children,
+    its sort, its free variables and the lazy caches of its ordering key and
+    default normal form.
+    """
+
+    __slots__ = ("_kids", "_sort", "_ord", "_fv", "_nf", "__weakref__")
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} terms are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({body})"
 
     def __str__(self) -> str:
         return to_text(self)
 
 
-@dataclass(frozen=True)
-class IntConst(Expr):
-    value: int
+def _intern(cls, key: tuple, fields: tuple, kids: tuple | None = None, sort=None) -> Expr:
+    """A new node with ``fields``, registered under ``key``; a leaf passes no ``kids`` or ``sort``."""
+    node = object.__new__(cls)
+    for name, value in zip(cls._fields, fields):
+        _set(node, name, value)
+    _set(node, "_ord", None)
+    if cls is Var:
+        _set(node, "_fv", frozenset(fields))
+    elif kids is not None:
+        fv = kids[0]._fv if kids else _NO_VARS  # shared with a child where no other child adds a variable
+        for k in kids[1:]:
+            if not k._fv <= fv:
+                fv = fv | k._fv
+        _set(node, "_kids", kids)
+        _set(node, "_sort", sort)
+        _set(node, "_fv", fv)
+        _set(node, "_nf", None)
+    _table[key] = entry = _Ref(node, _drop)
+    entry.key = key
+    return node
 
 
-@dataclass(frozen=True)
-class BoolConst(Expr):
-    value: bool
+# operator -> (fewest operands, most operands or None); relations are binary
+_ARITY = {"neg": (1, 1), "-": (2, 2), "+": (2, None), "*": (2, None), "not": (1, 1), "and": (1, None), "or": (1, None)}
 
 
-@dataclass(frozen=True)
-class Var(Expr):
+def _checked_sort(cls, op: str, kids: tuple):
+    """Sort of a new ``cls`` node over ``kids``, or ``None`` if an operand is badly sorted.
+
+    Raises ``ValueError`` for an operator ``cls`` does not have or a wrong
+    operand count, and ``TypeError`` for an operand that is not a term.
+    """
+    if cls._ops is not None:
+        if op not in cls._ops:
+            raise ValueError(f"unknown {cls.__name__} operator {op!r}")
+        low, high = _ARITY.get(op, (2, 2))
+        if len(kids) < low or (high is not None and len(kids) > high):
+            raise ValueError(f"{op!r} takes {low if low == high else f'at least {low}'} operand(s), got {len(kids)}")
+    for k in kids:
+        if not isinstance(k, Expr):
+            raise TypeError(f"not an expression: {k!r}")
+        if k._sort is not cls._operand_sort:
+            return None
+    return BOOL if cls is Rel else cls._operand_sort
+
+
+class _Leaf(Expr):
+    """A constant or a variable: one field, no children, its own normal form."""
+
+    __slots__ = ()
+    _kids, _nf = (), _SAME  # per class, so building a leaf writes only its field and ``_ord``
+
+    def __new__(cls, value):
+        key = (cls, value)
+        node = (entry := _table.get(key)) and entry()
+        return node or _intern(cls, key, (cls._coerce(value),))
+
+
+class IntConst(_Leaf):
+    __slots__ = _fields = ("value",)
+    _sort, _fv, _coerce = INT, _NO_VARS, operator.index
+
+
+class BoolConst(_Leaf):
+    __slots__ = _fields = ("value",)
+    _sort, _fv, _coerce = BOOL, _NO_VARS, bool
+
+
+class Var(_Leaf):
     """Reference to an integer-valued variable (a place/storage variable)."""
 
-    name: str
+    __slots__ = _fields = ("name",)
+    _sort, _coerce = INT, str
 
 
-@dataclass(frozen=True)
-class Apply(Expr):
+class _Nary(Expr):
+    """A head (function symbol or operator) over a tuple of operands of one sort."""
+
+    __slots__ = ("args",)
+    _ops: tuple[str, ...] | None = None  # accepted operators; None admits any function symbol
+
+    def __new__(cls, head: str, args: Iterable[Expr]):
+        args = args if type(args) is tuple else tuple(args)
+        key = (cls, head, args)
+        node = (entry := _table.get(key)) and entry()
+        return node or _intern(cls, key, (head, args), args, _checked_sort(cls, head, args))
+
+
+class Apply(_Nary):
     """Application of an uninterpreted, integer-valued function symbol."""
 
-    symbol: str
-    args: tuple[Expr, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
+    __slots__ = ("symbol",)
+    _fields = ("symbol", "args")
+    _operand_sort = INT
 
 
-@dataclass(frozen=True)
-class Arith(Expr):
-    op: str
-    args: tuple[Expr, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
-        if self.op not in ARITH_OPS:
-            raise ValueError(f"unknown arithmetic operator {self.op!r}")
-        if self.op == "neg" and len(self.args) != 1:
-            raise ValueError("unary negation takes exactly one operand")
-        if self.op == "-" and len(self.args) != 2:
-            raise ValueError("subtraction is binary")
-        if self.op in ("+", "*") and len(self.args) < 2:
-            raise ValueError(f"{self.op!r} needs at least two operands")
+class Arith(_Nary):
+    __slots__ = ("op",)
+    _fields = ("op", "args")
+    _ops, _operand_sort = ARITH_OPS, INT
 
 
-@dataclass(frozen=True)
 class Rel(Expr):
-    op: str
-    lhs: Expr
-    rhs: Expr
+    __slots__ = _fields = ("op", "lhs", "rhs")
+    _ops, _operand_sort = REL_OPS, INT
 
-    def __post_init__(self) -> None:
-        if self.op not in REL_OPS:
-            raise ValueError(f"unknown relation {self.op!r}")
+    def __new__(cls, op: str, lhs: Expr, rhs: Expr):
+        key = (Rel, op, lhs, rhs)
+        kids = (lhs, rhs)
+        node = (entry := _table.get(key)) and entry()
+        return node or _intern(Rel, key, (op, lhs, rhs), kids, _checked_sort(Rel, op, kids))
 
 
-@dataclass(frozen=True)
-class BoolOp(Expr):
-    op: str
-    args: tuple[Expr, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
-        if self.op not in BOOL_OPS:
-            raise ValueError(f"unknown boolean operator {self.op!r}")
-        if self.op == "not" and len(self.args) != 1:
-            raise ValueError("'not' takes exactly one operand")
-        if self.op in ("and", "or") and len(self.args) < 1:
-            raise ValueError(f"{self.op!r} needs at least one operand")
+class BoolOp(_Nary):
+    __slots__ = ("op",)
+    _fields = ("op", "args")
+    _ops, _operand_sort = BOOL_OPS, BOOL
 
 
 @dataclass(frozen=True)
@@ -187,76 +281,46 @@ def neg(a: Expr) -> Expr:
 def conj(args: Iterable[Expr]) -> Expr:
     """Conjunction of zero or more boolean terms (empty conjunction is true)."""
     terms = tuple(args)
-    if not terms:
-        return TRUE
-    if len(terms) == 1:
-        return terms[0]
-    return BoolOp("and", terms)
+    return BoolOp("and", terms) if len(terms) > 1 else terms[0] if terms else TRUE
+
+
+def _postorder(root: Expr, ready: Callable[[Expr], bool]) -> Iterator[Expr]:
+    """The nodes under ``root`` that are not ``ready``, children before parents.
+
+    The caller makes each yielded node ready before asking for the next, so
+    a shared subterm is yielded once and its parents find it done.
+    """
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if ready(node):
+            stack.pop()
+            continue
+        pending = [k for k in node._kids if not ready(k)]
+        if pending:
+            stack.extend(reversed(pending))
+        else:
+            stack.pop()
+            yield node
 
 
 def sort_of(e: Expr) -> str:
     """Return the sort of a well-sorted expression, raising :class:`SortMismatch` otherwise."""
-    if isinstance(e, (IntConst, Var)):
-        return INT
-    if isinstance(e, BoolConst):
-        return BOOL
-    if isinstance(e, Apply):
-        for a in e.args:
-            if sort_of(a) != INT:
-                raise SortMismatch(f"argument of {e.symbol} is not integer-sorted: {a}")
-        return INT
-    if isinstance(e, Arith):
-        for a in e.args:
-            if sort_of(a) != INT:
-                raise SortMismatch(f"arithmetic over non-integer operand: {a}")
-        return INT
-    if isinstance(e, Rel):
-        if sort_of(e.lhs) != INT or sort_of(e.rhs) != INT:
-            raise SortMismatch(f"relation over non-integer operand: {e}")
-        return BOOL
-    if isinstance(e, BoolOp):
-        for a in e.args:
-            if sort_of(a) != BOOL:
-                raise SortMismatch(f"boolean operator over non-boolean operand: {a}")
-        return BOOL
-    raise TypeError(f"not an expression: {e!r}")
+    if not isinstance(e, Expr):
+        raise TypeError(f"not an expression: {e!r}")
+    node = e  # an ill-sorted node: descend to its first badly sorted operand
+    while node._sort is None:
+        want = BOOL if type(node) is BoolOp else INT
+        bad = next(k for k in node._kids if k._sort is not want)
+        if bad._sort is not None:
+            head = node.symbol if type(node) is Apply else node.op
+            raise SortMismatch(f"operand of {head!r} is not {want}-sorted: {bad}")
+        node = bad
+    return e._sort
 
 
 def free_vars(e: Expr) -> frozenset[str]:
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, (IntConst, BoolConst)):
-        return frozenset()
-    if isinstance(e, Apply):
-        out: frozenset[str] = frozenset()
-        for a in e.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(e, (Arith, BoolOp)):
-        out = frozenset()
-        for a in e.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(e, Rel):
-        return free_vars(e.lhs) | free_vars(e.rhs)
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def applied_symbols(e: Expr) -> frozenset[str]:
-    """All uninterpreted function symbols occurring in the term."""
-    out: frozenset[str] = frozenset()
-    if isinstance(e, Apply):
-        out = frozenset((e.symbol,))
-        for a in e.args:
-            out |= applied_symbols(a)
-        return out
-    if isinstance(e, (Arith, BoolOp)):
-        for a in e.args:
-            out |= applied_symbols(a)
-        return out
-    if isinstance(e, Rel):
-        return applied_symbols(e.lhs) | applied_symbols(e.rhs)
-    return out
+    return e._fv
 
 
 def apply_chain(e: Expr) -> tuple[str, ...]:
@@ -267,76 +331,53 @@ def apply_chain(e: Expr) -> tuple[str, ...]:
     updates are labelled in conversion reports.
     """
     chain: list[str] = []
-
-    def walk(t: Expr) -> None:
-        if isinstance(t, Apply):
-            for a in t.args:
-                walk(a)
-            chain.append(t.symbol)
-        elif isinstance(t, (Arith, BoolOp)):
-            for a in t.args:
-                walk(a)
-        elif isinstance(t, Rel):
-            walk(t.lhs)
-            walk(t.rhs)
-
-    walk(e)
+    stack: list = [e]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            chain.append(item)
+            continue
+        if type(item) is Apply:
+            stack.append(item.symbol)
+        stack.extend(reversed(item._kids))
     return tuple(chain)
 
 
+_ARITH_FUNCS = {"+": sum, "*": math.prod, "-": lambda v: v[0] - v[1], "neg": lambda v: -v[0]}
+_BOOL_FUNCS: dict[str, Callable[[list[bool]], bool]] = {"and": all, "or": any, "not": lambda v: not v[0]}
+
+
 def evaluate(e: Expr, env: Environment) -> Value:
-    """Value of ``e`` under ``env``; unbounded integer arithmetic."""
-    if isinstance(e, IntConst):
+    """Value of ``e`` under ``env``; unbounded integer arithmetic, sort-checked up front."""
+    sort_of(e)
+    return _eval(e, env)
+
+
+def _eval(e: Expr, env: Environment) -> Value:
+    cls = type(e)
+    if cls is IntConst or cls is BoolConst:
         return e.value
-    if isinstance(e, BoolConst):
-        return e.value
-    if isinstance(e, Var):
+    if cls is Var:
         try:
             return env.values[e.name]
         except KeyError:
             raise UnboundVariable(e.name) from None
-    if isinstance(e, Apply):
+    if cls is Apply:
         try:
             fn = env.functions[e.symbol]
         except KeyError:
             raise UninterpretedSymbol(e.symbol) from None
-        return int(fn(*(_eval_int(a, env) for a in e.args)))
-    if isinstance(e, Arith):
-        vals = [_eval_int(a, env) for a in e.args]
-        if e.op == "+":
-            return sum(vals)
-        if e.op == "*":
-            out = 1
-            for v in vals:
-                out *= v
-            return out
-        if e.op == "-":
-            return vals[0] - vals[1]
-        return -vals[0]
-    if isinstance(e, Rel):
-        return _REL_FUNCS[e.op](_eval_int(e.lhs, env), _eval_int(e.rhs, env))
-    if isinstance(e, BoolOp):
-        vals = [_eval_bool(a, env) for a in e.args]
-        if e.op == "and":
-            return all(vals)
-        if e.op == "or":
-            return any(vals)
-        return not vals[0]
-    raise TypeError(f"not an expression: {e!r}")
+        return int(fn(*(_eval(a, env) for a in e.args)))
+    if cls is Rel:
+        return _REL_FUNCS[e.op](_eval(e.lhs, env), _eval(e.rhs, env))
+    funcs = _ARITH_FUNCS if cls is Arith else _BOOL_FUNCS
+    return funcs[e.op]([_eval(a, env) for a in e.args])
 
 
-def _eval_int(e: Expr, env: Environment) -> int:
-    v = evaluate(e, env)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SortMismatch(f"integer expected, got {v!r} from {e}")
-    return v
-
-
-def _eval_bool(e: Expr, env: Environment) -> bool:
-    v = evaluate(e, env)
-    if not isinstance(v, bool):
-        raise SortMismatch(f"boolean expected, got {v!r} from {e}")
-    return v
+def _rebuild(node: Expr, kids: list) -> Expr:
+    """``node`` with its children replaced by ``kids``."""
+    cls = type(node)
+    return Rel(node.op, *kids) if cls is Rel else cls(node.symbol if cls is Apply else node.op, tuple(kids))
 
 
 def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
@@ -346,46 +387,44 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
     replacement terms are never re-visited, ``{x -> y, y -> x}`` swaps.
     """
     for name, repl in bindings.items():
-        if sort_of(repl) != INT:
+        if sort_of(repl) is not INT:
             raise SortMismatch(f"replacement for {name!r} is not integer-sorted: {repl}")
-    return _subst(e, bindings)
-
-
-def _subst(e: Expr, b: Mapping[str, Expr]) -> Expr:
-    if isinstance(e, Var):
-        return b.get(e.name, e)
-    if isinstance(e, (IntConst, BoolConst)):
-        return e
-    if isinstance(e, Apply):
-        return Apply(e.symbol, tuple(_subst(a, b) for a in e.args))
-    if isinstance(e, Arith):
-        return Arith(e.op, tuple(_subst(a, b) for a in e.args))
-    if isinstance(e, Rel):
-        return Rel(e.op, _subst(e.lhs, b), _subst(e.rhs, b))
-    if isinstance(e, BoolOp):
-        return BoolOp(e.op, tuple(_subst(a, b) for a in e.args))
-    raise TypeError(f"not an expression: {e!r}")
+    if not e._kids:
+        return bindings.get(e.name, e) if type(e) is Var else e
+    done: dict[Expr, Expr] = {}
+    for node in _postorder(e, done.__contains__):
+        if not node._kids:
+            done[node] = bindings.get(node.name, node) if type(node) is Var else node
+        else:
+            kids = [done[k] for k in node._kids]
+            same = all(map(operator.is_, kids, node._kids))
+            done[node] = node if same else _rebuild(node, kids)
+    return done[e]
 
 
 # Total order on normalized terms used to sort operands of commutative
 # operators: constants first, then variables lexicographically, then
 # applications by symbol/arity/operands, then compound nodes.
-def _key(e: Expr):
-    if isinstance(e, IntConst):
-        return (0, 0, e.value)
-    if isinstance(e, BoolConst):
-        return (0, 1, int(e.value))
-    if isinstance(e, Var):
+def _own_key(e: Expr) -> tuple:
+    """Ordering key of ``e`` from its children's cached keys."""
+    cls = type(e)
+    if cls is IntConst or cls is BoolConst:
+        return (0, int(cls is BoolConst), int(e.value))
+    if cls is Var:
         return (1, e.name)
-    if isinstance(e, Apply):
-        return (2, e.symbol, len(e.args), tuple(_key(a) for a in e.args))
-    if isinstance(e, Arith):
-        return (3, e.op, len(e.args), tuple(_key(a) for a in e.args))
-    if isinstance(e, Rel):
-        return (4, e.op, _key(e.lhs), _key(e.rhs))
-    if isinstance(e, BoolOp):
-        return (5, e.op, len(e.args), tuple(_key(a) for a in e.args))
-    raise TypeError(f"not an expression: {e!r}")
+    if cls is Rel:
+        return (4, e.op, e.lhs._ord, e.rhs._ord)
+    head = e.symbol if cls is Apply else e.op
+    return (2 if cls is Apply else 3 if cls is Arith else 5, head, len(e.args), tuple(a._ord for a in e.args))
+
+
+def _key(e: Expr) -> tuple:
+    k = e._ord
+    if k is None:
+        for node in _postorder(e, lambda n: n._ord is not None):
+            _set(node, "_ord", _own_key(node))
+        k = e._ord
+    return k
 
 
 def normalize(e: Expr, collect_terms: bool = False) -> Expr:
@@ -393,150 +432,107 @@ def normalize(e: Expr, collect_terms: bool = False) -> Expr:
 
     With ``collect_terms`` the additive like-term collection is enabled
     (``x - x`` becomes ``0``, ``2*x + x`` becomes ``3*x``); by default
-    terms are only folded, flattened and sorted.
+    terms are only folded, flattened and sorted.  Default normal forms are
+    cached on the nodes; collected ones are memoized within the call.
     """
     sort_of(e)
-    return _norm(e, collect_terms)
+    if collect_terms:
+        memo: dict[Expr, Expr] = {}
+        for node in _postorder(e, memo.__contains__):
+            memo[node] = _norm_node(node, [memo[k] for k in node._kids], True)
+        return memo[e]
+    if e._nf is None:
+        for node in _postorder(e, lambda n: n._nf is not None):
+            nf = _norm_node(node, [_cached_nf(k) for k in node._kids], False)
+            _set(node, "_nf", _SAME if nf is node else nf)
+    return _cached_nf(e)
 
 
-def _norm(e: Expr, collect: bool) -> Expr:
-    if isinstance(e, (IntConst, BoolConst, Var)):
+def _cached_nf(e: Expr) -> Expr:
+    return e if e._nf is _SAME else e._nf
+
+
+def _norm_node(e: Expr, kids: list, collect: bool) -> Expr:
+    """Normal form of ``e`` given the normal forms of its children."""
+    cls = type(e)
+    if not kids:
         return e
-    if isinstance(e, Apply):
-        return Apply(e.symbol, tuple(_norm(a, collect) for a in e.args))
-    if isinstance(e, Arith):
-        if e.op == "-":
-            return _norm(Arith("+", (e.args[0], Arith("neg", (e.args[1],)))), collect)
+    if cls is Apply:
+        return _rebuild(e, kids)
+    if cls is Arith:
         if e.op == "neg":
-            inner = _norm(e.args[0], collect)
-            if isinstance(inner, IntConst):
-                return IntConst(-inner.value)
-            if isinstance(inner, Arith) and inner.op == "neg":
-                return inner.args[0]
-            return Arith("neg", (inner,))
-        if e.op == "+":
-            return _norm_add(e, collect)
-        return _norm_mul(e, collect)
-    if isinstance(e, Rel):
-        lhs = _norm(e.lhs, collect)
-        rhs = _norm(e.rhs, collect)
-        if isinstance(lhs, IntConst) and isinstance(rhs, IntConst):
+            return _norm_neg(kids[0])
+        if e.op == "-":
+            return _norm_ring("+", [kids[0], _norm_neg(kids[1])], collect)
+        return _norm_ring(e.op, kids, collect)
+    if cls is Rel:
+        lhs, rhs = kids
+        if type(lhs) is IntConst and type(rhs) is IntConst:
             return BoolConst(_REL_FUNCS[e.op](lhs.value, rhs.value))
         return Rel(e.op, lhs, rhs)
-    if isinstance(e, BoolOp):
-        if e.op == "not":
-            inner = _norm(e.args[0], collect)
-            if isinstance(inner, BoolConst):
-                return BoolConst(not inner.value)
-            if isinstance(inner, BoolOp) and inner.op == "not":
-                return inner.args[0]
-            if isinstance(inner, Rel):
-                return Rel(COMPLEMENT[inner.op], inner.lhs, inner.rhs)
-            return BoolOp("not", (inner,))
-        return _norm_bool(e, collect)
-    raise TypeError(f"not an expression: {e!r}")
+    if e.op == "not":
+        return negate_guard(kids[0])
+    return _norm_bool(e.op, kids)
+
+
+def _norm_neg(inner: Expr) -> Expr:
+    if type(inner) is IntConst:
+        return IntConst(-inner.value)
+    if type(inner) is Arith and inner.op == "neg":
+        return inner.args[0]
+    return Arith("neg", (inner,))
 
 
 def _flatten(op: str, args: Iterable[Expr]) -> list[Expr]:
-    flat: list[Expr] = []
-    for a in args:
-        if isinstance(a, (Arith, BoolOp)) and a.op == op:
-            flat.extend(a.args)
-        else:
-            flat.append(a)
-    return flat
+    return [x for a in args for x in (a.args if type(a) in (Arith, BoolOp) and a.op == op else (a,))]
 
 
-def _norm_add(e: Arith, collect: bool) -> Expr:
-    operands = _flatten("+", (_norm(a, collect) for a in e.args))
-    const = 0
-    rest: list[Expr] = []
-    for a in operands:
-        if isinstance(a, IntConst):
-            const += a.value
-        else:
-            rest.append(a)
-    if collect:
+def _norm_ring(op: str, kids: list, collect: bool) -> Expr:
+    """Flattened ``+`` or ``*``: constants folded into one leading operand, the rest sorted."""
+    flat = _flatten(op, kids)
+    unit = 0 if op == "+" else 1
+    const = _ARITH_FUNCS[op]([a.value for a in flat if type(a) is IntConst])
+    rest = [a for a in flat if type(a) is not IntConst]
+    if op == "*" and const == 0:
+        return IntConst(0)
+    if collect and op == "+":
         const, rest = _collect_terms(const, rest)
     rest.sort(key=_key)
-    if const != 0 or not rest:
+    if const != unit or not rest:
         rest.insert(0, IntConst(const))
-    if len(rest) == 1:
-        return rest[0]
-    return Arith("+", tuple(rest))
+    return rest[0] if len(rest) == 1 else Arith(op, tuple(rest))
 
 
 def _collect_terms(const: int, operands: list[Expr]) -> tuple[int, list[Expr]]:
-    coeffs: dict = {}
-    order: list = []
-
-    def bump(term: Expr, c: int) -> None:
-        k = _key(term)
-        if k not in coeffs:
-            coeffs[k] = (term, 0)
-            order.append(k)
-        t, acc = coeffs[k]
-        coeffs[k] = (t, acc + c)
-
-    for a in operands:
-        if isinstance(a, Arith) and a.op == "neg":
-            bump(a.args[0], -1)
-        elif isinstance(a, Arith) and a.op == "*" and isinstance(a.args[0], IntConst):
-            tail = a.args[1:]
-            bump(tail[0] if len(tail) == 1 else Arith("*", tail), a.args[0].value)
+    coeffs: dict[Expr, int] = {}  # term -> coefficient; no term is a sum, negation or constant
+    todo = [(a, 1) for a in operands]  # negations, constant factors and inner sums are peeled
+    while todo:
+        term, c = todo.pop()
+        op = term.op if type(term) is Arith else None
+        if type(term) is IntConst:
+            const += c * term.value
+        elif op == "neg":
+            todo.append((term.args[0], -c))
+        elif op == "+":
+            todo.extend((t, c) for t in term.args)
+        elif op == "*" and type(term.args[0]) is IntConst:
+            tail = term.args[1:]
+            todo.append((tail[0] if len(tail) == 1 else Arith("*", tail), c * term.args[0].value))
         else:
-            bump(a, 1)
-
-    out: list[Expr] = []
-    for k in order:
-        term, c = coeffs[k]
-        if c == 0:
-            continue
-        if c == 1:
-            out.append(term)
-        elif c == -1:
-            out.append(Arith("neg", (term,)))
-        else:
-            inner = _flatten("*", (IntConst(c), term))
-            out.append(Arith("*", tuple(inner)))
-    return const, out
+            coeffs[term] = coeffs.get(term, 0) + c
+    return const, [t if c == 1 else Arith("neg", (t,)) if c == -1 else Arith("*", tuple(_flatten("*", (IntConst(c), t))))
+                   for t, c in coeffs.items() if c]
 
 
-def _norm_mul(e: Arith, collect: bool) -> Expr:
-    operands = _flatten("*", (_norm(a, collect) for a in e.args))
-    const = 1
-    rest: list[Expr] = []
-    for a in operands:
-        if isinstance(a, IntConst):
-            const *= a.value
-        else:
-            rest.append(a)
-    if const == 0:
-        return IntConst(0)
-    rest.sort(key=_key)
-    if const != 1 or not rest:
-        rest.insert(0, IntConst(const))
-    if len(rest) == 1:
-        return rest[0]
-    return Arith("*", tuple(rest))
-
-
-def _norm_bool(e: BoolOp, collect: bool) -> Expr:
-    operands = _flatten(e.op, (_norm(a, collect) for a in e.args))
-    absorbing = e.op == "or"  # value of the constant that decides the whole term
-    rest: list[Expr] = []
-    for a in operands:
-        if isinstance(a, BoolConst):
-            if a.value == absorbing:
-                return BoolConst(absorbing)
-        else:
-            rest.append(a)
+def _norm_bool(op: str, kids: list) -> Expr:
+    absorbing = op == "or"  # value of the constant that decides the whole term
+    flat = _flatten(op, kids)
+    if any(type(a) is BoolConst and a.value == absorbing for a in flat):
+        return BoolConst(absorbing)
+    rest = sorted((a for a in flat if type(a) is not BoolConst), key=_key)
     if not rest:
         return BoolConst(not absorbing)
-    rest.sort(key=_key)
-    if len(rest) == 1:
-        return rest[0]
-    return BoolOp(e.op, tuple(rest))
+    return rest[0] if len(rest) == 1 else BoolOp(op, tuple(rest))
 
 
 def negate_guard(g: Expr) -> Expr:
@@ -558,57 +554,59 @@ def structurally_equivalent(e1: Expr, e2: Expr, collect_terms: bool = False) -> 
     """
     if sort_of(e1) != sort_of(e2):
         raise SortMismatch("cannot compare expressions of different sorts")
-    return normalize(e1, collect_terms) == normalize(e2, collect_terms)
+    return normalize(e1, collect_terms) is normalize(e2, collect_terms)
 
 
 # Pretty-printer.  Precedence, loosest to tightest: or, and, not,
 # relations, + -, *, unary minus/atoms.  Identifiers may contain
 # hyphens, so binary operators are always printed with surrounding
 # spaces; `a - b` and the identifier `a-b` are different token streams.
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_NOT = 3
-_PREC_REL = 4
-_PREC_ADD = 5
-_PREC_MUL = 6
-_PREC_ATOM = 7
+_PREC_OR, _PREC_AND, _PREC_NOT, _PREC_REL, _PREC_ADD, _PREC_MUL, _PREC_ATOM = range(1, 8)
 
 
 def to_text(e: Expr) -> str:
-    return _fmt(e, 0)
+    out: list[str] = []
+    stack: list = [(e, 0)]  # pieces still to print, last first: strings and (term, outer precedence)
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, outer = item
+        if type(node) is Var:
+            out.append(node.name)
+        elif type(node) is IntConst:
+            out.append(str(node.value))
+        else:
+            stack += reversed(_fmt_parts(node, outer))
+    return "".join(out)
 
 
-def _fmt(e: Expr, outer: int) -> str:
-    if isinstance(e, IntConst):
-        return str(e.value)
-    if isinstance(e, BoolConst):
-        return "true" if e.value else "false"
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Apply):
-        return f"{e.symbol}({', '.join(_fmt(a, 0) for a in e.args)})"
-    if isinstance(e, Arith):
-        if e.op == "neg":
-            if isinstance(e.args[0], IntConst):
-                return _wrap(f"-({_fmt(e.args[0], 0)})", _PREC_ATOM, outer)
-            return _wrap(f"-{_fmt(e.args[0], _PREC_ATOM)}", _PREC_ATOM, outer)
-        if e.op == "-":
-            body = f"{_fmt(e.args[0], _PREC_ADD)} - {_fmt(e.args[1], _PREC_ADD + 1)}"
-            return _wrap(body, _PREC_ADD, outer)
-        prec = _PREC_ADD if e.op == "+" else _PREC_MUL
-        body = f" {e.op} ".join(_fmt(a, prec) for a in e.args)
-        return _wrap(body, prec, outer)
-    if isinstance(e, Rel):
-        body = f"{_fmt(e.lhs, _PREC_REL + 1)} {e.op} {_fmt(e.rhs, _PREC_REL + 1)}"
-        return _wrap(body, _PREC_REL, outer)
-    if isinstance(e, BoolOp):
-        if e.op == "not":
-            return _wrap(f"not {_fmt(e.args[0], _PREC_NOT)}", _PREC_NOT, outer)
-        prec = _PREC_AND if e.op == "and" else _PREC_OR
-        body = f" {e.op} ".join(_fmt(a, prec) for a in e.args)
-        return _wrap(body, prec, outer)
-    raise TypeError(f"not an expression: {e!r}")
+def _joined(args: tuple, sep: str, prec: int) -> list:
+    parts: list = []
+    for a in args:
+        parts += (sep, (a, prec))
+    return parts[1:]
 
 
-def _wrap(body: str, prec: int, outer: int) -> str:
-    return f"({body})" if prec < outer else body
+def _fmt_parts(e: Expr, outer: int) -> list:
+    """Text pieces of ``e`` printed at precedence ``outer``: strings, and
+    ``(subterm, precedence)`` pairs still to be printed."""
+    cls = type(e)
+    if cls is BoolConst:
+        return ["true" if e.value else "false"]
+    if cls is Apply:
+        return [f"{e.symbol}(", *_joined(e.args, ", ", 0), ")"]
+    if cls is Arith and e.op == "neg":
+        arg = e.args[0]
+        body, prec = (["-(", (arg, 0), ")"] if type(arg) is IntConst else ["-", (arg, _PREC_ATOM)]), _PREC_ATOM
+    elif cls is Arith and e.op == "-":
+        body, prec = [(e.args[0], _PREC_ADD), " - ", (e.args[1], _PREC_ADD + 1)], _PREC_ADD
+    elif cls is Rel:
+        body, prec = [(e.lhs, _PREC_REL + 1), f" {e.op} ", (e.rhs, _PREC_REL + 1)], _PREC_REL
+    elif cls is BoolOp and e.op == "not":
+        body, prec = ["not ", (e.args[0], _PREC_NOT)], _PREC_NOT
+    else:
+        prec = {"+": _PREC_ADD, "*": _PREC_MUL, "and": _PREC_AND, "or": _PREC_OR}[e.op]
+        body = _joined(e.args, f" {e.op} ", prec)
+    return ["(", *body, ")"] if prec < outer else body

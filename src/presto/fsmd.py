@@ -12,7 +12,7 @@ condition is each guard pre-substituted through the store at its step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import expr as ex
 from .pres import Violation
@@ -154,24 +154,30 @@ def path_enumerate(
     prefix: list[FsmdTransition] = []
     visited = {from_state}
 
-    def walk(state: str) -> None:
+    def visit(state: str) -> Iterator[FsmdTransition]:
+        """Record ``state``; return the transitions still to be walked from it."""
         nonlocal truncated
         if state in targets:
             paths.append(tuple(prefix))
         if len(prefix) >= bound:
             if any(t.target not in visited for t in m.outgoing(state)):
                 truncated = True
-            return
-        for t in m.outgoing(state):
-            if t.target in visited:
-                continue
+            return iter(())
+        return iter(m.outgoing(state))
+
+    # Depth-first with an explicit stack (one iterator per state on the
+    # current path), so long paths do not hit the recursion limit.
+    stack = [visit(from_state)]
+    while stack:
+        t = next(stack[-1], None)
+        if t is None:
+            stack.pop()
+            if prefix:
+                visited.discard(prefix.pop().target)
+        elif t.target not in visited:
             visited.add(t.target)
             prefix.append(t)
-            walk(t.target)
-            prefix.pop()
-            visited.discard(t.target)
-
-    walk(from_state)
+            stack.append(visit(t.target))
     return PathEnumeration(tuple(paths), truncated)
 
 

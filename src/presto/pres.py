@@ -14,7 +14,7 @@ pure and safe for concurrent readers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from . import expr as ex
 
@@ -52,14 +52,6 @@ class Transition:
 
 
 Marking = frozenset  # frozenset[str]; the canonical form is the sorted name list
-
-
-def canonical_marking(m: Iterable[str]) -> tuple[str, ...]:
-    return tuple(sorted(m))
-
-
-def marking_name(m: Iterable[str]) -> str:
-    return "{" + ",".join(sorted(m)) + "}"
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,29 @@ class TestValidate:
         assert run(capsys, "validate", "/nonexistent.pres")[0] == 3
         assert run(capsys, "frobnicate")[0] == 3
 
+    def test_deep_term_is_a_syntax_error_not_a_crash(self, capsys, tmp_path):
+        for depth, expected in ((200, 0), (201, 3), (400, 3)):
+            deep = tmp_path / f"deep{depth}.fsmd"
+            deep.write_text(
+                "fsmd deep { states q0, q1; reset q0; inputs x; storage y; outputs y;\n"
+                f"  q0 -> q1 {{ y <= {'f(' * depth}x{')' * depth}; }}\n}}\n"
+            )
+            code, _, err = run(capsys, "validate", str(deep))
+            assert code == expected, err
+            assert "Traceback" not in err
+            if expected:
+                assert err.startswith("error: 2:") and "nested deeper than 200 levels" in err
+
+    def test_internal_error_exits_three_without_traceback(self, capsys, monkeypatch):
+        def explode(args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "cmd_validate", explode)
+        code, out, err = run(capsys, "validate", corpus.corpus_path("guard_split"))
+        assert code == 3
+        assert out == ""
+        assert err == "error: internal error: RecursionError: maximum recursion depth exceeded\n"
+
 
 class TestConvert:
     def test_output_parses_and_report_carries_labels(self, capsys, tmp_path):
@@ -105,6 +128,43 @@ class TestChecks:
             """
         )
         assert run(capsys, "check-pres", str(scenario))[0] == 2
+
+    def test_check_fsmd_surfaces_conversion_warnings(self, capsys, tmp_path):
+        (tmp_path / "contra.pres").write_text(
+            """
+            net contra {
+              place x1 marked var xx; place x2 marked var xx;
+              place u; place v; place w; place z;
+              transition ga { pre x1; post u; fn fa(xx); guard xx > 0; }
+              transition gb { pre x1; post v; fn fb(xx); }
+              transition gc { pre x2; post w; fn fc(xx); guard xx > 0; }
+              transition gd { pre x2; post z; fn fd(xx); }
+            }
+            """
+        )
+        scenario = tmp_path / "contra.scn"
+        scenario.write_text(
+            """
+            scenario contra {
+              model left = "contra.pres";
+              model right = "contra.pres";
+              check fsmd;
+              varmap { u -> u; v -> v; w -> w; z -> z; }
+            }
+            """
+        )
+        report = tmp_path / "contra.json"
+        _, out, err = run(capsys, "check-fsmd", str(scenario), "--json", str(report))
+        warnings = json.loads(report.read_text())["warnings"]
+        assert len(warnings) == 4 and all("InconsistentGuards" in w for w in warnings)
+        assert err.splitlines() == [f"warning: {w}" for w in warnings]
+        assert "warning" not in out
+        assert out.startswith(("Equivalent", "NotEquivalent", "Inconclusive"))
+
+    def test_check_fsmd_report_lists_no_warnings_for_clean_nets(self, capsys, tmp_path):
+        report = tmp_path / "jammer.json"
+        run(capsys, "check-fsmd", corpus.scenario_path("jammer"), "--json", str(report))
+        assert json.loads(report.read_text())["warnings"] == []
 
 
 class TestSimulate:

@@ -3,6 +3,7 @@ import pytest
 from presto import corpus, expr as ex
 from presto.convert import pres_to_fsmd
 from presto.dsl import (
+    MAX_NESTING,
     DslSemanticError,
     DslSyntaxError,
     parse_expression,
@@ -36,6 +37,26 @@ class TestExpressionSyntax:
     def test_trailing_input_rejected(self):
         with pytest.raises(DslSyntaxError):
             parse_expression("a + b c")
+
+    @pytest.mark.parametrize("opening, levels, core, closing", [
+        ("f(", 1, "x", ")"), ("(", 1, "x", ")"), ("- ", 1, "x", ""), ("not ", 1, "x > 0", ""),
+        ("g(-(not ", 4, "x = 1", "))"),
+    ])
+    def test_nesting_limit(self, opening, levels, core, closing):
+        def nest(reps):
+            return opening * reps + core + closing * reps
+
+        assert MAX_NESTING == 200
+        parse_expression(nest(MAX_NESTING // levels))
+        with pytest.raises(DslSyntaxError, match="nested deeper than 200") as err:
+            parse_expression(nest(MAX_NESTING // levels + 1))
+        assert err.value.span.line == 1 and err.value.span.col > 1
+
+    def test_relations_do_not_chain(self):
+        for text in ("a < b < c", "not a < b <= c", "x = 1 and a < b < c"):
+            with pytest.raises(DslSyntaxError):
+                parse_expression(text)
+        assert parse_expression("(a < b) = c") == ex.Rel("=", ex.Rel("<", ex.Var("a"), ex.Var("b")), ex.Var("c"))
 
 
 class TestNetParsing:

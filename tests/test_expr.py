@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -91,6 +93,17 @@ class TestNormalize:
     def test_like_terms_collect(self):
         e = ex.add(ex.mul(ex.IntConst(2), X), X)
         assert ex.normalize(e, collect_terms=True) == ex.Arith("*", (ex.IntConst(3), X))
+
+    def test_collect_peels_signs_and_inner_sums(self):
+        m1 = ex.IntConst(-1)
+        # -x * -1 + x is 2 * x, and -((x + y) * -1) + z is a flat sum
+        e1 = ex.add(ex.mul(ex.neg(X), m1), X)
+        assert ex.normalize(e1, collect_terms=True) == ex.Arith("*", (ex.IntConst(2), X))
+        e2 = ex.add(ex.neg(ex.mul(ex.add(X, Y), m1)), ex.Var("z"))
+        assert ex.normalize(e2, collect_terms=True) == ex.normalize(ex.add(X, Y, ex.Var("z")))
+        for e in (e1, e2):
+            once = ex.normalize(e, collect_terms=True)
+            assert ex.normalize(once, collect_terms=True) is once
 
     def test_double_negation(self):
         assert ex.normalize(ex.neg(ex.neg(X))) == X
@@ -204,3 +217,91 @@ def test_printer_parser_round_trip(seed):
     once = parse_expression(ex.to_text(e))
     assert parse_expression(ex.to_text(once)) == once
     assert ex.normalize(once) == ex.normalize(e)
+
+
+# Hash-consing: equal terms are one object, built once and shared.
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_equal_builds_are_one_object(seed):
+    e = random_expr(random.Random(seed), depth=6)
+    assert random_expr(random.Random(seed), depth=6) is e
+    assert pickle.loads(pickle.dumps(e)) is e
+    assert copy.copy(e) is e
+    assert copy.deepcopy(e) is e
+
+
+class TestHashConsing:
+    def test_constructors_share_nodes(self):
+        assert ex.Apply("f", [X, ex.IntConst(1)]) is ex.Apply("f", (X, ex.IntConst(1)))
+        assert ex.Rel("<", X, Y) is ex.Rel("<", X, Y)
+        assert ex.Rel("<", X, Y) is not ex.Rel("<", Y, X)
+        assert ex.IntConst(1) is not ex.BoolConst(True)
+
+    def test_terms_are_immutable(self):
+        with pytest.raises(AttributeError):
+            X.name = "y"
+        with pytest.raises(AttributeError):
+            del ex.Apply("f", (X,)).args
+        assert X.name == "x"
+
+    def test_invalid_operators_still_rejected(self):
+        with pytest.raises(ValueError):
+            ex.Arith("/", (X, Y))
+        with pytest.raises(ValueError):
+            ex.Arith("neg", (X, Y))
+        with pytest.raises(ValueError):
+            ex.BoolOp("and", ())
+        with pytest.raises(ValueError):
+            ex.Rel("=>", X, Y)
+        with pytest.raises(TypeError):
+            ex.Apply("f", (1,))
+
+    def test_ill_sorted_terms_raise_everywhere(self):
+        bad = ex.Apply("f", (ex.Rel("=", X, Y),))
+        for e in (bad, ex.BoolOp("not", (X,)), ex.Arith("+", (X, ex.TRUE)), ex.Rel("<", ex.TRUE, X)):
+            with pytest.raises(ex.SortMismatch):
+                ex.sort_of(e)
+            with pytest.raises(ex.SortMismatch):
+                ex.normalize(e)
+            with pytest.raises(ex.SortMismatch):
+                ex.substitute(X, {"x": e})
+            with pytest.raises(ex.SortMismatch):
+                ex.evaluate(e, env({"x": 1, "y": 2}, {"f": abs}))
+
+    def test_unreferenced_terms_leave_the_table(self):
+        size = len(ex._table)
+        e = ex.Apply("fresh-symbol", (ex.Var("fresh-variable"),))
+        assert len(ex._table) == size + 2
+        del e
+        assert len(ex._table) == size
+
+
+DEEP = 5000
+
+
+def _apply_nest():
+    e = X
+    for _ in range(DEEP):
+        e = ex.Apply("f", (e,))
+    return e
+
+
+def _ring_nest():
+    e = X
+    for i in range(DEEP):
+        e = ex.Arith("+", (e, ex.IntConst(i))) if i % 2 else ex.Arith("*", (ex.IntConst(2), e))
+    return e
+
+
+@pytest.mark.parametrize("build", [_apply_nest, _ring_nest])
+def test_deep_terms_stay_within_the_recursion_limit(build):
+    e = build()
+    assert ex.free_vars(e) == {"x"}
+    assert hash(e) == hash(build())
+    assert ex.to_text(e).count("x") == 1
+    swapped = ex.substitute(e, {"x": ex.Apply("g", (Y,))})
+    assert ex.free_vars(swapped) == {"y"}
+    assert ex.substitute(swapped, {"y": X}) is ex.substitute(e, {"x": ex.Apply("g", (X,))})
+    n = ex.normalize(e)
+    assert ex.normalize(n) is n
+    assert ex.normalize(swapped, collect_terms=True) is not None

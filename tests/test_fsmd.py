@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,3 +201,29 @@ def test_parallel_update_reads_pre_step_values(seed):
     for v in variables:
         if v not in {a.target for a in updates}:
             assert out[v] == ex.Var(v)
+
+
+def test_800_stage_chain_is_checked_quickly():
+    # An 800-stage pipeline: each stage feeds the previous stage's value
+    # through its own symbol.  Path enumeration, the path transformation and
+    # normalizing its output walk 800-deep terms; the bound is loose (the
+    # work takes well under a second) but a cubic store walk would miss it.
+    stages = 800
+    names = ["x"] + [f"v{i}" for i in range(1, stages + 1)]
+    states = tuple(f"s{i}" for i in range(stages + 1))
+    transitions = []
+    for i in range(1, stages + 1):
+        prev = ex.Var(names[i - 1])
+        update = ex.add(ex.mul(ex.Apply(f"f{i % 12}", (prev,)), ex.IntConst(2)), ex.IntConst(i))
+        guards = (ex.Rel(">", prev, ex.IntConst(-i)),) if i % 5 == 0 else ()
+        transitions.append(step(states[i - 1], states[i], guards, [(names[i], update)]))
+    m = Fsmd("chain", states, "s0", frozenset(["x"]), frozenset(names[1:]), frozenset([names[-1]]), tuple(transitions))
+    start = time.perf_counter()
+    enum = path_enumerate(m, m.reset, m.terminal_states(), bound=len(states))
+    pt = path_transformation(m, enum.paths[0])
+    out, cond = ex.normalize(pt.transform[names[-1]]), ex.normalize(pt.condition)
+    assert time.perf_counter() - start < 10
+    assert not enum.truncated and len(enum.paths) == 1
+    assert ex.free_vars(out) == ex.free_vars(cond) == {"x"}
+    assert len(ex.apply_chain(out)) == stages
+    assert len(cond.args) == stages // 5
