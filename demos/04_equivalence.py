@@ -45,14 +45,17 @@ print(" ", to_text(normalize(t1.transform["out"]))[:120], "...")
 
 print()
 print("== a mutation the checker catches ==")
+# A difference of normal forms counts only once a concrete run confirms it,
+# so the check gets an input vector and interpretations to run on.
+vec = {"sig": 3, "th": 5, "tr": 1, "om": 2, "mp": 4, "dp": 6}
 swapped = pres_to_fsmd(corpus.load_net("jammer_pipelined_swapped")).fsmd
-verdict = check_fsmd_equivalence(m1, swapped, {"out": "out2"})
-print(verdict.status, "- the spectrum branch applies f after FFT instead of before")
+verdict = check_fsmd_equivalence(m1, swapped, {"out": "out2"}, [vec], SeededInterpretation(11))
+print(verdict.status, "- the spectrum branch applies f after FFT instead of before;",
+      "outputs", verdict.witness["values"], "on", verdict.witness["vector"])
 
 print()
 print("== schedule independence ==")
 jam = corpus.load_net("jammer_nonpipelined")
-vec = {"sig": 3, "th": 5, "tr": 1, "om": 2, "mp": 4, "dp": 6}
 print("jammer:", confluence_check(jam, vec, SeededInterpretation(11), 10, 0, 64).status)
 racy = corpus.load_net("racy")
 verdict = confluence_check(racy, {"a": 2}, SeededInterpretation(3), 10, 0, 8)

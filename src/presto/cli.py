@@ -68,24 +68,23 @@ def _verdict_line(v: Verdict) -> str:
     return line
 
 
-def _load_model(path: str):
+def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as err:
         raise UsageError(str(err)) from None
+
+
+def _load_model(path: str):
+    text = _read(path)
     if path.endswith(".fsmd"):
         return dsl.parse_fsmd(text)
     return dsl.parse_pres(text)
 
 
 def _load_scenario(path: str) -> dsl.ScenarioDocument:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise UsageError(str(err)) from None
-    return dsl.parse_scenario(text, base_dir=os.path.dirname(os.path.abspath(path)))
+    return dsl.parse_scenario(_read(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def _interpretation(doc: dsl.ScenarioDocument):
@@ -100,22 +99,7 @@ def _interpretation(doc: dsl.ScenarioDocument):
             return fn
 
         explicit[decl.symbol] = make(decl)
-    if doc.default_seed is None:
-        return explicit
-
-    seeded = SeededInterpretation(doc.default_seed)
-
-    class Table:
-        def __contains__(self, symbol: str) -> bool:
-            return True
-
-        def __getitem__(self, symbol: str):
-            return explicit.get(symbol) or seeded[symbol]
-
-        def get(self, symbol: str, default=None):
-            return self[symbol]
-
-    return Table()
+    return explicit if doc.default_seed is None else SeededInterpretation(doc.default_seed, explicit)
 
 
 def _write_json(path: Optional[str], payload: dict) -> None:
@@ -252,15 +236,16 @@ def cmd_check_fsmd(args) -> int:
     doc = _load_scenario(args.scenario)
     if not doc.left or not doc.right:
         raise UsageError("check-fsmd needs both a left and a right model")
-    warnings = []
-    machines = []
-    for side in (doc.left, doc.right):
-        machine, conv = _as_fsmd(_load_model(doc.resolve(side)), doc.state_bound)
-        machines.append(machine)
-        warnings += [str(w) for w in conv.warnings] if conv else []
+    models = [_load_model(doc.resolve(side)) for side in (doc.left, doc.right)]
+    converted = [_as_fsmd(model, doc.state_bound) for model in models]
+    machines = [machine for machine, _ in converted]
+    warnings = [str(w) for _, conv in converted if conv for w in conv.warnings]
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    verdict = check_fsmd_equivalence(*machines, dict(doc.var_map))
+    # Scenario vectors name places; the machines read the places' variables.
+    var_of = models[0].var_of if isinstance(models[0], PresNet) else {}
+    vectors = [{var_of.get(p, p): v for p, v in vector.items()} for vector in doc.vectors]
+    verdict = check_fsmd_equivalence(*machines, dict(doc.var_map), vectors, _interpretation(doc))
     print(_verdict_line(verdict))
     _write_json(args.json, {"command": "check-fsmd", "verdict": _verdict_json(verdict), "warnings": warnings})
     return verdict.exit_code()

@@ -4,28 +4,28 @@ Cardinality equivalence of two nets: ports correspond one-to-one, the
 initially marked in-ports correspond under the in-port map, and after
 execution the marked out-ports correspond under the out-port map.
 Functional equivalence adds equal token values at corresponding
-out-ports, decided either symbolically (convert both nets, compare
-normalized path transformations per out-port, matching paths by their
-normalized conditions) or by sampling (run both simulators per input
-vector).  Machine equivalence compares two FSMDs directly: enumerate
-reset-to-terminal paths, pair them by condition, and require equal
-normalized transforms for every output variable under the supplied
-output-variable bijection.
+out-ports, decided either symbolically (convert both nets and compare
+their paths) or by sampling (compare the out-port values of both nets'
+runs per input vector).  Machine equivalence compares two FSMDs
+directly under an output-variable bijection.
 
-The symbolic route is sound but incomplete: normalization is
-structural, so a mismatch of normal forms is only a disproof when a
-concrete counterexample confirms it; otherwise the verdict is honest
-about being inconclusive.
+Both symbolic routes share one path comparison: enumerate
+reset-to-terminal paths, pair them by normalized condition, and require
+equal normalized transforms for every mapped output.  It is sound but
+incomplete: normalization is structural, so a difference is only a
+disproof when a scenario vector confirms it, that is when concrete runs
+of the two models on that vector give different mapped outputs;
+otherwise the verdict is honest about being inconclusive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import expr as ex
 from .convert import ConversionConfig, pres_to_fsmd
-from .fsmd import Fsmd, path_enumerate, path_transformation, validate_fsmd
+from .fsmd import Fsmd, path_enumerate, path_transformation, run_machine, validate_fsmd
 from .pres import PresNet, classify_ports
 from .sim import QUIESCENT, Interpretation, SimError, out_port_values, simulate_run
 from .verdict import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT, Verdict
@@ -105,9 +105,11 @@ def check_cardinality(
     vectors: Sequence[dict],
     interp: Interpretation,
     max_steps: int = 1_000,
+    samples: Optional[list] = None,
 ) -> Verdict:
     """Port bijection, initial-marking correspondence, and out-port marking
-    correspondence after execution of every supplied input vector."""
+    correspondence after execution of every supplied input vector.  Each
+    vector's out-port values go to ``samples``, if given, for reuse."""
     method = "cardinality(in-port marking correspondence under f_in)"
     problems = pm.problems(n1, n2)
     if problems:
@@ -152,27 +154,9 @@ def check_cardinality(
                         "vector": dict(vector),
                     },
                 )
+        if samples is not None:
+            samples.append((dict(vector), out_port_values(n1, run1.final_state), out_port_values(n2, run2.final_state)))
     return Verdict(EQUIVALENT, method)
-
-
-def _single_paths(machine: Fsmd) -> tuple[Optional[dict], Optional[str]]:
-    """Reset-to-terminal path transformations keyed by normalized condition."""
-    terminals = machine.terminal_states()
-    if not terminals:
-        return None, "no terminal state (the machine loops)"
-    enum = path_enumerate(machine, machine.reset, terminals, bound=max(1, len(machine.states)))
-    if enum.truncated:
-        return None, "path enumeration truncated (the machine loops)"
-    keyed: dict = {}
-    for path in enum.paths:
-        pt = path_transformation(machine, path)
-        key = ex.normalize(pt.condition)
-        if key in keyed:
-            return None, "multipath: two paths share one condition"
-        keyed[key] = pt
-    if not keyed:
-        return None, "no reset-to-terminal path"
-    return keyed, None
 
 
 def check_functional(
@@ -184,143 +168,156 @@ def check_functional(
     interp: Interpretation,
     max_steps: int = 1_000,
 ) -> Verdict:
-    """Cardinality equivalence plus equal out-port token values."""
-    card = check_cardinality(n1, n2, pm, vectors, interp, max_steps)
+    """Cardinality equivalence plus equal out-port token values.
+
+    Each vector is simulated once per net; those runs serve the
+    cardinality check, the sampled comparison and the confirmation of a
+    symbolic difference.
+    """
+    samples: list = []
+    card = check_cardinality(n1, n2, pm, vectors, interp, max_steps, samples)
     if not card.equivalent:
         return card
+    places = sorted(pm.out_map.items())
 
     if isinstance(strategy, Sampled):
-        return _functional_sampled(n1, n2, pm, vectors, interp, max_steps)
-    return _functional_symbolic(n1, n2, pm, vectors, interp, max_steps)
+        method = "functional/sampled (holds for the supplied vectors only)"
+        witness = _separating(samples, places, "out_place_pair")
+        if witness is not None:
+            return Verdict(NOT_EQUIVALENT, method, witness=witness)
+        return Verdict(EQUIVALENT, method, witness={
+            "samples": [{"vector": vector, "out_values": [out1, out2]} for vector, out1, out2 in samples]})
 
-
-def _functional_sampled(n1, n2, pm, vectors, interp, max_steps) -> Verdict:
-    method = "functional/sampled (holds for the supplied vectors only)"
-    pairs = []
-    for vector in vectors:
-        run1 = simulate_run(n1, dict(vector), interp, max_steps=max_steps)
-        run2 = simulate_run(n2, derive_right_inputs(n1, n2, pm, dict(vector)), interp, max_steps=max_steps)
-        out1 = out_port_values(n1, run1.final_state)
-        out2 = out_port_values(n2, run2.final_state)
-        for p in sorted(pm.out_map):
-            v1 = out1.get(p)
-            v2 = out2.get(pm.out_map[p])
-            if v1 != v2:
-                return Verdict(
-                    NOT_EQUIVALENT,
-                    method,
-                    witness={
-                        "vector": dict(vector),
-                        "out_place_pair": [p, pm.out_map[p]],
-                        "values": [v1, v2],
-                    },
-                )
-        pairs.append({"vector": dict(vector), "out_values": [out1, out2]})
-    return Verdict(EQUIVALENT, method, witness={"samples": pairs})
-
-
-def _functional_symbolic(n1, n2, pm, vectors, interp, max_steps) -> Verdict:
-    method = "functional/symbolic (normalized path transformations)"
     conv1 = pres_to_fsmd(n1, ConversionConfig())
     conv2 = pres_to_fsmd(n2, ConversionConfig())
-
-    paths1, why1 = _single_paths(conv1.fsmd)
-    paths2, why2 = _single_paths(conv2.fsmd)
-    if paths1 is None or paths2 is None:
-        return Verdict(INCONCLUSIVE, method, reason=why1 or why2 or "multipath")
-
     # Rename the right net's input variables into the left net's, through
     # the in-port map, so transformations range over one vocabulary.
-    rename = {
-        n2.var_of[pm.in_map[p]]: ex.Var(n1.var_of[p])
-        for p in pm.in_map
-    }
-
-    keyed2 = {}
-    for key, pt in paths2.items():
-        keyed2[ex.normalize(ex.substitute(key, rename))] = pt
-    if set(paths1) != set(keyed2):
-        return Verdict(INCONCLUSIVE, method, reason="multipath: path conditions do not correspond")
-
-    out_vars = [(n1.var_of[p], n2.var_of[pm.out_map[p]], p) for p in sorted(pm.out_map)]
-    for key, pt1 in paths1.items():
-        pt2 = keyed2[key]
-        for v1, v2, place in out_vars:
-            e1 = ex.normalize(pt1.transform[v1])
-            e2 = ex.normalize(ex.substitute(pt2.transform[v2], rename))
-            if e1 != e2:
-                counter = _find_counterexample(n1, n2, pm, vectors, interp, max_steps)
-                if counter is not None:
-                    return Verdict(NOT_EQUIVALENT, method + "+sampled", witness=counter)
-                return Verdict(
-                    INCONCLUSIVE,
-                    method,
-                    reason=f"normal forms differ for out-port {place!r} and no counterexample was found",
-                )
-    return Verdict(EQUIVALENT, method)
+    rename = {n2.var_of[q]: ex.Var(n1.var_of[p]) for p, q in pm.in_map.items() if n2.var_of[q] != n1.var_of[p]}
+    outputs = {(p, q): (n1.var_of[p], n2.var_of[q]) for p, q in places}
+    diff = _match_paths(conv1.fsmd, conv2.fsmd, outputs, rename)
+    return _confirmed("functional/symbolic (normalized path transformations)", diff, places, "out_place_pair", samples)
 
 
-def _find_counterexample(n1, n2, pm, vectors, interp, max_steps) -> Optional[dict]:
-    sampled = _functional_sampled(n1, n2, pm, vectors, interp, max_steps)
-    return sampled.witness if sampled.status == NOT_EQUIVALENT else None
-
-
-def check_fsmd_equivalence(m1: Fsmd, m2: Fsmd, var_map: dict[str, str]) -> Verdict:
+def check_fsmd_equivalence(
+    m1: Fsmd,
+    m2: Fsmd,
+    var_map: dict[str, str],
+    vectors: Iterable[dict] = (),
+    interp: Optional[Interpretation] = None,
+) -> Verdict:
     """Path-by-path comparison of two machines over corresponding outputs.
 
-    Paths are matched by normalized condition (state names never align
-    across independently converted nets), and matched paths must give
-    structurally equal transforms for every mapped output variable.
     Input/storage variable names are expected to coincide where the
-    transforms mention them.
+    transforms mention them.  A difference is confirmed by running both
+    machines on ``vectors`` (variable -> value), with ``interp`` for the
+    applied symbols.
     """
     method = "fsmd-paths (matched by normalized condition)"
     for machine, tag in ((m1, "left"), (m2, "right")):
         issues = validate_fsmd(machine)
         if issues:
             return Verdict(INCONCLUSIVE, method, reason=f"{tag} machine invalid: {issues[0]}")
-    if set(var_map) != set(m1.outputs) or set(var_map.values()) != set(m2.outputs) or len(
-        set(var_map.values())
-    ) != len(var_map):
-        return Verdict(
-            INCONCLUSIVE,
-            method,
-            reason=f"output map must biject {sorted(m1.outputs)} onto {sorted(m2.outputs)}",
-        )
+    if _bijection_problems("output", var_map, m1.outputs, m2.outputs):
+        reason = f"output map must biject {sorted(m1.outputs)} onto {sorted(m2.outputs)}"
+        return Verdict(INCONCLUSIVE, method, reason=reason)
+    outputs = {pair: pair for pair in sorted(var_map.items())}
+    diff = _match_paths(m1, m2, outputs, {})
+    return _confirmed(method, diff, list(outputs), "variable_pair", _machine_samples(m1, m2, vectors, interp))
 
-    paths1, why1 = _single_paths(m1)
-    paths2, why2 = _single_paths(m2)
-    if paths1 is None or paths2 is None:
-        return Verdict(INCONCLUSIVE, method, reason=why1 or why2)
 
-    for key in paths1:
-        if key not in paths2:
-            return Verdict(
-                NOT_EQUIVALENT,
-                method,
-                witness={"orphan_path": "left", "condition": str(key)},
-            )
-    for key in paths2:
-        if key not in paths1:
-            return Verdict(
-                NOT_EQUIVALENT,
-                method,
-                witness={"orphan_path": "right", "condition": str(key)},
-            )
+@dataclass(frozen=True)
+class _Mismatch:
+    condition: ex.Expr  # normalized path condition
+    pair: Optional[tuple[str, str]] = None  # outputs whose normal forms differ; None: the condition is unmatched
+    forms: tuple[ex.Expr, ...] = ()
 
-    for key, pt1 in paths1.items():
-        pt2 = paths2[key]
-        for v in sorted(var_map):
-            e1 = ex.normalize(pt1.transform[v])
-            e2 = ex.normalize(pt2.transform[var_map[v]])
-            if e1 != e2:
-                return Verdict(
-                    NOT_EQUIVALENT,
-                    method,
-                    witness={
-                        "variable_pair": [v, var_map[v]],
-                        "condition": str(key),
-                        "normal_forms": [str(e1), str(e2)],
-                    },
-                )
-    return Verdict(EQUIVALENT, method)
+
+def _match_paths(
+    m1: Fsmd, m2: Fsmd, outputs: dict[tuple[str, str], tuple[str, str]], rename: dict[str, ex.Expr]
+) -> Union[None, str, _Mismatch]:
+    """Pair the reset-to-terminal paths of two loop-free machines by normalized
+    condition (state names never align across independently converted
+    nets; the right one's terms are read through ``rename``) and compare
+    the normalized transforms of ``outputs`` (label pair -> variable pair).
+
+    Returns ``None`` when all match, else the first :class:`_Mismatch`, or
+    the reason why the paths cannot be compared.
+    """
+    keyed = []
+    for machine, names in ((m1, {}), (m2, rename)):
+        terminals = machine.terminal_states()
+        if not terminals:
+            return "no terminal state (the machine loops)"
+        enum = path_enumerate(machine, machine.reset, terminals, bound=max(1, len(machine.states)))
+        if enum.truncated:
+            return "path enumeration truncated (the machine loops)"
+        paths = {}
+        for path in enum.paths:
+            pt = path_transformation(machine, path)
+            key = ex.normalize(ex.substitute(pt.condition, names))
+            if key in paths:
+                return "multipath: two paths share one condition"
+            paths[key] = pt
+        if not paths:
+            return "no reset-to-terminal path"
+        keyed.append(paths)
+    left, right = keyed
+    for key in (*left, *right):
+        if (key in left) != (key in right):
+            return _Mismatch(key)
+    for key, pt1 in left.items():
+        pt2 = right[key]
+        for pair, (v1, v2) in outputs.items():
+            e1 = ex.normalize(pt1.transform[v1])
+            e2 = ex.normalize(ex.substitute(pt2.transform[v2], rename))
+            if e1 is not e2:
+                return _Mismatch(key, pair, (e1, e2))
+    return None
+
+
+Sample = tuple[dict, dict, dict]  # (input vector, left outputs, right outputs), outputs keyed by label
+
+
+def _confirmed(
+    method: str, diff: Union[None, str, _Mismatch], pairs: list, pair_key: str, samples: Iterable[Sample]
+) -> Verdict:
+    """The verdict on a path comparison: a difference is NotEquivalent only
+    when a sample separates one of the output ``pairs`` (the differing pair
+    is tried first), else Inconclusive."""
+    if diff is None:
+        return Verdict(EQUIVALENT, method)
+    if isinstance(diff, str):
+        return Verdict(INCONCLUSIVE, method, reason=diff)
+    witness = _separating(samples, sorted(pairs, key=lambda pair: pair != diff.pair), pair_key)
+    if witness is None:
+        if diff.pair is None:
+            reason = f"multipath: path condition {diff.condition} has no counterpart"
+        else:
+            reason = f"normal forms of {diff.pair[0]!r} and {diff.pair[1]!r} differ on path {diff.condition}"
+        return Verdict(INCONCLUSIVE, method, reason=reason + " and no scenario vector separates the outputs")
+    witness["condition"] = str(diff.condition)
+    if diff.pair is not None and witness[pair_key] == list(diff.pair):
+        witness["normal_forms"] = [str(e) for e in diff.forms]
+    return Verdict(NOT_EQUIVALENT, method + "+sampled", witness=witness)
+
+
+def _separating(samples: Iterable[Sample], pairs: list, pair_key: str) -> Optional[dict]:
+    """Witness of the first sample and output pair with two different
+    concrete values, or ``None``."""
+    for vector, out1, out2 in samples:
+        for p, q in pairs:
+            v1, v2 = out1.get(p), out2.get(q)
+            if v1 is not None and v2 is not None and v1 != v2:
+                return {"vector": vector, pair_key: [p, q], "values": [v1, v2]}
+    return None
+
+
+def _machine_samples(m1: Fsmd, m2: Fsmd, vectors: Iterable[dict], interp) -> Iterator[Sample]:
+    """Both machines' final stores per vector that both runs finish."""
+    for vector in vectors:
+        try:
+            out1, out2 = run_machine(m1, vector, interp), run_machine(m2, vector, interp)
+        except ex.ExprError:
+            continue
+        if out1 is not None and out2 is not None:
+            yield dict(vector), out1, out2

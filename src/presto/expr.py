@@ -23,8 +23,9 @@ Three operations carry the weight of the toolkit:
   data transformations can be compared by plain structural equality:
   constants are folded, commutative operators are flattened and their
   operands sorted under a fixed total order, subtraction becomes
-  addition of a negation, double negation vanishes and a negated
-  relation is replaced by its complement.  Equal normal forms imply
+  addition of a negation, double negation vanishes, a relation is
+  oriented so that its operands come in term order (``x > 0`` becomes
+  ``0 < x``) and a negated relation is replaced by its complement.  Equal normal forms imply
   equal semantics; the converse is not promised for nonlinear or
   uninterpreted terms.
 """
@@ -47,6 +48,7 @@ REL_OPS = ("=", "!=", "<", "<=", ">", ">=")
 BOOL_OPS = ("and", "or", "not")
 
 COMPLEMENT = {"=": "!=", "!=": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
+MIRROR = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}  # same relation, operands swapped
 
 _REL_FUNCS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
               "<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -389,6 +391,8 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
     for name, repl in bindings.items():
         if sort_of(repl) is not INT:
             raise SortMismatch(f"replacement for {name!r} is not integer-sorted: {repl}")
+    if not bindings:
+        return e
     if not e._kids:
         return bindings.get(e.name, e) if type(e) is Var else e
     done: dict[Expr, Expr] = {}
@@ -469,9 +473,9 @@ def _norm_node(e: Expr, kids: list, collect: bool) -> Expr:
         lhs, rhs = kids
         if type(lhs) is IntConst and type(rhs) is IntConst:
             return BoolConst(_REL_FUNCS[e.op](lhs.value, rhs.value))
-        return Rel(e.op, lhs, rhs)
+        return Rel(MIRROR[e.op], rhs, lhs) if _key(rhs) < _key(lhs) else Rel(e.op, lhs, rhs)
     if e.op == "not":
-        return negate_guard(kids[0])
+        return negate_guard(kids[0])  # the complement keeps its oriented operands in order
     return _norm_bool(e.op, kids)
 
 

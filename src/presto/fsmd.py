@@ -12,7 +12,7 @@ condition is each guard pre-substituted through the store at its step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import expr as ex
 from .pres import Violation
@@ -214,6 +214,25 @@ def compose(first: PathTransformation, second: PathTransformation) -> PathTransf
     store = {v: ex.substitute(t, first.transform) for v, t in second.transform.items()}
     cond = ex.conj([first.condition, ex.substitute(second.condition, first.transform)])
     return PathTransformation(cond, store)
+
+
+def run_machine(m: Fsmd, values: Mapping[str, int], functions=None) -> Optional[dict[str, int]]:
+    """Concrete run from ``values``: the store at the terminal state reached.
+
+    Each step takes the one transition whose guard set holds; ``None`` when
+    none or several hold, or the run loops."""
+    store, state = dict(values), m.reset
+    for _ in range(len(m.states)):
+        outgoing = m.outgoing(state)
+        if not outgoing:
+            return store
+        env = ex.Environment(store, functions)
+        taken = [t for t in outgoing if all(ex.evaluate(g, env) for g in t.guard_set)]
+        if len(taken) != 1:
+            return None
+        store.update({a.target: ex.evaluate(a.expr, env) for a in taken[0].updates})
+        state = taken[0].target
+    return None
 
 
 def validate_fsmd(m: Fsmd) -> list[Violation]:

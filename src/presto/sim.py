@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from . import expr as ex
 from .convert import FiringSet, construct_set_of_transitions, fire_set
@@ -65,26 +65,28 @@ SchedulePolicy = Union[MaximalStep, RandomMaximal]
 
 
 class SeededInterpretation:
-    """Deterministic per-symbol affine interpretations.
+    """Deterministic per-symbol affine interpretations, behind explicit ones.
 
-    Symbol ``s`` at arity ``n`` acts as ``c0 + c1*x1 + ... + cn*xn`` with
-    small nonzero coefficients derived from sha256(seed, s, i).  Distinct
+    A symbol in ``explicit`` acts as that function.  Any other symbol
+    ``s`` at arity ``n`` acts as ``c0 + c1*x1 + ... + cn*xn`` with small
+    nonzero coefficients derived from sha256(seed, s, i).  Distinct
     symbols get distinct-looking maps, and compositions of different
     symbols almost never commute, which makes the maps good witnesses.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, explicit: Optional[Mapping[str, Callable[..., int]]] = None):
         self.seed = seed
+        self.explicit = dict(explicit or {})
 
     def _coeff(self, symbol: str, i: int) -> int:
         digest = hashlib.sha256(f"{self.seed}:{symbol}:{i}".encode()).digest()
         c = int.from_bytes(digest[:4], "big") % 13 - 6
         return c if c != 0 else 7
 
-    def __contains__(self, symbol: str) -> bool:
-        return True
-
     def __getitem__(self, symbol: str):
+        if symbol in self.explicit:
+            return self.explicit[symbol]
+
         def fn(*args: int) -> int:
             acc = self._coeff(symbol, 0)
             for i, a in enumerate(args, start=1):
@@ -93,17 +95,8 @@ class SeededInterpretation:
 
         return fn
 
-    def get(self, symbol: str, default=None):
-        return self[symbol]
 
-    def keys(self):  # pragma: no cover - interface completeness
-        return ()
-
-    def items(self):  # pragma: no cover - interface completeness
-        return ()
-
-
-Interpretation = Mapping  # symbol -> callable; SeededInterpretation also qualifies
+Interpretation = Mapping  # symbol -> callable; anything indexable by symbol qualifies, as SeededInterpretation does
 
 
 @dataclass
@@ -200,19 +193,15 @@ def simulate_run(
     rng = random.Random(policy.seed) if isinstance(policy, RandomMaximal) else None
     ts = dict(inputs)
     trace: list[tuple[FiringSet, TokenState]] = []
-    for step in range(max_steps):
+    for step in range(max_steps + 1):  # the last step only probes whether the run is at rest
         try:
-            fs, ts = simulate_step(net, ts, interp, policy, rng)
+            fs, after = simulate_step(net, ts, interp, policy, rng)
         except NoEnabledSet as stop:
-            status = DEADLOCK if stop.structurally_enabled else QUIESCENT
-            return RunOutcome(status, ts, trace, step)
+            return RunOutcome(DEADLOCK if stop.structurally_enabled else QUIESCENT, ts, trace, step)
+        if step == max_steps:
+            return RunOutcome(STEP_BOUND_EXCEEDED, ts, trace, max_steps)
+        ts = after
         trace.append((fs, dict(ts)))
-    try:
-        simulate_step(net, ts, interp, policy, rng)
-    except NoEnabledSet as stop:
-        status = DEADLOCK if stop.structurally_enabled else QUIESCENT
-        return RunOutcome(status, ts, trace, max_steps)
-    return RunOutcome(STEP_BOUND_EXCEEDED, ts, trace, max_steps)
 
 
 def out_port_values(net: PresNet, ts: TokenState) -> dict[str, int]:

@@ -161,6 +161,49 @@ class TestChecks:
         assert "warning" not in out
         assert out.startswith(("Equivalent", "NotEquivalent", "Inconclusive"))
 
+    @staticmethod
+    def _machine_pair(tmp_path, left_body, right_body):
+        for name, body in (("left", left_body), ("right", right_body)):
+            (tmp_path / f"{name}.fsmd").write_text(
+                f"fsmd {name} {{ states q0, q1; reset q0; inputs x; storage y; outputs y;\n{body}\n}}\n"
+            )
+        scenario = tmp_path / "pair.scn"
+        scenario.write_text(
+            'scenario pair { model left = "left.fsmd"; model right = "right.fsmd"; check fsmd;\n'
+            "  varmap { y -> y; } inputs { x = 3; } inputs { x = -2; } }\n"
+        )
+        return str(scenario)
+
+    def test_check_fsmd_oriented_relations_are_equivalent(self, capsys, tmp_path):
+        scenario = self._machine_pair(
+            tmp_path,
+            "q0 -> q1 when x > 0 { y <= x + 1; }  q0 -> q1 when x <= 0 { y <= x; }",
+            "q0 -> q1 when 0 < x { y <= 1 + x; }  q0 -> q1 when 0 >= x { y <= x; }",
+        )
+        code, out, _ = run(capsys, "check-fsmd", scenario)
+        assert code == 0, out
+        assert out.startswith("Equivalent")
+
+    def test_check_fsmd_unconfirmed_difference_is_inconclusive(self, capsys, tmp_path):
+        scenario = self._machine_pair(tmp_path, "q0 -> q1 { y <= x * (x + 1); }", "q0 -> q1 { y <= x * x + x; }")
+        report = tmp_path / "pair.json"
+        code, out, _ = run(capsys, "check-fsmd", scenario, "--json", str(report))
+        assert code == 2, out
+        assert "'y'" in json.loads(report.read_text())["verdict"]["reason"]
+
+    def test_check_fsmd_confirms_with_the_scenario_vectors(self, capsys, tmp_path):
+        scenario = self._machine_pair(tmp_path, "q0 -> q1 { y <= f(x); }", "q0 -> q1 { y <= f(x) + x; }")
+        report = tmp_path / "pair.json"
+        code, out, _ = run(capsys, "check-fsmd", scenario, "--json", str(report))
+        assert code == 2, out  # no interpretation for f: no run can confirm the difference
+        text = (tmp_path / "pair.scn").read_text().replace("check fsmd;", "check fsmd; interp f(a) = 2 * a;")
+        (tmp_path / "pair.scn").write_text(text)
+        code, out, _ = run(capsys, "check-fsmd", scenario, "--json", str(report))
+        assert code == 1, out
+        witness = json.loads(report.read_text())["verdict"]["witness"]
+        assert witness["vector"] == {"x": 3} and witness["values"] == [6, 9]
+        assert witness["variable_pair"] == ["y", "y"]
+
     def test_check_fsmd_report_lists_no_warnings_for_clean_nets(self, capsys, tmp_path):
         report = tmp_path / "jammer.json"
         run(capsys, "check-fsmd", corpus.scenario_path("jammer"), "--json", str(report))

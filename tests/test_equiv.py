@@ -1,6 +1,6 @@
 import random
 
-from presto import corpus
+from presto import corpus, equiv, expr as ex
 from presto.convert import pres_to_fsmd
 from presto.dsl import parse_pres
 from presto.equiv import (
@@ -12,14 +12,18 @@ from presto.equiv import (
     check_functional,
     derive_right_inputs,
 )
+from presto.fsmd import Fsmd, FsmdTransition, UpdateSet, run_machine
 from presto.sim import QUIESCENT, SeededInterpretation, out_port_values, simulate_run
 from presto.verdict import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT
+
+from _gen import VARS, random_env, random_int_expr
 
 CARD_PM = PortMap({"Pa": "Paa", "Pb": "Pbb"}, {"Pe": "Pee", "Pf": "Pff", "Pg": "Pgg"})
 ADDTHREE_PM = PortMap({"Pa": "Paa"}, {"Pe": "Pee"})
 CARD_VECTORS = [{"Pa": 1, "Pb": 2}]
 ADDTHREE_VECTORS = [{"Pa": 2}]
 INTERP = SeededInterpretation(5)
+JAMMER_VECTOR = {"sig": 3, "th": 5, "tr": 1, "om": 2, "mp": 4, "dp": 6}
 
 
 class TestCardinality:
@@ -119,6 +123,44 @@ class TestFunctional:
         assert verdict.status == INCONCLUSIVE
         assert "multipath" in verdict.reason
 
+    def test_moved_threshold_is_confirmed_by_a_vector(self):
+        def branched(threshold):
+            return parse_pres(
+                f"""
+                net branched {{
+                  place Pa marked; place Pe;
+                  transition pos {{ pre Pa; post Pe; fn Pa + 3; guard Pa >= {threshold}; }}
+                  transition neg {{ pre Pa; post Pe; fn Pa - 3; guard Pa < {threshold}; }}
+                }}
+                """
+            )
+
+        pm = PortMap({"Pa": "Pa"}, {"Pe": "Pe"})
+        verdict = check_functional(branched(0), branched(1), pm, Symbolic(), [{"Pa": 5}], {})
+        assert verdict.status == INCONCLUSIVE
+        assert "multipath" in verdict.reason
+        verdict = check_functional(branched(0), branched(1), pm, Symbolic(), [{"Pa": 5}, {"Pa": 0}], {})
+        assert verdict.status == NOT_EQUIVALENT
+        assert verdict.witness["vector"] == {"Pa": 0}
+        assert verdict.witness["values"] == [3, -3]
+        assert verdict.witness["out_place_pair"] == ["Pe", "Pe"]
+
+    def test_each_vector_is_simulated_once(self, addthree_a, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].name)
+            return simulate_run(*args, **kwargs)
+
+        monkeypatch.setattr(equiv, "simulate_run", counting)
+        mutant = corpus.load_net("addthree_b_plus4")
+        vectors = [{"Pa": 2}, {"Pa": 7}, {"Pa": -1}]
+        for strategy in (Sampled(), Symbolic()):
+            calls.clear()
+            verdict = check_functional(addthree_a, mutant, ADDTHREE_PM, strategy, vectors, {})
+            assert verdict.status == NOT_EQUIVALENT, strategy
+            assert len(calls) == 2 * len(vectors), strategy
+
 
 class TestFsmdEquivalence:
     def test_jammer_versions_equivalent(self, jammer_nonpipelined, jammer_pipelined):
@@ -134,7 +176,7 @@ class TestFsmdEquivalence:
     def test_swapped_composition_not_equivalent(self, jammer_nonpipelined):
         m1 = pres_to_fsmd(jammer_nonpipelined).fsmd
         m2 = pres_to_fsmd(corpus.load_net("jammer_pipelined_swapped")).fsmd
-        verdict = check_fsmd_equivalence(m1, m2, {"out": "out2"})
+        verdict = check_fsmd_equivalence(m1, m2, {"out": "out2"}, [JAMMER_VECTOR], SeededInterpretation(11))
         assert verdict.status == NOT_EQUIVALENT
         assert verdict.witness["variable_pair"] == ["out", "out2"]
         forms = verdict.witness["normal_forms"]
@@ -155,13 +197,28 @@ class TestFsmdEquivalence:
         assert verdict.status == INCONCLUSIVE
 
     def test_looping_machine_is_inconclusive(self):
-        from presto.fsmd import Fsmd, FsmdTransition, UpdateSet
-
         loop = Fsmd("loop", ("q0", "q1"), "q0", frozenset({"x"}), frozenset({"y"}), frozenset({"y"}),
                     (FsmdTransition("q0", (), "q1", UpdateSet(())),
                      FsmdTransition("q1", (), "q0", UpdateSet(()))))
         verdict = check_fsmd_equivalence(loop, loop, {"y": "y"})
         assert verdict.status == INCONCLUSIVE
+
+    def test_any_mapped_output_can_confirm_a_difference(self):
+        x = ex.Var("x")
+        one = ex.IntConst(1)
+
+        def two_outputs(name, y1, y2):
+            return Fsmd(name, ("q0", "q1"), "q0", frozenset({"x"}), frozenset({"y1", "y2"}), frozenset({"y1", "y2"}),
+                        (FsmdTransition("q0", (), "q1", UpdateSet.of([("y1", y1), ("y2", y2)])),))
+
+        # y1 differs only in normal form; y2 really differs
+        m1 = two_outputs("a", ex.mul(x, ex.add(x, one)), ex.add(x, one))
+        m2 = two_outputs("b", ex.add(ex.mul(x, x), x), ex.add(x, ex.IntConst(2)))
+        verdict = check_fsmd_equivalence(m1, m2, {"y1": "y1", "y2": "y2"}, [{"x": 4}])
+        assert verdict.status == NOT_EQUIVALENT
+        assert verdict.witness["variable_pair"] == ["y2", "y2"]
+        assert verdict.witness["values"] == [5, 6]
+        assert "normal_forms" not in verdict.witness  # the forms that differ are y1's, which agree here
 
 
 class TestSymmetryAndSoundness:
@@ -191,3 +248,35 @@ class TestSymmetryAndSoundness:
                                 interp, max_steps=64)
             assert run1.status == QUIESCENT and run2.status == QUIESCENT
             assert run1.final_state["out"] == run2.final_state["out2"], (case, vector)
+
+
+def _split_machine(name, guard, then_expr, else_expr):
+    branches = ((guard, then_expr), (ex.negate_guard(guard), else_expr))
+    return Fsmd(name, ("q0", "q1"), "q0", frozenset(VARS), frozenset({"y"}), frozenset({"y"}),
+                tuple(FsmdTransition("q0", (g,), "q1", UpdateSet.of([("y", e)])) for g, e in branches))
+
+
+def test_fsmd_verdicts_agree_with_concrete_runs():
+    """Random single-split machine pairs: every NotEquivalent replays, and no
+    Equivalent is contradicted by a sampled vector."""
+    rng = random.Random(2026)
+    seen = {EQUIVALENT: 0, NOT_EQUIVALENT: 0, INCONCLUSIVE: 0}
+    for case in range(300):
+        lhs, rhs = random_int_expr(rng, 2), random_int_expr(rng, 2)
+        op = rng.choice(ex.REL_OPS)
+        branches = [random_int_expr(rng, 3) for _ in range(2)]
+        # The right side keeps each transform in normalize-equal form or replaces it.
+        other = [ex.normalize(e) if rng.random() < 0.6 else random_int_expr(rng, 3) for e in branches]
+        left = _split_machine("l", ex.Rel(op, lhs, rhs), *branches)
+        right = _split_machine("r", ex.Rel(ex.MIRROR[op], rhs, lhs), *other)
+        envs = [random_env(rng) for _ in range(4)]
+        functions = envs[0].functions
+        verdict = check_fsmd_equivalence(left, right, {"y": "y"}, [e.values for e in envs], functions)
+        seen[verdict.status] += 1
+        if verdict.status == NOT_EQUIVALENT:
+            vector = verdict.witness["vector"]
+            assert run_machine(left, vector, functions)["y"] != run_machine(right, vector, functions)["y"], case
+        elif verdict.status == EQUIVALENT:
+            for env in [*envs, *(random_env(rng) for _ in range(4))]:
+                assert run_machine(left, env.values, functions)["y"] == run_machine(right, env.values, functions)["y"]
+    assert seen[EQUIVALENT] > 50 and seen[NOT_EQUIVALENT] > 50, seen

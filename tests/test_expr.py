@@ -112,6 +112,16 @@ class TestNormalize:
     def test_negated_relation_complements(self):
         assert ex.normalize(ex.BoolOp("not", (ex.Rel("<", X, Y),))) == ex.Rel(">=", X, Y)
 
+    def test_relations_are_oriented(self):
+        zero = ex.IntConst(0)
+        assert ex.normalize(ex.Rel(">", X, zero)) is ex.normalize(ex.Rel("<", zero, X)) is ex.Rel("<", zero, X)
+        assert ex.normalize(ex.Rel("<=", Y, X)) is ex.Rel(">=", X, Y)
+        assert ex.normalize(ex.Rel("=", Y, X)) is ex.normalize(ex.Rel("=", X, Y)) is ex.Rel("=", X, Y)
+        assert ex.normalize(ex.Rel("!=", Y, X)) is ex.Rel("!=", X, Y)
+        # a complemented relation stays oriented, so normalizing again changes nothing
+        negated = ex.normalize(ex.BoolOp("not", (ex.Rel(">", X, zero),)))
+        assert negated is ex.Rel(">=", zero, X) and ex.normalize(negated) is negated
+
     def test_mul_absorbs_zero(self):
         assert ex.normalize(ex.mul(ex.IntConst(0), ex.Apply("f", (X,)))) == ex.IntConst(0)
 

@@ -19,6 +19,7 @@ from presto.fsmd import (
     fresh_store,
     path_enumerate,
     path_transformation,
+    run_machine,
     validate_fsmd,
 )
 
@@ -143,6 +144,29 @@ class TestPathTransformation:
             assert ex.normalize(glued.condition) == ex.normalize(whole.condition)
             for v in m.variables():
                 assert ex.normalize(glued.transform[v]) == ex.normalize(whole.transform[v])
+
+
+class TestRunMachine:
+    def test_takes_the_branch_whose_guard_holds(self):
+        m = machine([step("q0", "q1", [ex.Rel(">", X, ex.IntConst(0))], [("y", ex.Apply("f", (X,)))]),
+                     step("q0", "q2", [ex.Rel("<=", X, ex.IntConst(0))], [("y", X)]),
+                     step("q1", "q3", (), [("y", ex.add(Y, X))])])
+        f = {"f": lambda v: 10 * v}
+        assert run_machine(m, {"x": 2}, f) == {"x": 2, "y": 22}
+        assert run_machine(m, {"x": -2}, f) == {"x": -2, "y": -2}
+
+    def test_updates_read_the_pre_step_store(self):
+        m = machine([step("q0", "q1", (), [("x", Y), ("y", X)])], states=("q0", "q1"), inputs=(), storage=("x", "y"))
+        assert run_machine(m, {"x": 1, "y": 2}) == {"x": 2, "y": 1}
+
+    def test_stuck_ambiguous_and_looping_runs_have_no_store(self):
+        positive = ex.Rel(">", X, ex.IntConst(0))
+        stuck = machine([step("q0", "q1", [positive])], states=("q0", "q1"))
+        assert run_machine(stuck, {"x": 0}) is None
+        ambiguous = machine([step("q0", "q1", [positive]), step("q0", "q2", ())], states=("q0", "q1", "q2"))
+        assert run_machine(ambiguous, {"x": 1}) is None
+        loop = machine([step("q0", "q1"), step("q1", "q0")], states=("q0", "q1"))
+        assert run_machine(loop, {"x": 1}) is None
 
 
 class TestValidate:

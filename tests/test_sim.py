@@ -154,3 +154,10 @@ class TestConfluence:
         left, right = verdict.witness["traces"]
         assert left["trace"] != right["trace"]
         assert verdict.witness["out_ports"][0] != verdict.witness["out_ports"][1]
+
+
+def test_explicit_interpretations_take_precedence_over_the_seeded_map():
+    seeded = SeededInterpretation(3)
+    both = SeededInterpretation(3, {"f": lambda a: a + 100})
+    assert both["f"](1) == 101
+    assert both["g"](1, 2) == seeded["g"](1, 2)
