@@ -67,8 +67,11 @@ class ConversionConfig:
 
 
 def _conflict_groups(net: PresNet, enabled: list[str]) -> list[list[str]]:
-    """Connected components of the "input places overlap" relation, in declaration order."""
-    order = {t.id: i for i, t in enumerate(net.transitions)}
+    """Connected components of the "input places overlap" relation.
+
+    ``enabled`` comes in declaration order, and so do the groups (by their
+    first member) and the members of each group.
+    """
     parent = {t: t for t in enabled}
 
     def find(x: str) -> str:
@@ -77,20 +80,15 @@ def _conflict_groups(net: PresNet, enabled: list[str]) -> list[list[str]]:
             x = parent[x]
         return x
 
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for a, b in itertools.combinations(enabled, 2):
-        if net.preset(a) & net.preset(b):
-            union(a, b)
+    first_consumer: dict[str, str] = {}
+    for t in enabled:
+        for p in net.preset(t):
+            other = first_consumer.setdefault(p, t)
+            parent[find(t)] = find(other)
     groups: dict[str, list[str]] = {}
     for t in enabled:
         groups.setdefault(find(t), []).append(t)
-    out = [sorted(g, key=order.__getitem__) for g in groups.values()]
-    out.sort(key=lambda g: order[g[0]])
-    return out
+    return list(groups.values())
 
 
 def _guard_decisions(net: PresNet, groups: list[list[str]], choice: tuple[str, ...]) -> Optional[list[ex.Expr]]:
@@ -123,8 +121,8 @@ def construct_set_of_transitions(
     guard decisions contain both a guard and its negation are dropped
     (reported through ``warnings`` when given).
     """
-    order = {t.id: i for i, t in enumerate(net.transitions)}
-    enabled = sorted(enabled_transitions(net, m), key=order.__getitem__)
+    order = net.order.__getitem__
+    enabled = sorted(enabled_transitions(net, m), key=order)
     if not enabled:
         return []
     groups = _conflict_groups(net, enabled)
@@ -137,7 +135,7 @@ def construct_set_of_transitions(
                     Violation("InconsistentGuards", "+".join(choice), "contradictory guard decisions; set dropped")
                 )
             continue
-        sets.append(FiringSet(tuple(sorted(choice, key=order.__getitem__)), tuple(guards)))
+        sets.append(FiringSet(tuple(sorted(choice, key=order)), tuple(guards)))
     return sets
 
 
@@ -148,15 +146,15 @@ def fire_set(net: PresNet, m: frozenset[str], fs: FiringSet | tuple[str, ...]) -
     (and not consumed this step) or two fired transitions produce it.
     """
     tids = fs.transitions if isinstance(fs, FiringSet) else tuple(fs)
-    enabled = enabled_transitions(net, m)
+    consumer: dict[str, str] = {}  # place -> the transition consuming it
     for tid in tids:
-        if tid not in enabled:
+        if tid not in net.order or not net.preset(tid) <= m:
             raise NotEnabled(f"transition {tid!r} is not enabled at {sorted(m)}")
-    for a, b in itertools.combinations(tids, 2):
-        if net.preset(a) & net.preset(b):
-            raise NotEnabled(f"transitions {a!r} and {b!r} compete for a token")
-    consumed = frozenset().union(*(net.preset(t) for t in tids)) if tids else frozenset()
-    remaining = m - consumed
+        for p in net.preset(tid):
+            if p in consumer:
+                raise NotEnabled(f"transitions {consumer[p]!r} and {tid!r} compete for a token")
+            consumer[p] = tid
+    remaining = m.difference(consumer)
     produced: set[str] = set()
     for tid in tids:
         for p in net.postset(tid):

@@ -44,7 +44,7 @@ RESERVED = {
     "net", "place", "marked", "var", "transition", "pre", "post", "fn", "guard",
     "fsmd", "states", "reset", "inputs", "storage", "outputs", "when",
     "scenario", "model", "check", "strategy", "inmap", "outmap", "varmap",
-    "interp", "default", "seeded", "maxsteps", "seeds", "statebound",
+    "interp", "default", "seeded", "maxsteps", "statebound",
     "and", "or", "not", "true", "false",
 }
 
@@ -594,7 +594,6 @@ class ScenarioDocument:
     interps: list[InterpDecl] = field(default_factory=list)
     default_seed: Optional[int] = None
     max_steps: int = 1_000
-    seeds: int = 10
     state_bound: int = 10_000
     base_dir: str = "."
 
@@ -699,10 +698,6 @@ def parse_scenario(text: str, base_dir: str = ".") -> ScenarioDocument:
         elif p.at_keyword("maxsteps"):
             p.next()
             doc.max_steps = p.expect_int()
-            p.expect_punct(";")
-        elif p.at_keyword("seeds"):
-            p.next()
-            doc.seeds = p.expect_int()
             p.expect_punct(";")
         elif p.at_keyword("statebound"):
             p.next()

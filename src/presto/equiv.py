@@ -21,7 +21,7 @@ otherwise the verdict is honest about being inconclusive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from . import expr as ex
 from .convert import ConversionConfig, pres_to_fsmd
@@ -222,7 +222,8 @@ def check_fsmd_equivalence(
         return Verdict(INCONCLUSIVE, method, reason=reason)
     outputs = {pair: pair for pair in sorted(var_map.items())}
     diff = _match_paths(m1, m2, outputs, {})
-    return _confirmed(method, diff, list(outputs), "variable_pair", _machine_samples(m1, m2, vectors, interp))
+    samples, ran = _machine_samples(m1, m2, vectors, interp) if isinstance(diff, _Mismatch) else ([], "")
+    return _confirmed(method, diff, list(outputs), "variable_pair", samples, ran)
 
 
 @dataclass(frozen=True)
@@ -279,11 +280,12 @@ Sample = tuple[dict, dict, dict]  # (input vector, left outputs, right outputs),
 
 
 def _confirmed(
-    method: str, diff: Union[None, str, _Mismatch], pairs: list, pair_key: str, samples: Iterable[Sample]
+    method: str, diff: Union[None, str, _Mismatch], pairs: list, pair_key: str, samples: Iterable[Sample], ran: str = ""
 ) -> Verdict:
     """The verdict on a path comparison: a difference is NotEquivalent only
     when a sample separates one of the output ``pairs`` (the differing pair
-    is tried first), else Inconclusive."""
+    is tried first), else Inconclusive, with ``ran`` telling which vectors
+    could be run."""
     if diff is None:
         return Verdict(EQUIVALENT, method)
     if isinstance(diff, str):
@@ -294,7 +296,7 @@ def _confirmed(
             reason = f"multipath: path condition {diff.condition} has no counterpart"
         else:
             reason = f"normal forms of {diff.pair[0]!r} and {diff.pair[1]!r} differ on path {diff.condition}"
-        return Verdict(INCONCLUSIVE, method, reason=reason + " and no scenario vector separates the outputs")
+        return Verdict(INCONCLUSIVE, method, reason=f"{reason} and no scenario vector separates the outputs{ran}")
     witness["condition"] = str(diff.condition)
     if diff.pair is not None and witness[pair_key] == list(diff.pair):
         witness["normal_forms"] = [str(e) for e in diff.forms]
@@ -312,12 +314,19 @@ def _separating(samples: Iterable[Sample], pairs: list, pair_key: str) -> Option
     return None
 
 
-def _machine_samples(m1: Fsmd, m2: Fsmd, vectors: Iterable[dict], interp) -> Iterator[Sample]:
-    """Both machines' final stores per vector that both runs finish."""
+def _machine_samples(m1: Fsmd, m2: Fsmd, vectors: Iterable[dict], interp) -> tuple[list[Sample], str]:
+    """Both machines' final stores per vector that both runs finish, and a
+    note saying how many vectors that was and why the first other failed."""
+    samples: list[Sample] = []
+    vectors, failure = list(vectors), ""
     for vector in vectors:
         try:
             out1, out2 = run_machine(m1, vector, interp), run_machine(m2, vector, interp)
-        except ex.ExprError:
+        except ex.ExprError as err:
+            failure = failure or f"{type(err).__name__} {getattr(err, 'name', str(err))!r}"
             continue
-        if out1 is not None and out2 is not None:
-            yield dict(vector), out1, out2
+        if out1 is None or out2 is None:
+            failure = failure or "a run got stuck or looped"
+            continue
+        samples.append((dict(vector), out1, out2))
+    return samples, f" ({len(samples)} of {len(vectors)} vectors ran{': ' + failure if failure else ''})"

@@ -92,16 +92,21 @@ class Fsmd:
     storage: frozenset[str]
     outputs: frozenset[str]
     transitions: tuple[FsmdTransition, ...]
+    _outgoing: dict[str, list[FsmdTransition]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._outgoing = {}
+        for t in self.transitions:
+            self._outgoing.setdefault(t.source, []).append(t)
 
     def variables(self) -> frozenset[str]:
         return self.inputs | self.storage
 
     def outgoing(self, state: str) -> list[FsmdTransition]:
-        return [t for t in self.transitions if t.source == state]
+        return list(self._outgoing.get(state, ()))
 
     def terminal_states(self) -> frozenset[str]:
-        with_out = {t.source for t in self.transitions}
-        return frozenset(s for s in self.states if s not in with_out)
+        return frozenset(s for s in self.states if s not in self._outgoing)
 
 
 SymbolicStore = Mapping[str, ex.Expr]

@@ -83,8 +83,10 @@ class PresNet:
     _post_t: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
     _pre_p: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
     _post_p: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    order: dict[str, int] = field(init=False, repr=False, compare=False)  # transition id -> declaration index
 
     def __post_init__(self) -> None:
+        self.order = {t.id: i for i, t in enumerate(self.transitions)}
         pre_t: dict[str, set[str]] = {t.id: set() for t in self.transitions}
         post_t: dict[str, set[str]] = {t.id: set() for t in self.transitions}
         pre_p: dict[str, set[str]] = {p: set() for p in self.places}
@@ -105,10 +107,10 @@ class PresNet:
         self._post_p = {k: frozenset(v) for k, v in post_p.items()}
 
     def transition(self, tid: str) -> Transition:
-        for t in self.transitions:
-            if t.id == tid:
-                return t
-        raise UnknownElement(tid)
+        try:
+            return self.transitions[self.order[tid]]
+        except KeyError:
+            raise UnknownElement(tid) from None
 
     def preset(self, tid: str) -> frozenset[str]:
         """Input places of a transition."""
@@ -157,9 +159,12 @@ def enabled_transitions(net: PresNet, m: frozenset[str]) -> frozenset[str]:
     """Structurally enabled transitions: every input place is marked.
 
     Guards are not consulted here; the converter resolves them
-    symbolically and the simulator concretely.
+    symbolically and the simulator concretely.  Only consumers of marked
+    places are looked at, so a transition without input places (which
+    :func:`validate_net` rejects) is never enabled.
     """
-    return frozenset(t.id for t in net.transitions if net._pre_t[t.id] <= m)
+    consumers = set().union(*(net._post_p.get(p, ()) for p in m))
+    return frozenset(t for t in consumers if net._pre_t[t] <= m)
 
 
 def validate_net(net: PresNet) -> list[Violation]:

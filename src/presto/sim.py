@@ -107,44 +107,14 @@ class RunOutcome:
     steps: int = 0
 
 
-def _env_for(net: PresNet, tid: str, ts: TokenState, interp: Interpretation) -> ex.Environment:
+def _values(net: PresNet, ts: TokenState) -> dict[str, int]:
+    """Variable -> value over the marked places, the store a step reads."""
     values: dict[str, int] = {}
-    for p in sorted(net.preset(tid)):
+    for p, value in ts.items():
         v = net.var_of[p]
-        if v in values and values[v] != ts[p]:
-            raise ValueConflict(f"places sharing variable {v!r} hold different values at {tid!r}")
-        values[v] = ts[p]
-    return ex.Environment(values, interp)
-
-
-def _candidates(net: PresNet, ts: TokenState, interp: Interpretation) -> list[FiringSet]:
-    marking = frozenset(ts)
-    out = []
-    for fs in construct_set_of_transitions(net, marking):
-        ok = True
-        for tid in fs.transitions:
-            t = net.transition(tid)
-            if t.guard is None:
-                continue
-            if not ex.evaluate(t.guard, _env_for(net, tid, ts, interp)):
-                ok = False
-                break
-        if ok and fs.guard_set:
-            # Negated-competitor decisions must hold too, else this set is
-            # shadowed by the alternative it was carved out against.
-            for g in fs.guard_set:
-                scope = ex.free_vars(g)
-                values: dict[str, int] = {}
-                for p in sorted(marking):
-                    v = net.var_of[p]
-                    if v in scope and v not in values:
-                        values[v] = ts[p]
-                if not ex.evaluate(g, ex.Environment(values, interp)):
-                    ok = False
-                    break
-        if ok:
-            out.append(fs)
-    return out
+        if values.setdefault(v, value) != value:
+            raise ValueConflict(f"marked places sharing variable {v!r} hold {values[v]} and {value}")
+    return values
 
 
 def simulate_step(
@@ -155,9 +125,15 @@ def simulate_step(
     rng: Optional[random.Random] = None,
 ) -> tuple[FiringSet, TokenState]:
     """Fire one maximal step chosen by the policy; values read the pre-step state."""
-    candidates = _candidates(net, ts, interp)
+    marking = frozenset(ts)
+    env = ex.Environment(_values(net, ts), interp)
+    # A set's guard_set holds its chosen guards and the negated guards of
+    # the competitors it was carved out against; all must hold.
+    candidates = [
+        fs for fs in construct_set_of_transitions(net, marking) if all(ex.evaluate(g, env) for g in fs.guard_set)
+    ]
     if not candidates:
-        raise NoEnabledSet(bool(enabled_transitions(net, frozenset(ts))))
+        raise NoEnabledSet(bool(enabled_transitions(net, marking)))
     if isinstance(policy, RandomMaximal):
         chooser = rng if rng is not None else random.Random(policy.seed)
         fs = chooser.choice(candidates)
@@ -165,13 +141,11 @@ def simulate_step(
         fs = candidates[0]
     produced: dict[str, int] = {}
     for tid in fs.transitions:
-        t = net.transition(tid)
-        value = ex.evaluate(t.fn, _env_for(net, tid, ts, interp))
+        value = ex.evaluate(net.transition(tid).fn, env)
         for p in net.postset(tid):
             produced[p] = value
-    marking = fire_set(net, frozenset(ts), fs)
     new_ts: TokenState = {}
-    for p in marking:
+    for p in fire_set(net, marking, fs):
         new_ts[p] = produced[p] if p in produced else ts[p]
     return fs, new_ts
 

@@ -196,6 +196,8 @@ class TestChecks:
         report = tmp_path / "pair.json"
         code, out, _ = run(capsys, "check-fsmd", scenario, "--json", str(report))
         assert code == 2, out  # no interpretation for f: no run can confirm the difference
+        reason = json.loads(report.read_text())["verdict"]["reason"]
+        assert reason.endswith("(0 of 2 vectors ran: UninterpretedSymbol 'f')"), reason
         text = (tmp_path / "pair.scn").read_text().replace("check fsmd;", "check fsmd; interp f(a) = 2 * a;")
         (tmp_path / "pair.scn").write_text(text)
         code, out, _ = run(capsys, "check-fsmd", scenario, "--json", str(report))
@@ -235,6 +237,28 @@ class TestSimulate:
         code, out, _ = run(capsys, "simulate", str(scenario))
         assert code == 2
         assert "Deadlock" in out
+
+    def test_value_conflict_exits_three_and_leaves_checks_inconclusive(self, capsys, tmp_path):
+        (tmp_path / "clash.pres").write_text(
+            """
+            net clash {
+              place a marked var x; place b marked var x; place c var y; place d var z;
+              transition t1 { pre a; post c; fn x + 1; }
+              transition t2 { pre b; post d; fn x * 2; guard x > 3; }
+            }
+            """
+        )
+        scenario = tmp_path / "clash.scn"
+        scenario.write_text(
+            'scenario clash { model left = "clash.pres"; model right = "clash.pres";\n'
+            "  inmap { a -> a; b -> b; } outmap { c -> c; d -> d; } inputs { a = 1; b = 5; } }\n"
+        )
+        code, _, err = run(capsys, "simulate", str(scenario))
+        assert code == 3 and "'x'" in err, err
+        report = tmp_path / "clash.json"
+        code, out, _ = run(capsys, "check-pres", str(scenario), "--json", str(report))
+        assert code == 2 and out.startswith("Inconclusive"), out
+        assert "'x'" in json.loads(report.read_text())["verdict"]["reason"]
 
     def test_schedule_independence_mode(self, capsys):
         code, out, _ = run(capsys, "simulate", corpus.scenario_path("racy"), "--schedules", "10")

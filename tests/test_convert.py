@@ -1,19 +1,21 @@
 import itertools
+import random
 
 import pytest
 
-from presto import expr as ex
+from presto import corpus, expr as ex
 from presto.convert import (
     ConversionConfig,
     NotEnabled,
     StateBoundExceeded,
     UnsafeMarking,
+    _conflict_groups,
     construct_set_of_transitions,
     fire_set,
     pres_to_fsmd,
 )
 from presto.dsl import parse_expression, parse_pres
-from presto.pres import enabled_transitions
+from presto.pres import PresNet, Transition, enabled_transitions
 
 # Canonical per-step update labels for the two jammer conversions.  Each
 # entry is one update's applied-symbol chain (innermost first); identity
@@ -147,6 +149,77 @@ class TestFireSet:
         )
         with pytest.raises(UnsafeMarking):
             fire_set(net, net.initial_marking, ("ta", "tb"))
+
+
+def _reference_groups(net, enabled):
+    """Connected components of pairwise preset overlap, searched by brute force."""
+    groups, seen = [], set()
+    for t in enabled:
+        if t in seen:
+            continue
+        group, frontier = [t], [t]
+        while frontier:
+            a = frontier.pop()
+            for b in enabled:
+                if b not in group and net.preset(a) & net.preset(b):
+                    group.append(b)
+                    frontier.append(b)
+        seen.update(group)
+        groups.append([b for b in enabled if b in group])
+    return groups
+
+
+def _random_net(seed):
+    """Eight places over three shared variables and seven transitions with
+    overlapping presets and `v > 0` guards, so that conflict groups chain
+    transitively and some guard decisions contradict each other."""
+    rng = random.Random(seed)
+    places = tuple(f"p{i}" for i in range(8))
+    var_of = {p: rng.choice("xyz") for p in places}
+    transitions, input_arcs, output_arcs = [], set(), set()
+    for i in range(7):
+        pre = rng.sample(places, rng.randint(1, 3))
+        v = ex.Var(var_of[pre[0]])
+        transitions.append(Transition(f"t{i}", v, ex.Rel(">", v, ex.IntConst(0)) if rng.random() < 0.6 else None))
+        input_arcs.update((p, f"t{i}") for p in pre)
+        output_arcs.add((f"t{i}", rng.choice(places)))
+    return PresNet(f"random{seed}", places, var_of, {p: "int" for p in places}, tuple(transitions),
+                   frozenset(input_arcs), frozenset(output_arcs), frozenset(rng.sample(places, 4)))
+
+
+@pytest.mark.parametrize("name", corpus.NETS + tuple(f"random{i}" for i in range(20)))
+def test_kernel_agrees_with_brute_force_reference(name):
+    # The indexed kernel against the definitions: enabled means the whole
+    # preset is marked, conflict groups are components of preset overlap,
+    # firing sets come in product order with declaration-ordered members,
+    # and firing consumes every preset and produces every postset.
+    net = _random_net(int(name[6:])) if name.startswith("random") else corpus.load_net(name)
+    order = [t.id for t in net.transitions]
+    rng = random.Random(name)
+    markings = [frozenset(net.places), frozenset(net.initial_marking)]
+    markings += [frozenset(p for p in net.places if rng.random() < rng.random()) for _ in range(60)]
+    for m in markings:
+        enabled = [t for t in order if net.preset(t) <= m]
+        assert enabled_transitions(net, m) == set(enabled)
+        groups = _reference_groups(net, enabled)
+        assert _conflict_groups(net, enabled) == groups
+        warnings = []
+        sets = construct_set_of_transitions(net, m, warnings)
+        dropped = {w.element for w in warnings}
+        expected = [tuple(sorted(c, key=order.index)) for c in itertools.product(*groups) if "+".join(c) not in dropped]
+        assert [fs.transitions for fs in sets] == (expected if enabled else [])
+        for fs in sets:
+            consumed = set().union(*(net.preset(t) for t in fs.transitions))
+            produced = [p for t in fs.transitions for p in net.postset(t)]
+            if len(set(produced)) < len(produced) or set(produced) & (m - consumed):
+                with pytest.raises(UnsafeMarking):
+                    fire_set(net, m, fs)
+            else:
+                assert fire_set(net, m, fs) == (m - consumed) | set(produced)
+        for a, b in itertools.combinations(enabled, 2):
+            if net.preset(a) & net.preset(b):
+                with pytest.raises(NotEnabled, match="compete for a token"):
+                    fire_set(net, m, (a, b))
 
 
 class TestPresToFsmd:

@@ -141,7 +141,9 @@ class TestScenarioParsing:
         assert doc.var_map == {"out": "out2"}
         assert doc.vectors == [{"sig": 3, "th": 5, "tr": 1, "om": 2, "mp": 4, "dp": 6}]
         assert doc.default_seed == 11
-        assert doc.seeds == 10
+        # `seeds` was parsed but read by nothing, so it is no longer a clause.
+        with pytest.raises(DslSyntaxError, match="unknown scenario clause"):
+            parse_scenario("scenario s { seeds 10; }")
         assert doc.left.endswith("jammer_nonpipelined.pres")
 
     def test_interp_bodies_evaluate(self):

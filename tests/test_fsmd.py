@@ -227,12 +227,9 @@ def test_parallel_update_reads_pre_step_values(seed):
             assert out[v] == ex.Var(v)
 
 
-def test_800_stage_chain_is_checked_quickly():
-    # An 800-stage pipeline: each stage feeds the previous stage's value
-    # through its own symbol.  Path enumeration, the path transformation and
-    # normalizing its output walk 800-deep terms; the bound is loose (the
-    # work takes well under a second) but a cubic store walk would miss it.
-    stages = 800
+def chain(stages):
+    """A pipeline: each stage feeds the previous stage's value through its
+    own symbol, and every fifth stage is guarded."""
     names = ["x"] + [f"v{i}" for i in range(1, stages + 1)]
     states = tuple(f"s{i}" for i in range(stages + 1))
     transitions = []
@@ -241,13 +238,39 @@ def test_800_stage_chain_is_checked_quickly():
         update = ex.add(ex.mul(ex.Apply(f"f{i % 12}", (prev,)), ex.IntConst(2)), ex.IntConst(i))
         guards = (ex.Rel(">", prev, ex.IntConst(-i)),) if i % 5 == 0 else ()
         transitions.append(step(states[i - 1], states[i], guards, [(names[i], update)]))
-    m = Fsmd("chain", states, "s0", frozenset(["x"]), frozenset(names[1:]), frozenset([names[-1]]), tuple(transitions))
+    return Fsmd("chain", states, "s0", frozenset(["x"]), frozenset(names[1:]), frozenset([names[-1]]), tuple(transitions))
+
+
+def test_800_stage_chain_is_checked_quickly():
+    # Path enumeration, the path transformation and normalizing its output
+    # walk 800-deep terms; the bound is loose (the work takes well under a
+    # second) but a cubic store walk would miss it.
+    stages = 800
+    m = chain(stages)
     start = time.perf_counter()
-    enum = path_enumerate(m, m.reset, m.terminal_states(), bound=len(states))
+    enum = path_enumerate(m, m.reset, m.terminal_states(), bound=len(m.states))
     pt = path_transformation(m, enum.paths[0])
-    out, cond = ex.normalize(pt.transform[names[-1]]), ex.normalize(pt.condition)
+    out, cond = ex.normalize(pt.transform[f"v{stages}"]), ex.normalize(pt.condition)
     assert time.perf_counter() - start < 10
     assert not enum.truncated and len(enum.paths) == 1
     assert ex.free_vars(out) == ex.free_vars(cond) == {"x"}
     assert len(ex.apply_chain(out)) == stages
     assert len(cond.args) == stages // 5
+
+
+def test_20000_state_chain_is_walked_in_linear_time():
+    # Each step of path_enumerate and run_machine looks up one state's
+    # outgoing transitions; scanning every transition there instead makes
+    # this walk quadratic (tens of seconds).  The bound is loose.
+    stages = 20_000
+    m = chain(stages)
+    functions = {f"f{k}": (lambda a: a % 5) for k in range(12)}
+    start = time.perf_counter()
+    enum = path_enumerate(m, m.reset, m.terminal_states(), bound=len(m.states))
+    store = run_machine(m, {"x": 3}, functions)
+    assert time.perf_counter() - start < 5
+    assert not enum.truncated and len(enum.paths) == 1 and len(enum.paths[0]) == stages
+    expected = 3
+    for i in range(1, stages + 1):
+        expected = expected % 5 * 2 + i
+    assert store[f"v{stages}"] == expected

@@ -11,6 +11,7 @@ from presto.sim import (
     NoEnabledSet,
     RandomMaximal,
     SeededInterpretation,
+    ValueConflict,
     confluence_check,
     out_port_values,
     simulate_run,
@@ -71,6 +72,25 @@ class TestSimulateStep:
     def test_no_enabled_set(self, guard_split):
         with pytest.raises(NoEnabledSet):
             simulate_step(guard_split, {"p1": 1}, GUARD_SPLIT_INTERP)
+
+
+    def test_marked_places_sharing_a_variable_must_agree(self):
+        # Both tokens are read as `x`; the converted machine keeps one value
+        # per variable, so 1 and 5 at once are a conflict, not a deadlock.
+        net = parse_pres(CLASH_NET)
+        with pytest.raises(ValueConflict, match="'x'"):
+            simulate_run(net, {"a": 1, "b": 5}, {})
+        run = simulate_run(net, {"a": 5, "b": 5}, {})
+        assert run.status == QUIESCENT and run.final_state == {"c": 6, "d": 10}
+
+
+CLASH_NET = """
+net clash {
+  place a marked var x; place b marked var x; place c var y; place d var z;
+  transition t1 { pre a; post c; fn x + 1; }
+  transition t2 { pre b; post d; fn x * 2; guard x > 3; }
+}
+"""
 
 
 class TestSimulateRun:
