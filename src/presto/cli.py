@@ -221,14 +221,18 @@ def cmd_check_pres(args) -> int:
     pm = PortMap(dict(doc.in_map), dict(doc.out_map))
     interp = _interpretation(doc)
     strategy_name = args.strategy or doc.strategy
+    warnings: list = []
     if doc.check == "cardinality":
         verdict = check_cardinality(n1, n2, pm, doc.vectors, interp, doc.max_steps)
     else:
         strategy = Sampled() if strategy_name == "sampled" else Symbolic()
-        verdict = check_functional(n1, n2, pm, strategy, doc.vectors, interp, doc.max_steps)
+        verdict = check_functional(n1, n2, pm, strategy, doc.vectors, interp, doc.max_steps,
+                                   doc.state_bound, warnings)
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
     print(_verdict_line(verdict))
     _write_json(args.json, {"command": "check-pres", "check": doc.check, "strategy": strategy_name,
-                            "verdict": _verdict_json(verdict)})
+                            "verdict": _verdict_json(verdict), "warnings": [str(w) for w in warnings]})
     return verdict.exit_code()
 
 

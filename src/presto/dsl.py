@@ -25,15 +25,21 @@ applied symbols, and bounds.
 
 Identifiers are ``[A-Za-z_]`` followed by letters, digits, ``_`` or an
 interior ``-``; hyphens bind into names (``in-Copy`` is one identifier),
-so subtraction must be written with spaces: ``a - b``.  ``#`` starts a
-line comment.  Expressions use standard precedence: ``*`` over ``+``/``-``
-over relations over ``not``/``and``/``or``.
+so subtraction must be written with spaces: ``a - b``.  Integers are
+``[0-9]+``.  Letters and digits are ASCII only: outside strings and
+comments any other character (``é``, ``²``) is a stray character.  ``#``
+starts a line comment.  Expressions use standard precedence: ``*`` over
+``+``/``-`` over relations over ``not``/``and``/``or``.
 """
 
 from __future__ import annotations
 
 import os
+import re
+import string
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 from . import expr as ex
@@ -80,91 +86,24 @@ class DslSemanticError(DslError):
         super().__init__("; ".join(lines))
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident | int | string | punct | eof
-    value: str
-    line: int
-    col: int
-
-    @property
-    def span(self) -> Span:
-        return Span(self.line, self.col)
-
-
-_PUNCT2 = ("->", "<=", ">=", "!=")
-_PUNCT1 = "{}(),;=<>+-*"
+# Tokens are the token strings themselves; a token's kind is its first
+# character: a digit, a letter or ``_``, ``"`` (strings keep their quotes, so
+# a quoted "}" never passes for punctuation) or punctuation.  The end of the
+# text is the token "".
+_TOKEN = r'"[^"\n]*"|[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*|[0-9]+|->|<=|>=|!=|[{}(),;=<>+*-]'
+# One match per token, after the blanks and comments before it.  A character
+# no token starts with takes the rest of the text, so the scan ends at the
+# first lexical error.
+_SCAN = re.compile(rf'[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*({_TOKEN}|[^ \t\r\n][\s\S]*|\Z)')
+_VALID = re.compile(_TOKEN)
+_NAME_START = frozenset(string.ascii_letters + "_")
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise DslSyntaxError("unterminated string", Span(start_line, start_col))
-                j += 1
-            if j >= n:
-                raise DslSyntaxError("unterminated string", Span(start_line, start_col))
-            tokens.append(Token("string", text[i + 1 : j], start_line, start_col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n:
-                ch = text[j + 1] if j + 1 < n else ""
-                nxt = text[j]
-                if nxt.isalnum() or nxt == "_":
-                    j += 1
-                elif nxt == "-" and ch and (ch.isalnum() or ch == "_"):
-                    j += 1
-                else:
-                    break
-            tokens.append(Token("ident", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        two = text[i : i + 2]
-        if two in _PUNCT2:
-            tokens.append(Token("punct", two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT1:
-            tokens.append(Token("punct", c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise DslSyntaxError(f"stray character {c!r}", Span(start_line, start_col))
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+def _shown(tok: str) -> str:
+    """A token as error messages quote it: a string without its quotes, the end as eof."""
+    if tok[:1] == '"':
+        return tok[1:-1] or "string"
+    return tok or "eof"
 
 
 # Deepest nesting of parentheses, applications, `not` and unary minus an
@@ -175,67 +114,74 @@ MAX_NESTING = 200
 # and the relations, unary minus above `*`.
 _NOT, _REL, _UNARY = 3, 4, 7
 _BINARY = {"or": 1, "and": 2, **dict.fromkeys(ex.REL_OPS, _REL), "+": 5, "-": 5, "*": 6}
+_BOOLS = {"true": ex.TRUE, "false": ex.FALSE}
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
-        self.pos = 0
-        self.depth = 0
+        self.text = text
+        self.toks = _SCAN.findall(text)
+        if len(self.toks) > 1 and not self.toks[-2]:
+            self.toks.pop()  # after trailing blanks the end matches twice
+        self.pos = self.depth = 0
+        if len(self.toks) > 1 and not _VALID.fullmatch(self.toks[-2]):
+            self.pos = len(self.toks) - 2
+            bad = self.toks[-2][0]
+            raise self.fail("unterminated string" if bad == '"' else f"stray character {bad!r}")
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def spans(self, where: dict[str, int]) -> dict[str, Span]:
+        """line:col of each name's token, given by index.
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+        Token offsets are found only here, by scanning the text again: on
+        the path without spans the scan keeps nothing but the tokens.
+        """
+        starts = [m.start(1) for m in _SCAN.finditer(self.text)]
+        lines = list(accumulate((len(line) + 1 for line in self.text.split("\n")), initial=0))
+        out = {}
+        for name, i in where.items():
+            line = bisect_right(lines, starts[i])
+            out[name] = Span(line, starts[i] - lines[line - 1] + 1)
+        return out
 
     def fail(self, message: str) -> DslSyntaxError:
-        return DslSyntaxError(message, self.peek().span)
+        return DslSyntaxError(message, self.spans({"": self.pos})[""])
 
-    def expect_punct(self, value: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.value != value:
-            raise self.fail(f"expected {value!r}, found {tok.value or tok.kind!r}")
-        return self.next()
+    def expect(self, value: str) -> None:
+        tok = self.toks[self.pos]
+        if tok != value:
+            raise self.fail(f"expected {value!r}, found {_shown(tok)!r}")
+        self.pos += 1
 
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.value != word:
-            raise self.fail(f"expected {word!r}, found {tok.value or tok.kind!r}")
-        return self.next()
+    def name(self, what: str = "identifier") -> str:
+        tok = self.toks[self.pos]
+        if tok[:1] not in _NAME_START:
+            raise self.fail(f"expected {what}, found {_shown(tok)!r}")
+        if tok in RESERVED:
+            raise self.fail(f"{tok!r} is a reserved word")
+        self.pos += 1
+        return tok
 
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.value == word
+    def integer(self) -> int:
+        sign = 1
+        if self.toks[self.pos] == "-":
+            self.pos += 1
+            sign = -1
+        tok = self.toks[self.pos]
+        if not tok.isdigit():
+            raise self.fail(f"expected an integer, found {_shown(tok)!r}")
+        self.pos += 1
+        return sign * int(tok)
 
-    def expect_name(self, what: str = "identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.fail(f"expected {what}, found {tok.value or tok.kind!r}")
-        if tok.value in RESERVED:
-            raise self.fail(f"{tok.value!r} is a reserved word")
-        return self.next()
-
-    def expect_int(self) -> int:
-        negative = False
-        if self.peek().kind == "punct" and self.peek().value == "-":
-            self.next()
-            negative = True
-        tok = self.peek()
-        if tok.kind != "int":
-            raise self.fail(f"expected an integer, found {tok.value or tok.kind!r}")
-        self.next()
-        return -int(tok.value) if negative else int(tok.value)
-
-    def name_list(self) -> list[Token]:
-        names = [self.expect_name()]
-        while self.peek().kind == "punct" and self.peek().value == ",":
-            self.next()
-            names.append(self.expect_name())
+    def name_list(self) -> list[str]:
+        names = [self.name()]
+        while self.toks[self.pos] == ",":
+            self.pos += 1
+            names.append(self.name())
         return names
+
+    def end(self, what: str) -> None:
+        if self.toks[self.pos]:
+            raise self.fail(f"trailing input after {what}")
 
     # Expressions: precedence climbing over the binary operators, with
     # `not` and unary minus as prefixes.  A level of nesting costs at most
@@ -243,23 +189,22 @@ class _Parser:
     # limit.
     def expression(self, level: int = 1) -> ex.Expr:
         """An expression whose operators bind at least as tightly as ``level``."""
-        tok = self.peek()
-        if level <= _NOT and tok.kind == "ident" and tok.value == "not":
-            self.next()
+        toks = self.toks
+        if level <= _NOT and toks[self.pos] == "not":
+            self.pos += 1
             self._deeper()
             out, top = ex.BoolOp("not", (self.expression(_NOT),)), _NOT
             self.depth -= 1
         else:
             out, top = self._unary(), _UNARY  # ``top``: precedence of the operator at the root of ``out``
         while True:
-            tok = self.peek()
-            op = tok.value if tok.kind in ("punct", "ident") else None
+            op = toks[self.pos]
             prec = _BINARY.get(op)
             # Stop below ``level``, above what ``out`` may be an operand of,
             # and at a second relation (relations do not chain).
             if prec is None or prec < level or prec > top or prec == top == _REL:
                 return out
-            self.next()
+            self.pos += 1
             rhs = self.expression(prec + 1)
             if op in ("or", "and"):
                 out = ex.BoolOp(op, (*out.args, rhs) if top == prec else (out, rhs))
@@ -278,61 +223,52 @@ class _Parser:
             raise self.fail(f"expression nested deeper than {MAX_NESTING} levels")
 
     def _unary(self) -> ex.Expr:
-        if self.peek().kind == "punct" and self.peek().value == "-":
-            self.next()
-            # A minus directly before a literal is the literal's sign, so
-            # `-5` is a constant while `-(5)` stays a negation node.
-            if self.peek().kind == "int":
-                return ex.IntConst(-int(self.next().value))
-            self._deeper()
-            inner = self._unary()
-            self.depth -= 1
-            return ex.Arith("neg", (inner,))
-        return self._atom()
+        if self.toks[self.pos] != "-":
+            return self._atom()
+        # A minus directly before a literal is the literal's sign, so
+        # `-5` is a constant while `-(5)` stays a negation node.
+        if self.toks[self.pos + 1].isdigit():
+            return ex.IntConst(self.integer())
+        self.pos += 1
+        self._deeper()
+        inner = self._unary()
+        self.depth -= 1
+        return ex.Arith("neg", (inner,))
 
     def _atom(self) -> ex.Expr:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.next()
-            return ex.IntConst(int(tok.value))
-        if tok.kind == "punct" and tok.value == "(":
-            self.next()
+        tok = self.toks[self.pos]
+        if tok.isdigit():
+            return ex.IntConst(self.integer())
+        if tok in _BOOLS:
+            self.pos += 1
+            return _BOOLS[tok]
+        if tok == "(":
+            self.pos += 1
             self._deeper()
             inner = self.expression()
             self.depth -= 1
-            self.expect_punct(")")
+            self.expect(")")
             return inner
-        if tok.kind == "ident":
-            if tok.value == "true":
-                self.next()
-                return ex.TRUE
-            if tok.value == "false":
-                self.next()
-                return ex.FALSE
-            if tok.value in RESERVED:
-                raise self.fail(f"{tok.value!r} is a reserved word")
-            self.next()
-            if self.peek().kind == "punct" and self.peek().value == "(":
-                self.next()
-                self._deeper()
-                args: list[ex.Expr] = []
-                if not (self.peek().kind == "punct" and self.peek().value == ")"):
-                    args.append(self.expression())
-                    while self.peek().kind == "punct" and self.peek().value == ",":
-                        self.next()
-                        args.append(self.expression())
-                self.depth -= 1
-                self.expect_punct(")")
-                return ex.Apply(tok.value, tuple(args))
-            return ex.Var(tok.value)
-        raise self.fail(f"expected an expression, found {tok.value or tok.kind!r}")
+        symbol = self.name("an expression")
+        if self.toks[self.pos] != "(":
+            return ex.Var(symbol)
+        self.pos += 1
+        self._deeper()
+        args: list[ex.Expr] = []
+        if self.toks[self.pos] != ")":
+            args.append(self.expression())
+            while self.toks[self.pos] == ",":
+                self.pos += 1
+                args.append(self.expression())
+        self.depth -= 1
+        self.expect(")")
+        return ex.Apply(symbol, tuple(args))
 
 
 def parse_expression(text: str) -> ex.Expr:
     p = _Parser(text)
     e = p.expression()
-    if p.peek().kind != "eof":
-        raise p.fail("trailing input after expression")
+    p.end("expression")
     return e
 
 
@@ -347,74 +283,63 @@ class _PlaceDecl:
     name: str
     marked: bool
     var: Optional[str]
-    span: Span
+    at: int  # token index of the name
 
 
 @dataclass
 class _TransDecl:
     name: str
-    pre: list[str]
-    post: list[str]
-    var: Optional[str]
-    fn: Optional[ex.Expr]
-    guard: Optional[ex.Expr]
-    span: Span
+    at: int
+    pre: list[str] = field(default_factory=list)
+    post: list[str] = field(default_factory=list)
+    var: Optional[str] = None
+    fn: Optional[ex.Expr] = None
+    guard: Optional[ex.Expr] = None
 
 
-def parse_net_document(text: str) -> NetDocument:
-    p = _Parser(text)
-    p.expect_keyword("net")
-    name_tok = p.expect_name("net name")
-    p.expect_punct("{")
+def _net(p: _Parser) -> tuple[PresNet, dict[str, int]]:
+    """The net, and the token index of each declared name for its spans."""
+    toks = p.toks
+    p.expect("net")
+    where = {toks[p.pos]: p.pos}
+    net_name = p.name("net name")
+    p.expect("{")
     places: list[_PlaceDecl] = []
     trans: list[_TransDecl] = []
-    spans: dict[str, Span] = {name_tok.value: name_tok.span}
+    clauses = {"pre": p.name_list, "post": p.name_list, "var": lambda: p.name("variable name"),
+               "fn": p.expression, "guard": p.expression}
 
-    while not (p.peek().kind == "punct" and p.peek().value == "}"):
-        if p.at_keyword("place"):
-            p.next()
-            ident = p.expect_name("place name")
-            marked = False
+    while toks[p.pos] != "}":
+        kind = toks[p.pos]
+        p.pos += 1
+        at = p.pos
+        if kind == "place":
+            ident = p.name("place name")
+            marked = toks[p.pos] == "marked"
+            p.pos += marked  # step over the keyword when it is there
             var = None
-            if p.at_keyword("marked"):
-                p.next()
-                marked = True
-            if p.at_keyword("var"):
-                p.next()
-                var = p.expect_name("variable name").value
-            p.expect_punct(";")
-            places.append(_PlaceDecl(ident.value, marked, var, ident.span))
-        elif p.at_keyword("transition"):
-            p.next()
-            ident = p.expect_name("transition name")
-            p.expect_punct("{")
-            decl = _TransDecl(ident.value, [], [], None, None, None, ident.span)
-            while not (p.peek().kind == "punct" and p.peek().value == "}"):
-                if p.at_keyword("pre"):
-                    p.next()
-                    decl.pre = [t.value for t in p.name_list()]
-                elif p.at_keyword("post"):
-                    p.next()
-                    decl.post = [t.value for t in p.name_list()]
-                elif p.at_keyword("var"):
-                    p.next()
-                    decl.var = p.expect_name("variable name").value
-                elif p.at_keyword("fn"):
-                    p.next()
-                    decl.fn = p.expression()
-                elif p.at_keyword("guard"):
-                    p.next()
-                    decl.guard = p.expression()
-                else:
+            if toks[p.pos] == "var":
+                p.pos += 1
+                var = p.name("variable name")
+            p.expect(";")
+            places.append(_PlaceDecl(ident, marked, var, at))
+        elif kind == "transition":
+            decl = _TransDecl(p.name("transition name"), at)
+            p.expect("{")
+            while toks[p.pos] != "}":
+                clause = toks[p.pos]
+                if clause not in clauses:
                     raise p.fail("expected pre, post, var, fn or guard")
-                p.expect_punct(";")
-            p.expect_punct("}")
+                p.pos += 1
+                setattr(decl, clause, clauses[clause]())
+                p.expect(";")
+            p.pos += 1
             trans.append(decl)
         else:
+            p.pos -= 1
             raise p.fail("expected a place or transition declaration")
-    p.expect_punct("}")
-    if p.peek().kind != "eof":
-        raise p.fail("trailing input after the net")
+    p.pos += 1
+    p.end("the net")
 
     violations: list[Violation] = []
     seen: set[str] = set()
@@ -422,16 +347,16 @@ def parse_net_document(text: str) -> NetDocument:
         if d.name in seen:
             violations.append(Violation("DuplicateName", d.name, "place declared twice"))
         seen.add(d.name)
-        spans[d.name] = d.span
+        where[d.name] = d.at
     for d in trans:
         if d.name in seen:
             violations.append(Violation("DuplicateName", d.name, "name already declared"))
         seen.add(d.name)
-        spans[d.name] = d.span
+        where[d.name] = d.at
         if d.fn is None:
             violations.append(Violation("MissingFunction", d.name, "transition has no fn clause"))
     if violations:
-        raise DslSemanticError(violations, spans)
+        raise DslSemanticError(violations, p.spans(where))
 
     place_names = {d.name for d in places}
     var_of: dict[str, str] = {}
@@ -443,7 +368,7 @@ def parse_net_document(text: str) -> NetDocument:
             if q not in place_names:
                 violations.append(Violation("UnknownPlace", q, f"in transition {d.name}"))
     if violations:
-        raise DslSemanticError(violations, spans)
+        raise DslSemanticError(violations, p.spans(where))
 
     # One variable per post-set: an explicit override wins, then any name
     # already fixed for a member, then the first post place's own name.
@@ -458,12 +383,12 @@ def parse_net_document(text: str) -> NetDocument:
         for q in d.post:
             var_of[q] = name
     if violations:
-        raise DslSemanticError(violations, spans)
+        raise DslSemanticError(violations, p.spans(where))
     for d in places:
         var_of.setdefault(d.name, d.name)
 
     net = PresNet(
-        name=name_tok.value,
+        name=net_name,
         places=tuple(d.name for d in places),
         var_of=var_of,
         token_type={d.name: INT_TYPE for d in places},
@@ -474,12 +399,18 @@ def parse_net_document(text: str) -> NetDocument:
     )
     issues = validate_net(net)
     if issues:
-        raise DslSemanticError(issues, spans)
-    return NetDocument(net, spans)
+        raise DslSemanticError(issues, p.spans(where))
+    return net, where
+
+
+def parse_net_document(text: str) -> NetDocument:
+    p = _Parser(text)
+    net, where = _net(p)
+    return NetDocument(net, p.spans(where))
 
 
 def parse_pres(text: str) -> PresNet:
-    return parse_net_document(text).net
+    return _net(_Parser(text))[0]
 
 
 @dataclass
@@ -488,89 +419,87 @@ class FsmdDocument:
     spans: dict[str, Span]
 
 
-def parse_fsmd_document(text: str) -> FsmdDocument:
-    p = _Parser(text)
-    p.expect_keyword("fsmd")
-    name_tok = p.expect_name("machine name")
-    p.expect_punct("{")
+def _fsmd(p: _Parser) -> tuple[Fsmd, dict[str, int]]:
+    """The machine, and the token index of each state and transition for its spans."""
+    toks = p.toks
+    p.expect("fsmd")
+    where = {toks[p.pos]: p.pos}
+    name = p.name("machine name")
+    p.expect("{")
     states: list[str] = []
     reset: Optional[str] = None
-    inputs: list[str] = []
-    storage: list[str] = []
-    outputs: list[str] = []
+    ports: dict[str, list[str]] = {"inputs": [], "storage": [], "outputs": []}
     transitions: list[FsmdTransition] = []
-    spans: dict[str, Span] = {name_tok.value: name_tok.span}
 
-    while not (p.peek().kind == "punct" and p.peek().value == "}"):
-        if p.at_keyword("states"):
-            p.next()
-            for tok in p.name_list():
-                states.append(tok.value)
-                spans.setdefault(tok.value, tok.span)
-            p.expect_punct(";")
-        elif p.at_keyword("reset"):
-            p.next()
-            reset = p.expect_name("state name").value
-            p.expect_punct(";")
-        elif p.at_keyword("inputs"):
-            p.next()
-            inputs.extend(t.value for t in p.name_list())
-            p.expect_punct(";")
-        elif p.at_keyword("storage"):
-            p.next()
-            storage.extend(t.value for t in p.name_list())
-            p.expect_punct(";")
-        elif p.at_keyword("outputs"):
-            p.next()
-            outputs.extend(t.value for t in p.name_list())
-            p.expect_punct(";")
+    while toks[p.pos] != "}":
+        clause = toks[p.pos]
+        if clause == "states":
+            p.pos += 1
+            first = p.pos
+            for i, state in enumerate(p.name_list()):
+                states.append(state)
+                where.setdefault(state, first + 2 * i)  # names alternate with commas
+            p.expect(";")
+        elif clause == "reset":
+            p.pos += 1
+            reset = p.name("state name")
+            p.expect(";")
+        elif clause in ports:
+            p.pos += 1
+            ports[clause] += p.name_list()
+            p.expect(";")
         else:
-            src = p.expect_name("state name")
-            p.expect_punct("->")
-            dst = p.expect_name("state name")
+            at = p.pos
+            src = p.name("state name")
+            p.expect("->")
+            dst = p.name("state name")
             guards: list[ex.Expr] = []
-            if p.at_keyword("when"):
-                p.next()
+            if toks[p.pos] == "when":
+                p.pos += 1
                 guards.append(p.expression())
-                while p.peek().kind == "punct" and p.peek().value == ",":
-                    p.next()
+                while toks[p.pos] == ",":
+                    p.pos += 1
                     guards.append(p.expression())
-            p.expect_punct("{")
+            p.expect("{")
             pairs: list[tuple[str, ex.Expr]] = []
-            while not (p.peek().kind == "punct" and p.peek().value == "}"):
-                target = p.expect_name("variable name")
-                p.expect_punct("<=")
-                pairs.append((target.value, p.expression()))
-                p.expect_punct(";")
-            p.expect_punct("}")
-            spans.setdefault(f"{src.value}->{dst.value}#{len(transitions)}", src.span)
-            transitions.append(FsmdTransition(src.value, tuple(guards), dst.value, UpdateSet.of(pairs)))
-
-    p.expect_punct("}")
-    if p.peek().kind != "eof":
-        raise p.fail("trailing input after the machine")
+            while toks[p.pos] != "}":
+                target = p.name("variable name")
+                p.expect("<=")
+                pairs.append((target, p.expression()))
+                p.expect(";")
+            p.pos += 1
+            where.setdefault(f"{src}->{dst}#{len(transitions)}", at)
+            transitions.append(FsmdTransition(src, tuple(guards), dst, UpdateSet.of(pairs)))
+    p.pos += 1
+    p.end("the machine")
     if reset is None:
         if not states:
-            raise DslSemanticError([Violation("MissingReset", name_tok.value, "no states and no reset")], spans)
+            raise DslSemanticError([Violation("MissingReset", name, "no states and no reset")], p.spans(where))
         reset = states[0]
 
     machine = Fsmd(
-        name=name_tok.value,
+        name=name,
         states=tuple(states),
         reset=reset,
-        inputs=frozenset(inputs),
-        storage=frozenset(storage),
-        outputs=frozenset(outputs),
+        inputs=frozenset(ports["inputs"]),
+        storage=frozenset(ports["storage"]),
+        outputs=frozenset(ports["outputs"]),
         transitions=tuple(transitions),
     )
     issues = validate_fsmd(machine)
     if issues:
-        raise DslSemanticError(issues, spans)
-    return FsmdDocument(machine, spans)
+        raise DslSemanticError(issues, p.spans(where))
+    return machine, where
+
+
+def parse_fsmd_document(text: str) -> FsmdDocument:
+    p = _Parser(text)
+    machine, where = _fsmd(p)
+    return FsmdDocument(machine, p.spans(where))
 
 
 def parse_fsmd(text: str) -> Fsmd:
-    return parse_fsmd_document(text).fsmd
+    return _fsmd(_Parser(text))[0]
 
 
 @dataclass
@@ -605,109 +534,85 @@ class ScenarioDocument:
 
 def _parse_map_block(p: _Parser) -> dict[str, str]:
     out: dict[str, str] = {}
-    p.expect_punct("{")
-    while not (p.peek().kind == "punct" and p.peek().value == "}"):
-        a = p.expect_name()
-        p.expect_punct("->")
-        b = p.expect_name()
-        p.expect_punct(";")
-        out[a.value] = b.value
-    p.expect_punct("}")
+    p.expect("{")
+    while p.toks[p.pos] != "}":
+        a = p.name()
+        p.expect("->")
+        out[a] = p.name()
+        p.expect(";")
+    p.pos += 1
     return out
+
+
+_MAPS = {"inmap": "in_map", "outmap": "out_map", "varmap": "var_map"}
+_BOUNDS = {"maxsteps": "max_steps", "statebound": "state_bound"}
+_CHOICES = {"check": ("cardinality", "functional", "fsmd"), "strategy": ("symbolic", "sampled")}
 
 
 def parse_scenario(text: str, base_dir: str = ".") -> ScenarioDocument:
     p = _Parser(text)
-    p.expect_keyword("scenario")
-    name = p.expect_name("scenario name").value
-    doc = ScenarioDocument(name=name, base_dir=base_dir)
-    p.expect_punct("{")
-    while not (p.peek().kind == "punct" and p.peek().value == "}"):
-        if p.at_keyword("model"):
-            p.next()
-            side = p.next()
-            if side.kind != "ident" or side.value not in ("left", "right"):
-                raise DslSyntaxError("expected 'left' or 'right'", side.span)
-            p.expect_punct("=")
-            path = p.peek()
-            if path.kind != "string":
+    toks = p.toks
+    p.expect("scenario")
+    doc = ScenarioDocument(name=p.name("scenario name"), base_dir=base_dir)
+    p.expect("{")
+    while toks[p.pos] != "}":
+        clause = toks[p.pos]
+        p.pos += 1
+        if clause == "model":
+            side = toks[p.pos]
+            if side not in ("left", "right"):
+                raise p.fail("expected 'left' or 'right'")
+            p.pos += 1
+            p.expect("=")
+            if toks[p.pos][:1] != '"':
                 raise p.fail("expected a quoted file path")
-            p.next()
-            p.expect_punct(";")
-            if side.value == "left":
-                doc.left = path.value
-            else:
-                doc.right = path.value
-        elif p.at_keyword("check"):
-            p.next()
-            kind = p.next()
-            if kind.kind != "ident" or kind.value not in ("cardinality", "functional", "fsmd"):
-                raise DslSyntaxError("expected cardinality, functional or fsmd", kind.span)
-            doc.check = kind.value
-            p.expect_punct(";")
-        elif p.at_keyword("strategy"):
-            p.next()
-            kind = p.next()
-            if kind.kind != "ident" or kind.value not in ("symbolic", "sampled"):
-                raise DslSyntaxError("expected symbolic or sampled", kind.span)
-            doc.strategy = kind.value
-            p.expect_punct(";")
-        elif p.at_keyword("inmap"):
-            p.next()
-            doc.in_map.update(_parse_map_block(p))
-        elif p.at_keyword("outmap"):
-            p.next()
-            doc.out_map.update(_parse_map_block(p))
-        elif p.at_keyword("varmap"):
-            p.next()
-            doc.var_map.update(_parse_map_block(p))
-        elif p.at_keyword("inputs"):
-            p.next()
-            p.expect_punct("{")
+            setattr(doc, side, toks[p.pos][1:-1])
+            p.pos += 1
+            p.expect(";")
+        elif clause in _CHOICES:
+            *some, last = choices = _CHOICES[clause]
+            if toks[p.pos] not in choices:
+                raise p.fail(f"expected {', '.join(some)} or {last}")
+            setattr(doc, clause, toks[p.pos])
+            p.pos += 1
+            p.expect(";")
+        elif clause in _MAPS:
+            getattr(doc, _MAPS[clause]).update(_parse_map_block(p))
+        elif clause == "inputs":
+            p.expect("{")
             vector: dict[str, int] = {}
-            while not (p.peek().kind == "punct" and p.peek().value == "}"):
-                place = p.expect_name("place name")
-                p.expect_punct("=")
-                vector[place.value] = p.expect_int()
-                p.expect_punct(";")
-            p.expect_punct("}")
+            while toks[p.pos] != "}":
+                place = p.name("place name")
+                p.expect("=")
+                vector[place] = p.integer()
+                p.expect(";")
+            p.pos += 1
             doc.vectors.append(vector)
-        elif p.at_keyword("interp"):
-            p.next()
-            if p.at_keyword("default"):
-                p.next()
-                p.expect_keyword("seeded")
-                doc.default_seed = p.expect_int()
-                p.expect_punct(";")
-                continue
-            symbol = p.expect_name("function symbol")
-            p.expect_punct("(")
-            params: list[str] = []
-            if not (p.peek().kind == "punct" and p.peek().value == ")"):
-                params = [t.value for t in p.name_list()]
-            p.expect_punct(")")
-            p.expect_punct("=")
+        elif clause == "interp" and toks[p.pos] == "default":
+            p.pos += 1
+            p.expect("seeded")
+            doc.default_seed = p.integer()
+            p.expect(";")
+        elif clause == "interp":
+            symbol = p.name("function symbol")
+            p.expect("(")
+            params = p.name_list() if toks[p.pos] != ")" else []
+            p.expect(")")
+            p.expect("=")
             body = p.expression()
-            p.expect_punct(";")
+            p.expect(";")
             extra = ex.free_vars(body) - set(params)
             if extra:
-                raise DslSemanticError(
-                    [Violation("UnknownVariable", symbol.value, f"interp body reads {sorted(extra)}")]
-                )
-            doc.interps.append(InterpDecl(symbol.value, params, body))
-        elif p.at_keyword("maxsteps"):
-            p.next()
-            doc.max_steps = p.expect_int()
-            p.expect_punct(";")
-        elif p.at_keyword("statebound"):
-            p.next()
-            doc.state_bound = p.expect_int()
-            p.expect_punct(";")
+                raise DslSemanticError([Violation("UnknownVariable", symbol, f"interp body reads {sorted(extra)}")])
+            doc.interps.append(InterpDecl(symbol, params, body))
+        elif clause in _BOUNDS:
+            setattr(doc, _BOUNDS[clause], p.integer())
+            p.expect(";")
         else:
+            p.pos -= 1
             raise p.fail("unknown scenario clause")
-    p.expect_punct("}")
-    if p.peek().kind != "eof":
-        raise p.fail("trailing input after the scenario")
+    p.pos += 1
+    p.end("the scenario")
     return doc
 
 
@@ -721,8 +626,8 @@ def print_net(net: PresNet) -> str:
             bits.append(f" var {net.var_of[place]}")
         lines.append("".join(bits) + ";")
     for t in net.transitions:
-        pre = ", ".join(sorted(p for p, tid in net.input_arcs if tid == t.id))
-        post = ", ".join(sorted(p for tid, p in net.output_arcs if tid == t.id))
+        pre = ", ".join(sorted(net.preset(t.id)))
+        post = ", ".join(sorted(net.postset(t.id)))
         lines.append(f"  transition {t.id} {{")
         lines.append(f"    pre {pre};")
         lines.append(f"    post {post};")

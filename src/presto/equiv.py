@@ -167,12 +167,16 @@ def check_functional(
     vectors: Sequence[dict],
     interp: Interpretation,
     max_steps: int = 1_000,
+    state_bound: int = 10_000,
+    warnings: Optional[list] = None,
 ) -> Verdict:
     """Cardinality equivalence plus equal out-port token values.
 
     Each vector is simulated once per net; those runs serve the
     cardinality check, the sampled comparison and the confirmation of a
-    symbolic difference.
+    symbolic difference.  The symbolic strategy converts both nets with
+    at most ``state_bound`` states each and adds their conversion
+    warnings to ``warnings``, if given.
     """
     samples: list = []
     card = check_cardinality(n1, n2, pm, vectors, interp, max_steps, samples)
@@ -188,8 +192,9 @@ def check_functional(
         return Verdict(EQUIVALENT, method, witness={
             "samples": [{"vector": vector, "out_values": [out1, out2]} for vector, out1, out2 in samples]})
 
-    conv1 = pres_to_fsmd(n1, ConversionConfig())
-    conv2 = pres_to_fsmd(n2, ConversionConfig())
+    conv1, conv2 = (pres_to_fsmd(net, ConversionConfig(state_bound=state_bound)) for net in (n1, n2))
+    if warnings is not None:
+        warnings += conv1.warnings + conv2.warnings
     # Rename the right net's input variables into the left net's, through
     # the in-port map, so transformations range over one vocabulary.
     rename = {n2.var_of[q]: ex.Var(n1.var_of[p]) for p, q in pm.in_map.items() if n2.var_of[q] != n1.var_of[p]}

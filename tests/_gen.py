@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 
 from presto import expr as ex
+from presto.pres import PresNet, Transition
 
 VARS = ("a", "b", "c", "d")
 SYMBOLS = ("F", "G", "H")
@@ -57,3 +58,21 @@ def random_env(rng: random.Random, variables=VARS) -> ex.Environment:
         c0, c1, c2 = (rng.randint(-5, 5) for _ in range(3))
         functions[s] = (lambda c0, c1, c2: lambda *args: c0 + sum(c * a for c, a in zip((c1, c2), args)))(c0, c1, c2)
     return ex.Environment(values, functions)
+
+
+def random_net(seed: int) -> PresNet:
+    """Eight places over three shared variables and seven transitions with
+    overlapping presets and `v > 0` guards, so that conflict groups chain
+    transitively and some guard decisions contradict each other."""
+    rng = random.Random(seed)
+    places = tuple(f"p{i}" for i in range(8))
+    var_of = {p: rng.choice("xyz") for p in places}
+    transitions, input_arcs, output_arcs = [], set(), set()
+    for i in range(7):
+        pre = rng.sample(places, rng.randint(1, 3))
+        v = ex.Var(var_of[pre[0]])
+        transitions.append(Transition(f"t{i}", v, ex.Rel(">", v, ex.IntConst(0)) if rng.random() < 0.6 else None))
+        input_arcs.update((p, f"t{i}") for p in pre)
+        output_arcs.add((f"t{i}", rng.choice(places)))
+    return PresNet(f"random{seed}", places, var_of, {p: "int" for p in places}, tuple(transitions),
+                   frozenset(input_arcs), frozenset(output_arcs), frozenset(rng.sample(places, 4)))

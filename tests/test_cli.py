@@ -37,6 +37,14 @@ class TestValidate:
             if expected:
                 assert err.startswith("error: 2:") and "nested deeper than 200 levels" in err
 
+    def test_non_ascii_characters_are_syntax_errors(self, capsys, tmp_path):
+        for body, at, char in (("fn 2²;", "3:37", "²"), ("fn x²;", "3:37", "²"), ("fn é;", "3:36", "é")):
+            net = tmp_path / "squared.pres"
+            net.write_text(f"net squared {{\n  place x marked; place y;\n  transition t {{ pre x; post y; {body} }}\n}}\n")
+            code, out, err = run(capsys, "validate", str(net))
+            assert (code, out) == (3, "")
+            assert err == f"error: {at}: stray character {char!r}\n"
+
     def test_internal_error_exits_three_without_traceback(self, capsys, monkeypatch):
         def explode(args):
             raise RecursionError("maximum recursion depth exceeded")
@@ -129,19 +137,21 @@ class TestChecks:
         )
         assert run(capsys, "check-pres", str(scenario))[0] == 2
 
+    # Both ports carry `xx`, so a firing set that takes ga with gd (or gb
+    # with gc) assumes `xx > 0` and its negation at once.
+    CONTRA_NET = """
+        net contra {
+          place x1 marked var xx; place x2 marked var xx;
+          place u; place v; place w; place z;
+          transition ga { pre x1; post u; fn fa(xx); guard xx > 0; }
+          transition gb { pre x1; post v; fn fb(xx); }
+          transition gc { pre x2; post w; fn fc(xx); guard xx > 0; }
+          transition gd { pre x2; post z; fn fd(xx); }
+        }
+        """
+
     def test_check_fsmd_surfaces_conversion_warnings(self, capsys, tmp_path):
-        (tmp_path / "contra.pres").write_text(
-            """
-            net contra {
-              place x1 marked var xx; place x2 marked var xx;
-              place u; place v; place w; place z;
-              transition ga { pre x1; post u; fn fa(xx); guard xx > 0; }
-              transition gb { pre x1; post v; fn fb(xx); }
-              transition gc { pre x2; post w; fn fc(xx); guard xx > 0; }
-              transition gd { pre x2; post z; fn fd(xx); }
-            }
-            """
-        )
+        (tmp_path / "contra.pres").write_text(self.CONTRA_NET)
         scenario = tmp_path / "contra.scn"
         scenario.write_text(
             """
@@ -160,6 +170,24 @@ class TestChecks:
         assert err.splitlines() == [f"warning: {w}" for w in warnings]
         assert "warning" not in out
         assert out.startswith(("Equivalent", "NotEquivalent", "Inconclusive"))
+
+    def test_check_pres_surfaces_conversion_warnings_and_honours_statebound(self, capsys, tmp_path):
+        (tmp_path / "contra.pres").write_text(self.CONTRA_NET)
+        scenario = tmp_path / "contra.scn"
+        clauses = """model left = "contra.pres"; model right = "contra.pres"; check functional;
+                     inmap { x1 -> x1; x2 -> x2; } outmap { u -> u; v -> v; w -> w; z -> z; }"""
+        scenario.write_text(f"scenario contra {{ {clauses} }}")
+        report = tmp_path / "contra.json"
+        _, out, err = run(capsys, "check-pres", str(scenario), "--json", str(report))
+        warnings = json.loads(report.read_text())["warnings"]
+        assert len(warnings) == 4 and all("InconsistentGuards" in w for w in warnings)
+        assert err.splitlines() == [f"warning: {w}" for w in warnings]
+        assert out.startswith(("Equivalent", "NotEquivalent", "Inconclusive"))
+
+        scenario.write_text(f"scenario contra {{ {clauses} statebound 1; }}")
+        code, out, err = run(capsys, "check-pres", str(scenario))
+        assert code == 3 and out == ""
+        assert err.startswith("error: StateBoundExceeded")
 
     @staticmethod
     def _machine_pair(tmp_path, left_body, right_body):

@@ -15,7 +15,9 @@ from presto.convert import (
     pres_to_fsmd,
 )
 from presto.dsl import parse_expression, parse_pres
-from presto.pres import PresNet, Transition, enabled_transitions
+from presto.pres import enabled_transitions
+
+from _gen import random_net
 
 # Canonical per-step update labels for the two jammer conversions.  Each
 # entry is one update's applied-symbol chain (innermost first); identity
@@ -169,31 +171,13 @@ def _reference_groups(net, enabled):
     return groups
 
 
-def _random_net(seed):
-    """Eight places over three shared variables and seven transitions with
-    overlapping presets and `v > 0` guards, so that conflict groups chain
-    transitively and some guard decisions contradict each other."""
-    rng = random.Random(seed)
-    places = tuple(f"p{i}" for i in range(8))
-    var_of = {p: rng.choice("xyz") for p in places}
-    transitions, input_arcs, output_arcs = [], set(), set()
-    for i in range(7):
-        pre = rng.sample(places, rng.randint(1, 3))
-        v = ex.Var(var_of[pre[0]])
-        transitions.append(Transition(f"t{i}", v, ex.Rel(">", v, ex.IntConst(0)) if rng.random() < 0.6 else None))
-        input_arcs.update((p, f"t{i}") for p in pre)
-        output_arcs.add((f"t{i}", rng.choice(places)))
-    return PresNet(f"random{seed}", places, var_of, {p: "int" for p in places}, tuple(transitions),
-                   frozenset(input_arcs), frozenset(output_arcs), frozenset(rng.sample(places, 4)))
-
-
 @pytest.mark.parametrize("name", corpus.NETS + tuple(f"random{i}" for i in range(20)))
 def test_kernel_agrees_with_brute_force_reference(name):
     # The indexed kernel against the definitions: enabled means the whole
     # preset is marked, conflict groups are components of preset overlap,
     # firing sets come in product order with declaration-ordered members,
     # and firing consumes every preset and produces every postset.
-    net = _random_net(int(name[6:])) if name.startswith("random") else corpus.load_net(name)
+    net = random_net(int(name[6:])) if name.startswith("random") else corpus.load_net(name)
     order = [t.id for t in net.transitions]
     rng = random.Random(name)
     markings = [frozenset(net.places), frozenset(net.initial_marking)]

@@ -1,7 +1,9 @@
+import time
+
 import pytest
 
 from presto import corpus, expr as ex
-from presto.convert import pres_to_fsmd
+from presto.convert import ConversionConfig, pres_to_fsmd
 from presto.dsl import (
     MAX_NESTING,
     DslSemanticError,
@@ -14,6 +16,9 @@ from presto.dsl import (
     print_fsmd,
     print_net,
 )
+from presto.fsmd import DuplicateTarget, validate_fsmd
+
+from _gen import random_net
 
 
 class TestExpressionSyntax:
@@ -161,7 +166,107 @@ class TestScenarioParsing:
             parse_scenario("scenario s { bogus 3; }")
 
 
+# Malformed documents and the exact error each one gives: the message and
+# its line:col.  Lexical errors win over any syntax error later in the text.
+_NEST = "(" * 201 + "x" + ")" * 201
+GOLDEN_ERRORS = [
+    (parse_pres, "net n { place a; $ }", "1:18: stray character '$'"),
+    (parse_pres, "net n {\n  place a;\n  transition t {\n    pre a;\n    post a;\n    fn a @ 2;\n  }\n}",
+     "6:10: stray character '@'"),
+    (parse_expression, "1 ! 2", "1:3: stray character '!'"),
+    (parse_pres, "net place { $", "1:13: stray character '$'"),
+    (parse_pres, 'net n { place a; }\n"abc', "2:1: unterminated string"),
+    (parse_scenario, 'scenario s { model left = "a.pres\n; }', "1:27: unterminated string"),
+    (parse_pres, "net place { }", "1:5: 'place' is a reserved word"),
+    (parse_pres, "net n { place var; }", "1:15: 'var' is a reserved word"),
+    (parse_pres, "net n { place a", "1:16: expected ';', found 'eof'"),
+    (parse_pres, "", "1:1: expected 'net', found 'eof'"),
+    (parse_pres, 'net "abc" { }', "1:5: expected net name, found 'abc'"),
+    (parse_pres, 'net "" { }', "1:5: expected net name, found 'string'"),
+    (parse_pres, "net n { place a; } x", "1:20: trailing input after the net"),
+    (parse_fsmd, "fsmd m { states q0; } }", "1:23: trailing input after the machine"),
+    (parse_scenario, 'scenario s { model left = "x.pres"; } "}"', "1:39: trailing input after the scenario"),
+    (parse_expression, "a + b c", "1:7: trailing input after expression"),
+    (parse_fsmd, "fsmd m { states q0; q0 -> q1 { x <= " + _NEST + "; } }",
+     "1:238: expression nested deeper than 200 levels"),
+    (parse_scenario, "scenario s { inmap { a => b; } }", "1:24: expected '->', found '='"),
+    (parse_scenario, 'scenario s { model middle = "a.pres"; }', "1:20: expected 'left' or 'right'"),
+    (parse_scenario, "scenario s { model", "1:19: expected 'left' or 'right'"),
+    (parse_scenario, "scenario s { model left = a; }", "1:27: expected a quoted file path"),
+    (parse_scenario, 'scenario s { model left = "a"; model right "b"; }', "1:44: expected '=', found 'b'"),
+    (parse_scenario, 'scenario s { check "fsmd"; }', "1:20: expected cardinality, functional or fsmd"),
+    (parse_scenario, "scenario s { strategy random; }", "1:23: expected symbolic or sampled"),
+    (parse_scenario, "scenario s { inputs { a = x; } }", "1:27: expected an integer, found 'x'"),
+    (parse_scenario, "scenario s { interp default random 3; }", "1:29: expected 'seeded', found 'random'"),
+    (parse_pres, "net n { place a; transition t { pre a; post a; fn 1 +; } }", "1:54: expected an expression, found ';'"),
+    (parse_pres, "net n { place a; transition t { pre a; post a; bogus 1; } }",
+     "1:48: expected pre, post, var, fn or guard"),
+    (parse_pres, "net n { widget a; }", "1:9: expected a place or transition declaration"),
+    (parse_pres, "net n\n{\n\tplace a marked var ;\n}", "3:21: expected variable name, found ';'"),
+    (parse_pres, "net n { place a\r\n; place ; }", "2:9: expected place name, found ';'"),
+    (parse_fsmd, "fsmd m { states q0, q1; q0 q1 { } }", "1:28: expected '->', found 'q1'"),
+    (parse_fsmd, "fsmd m { states q0; q0 -> q0 { x <= 1; ", "1:40: expected variable name, found 'eof'"),
+]
+
+
+@pytest.mark.parametrize("parse, text, message", GOLDEN_ERRORS)
+def test_golden_syntax_errors(parse, text, message):
+    with pytest.raises(DslSyntaxError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+def test_eof_after_a_final_comment_points_at_the_end_of_the_text():
+    with pytest.raises(DslSyntaxError) as err:
+        parse_pres("# only a comment")
+    assert str(err.value) == "1:17: expected 'net', found 'eof'"
+
+
 def test_document_spans_cover_declarations():
     doc = parse_net_document(open(corpus.corpus_path("guard_split"), encoding="utf-8").read())
     assert {"p1", "p7", "t1", "t2", "t3"} <= set(doc.spans)
     assert doc.spans["t2"].line > doc.spans["p1"].line
+
+
+def _chain_text(stages):
+    lines = ["net chain {", "  place p0 marked;", *(f"  place p{i};" for i in range(1, stages + 1))]
+    lines += [f"  transition t{i} {{ pre p{i}; post p{i + 1}; fn f(p{i}) + {i}; }}" for i in range(stages)]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_random_nets_and_their_conversions_round_trip(seed):
+    net = random_net(seed)
+    assert parse_pres(print_net(net)) == net
+    try:
+        machine = pres_to_fsmd(net, ConversionConfig(on_unsafe="reject-firing-set")).fsmd
+    except DuplicateTarget:  # a firing set writes one variable twice
+        return
+    issues = validate_fsmd(machine)
+    if issues:  # the printed machine is the same one, so the same rules break
+        with pytest.raises(DslSemanticError) as err:
+            parse_fsmd(print_fsmd(machine))
+        assert err.value.violations == issues
+    else:
+        assert parse_fsmd(print_fsmd(machine)) == machine
+
+
+def test_8000_transition_chain_prints_and_round_trips_in_linear_time():
+    net = parse_pres(_chain_text(8000))
+    start = time.perf_counter()
+    again = parse_pres(print_net(net))
+    elapsed = time.perf_counter() - start
+    assert again == net
+    # A loose bound: a printer that rescans every arc for each transition
+    # is quadratic and needs several seconds at this size.
+    assert elapsed < 2.0, elapsed
+
+
+def test_20000_transition_chain_parses_with_spans_in_linear_time():
+    text = _chain_text(20_000)
+    start = time.perf_counter()
+    doc = parse_net_document(text)
+    elapsed = time.perf_counter() - start
+    assert len(doc.net.transitions) == 20_000
+    assert str(doc.spans["t19999"]) == "40002:14" and str(doc.spans["p20000"]) == "20002:9"
+    assert elapsed < 5.0, elapsed  # loose: finding each span by counting lines from the top is quadratic
