@@ -39,7 +39,7 @@ print("== machines: the two jammer versions ==")
 m1 = pres_to_fsmd(corpus.load_net("jammer_nonpipelined")).fsmd
 m2 = pres_to_fsmd(corpus.load_net("jammer_pipelined")).fsmd
 print(check_fsmd_equivalence(m1, m2, {"out": "out2"}))
-t1 = path_transformation(m1, path_enumerate(m1, m1.reset, m1.terminal_states(), 16).paths[0])
+t1 = path_transformation(m1, path_enumerate(m1, m1.reset, m1.terminal_states()).paths[0])
 print("composed output transformation (shared by both):")
 print(" ", to_text(normalize(t1.transform["out"]))[:120], "...")
 

@@ -26,7 +26,7 @@ from .equiv import (
     check_fsmd_equivalence,
     derive_right_inputs,
 )
-from .fsmd import Fsmd
+from .fsmd import Fsmd, FsmdError
 from .pres import PresNet
 from .sim import (
     QUIESCENT,
@@ -249,7 +249,7 @@ def cmd_check_fsmd(args) -> int:
     # Scenario vectors name places; the machines read the places' variables.
     var_of = models[0].var_of if isinstance(models[0], PresNet) else {}
     vectors = [{var_of.get(p, p): v for p, v in vector.items()} for vector in doc.vectors]
-    verdict = check_fsmd_equivalence(*machines, dict(doc.var_map), vectors, _interpretation(doc))
+    verdict = check_fsmd_equivalence(*machines, dict(doc.var_map), vectors, _interpretation(doc), doc.max_steps)
     print(_verdict_line(verdict))
     _write_json(args.json, {"command": "check-fsmd", "verdict": _verdict_json(verdict), "warnings": warnings})
     return verdict.exit_code()
@@ -266,6 +266,17 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+def _bound(text: str) -> int:
+    """An argparse type: an integer bound of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="presto", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -278,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="convert a net into a machine")
     p.add_argument("net")
     p.add_argument("-o", "--output")
-    p.add_argument("--state-bound", type=int, default=10_000)
+    p.add_argument("--state-bound", type=_bound, default=10_000)
     p.add_argument("--on-unsafe", choices=["error", "reject"], default="error")
     p.add_argument("--json")
     p.set_defaults(fn=cmd_convert)
@@ -286,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a scenario's models on its input vectors")
     p.add_argument("scenario")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-steps", type=_bound, default=None)
     p.add_argument("--schedules", type=int, default=1, help="with N>1, run a schedule-independence check")
     p.add_argument("--json")
     p.set_defaults(fn=cmd_simulate)
@@ -326,7 +337,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except dsl.DslError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (ConvertError, SimError, ex.ExprError) as err:
+    except (ConvertError, SimError, FsmdError, ex.ExprError) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 3
     except Exception as err:  # a bug or a resource limit, never a verdict

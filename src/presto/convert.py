@@ -12,8 +12,8 @@ guard is recorded negated.  Firing sets whose guard decisions contradict
 each other syntactically are dropped with a warning.
 
 The machine's interface follows the marking: inputs are the variables of
-initially marked places, storage the rest, outputs the variables of
-places with no consumers.
+initially marked places that no transition writes, storage the rest,
+outputs the variables of places with no consumers.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import expr as ex
-from .fsmd import Fsmd, FsmdTransition, UpdateSet
+from .fsmd import DuplicateTarget, Fsmd, FsmdTransition, UpdateSet
 from .pres import PresNet, Violation, classify_ports, enabled_transitions
 
 
@@ -202,7 +202,8 @@ def pres_to_fsmd(net: PresNet, cfg: ConversionConfig = ConversionConfig()) -> Co
     emitted in firing-set order per state.
     """
     ports = classify_ports(net)
-    inputs = frozenset(net.var_of[p] for p in net.initial_marking)
+    written = {net.var_of[p] for _, p in net.output_arcs}
+    inputs = frozenset(net.var_of[p] for p in net.initial_marking) - written
     storage = frozenset(net.var_of[p] for p in net.places) - inputs
     outputs = frozenset(net.var_of[p] for p in ports.out_ports)
 
@@ -235,7 +236,10 @@ def pres_to_fsmd(net: PresNet, cfg: ConversionConfig = ConversionConfig()) -> Co
                 state_of[succ] = name
                 marking_of[name] = succ
                 work.append(succ)
-            updates, update_labels = _updates_for(net, fs)
+            try:
+                updates, update_labels = _updates_for(net, fs)
+            except DuplicateTarget as err:
+                raise DuplicateTarget(err.name, f"firing set {'+'.join(fs.transitions)} at {q}") from None
             transitions.append(FsmdTransition(q, fs.guard_set, state_of[succ], updates))
             labels.append(update_labels)
 

@@ -3,8 +3,10 @@
 The fixtures pin down the toolkit's behaviour end to end: a guard-split
 net that converts into a two-branch machine, a cardinality pair and a
 functional pair of small nets, the two jammer versions whose converted
-machines are path-equivalent, a schedule-dependent net, and one mutation
-of each kind that a checker must catch.
+machines are path-equivalent, a schedule-dependent net, one mutation
+of each kind that a checker must catch, and two looping pairs: a sum loop
+of machines and a count-down net, each against a copy that computes
+something else.
 """
 
 from __future__ import annotations
@@ -28,12 +30,23 @@ NETS = (
     "racy",
 )
 
+# Models whose machines loop; ``sum_loop_commuted`` is equivalent to
+# ``sum_loop``, the mutations ``sum_loop_double`` and ``countdown_by_two``
+# are not equivalent to them.
+LOOPS = (
+    "sum_loop",
+    "sum_loop_commuted",
+    "countdown",
+)
+
 MUTATIONS = (
     "card_b_dropped_arc",
     "card_b_unmarked_port",
     "addthree_b_plus4",
     "jammer_pipelined_swapped",
     "dup_guard_key",
+    "sum_loop_double",
+    "countdown_by_two",
 )
 
 SCENARIOS = (
@@ -46,12 +59,16 @@ SCENARIOS = (
     "cardinality_unmarked_port",
     "addthree_plus4",
     "jammer_swapped",
+    "sum_loop",
+    "sum_loop_double",
+    "countdown_by_two",
 )
 
 
 def corpus_path(name: str) -> str:
     for candidate in (
         os.path.join(_ROOT, f"{name}.pres"),
+        os.path.join(_ROOT, f"{name}.fsmd"),
         os.path.join(_ROOT, "mutations", f"{name}.pres"),
         os.path.join(_ROOT, "mutations", f"{name}.fsmd"),
         os.path.join(_ROOT, "scenarios", f"{name}.scn"),

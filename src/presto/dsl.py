@@ -606,7 +606,12 @@ def parse_scenario(text: str, base_dir: str = ".") -> ScenarioDocument:
                 raise DslSemanticError([Violation("UnknownVariable", symbol, f"interp body reads {sorted(extra)}")])
             doc.interps.append(InterpDecl(symbol, params, body))
         elif clause in _BOUNDS:
-            setattr(doc, _BOUNDS[clause], p.integer())
+            at = p.pos
+            bound = p.integer()
+            if bound < 1:
+                p.pos = at
+                raise p.fail(f"{clause} must be at least 1, found {bound}")
+            setattr(doc, _BOUNDS[clause], bound)
             p.expect(";")
         else:
             p.pos -= 1

@@ -9,9 +9,12 @@ their paths) or by sampling (compare the out-port values of both nets'
 runs per input vector).  Machine equivalence compares two FSMDs
 directly under an output-variable bijection.
 
-Both symbolic routes share one path comparison: enumerate
-reset-to-terminal paths, pair them by normalized condition, and require
-equal normalized transforms for every mapped output.  It is sound but
+Both symbolic routes share one path comparison: cut both machines at
+their cutpoints, walk the pairs of corresponding cutpoints from the reset
+states, pair the segments leaving each pair by normalized condition, and
+require equal normalized transforms for every mapped output where both
+machines stop.  Loops are decided by the correspondence of variables that
+holds on every arrival at a pair.  The comparison is sound but
 incomplete: normalization is structural, so a difference is only a
 disproof when a scenario vector confirms it, that is when concrete runs
 of the two models on that vector give different mapped outputs;
@@ -20,12 +23,14 @@ otherwise the verdict is honest about being inconclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+import heapq
+from dataclasses import dataclass, field, replace
+from functools import cache
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import expr as ex
 from .convert import ConversionConfig, pres_to_fsmd
-from .fsmd import Fsmd, path_enumerate, path_transformation, run_machine, validate_fsmd
+from .fsmd import Fsmd, fresh_store, path_cover, path_transformation, run_machine, validate_fsmd
 from .pres import PresNet, classify_ports
 from .sim import QUIESCENT, Interpretation, SimError, out_port_values, simulate_run
 from .verdict import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT, Verdict
@@ -192,15 +197,19 @@ def check_functional(
         return Verdict(EQUIVALENT, method, witness={
             "samples": [{"vector": vector, "out_values": [out1, out2]} for vector, out1, out2 in samples]})
 
+    method = "functional/symbolic (normalized path transformations)"
     conv1, conv2 = (pres_to_fsmd(net, ConversionConfig(state_bound=state_bound)) for net in (n1, n2))
     if warnings is not None:
         warnings += conv1.warnings + conv2.warnings
+    invalid = _invalid(conv1.fsmd, conv2.fsmd, "conversion")
+    if invalid:
+        return Verdict(INCONCLUSIVE, method, reason=invalid)
     # Rename the right net's input variables into the left net's, through
     # the in-port map, so transformations range over one vocabulary.
     rename = {n2.var_of[q]: ex.Var(n1.var_of[p]) for p, q in pm.in_map.items() if n2.var_of[q] != n1.var_of[p]}
     outputs = {(p, q): (n1.var_of[p], n2.var_of[q]) for p, q in places}
-    diff = _match_paths(conv1.fsmd, conv2.fsmd, outputs, rename)
-    return _confirmed("functional/symbolic (normalized path transformations)", diff, places, "out_place_pair", samples)
+    diff = _match_paths(conv1.fsmd, conv2.fsmd, outputs, rename, lambda: samples)
+    return _confirmed(method, diff, places, "out_place_pair", samples)
 
 
 def check_fsmd_equivalence(
@@ -209,76 +218,263 @@ def check_fsmd_equivalence(
     var_map: dict[str, str],
     vectors: Iterable[dict] = (),
     interp: Optional[Interpretation] = None,
+    max_steps: int = 1_000,
 ) -> Verdict:
-    """Path-by-path comparison of two machines over corresponding outputs.
+    """Segment-by-segment comparison of two machines over corresponding outputs.
 
     Input/storage variable names are expected to coincide where the
     transforms mention them.  A difference is confirmed by running both
-    machines on ``vectors`` (variable -> value), with ``interp`` for the
-    applied symbols.
+    machines on ``vectors`` (variable -> value) for at most ``max_steps``
+    steps, with ``interp`` for the applied symbols.
     """
     method = "fsmd-paths (matched by normalized condition)"
-    for machine, tag in ((m1, "left"), (m2, "right")):
-        issues = validate_fsmd(machine)
-        if issues:
-            return Verdict(INCONCLUSIVE, method, reason=f"{tag} machine invalid: {issues[0]}")
+    invalid = _invalid(m1, m2, "machine")
+    if invalid:
+        return Verdict(INCONCLUSIVE, method, reason=invalid)
     if _bijection_problems("output", var_map, m1.outputs, m2.outputs):
         reason = f"output map must biject {sorted(m1.outputs)} onto {sorted(m2.outputs)}"
         return Verdict(INCONCLUSIVE, method, reason=reason)
     outputs = {pair: pair for pair in sorted(var_map.items())}
-    diff = _match_paths(m1, m2, outputs, {})
-    samples, ran = _machine_samples(m1, m2, vectors, interp) if isinstance(diff, _Mismatch) else ([], "")
+    vectors = list(vectors)
+    runs = cache(lambda: _machine_samples(m1, m2, vectors, interp, max_steps))
+    diff = _match_paths(m1, m2, outputs, {}, lambda: runs()[0])
+    samples, ran = runs() if isinstance(diff, _Mismatch) else ([], "")
     return _confirmed(method, diff, list(outputs), "variable_pair", samples, ran)
+
+
+def _invalid(m1: Fsmd, m2: Fsmd, what: str) -> str:
+    """The first well-formedness violation of either machine, as a reason, or ``""``."""
+    for machine, tag in ((m1, "left"), (m2, "right")):
+        issues = validate_fsmd(machine)
+        if issues:
+            return f"{tag} {what} invalid: {issues[0]}"
+    return ""
 
 
 @dataclass(frozen=True)
 class _Mismatch:
-    condition: ex.Expr  # normalized path condition
-    pair: Optional[tuple[str, str]] = None  # outputs whose normal forms differ; None: the condition is unmatched
+    condition: ex.Expr  # normalized condition of the paths where the difference shows
+    reason: str  # what differs, for an Inconclusive verdict
+    pair: Optional[tuple[str, str]] = None  # outputs whose normal forms differ
     forms: tuple[ex.Expr, ...] = ()
+    trail: frozenset[tuple[int, str]] = frozenset()  # (side, cutpoint) a new walk may run through instead
 
 
 def _match_paths(
-    m1: Fsmd, m2: Fsmd, outputs: dict[tuple[str, str], tuple[str, str]], rename: dict[str, ex.Expr]
+    m1: Fsmd,
+    m2: Fsmd,
+    outputs: dict[tuple[str, str], tuple[str, str]],
+    rename: dict[str, ex.Expr],
+    samples: Callable[[], list["Sample"]],
 ) -> Union[None, str, _Mismatch]:
-    """Pair the reset-to-terminal paths of two loop-free machines by normalized
-    condition (state names never align across independently converted
-    nets; the right one's terms are read through ``rename``) and compare
-    the normalized transforms of ``outputs`` (label pair -> variable pair).
+    """Compare two machines segment by segment between corresponding cutpoints.
+
+    One walk goes over pairs of cutpoints from the pair of reset states.
+    At each pair it folds the segments of both machines from the pair's
+    entry stores and pairs them by normalized condition (state names never
+    align across independently converted nets; the right machine's
+    variables are read through ``rename``); a side with one unconditional
+    segment where the other branches advances alone, and segments whose
+    condition is false are dropped.  A pair of terminal states compares the
+    normalized transforms of ``outputs`` (label pair -> variable pair).  At
+    any other pair the live variables whose terms have equal normal forms
+    share one fresh symbol, the pair's correspondence; a pair is walked
+    again whenever an arrival shrinks it, so on a loop the walk finds the
+    correspondence that holds on every arrival.  Where a live variable has
+    no partner the pair is not cut for that arrival: its terms are carried
+    on, or, on a loop, where they cannot be, the variable gets a symbol of
+    its own.
+
+    A cut can hide a relation between two symbols, so when no sample
+    (``samples()`` gives them) separates a mismatch found under cuts, those
+    cutpoints are walked through, each at most once, and the walk starts
+    again; with no cuts left the walk compares whole paths.
 
     Returns ``None`` when all match, else the first :class:`_Mismatch`, or
     the reason why the paths cannot be compared.
     """
-    keyed = []
-    for machine, names in ((m1, {}), (m2, rename)):
-        terminals = machine.terminal_states()
-        if not terminals:
+    for machine in (m1, m2):
+        if not machine.terminal_states():
             return "no terminal state (the machine loops)"
-        enum = path_enumerate(machine, machine.reset, terminals, bound=max(1, len(machine.states)))
-        if enum.truncated:
-            return "path enumeration truncated (the machine loops)"
-        paths = {}
-        for path in enum.paths:
-            pt = path_transformation(machine, path)
-            key = ex.normalize(ex.substitute(pt.condition, names))
-            if key in paths:
-                return "multipath: two paths share one condition"
-            paths[key] = pt
-        if not paths:
+    machines = (m1, m2)
+    covers = tuple(path_cover(m, [pair[side] for pair in outputs.values()]) for side, m in enumerate(machines))
+    for machine, cover in zip(machines, covers):
+        if not machine.terminal_states() & cover.segments.keys():
             return "no reset-to-terminal path"
-        keyed.append(paths)
-    left, right = keyed
-    for key in (*left, *right):
-        if (key in left) != (key in right):
-            return _Mismatch(key)
-    for key, pt1 in left.items():
-        pt2 = right[key]
-        for pair, (v1, v2) in outputs.items():
-            e1 = ex.normalize(pt1.transform[v1])
-            e2 = ex.normalize(ex.substitute(pt2.transform[v2], rename))
-            if e1 is not e2:
-                return _Mismatch(key, pair, (e1, e2))
-    return None
+    entry = (fresh_store(m1), {v: rename.get(v, ex.Var(v)) for v in m2.variables()})
+    uncut: tuple[set[str], set[str]] = (set(), set())
+    while True:
+        diff = _Walk(machines, covers, outputs, uncut).run(entry)
+        if not isinstance(diff, _Mismatch) or _separating(samples(), list(outputs), "") is not None:
+            return diff
+        more = [(side, c) for side, c in diff.trail if c not in uncut[side]
+                and c not in covers[side].cyclic and covers[side].segments[c] != ((),)]
+        if not more:
+            return diff
+        for side, c in more:
+            uncut[side].add(c)
+
+
+Stores = tuple[dict[str, ex.Expr], dict[str, ex.Expr]]
+Classes = tuple[frozenset[tuple[int, str]], ...]  # blocks of (side, variable) with one value
+
+
+@dataclass
+class _Pair:
+    classes: Classes
+    trail: frozenset[tuple[int, str]]
+
+
+class _Walk:
+    """One walk of :func:`_match_paths`; ``uncut`` holds, per side, the
+    cutpoints that paths run through instead of stopping at."""
+
+    def __init__(self, machines, covers, outputs, uncut) -> None:
+        self.machines, self.covers, self.outputs, self.uncut = machines, covers, outputs, uncut
+        self.pairs: dict[tuple[str, str], _Pair] = {}
+        self.queue: list[tuple[int, int, str, str]] = []  # heap of pairs to walk from, by rank
+        self.queued: set[tuple[str, str]] = set()
+        self.unpaired: dict[tuple[str, str], str] = {}  # loop pairs cut with a variable that has no partner
+        self.carried: list[tuple[tuple[str, str], Stores, frozenset]] = []  # arrivals walked on uncut, last first
+
+    def run(self, entry: Stores) -> Union[None, str, _Mismatch]:
+        start = (self.machines[0].reset, self.machines[1].reset)
+        self.pairs[start] = _Pair(self._classes(start, entry), frozenset())
+        diff = self._walk_from(start, entry, frozenset())
+        while diff is None and (self.carried or self.queue):
+            if self.carried:
+                diff = self._walk_from(*self.carried.pop())
+                continue
+            *_, c1, c2 = heapq.heappop(self.queue)
+            self.queued.discard((c1, c2))
+            pair = self.pairs[c1, c2]
+            diff = self._walk_from((c1, c2), self._entry((c1, c2), pair.classes), pair.trail)
+        if isinstance(diff, _Mismatch):
+            for (c1, c2), v in self.unpaired.items():
+                if {(0, c1), (1, c2)} <= diff.trail:
+                    reason = f"no correspondence for {v!r} at cutpoints ({c1}, {c2}), which lie on a loop: {diff.reason}"
+                    return replace(diff, reason=reason)
+        return diff
+
+    def _walk_from(self, at: tuple[str, str], stores: Stores, trail: frozenset) -> Union[None, str, _Mismatch]:
+        keyed = []
+        for side in (0, 1):
+            paths: dict[ex.Expr, tuple[str, dict]] = {}
+            for key, end, store in self._paths(side, at[side], stores[side]):
+                if key in paths:
+                    return "multipath: two paths share one condition"
+                paths[key] = (end, store)
+            keyed.append(paths)
+        left, right = keyed
+        moves = [(key, path, right[key]) for key, path in left.items() if key in right]
+        if len(moves) != len(left) or len(moves) != len(right):
+            moves = self._one_sided(at, stores, keyed)
+            if moves is None:
+                key = next(key for key in (*left, *right) if (key in left) != (key in right))
+                ends = frozenset((side, end) for side in (0, 1) for end, _ in keyed[side].values())
+                return _Mismatch(key, f"multipath: path condition {key} has no counterpart", trail=trail | ends)
+        for key, (end1, store1), (end2, store2) in moves:
+            diff = self._arrive((end1, end2), (store1, store2), key, trail)
+            if diff is not None:
+                return diff
+        return None
+
+    def _one_sided(self, at: tuple[str, str], stores: Stores, keyed: list) -> Optional[list]:
+        """The move for a pair whose conditions differ because one side has
+        a single unconditional step, as where one machine joins its branches
+        and the other keeps a copy of the rest in each: that side advances
+        alone.  ``None`` when neither side has such a step."""
+        for side in (0, 1):
+            if list(keyed[side]) == [ex.TRUE] and self.covers[side].segments[at[side]] != ((),):
+                mine, stay = keyed[side][ex.TRUE], (at[1 - side], stores[1 - side])
+                return [(ex.TRUE, *((mine, stay) if side == 0 else (stay, mine)))]
+        return None
+
+    def _paths(self, side: int, start: str, store: dict) -> list[tuple[ex.Expr, str, dict]]:
+        """(normalized condition, end cutpoint, store) of each feasible path
+        from ``start`` to the next cutpoint that is not uncut."""
+        machine, cover, uncut = self.machines[side], self.covers[side], self.uncut[side]
+        out = []
+        todo = [(seg, store, ()) for seg in reversed(cover.segments[start])]
+        while todo:
+            seg, entry, conds = todo.pop()
+            pt = path_transformation(machine, seg, entry)
+            conds = (*conds, pt.condition)
+            end = seg[-1].target if seg else start
+            if end in uncut:
+                todo += [(nxt, pt.transform, conds) for nxt in reversed(cover.segments[end])]
+            else:
+                key = ex.normalize(ex.conj(conds))
+                if key is not ex.FALSE:  # a path that no input can take
+                    out.append((key, end, pt.transform))
+        return out
+
+    def _arrive(self, at: tuple[str, str], stores: Stores, key: ex.Expr, trail: frozenset) -> Optional[_Mismatch]:
+        c1, c2 = at
+        if self.covers[0].segments[c1] == ((),) and self.covers[1].segments[c2] == ((),):
+            for labels, (v1, v2) in self.outputs.items():
+                e1, e2 = ex.normalize(stores[0][v1]), ex.normalize(stores[1][v2])
+                if e1 is not e2:
+                    reason = f"normal forms of {labels[0]!r} and {labels[1]!r} differ on path {key}"
+                    return _Mismatch(key, reason, labels, (e1, e2), trail)
+            return None
+        trail = trail | {(0, c1), (1, c2)}
+        classes = self._classes(at, stores)
+        pair = self.pairs.get(at)
+        if pair is not None:
+            classes = _meet(pair.classes, classes)
+        lonely = next((v for block in classes if len({side for side, _ in block}) == 1 for _, v in sorted(block)), None)
+        on_loop = c1 in self.covers[0].cyclic or c2 in self.covers[1].cyclic
+        if lonely is not None and not on_loop:
+            self.carried.append((at, stores, trail))
+            return None
+        # A loop cannot be walked through; a variable with no partner there
+        # gets a symbol of its own, which assumes nothing about its value.
+        if lonely is not None:
+            self.unpaired.setdefault(at, lonely)
+        if pair is None:
+            self.pairs[at] = _Pair(classes, trail)
+        elif len(classes) == len(pair.classes):
+            pair.trail |= trail
+            return None
+        else:
+            pair.classes, pair.trail = classes, pair.trail | trail
+        if at not in self.queued:
+            self.queued.add(at)
+            heapq.heappush(self.queue, (self.covers[0].rank[c1], self.covers[1].rank[c2], c1, c2))
+        return None
+
+    def _classes(self, at: tuple[str, str], stores: Stores) -> Classes:
+        """The live variables at ``at`` grouped by the normal form of their term."""
+        blocks: dict[ex.Expr, list[tuple[int, str]]] = {}
+        for side in (0, 1):
+            for v in sorted(self.covers[side].live[at[side]]):
+                blocks.setdefault(ex.normalize(stores[side][v]), []).append((side, v))
+        return tuple(frozenset(block) for block in blocks.values())
+
+    def _entry(self, at: tuple[str, str], classes: Classes) -> Stores:
+        """Entry stores of a cut pair: one symbol per class, named after its
+        first left variable and the pair (``d1@q1``; ``d1'@q1`` for a class
+        of right variables only), which no parsed model can contain; dead
+        variables are never read and keep their names."""
+        suffix = f"@{at[0]}" if at[0] == at[1] else f"@{at[0]}/{at[1]}"
+        stores = tuple({v: ex.Var(v) for v in m.variables()} for m in self.machines)
+        for block in classes:
+            side, v = min(block)
+            symbol = ex.Var(v + ("'" if side else "") + suffix)
+            for side, v in block:
+                stores[side][v] = symbol
+        return stores
+
+
+def _meet(first: Classes, second: Classes) -> Classes:
+    """Blocks of variables that share a block in both partitions."""
+    block_of = {x: i for i, block in enumerate(second) for x in block}
+    out: dict[tuple[int, int], set] = {}
+    for i, block in enumerate(first):
+        for x in block:
+            out.setdefault((i, block_of[x]), set()).add(x)
+    return tuple(frozenset(block) for block in out.values())
 
 
 Sample = tuple[dict, dict, dict]  # (input vector, left outputs, right outputs), outputs keyed by label
@@ -297,11 +493,7 @@ def _confirmed(
         return Verdict(INCONCLUSIVE, method, reason=diff)
     witness = _separating(samples, sorted(pairs, key=lambda pair: pair != diff.pair), pair_key)
     if witness is None:
-        if diff.pair is None:
-            reason = f"multipath: path condition {diff.condition} has no counterpart"
-        else:
-            reason = f"normal forms of {diff.pair[0]!r} and {diff.pair[1]!r} differ on path {diff.condition}"
-        return Verdict(INCONCLUSIVE, method, reason=f"{reason} and no scenario vector separates the outputs{ran}")
+        return Verdict(INCONCLUSIVE, method, reason=f"{diff.reason} and no scenario vector separates the outputs{ran}")
     witness["condition"] = str(diff.condition)
     if diff.pair is not None and witness[pair_key] == list(diff.pair):
         witness["normal_forms"] = [str(e) for e in diff.forms]
@@ -319,19 +511,19 @@ def _separating(samples: Iterable[Sample], pairs: list, pair_key: str) -> Option
     return None
 
 
-def _machine_samples(m1: Fsmd, m2: Fsmd, vectors: Iterable[dict], interp) -> tuple[list[Sample], str]:
+def _machine_samples(m1: Fsmd, m2: Fsmd, vectors: list[dict], interp, max_steps: int) -> tuple[list[Sample], str]:
     """Both machines' final stores per vector that both runs finish, and a
     note saying how many vectors that was and why the first other failed."""
     samples: list[Sample] = []
-    vectors, failure = list(vectors), ""
+    failure = ""
     for vector in vectors:
         try:
-            out1, out2 = run_machine(m1, vector, interp), run_machine(m2, vector, interp)
+            out1, out2 = (run_machine(m, vector, interp, max_steps) for m in (m1, m2))
         except ex.ExprError as err:
             failure = failure or f"{type(err).__name__} {getattr(err, 'name', str(err))!r}"
             continue
         if out1 is None or out2 is None:
-            failure = failure or "a run got stuck or looped"
+            failure = failure or f"a run got stuck or took more than {max_steps} steps"
             continue
         samples.append((dict(vector), out1, out2))
     return samples, f" ({len(samples)} of {len(vectors)} vectors ran{': ' + failure if failure else ''})"

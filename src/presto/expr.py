@@ -9,8 +9,9 @@ Terms are hash-consed: every constructor looks its node up in one weak
 intern table, so two structurally equal terms are the same object and
 ``==``/``hash`` are the identity ones.  A node fixes its sort (``None``
 when ill-sorted) and free-variable set when it is built, and lazily
-caches its ordering key and default normal form.  All walks but :func:`evaluate`
-use explicit stacks, so term depth is bounded by memory, not recursion.
+caches its ordering key and default normal form.  All walks use explicit
+stacks (evaluation recurses through the top levels of a term only), so
+term depth is bounded by memory, not recursion.
 
 Three operations carry the weight of the toolkit:
 
@@ -352,10 +353,16 @@ _BOOL_FUNCS: dict[str, Callable[[list[bool]], bool]] = {"and": all, "or": any, "
 def evaluate(e: Expr, env: Environment) -> Value:
     """Value of ``e`` under ``env``; unbounded integer arithmetic, sort-checked up front."""
     sort_of(e)
-    return _eval(e, env)
+    return _eval(e, env, 0)
 
 
-def _eval(e: Expr, env: Environment) -> Value:
+_EVAL_DEPTH = 64  # subterms deeper than this are evaluated by an explicit-stack walk
+
+
+def _eval(e: Expr, env: Environment, depth: int) -> Value:
+    """Recursive evaluation through the top ``_EVAL_DEPTH`` levels of a term,
+    which is all that the terms of a model have and the fastest way to
+    evaluate them; deeper subterms go to :func:`_eval_deep`."""
     cls = type(e)
     if cls is IntConst or cls is BoolConst:
         return e.value
@@ -364,16 +371,38 @@ def _eval(e: Expr, env: Environment) -> Value:
             return env.values[e.name]
         except KeyError:
             raise UnboundVariable(e.name) from None
-    if cls is Apply:
-        try:
-            fn = env.functions[e.symbol]
-        except KeyError:
-            raise UninterpretedSymbol(e.symbol) from None
-        return int(fn(*(_eval(a, env) for a in e.args)))
+    if depth >= _EVAL_DEPTH:
+        return _eval_deep(e, env)
+    depth += 1
     if cls is Rel:
-        return _REL_FUNCS[e.op](_eval(e.lhs, env), _eval(e.rhs, env))
-    funcs = _ARITH_FUNCS if cls is Arith else _BOOL_FUNCS
-    return funcs[e.op]([_eval(a, env) for a in e.args])
+        return _REL_FUNCS[e.op](_eval(e.lhs, env, depth), _eval(e.rhs, env, depth))
+    args = [_eval(a, env, depth) for a in e.args]
+    return _apply(e, args, env) if cls is Apply else (_ARITH_FUNCS if cls is Arith else _BOOL_FUNCS)[e.op](args)
+
+
+def _eval_deep(e: Expr, env: Environment) -> Value:
+    """:func:`_eval` over a :func:`_postorder` walk, each node from its children's values."""
+    values: dict[Expr, Value] = {}
+    for node in _postorder(e, values.__contains__):
+        cls = type(node)
+        args = [values[k] for k in node._kids]
+        if not args:
+            values[node] = _eval(node, env, 0)
+        elif cls is Apply:
+            values[node] = _apply(node, args, env)
+        elif cls is Rel:
+            values[node] = _REL_FUNCS[node.op](*args)
+        else:
+            values[node] = (_ARITH_FUNCS if cls is Arith else _BOOL_FUNCS)[node.op](args)
+    return values[e]
+
+
+def _apply(e: Expr, args: list, env: Environment) -> int:
+    try:
+        fn = env.functions[e.symbol]
+    except KeyError:
+        raise UninterpretedSymbol(e.symbol) from None
+    return int(fn(*args))
 
 
 def _rebuild(node: Expr, kids: list) -> Expr:
@@ -387,20 +416,28 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
 
     Variables absent from ``bindings`` are left unchanged.  Because the
     replacement terms are never re-visited, ``{x -> y, y -> x}`` swaps.
+    Only the bindings of ``e``'s free variables are looked at (and
+    sort-checked), and subterms that mention none of them are kept as they
+    are, so the cost does not grow with the size of ``bindings``.
     """
-    for name, repl in bindings.items():
-        if sort_of(repl) is not INT:
-            raise SortMismatch(f"replacement for {name!r} is not integer-sorted: {repl}")
-    if not bindings:
+    fv = e._fv
+    if len(bindings) < len(fv):
+        bound = frozenset(name for name in bindings if name in fv)
+    else:
+        bound = frozenset(name for name in fv if name in bindings)
+    if not bound:
         return e
+    for name in bound:
+        if sort_of(bindings[name]) is not INT:
+            raise SortMismatch(f"replacement for {name!r} is not integer-sorted: {bindings[name]}")
     if not e._kids:
-        return bindings.get(e.name, e) if type(e) is Var else e
+        return bindings[e.name]
     done: dict[Expr, Expr] = {}
-    for node in _postorder(e, done.__contains__):
+    for node in _postorder(e, lambda n: n in done or bound.isdisjoint(n._fv)):
         if not node._kids:
-            done[node] = bindings.get(node.name, node) if type(node) is Var else node
+            done[node] = bindings[node.name]
         else:
-            kids = [done[k] for k in node._kids]
+            kids = [done.get(k, k) for k in node._kids]
             same = all(map(operator.is_, kids, node._kids))
             done[node] = node if same else _rebuild(node, kids)
     return done[e]
@@ -473,6 +510,8 @@ def _norm_node(e: Expr, kids: list, collect: bool) -> Expr:
         lhs, rhs = kids
         if type(lhs) is IntConst and type(rhs) is IntConst:
             return BoolConst(_REL_FUNCS[e.op](lhs.value, rhs.value))
+        if lhs is rhs:  # a term equals itself
+            return BoolConst(e.op in ("=", "<=", ">="))
         return Rel(MIRROR[e.op], rhs, lhs) if _key(rhs) < _key(lhs) else Rel(e.op, lhs, rhs)
     if e.op == "not":
         return negate_guard(kids[0])  # the complement keeps its oriented operands in order

@@ -5,8 +5,14 @@ A transition fires when every expression in its guard set holds; its
 updates all read the pre-step store (read-before-write), so
 ``{a <= b, b <= a}`` swaps.  Symbolic execution threads a
 :class:`SymbolicStore` through a path: the store maps each variable to
-a term over the *initial* variable values, and the accumulated path
-condition is each guard pre-substituted through the store at its step.
+a term over the values at the path's entry (by default the *initial*
+values), and the accumulated path condition is each guard pre-substituted
+through the store at its step.
+
+Paths are compared segment by segment: :func:`cutpoints` cuts every cycle,
+a segment runs from one cutpoint to the next, and :func:`path_cover` lists
+the segments leaving each cutpoint the reset state reaches, with the
+variables live there.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ class FsmdError(Exception):
 
 
 class DuplicateTarget(FsmdError):
-    def __init__(self, name: str):
-        super().__init__(f"two updates assign {name!r} in one step")
+    def __init__(self, name: str, where: str = ""):
+        super().__init__(f"two updates assign {name!r} in one step" + (f" ({where})" if where else ""))
         self.name = name
 
 
@@ -124,84 +130,192 @@ def guard_key(guard_set: Iterable[ex.Expr]) -> frozenset[ex.Expr]:
 
 def apply_update_set(u: UpdateSet, store: SymbolicStore) -> dict[str, ex.Expr]:
     """One parallel step: every right-hand side is read through the pre-step store."""
-    domain = set(store)
-    new = dict(store)
+    return {**store, **_updated(u, store)}
+
+
+def _updated(u: UpdateSet, store: SymbolicStore) -> dict[str, ex.Expr]:
+    """The new terms of the variables ``u`` assigns, read through ``store``."""
+    new = {}
     for a in u:
-        if a.target not in domain:
+        if a.target not in store:
             raise UnknownVariable(a.target)
-        missing = ex.free_vars(a.expr) - domain
+        missing = [v for v in ex.free_vars(a.expr) if v not in store]
         if missing:
-            raise UnknownVariable(sorted(missing)[0])
+            raise UnknownVariable(min(missing))
         new[a.target] = ex.substitute(a.expr, store)
     return new
+
+
+class UncutCycle(FsmdError):
+    """A walk came back to a state on its own path without reaching a target."""
+
+
+def cutpoints(m: Fsmd) -> frozenset[str]:
+    """Floyd's cutpoints: the reset state, every terminal state and every
+    state whose in-degree or out-degree is not 1.
+
+    A state with one way in and one way out can only lie on a cycle made of
+    such states, which nothing else enters, so every reachable cycle passes
+    a cutpoint.
+    """
+    indegree = dict.fromkeys(m.states, 0)
+    for t in m.transitions:
+        indegree[t.target] = indegree.get(t.target, 0) + 1
+    one_way = {s for s, n in indegree.items() if n == 1 and len(m._outgoing.get(s, ())) == 1}
+    return frozenset(indegree).difference(one_way) | {m.reset}
 
 
 @dataclass(frozen=True)
 class PathEnumeration:
     paths: tuple[tuple[FsmdTransition, ...], ...]
-    truncated: bool  # some walk hit the length bound before reaching a target
 
 
-def path_enumerate(
-    m: Fsmd, from_state: str, to_states: frozenset[str] | set[str], bound: int
-) -> PathEnumeration:
-    """All simple paths (no repeated state) from ``from_state`` into ``to_states``.
+def path_enumerate(m: Fsmd, from_state: str, to_states: frozenset[str] | set[str]) -> PathEnumeration:
+    """Every path from ``from_state`` that ends at the first state of ``to_states`` it reaches.
 
-    Paths come out in depth-first order following transition declaration
-    order, so the result is stable.  If the bound cut off an unfinished
-    walk the enumeration is flagged truncated.
+    With a machine's cutpoints as targets these are the *segments* leaving
+    ``from_state``; the empty path comes first when ``from_state`` is itself
+    a target.  Paths come out in depth-first order following transition
+    declaration order, so the result is stable.  A walk that comes back to a
+    state on its own path without passing a target raises
+    :class:`UncutCycle`, so no path is ever left out.
     """
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
     targets = frozenset(to_states)
-    paths: list[tuple[FsmdTransition, ...]] = []
-    truncated = False
+    paths: list[tuple[FsmdTransition, ...]] = [()] if from_state in targets else []
     prefix: list[FsmdTransition] = []
-    visited = {from_state}
-
-    def visit(state: str) -> Iterator[FsmdTransition]:
-        """Record ``state``; return the transitions still to be walked from it."""
-        nonlocal truncated
-        if state in targets:
-            paths.append(tuple(prefix))
-        if len(prefix) >= bound:
-            if any(t.target not in visited for t in m.outgoing(state)):
-                truncated = True
-            return iter(())
-        return iter(m.outgoing(state))
-
+    on_path = {from_state}
     # Depth-first with an explicit stack (one iterator per state on the
     # current path), so long paths do not hit the recursion limit.
-    stack = [visit(from_state)]
+    stack = [iter(m.outgoing(from_state))]
     while stack:
         t = next(stack[-1], None)
         if t is None:
             stack.pop()
             if prefix:
-                visited.discard(prefix.pop().target)
-        elif t.target not in visited:
-            visited.add(t.target)
+                on_path.discard(prefix.pop().target)
+        elif t.target in targets:
+            paths.append((*prefix, t))
+        elif t.target in on_path:
+            raise UncutCycle(f"the walk from {from_state!r} returns to {t.target!r} without reaching a target")
+        else:
+            on_path.add(t.target)
             prefix.append(t)
-            stack.append(visit(t.target))
-    return PathEnumeration(tuple(paths), truncated)
+            stack.append(iter(m.outgoing(t.target)))
+    return PathEnumeration(tuple(paths))
+
+
+@dataclass(frozen=True)
+class PathCover:
+    """A machine cut at its cutpoints, as far as its reset state reaches.
+
+    ``segments`` maps each reached cutpoint to the segments leaving it (a
+    terminal state has just the empty one), ``live`` to the variables that
+    some path from it reads before writing them (at a terminal state, the
+    outputs that are compared), ``cyclic`` holds the cutpoints that lie on a
+    cycle, and ``rank`` numbers the cutpoints so that, off the cycles, each
+    comes before the cutpoints its segments reach.
+    """
+
+    segments: dict[str, tuple[tuple[FsmdTransition, ...], ...]]
+    live: dict[str, frozenset[str]]
+    cyclic: frozenset[str]
+    rank: dict[str, int]
+
+
+def path_cover(m: Fsmd, outputs: Iterable[str]) -> PathCover:
+    """Cut ``m`` at its cutpoints.  Liveness flows backwards over the
+    segments, each summarised once by what it reads and writes, until
+    nothing changes: one pass in postorder where nothing loops."""
+    cut = cutpoints(m)
+    segments: dict[str, tuple[tuple[FsmdTransition, ...], ...]] = {}
+
+    def successors(c: str) -> Iterator[str]:
+        segments[c] = tuple(p for p in path_enumerate(m, c, cut).paths if p) or ((),)
+        return iter([seg[-1].target for seg in segments[c] if seg])
+
+    # Tarjan's strongly connected components over the cutpoint graph, with
+    # an explicit stack; ``postorder`` lists each cutpoint after its successors
+    # (off the cycles).
+    index: dict[str, int] = {m.reset: 0}
+    low = dict(index)
+    component, on_component = [m.reset], {m.reset}
+    work = [(m.reset, successors(m.reset))]
+    postorder: list[str] = []
+    cyclic: set[str] = set()
+    while work:
+        c, todo = work[-1]
+        for d in todo:
+            if d not in index:
+                index[d] = low[d] = len(index)
+                component.append(d)
+                on_component.add(d)
+                work.append((d, successors(d)))
+                break
+            if d in on_component:
+                low[c] = min(low[c], index[d])
+        else:
+            work.pop()
+            postorder.append(c)
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[c])
+            if low[c] == index[c]:
+                members = [component.pop()]
+                while members[-1] != c:
+                    members.append(component.pop())
+                on_component.difference_update(members)
+                if len(members) > 1 or any(seg and seg[-1].target == c for seg in segments[c]):
+                    cyclic.update(members)
+
+    flows = {c: [(_reads_before_writes(seg), seg[-1].target if seg else None) for seg in segments[c]]
+             for c in postorder}
+    outputs = frozenset(outputs)
+    live = dict.fromkeys(postorder, frozenset())
+    changed = True
+    while changed:
+        changed = False
+        for c in postorder:
+            new = set()
+            for (reads, writes), target in flows[c]:
+                new |= reads
+                new |= (live[target] - writes) if target is not None else outputs
+            if new != live[c]:
+                live[c] = frozenset(new)
+                changed = True
+    rank = {c: i for i, c in enumerate(reversed(postorder))}
+    return PathCover(segments, live, frozenset(cyclic), rank)
+
+
+def _reads_before_writes(path: Sequence[FsmdTransition]) -> tuple[frozenset[str], frozenset[str]]:
+    """The variables ``path`` reads before it writes them, and those it writes."""
+    reads: set[str] = set()
+    writes: set[str] = set()
+    for step in path:
+        for e in (*step.guard_set, *(a.expr for a in step.updates)):
+            reads.update(v for v in ex.free_vars(e) if v not in writes)
+        writes.update(a.target for a in step.updates)
+    return frozenset(reads), frozenset(writes)
 
 
 @dataclass(frozen=True)
 class PathTransformation:
-    """Cumulative effect of a path over the initial variable values."""
+    """Cumulative effect of a path over the values of its entry store."""
 
     condition: ex.Expr
     transform: dict[str, ex.Expr] = field(hash=False)
 
 
-def path_transformation(m: Fsmd, path: Sequence[FsmdTransition]) -> PathTransformation:
-    """Fold the path's updates through a fresh store, collecting guards.
+def path_transformation(
+    m: Fsmd, path: Sequence[FsmdTransition], store: Optional[SymbolicStore] = None
+) -> PathTransformation:
+    """Fold the path's updates through ``store``, collecting guards.
 
-    Each guard is substituted through the store *at its own step*, so the
-    returned condition is a single term over initial values
-    (weakest-precondition style).
+    Without a store the fold starts from :func:`fresh_store`, so the result
+    ranges over the initial variable values.  Each guard is substituted
+    through the store *at its own step*, so the returned condition is a
+    single term over the entry store's terms (weakest-precondition style).
     """
-    store = fresh_store(m)
+    store = fresh_store(m) if store is None else dict(store)
     conds: list[ex.Expr] = []
     at = m.reset if not path else path[0].source
     for step in path:
@@ -209,7 +323,7 @@ def path_transformation(m: Fsmd, path: Sequence[FsmdTransition]) -> PathTransfor
             raise BrokenPath(f"step from {step.source!r} does not continue at {at!r}")
         for g in step.guard_set:
             conds.append(ex.substitute(g, store))
-        store = apply_update_set(step.updates, store)
+        store.update(_updated(step.updates, store))
         at = step.target
     return PathTransformation(ex.conj(conds), store)
 
@@ -221,13 +335,18 @@ def compose(first: PathTransformation, second: PathTransformation) -> PathTransf
     return PathTransformation(cond, store)
 
 
-def run_machine(m: Fsmd, values: Mapping[str, int], functions=None) -> Optional[dict[str, int]]:
+def run_machine(
+    m: Fsmd, values: Mapping[str, int], functions=None, max_steps: int = 1_000
+) -> Optional[dict[str, int]]:
     """Concrete run from ``values``: the store at the terminal state reached.
 
     Each step takes the one transition whose guard set holds; ``None`` when
-    none or several hold, or the run loops."""
+    none or several hold, or no terminal state is reached within
+    ``max_steps`` steps.  A run may always take ``len(m.states)`` steps,
+    which is as many as a run that visits no state twice can need.
+    """
     store, state = dict(values), m.reset
-    for _ in range(len(m.states)):
+    for _ in range(max(max_steps, len(m.states))):
         outgoing = m.outgoing(state)
         if not outgoing:
             return store
@@ -237,7 +356,7 @@ def run_machine(m: Fsmd, values: Mapping[str, int], functions=None) -> Optional[
             return None
         store.update({a.target: ex.evaluate(a.expr, env) for a in taken[0].updates})
         state = taken[0].target
-    return None
+    return None if m.outgoing(state) else store
 
 
 def validate_fsmd(m: Fsmd) -> list[Violation]:

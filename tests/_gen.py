@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 
 from presto import expr as ex
+from presto.fsmd import Fsmd, FsmdTransition, UpdateSet
 from presto.pres import PresNet, Transition
 
 VARS = ("a", "b", "c", "d")
@@ -76,3 +77,111 @@ def random_net(seed: int) -> PresNet:
         output_arcs.add((f"t{i}", rng.choice(places)))
     return PresNet(f"random{seed}", places, var_of, {p: "int" for p in places}, tuple(transitions),
                    frozenset(input_arcs), frozenset(output_arcs), frozenset(rng.sample(places, 4)))
+
+
+# -- machine pairs -------------------------------------------------------------
+#
+# A program is a list of items: ("set", {variable: term}) assigns in parallel,
+# ("if", guard, then, else) branches two ways and joins again, and
+# ("loop", guard, body) repeats ``body`` and then adds one to the counter
+# ``c`` while ``c < b``; no body writes ``c``, so every loop ends.  Machines
+# read VARS, take ``a`` and ``b`` as inputs and keep ``c`` and ``d``.
+
+STORAGE = ("c", "d")
+
+
+def random_program(rng: random.Random, depth: int = 3, loops: bool = False, writable=STORAGE) -> list:
+    items: list = []
+    for _ in range(rng.randint(1, 3)):
+        roll = rng.random()
+        if depth > 0 and roll < 0.4:
+            guard = ex.Rel(rng.choice(ex.REL_OPS), random_int_expr(rng, 1), random_int_expr(rng, 1))
+            items.append(("if", guard, random_program(rng, depth - 1, loops, writable),
+                          random_program(rng, depth - 1, loops, writable)))
+        elif loops and depth > 0 and roll < 0.6 and "c" in writable:
+            items.append(("set", {"c": ex.IntConst(rng.randint(-3, 3))}))
+            body = random_program(rng, depth - 1, False, ("d",))
+            items.append(("loop", ex.Rel("<", ex.Var("c"), ex.Var("b")), body))
+        else:
+            targets = rng.sample(writable, rng.randint(1, len(writable)))
+            items.append(("set", {t: random_int_expr(rng, 2) for t in targets}))
+    return items
+
+
+def variant(rng: random.Random, program: list, mutate: float = 0.0) -> list:
+    """A rewritten copy of ``program``: terms replaced by their normal forms,
+    relations mirrored, branches swapped, assignments split into two steps
+    where the second does not read the first, and with probability
+    ``mutate`` per term a fresh random term instead."""
+    out: list = []
+    for item in program:
+        if item[0] == "set":
+            terms = {}
+            for target, term in item[1].items():
+                if rng.random() < mutate:
+                    term = random_int_expr(rng, 2)
+                elif rng.random() < 0.5:
+                    term = ex.normalize(term)
+                terms[target] = term
+            first, *rest = terms
+            if rest and rng.random() < 0.3 and first not in ex.free_vars(terms[rest[0]]):
+                out += [("set", {first: terms[first]}), ("set", {rest[0]: terms[rest[0]]})]
+            else:
+                out.append(("set", terms))
+        elif item[0] == "if":
+            _, guard, then, other = item
+            if rng.random() < 0.5:
+                guard = ex.Rel(ex.MIRROR[guard.op], guard.rhs, guard.lhs)
+            then, other = variant(rng, then, mutate), variant(rng, other, mutate)
+            if rng.random() < 0.3:
+                guard, then, other = ex.negate_guard(guard), other, then
+            out.append(("if", guard, then, other))
+        else:
+            out.append(("loop", item[1], variant(rng, item[2], mutate)))
+    return out
+
+
+def compile_program(name: str, program: list, duplicate_tails: bool = False) -> Fsmd:
+    """The machine of ``program``.  With ``duplicate_tails`` the two branches
+    of an ``if`` outside loops do not join: each runs its own copy of the rest."""
+    states: list[str] = []
+    transitions: list[FsmdTransition] = []
+
+    def new() -> str:
+        states.append(f"s{len(states)}")
+        return states[-1]
+
+    def step(source: str, target: str, guards=(), updates=()) -> None:
+        transitions.append(FsmdTransition(source, tuple(guards), target, UpdateSet.of(updates)))
+
+    def emit(items: list, at: str, duplicate: bool) -> str:
+        for i, item in enumerate(items):
+            if item[0] == "set":
+                nxt = new()
+                step(at, nxt, (), item[1].items())
+                at = nxt
+            elif item[0] == "if":
+                _, guard, then, other = item
+                ends = []
+                for g, body in ((guard, then), (ex.negate_guard(guard), other)):
+                    branch = new()
+                    step(at, branch, [g])
+                    ends.append(emit(body + items[i + 1:], branch, True) if duplicate else emit(body, branch, False))
+                if duplicate:
+                    return ends[0]
+                at = new()
+                for end in ends:
+                    step(end, at)
+            else:
+                _, guard, body = item
+                head, entry = new(), new()
+                step(at, head)
+                step(head, entry, [guard])
+                step(emit(body, entry, False), head, (), [("c", ex.add(ex.Var("c"), ex.IntConst(1)))])
+                at = new()
+                step(head, at, [ex.negate_guard(guard)])
+        return at
+
+    emit(program, new(), duplicate_tails)
+    return Fsmd(name, tuple(states), "s0", frozenset({"a", "b"}), frozenset(STORAGE), frozenset(STORAGE),
+                tuple(transitions))

@@ -80,8 +80,8 @@ def test_criterion_3_jammer_equivalence(jammer_nonpipelined, jammer_pipelined, c
         m2 = pres_to_fsmd(jammer_pipelined).fsmd
         verdict = check_fsmd_equivalence(m1, m2, {"out": "out2"})
         assert verdict.equivalent
-        t1 = path_transformation(m1, path_enumerate(m1, m1.reset, m1.terminal_states(), 16).paths[0])
-        t2 = path_transformation(m2, path_enumerate(m2, m2.reset, m2.terminal_states(), 10).paths[0])
+        t1 = path_transformation(m1, path_enumerate(m1, m1.reset, m1.terminal_states()).paths[0])
+        t2 = path_transformation(m2, path_enumerate(m2, m2.reset, m2.terminal_states()).paths[0])
         assert ex.normalize(t1.transform["out"]) == ex.normalize(t2.transform["out2"])
         assert cli_main(["check-fsmd", corpus.scenario_path("jammer")]) == 0
         assert "Equivalent" in capsys.readouterr().out
@@ -236,7 +236,7 @@ def test_criterion_6_property_suites(jammer_nonpipelined, guard_split, racy):
             env_values = {net.var_of[p]: v for p, v in vector.items()}
             machine = conv.fsmd
             chosen = None
-            for path in path_enumerate(machine, machine.reset, machine.terminal_states(), len(machine.states)).paths:
+            for path in path_enumerate(machine, machine.reset, machine.terminal_states()).paths:
                 pt = path_transformation(machine, path)
                 if ex.evaluate(pt.condition, ex.Environment(env_values, interp)):
                     chosen = pt

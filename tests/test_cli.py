@@ -75,16 +75,50 @@ class TestConvert:
         code, _, err = run(capsys, "convert", corpus.corpus_path("addthree_a"), "--state-bound", "1")
         assert code == 3
 
-    def test_converted_jammer_validates_but_guard_split_does_not(self, capsys, tmp_path):
-        # The guard-split machine writes an input variable (the self-loop),
-        # so validating the converted file honestly reports IllegalTarget.
-        for name, expected in (("jammer_pipelined", 0), ("guard_split", 3)):
+    def test_converted_corpus_nets_validate(self, capsys, tmp_path):
+        # The guard-split self-loop writes an initially marked place, whose
+        # variable is therefore storage, so the converted file validates too.
+        for name, expected in (("jammer_pipelined", 0), ("guard_split", 0)):
             out_file = tmp_path / f"{name}.fsmd"
             assert run(capsys, "convert", corpus.corpus_path(name), "-o", str(out_file))[0] == 0
             assert run(capsys, "validate", str(out_file))[0] == expected
 
 
+    def test_write_conflict_is_a_modelling_error(self, capsys, tmp_path):
+        # Two transitions of one firing set post places of the variable y.
+        from presto.dsl import print_net
+
+        from _gen import random_net
+
+        net = tmp_path / "random4.pres"
+        net.write_text(print_net(random_net(4)))
+        code, out, err = run(capsys, "convert", str(net), "--on-unsafe", "reject")
+        assert (code, out) == (3, "")
+        assert err == "error: DuplicateTarget: two updates assign 'y' in one step (firing set t0+t4 at q0)\n"
+
+    def test_bounds_below_one_are_usage_errors(self, capsys, tmp_path):
+        for argv in (["convert", corpus.corpus_path("card_a"), "--state-bound", "0"],
+                     ["simulate", corpus.scenario_path("addthree"), "--max-steps", "0"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, ""), argv
+            assert "must be at least 1, got 0" in err and "internal error" not in err
+        scenario = tmp_path / "bound.scn"
+        for clause, found in (("statebound 0;", "2:14: statebound must be at least 1, found 0"),
+                              ("maxsteps -2;", "2:12: maxsteps must be at least 1, found -2")):
+            scenario.write_text(f"scenario s {{\n  {clause}\n}}\n")
+            for command in ("check-pres", "check-fsmd", "simulate"):
+                assert run(capsys, command, str(scenario)) == (3, "", f"error: {found}\n"), command
+
+
 class TestChecks:
+    def test_looping_corpus_pairs(self, capsys):
+        assert run(capsys, "check-fsmd", corpus.scenario_path("sum_loop"))[0] == 0
+        code, out, _ = run(capsys, "check-fsmd", corpus.scenario_path("sum_loop_double"))
+        assert code == 1 and '"values": [6, 12]' in out
+        for strategy in ("symbolic", "sampled"):
+            code, out, _ = run(capsys, "check-pres", corpus.scenario_path("countdown_by_two"), "--strategy", strategy)
+            assert code == 1 and '"values": [0, -1]' in out, strategy
+
     def test_check_fsmd_jammer_equivalent(self, capsys):
         code, out, _ = run(capsys, "check-fsmd", corpus.scenario_path("jammer"))
         assert code == 0

@@ -229,8 +229,8 @@ class TestPresToFsmd:
 
     def test_interface_sets_follow_the_marking(self, guard_split):
         m = pres_to_fsmd(guard_split).fsmd
-        assert m.inputs == {"p1", "p2", "p3", "p7"}
-        assert m.storage == {"p4", "p6"}
+        assert m.inputs == {"p1", "p2", "p3"}
+        assert m.storage == {"p4", "p6", "p7"}  # t3 writes the initially marked p7
         assert m.outputs == {"p4", "p6"}
 
     def test_single_transition_net(self):

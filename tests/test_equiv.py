@@ -1,8 +1,8 @@
 import random
 
-from presto import corpus, equiv, expr as ex
+from presto import corpus, dsl, equiv, expr as ex
 from presto.convert import pres_to_fsmd
-from presto.dsl import parse_pres
+from presto.dsl import parse_fsmd, parse_pres
 from presto.equiv import (
     PortMap,
     Sampled,
@@ -280,3 +280,57 @@ def test_fsmd_verdicts_agree_with_concrete_runs():
             for env in [*envs, *(random_env(rng) for _ in range(4))]:
                 assert run_machine(left, env.values, functions)["y"] == run_machine(right, env.values, functions)["y"]
     assert seen[EQUIVALENT] > 50 and seen[NOT_EQUIVALENT] > 50, seen
+
+
+class TestLoops:
+    def test_sum_loop_against_its_commuted_copy_is_equivalent(self):
+        m1, m2 = corpus.load_fsmd("sum_loop"), corpus.load_fsmd("sum_loop_commuted")
+        assert check_fsmd_equivalence(m1, m2, {"s": "s"}).status == EQUIVALENT
+        assert check_fsmd_equivalence(m2, m1, {"s": "s"}).status == EQUIVALENT
+
+    def test_sum_loop_adding_twice_is_confirmed_by_a_run_through_the_loop(self):
+        m1, m2 = corpus.load_fsmd("sum_loop"), corpus.load_fsmd("sum_loop_double")
+        verdict = check_fsmd_equivalence(m1, m2, {"s": "s"}, [{"n": 0}, {"n": 4}], max_steps=64)
+        assert verdict.status == NOT_EQUIVALENT
+        assert verdict.witness["vector"] == {"n": 4} and verdict.witness["values"] == [6, 12]
+        assert run_machine(m1, {"n": 4})["s"] != run_machine(m2, {"n": 4})["s"]
+        # A run that cannot finish the loop confirms nothing.
+        verdict = check_fsmd_equivalence(m1, m2, {"s": "s"}, [{"n": 0}, {"n": 4}], max_steps=5)
+        assert verdict.status == INCONCLUSIVE
+        assert verdict.reason.startswith("no correspondence for 's' at cutpoints (q1, q1), which lie on a loop: ")
+        assert "(1 of 2 vectors ran: a run got stuck or took more than 5 steps)" in verdict.reason
+
+    def test_count_down_nets(self):
+        countdown, by_two = corpus.load_net("countdown"), corpus.load_net("countdown_by_two")
+        pm = PortMap({}, {"o": "o"})
+        for strategy in (Symbolic(), Sampled()):
+            verdict = check_functional(countdown, by_two, pm, strategy, [{"a": 3}], {})
+            assert verdict.status == NOT_EQUIVALENT, strategy
+            assert verdict.witness["values"] == [0, -1]
+        assert check_functional(countdown, countdown, pm, Symbolic(), [{"a": 3}], {}).status == EQUIVALENT
+
+    def test_a_variable_without_partner_at_a_loop_gets_a_symbol_of_its_own(self):
+        # t is live at the left loop head only, through a product that
+        # normalizes to 0; its own symbol lets the loop bodies agree.
+        base = dsl.print_fsmd(corpus.load_fsmd("sum_loop"))
+        left = parse_fsmd(base.replace("storage i, s;", "storage i, s, t;")
+                          .replace("s <= s + i;", "s <= s + i + 0 * t;"))
+        verdict = check_fsmd_equivalence(left, corpus.load_fsmd("sum_loop_commuted"), {"s": "s"})
+        assert verdict.status == EQUIVALENT
+
+
+def test_symbolic_check_validates_both_conversions(addthree_a):
+    # Two unguarded transitions compete for Pa: the conversion emits two
+    # transitions with one (empty) guard set from the same state.
+    racing = parse_pres(
+        """
+        net racing {
+          place Pa marked; place Pe;
+          transition one { pre Pa; post Pe; fn Pa + 3; }
+          transition two { pre Pa; post Pe; fn Pa + 4; }
+        }
+        """
+    )
+    verdict = check_functional(racing, addthree_a, PortMap({"Pa": "Pa"}, {"Pe": "Pe"}), Symbolic(), [], {})
+    assert verdict.status == INCONCLUSIVE
+    assert verdict.reason.startswith("left conversion invalid: NondeterministicF")

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -315,3 +316,48 @@ def test_deep_terms_stay_within_the_recursion_limit(build):
     n = ex.normalize(e)
     assert ex.normalize(n) is n
     assert ex.normalize(swapped, collect_terms=True) is not None
+
+
+@pytest.mark.parametrize("build", [_apply_nest, _ring_nest])
+def test_deep_terms_evaluate_without_recursion(build):
+    e = build()
+    expected = 3
+    for i in range(DEEP):
+        if build is _apply_nest:
+            expected = expected + 1
+        else:
+            expected = expected + i if i % 2 else 2 * expected
+    assert ex.evaluate(e, env({"x": 3}, {"f": lambda v: v + 1})) == expected
+    assert ex.evaluate(ex.Rel("<", ex.IntConst(0), e), env({"x": 3}, {"f": lambda v: v + 1})) is (expected > 0)
+
+
+def test_substitute_reads_only_the_bindings_of_free_variables():
+    e = ex.add(X, ex.IntConst(1))
+    assert ex.substitute(e, {"y": ex.TRUE}) is e  # an ill-sorted binding nobody reads is not checked
+    assert ex.substitute(e, {"y": Y, "x": ex.Var("z")}) is ex.add(ex.Var("z"), ex.IntConst(1))
+    with pytest.raises(ex.SortMismatch):
+        ex.substitute(e, {"x": ex.TRUE, "y": Y})
+    big = ex.Apply("g", (ex.Apply("f", (Y,)), X))
+    out = ex.substitute(big, {"x": A})
+    assert out.args[0] is big.args[0]  # the subterm without x is kept, not rebuilt
+
+
+def test_substitute_costs_do_not_grow_with_the_store():
+    # Folding a 20 000-step chain through a 20 000-variable store makes one
+    # substitution per step; checking every binding on every call would
+    # take 4 * 10^8 sort lookups.  The bound is loose.
+    n = 20_000
+    store = {f"v{i}": ex.Var(f"v{i}") for i in range(n + 1)}
+    start = time.perf_counter()
+    for i in range(1, n + 1):
+        store[f"v{i}"] = ex.substitute(ex.Apply("f", (ex.Var(f"v{i - 1}"),)), store)
+    assert time.perf_counter() - start < 5
+    assert ex.apply_chain(store[f"v{n}"]) == ("f",) * n
+
+
+def test_a_relation_between_a_term_and_itself_folds():
+    fx = ex.Apply("f", (X,))
+    for op in ex.REL_OPS:
+        expected = ex.TRUE if op in ("=", "<=", ">=") else ex.FALSE
+        assert ex.normalize(ex.Rel(op, fx, ex.add(ex.IntConst(0), fx))) is expected, op
+        assert ex.normalize(ex.BoolOp("not", (ex.Rel(op, fx, fx),))) is ex.negate_guard(expected), op

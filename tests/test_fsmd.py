@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from presto import expr as ex
+from presto import corpus, expr as ex
 from presto.convert import pres_to_fsmd
 from presto.dsl import parse_expression, parse_fsmd
 from presto.fsmd import (
@@ -12,11 +12,14 @@ from presto.fsmd import (
     DuplicateTarget,
     Fsmd,
     FsmdTransition,
+    UncutCycle,
     UnknownVariable,
     UpdateSet,
     apply_update_set,
     compose,
+    cutpoints,
     fresh_store,
+    path_cover,
     path_enumerate,
     path_transformation,
     run_machine,
@@ -69,14 +72,13 @@ class TestApplyUpdateSet:
 class TestPathEnumerate:
     def test_linear_chain_has_one_full_path(self, jammer_nonpipelined):
         m = pres_to_fsmd(jammer_nonpipelined).fsmd
-        enum = path_enumerate(m, m.reset, m.terminal_states(), bound=len(m.states))
-        assert not enum.truncated
+        enum = path_enumerate(m, m.reset, m.terminal_states())
         assert len(enum.paths) == 1
         assert len(enum.paths[0]) == 15
 
     def test_start_in_targets_includes_empty_path(self):
         m = machine([step("q0", "q1")])
-        enum = path_enumerate(m, "q0", {"q0", "q1"}, bound=3)
+        enum = path_enumerate(m, "q0", {"q0", "q1"})
         assert () in enum.paths
 
     def test_diamond_has_two_paths(self):
@@ -86,15 +88,20 @@ class TestPathEnumerate:
             step("q1", "q3"),
             step("q2", "q3"),
         ])
-        enum = path_enumerate(m, "q0", {"q3"}, bound=4)
+        enum = path_enumerate(m, "q0", {"q3"})
         assert len(enum.paths) == 2
-        assert not enum.truncated
 
-    def test_bound_truncates_and_flags(self):
+    def test_walk_stops_at_the_first_target(self):
         m = machine([step("q0", "q1"), step("q1", "q2"), step("q2", "q3")])
-        enum = path_enumerate(m, "q0", {"q3"}, bound=2)
-        assert enum.paths == ()
-        assert enum.truncated
+        assert [len(p) for p in path_enumerate(m, "q0", {"q1", "q3"}).paths] == [1]
+        assert [len(p) for p in path_enumerate(m, "q0", {"q3"}).paths] == [3]
+
+    def test_a_cycle_through_no_target_raises(self):
+        m = machine([step("q0", "q1"), step("q1", "q2"), step("q2", "q1"), step("q1", "q3")])
+        with pytest.raises(UncutCycle):
+            path_enumerate(m, "q0", {"q3"})
+        assert [len(p) for p in path_enumerate(m, "q0", {"q1", "q3"}).paths] == [1]
+        assert [len(p) for p in path_enumerate(m, "q1", {"q1", "q3"}).paths] == [0, 2, 1]
 
     def test_deterministic_order_follows_declaration(self):
         m = machine([
@@ -103,11 +110,56 @@ class TestPathEnumerate:
             step("q1", "q3"),
             step("q2", "q3"),
         ])
-        enum = path_enumerate(m, "q0", {"q3"}, bound=4)
+        enum = path_enumerate(m, "q0", {"q3"})
         assert [p[0].target for p in enum.paths] == ["q2", "q1"]
 
 
+class TestPathCover:
+    def test_cutpoints_cut_joins_splits_and_loops(self):
+        diamond = machine([
+            step("q0", "q1", guards=[parse_expression("x > 0")]),
+            step("q0", "q2", guards=[parse_expression("x <= 0")]),
+            step("q1", "q3"),
+            step("q2", "q3"),
+        ])
+        assert cutpoints(diamond) == {"q0", "q3"}
+        assert cutpoints(corpus.load_fsmd("sum_loop")) == {"q0", "q1", "q2"}
+        ring = machine([step("q0", "q1"), step("q1", "q2"), step("q2", "q1"), step("q2", "q3")])
+        assert cutpoints(ring) == {"q0", "q1", "q2", "q3"}
+
+    def test_segments_liveness_cycles_and_rank_of_the_sum_loop(self):
+        cover = path_cover(corpus.load_fsmd("sum_loop"), ["s"])
+        assert cover.cyclic == {"q1"}
+        assert cover.live == {"q0": {"n"}, "q1": {"i", "n", "s"}, "q2": {"s"}}
+        assert [[(t.source, t.target) for t in seg] for seg in cover.segments["q1"]] == [[("q1", "q1")], [("q1", "q2")]]
+        assert cover.segments["q2"] == ((),)
+        assert cover.rank["q0"] < cover.rank["q1"] < cover.rank["q2"]
+
+    def test_diamond_chain_has_two_segments_per_split(self):
+        splits = 30
+        transitions = []
+        for i in range(splits):
+            x = ex.Var("x")
+            for g in (ex.Rel(">", x, ex.IntConst(i)), ex.Rel("<=", x, ex.IntConst(i))):
+                transitions.append(step(f"j{i}", f"b{i}{g.op}", [g], [("y", ex.add(ex.Var("y"), x))]))
+                transitions.append(step(f"b{i}{g.op}", f"j{i + 1}"))
+        states = sorted({t.source for t in transitions} | {t.target for t in transitions})
+        m = Fsmd("d", tuple(states), "j0", frozenset({"x"}), frozenset({"y"}), frozenset({"y"}), tuple(transitions))
+        cover = path_cover(m, ["y"])
+        assert set(cover.segments) == {f"j{i}" for i in range(splits + 1)}
+        assert all(len(cover.segments[f"j{i}"]) == 2 for i in range(splits)) and not cover.cyclic
+        assert cover.live["j0"] == {"x", "y"}
+
+
 class TestPathTransformation:
+    def test_fold_from_a_given_store(self):
+        m = machine([step("q0", "q1", [ex.Rel(">", X, ex.IntConst(0))], [("y", ex.add(X, ex.IntConst(1)))])])
+        entry = {"x": ex.Var("x@q0"), "y": Y}
+        pt = path_transformation(m, list(m.transitions), entry)
+        assert pt.transform["y"] == ex.add(ex.Var("x@q0"), ex.IntConst(1))
+        assert pt.condition == ex.Rel(">", ex.Var("x@q0"), ex.IntConst(0))
+        assert entry["y"] is Y  # the entry store is not changed
+
     def test_empty_path(self):
         m = machine([step("q0", "q1")])
         pt = path_transformation(m, [])
@@ -135,7 +187,7 @@ class TestPathTransformation:
 
     def test_composition_splits_agree(self, jammer_nonpipelined):
         m = pres_to_fsmd(jammer_nonpipelined).fsmd
-        path = path_enumerate(m, m.reset, m.terminal_states(), bound=16).paths[0]
+        path = path_enumerate(m, m.reset, m.terminal_states()).paths[0]
         whole = path_transformation(m, path)
         for cut in (1, 7, 14):
             first = path_transformation(m, path[:cut])
@@ -158,6 +210,12 @@ class TestRunMachine:
     def test_updates_read_the_pre_step_store(self):
         m = machine([step("q0", "q1", (), [("x", Y), ("y", X)])], states=("q0", "q1"), inputs=(), storage=("x", "y"))
         assert run_machine(m, {"x": 1, "y": 2}) == {"x": 2, "y": 1}
+
+    def test_a_run_through_a_loop_takes_up_to_max_steps(self):
+        m = corpus.load_fsmd("sum_loop")  # n = 4: one step in, four passes, one step out
+        assert run_machine(m, {"n": 4})["s"] == 6
+        assert run_machine(m, {"n": 4}, max_steps=6)["s"] == 6
+        assert run_machine(m, {"n": 4}, max_steps=5) is None
 
     def test_stuck_ambiguous_and_looping_runs_have_no_store(self):
         positive = ex.Rel(">", X, ex.IntConst(0))
@@ -194,11 +252,12 @@ class TestValidate:
         m = machine([step("q0", "q1", updates=[("x", ex.IntConst(1))])])  # x is input-only
         assert any(v.rule == "IllegalTarget" and v.element == "x" for v in validate_fsmd(m))
 
-    def test_converted_guard_split_flags_self_loop_target(self, guard_split):
-        # The self-loop writes a variable that the conversion classifies as
-        # an input, so the emitted machine is reported, not silently fixed.
+    def test_converted_guard_split_self_loop_target_is_storage(self, guard_split):
+        # The self-loop writes the variable of an initially marked place; the
+        # conversion makes it storage, so the emitted machine validates.
         conv = pres_to_fsmd(guard_split)
-        assert any(v.rule == "IllegalTarget" and v.element == "p7" for v in validate_fsmd(conv.fsmd))
+        assert "p7" in conv.fsmd.storage and "p7" not in conv.fsmd.inputs
+        assert validate_fsmd(conv.fsmd) == []
 
     def test_parse_counts_for_converted_chain(self, jammer_nonpipelined):
         from presto.dsl import print_fsmd
@@ -248,14 +307,26 @@ def test_800_stage_chain_is_checked_quickly():
     stages = 800
     m = chain(stages)
     start = time.perf_counter()
-    enum = path_enumerate(m, m.reset, m.terminal_states(), bound=len(m.states))
+    enum = path_enumerate(m, m.reset, m.terminal_states())
     pt = path_transformation(m, enum.paths[0])
     out, cond = ex.normalize(pt.transform[f"v{stages}"]), ex.normalize(pt.condition)
     assert time.perf_counter() - start < 10
-    assert not enum.truncated and len(enum.paths) == 1
+    assert len(enum.paths) == 1
     assert ex.free_vars(out) == ex.free_vars(cond) == {"x"}
     assert len(ex.apply_chain(out)) == stages
     assert len(cond.args) == stages // 5
+
+
+def test_20000_state_chain_is_cut_in_linear_time():
+    # One segment from the reset state to the terminal one; liveness over a
+    # store of 20 001 variables stays linear in the chain.
+    stages = 20_000
+    m = chain(stages)
+    start = time.perf_counter()
+    cover = path_cover(m, [f"v{stages}"])
+    assert time.perf_counter() - start < 5
+    assert len(cover.segments["s0"]) == 1 and len(cover.segments["s0"][0]) == stages
+    assert cover.live == {"s0": {"x"}, f"s{stages}": {f"v{stages}"}}
 
 
 def test_20000_state_chain_is_walked_in_linear_time():
@@ -266,10 +337,10 @@ def test_20000_state_chain_is_walked_in_linear_time():
     m = chain(stages)
     functions = {f"f{k}": (lambda a: a % 5) for k in range(12)}
     start = time.perf_counter()
-    enum = path_enumerate(m, m.reset, m.terminal_states(), bound=len(m.states))
+    enum = path_enumerate(m, m.reset, m.terminal_states())
     store = run_machine(m, {"x": 3}, functions)
     assert time.perf_counter() - start < 5
-    assert not enum.truncated and len(enum.paths) == 1 and len(enum.paths[0]) == stages
+    assert len(enum.paths) == 1 and len(enum.paths[0]) == stages
     expected = 3
     for i in range(1, stages + 1):
         expected = expected % 5 * 2 + i
