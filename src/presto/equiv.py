@@ -288,7 +288,8 @@ def _match_paths(
     A cut can hide a relation between two symbols, so when no sample
     (``samples()`` gives them) separates a mismatch found under cuts, those
     cutpoints are walked through, each at most once, and the walk starts
-    again; with no cuts left the walk compares whole paths.
+    again; with no cuts left the walk compares whole paths.  Differing
+    outputs that still differ on a pair of whole paths are final at once.
 
     Returns ``None`` when all match, else the first :class:`_Mismatch`, or
     the reason why the paths cannot be compared.
@@ -304,8 +305,11 @@ def _match_paths(
     entry = (fresh_store(m1), {v: rename.get(v, ex.Var(v)) for v in m2.variables()})
     uncut: tuple[set[str], set[str]] = (set(), set())
     while True:
-        diff = _Walk(machines, covers, outputs, uncut).run(entry)
+        walk = _Walk(machines, covers, outputs, uncut)
+        diff = walk.run(entry)
         if not isinstance(diff, _Mismatch) or _separating(samples(), list(outputs), "") is not None:
+            return diff
+        if diff.pair is not None and walk.differs_on_whole_paths(diff):
             return diff
         more = [(side, c) for side, c in diff.trail if c not in uncut[side]
                 and c not in covers[side].cyclic and covers[side].segments[c] != ((),)]
@@ -323,6 +327,7 @@ Classes = tuple[frozenset[tuple[int, str]], ...]  # blocks of (side, variable) w
 class _Pair:
     classes: Classes
     trail: frozenset[tuple[int, str]]
+    origin: Stores  # the stores of the first arrival the pair was cut on
 
 
 class _Walk:
@@ -335,11 +340,12 @@ class _Walk:
         self.queue: list[tuple[int, int, str, str]] = []  # heap of pairs to walk from, by rank
         self.queued: set[tuple[str, str]] = set()
         self.unpaired: dict[tuple[str, str], str] = {}  # loop pairs cut with a variable that has no partner
+        self.meaning: dict[str, ex.Expr] = {}  # class symbol -> its term on the first arrival at its pair
         self.carried: list[tuple[tuple[str, str], Stores, frozenset]] = []  # arrivals walked on uncut, last first
 
     def run(self, entry: Stores) -> Union[None, str, _Mismatch]:
         start = (self.machines[0].reset, self.machines[1].reset)
-        self.pairs[start] = _Pair(self._classes(start, entry), frozenset())
+        self.pairs[start] = _Pair(self._classes(start, entry), frozenset(), entry)
         diff = self._walk_from(start, entry, frozenset())
         while diff is None and (self.carried or self.queue):
             if self.carried:
@@ -348,7 +354,7 @@ class _Walk:
             *_, c1, c2 = heapq.heappop(self.queue)
             self.queued.discard((c1, c2))
             pair = self.pairs[c1, c2]
-            diff = self._walk_from((c1, c2), self._entry((c1, c2), pair.classes), pair.trail)
+            diff = self._walk_from((c1, c2), self._entry((c1, c2), pair), pair.trail)
         if isinstance(diff, _Mismatch):
             for (c1, c2), v in self.unpaired.items():
                 if {(0, c1), (1, c2)} <= diff.trail:
@@ -433,7 +439,7 @@ class _Walk:
         if lonely is not None:
             self.unpaired.setdefault(at, lonely)
         if pair is None:
-            self.pairs[at] = _Pair(classes, trail)
+            self.pairs[at] = _Pair(classes, trail, stores)
         elif len(classes) == len(pair.classes):
             pair.trail |= trail
             return None
@@ -444,6 +450,19 @@ class _Walk:
             heapq.heappush(self.queue, (self.covers[0].rank[c1], self.covers[1].rank[c2], c1, c2))
         return None
 
+    def differs_on_whole_paths(self, diff: _Mismatch) -> bool:
+        """Whether the normal forms of ``diff`` still differ with every class
+        symbol replaced, back to the reset states, by its term on the first
+        arrival at its pair: then one pair of whole paths differs, and no
+        walk, however few cuts it makes, can match them."""
+        forms = list(diff.forms)
+        for _ in range(len(self.meaning) + 1):
+            bound = {v: self.meaning[v] for e in forms for v in ex.free_vars(e) if v in self.meaning}
+            if not bound:
+                return ex.normalize(forms[0]) is not ex.normalize(forms[1])
+            forms = [ex.substitute(e, bound) for e in forms]
+        return False
+
     def _classes(self, at: tuple[str, str], stores: Stores) -> Classes:
         """The live variables at ``at`` grouped by the normal form of their term."""
         blocks: dict[ex.Expr, list[tuple[int, str]]] = {}
@@ -452,16 +471,17 @@ class _Walk:
                 blocks.setdefault(ex.normalize(stores[side][v]), []).append((side, v))
         return tuple(frozenset(block) for block in blocks.values())
 
-    def _entry(self, at: tuple[str, str], classes: Classes) -> Stores:
+    def _entry(self, at: tuple[str, str], pair: _Pair) -> Stores:
         """Entry stores of a cut pair: one symbol per class, named after its
         first left variable and the pair (``d1@q1``; ``d1'@q1`` for a class
         of right variables only), which no parsed model can contain; dead
         variables are never read and keep their names."""
         suffix = f"@{at[0]}" if at[0] == at[1] else f"@{at[0]}/{at[1]}"
         stores = tuple({v: ex.Var(v) for v in m.variables()} for m in self.machines)
-        for block in classes:
+        for block in pair.classes:
             side, v = min(block)
             symbol = ex.Var(v + ("'" if side else "") + suffix)
+            self.meaning[symbol.name] = pair.origin[side][v]
             for side, v in block:
                 stores[side][v] = symbol
         return stores

@@ -200,6 +200,18 @@ def test_a_relation_hidden_by_a_cut_is_found_by_walking_through_it(walks):
     assert len(walks) == 2
 
 
+def test_a_difference_on_whole_paths_needs_no_second_walk(walks):
+    # 2 * a against 3 * a after the join differs in normal form with the
+    # join's symbol for a replaced by x, its term on the first arrival, so
+    # walking through the join could not match them.
+    a = ex.Var("a")
+    left = _joined("l", [("a", X)], [("y", ex.mul(ex.IntConst(2), a))])
+    right = _joined("r", [("a", X)], [("y", ex.mul(ex.IntConst(3), a))])
+    verdict = check_fsmd_equivalence(left, right, {"y": "y"})
+    assert verdict.status == INCONCLUSIVE and "'y'" in verdict.reason
+    assert len(walks) == 1
+
+
 def test_a_joined_tail_is_walked_against_duplicated_tails_in_one_walk(walks):
     # The left machine joins after the first branch; the right one runs a
     # copy of the rest in each arm.  At the join the left side has one
