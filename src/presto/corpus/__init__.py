@@ -28,14 +28,6 @@ NETS = (
     "jammer_nonpipelined",
     "jammer_pipelined",
     "racy",
-)
-
-# Models whose machines loop; ``sum_loop_commuted`` is equivalent to
-# ``sum_loop``, the mutations ``sum_loop_double`` and ``countdown_by_two``
-# are not equivalent to them.
-LOOPS = (
-    "sum_loop",
-    "sum_loop_commuted",
     "countdown",
 )
 

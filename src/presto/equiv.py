@@ -283,7 +283,9 @@ def _match_paths(
     correspondence that holds on every arrival.  Where a live variable has
     no partner the pair is not cut for that arrival: its terms are carried
     on, or, on a loop, where they cannot be, the variable gets a symbol of
-    its own.
+    its own.  Moves on which one side waits, at a terminal state or while
+    the other advances alone, that lead back to where they started are a
+    mismatch: the moving machine can loop forever there.
 
     A cut can hide a relation between two symbols, so when no sample
     (``samples()`` gives them) separates a mismatch found under cuts, those
@@ -342,6 +344,7 @@ class _Walk:
         self.unpaired: dict[tuple[str, str], str] = {}  # loop pairs cut with a variable that has no partner
         self.meaning: dict[str, ex.Expr] = {}  # class symbol -> its term on the first arrival at its pair
         self.carried: list[tuple[tuple[str, str], Stores, frozenset]] = []  # arrivals walked on uncut, last first
+        self.waiting: tuple[dict, dict] = ({}, {})  # per waiting side: pair -> (pair it moves to, condition)
 
     def run(self, entry: Stores) -> Union[None, str, _Mismatch]:
         start = (self.machines[0].reset, self.machines[1].reset)
@@ -355,6 +358,8 @@ class _Walk:
             self.queued.discard((c1, c2))
             pair = self.pairs[c1, c2]
             diff = self._walk_from((c1, c2), self._entry((c1, c2), pair), pair.trail)
+        if diff is None:
+            diff = self._waiting_loop()
         if isinstance(diff, _Mismatch):
             for (c1, c2), v in self.unpaired.items():
                 if {(0, c1), (1, c2)} <= diff.trail:
@@ -373,27 +378,58 @@ class _Walk:
             keyed.append(paths)
         left, right = keyed
         moves = [(key, path, right[key]) for key, path in left.items() if key in right]
+        # The side that waits at its cutpoint while the other advances: a
+        # terminal state facing one that is not, or the branching side of a
+        # one-sided move.  Either way the other side has a single move.
+        stops = [self.covers[side].segments[c] == ((),) for side, c in enumerate(at)]
+        waits = stops.index(True) if stops.count(True) == 1 else None
         if len(moves) != len(left) or len(moves) != len(right):
-            moves = self._one_sided(at, stores, keyed)
-            if moves is None:
+            waits, moves = self._one_sided(at, stores, keyed)
+            if not moves:
                 key = next(key for key in (*left, *right) if (key in left) != (key in right))
                 ends = frozenset((side, end) for side in (0, 1) for end, _ in keyed[side].values())
                 return _Mismatch(key, f"multipath: path condition {key} has no counterpart", trail=trail | ends)
+        for waiting in self.waiting:
+            waiting.pop(at, None)
+        if waits is not None:
+            (key, (end1, _), (end2, _)), = moves
+            self.waiting[waits][at] = ((end1, end2), key)
         for key, (end1, store1), (end2, store2) in moves:
             diff = self._arrive((end1, end2), (store1, store2), key, trail)
             if diff is not None:
                 return diff
         return None
 
-    def _one_sided(self, at: tuple[str, str], stores: Stores, keyed: list) -> Optional[list]:
-        """The move for a pair whose conditions differ because one side has
-        a single unconditional step, as where one machine joins its branches
-        and the other keeps a copy of the rest in each: that side advances
-        alone.  ``None`` when neither side has such a step."""
+    def _one_sided(self, at: tuple[str, str], stores: Stores, keyed: list) -> tuple[Optional[int], list]:
+        """The side that waits and the move for a pair whose conditions
+        differ because one side has a single unconditional step, as where
+        one machine joins its branches and the other keeps a copy of the
+        rest in each: that side advances alone.  No move when neither side
+        has such a step."""
         for side in (0, 1):
             if list(keyed[side]) == [ex.TRUE] and self.covers[side].segments[at[side]] != ((),):
                 mine, stay = keyed[side][ex.TRUE], (at[1 - side], stores[1 - side])
-                return [(ex.TRUE, *((mine, stay) if side == 0 else (stay, mine)))]
+                return 1 - side, [(ex.TRUE, *((mine, stay) if side == 0 else (stay, mine)))]
+        return None, []
+
+    def _waiting_loop(self) -> Optional[_Mismatch]:
+        """A loop of the moves on which one side waits, as the last walk of
+        each pair made them: the other side's every step on it is its only
+        feasible one, so that machine runs round forever while the waiting
+        one stays put or stops, and no arrival at a pair shows it."""
+        for side, moves in enumerate(self.waiting):
+            done: set[tuple[str, str]] = set()
+            for at in moves:
+                chain = []
+                while at in moves and at not in done:
+                    done.add(at)
+                    chain.append(at)
+                    at = moves[at][0]
+                if at in chain:
+                    runs, stays = ("right", "left") if side == 0 else ("left", "right")
+                    reason = f"the {runs} machine can loop forever from {at[1 - side]} while the {stays} machine waits at {at[side]}"
+                    trail = frozenset((s, c) for pair in chain for s, c in enumerate(pair))
+                    return _Mismatch(moves[at][1], reason, trail=trail)
         return None
 
     def _paths(self, side: int, start: str, store: dict) -> list[tuple[ex.Expr, str, dict]]:

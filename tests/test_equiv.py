@@ -100,6 +100,7 @@ class TestFunctional:
             "jammer_nonpipelined": [{"sig": 3, "th": 5, "tr": 1, "om": 2, "mp": 4, "dp": 6}],
             "jammer_pipelined": [{"sigE": 3, "sigA": 3, "th": 5, "tr": 1, "om": 2, "mp": 4, "dp": 6}],
             "racy": [{"a": 9}],  # only one guard holds, so runs quiesce deterministically
+            "countdown": [{"a": 3}],  # the one looping net: its conversion loops on the reset state
         }
         for name in corpus.NETS:
             net = corpus.load_net(name)
@@ -308,6 +309,33 @@ class TestLoops:
             assert verdict.status == NOT_EQUIVALENT, strategy
             assert verdict.witness["values"] == [0, -1]
         assert check_functional(countdown, countdown, pm, Symbolic(), [{"a": 3}], {}).status == EQUIVALENT
+
+    def test_a_machine_that_loops_forever_is_not_equivalent_to_one_that_stops(self):
+        # The guard of q1's self-loop always holds and its exit guard never
+        # does, so the left machine never stops where the right one does.
+        forever = parse_fsmd(
+            """
+            fsmd forever { states q0, q1, q2; reset q0; inputs x; storage y; outputs y;
+              q0 -> q1 { y <= x; }
+              q1 -> q1 when 0 < 1 { }
+              q1 -> q2 when 1 <= 0 { }
+            }
+            """
+        )
+        stops = parse_fsmd("fsmd stops { states r0, r1; reset r0; inputs x; storage y; outputs y; r0 -> r1 { y <= x; } }")
+        for m1, m2, reason in ((forever, stops, "the left machine can loop forever from q1 while the right machine waits at r1"),
+                               (stops, forever, "the right machine can loop forever from q1 while the left machine waits at r1")):
+            verdict = check_fsmd_equivalence(m1, m2, {"y": "y"}, [{"x": 1}])
+            assert verdict.status == INCONCLUSIVE
+            assert verdict.reason.startswith(reason), verdict.reason
+
+    def test_a_loop_that_never_ends_advances_alone_where_the_other_branches(self):
+        base = dsl.print_fsmd(corpus.load_fsmd("sum_loop"))
+        forever = parse_fsmd(base.replace("when i < n", "when i <= i").replace("when i >= n", "when i > i"))
+        for m1, m2 in ((forever, corpus.load_fsmd("sum_loop")), (corpus.load_fsmd("sum_loop_commuted"), forever)):
+            verdict = check_fsmd_equivalence(m1, m2, {"s": "s"}, [{"n": 2}])
+            assert verdict.status == INCONCLUSIVE
+            assert "can loop forever from q1 while the" in verdict.reason
 
     def test_a_variable_without_partner_at_a_loop_gets_a_symbol_of_its_own(self):
         # t is live at the left loop head only, through a product that

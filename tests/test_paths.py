@@ -6,7 +6,8 @@ oracle: it folds every reset-to-terminal path of a loop-free machine from
 the reset state and pairs the paths by normalized condition.  On loop-free
 pairs the walk must give the oracle's verdict wherever the oracle decides;
 every NotEquivalent must replay on concrete runs; on looping pairs the walk
-must end and never call a pair Equivalent that a run separates.
+must end and never call a pair Equivalent that a run separates, either by
+their outputs or by one machine stopping where the other does not.
 """
 
 import importlib.util
@@ -77,10 +78,24 @@ def whole_path_verdict(m1, m2, vectors, functions):
     return NOT_EQUIVALENT if separated(runs(m1, m2, vectors, functions)) else INCONCLUSIVE
 
 
+def _forever(program):
+    """``program`` with every loop guard one that always holds."""
+    out = []
+    for item in program:
+        if item[0] == "loop":
+            item = ("loop", ex.Rel("<=", ex.Var("c"), ex.Var("c")), _forever(item[2]))
+        elif item[0] == "if":
+            item = ("if", item[1], _forever(item[2]), _forever(item[3]))
+        out.append(item)
+    return out
+
+
 def _pair(seed, loops):
     rng = random.Random(seed)
     program = random_program(rng, 3, loops)
     other = variant(rng, program, 0.1 if seed % 2 else 0.0)
+    if loops and seed % 3 == 0:
+        other = _forever(other)
     left = compile_program("l", program)
     right = compile_program("r", other, duplicate_tails=rng.random() < 0.4)
     if len(right.states) > 300:  # copied tails grow exponentially with the branches in a row
@@ -120,13 +135,18 @@ def test_walk_agrees_with_whole_path_enumeration_on_loop_free_pairs():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9))
 def test_walk_on_looping_pairs_ends_and_never_contradicts_a_run(seed):
+    # Every third right machine never leaves a loop it enters; an Equivalent
+    # verdict must then also mean that no run stops on one side only.
     left, right, vectors, functions, rng = _pair(seed, loops=True)
     verdict = check_fsmd_equivalence(left, right, OUTPUTS, vectors, functions, 500)
     if verdict.status == NOT_EQUIVALENT:
         assert _replays(verdict, left, right, functions, 500)
     elif verdict.status == EQUIVALENT:
-        more = [random_env(rng).values for _ in range(8)]
-        assert not separated(runs(left, right, vectors + more, functions, 500))
+        more = vectors + [random_env(rng).values for _ in range(8)]
+        assert not separated(runs(left, right, more, functions, 500))
+        for vector in more:
+            ends = [run_machine(m, vector, functions, 500) is None for m in (left, right)]
+            assert ends[0] == ends[1], vector
 
 
 def _families():
