@@ -87,14 +87,22 @@ def _load_scenario(path: str) -> dsl.ScenarioDocument:
     return dsl.parse_scenario(_read(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
+_NO_FUNCTIONS: dict = {}  # an interp body applies no symbol of its own
+
+
 def _interpretation(doc: dsl.ScenarioDocument):
     explicit = {}
     for decl in doc.interps:
         def make(d: dsl.InterpDecl):
+            params, arity, body = d.params, len(d.params), None
+
             def fn(*args: int) -> int:
-                if len(args) != len(d.params):
-                    raise ex.SortMismatch(f"{d.symbol} expects {len(d.params)} arguments, got {len(args)}")
-                return int(ex.evaluate(d.body, ex.Environment(dict(zip(d.params, args)))))
+                nonlocal body
+                if len(args) != arity:
+                    raise ex.SortMismatch(f"{d.symbol} expects {arity} arguments, got {len(args)}")
+                if body is None:  # compiled on the first call, once per scenario
+                    body = ex.compiled(d.body)
+                return int(body(dict(zip(params, args)), _NO_FUNCTIONS))
 
             return fn
 
@@ -249,7 +257,13 @@ def cmd_check_fsmd(args) -> int:
     # Scenario vectors name places; the machines read the places' variables.
     var_of = models[0].var_of if isinstance(models[0], PresNet) else {}
     vectors = [{var_of.get(p, p): v for p, v in vector.items()} for vector in doc.vectors]
-    verdict = check_fsmd_equivalence(*machines, dict(doc.var_map), vectors, _interpretation(doc), doc.max_steps)
+    var_map = dict(doc.var_map)
+    if not var_map:  # without a varmap, machines with one set of outputs compare name by name
+        left, right = (sorted(machine.outputs) for machine in machines)
+        if left != right:
+            raise UsageError(f"the scenario has no varmap and the outputs differ: {left} and {right}")
+        var_map = {v: v for v in left}
+    verdict = check_fsmd_equivalence(*machines, var_map, vectors, _interpretation(doc), doc.max_steps)
     print(_verdict_line(verdict))
     _write_json(args.json, {"command": "check-fsmd", "verdict": _verdict_json(verdict), "warnings": warnings})
     return verdict.exit_code()

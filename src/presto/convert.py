@@ -11,6 +11,10 @@ group where an unguarded transition wins over a guarded one the loser's
 guard is recorded negated.  Firing sets whose guard decisions contradict
 each other syntactically are dropped with a warning.
 
+What a marking offers (its firing sets, their successor markings and the
+dropped sets) is computed once per net and marking, in the net's step
+table (:func:`marking_step`), which the simulator reads too.
+
 The machine's interface follows the marking: inputs are the variables of
 initially marked places that no transition writes, storage the rest,
 outputs the variables of places with no consumers.
@@ -164,6 +168,43 @@ def fire_set(net: PresNet, m: frozenset[str], fs: FiringSet | tuple[str, ...]) -
     return remaining | produced
 
 
+@dataclass(eq=False)
+class Step:
+    """What one marking of a net offers, computed once per net and marking.
+
+    ``sets`` are the maximal firing sets in order, and ``successors`` the
+    marking each one leads to or, where firing it would put a second token
+    on a place, the message of that :class:`UnsafeMarking`.  ``dropped``
+    holds the ``InconsistentGuards`` violations of the combinations left
+    out, and ``enabled`` says whether any transition is structurally
+    enabled.  ``moves`` is the simulator's compiled form of the sets, made
+    on its first use.
+    """
+
+    sets: tuple[FiringSet, ...]
+    successors: tuple[frozenset[str] | str, ...]
+    dropped: tuple[Violation, ...]
+    enabled: bool
+    moves: Optional[list] = None
+
+
+def marking_step(net: PresNet, m: frozenset[str]) -> Step:
+    """The :class:`Step` of marking ``m`` from ``net``'s table, computed on the first call."""
+    step = net.steps.get(m)
+    if step is None:
+        dropped: list[Violation] = []
+        sets = construct_set_of_transitions(net, m, dropped)
+        successors: list[frozenset[str] | str] = []
+        for fs in sets:
+            try:
+                successors.append(fire_set(net, m, fs))
+            except UnsafeMarking as err:
+                successors.append(str(err))
+        # Where transitions are enabled, every combination of them is kept or dropped.
+        step = net.steps[m] = Step(tuple(sets), tuple(successors), tuple(dropped), bool(sets or dropped))
+    return step
+
+
 @dataclass
 class Conversion:
     """Converted machine plus the bookkeeping that ties it back to the net."""
@@ -219,16 +260,15 @@ def pres_to_fsmd(net: PresNet, cfg: ConversionConfig = ConversionConfig()) -> Co
     while work:
         m = work.popleft()
         q = state_of[m]
-        sets = construct_set_of_transitions(net, m, warnings)
-        firing_sets[q] = sets
-        for fs in sets:
-            try:
-                succ = fire_set(net, m, fs)
-            except UnsafeMarking as err:
+        step = marking_step(net, m)
+        warnings += step.dropped
+        firing_sets[q] = list(step.sets)
+        for fs, succ in zip(step.sets, step.successors):
+            if type(succ) is str:
                 if cfg.on_unsafe == "reject-firing-set":
-                    warnings.append(Violation("UnsafeMarking", "+".join(fs.transitions), str(err)))
+                    warnings.append(Violation("UnsafeMarking", "+".join(fs.transitions), succ))
                     continue
-                raise
+                raise UnsafeMarking(succ)
             if succ not in state_of:
                 if len(state_of) >= cfg.state_bound:
                     raise StateBoundExceeded(cfg.state_bound)

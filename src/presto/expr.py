@@ -9,15 +9,17 @@ Terms are hash-consed: every constructor looks its node up in one weak
 intern table, so two structurally equal terms are the same object and
 ``==``/``hash`` are the identity ones.  A node fixes its sort (``None``
 when ill-sorted) and free-variable set when it is built, and lazily
-caches its ordering key and default normal form.  All walks use explicit
-stacks (evaluation recurses through the top levels of a term only), so
-term depth is bounded by memory, not recursion.
+caches its ordering key, its default normal form and its compiled
+closure.  All walks use explicit stacks (compiled closures call each
+other through the lowest 64 levels of a term only), so term depth is
+bounded by memory, not recursion.
 
 Three operations carry the weight of the toolkit:
 
 * :func:`evaluate` gives a term its mathematical value under an
   :class:`Environment` (variable values plus interpretations for the
-  uninterpreted symbols).
+  uninterpreted symbols), by calling the closure :func:`compiled` builds
+  once per node.
 * :func:`substitute` performs simultaneous replacement of variables by
   terms, which is how symbolic stores compose updates along a path.
 * :func:`normalize` rewrites a term into a canonical form so that two
@@ -103,11 +105,12 @@ class Expr:
 
     Nodes are shared, so assignment is refused; only this module writes
     them, through ``_set``.  Besides its fields a node holds its children,
-    its sort, its free variables and the lazy caches of its ordering key and
-    default normal form.
+    its sort, its free variables and the lazy caches of its ordering key,
+    default normal form and compiled closure (with its height, which the
+    closure's recursion depth follows).
     """
 
-    __slots__ = ("_kids", "_sort", "_ord", "_fv", "_nf", "__weakref__")
+    __slots__ = ("_kids", "_sort", "_ord", "_fv", "_nf", "_fn", "_height", "__weakref__")
     _fields: tuple[str, ...] = ()
 
     def __setattr__(self, name, value=None):
@@ -132,6 +135,7 @@ def _intern(cls, key: tuple, fields: tuple, kids: tuple | None = None, sort=None
     for name, value in zip(cls._fields, fields):
         _set(node, name, value)
     _set(node, "_ord", None)
+    _set(node, "_fn", None)
     if cls is Var:
         _set(node, "_fv", frozenset(fields))
     elif kids is not None:
@@ -176,7 +180,7 @@ class _Leaf(Expr):
     """A constant or a variable: one field, no children, its own normal form."""
 
     __slots__ = ()
-    _kids, _nf = (), _SAME  # per class, so building a leaf writes only its field and ``_ord``
+    _kids, _nf, _height = (), _SAME, 0  # per class, so building a leaf writes only its field, ``_ord`` and ``_fn``
 
     def __new__(cls, value):
         key = (cls, value)
@@ -348,60 +352,146 @@ def apply_chain(e: Expr) -> tuple[str, ...]:
 
 _ARITH_FUNCS = {"+": sum, "*": math.prod, "-": lambda v: v[0] - v[1], "neg": lambda v: -v[0]}
 _BOOL_FUNCS: dict[str, Callable[[list[bool]], bool]] = {"and": all, "or": any, "not": lambda v: not v[0]}
+_BINARY = {"+": operator.add, "*": operator.mul, "-": operator.sub}
+_UNARY = {"neg": operator.neg, "not": operator.not_}
+
+# A compiled term: ``f(values, functions)`` is its value under the variable
+# values and the interpretations of its symbols.
+Compiled = Callable[[Mapping[str, int], Mapping[str, Callable[..., int]]], Value]
+
+_EVAL_DEPTH = 64  # a subterm higher than this is evaluated by an explicit-stack walk
 
 
 def evaluate(e: Expr, env: Environment) -> Value:
-    """Value of ``e`` under ``env``; unbounded integer arithmetic, sort-checked up front."""
-    sort_of(e)
-    return _eval(e, env, 0)
+    """Value of ``e`` under ``env``; unbounded integer arithmetic, sort-checked when first compiled."""
+    return compiled(e)(env.values, env.functions)
 
 
-_EVAL_DEPTH = 64  # subterms deeper than this are evaluated by an explicit-stack walk
+def compiled(e: Expr) -> Compiled:
+    """``e`` as a closure of the variable values and the interpretations.
+
+    The closure is built once per node, kept on the node and shared by every
+    term that contains it.  A term that is not well-sorted raises
+    :class:`SortMismatch` and keeps nothing, so it raises on every call.
+    Every operand of ``and``/``or`` is evaluated, so which error a term
+    raises never depends on short-circuiting.
+    """
+    fn = e._fn if isinstance(e, Expr) else None
+    if fn is None:
+        sort_of(e)
+        stack = [e]
+        while stack:  # children before parents
+            node = stack[-1]
+            for k in node._kids:
+                if k._fn is None:
+                    stack.append(k)
+            if stack[-1] is node:  # every child is compiled
+                stack.pop()
+                if node._fn is None:
+                    _set(node, "_fn", _compile(node))
+        fn = e._fn
+    return fn
 
 
-def _eval(e: Expr, env: Environment, depth: int) -> Value:
-    """Recursive evaluation through the top ``_EVAL_DEPTH`` levels of a term,
-    which is all that the terms of a model have and the fastest way to
-    evaluate them; deeper subterms go to :func:`_eval_deep`."""
-    cls = type(e)
-    if cls is IntConst or cls is BoolConst:
-        return e.value
+def _compile(node: Expr) -> Compiled:
+    """The closure of ``node`` over its children's closures; sets the node's height.
+
+    Closures call their children's closures, so a node higher than
+    ``_EVAL_DEPTH`` gets a closure that walks its subterms with an explicit
+    stack instead; it holds the children, never the node, so that no node
+    keeps itself alive.
+    """
+    cls = type(node)
     if cls is Var:
-        try:
-            return env.values[e.name]
-        except KeyError:
-            raise UnboundVariable(e.name) from None
-    if depth >= _EVAL_DEPTH:
-        return _eval_deep(e, env)
-    depth += 1
-    if cls is Rel:
-        return _REL_FUNCS[e.op](_eval(e.lhs, env, depth), _eval(e.rhs, env, depth))
-    args = [_eval(a, env, depth) for a in e.args]
-    return _apply(e, args, env) if cls is Apply else (_ARITH_FUNCS if cls is Arith else _BOOL_FUNCS)[e.op](args)
+        name = node.name
+
+        def var(values, functions):
+            try:
+                return values[name]
+            except KeyError:
+                raise UnboundVariable(name) from None
+
+        return var
+    if not node._kids:
+        value = node.value
+        return lambda values, functions: value
+    head = node.symbol if cls is Apply else node.op
+    height = 1 + max([k._height for k in node._kids])
+    _set(node, "_height", height)
+    if height > _EVAL_DEPTH:
+        kids = node._kids
+        return lambda values, functions: _combine(cls, head, _eval_deep(kids, values, functions), functions)
+    fns = [k._fn for k in node._kids]
+    if cls is Apply:
+        if len(fns) == 1:
+            (arg,) = fns
+
+            def apply1(values, functions):
+                value = arg(values, functions)
+                try:
+                    fn = functions[head]
+                except KeyError:
+                    raise UninterpretedSymbol(head) from None
+                return int(fn(value))
+
+            return apply1
+        return lambda values, functions: _apply(head, [f(values, functions) for f in fns], functions)
+    if len(fns) == 1 and head in _UNARY:
+        op, (arg,) = _UNARY[head], fns
+        return lambda values, functions: op(arg(values, functions))
+    if cls is Rel or (len(fns) == 2 and head in _BINARY):
+        op = _REL_FUNCS[head] if cls is Rel else _BINARY[head]
+        lhs, rhs = fns
+        left, right = node._kids
+        if type(right) is IntConst:  # a constant operand is read when compiled
+            c = right.value
+            return lambda values, functions: op(lhs(values, functions), c)
+        if type(left) is IntConst:
+            c = left.value
+            return lambda values, functions: op(c, rhs(values, functions))
+        return lambda values, functions: op(lhs(values, functions), rhs(values, functions))
+    combine = (_ARITH_FUNCS if cls is Arith else _BOOL_FUNCS)[head]
+    return lambda values, functions: combine([f(values, functions) for f in fns])
 
 
-def _eval_deep(e: Expr, env: Environment) -> Value:
-    """:func:`_eval` over a :func:`_postorder` walk, each node from its children's values."""
-    values: dict[Expr, Value] = {}
-    for node in _postorder(e, values.__contains__):
-        cls = type(node)
-        args = [values[k] for k in node._kids]
-        if not args:
-            values[node] = _eval(node, env, 0)
-        elif cls is Apply:
-            values[node] = _apply(node, args, env)
-        elif cls is Rel:
-            values[node] = _REL_FUNCS[node.op](*args)
+def _eval_deep(roots: tuple, values, functions) -> list:
+    """Values of ``roots``, left to right, by an explicit-stack walk that
+    calls the closure of every subterm no higher than ``_EVAL_DEPTH``."""
+    done: dict[Expr, Value] = {}
+    stack = list(reversed(roots))
+    while stack:
+        node = stack[-1]
+        if node in done:
+            stack.pop()
+            continue
+        if node._height <= _EVAL_DEPTH:
+            done[node] = node._fn(values, functions)
         else:
-            values[node] = (_ARITH_FUNCS if cls is Arith else _BOOL_FUNCS)[node.op](args)
-    return values[e]
+            pending = [k for k in node._kids if k not in done]
+            if pending:
+                stack.extend(reversed(pending))
+                continue
+            cls = type(node)
+            head = node.symbol if cls is Apply else node.op
+            done[node] = _combine(cls, head, [done[k] for k in node._kids], functions)
+        stack.pop()
+    return [done[r] for r in roots]
 
 
-def _apply(e: Expr, args: list, env: Environment) -> int:
+def _combine(cls, head: str, args: list, functions) -> Value:
+    """Value of a ``cls`` node with head ``head`` from its operands' values."""
+    if cls is Apply:
+        return _apply(head, args, functions)
+    if cls is Rel:
+        return _REL_FUNCS[head](*args)
+    return (_ARITH_FUNCS if cls is Arith else _BOOL_FUNCS)[head](args)
+
+
+def _apply(symbol: str, args: list, functions) -> int:
     try:
-        fn = env.functions[e.symbol]
+        fn = functions[symbol]
     except KeyError:
-        raise UninterpretedSymbol(e.symbol) from None
+        raise UninterpretedSymbol(symbol) from None
     return int(fn(*args))
 
 

@@ -346,15 +346,15 @@ def run_machine(
     which is as many as a run that visits no state twice can need.
     """
     store, state = dict(values), m.reset
+    functions = {} if functions is None else functions
     for _ in range(max(max_steps, len(m.states))):
         outgoing = m.outgoing(state)
         if not outgoing:
             return store
-        env = ex.Environment(store, functions)
-        taken = [t for t in outgoing if all(ex.evaluate(g, env) for g in t.guard_set)]
+        taken = [t for t in outgoing if all(ex.compiled(g)(store, functions) for g in t.guard_set)]
         if len(taken) != 1:
             return None
-        store.update({a.target: ex.evaluate(a.expr, env) for a in taken[0].updates})
+        store.update({a.target: ex.compiled(a.expr)(store, functions) for a in taken[0].updates})
         state = taken[0].target
     return None if m.outgoing(state) else store
 

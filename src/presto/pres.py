@@ -8,7 +8,10 @@ share a single variable and token type, because the transition produces
 one value.
 
 Nets are treated as immutable after construction; all queries here are
-pure and safe for concurrent readers.
+pure and safe for concurrent readers.  A net also carries a table of what
+each marking offers, which conversion and simulation fill lazily (see
+:func:`presto.convert.marking_step`); its entries are deterministic, so
+two readers that fill one entry at once compute the same value.
 """
 
 from __future__ import annotations
@@ -84,9 +87,11 @@ class PresNet:
     _pre_p: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
     _post_p: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
     order: dict[str, int] = field(init=False, repr=False, compare=False)  # transition id -> declaration index
+    steps: dict = field(init=False, repr=False, compare=False)  # marking -> convert.Step, filled on first use
 
     def __post_init__(self) -> None:
         self.order = {t.id: i for i, t in enumerate(self.transitions)}
+        self.steps = {}
         pre_t: dict[str, set[str]] = {t.id: set() for t in self.transitions}
         post_t: dict[str, set[str]] = {t.id: set() for t in self.transitions}
         pre_p: dict[str, set[str]] = {p: set() for p in self.places}

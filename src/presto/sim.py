@@ -12,6 +12,10 @@ Runs stop at quiescence (nothing structurally enabled), deadlock
 (structurally enabled transitions exist but every guard fails), or a
 step bound.  Fixing the policy seed makes a run bit-for-bit
 reproducible, which is what the schedule-independence check exploits.
+
+A step reads the net's step table (:func:`presto.convert.marking_step`),
+which the converter fills too, and runs the firing sets' guards and
+transfer functions as closures compiled once (:func:`presto.expr.compiled`).
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Union
 
 from . import expr as ex
-from .convert import FiringSet, construct_set_of_transitions, fire_set
-from .pres import PresNet, classify_ports, enabled_transitions
+from .convert import FiringSet, UnsafeMarking, marking_step
+from .pres import PresNet, classify_ports
 from .verdict import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT, Verdict
 
 TokenState = dict  # place -> int, domain = currently marked places
@@ -72,11 +76,14 @@ class SeededInterpretation:
     nonzero coefficients derived from sha256(seed, s, i).  Distinct
     symbols get distinct-looking maps, and compositions of different
     symbols almost never commute, which makes the maps good witnesses.
+    Each symbol gets one function, whose coefficients are derived once,
+    on the first call that needs them.
     """
 
     def __init__(self, seed: int, explicit: Optional[Mapping[str, Callable[..., int]]] = None):
         self.seed = seed
         self.explicit = dict(explicit or {})
+        self._fns = dict(self.explicit)
 
     def _coeff(self, symbol: str, i: int) -> int:
         digest = hashlib.sha256(f"{self.seed}:{symbol}:{i}".encode()).digest()
@@ -84,13 +91,21 @@ class SeededInterpretation:
         return c if c != 0 else 7
 
     def __getitem__(self, symbol: str):
-        if symbol in self.explicit:
-            return self.explicit[symbol]
+        try:
+            return self._fns[symbol]
+        except KeyError:
+            fn = self._fns[symbol] = self._affine(symbol)
+            return fn
+
+    def _affine(self, symbol: str) -> Callable[..., int]:
+        coeffs: list[int] = []  # c0, c1, ... as far as a call has needed them
 
         def fn(*args: int) -> int:
-            acc = self._coeff(symbol, 0)
-            for i, a in enumerate(args, start=1):
-                acc += self._coeff(symbol, i) * a
+            if len(coeffs) <= len(args):
+                coeffs.extend(self._coeff(symbol, i) for i in range(len(coeffs), len(args) + 1))
+            acc = coeffs[0]
+            for c, a in zip(coeffs[1:], args):
+                acc += c * a
             return acc
 
         return fn
@@ -117,6 +132,59 @@ def _values(net: PresNet, ts: TokenState) -> dict[str, int]:
     return values
 
 
+class _Move:
+    """A firing set of one marking in the form a step runs: ``holds`` is
+    its guard set compiled into one test, and ``effects`` the compiled
+    ``(fn, post places)`` of each transition, made when the set is first
+    chosen."""
+
+    __slots__ = ("fs", "holds", "effects", "successor")
+
+    def __init__(self, fs: FiringSet, successor) -> None:
+        guards = tuple(ex.compiled(g) for g in fs.guard_set)
+        if len(guards) == 1:
+            self.holds = guards[0]
+        else:
+            self.holds = lambda values, functions: all(g(values, functions) for g in guards)
+        self.fs, self.effects, self.successor = fs, None, successor
+
+    def compile_effects(self, net: PresNet) -> tuple:
+        self.effects = tuple(
+            (ex.compiled(net.transition(tid).fn), tuple(net.postset(tid))) for tid in self.fs.transitions
+        )
+        return self.effects
+
+
+def _fire(
+    net: PresNet, ts: TokenState, marking: frozenset[str], interp, policy: SchedulePolicy, rng
+) -> tuple[_Move, TokenState]:
+    """The move chosen at ``marking`` (the domain of ``ts``) and the tokens after it."""
+    values = _values(net, ts)
+    functions = {} if interp is None else interp
+    step = marking_step(net, marking)
+    moves = step.moves
+    if moves is None:
+        moves = step.moves = [_Move(fs, succ) for fs, succ in zip(step.sets, step.successors)]
+    # A set's guard_set holds its chosen guards and the negated guards of
+    # the competitors it was carved out against; all must hold.
+    candidates = [move for move in moves if move.holds(values, functions)]
+    if not candidates:
+        raise NoEnabledSet(step.enabled)
+    if isinstance(policy, RandomMaximal):
+        chooser = rng if rng is not None else random.Random(policy.seed)
+        move = chooser.choice(candidates)
+    else:
+        move = candidates[0]
+    produced: dict[str, int] = {}
+    for fn, posts in move.effects if move.effects is not None else move.compile_effects(net):
+        value = fn(values, functions)
+        for p in posts:
+            produced[p] = value
+    if type(move.successor) is str:
+        raise UnsafeMarking(move.successor)
+    return move, {p: produced[p] if p in produced else ts[p] for p in move.successor}
+
+
 def simulate_step(
     net: PresNet,
     ts: TokenState,
@@ -125,29 +193,8 @@ def simulate_step(
     rng: Optional[random.Random] = None,
 ) -> tuple[FiringSet, TokenState]:
     """Fire one maximal step chosen by the policy; values read the pre-step state."""
-    marking = frozenset(ts)
-    env = ex.Environment(_values(net, ts), interp)
-    # A set's guard_set holds its chosen guards and the negated guards of
-    # the competitors it was carved out against; all must hold.
-    candidates = [
-        fs for fs in construct_set_of_transitions(net, marking) if all(ex.evaluate(g, env) for g in fs.guard_set)
-    ]
-    if not candidates:
-        raise NoEnabledSet(bool(enabled_transitions(net, marking)))
-    if isinstance(policy, RandomMaximal):
-        chooser = rng if rng is not None else random.Random(policy.seed)
-        fs = chooser.choice(candidates)
-    else:
-        fs = candidates[0]
-    produced: dict[str, int] = {}
-    for tid in fs.transitions:
-        value = ex.evaluate(net.transition(tid).fn, env)
-        for p in net.postset(tid):
-            produced[p] = value
-    new_ts: TokenState = {}
-    for p in fire_set(net, marking, fs):
-        new_ts[p] = produced[p] if p in produced else ts[p]
-    return fs, new_ts
+    move, after = _fire(net, ts, frozenset(ts), interp, policy, rng)
+    return move.fs, after
 
 
 def simulate_run(
@@ -158,7 +205,8 @@ def simulate_run(
     max_steps: int = 1_000,
 ) -> RunOutcome:
     """Iterate steps from the initial token assignment until rest or bound."""
-    if frozenset(inputs) != frozenset(net.initial_marking):
+    marking = frozenset(inputs)
+    if marking != frozenset(net.initial_marking):
         raise SimError(
             f"input domain {sorted(inputs)} does not match the initial marking {sorted(net.initial_marking)}"
         )
@@ -169,13 +217,13 @@ def simulate_run(
     trace: list[tuple[FiringSet, TokenState]] = []
     for step in range(max_steps + 1):  # the last step only probes whether the run is at rest
         try:
-            fs, after = simulate_step(net, ts, interp, policy, rng)
+            move, after = _fire(net, ts, marking, interp, policy, rng)
         except NoEnabledSet as stop:
             return RunOutcome(DEADLOCK if stop.structurally_enabled else QUIESCENT, ts, trace, step)
         if step == max_steps:
             return RunOutcome(STEP_BOUND_EXCEEDED, ts, trace, max_steps)
-        ts = after
-        trace.append((fs, dict(ts)))
+        ts, marking = after, move.successor
+        trace.append((move.fs, dict(ts)))
 
 
 def out_port_values(net: PresNet, ts: TokenState) -> dict[str, int]:

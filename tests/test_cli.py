@@ -1,4 +1,5 @@
 import json
+import os
 
 from presto import cli, corpus
 
@@ -267,6 +268,22 @@ class TestChecks:
         witness = json.loads(report.read_text())["verdict"]["witness"]
         assert witness["vector"] == {"x": 3} and witness["values"] == [6, 9]
         assert witness["variable_pair"] == ["y", "y"]
+
+    def test_check_fsmd_without_varmap_pairs_like_named_outputs(self, capsys, tmp_path):
+        report = tmp_path / "countdown.json"
+        code, out, _ = run(capsys, "check-fsmd", corpus.scenario_path("countdown_by_two"), "--json", str(report))
+        assert code == 1, out
+        witness = json.loads(report.read_text())["verdict"]["witness"]
+        assert witness["variable_pair"] == ["o", "o"] and witness["values"] == [0, -1]
+
+    def test_check_fsmd_without_varmap_needs_one_set_of_outputs(self, capsys, tmp_path):
+        text = open(corpus.scenario_path("jammer"), encoding="utf-8").read()
+        scenario = tmp_path / "jammer.scn"
+        nets = os.path.dirname(corpus.corpus_path("jammer_pipelined"))
+        scenario.write_text(text.replace("varmap { out -> out2; }", "").replace('"../', f'"{nets}/'))
+        code, out, err = run(capsys, "check-fsmd", str(scenario))
+        assert (code, out) == (3, "")
+        assert err == "error: the scenario has no varmap and the outputs differ: ['out'] and ['out2']\n"
 
     def test_check_fsmd_report_lists_no_warnings_for_clean_nets(self, capsys, tmp_path):
         report = tmp_path / "jammer.json"

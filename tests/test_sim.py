@@ -181,3 +181,34 @@ def test_explicit_interpretations_take_precedence_over_the_seeded_map():
     both = SeededInterpretation(3, {"f": lambda a: a + 100})
     assert both["f"](1) == 101
     assert both["g"](1, 2) == seeded["g"](1, 2)
+
+
+def test_seeded_values_are_pinned():
+    # Values of the sha256-derived maps, as every earlier version computed them.
+    seeded = SeededInterpretation(11)
+    assert [seeded["f"](), seeded["f"](3), seeded["f"](3, -4)] == [1, 7, 11]
+    assert [seeded["f"](x) for x in (-2, 0, 1, 10)] == [-3, 1, 3, 21]
+    assert [seeded["g"](5), seeded["g"](1, 2), seeded["g"](-3, 4)] == [-10, -2, 6]
+    assert [seeded["detect"](2, 7, -1), seeded["h"](0, 0)] == [28, 7]
+
+
+def test_seeded_coefficients_are_derived_once_per_symbol(monkeypatch):
+    import hashlib
+
+    digests = []
+    real = hashlib.sha256
+
+    def counting(data=b""):
+        digests.append(data)
+        return real(data)
+
+    monkeypatch.setattr(hashlib, "sha256", counting)
+    seeded = SeededInterpretation(11)
+    for i in range(1000):
+        assert seeded["f"](i, -i) == seeded["f"](i, -i)
+        seeded["g"](i)
+    assert seeded["f"] is seeded["f"]
+    per_symbol = {data.decode().split(":")[1] for data in digests}
+    assert per_symbol == {"f", "g"}
+    assert sum(data.startswith(b"11:f:") for data in digests) <= 3  # arity 2: c0, c1, c2
+    assert sum(data.startswith(b"11:g:") for data in digests) <= 2
