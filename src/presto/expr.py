@@ -353,7 +353,6 @@ def apply_chain(e: Expr) -> tuple[str, ...]:
 _ARITH_FUNCS = {"+": sum, "*": math.prod, "-": lambda v: v[0] - v[1], "neg": lambda v: -v[0]}
 _BOOL_FUNCS: dict[str, Callable[[list[bool]], bool]] = {"and": all, "or": any, "not": lambda v: not v[0]}
 _BINARY = {"+": operator.add, "*": operator.mul, "-": operator.sub}
-_UNARY = {"neg": operator.neg, "not": operator.not_}
 
 # A compiled term: ``f(values, functions)`` is its value under the variable
 # values and the interpretations of its symbols.
@@ -399,7 +398,8 @@ def _compile(node: Expr) -> Compiled:
     Closures call their children's closures, so a node higher than
     ``_EVAL_DEPTH`` gets a closure that walks its subterms with an explicit
     stack instead; it holds the children, never the node, so that no node
-    keeps itself alive.
+    keeps itself alive.  A one-argument application and a two-operand
+    operator get a closure of their own that builds no operand list.
     """
     cls = type(node)
     if cls is Var:
@@ -412,11 +412,11 @@ def _compile(node: Expr) -> Compiled:
                 raise UnboundVariable(name) from None
 
         return var
-    if not node._kids:
+    if isinstance(node, _Leaf):
         value = node.value
         return lambda values, functions: value
     head = node.symbol if cls is Apply else node.op
-    height = 1 + max([k._height for k in node._kids])
+    height = 1 + max([k._height for k in node._kids], default=0)
     _set(node, "_height", height)
     if height > _EVAL_DEPTH:
         kids = node._kids
@@ -436,19 +436,9 @@ def _compile(node: Expr) -> Compiled:
 
             return apply1
         return lambda values, functions: _apply(head, [f(values, functions) for f in fns], functions)
-    if len(fns) == 1 and head in _UNARY:
-        op, (arg,) = _UNARY[head], fns
-        return lambda values, functions: op(arg(values, functions))
-    if cls is Rel or (len(fns) == 2 and head in _BINARY):
+    if len(fns) == 2 and (cls is Rel or head in _BINARY):
         op = _REL_FUNCS[head] if cls is Rel else _BINARY[head]
         lhs, rhs = fns
-        left, right = node._kids
-        if type(right) is IntConst:  # a constant operand is read when compiled
-            c = right.value
-            return lambda values, functions: op(lhs(values, functions), c)
-        if type(left) is IntConst:
-            c = left.value
-            return lambda values, functions: op(c, rhs(values, functions))
         return lambda values, functions: op(lhs(values, functions), rhs(values, functions))
     combine = (_ARITH_FUNCS if cls is Arith else _BOOL_FUNCS)[head]
     return lambda values, functions: combine([f(values, functions) for f in fns])

@@ -135,24 +135,18 @@ def _values(net: PresNet, ts: TokenState) -> dict[str, int]:
 class _Move:
     """A firing set of one marking in the form a step runs: ``holds`` is
     its guard set compiled into one test, and ``effects`` the compiled
-    ``(fn, post places)`` of each transition, made when the set is first
-    chosen."""
+    ``(fn, post places)`` of each transition."""
 
     __slots__ = ("fs", "holds", "effects", "successor")
 
-    def __init__(self, fs: FiringSet, successor) -> None:
+    def __init__(self, net: PresNet, fs: FiringSet, successor) -> None:
         guards = tuple(ex.compiled(g) for g in fs.guard_set)
         if len(guards) == 1:
             self.holds = guards[0]
         else:
             self.holds = lambda values, functions: all(g(values, functions) for g in guards)
-        self.fs, self.effects, self.successor = fs, None, successor
-
-    def compile_effects(self, net: PresNet) -> tuple:
-        self.effects = tuple(
-            (ex.compiled(net.transition(tid).fn), tuple(net.postset(tid))) for tid in self.fs.transitions
-        )
-        return self.effects
+        self.effects = tuple((ex.compiled(net.transition(tid).fn), tuple(net.postset(tid))) for tid in fs.transitions)
+        self.fs, self.successor = fs, successor
 
 
 def _fire(
@@ -164,7 +158,7 @@ def _fire(
     step = marking_step(net, marking)
     moves = step.moves
     if moves is None:
-        moves = step.moves = [_Move(fs, succ) for fs, succ in zip(step.sets, step.successors)]
+        moves = step.moves = [_Move(net, fs, succ) for fs, succ in zip(step.sets, step.successors)]
     # A set's guard_set holds its chosen guards and the negated guards of
     # the competitors it was carved out against; all must hold.
     candidates = [move for move in moves if move.holds(values, functions)]
@@ -176,7 +170,7 @@ def _fire(
     else:
         move = candidates[0]
     produced: dict[str, int] = {}
-    for fn, posts in move.effects if move.effects is not None else move.compile_effects(net):
+    for fn, posts in move.effects:
         value = fn(values, functions)
         for p in posts:
             produced[p] = value

@@ -31,7 +31,7 @@ def random_int_expr(rng: random.Random, depth: int = 4, variables=VARS) -> ex.Ex
     if kind == 3:
         return ex.Arith("neg", (random_int_expr(rng, depth - 1, variables),))
     symbol = rng.choice(SYMBOLS)
-    arity = rng.randint(1, 2)
+    arity = rng.choice((0, 1, 1, 2, 2))
     return ex.Apply(symbol, tuple(random_int_expr(rng, depth - 1, variables) for _ in range(arity)))
 
 

@@ -125,6 +125,21 @@ def test_ill_sorted_terms_raise_on_every_call():
         assert outcome(compiled, bad, env)[0] == "SortMismatch"
 
 
+def test_nullary_applications_are_evaluated():
+    k = ex.Apply("k", ())
+    nest = k
+    for _ in range(100):  # above the depth where closures stop calling each other
+        nest = ex.Apply("f", (nest,))
+    env = ex.Environment({"x": 2}, {"k": lambda: 5, "f": lambda v: v + 1})
+    for term in (k, ex.add(k, ex.Var("x")), ex.Apply("f", (k,)), nest, ex.Rel("<", nest, k)):
+        assert outcome(compiled, term, env) == outcome(reference, term, env)
+    assert ex.evaluate(k, env) == 5
+    assert ex.evaluate(nest, env) == 105
+    missing = ex.Environment({"x": 2}, {"f": lambda v: v + 1})
+    assert outcome(compiled, nest, missing) == outcome(reference, nest, missing) == (
+        "UninterpretedSymbol", "no interpretation for function symbol 'k'")
+
+
 @pytest.mark.parametrize("depth", [5000, 65, 64, 63])
 def test_deep_apply_nests_match_the_reference(depth):
     e = ex.Var("x")

@@ -43,6 +43,20 @@ class TestSimulateStep:
         assert fired.transitions == ("t",)
         assert ts == {"b": 5}
 
+    def test_nullary_transfer_function_and_guard(self):
+        net = parse_pres(
+            """
+            net const {
+              place a marked; place b;
+              transition t { pre a; post b; fn k(); guard k() > a; }
+            }
+            """
+        )
+        run = simulate_run(net, {"a": 2}, {"k": lambda: 7})
+        assert run.status == QUIESCENT
+        assert run.final_state == {"b": 7}
+        assert simulate_run(net, {"a": 9}, {"k": lambda: 7}).status == DEADLOCK
+
     def test_self_loop_keeps_value(self):
         net = parse_pres(
             """

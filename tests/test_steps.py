@@ -16,8 +16,9 @@ from presto.pres import PresNet, Transition
 from presto.sim import MaximalStep, RandomMaximal, SeededInterpretation, SimError, simulate_run, trace_json
 
 from _gen import random_net
-from test_cli import TestChecks
+import test_cli
 
+CONTRA_NET = test_cli.TestChecks.CONTRA_NET  # read from the module, so that pytest does not collect TestChecks here too
 POLICIES = (MaximalStep(), *(RandomMaximal(seed) for seed in range(4)))
 
 
@@ -56,8 +57,8 @@ def test_warm_table_runs_like_a_fresh_net(name):
 
 
 def test_conversion_after_simulation_reports_the_dropped_sets():
-    fresh = pres_to_fsmd(parse_pres(TestChecks.CONTRA_NET)).warnings
-    net = parse_pres(TestChecks.CONTRA_NET)
+    fresh = pres_to_fsmd(parse_pres(CONTRA_NET)).warnings
+    net = parse_pres(CONTRA_NET)
     simulate_run(net, {"x1": 1, "x2": 1}, {s: abs for s in ("fa", "fb", "fc", "fd")})
     assert net.steps
     warm = pres_to_fsmd(net).warnings
@@ -83,7 +84,7 @@ def test_unsafe_marking_is_raised_on_every_run():
 
 
 def test_a_replaced_net_starts_with_an_empty_table():
-    net = parse_pres(TestChecks.CONTRA_NET)
+    net = parse_pres(CONTRA_NET)
     pres_to_fsmd(net)
     assert net.steps
     copy = dataclasses.replace(net, name="copy")
