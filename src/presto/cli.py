@@ -198,7 +198,7 @@ def cmd_simulate(args) -> int:
             pm = PortMap(dict(doc.in_map), dict(doc.out_map))
             return derive_right_inputs(left_net, net, pm, dict(vec))
 
-        if args.schedules and args.schedules > 1:
+        if args.schedules > 1:
             verdict = confluence_check(net, vector_for(doc.vectors[0] if doc.vectors else {}),
                                        interp, schedules=args.schedules, seed=args.seed or 0, max_steps=max_steps)
             print(f"{side} ({net.name}): {_verdict_line(verdict)}")
@@ -298,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="parse and validate a .pres or .fsmd file")
     p.add_argument("file")
     p.add_argument("--json")
-    p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("convert", help="convert a net into a machine")
     p.add_argument("net")
@@ -306,49 +305,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-bound", type=_bound, default=10_000)
     p.add_argument("--on-unsafe", choices=["error", "reject"], default="error")
     p.add_argument("--json")
-    p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser("simulate", help="run a scenario's models on its input vectors")
     p.add_argument("scenario")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-steps", type=_bound, default=None)
-    p.add_argument("--schedules", type=int, default=1, help="with N>1, run a schedule-independence check")
+    p.add_argument("--schedules", type=_bound, default=1, help="with N>1, run a schedule-independence check")
     p.add_argument("--json")
-    p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("check-pres", help="net-to-net equivalence per the scenario")
     p.add_argument("scenario")
     p.add_argument("--strategy", choices=["symbolic", "sampled"], default=None)
     p.add_argument("--json")
-    p.set_defaults(fn=cmd_check_pres)
 
     p = sub.add_parser("check-fsmd", help="machine-to-machine path equivalence per the scenario")
     p.add_argument("scenario")
     p.add_argument("--json")
-    p.set_defaults(fn=cmd_check_fsmd)
 
     p = sub.add_parser("export-dot", help="render a model as Graphviz")
     p.add_argument("file")
     p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_export_dot)
 
     return parser
 
 
+_PARSER = build_parser()  # parse_args never changes it, so one parser serves every call
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as stop:
         return 0 if stop.code == 0 else 3
-    if getattr(args, "on_unsafe", None) == "reject":
-        args.on_unsafe = "reject-firing-set"
-    try:
-        return args.fn(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except dsl.DslError as err:
+    try:  # looked up when the command runs, so a replaced cmd_* is the one called
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
+    except (UsageError, dsl.DslError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except (ConvertError, SimError, FsmdError, ex.ExprError) as err:

@@ -61,12 +61,12 @@ class FiringSet:
 @dataclass(frozen=True)
 class ConversionConfig:
     state_bound: int = 10_000
-    on_unsafe: str = "error"  # "error" | "reject-firing-set"
+    on_unsafe: str = "error"  # "error" | "reject" (drop the firing set, with a warning)
 
     def __post_init__(self) -> None:
         if self.state_bound < 1:
             raise ValueError("state_bound must be at least 1")
-        if self.on_unsafe not in ("error", "reject-firing-set"):
+        if self.on_unsafe not in ("error", "reject"):
             raise ValueError(f"unknown unsafe policy {self.on_unsafe!r}")
 
 
@@ -265,7 +265,7 @@ def pres_to_fsmd(net: PresNet, cfg: ConversionConfig = ConversionConfig()) -> Co
         firing_sets[q] = list(step.sets)
         for fs, succ in zip(step.sets, step.successors):
             if type(succ) is str:
-                if cfg.on_unsafe == "reject-firing-set":
+                if cfg.on_unsafe == "reject":
                     warnings.append(Violation("UnsafeMarking", "+".join(fs.transitions), succ))
                     continue
                 raise UnsafeMarking(succ)

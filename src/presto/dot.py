@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from . import expr as ex
 from .fsmd import Fsmd
 from .pres import PresNet
@@ -31,13 +29,11 @@ def net_to_dot(net: PresNet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def fsmd_to_dot(m: Fsmd, state_notes: Optional[dict[str, str]] = None) -> str:
-    notes = state_notes or {}
+def fsmd_to_dot(m: Fsmd) -> str:
     lines = [f"digraph {_q(m.name)} {{", "  rankdir=LR;"]
     for s in m.states:
-        label = s if s not in notes else f"{s}\\n{notes[s]}"
         shape = "doublecircle" if s == m.reset else "ellipse"
-        lines.append(f"  {_q(s)} [shape={shape}, label={_q(label)}];")
+        lines.append(f"  {_q(s)} [shape={shape}, label={_q(s)}];")
     for t in m.transitions:
         bits = []
         if t.guard_set:

@@ -44,7 +44,7 @@ from typing import Optional
 
 from . import expr as ex
 from .fsmd import Fsmd, FsmdTransition, UpdateSet, validate_fsmd
-from .pres import INT_TYPE, PresNet, Transition, Violation, validate_net
+from .pres import PresNet, Transition, Violation, validate_net
 
 RESERVED = {
     "net", "place", "marked", "var", "transition", "pre", "post", "fn", "guard",
@@ -391,7 +391,6 @@ def _net(p: _Parser) -> tuple[PresNet, dict[str, int]]:
         name=net_name,
         places=tuple(d.name for d in places),
         var_of=var_of,
-        token_type={d.name: INT_TYPE for d in places},
         transitions=tuple(Transition(d.name, d.fn, d.guard) for d in trans),
         input_arcs=frozenset((q, d.name) for d in trans for q in d.pre),
         output_arcs=frozenset((d.name, q) for d in trans for q in d.post),
@@ -413,14 +412,7 @@ def parse_pres(text: str) -> PresNet:
     return _net(_Parser(text))[0]
 
 
-@dataclass
-class FsmdDocument:
-    fsmd: Fsmd
-    spans: dict[str, Span]
-
-
-def _fsmd(p: _Parser) -> tuple[Fsmd, dict[str, int]]:
-    """The machine, and the token index of each state and transition for its spans."""
+def _fsmd(p: _Parser) -> Fsmd:
     toks = p.toks
     p.expect("fsmd")
     where = {toks[p.pos]: p.pos}
@@ -489,17 +481,11 @@ def _fsmd(p: _Parser) -> tuple[Fsmd, dict[str, int]]:
     issues = validate_fsmd(machine)
     if issues:
         raise DslSemanticError(issues, p.spans(where))
-    return machine, where
-
-
-def parse_fsmd_document(text: str) -> FsmdDocument:
-    p = _Parser(text)
-    machine, where = _fsmd(p)
-    return FsmdDocument(machine, p.spans(where))
+    return machine
 
 
 def parse_fsmd(text: str) -> Fsmd:
-    return _fsmd(_Parser(text))[0]
+    return _fsmd(_Parser(text))
 
 
 @dataclass

@@ -328,13 +328,6 @@ def path_transformation(
     return PathTransformation(ex.conj(conds), store)
 
 
-def compose(first: PathTransformation, second: PathTransformation) -> PathTransformation:
-    """Transformation of a concatenated path from its two halves."""
-    store = {v: ex.substitute(t, first.transform) for v, t in second.transform.items()}
-    cond = ex.conj([first.condition, ex.substitute(second.condition, first.transform)])
-    return PathTransformation(cond, store)
-
-
 def run_machine(
     m: Fsmd, values: Mapping[str, int], functions=None, max_steps: int = 1_000
 ) -> Optional[dict[str, int]]:

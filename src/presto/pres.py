@@ -4,8 +4,7 @@ A net is places plus transitions wired by input and output arcs.  Every
 place carries a variable; every transition carries an integer transfer
 expression ``fn`` over its input-place variables and an optional boolean
 guard over the same variables.  All places in one transition's post-set
-share a single variable and token type, because the transition produces
-one value.
+share a single variable, because the transition produces one value.
 
 Nets are treated as immutable after construction; all queries here are
 pure and safe for concurrent readers.  A net also carries a table of what
@@ -20,8 +19,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from . import expr as ex
-
-INT_TYPE = "int"
 
 
 class PresError(Exception):
@@ -77,7 +74,6 @@ class PresNet:
     name: str
     places: tuple[str, ...]
     var_of: Mapping[str, str]
-    token_type: Mapping[str, str]
     transitions: tuple[Transition, ...]
     input_arcs: frozenset[tuple[str, str]]  # (place, transition)
     output_arcs: frozenset[tuple[str, str]]  # (transition, place)
@@ -213,8 +209,6 @@ def validate_net(net: PresNet) -> list[Violation]:
     for p in net.places:
         if p not in net.var_of:
             out.append(Violation("MissingVariable", p, "place has no associated variable"))
-        if net.token_type.get(p, INT_TYPE) != INT_TYPE:
-            out.append(Violation("UnsupportedTokenType", p, f"{net.token_type.get(p)!r}"))
 
     for p in net.initial_marking:
         if p not in place_set:
@@ -230,9 +224,6 @@ def validate_net(net: PresNet) -> list[Violation]:
         post_vars = {net.var_of[p] for p in post if p in net.var_of}
         if len(post_vars) > 1:
             out.append(Violation("PostsetVariableMismatch", t.id, f"variables {sorted(post_vars)}"))
-        post_types = {net.token_type.get(p, INT_TYPE) for p in post}
-        if len(post_types) > 1:
-            out.append(Violation("PostsetTypeMismatch", t.id, f"types {sorted(post_types)}"))
 
         scope = frozenset(net.var_of[p] for p in pre if p in net.var_of)
         try:

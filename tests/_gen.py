@@ -75,7 +75,7 @@ def random_net(seed: int) -> PresNet:
         transitions.append(Transition(f"t{i}", v, ex.Rel(">", v, ex.IntConst(0)) if rng.random() < 0.6 else None))
         input_arcs.update((p, f"t{i}") for p in pre)
         output_arcs.add((f"t{i}", rng.choice(places)))
-    return PresNet(f"random{seed}", places, var_of, {p: "int" for p in places}, tuple(transitions),
+    return PresNet(f"random{seed}", places, var_of, tuple(transitions),
                    frozenset(input_arcs), frozenset(output_arcs), frozenset(rng.sample(places, 4)))
 
 

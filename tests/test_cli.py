@@ -1,5 +1,9 @@
+import io
 import json
 import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 from presto import cli, corpus
 
@@ -99,7 +103,8 @@ class TestConvert:
 
     def test_bounds_below_one_are_usage_errors(self, capsys, tmp_path):
         for argv in (["convert", corpus.corpus_path("card_a"), "--state-bound", "0"],
-                     ["simulate", corpus.scenario_path("addthree"), "--max-steps", "0"]):
+                     ["simulate", corpus.scenario_path("addthree"), "--max-steps", "0"],
+                     ["simulate", corpus.scenario_path("racy"), "--schedules", "0"]):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (3, ""), argv
             assert "must be at least 1, got 0" in err and "internal error" not in err
@@ -382,3 +387,53 @@ class TestStyling:
     def test_not_a_tty_means_plain(self, capsys):
         _, out, _ = run(capsys, "check-fsmd", corpus.scenario_path("jammer"))
         assert "\x1b[" not in out
+
+
+def _in_order(calls, order, folder):
+    """Exit code, stdout, stderr and --json report of each call, made in ``order`` in this process."""
+    seen = {}
+    for i in order:
+        argv, takes_json = calls[i]
+        report = os.path.join(folder, f"{i}.json")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv + ["--json", report] if takes_json else argv)
+        text = None
+        if takes_json:
+            with open(report, encoding="utf-8") as fh:
+                text = fh.read()
+            os.remove(report)
+        seen[str(i)] = [code, out.getvalue(), err.getvalue(), text]
+    return seen
+
+
+class TestOneProcess:
+    def test_calls_give_the_same_results_in_any_order(self, tmp_path, monkeypatch):
+        """One parser serves every call in a process, so no call may see what an earlier one did."""
+        racy, addthree = corpus.scenario_path("racy"), corpus.scenario_path("addthree")
+        calls = [  # (argv, whether it takes --json)
+            (["convert", corpus.corpus_path("jammer_pipelined"), "--on-unsafe", "reject"], True),
+            (["convert", corpus.corpus_path("jammer_pipelined")], True),
+            (["simulate", racy, "--seed", "3"], True),
+            (["simulate", racy], True),
+            (["simulate", racy, "--schedules", "10"], True),
+            (["--help"], False),
+            (["simulate", racy, "--max-steps", "0"], False),
+            (["validate", corpus.corpus_path("guard_split")], True),
+            (["check-pres", addthree, "--strategy", "sampled"], True),
+            (["check-pres", addthree], True),
+        ]
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal's width
+        forwards = _in_order(calls, range(len(calls)), tmp_path)
+        assert [forwards[str(i)][0] for i in range(len(calls))] == [0, 0, 0, 0, 1, 0, 3, 0, 0, 0]
+        assert forwards["5"][1].startswith("usage: presto")
+        assert _in_order(calls, reversed(range(len(calls))), tmp_path) == forwards
+        # A fresh process, in reverse, also catches state that the first call here leaves for all later ones.
+        src, here = os.path.dirname(os.path.dirname(cli.__file__)), os.path.dirname(__file__)
+        child = subprocess.run(
+            [sys.executable, "-c", "import json, sys; from test_cli import _in_order; calls = json.loads(sys.argv[1]); "
+             "print(json.dumps(_in_order(calls, reversed(range(len(calls))), sys.argv[2])))",
+             json.dumps(calls), str(tmp_path)],
+            capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join([src, here])},
+        )
+        assert json.loads(child.stdout) == forwards

@@ -297,6 +297,6 @@ class TestPresToFsmd:
         net = parse_pres(src)
         with pytest.raises(UnsafeMarking):
             pres_to_fsmd(net, ConversionConfig(on_unsafe="error"))
-        conv = pres_to_fsmd(net, ConversionConfig(on_unsafe="reject-firing-set"))
+        conv = pres_to_fsmd(net, ConversionConfig(on_unsafe="reject"))
         assert any(w.rule == "UnsafeMarking" for w in conv.warnings)
         assert len(conv.fsmd.transitions) == 0

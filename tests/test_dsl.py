@@ -239,7 +239,7 @@ def test_random_nets_and_their_conversions_round_trip(seed):
     net = random_net(seed)
     assert parse_pres(print_net(net)) == net
     try:
-        machine = pres_to_fsmd(net, ConversionConfig(on_unsafe="reject-firing-set")).fsmd
+        machine = pres_to_fsmd(net, ConversionConfig(on_unsafe="reject")).fsmd
     except DuplicateTarget:  # a firing set writes one variable twice
         return
     issues = validate_fsmd(machine)

@@ -16,7 +16,6 @@ from presto.fsmd import (
     UnknownVariable,
     UpdateSet,
     apply_update_set,
-    compose,
     cutpoints,
     fresh_store,
     path_cover,
@@ -191,9 +190,8 @@ class TestPathTransformation:
         whole = path_transformation(m, path)
         for cut in (1, 7, 14):
             first = path_transformation(m, path[:cut])
-            second = path_transformation(m, path[cut:])
-            glued = compose(first, second)
-            assert ex.normalize(glued.condition) == ex.normalize(whole.condition)
+            glued = path_transformation(m, path[cut:], first.transform)
+            assert ex.normalize(ex.conj([first.condition, glued.condition])) == ex.normalize(whole.condition)
             for v in m.variables():
                 assert ex.normalize(glued.transform[v]) == ex.normalize(whole.transform[v])
 

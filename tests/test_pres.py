@@ -20,7 +20,6 @@ def tiny_net(**overrides) -> PresNet:
         name="tiny",
         places=("a", "b"),
         var_of={"a": "a", "b": "b"},
-        token_type={"a": "int", "b": "int"},
         transitions=(Transition("t", ex.Apply("f", (ex.Var("a"),))),),
         input_arcs=frozenset({("a", "t")}),
         output_arcs=frozenset({("t", "b")}),
@@ -66,7 +65,7 @@ class TestClassifyPorts:
         assert ports.out_ports == {"Pe", "Pf", "Pg"}
 
     def test_one_place_no_transition_net_is_invalid_instead(self):
-        net = tiny_net(places=("a",), var_of={"a": "a"}, token_type={"a": "int"},
+        net = tiny_net(places=("a",), var_of={"a": "a"},
                        transitions=(), input_arcs=frozenset(), output_arcs=frozenset())
         rules = {v.rule for v in validate_net(net)}
         assert "EmptyTransitions" in rules and "EmptyInputArcs" in rules

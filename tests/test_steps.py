@@ -68,7 +68,7 @@ def test_conversion_after_simulation_reports_the_dropped_sets():
 
 def _unsafe_net() -> PresNet:
     # t posts onto b, which is marked and not consumed.
-    return PresNet("unsafe", ("a", "b"), {"a": "a", "b": "b"}, {"a": "int", "b": "int"},
+    return PresNet("unsafe", ("a", "b"), {"a": "a", "b": "b"},
                    (Transition("t", ex.Var("a")),), frozenset({("a", "t")}), frozenset({("t", "b")}),
                    frozenset({"a", "b"}))
 
@@ -80,7 +80,7 @@ def test_unsafe_marking_is_raised_on_every_run():
             simulate_run(net, {"a": 1, "b": 2}, {})
     with pytest.raises(UnsafeMarking):
         pres_to_fsmd(net)
-    assert pres_to_fsmd(net, convert.ConversionConfig(on_unsafe="reject-firing-set")).warnings[0].rule == "UnsafeMarking"
+    assert pres_to_fsmd(net, convert.ConversionConfig(on_unsafe="reject")).warnings[0].rule == "UnsafeMarking"
 
 
 def test_a_replaced_net_starts_with_an_empty_table():
