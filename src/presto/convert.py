@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import expr as ex
 from .fsmd import DuplicateTarget, Fsmd, FsmdTransition, UpdateSet
@@ -50,8 +50,7 @@ class StateBoundExceeded(ConvertError):
         self.bound = bound
 
 
-@dataclass(frozen=True)
-class FiringSet:
+class FiringSet(NamedTuple):
     """A set of pairwise non-conflicting transitions fired in one step."""
 
     transitions: tuple[str, ...]

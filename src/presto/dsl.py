@@ -40,7 +40,7 @@ import string
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import expr as ex
 from .fsmd import Fsmd, FsmdTransition, UpdateSet, validate_fsmd
@@ -55,8 +55,7 @@ RESERVED = {
 }
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     line: int
     col: int
 
@@ -272,144 +271,120 @@ def parse_expression(text: str) -> ex.Expr:
     return e
 
 
-@dataclass
-class NetDocument:
-    net: PresNet
-    spans: dict[str, Span]
-
-
-@dataclass
-class _PlaceDecl:
-    name: str
-    marked: bool
-    var: Optional[str]
-    at: int  # token index of the name
-
-
-@dataclass
-class _TransDecl:
-    name: str
-    at: int
-    pre: list[str] = field(default_factory=list)
-    post: list[str] = field(default_factory=list)
-    var: Optional[str] = None
-    fn: Optional[ex.Expr] = None
-    guard: Optional[ex.Expr] = None
-
-
-def _net(p: _Parser) -> tuple[PresNet, dict[str, int]]:
-    """The net, and the token index of each declared name for its spans."""
+def _net(p: _Parser) -> PresNet:
     toks = p.toks
     p.expect("net")
-    where = {toks[p.pos]: p.pos}
+    where = {toks[p.pos]: p.pos}  # token index of each declared name, for the spans of errors
     net_name = p.name("net name")
     p.expect("{")
-    places: list[_PlaceDecl] = []
-    trans: list[_TransDecl] = []
-    clauses = {"pre": p.name_list, "post": p.name_list, "var": lambda: p.name("variable name"),
-               "fn": p.expression, "guard": p.expression}
+    # Declarations as read: places as (name, marked, var, token index of the
+    # name) and transitions as [name, token index, pre, post, var, fn, guard].
+    places: list[tuple[str, bool, Optional[str], int]] = []
+    trans: list[list] = []
+    clauses = {"pre": (2, p.name_list), "post": (3, p.name_list), "var": (4, lambda: p.name("variable name")),
+               "fn": (5, p.expression), "guard": (6, p.expression)}
 
-    while toks[p.pos] != "}":
-        kind = toks[p.pos]
-        p.pos += 1
-        at = p.pos
+    # The loop reads tokens through the local index ``i`` and hands it to
+    # ``p.pos`` only for the parser's own readers and its errors.
+    i = p.pos
+    while toks[i] != "}":
+        kind = toks[i]
+        p.pos = at = i + 1
         if kind == "place":
-            ident = p.name("place name")
-            marked = toks[p.pos] == "marked"
-            p.pos += marked  # step over the keyword when it is there
+            name = p.name("place name")
+            i = p.pos
+            marked = toks[i] == "marked"
+            i += marked  # step over the keyword when it is there
             var = None
-            if toks[p.pos] == "var":
-                p.pos += 1
+            if toks[i] == "var":
+                p.pos = i + 1
                 var = p.name("variable name")
-            p.expect(";")
-            places.append(_PlaceDecl(ident, marked, var, at))
-        elif kind == "transition":
-            decl = _TransDecl(p.name("transition name"), at)
-            p.expect("{")
-            while toks[p.pos] != "}":
-                clause = toks[p.pos]
-                if clause not in clauses:
-                    raise p.fail("expected pre, post, var, fn or guard")
-                p.pos += 1
-                setattr(decl, clause, clauses[clause]())
+                i = p.pos
+            if toks[i] != ";":
+                p.pos = i
                 p.expect(";")
-            p.pos += 1
+            places.append((name, marked, var, at))
+        elif kind == "transition":
+            decl = [p.name("transition name"), at, [], [], None, None, None]
+            p.expect("{")
+            i = p.pos
+            while toks[i] != "}":
+                clause = clauses.get(toks[i])
+                if clause is None:
+                    p.pos = i
+                    raise p.fail("expected pre, post, var, fn or guard")
+                p.pos = i + 1
+                decl[clause[0]] = clause[1]()
+                p.expect(";")
+                i = p.pos
             trans.append(decl)
         else:
-            p.pos -= 1
+            p.pos = i
             raise p.fail("expected a place or transition declaration")
-    p.pos += 1
+        i += 1
+    p.pos = i + 1
     p.end("the net")
 
     violations: list[Violation] = []
     seen: set[str] = set()
-    for d in places:
-        if d.name in seen:
-            violations.append(Violation("DuplicateName", d.name, "place declared twice"))
-        seen.add(d.name)
-        where[d.name] = d.at
-    for d in trans:
-        if d.name in seen:
-            violations.append(Violation("DuplicateName", d.name, "name already declared"))
-        seen.add(d.name)
-        where[d.name] = d.at
-        if d.fn is None:
-            violations.append(Violation("MissingFunction", d.name, "transition has no fn clause"))
+    for name, _, _, at in places:
+        if name in seen:
+            violations.append(Violation("DuplicateName", name, "place declared twice"))
+        seen.add(name)
+        where[name] = at
+    place_names = set(seen)
+    for name, at, _, _, _, fn, _ in trans:
+        if name in seen:
+            violations.append(Violation("DuplicateName", name, "name already declared"))
+        seen.add(name)
+        where[name] = at
+        if fn is None:
+            violations.append(Violation("MissingFunction", name, "transition has no fn clause"))
     if violations:
         raise DslSemanticError(violations, p.spans(where))
 
-    place_names = {d.name for d in places}
-    var_of: dict[str, str] = {}
-    for d in places:
-        if d.var is not None:
-            var_of[d.name] = d.var
-    for d in trans:
-        for q in d.pre + d.post:
+    var_of = {name: var for name, _, var, _ in places if var is not None}
+    for name, _, pre, post, *_ in trans:
+        for q in pre + post:
             if q not in place_names:
-                violations.append(Violation("UnknownPlace", q, f"in transition {d.name}"))
+                violations.append(Violation("UnknownPlace", q, f"in transition {name}"))
     if violations:
         raise DslSemanticError(violations, p.spans(where))
 
     # One variable per post-set: an explicit override wins, then any name
     # already fixed for a member, then the first post place's own name.
-    for d in trans:
-        fixed = {var_of[q] for q in d.post if q in var_of}
-        if d.var is not None:
-            fixed.add(d.var)
+    for name, _, _, post, var, _, _ in trans:
+        fixed = {var_of[q] for q in post if q in var_of}
+        if var is not None:
+            fixed.add(var)
         if len(fixed) > 1:
-            violations.append(Violation("PostsetVariableMismatch", d.name, f"conflicting names {sorted(fixed)}"))
+            violations.append(Violation("PostsetVariableMismatch", name, f"conflicting names {sorted(fixed)}"))
             continue
-        name = next(iter(fixed)) if fixed else (d.post[0] if d.post else None)
-        for q in d.post:
-            var_of[q] = name
+        shared = next(iter(fixed)) if fixed else (post[0] if post else None)
+        for q in post:
+            var_of[q] = shared
     if violations:
         raise DslSemanticError(violations, p.spans(where))
-    for d in places:
-        var_of.setdefault(d.name, d.name)
+    for name, *_ in places:
+        var_of.setdefault(name, name)
 
     net = PresNet(
         name=net_name,
-        places=tuple(d.name for d in places),
+        places=tuple(d[0] for d in places),
         var_of=var_of,
-        transitions=tuple(Transition(d.name, d.fn, d.guard) for d in trans),
-        input_arcs=frozenset((q, d.name) for d in trans for q in d.pre),
-        output_arcs=frozenset((d.name, q) for d in trans for q in d.post),
-        initial_marking=frozenset(d.name for d in places if d.marked),
+        transitions=tuple(Transition(name, fn, guard) for name, _, _, _, _, fn, guard in trans),
+        input_arcs=frozenset((q, d[0]) for d in trans for q in d[2]),
+        output_arcs=frozenset((d[0], q) for d in trans for q in d[3]),
+        initial_marking=frozenset(d[0] for d in places if d[1]),
     )
     issues = validate_net(net)
     if issues:
         raise DslSemanticError(issues, p.spans(where))
-    return net, where
-
-
-def parse_net_document(text: str) -> NetDocument:
-    p = _Parser(text)
-    net, where = _net(p)
-    return NetDocument(net, p.spans(where))
+    return net
 
 
 def parse_pres(text: str) -> PresNet:
-    return _net(_Parser(text))[0]
+    return _net(_Parser(text))
 
 
 def _fsmd(p: _Parser) -> Fsmd:
@@ -488,8 +463,7 @@ def parse_fsmd(text: str) -> Fsmd:
     return _fsmd(_Parser(text))
 
 
-@dataclass
-class InterpDecl:
+class InterpDecl(NamedTuple):
     symbol: str
     params: list[str]
     body: ex.Expr

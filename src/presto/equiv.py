@@ -24,9 +24,9 @@ otherwise the verdict is honest about being inconclusive.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import expr as ex
 from .convert import ConversionConfig, pres_to_fsmd
@@ -67,12 +67,10 @@ def _bijection_problems(kind: str, mapping: dict[str, str], left: frozenset[str]
     return out
 
 
-@dataclass(frozen=True)
 class Sampled:
     """Decide by running both nets on the scenario's input vectors."""
 
 
-@dataclass(frozen=True)
 class Symbolic:
     """Decide by comparing converted path transformations; sample only to
     confirm a structural mismatch as a real counterexample."""
@@ -251,8 +249,7 @@ def _invalid(m1: Fsmd, m2: Fsmd, what: str) -> str:
     return ""
 
 
-@dataclass(frozen=True)
-class _Mismatch:
+class _Mismatch(NamedTuple):
     condition: ex.Expr  # normalized condition of the paths where the difference shows
     reason: str  # what differs, for an Inconclusive verdict
     pair: Optional[tuple[str, str]] = None  # outputs whose normal forms differ
@@ -364,7 +361,7 @@ class _Walk:
             for (c1, c2), v in self.unpaired.items():
                 if {(0, c1), (1, c2)} <= diff.trail:
                     reason = f"no correspondence for {v!r} at cutpoints ({c1}, {c2}), which lie on a loop: {diff.reason}"
-                    return replace(diff, reason=reason)
+                    return diff._replace(reason=reason)
         return diff
 
     def _walk_from(self, at: tuple[str, str], stores: Stores, trail: frozenset) -> Union[None, str, _Mismatch]:

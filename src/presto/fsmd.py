@@ -18,7 +18,7 @@ variables live there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import expr as ex
 from .pres import Violation
@@ -44,8 +44,7 @@ class BrokenPath(FsmdError):
     pass
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     target: str
     expr: ex.Expr
 
@@ -81,8 +80,7 @@ class UpdateSet:
 EMPTY_UPDATES = UpdateSet(())
 
 
-@dataclass(frozen=True)
-class FsmdTransition:
+class FsmdTransition(NamedTuple):
     source: str
     guard_set: tuple[ex.Expr, ...]  # conjunction; compared as a normalized set
     target: str
@@ -165,8 +163,7 @@ def cutpoints(m: Fsmd) -> frozenset[str]:
     return frozenset(indegree).difference(one_way) | {m.reset}
 
 
-@dataclass(frozen=True)
-class PathEnumeration:
+class PathEnumeration(NamedTuple):
     paths: tuple[tuple[FsmdTransition, ...], ...]
 
 
@@ -204,8 +201,7 @@ def path_enumerate(m: Fsmd, from_state: str, to_states: frozenset[str] | set[str
     return PathEnumeration(tuple(paths))
 
 
-@dataclass(frozen=True)
-class PathCover:
+class PathCover(NamedTuple):
     """A machine cut at its cutpoints, as far as its reset state reaches.
 
     ``segments`` maps each reached cutpoint to the segments leaving it (a
@@ -297,12 +293,11 @@ def _reads_before_writes(path: Sequence[FsmdTransition]) -> tuple[frozenset[str]
     return frozenset(reads), frozenset(writes)
 
 
-@dataclass(frozen=True)
-class PathTransformation:
+class PathTransformation(NamedTuple):
     """Cumulative effect of a path over the values of its entry store."""
 
     condition: ex.Expr
-    transform: dict[str, ex.Expr] = field(hash=False)
+    transform: dict[str, ex.Expr]
 
 
 def path_transformation(

@@ -16,7 +16,7 @@ two readers that fill one entry at once compute the same value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from . import expr as ex
 
@@ -31,8 +31,7 @@ class UnknownElement(PresError):
         self.name = name
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A broken well-formedness rule, naming the offending element."""
 
     rule: str
@@ -44,8 +43,7 @@ class Violation:
         return f"{msg} ({self.detail})" if self.detail else msg
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     id: str
     fn: ex.Expr
     guard: Optional[ex.Expr] = None  # absent means "always true"
@@ -54,14 +52,12 @@ class Transition:
 Marking = frozenset  # frozenset[str]; the canonical form is the sorted name list
 
 
-@dataclass(frozen=True)
-class Adjacency:
+class Adjacency(NamedTuple):
     preset_of: frozenset[str]
     postset_of: frozenset[str]
 
 
-@dataclass(frozen=True)
-class Ports:
+class Ports(NamedTuple):
     in_ports: frozenset[str]
     out_ports: frozenset[str]
     initially_marked: frozenset[str]

@@ -20,10 +20,9 @@ transfer functions as closures compiled once (:func:`presto.expr.compiled`).
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 from . import expr as ex
 from .convert import FiringSet, UnsafeMarking, marking_step
@@ -53,13 +52,11 @@ class ValueConflict(SimError):
     """Two marked input places share a variable but hold different values."""
 
 
-@dataclass(frozen=True)
 class MaximalStep:
     """Always take the first maximal firing set (deterministic)."""
 
 
-@dataclass(frozen=True)
-class RandomMaximal:
+class RandomMaximal(NamedTuple):
     """Uniform choice among the available maximal firing sets."""
 
     seed: int
@@ -86,6 +83,8 @@ class SeededInterpretation:
         self._fns = dict(self.explicit)
 
     def _coeff(self, symbol: str, i: int) -> int:
+        import hashlib  # on first use: importing it would slow every command's start
+
         digest = hashlib.sha256(f"{self.seed}:{symbol}:{i}".encode()).digest()
         c = int.from_bytes(digest[:4], "big") % 13 - 6
         return c if c != 0 else 7

@@ -282,7 +282,8 @@ class TestChecks:
         assert witness["variable_pair"] == ["o", "o"] and witness["values"] == [0, -1]
 
     def test_check_fsmd_without_varmap_needs_one_set_of_outputs(self, capsys, tmp_path):
-        text = open(corpus.scenario_path("jammer"), encoding="utf-8").read()
+        with open(corpus.scenario_path("jammer"), encoding="utf-8") as fh:
+            text = fh.read()
         scenario = tmp_path / "jammer.scn"
         nets = os.path.dirname(corpus.corpus_path("jammer_pipelined"))
         scenario.write_text(text.replace("varmap { out -> out2; }", "").replace('"../', f'"{nets}/'))

@@ -10,7 +10,6 @@ from presto.dsl import (
     DslSyntaxError,
     parse_expression,
     parse_fsmd,
-    parse_net_document,
     parse_pres,
     parse_scenario,
     print_fsmd,
@@ -222,10 +221,21 @@ def test_eof_after_a_final_comment_points_at_the_end_of_the_text():
     assert str(err.value) == "1:17: expected 'net', found 'eof'"
 
 
+def _spans_with_a_broken_end(text):
+    """The spans of a semantic error raised by ``text`` with a transition
+    that has no fn clause added as its last declaration."""
+    head, _, _ = text.rpartition("}")
+    with pytest.raises(DslSemanticError) as err:
+        parse_pres(head + "  transition broken { pre p1; post p1; }\n}\n")
+    assert [(v.rule, v.element) for v in err.value.violations] == [("MissingFunction", "broken")]
+    return err.value.spans
+
+
 def test_document_spans_cover_declarations():
-    doc = parse_net_document(open(corpus.corpus_path("guard_split"), encoding="utf-8").read())
-    assert {"p1", "p7", "t1", "t2", "t3"} <= set(doc.spans)
-    assert doc.spans["t2"].line > doc.spans["p1"].line
+    with open(corpus.corpus_path("guard_split"), encoding="utf-8") as fh:
+        spans = _spans_with_a_broken_end(fh.read())
+    assert {"p1", "p7", "t1", "t2", "t3", "broken"} <= set(spans)
+    assert (str(spans["p1"]), str(spans["t2"]), str(spans["t3"])) == ("14:9", "27:14", "33:14")
 
 
 def _chain_text(stages):
@@ -265,8 +275,8 @@ def test_8000_transition_chain_prints_and_round_trips_in_linear_time():
 def test_20000_transition_chain_parses_with_spans_in_linear_time():
     text = _chain_text(20_000)
     start = time.perf_counter()
-    doc = parse_net_document(text)
+    spans = _spans_with_a_broken_end(text)
     elapsed = time.perf_counter() - start
-    assert len(doc.net.transitions) == 20_000
-    assert str(doc.spans["t19999"]) == "40002:14" and str(doc.spans["p20000"]) == "20002:9"
+    assert len(spans) == 1 + 20_001 + 20_000 + 1  # the net, its places, its transitions and the broken one
+    assert str(spans["t19999"]) == "40002:14" and str(spans["p20000"]) == "20002:9"
     assert elapsed < 5.0, elapsed  # loose: finding each span by counting lines from the top is quadratic

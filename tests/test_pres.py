@@ -117,7 +117,7 @@ class TestValidate:
     def test_guard_scope_violation(self, guard_split):
         foreign = ex.Rel(">", ex.Var("zz"), ex.IntConst(0))
         t2 = next(t for t in guard_split.transitions if t.id == "t2")
-        patched = tuple(dataclasses.replace(t, guard=foreign) if t.id == "t2" else t for t in guard_split.transitions)
+        patched = tuple(t._replace(guard=foreign) if t.id == "t2" else t for t in guard_split.transitions)
         broken = dataclasses.replace(guard_split, transitions=patched)
         assert any(v.rule == "GuardScopeViolation" and v.element == "t2" for v in validate_net(broken))
         assert t2.guard is not None
