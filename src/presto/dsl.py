@@ -370,12 +370,12 @@ def _net(p: _Parser) -> PresNet:
 
     net = PresNet(
         name=net_name,
-        places=tuple(d[0] for d in places),
+        places=tuple(name for name, *_ in places),
         var_of=var_of,
         transitions=tuple(Transition(name, fn, guard) for name, _, _, _, _, fn, guard in trans),
-        input_arcs=frozenset((q, d[0]) for d in trans for q in d[2]),
-        output_arcs=frozenset((d[0], q) for d in trans for q in d[3]),
-        initial_marking=frozenset(d[0] for d in places if d[1]),
+        input_arcs=frozenset((q, name) for name, _, pre, *_ in trans for q in pre),
+        output_arcs=frozenset((name, q) for name, _, _, post, *_ in trans for q in post),
+        initial_marking=frozenset(name for name, marked, *_ in places if marked),
     )
     issues = validate_net(net)
     if issues:
