@@ -344,7 +344,7 @@ def _net(p: _Parser) -> PresNet:
         raise DslSemanticError(violations, p.spans(where))
 
     var_of = {name: var for name, _, var, _ in places if var is not None}
-    for name, _, pre, post, *_ in trans:
+    for name, _, pre, post, _, _, _ in trans:
         for q in pre + post:
             if q not in place_names:
                 violations.append(Violation("UnknownPlace", q, f"in transition {name}"))
@@ -365,17 +365,17 @@ def _net(p: _Parser) -> PresNet:
             var_of[q] = shared
     if violations:
         raise DslSemanticError(violations, p.spans(where))
-    for name, *_ in places:
+    for name, _, _, _ in places:
         var_of.setdefault(name, name)
 
     net = PresNet(
         name=net_name,
-        places=tuple(name for name, *_ in places),
+        places=tuple(name for name, _, _, _ in places),
         var_of=var_of,
         transitions=tuple(Transition(name, fn, guard) for name, _, _, _, _, fn, guard in trans),
-        input_arcs=frozenset((q, name) for name, _, pre, *_ in trans for q in pre),
-        output_arcs=frozenset((name, q) for name, _, _, post, *_ in trans for q in post),
-        initial_marking=frozenset(name for name, marked, *_ in places if marked),
+        input_arcs=frozenset((q, name) for name, _, pre, _, _, _, _ in trans for q in pre),
+        output_arcs=frozenset((name, q) for name, _, _, post, _, _, _ in trans for q in post),
+        initial_marking=frozenset(name for name, marked, _, _ in places if marked),
     )
     issues = validate_net(net)
     if issues:
