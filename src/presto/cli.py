@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Optional
 
 from . import dot, dsl, expr as ex
@@ -39,7 +40,7 @@ from .sim import (
     simulate_run,
     trace_json,
 )
-from .verdict import Verdict
+from .verdict import EQUIVALENT, NOT_EQUIVALENT, Verdict
 
 SCHEMA_VERSION = 1
 
@@ -178,6 +179,28 @@ def cmd_convert(args) -> int:
     return 0
 
 
+def _confluence(net: PresNet, vectors: list[dict], interp, schedules: int, seed: int, max_steps: int) -> Verdict:
+    """The schedule-independence check on every input vector.
+
+    NotEquivalent if the schedules diverge on some vector, else
+    Inconclusive if some vector's runs do not come to rest, else
+    Equivalent.  Where there are several vectors, a witness or reason
+    names the vector it comes from.
+    """
+    inconclusive = None
+    for inputs in vectors:
+        verdict = confluence_check(net, inputs, interp, schedules=schedules, seed=seed, max_steps=max_steps)
+        if verdict.status == EQUIVALENT:
+            continue
+        if len(vectors) > 1:
+            verdict = (replace(verdict, witness={"vector": inputs, **verdict.witness}) if verdict.witness
+                       else replace(verdict, reason=f"vector {json.dumps(inputs, sort_keys=True)}: {verdict.reason}"))
+        if verdict.status == NOT_EQUIVALENT:
+            return verdict
+        inconclusive = inconclusive or verdict
+    return inconclusive or verdict
+
+
 def cmd_simulate(args) -> int:
     doc = _load_scenario(args.scenario)
     interp = _interpretation(doc)
@@ -199,8 +222,8 @@ def cmd_simulate(args) -> int:
             return derive_right_inputs(left_net, net, pm, dict(vec))
 
         if args.schedules > 1:
-            verdict = confluence_check(net, vector_for(doc.vectors[0] if doc.vectors else {}),
-                                       interp, schedules=args.schedules, seed=args.seed or 0, max_steps=max_steps)
+            verdict = _confluence(net, [vector_for(vector) for vector in doc.vectors or [{}]], interp,
+                                  args.schedules, args.seed or 0, max_steps)
             print(f"{side} ({net.name}): {_verdict_line(verdict)}")
             runs.append({"model": side, "confluence": _verdict_json(verdict)})
             worst = max(worst, verdict.exit_code())

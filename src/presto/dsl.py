@@ -274,7 +274,7 @@ def parse_expression(text: str) -> ex.Expr:
 def _net(p: _Parser) -> PresNet:
     toks = p.toks
     p.expect("net")
-    where = {toks[p.pos]: p.pos}  # token index of each declared name, for the spans of errors
+    name_at = p.pos
     net_name = p.name("net name")
     p.expect("{")
     # Declarations as read: places as (name, marked, var, token index of the
@@ -325,31 +325,39 @@ def _net(p: _Parser) -> PresNet:
     p.pos = i + 1
     p.end("the net")
 
+    def spans() -> dict[str, Span]:
+        """line:col of the net's name and of each declared name (the last declaration of a name wins)."""
+        where = {net_name: name_at}
+        where.update((name, at) for name, _, _, at in places)
+        where.update((name, at) for name, at, *_ in trans)
+        return p.spans(where)
+
+    # The reader's own rules, on the declarations: they are the structure
+    # rules of validate_net, which the net built below then holds by
+    # construction.
     violations: list[Violation] = []
     seen: set[str] = set()
-    for name, _, _, at in places:
+    for name, _, _, _ in places:
         if name in seen:
             violations.append(Violation("DuplicateName", name, "place declared twice"))
         seen.add(name)
-        where[name] = at
     place_names = set(seen)
-    for name, at, _, _, _, fn, _ in trans:
+    for name, _, _, _, _, fn, _ in trans:
         if name in seen:
             violations.append(Violation("DuplicateName", name, "name already declared"))
         seen.add(name)
-        where[name] = at
         if fn is None:
             violations.append(Violation("MissingFunction", name, "transition has no fn clause"))
     if violations:
-        raise DslSemanticError(violations, p.spans(where))
+        raise DslSemanticError(violations, spans())
 
     var_of = {name: var for name, _, var, _ in places if var is not None}
     for name, _, pre, post, _, _, _ in trans:
-        for q in pre + post:
+        for q in (*pre, *post):
             if q not in place_names:
                 violations.append(Violation("UnknownPlace", q, f"in transition {name}"))
     if violations:
-        raise DslSemanticError(violations, p.spans(where))
+        raise DslSemanticError(violations, spans())
 
     # One variable per post-set: an explicit override wins, then any name
     # already fixed for a member, then the first post place's own name.
@@ -364,7 +372,7 @@ def _net(p: _Parser) -> PresNet:
         for q in post:
             var_of[q] = shared
     if violations:
-        raise DslSemanticError(violations, p.spans(where))
+        raise DslSemanticError(violations, spans())
     for name, _, _, _ in places:
         var_of.setdefault(name, name)
 
@@ -377,9 +385,9 @@ def _net(p: _Parser) -> PresNet:
         output_arcs=frozenset((name, q) for name, _, _, post, _, _, _ in trans for q in post),
         initial_marking=frozenset(name for name, marked, _, _ in places if marked),
     )
-    issues = validate_net(net)
+    issues = validate_net(net, structure=False)
     if issues:
-        raise DslSemanticError(issues, p.spans(where))
+        raise DslSemanticError(issues, spans())
     return net
 
 

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import expr as ex
 from .convert import ConversionConfig, pres_to_fsmd
-from .fsmd import Fsmd, fresh_store, path_cover, path_transformation, run_machine, validate_fsmd
+from .fsmd import Fsmd, fresh_store, machine_run, path_cover, path_transformation, validate_fsmd
 from .pres import PresNet, classify_ports
 from .sim import QUIESCENT, Interpretation, SimError, out_port_values, simulate_run
 from .verdict import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT, Verdict
@@ -571,12 +571,12 @@ def _machine_samples(m1: Fsmd, m2: Fsmd, vectors: list[dict], interp, max_steps:
     failure = ""
     for vector in vectors:
         try:
-            out1, out2 = (run_machine(m, vector, interp, max_steps) for m in (m1, m2))
+            (out1, why1), (out2, why2) = (machine_run(m, vector, interp, max_steps) for m in (m1, m2))
         except ex.ExprError as err:
             failure = failure or f"{type(err).__name__} {getattr(err, 'name', str(err))!r}"
             continue
         if out1 is None or out2 is None:
-            failure = failure or f"a run got stuck or took more than {max_steps} steps"
+            failure = failure or f"a run {why1 or why2}"
             continue
         samples.append((dict(vector), out1, out2))
     return samples, f" ({len(samples)} of {len(vectors)} vectors ran{': ' + failure if failure else ''})"

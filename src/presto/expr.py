@@ -95,19 +95,19 @@ def _drop(dead: _Ref, table: dict = _table) -> None:
         del table[dead.key]
 
 
-_set = object.__setattr__
 _NO_VARS: frozenset[str] = frozenset()
 _SAME = True  # ``_nf`` marker for a node that is its own normal form (avoids a self-cycle)
+_new = object.__new__
 
 
 class Expr:
     """Base class of the interned term nodes; build them with the subclass constructors.
 
     Nodes are shared, so assignment is refused; only this module writes
-    them, through ``_set``.  Besides its fields a node holds its children,
-    its sort, its free variables and the lazy caches of its ordering key,
-    default normal form and compiled closure (with its height, which the
-    closure's recursion depth follows).
+    them, through the setters of their slots.  Besides its fields a node
+    holds its children, its sort, its free variables and the lazy caches of
+    its ordering key, default normal form and compiled closure (with its
+    height, which the closure's recursion depth follows).
     """
 
     __slots__ = ("_kids", "_sort", "_ord", "_fv", "_nf", "_fn", "_height", "__weakref__")
@@ -129,31 +129,31 @@ class Expr:
         return to_text(self)
 
 
+# The setters of the slots, bound once.  Writing through a slot's own
+# descriptor skips ``Expr.__setattr__`` and the lookup (and the check of the
+# class's ``__setattr__``) that ``object.__setattr__`` makes on every call.
+_set_kids, _set_sort, _set_ord, _set_fv, _set_nf, _set_fn, _set_height = (
+    getattr(Expr, name).__set__ for name in ("_kids", "_sort", "_ord", "_fv", "_nf", "_fn", "_height"))
+
+
 def _intern(cls, key: tuple, fields: tuple, kids: tuple | None = None, sort=None) -> Expr:
     """A new node with ``fields``, registered under ``key``; a leaf passes no ``kids`` or ``sort``."""
-    node = object.__new__(cls)
-    for name, value in zip(cls._fields, fields):
-        _set(node, name, value)
-    _set(node, "_ord", None)
-    _set(node, "_fn", None)
-    if cls is Var:
-        _set(node, "_fv", frozenset(fields))
-    elif kids is not None:
+    node = _new(cls)
+    cls._init(node, *fields)
+    _set_ord(node, None)
+    _set_fn(node, None)
+    if kids is not None:
         fv = kids[0]._fv if kids else _NO_VARS  # shared with a child where no other child adds a variable
         for k in kids[1:]:
             if not k._fv <= fv:
                 fv = fv | k._fv
-        _set(node, "_kids", kids)
-        _set(node, "_sort", sort)
-        _set(node, "_fv", fv)
-        _set(node, "_nf", None)
+        _set_kids(node, kids)
+        _set_sort(node, sort)
+        _set_fv(node, fv)
+        _set_nf(node, None)
     _table[key] = entry = _Ref(node, _drop)
     entry.key = key
     return node
-
-
-# operator -> (fewest operands, most operands or None); relations are binary
-_ARITY = {"neg": (1, 1), "-": (2, 2), "+": (2, None), "*": (2, None), "not": (1, 1), "and": (1, None), "or": (1, None)}
 
 
 def _checked_sort(cls, op: str, kids: tuple):
@@ -162,18 +162,20 @@ def _checked_sort(cls, op: str, kids: tuple):
     Raises ``ValueError`` for an operator ``cls`` does not have or a wrong
     operand count, and ``TypeError`` for an operand that is not a term.
     """
-    if cls._ops is not None:
-        if op not in cls._ops:
+    signature = _SIGNATURES.get((cls, op))
+    if signature is None:
+        if cls is not Apply:
             raise ValueError(f"unknown {cls.__name__} operator {op!r}")
-        low, high = _ARITY.get(op, (2, 2))
-        if len(kids) < low or (high is not None and len(kids) > high):
-            raise ValueError(f"{op!r} takes {low if low == high else f'at least {low}'} operand(s), got {len(kids)}")
+        signature = _APPLY_SIGNATURE
+    low, high, operand, result = signature
+    if len(kids) < low or (high is not None and len(kids) > high):
+        raise ValueError(f"{op!r} takes {low if low == high else f'at least {low}'} operand(s), got {len(kids)}")
     for k in kids:
         if not isinstance(k, Expr):
             raise TypeError(f"not an expression: {k!r}")
-        if k._sort is not cls._operand_sort:
+        if k._sort is not operand:
             return None
-    return BOOL if cls is Rel else cls._operand_sort
+    return result
 
 
 class _Leaf(Expr):
@@ -209,7 +211,6 @@ class _Nary(Expr):
     """A head (function symbol or operator) over a tuple of operands of one sort."""
 
     __slots__ = ("args",)
-    _ops: tuple[str, ...] | None = None  # accepted operators; None admits any function symbol
 
     def __new__(cls, head: str, args: Iterable[Expr]):
         args = args if type(args) is tuple else tuple(args)
@@ -223,18 +224,15 @@ class Apply(_Nary):
 
     __slots__ = ("symbol",)
     _fields = ("symbol", "args")
-    _operand_sort = INT
 
 
 class Arith(_Nary):
     __slots__ = ("op",)
     _fields = ("op", "args")
-    _ops, _operand_sort = ARITH_OPS, INT
 
 
 class Rel(Expr):
     __slots__ = _fields = ("op", "lhs", "rhs")
-    _ops, _operand_sort = REL_OPS, INT
 
     def __new__(cls, op: str, lhs: Expr, rhs: Expr):
         key = (Rel, op, lhs, rhs)
@@ -246,7 +244,45 @@ class Rel(Expr):
 class BoolOp(_Nary):
     __slots__ = ("op",)
     _fields = ("op", "args")
-    _ops, _operand_sort = BOOL_OPS, BOOL
+
+
+# Each class's field initializer: ``cls._init(node, *fields)`` writes the
+# fields of a new node (and a variable's free-variable set).
+def _init_var(node: Var, name: str, set_name=Var.name.__set__) -> None:
+    set_name(node, name)
+    _set_fv(node, frozenset((name,)))
+
+
+def _nary_init(cls) -> Callable[[Expr, str, tuple], None]:
+    set_head, set_args = getattr(cls, cls._fields[0]).__set__, _Nary.args.__set__
+
+    def init(node: Expr, head: str, args: tuple) -> None:
+        set_head(node, head)
+        set_args(node, args)
+
+    return init
+
+
+def _init_rel(node: Rel, op: str, lhs: Expr, rhs: Expr,
+              set_op=Rel.op.__set__, set_lhs=Rel.lhs.__set__, set_rhs=Rel.rhs.__set__) -> None:
+    set_op(node, op)
+    set_lhs(node, lhs)
+    set_rhs(node, rhs)
+
+
+IntConst._init, BoolConst._init, Var._init, Rel._init = IntConst.value.__set__, BoolConst.value.__set__, _init_var, _init_rel
+Apply._init, Arith._init, BoolOp._init = (_nary_init(cls) for cls in (Apply, Arith, BoolOp))
+
+# (class, operator) -> (fewest operands, most operands or None, operand
+# sort, result sort); relations are binary, and an application takes any
+# symbol over any number of integer operands.
+_ARITY = {"neg": (1, 1), "-": (2, 2), "+": (2, None), "*": (2, None), "not": (1, 1), "and": (1, None), "or": (1, None)}
+_SIGNATURES = {
+    **{(Arith, op): (*_ARITY[op], INT, INT) for op in ARITH_OPS},
+    **{(Rel, op): (2, 2, INT, BOOL) for op in REL_OPS},
+    **{(BoolOp, op): (*_ARITY[op], BOOL, BOOL) for op in BOOL_OPS},
+}
+_APPLY_SIGNATURE = (0, None, INT, INT)
 
 
 @dataclass(frozen=True)
@@ -387,7 +423,7 @@ def compiled(e: Expr) -> Compiled:
             if stack[-1] is node:  # every child is compiled
                 stack.pop()
                 if node._fn is None:
-                    _set(node, "_fn", _compile(node))
+                    _set_fn(node, _compile(node))
         fn = e._fn
     return fn
 
@@ -417,7 +453,7 @@ def _compile(node: Expr) -> Compiled:
         return lambda values, functions: value
     head = node.symbol if cls is Apply else node.op
     height = 1 + max([k._height for k in node._kids], default=0)
-    _set(node, "_height", height)
+    _set_height(node, height)
     if height > _EVAL_DEPTH:
         kids = node._kids
         return lambda values, functions: _combine(cls, head, _eval_deep(kids, values, functions), functions)
@@ -543,7 +579,7 @@ def _key(e: Expr) -> tuple:
     k = e._ord
     if k is None:
         for node in _postorder(e, lambda n: n._ord is not None):
-            _set(node, "_ord", _own_key(node))
+            _set_ord(node, _own_key(node))
         k = e._ord
     return k
 
@@ -565,7 +601,7 @@ def normalize(e: Expr, collect_terms: bool = False) -> Expr:
     if e._nf is None:
         for node in _postorder(e, lambda n: n._nf is not None):
             nf = _norm_node(node, [_cached_nf(k) for k in node._kids], False)
-            _set(node, "_nf", _SAME if nf is node else nf)
+            _set_nf(node, _SAME if nf is node else nf)
     return _cached_nf(e)
 
 

@@ -323,28 +323,48 @@ def path_transformation(
     return PathTransformation(ex.conj(conds), store)
 
 
+# A concrete run whose values outgrow this many bits ends, like one that takes
+# too many steps: past it a loop that doubles a value's length makes every
+# further step slower.  A 70-stage pipeline reaches about 200 bits.
+MAX_VALUE_BITS = 4096
+
+
 def run_machine(
     m: Fsmd, values: Mapping[str, int], functions=None, max_steps: int = 1_000
 ) -> Optional[dict[str, int]]:
     """Concrete run from ``values``: the store at the terminal state reached.
 
     Each step takes the one transition whose guard set holds; ``None`` when
-    none or several hold, or no terminal state is reached within
-    ``max_steps`` steps.  A run may always take ``len(m.states)`` steps,
-    which is as many as a run that visits no state twice can need.
+    none or several hold, no terminal state is reached within ``max_steps``
+    steps, or an update yields a value of more than ``MAX_VALUE_BITS``
+    bits.  A run may always take ``len(m.states)`` steps, which is as many
+    as a run that visits no state twice can need.
     """
+    return machine_run(m, values, functions, max_steps)[0]
+
+
+def machine_run(
+    m: Fsmd, values: Mapping[str, int], functions=None, max_steps: int = 1_000
+) -> tuple[Optional[dict[str, int]], str]:
+    """:func:`run_machine`'s store, and for a run that ended without one,
+    what ended it: ``"got stuck"``, too many steps or too wide a value."""
     store, state = dict(values), m.reset
     functions = {} if functions is None else functions
-    for _ in range(max(max_steps, len(m.states))):
+    steps = max(max_steps, len(m.states))
+    for _ in range(steps):
         outgoing = m.outgoing(state)
         if not outgoing:
-            return store
+            return store, ""
         taken = [t for t in outgoing if all(ex.compiled(g)(store, functions) for g in t.guard_set)]
         if len(taken) != 1:
-            return None
-        store.update({a.target: ex.compiled(a.expr)(store, functions) for a in taken[0].updates})
+            return None, "got stuck"
+        updates = {a.target: ex.compiled(a.expr)(store, functions) for a in taken[0].updates}
+        for value in updates.values():
+            if value.bit_length() > MAX_VALUE_BITS:
+                return None, f"made a value of more than {MAX_VALUE_BITS} bits"
+        store.update(updates)
         state = taken[0].target
-    return None if m.outgoing(state) else store
+    return (None, f"took more than {steps} steps") if m.outgoing(state) else (store, "")
 
 
 def validate_fsmd(m: Fsmd) -> list[Violation]:

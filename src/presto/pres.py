@@ -80,28 +80,14 @@ class PresNet:
     _post_p: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
     order: dict[str, int] = field(init=False, repr=False, compare=False)  # transition id -> declaration index
     steps: dict = field(init=False, repr=False, compare=False)  # marking -> convert.Step, filled on first use
+    ports: Optional[Ports] = field(init=False, repr=False, compare=False)  # set by the first classify_ports
 
     def __post_init__(self) -> None:
         self.order = {t.id: i for i, t in enumerate(self.transitions)}
         self.steps = {}
-        pre_t: dict[str, set[str]] = {t.id: set() for t in self.transitions}
-        post_t: dict[str, set[str]] = {t.id: set() for t in self.transitions}
-        pre_p: dict[str, set[str]] = {p: set() for p in self.places}
-        post_p: dict[str, set[str]] = {p: set() for p in self.places}
-        for p, t in self.input_arcs:
-            if t in pre_t:
-                pre_t[t].add(p)
-            if p in post_p:
-                post_p[p].add(t)
-        for t, p in self.output_arcs:
-            if t in post_t:
-                post_t[t].add(p)
-            if p in pre_p:
-                pre_p[p].add(t)
-        self._pre_t = {k: frozenset(v) for k, v in pre_t.items()}
-        self._post_t = {k: frozenset(v) for k, v in post_t.items()}
-        self._pre_p = {k: frozenset(v) for k, v in pre_p.items()}
-        self._post_p = {k: frozenset(v) for k, v in post_p.items()}
+        self.ports = None
+        self._pre_t, self._post_t, self._pre_p, self._post_p = _index(
+            self.order, self.places, self.input_arcs, self.output_arcs)
 
     def transition(self, tid: str) -> Transition:
         try:
@@ -133,6 +119,38 @@ class PresNet:
         return self.var_of[post[0]]
 
 
+_NO_ELEMENTS: frozenset[str] = frozenset()
+
+
+def _index(tids, places, input_arcs, output_arcs) -> tuple[dict[str, frozenset[str]], ...]:
+    """The preset and postset of each transition, and the producers and
+    consumers of each place, in that order.
+
+    The arcs are gathered in lists, and each list is frozen once; every
+    element with no arcs on a side shares one empty set.  An arc that names
+    an undeclared place or transition is left out of the element it does
+    not name (:func:`validate_net` reports it).
+    """
+    pre_t: dict[str, list[str]] = {}
+    post_t: dict[str, list[str]] = {}
+    pre_p: dict[str, list[str]] = {}
+    post_p: dict[str, list[str]] = {}
+    for p, t in input_arcs:
+        pre_t.setdefault(t, []).append(p)
+        post_p.setdefault(p, []).append(t)
+    for t, p in output_arcs:
+        post_t.setdefault(t, []).append(p)
+        pre_p.setdefault(p, []).append(t)
+    indices = []
+    for keys, arcs in ((tids, pre_t), (tids, post_t), (places, pre_p), (places, post_p)):
+        index = dict.fromkeys(keys, _NO_ELEMENTS)
+        for key, ends in arcs.items():
+            if key in index:
+                index[key] = frozenset(ends)
+        indices.append(index)
+    return tuple(indices)
+
+
 def adjacency(net: PresNet, element: str) -> Adjacency:
     """Pre-set and post-set of a place or transition.
 
@@ -147,9 +165,14 @@ def adjacency(net: PresNet, element: str) -> Adjacency:
 
 
 def classify_ports(net: PresNet) -> Ports:
-    in_ports = frozenset(p for p in net.places if not net._pre_p[p])
-    out_ports = frozenset(p for p in net.places if not net._post_p[p])
-    return Ports(in_ports, out_ports, net.initial_marking)
+    """In-ports (no producer), out-ports (no consumer) and the initial
+    marking; classified on the first call and kept on the net."""
+    ports = net.ports
+    if ports is None:
+        in_ports = frozenset(p for p in net.places if not net._pre_p[p])
+        out_ports = frozenset(p for p in net.places if not net._post_p[p])
+        ports = net.ports = Ports(in_ports, out_ports, net.initial_marking)
+    return ports
 
 
 def enabled_transitions(net: PresNet, m: frozenset[str]) -> frozenset[str]:
@@ -164,25 +187,36 @@ def enabled_transitions(net: PresNet, m: frozenset[str]) -> frozenset[str]:
     return frozenset(t for t in consumers if net._pre_t[t] <= m)
 
 
-def validate_net(net: PresNet) -> list[Violation]:
-    """All well-formedness violations; an empty list means the net is sound."""
-    out: list[Violation] = []
-    place_set = set(net.places)
-    trans_ids = [t.id for t in net.transitions]
-    trans_set = set(trans_ids)
+def validate_net(net: PresNet, structure: bool = True) -> list[Violation]:
+    """All well-formedness violations; an empty list means the net is sound.
 
-    seen: set[str] = set()
-    for p in net.places:
-        if p in seen:
-            out.append(Violation("DuplicateName", p, "place declared twice"))
-        seen.add(p)
-    seen = set()
-    for tid in trans_ids:
-        if tid in seen:
-            out.append(Violation("DuplicateName", tid, "transition declared twice"))
-        seen.add(tid)
-        if tid in place_set:
-            out.append(Violation("DuplicateName", tid, "name used for both a place and a transition"))
+    The rules come in two groups.  The structure rules (duplicate names,
+    arcs that name an undeclared place or transition, places without a
+    variable, marked places that are not declared) hold by construction
+    for a net read from text, whose reader enforces them on the
+    declarations, so it passes ``structure=False`` and has only the content
+    rules checked: empty places, transitions or input arcs, empty presets
+    or postsets, postset variables, and the sorts and scope of each
+    transition's terms.  The order of the violations is the same either way.
+    """
+    out: list[Violation] = []
+    if structure:
+        place_set = set(net.places)
+        trans_ids = [t.id for t in net.transitions]
+        trans_set = set(trans_ids)
+
+        seen: set[str] = set()
+        for p in net.places:
+            if p in seen:
+                out.append(Violation("DuplicateName", p, "place declared twice"))
+            seen.add(p)
+        seen = set()
+        for tid in trans_ids:
+            if tid in seen:
+                out.append(Violation("DuplicateName", tid, "transition declared twice"))
+            seen.add(tid)
+            if tid in place_set:
+                out.append(Violation("DuplicateName", tid, "name used for both a place and a transition"))
 
     if not net.places:
         out.append(Violation("EmptyPlaces", net.name, "a net needs at least one place"))
@@ -191,51 +225,54 @@ def validate_net(net: PresNet) -> list[Violation]:
     if not net.input_arcs:
         out.append(Violation("EmptyInputArcs", net.name, "a net needs at least one input arc"))
 
-    for p, t in net.input_arcs:
-        if p not in place_set:
-            out.append(Violation("UnknownPlace", p, f"input arc ({p}, {t})"))
-        if t not in trans_set:
-            out.append(Violation("UnknownTransition", t, f"input arc ({p}, {t})"))
-    for t, p in net.output_arcs:
-        if p not in place_set:
-            out.append(Violation("UnknownPlace", p, f"output arc ({t}, {p})"))
-        if t not in trans_set:
-            out.append(Violation("UnknownTransition", t, f"output arc ({t}, {p})"))
+    if structure:
+        for p, t in net.input_arcs:
+            if p not in place_set:
+                out.append(Violation("UnknownPlace", p, f"input arc ({p}, {t})"))
+            if t not in trans_set:
+                out.append(Violation("UnknownTransition", t, f"input arc ({p}, {t})"))
+        for t, p in net.output_arcs:
+            if p not in place_set:
+                out.append(Violation("UnknownPlace", p, f"output arc ({t}, {p})"))
+            if t not in trans_set:
+                out.append(Violation("UnknownTransition", t, f"output arc ({t}, {p})"))
 
-    for p in net.places:
-        if p not in net.var_of:
-            out.append(Violation("MissingVariable", p, "place has no associated variable"))
+        for p in net.places:
+            if p not in net.var_of:
+                out.append(Violation("MissingVariable", p, "place has no associated variable"))
 
-    for p in net.initial_marking:
-        if p not in place_set:
-            out.append(Violation("UnknownPlace", p, "initial marking references an undeclared place"))
+        for p in net.initial_marking:
+            if p not in place_set:
+                out.append(Violation("UnknownPlace", p, "initial marking references an undeclared place"))
 
+    var_of = net.var_of
     for t in net.transitions:
-        pre = net._pre_t.get(t.id, frozenset())
-        post = net._post_t.get(t.id, frozenset())
+        pre, post = net._pre_t[t.id], net._post_t[t.id]
         if not pre:
             out.append(Violation("EmptyPreset", t.id, "transition has no input places"))
         if not post:
             out.append(Violation("EmptyPostset", t.id, "transition has no output places"))
-        post_vars = {net.var_of[p] for p in post if p in net.var_of}
+        post_vars = {var_of[p] for p in post if p in var_of}
         if len(post_vars) > 1:
             out.append(Violation("PostsetVariableMismatch", t.id, f"variables {sorted(post_vars)}"))
 
-        scope = frozenset(net.var_of[p] for p in pre if p in net.var_of)
+        scope = {var_of[p] for p in pre if p in var_of}
         try:
             if ex.sort_of(t.fn) != ex.INT:
                 out.append(Violation("IllSortedFunction", t.id, "fn is not integer-sorted"))
         except ex.SortMismatch as err:
             out.append(Violation("IllSortedFunction", t.id, str(err)))
-        for v in sorted(ex.free_vars(t.fn) - scope):
-            out.append(Violation("FunctionScopeViolation", t.id, f"fn reads {v!r} outside the input variables"))
+        if not ex.free_vars(t.fn) <= scope:
+            for v in sorted(ex.free_vars(t.fn) - scope):
+                out.append(Violation("FunctionScopeViolation", t.id, f"fn reads {v!r} outside the input variables"))
         if t.guard is not None:
             try:
                 if ex.sort_of(t.guard) != ex.BOOL:
                     out.append(Violation("IllSortedGuard", t.id, "guard is not boolean-sorted"))
             except ex.SortMismatch as err:
                 out.append(Violation("IllSortedGuard", t.id, str(err)))
-            for v in sorted(ex.free_vars(t.guard) - scope):
-                out.append(Violation("GuardScopeViolation", t.id, f"guard reads {v!r} outside the input variables"))
+            if not ex.free_vars(t.guard) <= scope:
+                for v in sorted(ex.free_vars(t.guard) - scope):
+                    out.append(Violation("GuardScopeViolation", t.id, f"guard reads {v!r} outside the input variables"))
 
     return out

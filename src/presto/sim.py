@@ -119,6 +119,7 @@ class RunOutcome:
     final_state: TokenState
     trace: list[tuple[FiringSet, TokenState]] = field(default_factory=list)
     steps: int = 0
+    chose: bool = False  # some step had more than one firing set to choose from
 
 
 def _values(net: PresNet, ts: TokenState) -> dict[str, int]:
@@ -150,8 +151,9 @@ class _Move:
 
 def _fire(
     net: PresNet, ts: TokenState, marking: frozenset[str], interp, policy: SchedulePolicy, rng
-) -> tuple[_Move, TokenState]:
-    """The move chosen at ``marking`` (the domain of ``ts``) and the tokens after it."""
+) -> tuple[_Move, TokenState, bool]:
+    """The move chosen at ``marking`` (the domain of ``ts``), the tokens
+    after it, and whether there was more than one move to choose from."""
     values = _values(net, ts)
     functions = {} if interp is None else interp
     step = marking_step(net, marking)
@@ -163,7 +165,7 @@ def _fire(
     candidates = [move for move in moves if move.holds(values, functions)]
     if not candidates:
         raise NoEnabledSet(step.enabled)
-    if isinstance(policy, RandomMaximal):
+    if isinstance(policy, RandomMaximal):  # draws even from one candidate, so a seed's schedule never depends on that
         chooser = rng if rng is not None else random.Random(policy.seed)
         move = chooser.choice(candidates)
     else:
@@ -175,7 +177,7 @@ def _fire(
             produced[p] = value
     if type(move.successor) is str:
         raise UnsafeMarking(move.successor)
-    return move, {p: produced[p] if p in produced else ts[p] for p in move.successor}
+    return move, {p: produced[p] if p in produced else ts[p] for p in move.successor}, len(candidates) > 1
 
 
 def simulate_step(
@@ -186,7 +188,7 @@ def simulate_step(
     rng: Optional[random.Random] = None,
 ) -> tuple[FiringSet, TokenState]:
     """Fire one maximal step chosen by the policy; values read the pre-step state."""
-    move, after = _fire(net, ts, frozenset(ts), interp, policy, rng)
+    move, after, _ = _fire(net, ts, frozenset(ts), interp, policy, rng)
     return move.fs, after
 
 
@@ -208,14 +210,15 @@ def simulate_run(
     rng = random.Random(policy.seed) if isinstance(policy, RandomMaximal) else None
     ts = dict(inputs)
     trace: list[tuple[FiringSet, TokenState]] = []
+    chose = False
     for step in range(max_steps + 1):  # the last step only probes whether the run is at rest
         try:
-            move, after = _fire(net, ts, marking, interp, policy, rng)
+            move, after, choice = _fire(net, ts, marking, interp, policy, rng)
         except NoEnabledSet as stop:
-            return RunOutcome(DEADLOCK if stop.structurally_enabled else QUIESCENT, ts, trace, step)
+            return RunOutcome(DEADLOCK if stop.structurally_enabled else QUIESCENT, ts, trace, step, chose)
         if step == max_steps:
-            return RunOutcome(STEP_BOUND_EXCEEDED, ts, trace, max_steps)
-        ts, marking = after, move.successor
+            return RunOutcome(STEP_BOUND_EXCEEDED, ts, trace, max_steps, chose)
+        ts, marking, chose = after, move.successor, chose or choice
         trace.append((move.fs, dict(ts)))
 
 
@@ -235,13 +238,18 @@ def confluence_check(
     """Run several randomized maximal schedules and compare what reaches the out-ports.
 
     Equivalent means every schedule quiesced with identical out-port
-    tokens; a difference is returned with the two diverging traces.
+    tokens; a difference is returned with the two diverging traces.  A run
+    in which no step had more than one firing set to choose from is the
+    run of every seed, so then the first schedule is the only one run.
     """
     if schedules < 2:
         raise ValueError("confluence needs at least two schedules")
     outcomes: list[tuple[int, RunOutcome]] = []
     for i in range(schedules):
-        outcomes.append((seed + i, simulate_run(net, inputs, interp, RandomMaximal(seed + i), max_steps)))
+        run = simulate_run(net, inputs, interp, RandomMaximal(seed + i), max_steps)
+        outcomes.append((seed + i, run))
+        if not run.chose:
+            break
     method = f"confluence(schedules={schedules}, seed={seed})"
     for s, run in outcomes:
         if run.status != QUIESCENT:

@@ -352,6 +352,33 @@ class TestSimulate:
         code, out, _ = run(capsys, "simulate", corpus.scenario_path("jammer"), "--schedules", "10")
         assert code == 0
 
+    def _racy_with(self, tmp_path, *vectors):
+        body = "".join(f"  inputs {{ a = {a}; }}\n" for a in vectors)
+        scenario = tmp_path / "racy_vectors.scn"
+        scenario.write_text(f'scenario racy_vectors {{\n  model left = "{corpus.corpus_path("racy")}";\n'
+                            f"{body}  interp default seeded 3;\n  maxsteps 8;\n}}\n")
+        return str(scenario)
+
+    def test_schedule_independence_is_checked_on_every_vector(self, capsys, tmp_path):
+        # With a = 10 only one guard holds; with a = 2 the schedule decides.
+        report = tmp_path / "racy.json"
+        code, out, _ = run(capsys, "simulate", self._racy_with(tmp_path, 10, 2), "--schedules", "10",
+                           "--json", str(report))
+        assert code == 1 and out.startswith("left (racy): NotEquivalent"), out
+        assert json.loads(report.read_text())["runs"][0]["confluence"]["witness"]["vector"] == {"a": 2}
+        code, out, _ = run(capsys, "simulate", self._racy_with(tmp_path, 10, 7, -1), "--schedules", "10")
+        assert code == 0 and out == "left (racy): Equivalent  [confluence(schedules=10, seed=0)]\n", out
+
+    def test_a_vector_whose_runs_do_not_rest_is_named(self, capsys, tmp_path):
+        loop = tmp_path / "loop.pres"
+        loop.write_text("net loop {\n  place a marked;\n  transition t { pre a; post a; fn a + 1; }\n}\n")
+        scenario = tmp_path / "loop.scn"
+        scenario.write_text('scenario loop {\n  model left = "loop.pres";\n  inputs { a = 1; }\n'
+                            "  inputs { a = 2; }\n  maxsteps 4;\n}\n")
+        code, out, _ = run(capsys, "simulate", str(scenario), "--schedules", "3")
+        assert code == 2
+        assert out.splitlines()[1] == '  reason: vector {"a": 1}: seed 0 ended StepBoundExceeded after 4 steps', out
+
 
 class TestExportDot:
     def test_net_rendering_counts(self, capsys, guard_split):

@@ -215,6 +215,50 @@ def test_golden_syntax_errors(parse, text, message):
     assert str(err.value) == message
 
 
+def _two_places(transition):
+    return f"net n {{\n  place a marked;\n  place b;\n  {transition}\n}}"
+
+
+# Every well-formedness rule that text can break, with the message and the
+# line:col of its element.  The reader checks names, places and post-set
+# variables on its declarations and leaves the rest to validate_net.
+SEMANTIC_ERRORS = [
+    ("net n { }", "1:5: EmptyPlaces: n (a net needs at least one place); "
+                  "1:5: EmptyTransitions: n (a net needs at least one transition); "
+                  "1:5: EmptyInputArcs: n (a net needs at least one input arc)"),
+    ("net n {\n  place a marked;\n}", "1:5: EmptyTransitions: n (a net needs at least one transition); "
+                                       "1:5: EmptyInputArcs: n (a net needs at least one input arc)"),
+    (_two_places("transition t { post b; fn 1; }"), "1:5: EmptyInputArcs: n (a net needs at least one input arc); "
+                                                    "4:14: EmptyPreset: t (transition has no input places)"),
+    (_two_places("transition t { pre a; fn a; }"), "4:14: EmptyPostset: t (transition has no output places)"),
+    (_two_places("transition t { pre a; post b; fn a < 1; }"), "4:14: IllSortedFunction: t (fn is not integer-sorted)"),
+    (_two_places("transition t { pre a; post b; fn zz + a; }"),
+     "4:14: FunctionScopeViolation: t (fn reads 'zz' outside the input variables)"),
+    (_two_places("transition t { pre a; post b; fn a; guard a + 1; }"),
+     "4:14: IllSortedGuard: t (guard is not boolean-sorted)"),
+    (_two_places("transition t { pre a; post b; fn a; guard zz > 0; }"),
+     "4:14: GuardScopeViolation: t (guard reads 'zz' outside the input variables)"),
+    (_two_places("transition t { pre a; post b; fn f(a < 1); guard not a; }"),
+     "4:14: IllSortedFunction: t (operand of 'f' is not int-sorted: a < 1); "
+     "4:14: IllSortedGuard: t (operand of 'not' is not bool-sorted: a)"),
+    ("net n {\n  place a marked;\n  place a;\n  transition a { pre a; post a; fn a; }\n}",
+     "4:14: DuplicateName: a (place declared twice); 4:14: DuplicateName: a (name already declared)"),
+    ("net n {\n  place a marked;\n  transition t { pre a, ghost; post a; fn a; }\n}",
+     "UnknownPlace: ghost (in transition t)"),
+    ("net n {\n  place a marked var x;\n  place b var y;\n  place c var z;\n  transition t { pre a; post b, c; fn a; }\n}",
+     "5:14: PostsetVariableMismatch: t (conflicting names ['y', 'z'])"),
+    ("net n {\n  place a marked;\n  transition t { pre a; post a; }\n}",
+     "3:14: MissingFunction: t (transition has no fn clause)"),
+]
+
+
+@pytest.mark.parametrize("text, message", SEMANTIC_ERRORS)
+def test_golden_semantic_errors(text, message):
+    with pytest.raises(DslSemanticError) as err:
+        parse_pres(text)
+    assert str(err.value) == message
+
+
 def test_eof_after_a_final_comment_points_at_the_end_of_the_text():
     with pytest.raises(DslSyntaxError) as err:
         parse_pres("# only a comment")

@@ -267,6 +267,41 @@ class TestHashConsing:
         with pytest.raises(TypeError):
             ex.Apply("f", (1,))
 
+    @pytest.mark.parametrize("build, error", [
+        (lambda: ex.Arith("/", (X, Y)), "ValueError: unknown Arith operator '/'"),
+        (lambda: ex.Arith(None, (X, Y)), "ValueError: unknown Arith operator None"),
+        (lambda: ex.Arith("neg", (X, Y)), "ValueError: 'neg' takes 1 operand(s), got 2"),
+        (lambda: ex.Arith("-", (X,)), "ValueError: '-' takes 2 operand(s), got 1"),
+        (lambda: ex.Arith("+", (X,)), "ValueError: '+' takes at least 2 operand(s), got 1"),
+        (lambda: ex.BoolOp("and", ()), "ValueError: 'and' takes at least 1 operand(s), got 0"),
+        (lambda: ex.BoolOp("not", (ex.TRUE, ex.TRUE)), "ValueError: 'not' takes 1 operand(s), got 2"),
+        (lambda: ex.BoolOp("xor", (ex.TRUE,)), "ValueError: unknown BoolOp operator 'xor'"),
+        (lambda: ex.Rel("=>", X, Y), "ValueError: unknown Rel operator '=>'"),
+        (lambda: ex.Rel("<", X, 1), "TypeError: not an expression: 1"),
+        (lambda: ex.Apply("f", (1,)), "TypeError: not an expression: 1"),
+        (lambda: ex.Arith("*", (X, "y")), "TypeError: not an expression: 'y'"),
+        (lambda: ex.IntConst("a"), "TypeError: 'str' object cannot be interpreted as an integer"),
+    ])
+    def test_constructor_errors_are_pinned(self, build, error):
+        with pytest.raises((ValueError, TypeError)) as err:
+            build()
+        assert f"{err.type.__name__}: {err.value}" == error
+
+    def test_rebuilding_a_term_returns_the_same_node(self):
+        f = ex.Apply("f", (X, ex.IntConst(2)))
+        rel = ex.Rel("<", ex.Arith("+", (f, Y)), ex.IntConst(0))
+        guard = ex.BoolOp("and", (rel, ex.BoolConst(True), ex.Rel("=", X, X)))
+        for term in (ex.IntConst(7), ex.BoolConst(False), ex.Var("v"), ex.Apply("g", ()), f, rel, guard,
+                     ex.Arith("neg", (X,)), ex.BoolOp("not", (rel,))):
+            again = type(term)(*(getattr(term, name) for name in term._fields))
+            assert again is term, term
+            assert ex.substitute(term, {"x": X}) is term
+        assert rel.lhs.args[0] is f and ex.free_vars(guard) == {"x", "y"} and ex.free_vars(ex.Var("v")) == {"v"}
+        assert [ex.sort_of(t) for t in (f, rel, guard, ex.Apply("g", ()))] == [ex.INT, ex.BOOL, ex.BOOL, ex.INT]
+        assert ex.Arith("+", [X, Y]) is ex.Arith("+", (X, Y))  # operands in a list are interned as a tuple
+        with pytest.raises(AttributeError, match="^Rel terms are immutable$"):
+            rel.op = ">"
+
     def test_ill_sorted_terms_raise_everywhere(self):
         bad = ex.Apply("f", (ex.Rel("=", X, Y),))
         for e in (bad, ex.BoolOp("not", (X,)), ex.Arith("+", (X, ex.TRUE)), ex.Rel("<", ex.TRUE, X)):

@@ -15,9 +15,11 @@ from presto.fsmd import (
     UncutCycle,
     UnknownVariable,
     UpdateSet,
+    MAX_VALUE_BITS,
     apply_update_set,
     cutpoints,
     fresh_store,
+    machine_run,
     path_cover,
     path_enumerate,
     path_transformation,
@@ -223,6 +225,26 @@ class TestRunMachine:
         assert run_machine(ambiguous, {"x": 1}) is None
         loop = machine([step("q0", "q1"), step("q1", "q0")], states=("q0", "q1"))
         assert run_machine(loop, {"x": 1}) is None
+
+    def test_a_run_whose_values_outgrow_the_bound_ends_without_a_store(self):
+        # Squaring doubles the bit length on every pass: 2 ** (2 ** 13) has
+        # 8193 bits after 13 passes, far within the step bound.
+        square = machine([step("q0", "q0", [ex.Rel(">", X, ex.IntConst(0))], [("x", ex.mul(X, X))]),
+                          step("q0", "q1", [ex.Rel("<=", X, ex.IntConst(0))])],
+                         states=("q0", "q1"), inputs=(), storage=("x",), outputs=("x",))
+        start = time.perf_counter()
+        assert run_machine(square, {"x": 2}) is None
+        assert machine_run(square, {"x": 2}) == (None, f"made a value of more than {MAX_VALUE_BITS} bits")
+        assert time.perf_counter() - start < 1.0
+        assert machine_run(square, {"x": 0}) == ({"x": 0}, "")
+
+    def test_machine_run_says_what_ended_a_run(self):
+        positive = ex.Rel(">", X, ex.IntConst(0))
+        stuck = machine([step("q0", "q1", [positive])], states=("q0", "q1"))
+        assert machine_run(stuck, {"x": 0}) == (None, "got stuck")
+        m = corpus.load_fsmd("sum_loop")
+        assert machine_run(m, {"n": 4}, max_steps=5) == (None, "took more than 5 steps")
+        assert machine_run(m, {"n": 4}, max_steps=6)[0]["s"] == 6
 
 
 class TestValidate:

@@ -149,6 +149,17 @@ def test_walk_on_looping_pairs_ends_and_never_contradicts_a_run(seed):
             assert ends[0] == ends[1], vector
 
 
+def test_a_looping_pair_whose_values_outgrow_the_bound_decides_within_seconds():
+    # The right machine's loop doubles the bit length of d every few steps,
+    # so a confirmation run of 500 steps ends on the bound on its values.
+    left, right, vectors, functions, _ = _pair(19, loops=True)
+    start = time.perf_counter()
+    verdict = check_fsmd_equivalence(left, right, OUTPUTS, vectors, functions, 500)
+    assert time.perf_counter() - start < 5.0
+    if verdict.status == NOT_EQUIVALENT:
+        assert _replays(verdict, left, right, functions, 500)
+
+
 def _families():
     """The benchmark's seeded pair generator, ``perfbench/families.py``."""
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "families.py")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from presto import sim
 from presto.dsl import parse_pres
 from presto.sim import (
     DEADLOCK,
@@ -181,6 +182,35 @@ class TestConfluence:
             """
         )
         assert confluence_check(net, {"a": 1}, {}, 3, 0, 8).equivalent
+
+    def test_a_run_that_offers_no_choice_is_run_once(self, jammer_nonpipelined, racy, monkeypatch):
+        runs = []
+        real = sim.simulate_run
+        monkeypatch.setattr(sim, "simulate_run", lambda *args: runs.append(args[3].seed) or real(*args))
+        verdict = confluence_check(jammer_nonpipelined, dict(JAMMER_VECTOR), SeededInterpretation(11), 10, 0, 64)
+        assert verdict.equivalent and runs == [0]
+        runs.clear()
+        assert confluence_check(racy, {"a": 2}, SeededInterpretation(3), 10, 0, 8).status == "NotEquivalent"
+        assert runs == list(range(10))  # every schedule of a net that offers a choice
+
+    def test_seeds_keep_their_schedules(self):
+        # One firing set at the first step, two at the second: a seed draws
+        # at both, so it picks what the parent's schedule picked.
+        net = parse_pres(
+            """
+            net late {
+              place a marked; place b; place c; place d;
+              transition t { pre a; post b; fn a; }
+              transition left { pre b; post c; fn b; }
+              transition right { pre b; post d; fn b; }
+            }
+            """
+        )
+        for seed in range(10):
+            run = simulate_run(net, {"a": 1}, {}, RandomMaximal(seed), 8)
+            rng = random.Random(seed)
+            rng.choice([0])
+            assert run.chose and run.trace[1][0].transitions == rng.choice([("left",), ("right",)]), seed
 
     def test_racy_net_diverges_with_two_traces(self, racy):
         verdict = confluence_check(racy, {"a": 2}, SeededInterpretation(3), 10, 0, 8)
