@@ -184,7 +184,7 @@ class _Parser:
 
     # Expressions: precedence climbing over the binary operators, with
     # `not` and unary minus as prefixes.  A level of nesting costs at most
-    # three stack frames, so MAX_NESTING stays well inside the recursion
+    # two stack frames, so MAX_NESTING stays well inside the recursion
     # limit.
     def expression(self, level: int = 1) -> ex.Expr:
         """An expression whose operators bind at least as tightly as ``level``."""
@@ -195,7 +195,7 @@ class _Parser:
             out, top = ex.BoolOp("not", (self.expression(_NOT),)), _NOT
             self.depth -= 1
         else:
-            out, top = self._unary(), _UNARY  # ``top``: precedence of the operator at the root of ``out``
+            out, top = self._operand(), _UNARY  # ``top``: precedence of the operator at the root of ``out``
         while True:
             op = toks[self.pos]
             prec = _BINARY.get(op)
@@ -221,23 +221,23 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise self.fail(f"expression nested deeper than {MAX_NESTING} levels")
 
-    def _unary(self) -> ex.Expr:
-        if self.toks[self.pos] != "-":
-            return self._atom()
-        # A minus directly before a literal is the literal's sign, so
-        # `-5` is a constant while `-(5)` stays a negation node.
-        if self.toks[self.pos + 1].isdigit():
-            return ex.IntConst(self.integer())
-        self.pos += 1
-        self._deeper()
-        inner = self._unary()
-        self.depth -= 1
-        return ex.Arith("neg", (inner,))
-
-    def _atom(self) -> ex.Expr:
-        tok = self.toks[self.pos]
+    def _operand(self) -> ex.Expr:
+        """A literal, a name, an application, a parenthesized expression or a negated operand."""
+        toks = self.toks
+        tok = toks[self.pos]
         if tok.isdigit():
-            return ex.IntConst(self.integer())
+            self.pos += 1
+            return ex.IntConst(int(tok))
+        if tok == "-":
+            # A minus directly before a literal is the literal's sign, so
+            # `-5` is a constant while `-(5)` stays a negation node.
+            if toks[self.pos + 1].isdigit():
+                return ex.IntConst(self.integer())
+            self.pos += 1
+            self._deeper()
+            inner = self._operand()
+            self.depth -= 1
+            return ex.Arith("neg", (inner,))
         if tok in _BOOLS:
             self.pos += 1
             return _BOOLS[tok]
@@ -249,14 +249,14 @@ class _Parser:
             self.expect(")")
             return inner
         symbol = self.name("an expression")
-        if self.toks[self.pos] != "(":
+        if toks[self.pos] != "(":
             return ex.Var(symbol)
         self.pos += 1
         self._deeper()
         args: list[ex.Expr] = []
-        if self.toks[self.pos] != ")":
+        if toks[self.pos] != ")":
             args.append(self.expression())
-            while self.toks[self.pos] == ",":
+            while toks[self.pos] == ",":
                 self.pos += 1
                 args.append(self.expression())
         self.depth -= 1
@@ -315,8 +315,10 @@ def _net(p: _Parser) -> PresNet:
                     raise p.fail("expected pre, post, var, fn or guard")
                 p.pos = i + 1
                 decl[clause[0]] = clause[1]()
-                p.expect(";")
                 i = p.pos
+                if toks[i] != ";":
+                    p.expect(";")
+                i += 1
             trans.append(decl)
         else:
             p.pos = i

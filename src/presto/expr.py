@@ -395,6 +395,7 @@ _BINARY = {"+": operator.add, "*": operator.mul, "-": operator.sub}
 Compiled = Callable[[Mapping[str, int], Mapping[str, Callable[..., int]]], Value]
 
 _EVAL_DEPTH = 64  # a subterm higher than this is evaluated by an explicit-stack walk
+_height_of, _fn_of = operator.attrgetter("_height"), operator.attrgetter("_fn")
 
 
 def evaluate(e: Expr, env: Environment) -> Value:
@@ -452,12 +453,12 @@ def _compile(node: Expr) -> Compiled:
         value = node.value
         return lambda values, functions: value
     head = node.symbol if cls is Apply else node.op
-    height = 1 + max([k._height for k in node._kids], default=0)
+    height = 1 + max(map(_height_of, node._kids), default=0)
     _set_height(node, height)
     if height > _EVAL_DEPTH:
         kids = node._kids
         return lambda values, functions: _combine(cls, head, _eval_deep(kids, values, functions), functions)
-    fns = [k._fn for k in node._kids]
+    fns = list(map(_fn_of, node._kids))
     if cls is Apply:
         if len(fns) == 1:
             (arg,) = fns

@@ -252,9 +252,10 @@ def validate_net(net: PresNet, structure: bool = True) -> list[Violation]:
             out.append(Violation("EmptyPreset", t.id, "transition has no input places"))
         if not post:
             out.append(Violation("EmptyPostset", t.id, "transition has no output places"))
-        post_vars = {var_of[p] for p in post if p in var_of}
-        if len(post_vars) > 1:
-            out.append(Violation("PostsetVariableMismatch", t.id, f"variables {sorted(post_vars)}"))
+        if len(post) > 1:
+            post_vars = {var_of[p] for p in post if p in var_of}
+            if len(post_vars) > 1:
+                out.append(Violation("PostsetVariableMismatch", t.id, f"variables {sorted(post_vars)}"))
 
         scope = {var_of[p] for p in pre if p in var_of}
         try:
