@@ -128,8 +128,8 @@ def _index(tids, places, input_arcs, output_arcs) -> tuple[dict[str, frozenset[s
 
     The arcs are gathered in lists, and each list is frozen once; every
     element with no arcs on a side shares one empty set.  An arc that names
-    an undeclared place or transition is left out of the element it does
-    not name (:func:`validate_net` reports it).
+    an undeclared place or transition still counts for the element it does
+    name (:func:`validate_net` reports it).
     """
     pre_t: dict[str, list[str]] = {}
     post_t: dict[str, list[str]] = {}
@@ -190,14 +190,13 @@ def enabled_transitions(net: PresNet, m: frozenset[str]) -> frozenset[str]:
 def validate_net(net: PresNet, structure: bool = True) -> list[Violation]:
     """All well-formedness violations; an empty list means the net is sound.
 
-    The rules come in two groups.  The structure rules (duplicate names,
-    arcs that name an undeclared place or transition, places without a
-    variable, marked places that are not declared) hold by construction
-    for a net read from text, whose reader enforces them on the
-    declarations, so it passes ``structure=False`` and has only the content
-    rules checked: empty places, transitions or input arcs, empty presets
-    or postsets, postset variables, and the sorts and scope of each
-    transition's terms.  The order of the violations is the same either way.
+    The structure rules (duplicate names, arcs naming an undeclared place
+    or transition, places without a variable, undeclared marked places)
+    hold by construction for a net read from text, whose reader enforces
+    them on its declarations and passes ``structure=False``.  The content
+    rules (emptiness, presets and postsets, postset variables, and the
+    sorts and scope of each transition's terms) always run; the order of
+    the violations is the same either way.
     """
     out: list[Violation] = []
     if structure:

@@ -165,7 +165,8 @@ def _fire(
     candidates = [move for move in moves if move.holds(values, functions)]
     if not candidates:
         raise NoEnabledSet(step.enabled)
-    if isinstance(policy, RandomMaximal):  # draws even from one candidate, so a seed's schedule never depends on that
+    if isinstance(policy, RandomMaximal):
+        # Draw even from a single candidate, so that a seed always makes the same choices.
         chooser = rng if rng is not None else random.Random(policy.seed)
         move = chooser.choice(candidates)
     else:
