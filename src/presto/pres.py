@@ -9,8 +9,9 @@ share a single variable, because the transition produces one value.
 Nets are treated as immutable after construction; all queries here are
 pure and safe for concurrent readers.  A net also carries a table of what
 each marking offers, which conversion and simulation fill lazily (see
-:func:`presto.convert.marking_step`); its entries are deterministic, so
-two readers that fill one entry at once compute the same value.
+:func:`presto.convert.marking_step`), and its ports, which
+:func:`classify_ports` keeps on first use; both are deterministic, so two
+readers that fill one at once compute the same value.
 """
 
 from __future__ import annotations
