@@ -2,9 +2,10 @@
 
 Exit codes are a function of the result alone: 0 success/equivalent,
 1 not equivalent, 2 inconclusive (or a run that did not quiesce),
-3 usage or parse errors, and internal errors (one line, no traceback),
-so no crash can pass for a verdict.  ``--json FILE`` additionally
-writes the structured report.  Set ``PRESTO_COLOR=0`` to disable ANSI styling.
+3 usage, parse or scenario errors (such as a port map that is wrong for
+the nets) and internal errors (one line, no traceback), so no crash can
+pass for a verdict.  ``--json FILE`` additionally writes the structured
+report.  Set ``PRESTO_COLOR=0`` to disable ANSI styling.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from . import dot, dsl, expr as ex
 from .convert import ConversionConfig, Conversion, ConvertError, pres_to_fsmd
 from .equiv import (
     PortMap,
+    PortMapError,
     Sampled,
     Symbolic,
     check_cardinality,
@@ -34,11 +36,12 @@ from .sim import (
     MaximalStep,
     SimError,
     RandomMaximal,
-    SeededInterpretation,
     confluence_check,
+    interpretation,
     out_port_values,
     simulate_run,
     trace_json,
+    value_limit,
 )
 from .verdict import EQUIVALENT, NOT_EQUIVALENT, Verdict
 
@@ -86,29 +89,6 @@ def _load_model(path: str):
 
 def _load_scenario(path: str) -> dsl.ScenarioDocument:
     return dsl.parse_scenario(_read(path), base_dir=os.path.dirname(os.path.abspath(path)))
-
-
-_NO_FUNCTIONS: dict = {}  # an interp body applies no symbol of its own
-
-
-def _interpretation(doc: dsl.ScenarioDocument):
-    explicit = {}
-    for decl in doc.interps:
-        def make(d: dsl.InterpDecl):
-            params, arity, body = d.params, len(d.params), None
-
-            def fn(*args: int) -> int:
-                nonlocal body
-                if len(args) != arity:
-                    raise ex.SortMismatch(f"{d.symbol} expects {arity} arguments, got {len(args)}")
-                if body is None:  # compiled on the first call, once per scenario
-                    body = ex.compiled(d.body)
-                return int(body(dict(zip(params, args)), _NO_FUNCTIONS))
-
-            return fn
-
-        explicit[decl.symbol] = make(decl)
-    return explicit if doc.default_seed is None else SeededInterpretation(doc.default_seed, explicit)
 
 
 def _write_json(path: Optional[str], payload: dict) -> None:
@@ -203,7 +183,7 @@ def _confluence(net: PresNet, vectors: list[dict], interp, schedules: int, seed:
 
 def cmd_simulate(args) -> int:
     doc = _load_scenario(args.scenario)
-    interp = _interpretation(doc)
+    interp = interpretation(doc.interps, doc.default_seed)
     max_steps = args.max_steps or doc.max_steps
     left_net = _load_model(doc.resolve(doc.left)) if doc.left else None
     runs = []
@@ -233,7 +213,8 @@ def cmd_simulate(args) -> int:
             policy = RandomMaximal(args.seed) if args.seed is not None else MaximalStep()
             run = simulate_run(net, inputs, interp, policy, max_steps)
             outs = out_port_values(net, run.final_state)
-            print(f"{side} ({net.name}): {run.status} after {run.steps} steps; out-ports {outs}")
+            ended = f"{run.status} after {run.steps} steps{value_limit(run.status)}"
+            print(f"{side} ({net.name}): {ended}; out-ports {outs}")
             runs.append({"model": side, "vector": inputs, **trace_json(run), "out_ports": outs})
             if run.status != QUIESCENT:
                 worst = max(worst, 2)
@@ -250,7 +231,7 @@ def cmd_check_pres(args) -> int:
     if not isinstance(n1, PresNet) or not isinstance(n2, PresNet):
         raise UsageError("check-pres expects net models")
     pm = PortMap(dict(doc.in_map), dict(doc.out_map))
-    interp = _interpretation(doc)
+    interp = interpretation(doc.interps, doc.default_seed)
     strategy_name = args.strategy or doc.strategy
     warnings: list = []
     if doc.check == "cardinality":
@@ -286,7 +267,8 @@ def cmd_check_fsmd(args) -> int:
         if left != right:
             raise UsageError(f"the scenario has no varmap and the outputs differ: {left} and {right}")
         var_map = {v: v for v in left}
-    verdict = check_fsmd_equivalence(*machines, var_map, vectors, _interpretation(doc), doc.max_steps)
+    interp = interpretation(doc.interps, doc.default_seed)
+    verdict = check_fsmd_equivalence(*machines, var_map, vectors, interp, doc.max_steps)
     print(_verdict_line(verdict))
     _write_json(args.json, {"command": "check-fsmd", "verdict": _verdict_json(verdict), "warnings": warnings})
     return verdict.exit_code()
@@ -362,7 +344,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if stop.code == 0 else 3
     try:  # looked up when the command runs, so a replaced cmd_* is the one called
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except (UsageError, dsl.DslError) as err:
+    except (UsageError, dsl.DslError, PortMapError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except (ConvertError, SimError, FsmdError, ex.ExprError) as err:

@@ -210,7 +210,6 @@ class Conversion:
 
     fsmd: Fsmd
     marking_of_state: dict[str, frozenset[str]]
-    state_of_marking: dict[frozenset[str], str]
     # Per machine transition, one label per update: the applied-symbol
     # chain of the update expression, or the net transition's own name
     # for a pass-through (identity) update.
@@ -291,4 +290,4 @@ def pres_to_fsmd(net: PresNet, cfg: ConversionConfig = ConversionConfig()) -> Co
         outputs=outputs,
         transitions=tuple(transitions),
     )
-    return Conversion(machine, marking_of, state_of, labels, firing_sets, warnings)
+    return Conversion(machine, marking_of, labels, firing_sets, warnings)

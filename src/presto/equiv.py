@@ -32,8 +32,13 @@ from . import expr as ex
 from .convert import ConversionConfig, pres_to_fsmd
 from .fsmd import Fsmd, fresh_store, machine_run, path_cover, path_transformation, validate_fsmd
 from .pres import PresNet, classify_ports
-from .sim import QUIESCENT, Interpretation, SimError, out_port_values, simulate_run
+from .sim import QUIESCENT, SimError, out_port_values, simulate_run, value_limit
 from .verdict import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT, Verdict
+
+
+class PortMapError(Exception):
+    """A port map that is no bijection between nets that have one: as many
+    in-ports and as many out-ports on both sides."""
 
 
 @dataclass(frozen=True)
@@ -106,16 +111,21 @@ def check_cardinality(
     n2: PresNet,
     pm: PortMap,
     vectors: Sequence[dict],
-    interp: Interpretation,
+    interp: ex.Interpretation,
     max_steps: int = 1_000,
     samples: Optional[list] = None,
 ) -> Verdict:
     """Port bijection, initial-marking correspondence, and out-port marking
     correspondence after execution of every supplied input vector.  Each
-    vector's out-port values go to ``samples``, if given, for reuse."""
+    vector's out-port values go to ``samples``, if given, for reuse.  Nets
+    with as many in-ports and out-ports have a port bijection, so for them a
+    map that is none raises :class:`PortMapError` instead of condition 1."""
     method = "cardinality(in-port marking correspondence under f_in)"
     problems = pm.problems(n1, n2)
     if problems:
+        p1, p2 = classify_ports(n1), classify_ports(n2)
+        if (len(p1.in_ports), len(p1.out_ports)) == (len(p2.in_ports), len(p2.out_ports)):
+            raise PortMapError(f"the port map is not a bijection: {'; '.join(problems)}")
         return Verdict(NOT_EQUIVALENT, method, witness={"condition": 1, "port_map": problems})
 
     in1 = classify_ports(n1).in_ports
@@ -141,7 +151,8 @@ def check_cardinality(
             return Verdict(
                 INCONCLUSIVE,
                 method,
-                reason=f"runs ended {run1.status}/{run2.status}; no resting marking to compare",
+                reason=f"runs ended {run1.status}/{run2.status}; no resting marking to compare"
+                       + value_limit(run1.status, run2.status),
             )
         for p in sorted(pm.out_map):
             left = p in run1.final_state
@@ -168,7 +179,7 @@ def check_functional(
     pm: PortMap,
     strategy: Sampled | Symbolic,
     vectors: Sequence[dict],
-    interp: Interpretation,
+    interp: ex.Interpretation,
     max_steps: int = 1_000,
     state_bound: int = 10_000,
     warnings: Optional[list] = None,
@@ -215,7 +226,7 @@ def check_fsmd_equivalence(
     m2: Fsmd,
     var_map: dict[str, str],
     vectors: Iterable[dict] = (),
-    interp: Optional[Interpretation] = None,
+    interp: ex.Interpretation = ex.NO_FUNCTIONS,
     max_steps: int = 1_000,
 ) -> Verdict:
     """Segment-by-segment comparison of two machines over corresponding outputs.

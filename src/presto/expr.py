@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Union
 from weakref import ref
 
@@ -285,6 +286,11 @@ _SIGNATURES = {
 _APPLY_SIGNATURE = (0, None, INT, INT)
 
 
+# The meaning of applied symbols at run time: symbol -> total integer function.
+Interpretation = Mapping[str, Callable[..., int]]
+NO_FUNCTIONS: Interpretation = MappingProxyType({})  # read-only, for terms that apply no symbol
+
+
 @dataclass(frozen=True)
 class Environment:
     """Variable valuation plus interpretations for applied symbols.
@@ -294,11 +300,7 @@ class Environment:
     """
 
     values: Mapping[str, int]
-    functions: Mapping[str, Callable[..., int]] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.functions is None:
-            object.__setattr__(self, "functions", {})
+    functions: Interpretation = field(default_factory=lambda: NO_FUNCTIONS)
 
 
 TRUE = BoolConst(True)
@@ -392,7 +394,7 @@ _BINARY = {"+": operator.add, "*": operator.mul, "-": operator.sub}
 
 # A compiled term: ``f(values, functions)`` is its value under the variable
 # values and the interpretations of its symbols.
-Compiled = Callable[[Mapping[str, int], Mapping[str, Callable[..., int]]], Value]
+Compiled = Callable[[Mapping[str, int], Interpretation], Value]
 
 _EVAL_DEPTH = 64  # a subterm higher than this is evaluated by an explicit-stack walk
 _height_of, _fn_of = operator.attrgetter("_height"), operator.attrgetter("_fn")

@@ -77,9 +77,6 @@ class UpdateSet:
         return iter(self.assignments)
 
 
-EMPTY_UPDATES = UpdateSet(())
-
-
 class FsmdTransition(NamedTuple):
     source: str
     guard_set: tuple[ex.Expr, ...]  # conjunction; compared as a normalized set
@@ -330,7 +327,7 @@ MAX_VALUE_BITS = 4096
 
 
 def run_machine(
-    m: Fsmd, values: Mapping[str, int], functions=None, max_steps: int = 1_000
+    m: Fsmd, values: Mapping[str, int], functions: ex.Interpretation = ex.NO_FUNCTIONS, max_steps: int = 1_000
 ) -> Optional[dict[str, int]]:
     """Concrete run from ``values``: the store at the terminal state reached.
 
@@ -344,12 +341,11 @@ def run_machine(
 
 
 def machine_run(
-    m: Fsmd, values: Mapping[str, int], functions=None, max_steps: int = 1_000
+    m: Fsmd, values: Mapping[str, int], functions: ex.Interpretation = ex.NO_FUNCTIONS, max_steps: int = 1_000
 ) -> tuple[Optional[dict[str, int]], str]:
     """:func:`run_machine`'s store, and for a run that ended without one,
     what ended it: ``"got stuck"``, too many steps or too wide a value."""
     store, state = dict(values), m.reset
-    functions = {} if functions is None else functions
     steps = max(max_steps, len(m.states))
     for _ in range(steps):
         outgoing = m.outgoing(state)

@@ -50,9 +50,6 @@ class Transition(NamedTuple):
     guard: Optional[ex.Expr] = None  # absent means "always true"
 
 
-Marking = frozenset  # frozenset[str]; the canonical form is the sorted name list
-
-
 class Adjacency(NamedTuple):
     preset_of: frozenset[str]
     postset_of: frozenset[str]
@@ -109,9 +106,6 @@ class PresNet:
             return self._post_t[tid]
         except KeyError:
             raise UnknownElement(tid) from None
-
-    def preset_vars(self, tid: str) -> frozenset[str]:
-        return frozenset(self.var_of[p] for p in self.preset(tid) if p in self.var_of)
 
     def postset_var(self, tid: str) -> str:
         post = sorted(self.postset(tid))

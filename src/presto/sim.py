@@ -4,14 +4,16 @@ Tokens carry integers; a step picks one firing set whose guards all hold
 under the current token values, consumes the input tokens and produces
 output tokens valued by each transition's transfer expression.  All
 fired transitions read the pre-step state.  Uninterpreted function
-symbols need an interpretation table; fixtures and tests use small
-affine maps, either written out or derived deterministically from a
-seed per symbol.
+symbols need an interpretation (:data:`presto.expr.Interpretation`): a
+scenario's ``interp`` lines (:func:`interpretation`), and small affine
+maps derived deterministically from a seed per symbol.
 
 Runs stop at quiescence (nothing structurally enabled), deadlock
-(structurally enabled transitions exist but every guard fails), or a
-step bound.  Fixing the policy seed makes a run bit-for-bit
-reproducible, which is what the schedule-independence check exploits.
+(structurally enabled transitions exist but every guard fails), a step
+bound, or once a token value written has more than
+:data:`presto.fsmd.MAX_VALUE_BITS` bits.  Fixing the policy seed makes a
+run bit-for-bit reproducible, which is what the schedule-independence
+check exploits.
 
 A step reads the net's step table (:func:`presto.convert.marking_step`),
 which the converter fills too, and runs the firing sets' guards and
@@ -22,10 +24,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from . import expr as ex
 from .convert import FiringSet, UnsafeMarking, marking_step
+from .fsmd import MAX_VALUE_BITS
 from .pres import PresNet, classify_ports
 from .verdict import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT, Verdict
 
@@ -34,6 +37,7 @@ TokenState = dict  # place -> int, domain = currently marked places
 QUIESCENT = "Quiescent"
 DEADLOCK = "Deadlock"
 STEP_BOUND_EXCEEDED = "StepBoundExceeded"
+VALUE_BOUND_EXCEEDED = "ValueBoundExceeded"
 
 
 class SimError(Exception):
@@ -52,6 +56,15 @@ class ValueConflict(SimError):
     """Two marked input places share a variable but hold different values."""
 
 
+class ValueBound(SimError):
+    """A transfer function gave a value of more than ``MAX_VALUE_BITS`` bits."""
+
+
+def value_limit(*statuses: str) -> str:
+    """A note naming the value bound when one of ``statuses`` ended a run on it, else ``""``."""
+    return f" (a token value passed the {MAX_VALUE_BITS}-bit limit)" if VALUE_BOUND_EXCEEDED in statuses else ""
+
+
 class MaximalStep:
     """Always take the first maximal firing set (deterministic)."""
 
@@ -65,52 +78,64 @@ class RandomMaximal(NamedTuple):
 SchedulePolicy = Union[MaximalStep, RandomMaximal]
 
 
-class SeededInterpretation:
+class SeededInterpretation(dict):
     """Deterministic per-symbol affine interpretations, behind explicit ones.
 
-    A symbol in ``explicit`` acts as that function.  Any other symbol
-    ``s`` at arity ``n`` acts as ``c0 + c1*x1 + ... + cn*xn`` with small
-    nonzero coefficients derived from sha256(seed, s, i).  Distinct
-    symbols get distinct-looking maps, and compositions of different
-    symbols almost never commute, which makes the maps good witnesses.
-    Each symbol gets one function, whose coefficients are derived once,
-    on the first call that needs them.
+    The explicit functions are the entries it starts with.  Any other
+    symbol ``s`` at arity ``n`` acts as ``c0 + c1*x1 + ... + cn*xn`` with
+    small nonzero coefficients derived from sha256(seed, s, i), and is
+    stored on its first lookup.  Distinct symbols get distinct-looking
+    maps, and compositions of different symbols almost never commute,
+    which makes the maps good witnesses.  Each symbol's coefficients are
+    derived once, on the first call that needs them.
     """
 
-    def __init__(self, seed: int, explicit: Optional[Mapping[str, Callable[..., int]]] = None):
-        self.seed = seed
-        self.explicit = dict(explicit or {})
-        self._fns = dict(self.explicit)
+    __slots__ = ("seed",)
 
-    def _coeff(self, symbol: str, i: int) -> int:
+    def __init__(self, seed: int, explicit: ex.Interpretation = ex.NO_FUNCTIONS):
+        super().__init__(explicit)
+        self.seed = seed
+
+    def __missing__(self, symbol: str) -> Callable[..., int]:
         import hashlib  # on first use: importing it would slow every command's start
 
-        digest = hashlib.sha256(f"{self.seed}:{symbol}:{i}".encode()).digest()
-        c = int.from_bytes(digest[:4], "big") % 13 - 6
-        return c if c != 0 else 7
-
-    def __getitem__(self, symbol: str):
-        try:
-            return self._fns[symbol]
-        except KeyError:
-            fn = self._fns[symbol] = self._affine(symbol)
-            return fn
-
-    def _affine(self, symbol: str) -> Callable[..., int]:
         coeffs: list[int] = []  # c0, c1, ... as far as a call has needed them
 
         def fn(*args: int) -> int:
-            if len(coeffs) <= len(args):
-                coeffs.extend(self._coeff(symbol, i) for i in range(len(coeffs), len(args) + 1))
+            while len(coeffs) <= len(args):
+                digest = hashlib.sha256(f"{self.seed}:{symbol}:{len(coeffs)}".encode()).digest()
+                c = int.from_bytes(digest[:4], "big") % 13 - 6
+                coeffs.append(c if c != 0 else 7)
             acc = coeffs[0]
             for c, a in zip(coeffs[1:], args):
                 acc += c * a
             return acc
 
+        self[symbol] = fn
         return fn
 
 
-Interpretation = Mapping  # symbol -> callable; anything indexable by symbol qualifies, as SeededInterpretation does
+def interpretation(decls: Iterable, seed: Optional[int] = None) -> ex.Interpretation:
+    """The functions of a scenario's ``interp`` lines (each with a
+    ``symbol``, ``params`` and a ``body``), behind the seeded maps when
+    ``seed`` is given."""
+    explicit = {decl.symbol: _interpreted(decl) for decl in decls}
+    return explicit if seed is None else SeededInterpretation(seed, explicit)
+
+
+def _interpreted(decl) -> Callable[..., int]:
+    """An ``interp`` line's body, compiled once, as a function of its
+    parameters; a call with the wrong number of arguments raises
+    :class:`~presto.expr.SortMismatch`."""
+    symbol, params, body = decl.symbol, tuple(decl.params), ex.compiled(decl.body)
+    arity = len(params)
+
+    def fn(*args: int) -> int:
+        if len(args) != arity:
+            raise ex.SortMismatch(f"{symbol} expects {arity} arguments, got {len(args)}")
+        return body(dict(zip(params, args)), ex.NO_FUNCTIONS)  # a body applies no symbol of its own
+
+    return fn
 
 
 @dataclass
@@ -155,14 +180,13 @@ def _fire(
     """The move chosen at ``marking`` (the domain of ``ts``), the tokens
     after it, and whether there was more than one move to choose from."""
     values = _values(net, ts)
-    functions = {} if interp is None else interp
     step = marking_step(net, marking)
     moves = step.moves
     if moves is None:
         moves = step.moves = [_Move(net, fs, succ) for fs, succ in zip(step.sets, step.successors)]
     # A set's guard_set holds its chosen guards and the negated guards of
     # the competitors it was carved out against; all must hold.
-    candidates = [move for move in moves if move.holds(values, functions)]
+    candidates = [move for move in moves if move.holds(values, interp)]
     if not candidates:
         raise NoEnabledSet(step.enabled)
     if isinstance(policy, RandomMaximal):
@@ -173,7 +197,9 @@ def _fire(
         move = candidates[0]
     produced: dict[str, int] = {}
     for fn, posts in move.effects:
-        value = fn(values, functions)
+        value = fn(values, interp)
+        if value.bit_length() > MAX_VALUE_BITS:
+            raise ValueBound(f"a value of {value.bit_length()} bits")
         for p in posts:
             produced[p] = value
     if type(move.successor) is str:
@@ -184,7 +210,7 @@ def _fire(
 def simulate_step(
     net: PresNet,
     ts: TokenState,
-    interp: Interpretation,
+    interp: ex.Interpretation,
     policy: SchedulePolicy = MaximalStep(),
     rng: Optional[random.Random] = None,
 ) -> tuple[FiringSet, TokenState]:
@@ -196,11 +222,11 @@ def simulate_step(
 def simulate_run(
     net: PresNet,
     inputs: TokenState,
-    interp: Interpretation,
+    interp: ex.Interpretation,
     policy: SchedulePolicy = MaximalStep(),
     max_steps: int = 1_000,
 ) -> RunOutcome:
-    """Iterate steps from the initial token assignment until rest or bound."""
+    """Iterate steps from the initial token assignment until rest or a bound."""
     marking = frozenset(inputs)
     if marking != frozenset(net.initial_marking):
         raise SimError(
@@ -217,6 +243,8 @@ def simulate_run(
             move, after, choice = _fire(net, ts, marking, interp, policy, rng)
         except NoEnabledSet as stop:
             return RunOutcome(DEADLOCK if stop.structurally_enabled else QUIESCENT, ts, trace, step, chose)
+        except ValueBound:
+            return RunOutcome(VALUE_BOUND_EXCEEDED, ts, trace, step, chose)
         if step == max_steps:
             return RunOutcome(STEP_BOUND_EXCEEDED, ts, trace, max_steps, chose)
         ts, marking, chose = after, move.successor, chose or choice
@@ -231,7 +259,7 @@ def out_port_values(net: PresNet, ts: TokenState) -> dict[str, int]:
 def confluence_check(
     net: PresNet,
     inputs: TokenState,
-    interp: Interpretation,
+    interp: ex.Interpretation,
     schedules: int = 10,
     seed: int = 0,
     max_steps: int = 1_000,
@@ -254,7 +282,8 @@ def confluence_check(
     method = f"confluence(schedules={schedules}, seed={seed})"
     for s, run in outcomes:
         if run.status != QUIESCENT:
-            return Verdict(INCONCLUSIVE, method, reason=f"seed {s} ended {run.status} after {run.steps} steps")
+            reason = f"seed {s} ended {run.status} after {run.steps} steps{value_limit(run.status)}"
+            return Verdict(INCONCLUSIVE, method, reason=reason)
     base_seed, base = outcomes[0]
     base_out = out_port_values(net, base.final_state)
     for s, run in outcomes[1:]:

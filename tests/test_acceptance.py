@@ -243,7 +243,7 @@ def test_criterion_6_property_suites(jammer_nonpipelined, guard_split, racy):
                     break
             assert chosen is not None, name
             final_marking = frozenset(run.final_state)
-            state = conv.state_of_marking[final_marking]
+            (state,) = [q for q, m in conv.marking_of_state.items() if m == final_marking]
             assert state in machine.terminal_states()
             for p in sorted(final_marking):
                 v = net.var_of[p]

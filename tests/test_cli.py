@@ -177,6 +177,44 @@ class TestChecks:
         )
         assert run(capsys, "check-pres", str(scenario))[0] == 2
 
+    def test_interp_function_applied_with_the_wrong_arity(self, capsys, tmp_path):
+        (tmp_path / "arity.pres").write_text("net arity {\n  place a marked; place o;\n"
+                                             "  transition t { pre a; post o; fn f(a); }\n}\n")
+        (tmp_path / "arity_plus.pres").write_text("net arity_plus {\n  place a marked; place o;\n"
+                                                  "  transition t { pre a; post o; fn f(a) + 1; }\n}\n")
+        scenario = tmp_path / "arity.scn"
+        scenario.write_text('scenario arity { model left = "arity.pres"; model right = "arity_plus.pres";\n'
+                            "  inmap { a -> a; } outmap { o -> o; } varmap { o -> o; } inputs { a = 3; }\n"
+                            "  interp f(x, y) = x + y; }\n")
+        for argv in (["simulate"], ["check-pres", "--strategy", "sampled"]):
+            code, out, err = run(capsys, argv[0], str(scenario), *argv[1:])
+            assert (code, out, err) == (3, "", "error: SortMismatch: f expects 2 arguments, got 1\n"), argv
+        code, out, _ = run(capsys, "check-fsmd", str(scenario))
+        assert code == 2 and out.startswith("Inconclusive"), out
+        assert out.endswith("(0 of 1 vectors ran: SortMismatch 'f expects 2 arguments, got 1')\n"), out
+
+    def test_port_map_that_is_wrong_for_the_nets_exits_three(self, capsys, tmp_path):
+        # addthree_a's in-port is Pa; Pm has a producer.
+        with open(corpus.scenario_path("addthree"), encoding="utf-8") as fh:
+            text = fh.read()
+        scenario = tmp_path / "addthree_pm.scn"
+        scenario.write_text(text.replace('"../', f'"{os.path.dirname(corpus.corpus_path("addthree_a"))}/')
+                            .replace("inmap { Pa -> Paa; }", "inmap { Pm -> Paa; }"))
+        for strategy in ("symbolic", "sampled"):
+            code, out, err = run(capsys, "check-pres", str(scenario), "--strategy", strategy)
+            assert (code, out) == (3, ""), strategy
+            assert err == "error: the port map is not a bijection: in-port map domain ['Pm'] != ['Pa']\n"
+        # countdown's only marked place has a producer, so neither net has an in-port to map.
+        scenario = tmp_path / "countdown_inmap.scn"
+        scenario.write_text(f'scenario countdown_inmap {{ model left = "{corpus.corpus_path("countdown")}";\n'
+                            f'  model right = "{corpus.corpus_path("countdown")}";\n'
+                            "  inmap { a -> a; } outmap { o -> o; } inputs { a = 3; } }\n")
+        code, _, err = run(capsys, "check-pres", str(scenario))
+        assert code == 3 and err.startswith("error: the port map is not a bijection: in-port map domain ['a'] != []")
+        # Two in-ports against three: no map is a bijection, which is condition 1.
+        code, out, _ = run(capsys, "check-pres", corpus.scenario_path("cardinality_dropped_arc"))
+        assert code == 1 and '"condition": 1' in out
+
     # Both ports carry `xx`, so a firing set that takes ga with gd (or gb
     # with gc) assumes `xx > 0` and its negation at once.
     CONTRA_NET = """
@@ -378,6 +416,49 @@ class TestSimulate:
         code, out, _ = run(capsys, "simulate", str(scenario), "--schedules", "3")
         assert code == 2
         assert out.splitlines()[1] == '  reason: vector {"a": 1}: seed 0 ended StepBoundExceeded after 4 steps', out
+
+
+class TestValueBound:
+    """Net runs end once a token value passes fsmd.MAX_VALUE_BITS.  The
+    commands run in a child process with a timeout, so that a run that
+    outgrows the bound again fails here instead of hanging."""
+
+    def test_growing_values_end_every_command(self, tmp_path):
+        places = " ".join(f"place p{i};" for i in range(1, 15))
+        steps = (f"transition t{i} {{ pre p{i - 1}; post p{i}; fn p{i - 1} * p{i - 1}; }}" for i in range(1, 15))
+        chain = "\n  ".join(steps)
+        nets = {
+            # a = 3, 11, 123, ...: a loop whose values double in length, with 40 steps allowed.
+            "grow": ("place a marked; place o;\n  transition t { pre a; post a; fn a * a + 2; guard a > 1; }\n"
+                     "  transition d { pre a; post o; fn a; guard a <= 1; }",
+                     "inmap { } outmap { o -> o; } inputs { a = 3; } maxsteps 40;"),
+            # p0 = 3 squared 14 times: about 26000 bits at p14.
+            "square": (f"place p0 marked; {places}\n  {chain}",
+                       "inmap { p0 -> p0; } outmap { p14 -> p14; } inputs { p0 = 3; }"),
+        }
+        calls = []
+        for name, (body, clauses) in nets.items():
+            (tmp_path / f"{name}.pres").write_text(f"net {name} {{\n  {body}\n}}\n")
+            scenario = tmp_path / f"{name}.scn"
+            scenario.write_text(f'scenario {name} {{ model left = "{name}.pres"; model right = "{name}.pres";\n'
+                                f"  {clauses} }}\n")
+            calls += [["simulate", str(scenario)], ["simulate", str(scenario), "--schedules", "4"],
+                      ["check-pres", str(scenario)], ["check-pres", str(scenario), "--strategy", "sampled"]]
+        calls.append(["check-fsmd", str(tmp_path / "square.scn")])
+        src, here = os.path.dirname(os.path.dirname(cli.__file__)), os.path.dirname(__file__)
+        child = subprocess.run(
+            [sys.executable, "-c", "import json, sys; from test_cli import _in_order; calls = json.loads(sys.argv[1]); "
+             "print(json.dumps(_in_order(calls, range(len(calls)), sys.argv[2])))",
+             json.dumps([(argv, False) for argv in calls]), str(tmp_path)],
+            capture_output=True, text=True, check=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([src, here])},
+        )
+        seen = json.loads(child.stdout)
+        for i, argv in enumerate(calls[:-1]):
+            code, out, err, _ = seen[str(i)]
+            assert (code, err) == (2, ""), (argv, err)
+            assert "ValueBoundExceeded" in out and "(a token value passed the 4096-bit limit)" in out, (argv, out)
+        assert seen[str(len(calls) - 1)][:3] == [0, "Equivalent  [fsmd-paths (matched by normalized condition)]\n", ""]
 
 
 class TestExportDot:

@@ -273,12 +273,11 @@ class TestPresToFsmd:
                 for fs, t in zip(sets, [t for t in conv.fsmd.transitions if t.source == q]):
                     produced = {net.postset_var(tid) for tid in fs.transitions}
                     assert {a.target for a in t.updates} == produced
-                    scope = frozenset()
-                    for tid in fs.transitions:
-                        scope |= net.preset_vars(tid)
+                    readers = set(fs.transitions)
                     for tid, other in itertools.product(fs.transitions, net.transitions):
                         if net.preset(tid) & net.preset(other.id):
-                            scope |= net.preset_vars(other.id)
+                            readers.add(other.id)
+                    scope = {net.var_of[p] for tid in readers for p in net.preset(tid)}
                     for g in t.guard_set:
                         assert ex.free_vars(g) <= scope
 

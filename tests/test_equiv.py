@@ -1,10 +1,13 @@
 import random
 
+import pytest
+
 from presto import corpus, dsl, equiv, expr as ex
 from presto.convert import pres_to_fsmd
 from presto.dsl import parse_fsmd, parse_pres
 from presto.equiv import (
     PortMap,
+    PortMapError,
     Sampled,
     Symbolic,
     check_cardinality,
@@ -56,10 +59,18 @@ class TestCardinality:
         assert verdict.witness["condition"] == 2
         assert verdict.witness["place_pair"] == ["Pb", "Pbb"]
 
-    def test_invalid_port_map_is_condition_one(self, card_a, card_b):
-        verdict = check_cardinality(card_a, card_b, PortMap({"Pa": "Paa"}, {}), CARD_VECTORS, INTERP)
+    def test_invalid_port_map_is_condition_one(self, card_a):
+        # Two in-ports against three: no map can be a bijection, so the nets differ.
+        mutant = corpus.load_net("card_b_dropped_arc")
+        verdict = check_cardinality(card_a, mutant, CARD_PM, CARD_VECTORS, INTERP)
         assert verdict.status == NOT_EQUIVALENT
         assert verdict.witness["condition"] == 1
+
+    def test_port_map_that_is_no_bijection_between_equal_port_counts_is_an_error(self, card_a, card_b):
+        # Both nets have two in-ports and three out-ports, so the map is at fault, not the nets.
+        for pm in (PortMap({"Pa": "Paa"}, {}), PortMap({"Pa": "Paa", "Pb": "Paa"}, CARD_PM.out_map)):
+            with pytest.raises(PortMapError, match="the port map is not a bijection: in-port map"):
+                check_cardinality(card_a, card_b, pm, CARD_VECTORS, INTERP)
 
 
 class TestFunctional:

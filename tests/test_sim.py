@@ -3,17 +3,21 @@ import random
 import pytest
 
 from presto import sim
-from presto.dsl import parse_pres
+from presto.dsl import parse_pres, parse_scenario
+from presto.expr import SortMismatch
+from presto.fsmd import MAX_VALUE_BITS
 from presto.sim import (
     DEADLOCK,
     QUIESCENT,
     STEP_BOUND_EXCEEDED,
+    VALUE_BOUND_EXCEEDED,
     MaximalStep,
     NoEnabledSet,
     RandomMaximal,
     SeededInterpretation,
     ValueConflict,
     confluence_check,
+    interpretation,
     out_port_values,
     simulate_run,
     simulate_step,
@@ -256,3 +260,48 @@ def test_seeded_coefficients_are_derived_once_per_symbol(monkeypatch):
     assert per_symbol == {"f", "g"}
     assert sum(data.startswith(b"11:f:") for data in digests) <= 3  # arity 2: c0, c1, c2
     assert sum(data.startswith(b"11:g:") for data in digests) <= 2
+
+
+def test_seeded_interpretation_is_a_dict_that_stores_each_symbol_on_first_lookup():
+    explicit = {"f": lambda a: a + 100}
+    seeded = SeededInterpretation(3, explicit)
+    assert isinstance(seeded, dict) and seeded == explicit
+    g = seeded["g"]
+    assert list(seeded) == ["f", "g"]
+    assert seeded["g"] is g and seeded.get("g") is g
+    assert len(seeded) == 2
+
+
+def test_interp_lines_become_functions_that_check_their_arity():
+    doc = parse_scenario("scenario s { interp f(x, y) = 2 * x + y; interp k() = 7; }")
+    functions = interpretation(doc.interps)
+    assert type(functions) is dict and sorted(functions) == ["f", "k"]
+    assert (functions["f"](3, 1), functions["k"]()) == (7, 7)
+    with pytest.raises(SortMismatch, match="^f expects 2 arguments, got 1$"):
+        functions["f"](3)
+    seeded = interpretation(doc.interps, 11)
+    assert isinstance(seeded, SeededInterpretation) and seeded["f"] is not functions["f"]
+    assert seeded["f"](3, 1) == 7 and seeded["h"](2) == SeededInterpretation(11)["h"](2)
+    with pytest.raises(SortMismatch, match="operand of '\\+' is not int-sorted"):  # compiled when built, unused or not
+        interpretation(parse_scenario("scenario s { interp g(x) = (x > 0) + 1; }").interps)
+
+
+GROW = """
+    net grow {
+      place a marked; place o;
+      transition t { pre a; post a; fn a * a + 2; guard a > 1; }
+      transition d { pre a; post o; fn a; guard a <= 1; }
+    }
+"""
+
+
+def test_a_run_ends_when_a_token_value_outgrows_the_bound():
+    # 3, 11, 123, ...: the bit length about doubles on every step.
+    net = parse_pres(GROW)
+    run = simulate_run(net, {"a": 3}, {}, max_steps=40)
+    assert (run.status, run.steps) == (VALUE_BOUND_EXCEEDED, 11)
+    assert 2048 < run.final_state["a"].bit_length() <= MAX_VALUE_BITS
+    verdict = confluence_check(net, {"a": 3}, {}, 4, 0, 40)
+    assert verdict.status == "Inconclusive"
+    limit = f"(a token value passed the {MAX_VALUE_BITS}-bit limit)"
+    assert verdict.reason == f"seed 0 ended ValueBoundExceeded after 11 steps {limit}"
