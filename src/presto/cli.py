@@ -11,6 +11,7 @@ report.  Set ``PRESTO_COLOR=0`` to disable ANSI styling.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -36,6 +37,7 @@ from .sim import (
     MaximalStep,
     SimError,
     RandomMaximal,
+    check_arities,
     confluence_check,
     interpretation,
     out_port_values,
@@ -139,6 +141,8 @@ def cmd_convert(args) -> int:
     else:
         print(text, end="")
     print(f"states: {conv.states_visited}", file=sys.stderr)
+    if not args.json:
+        return 0
     report = {
         "command": "convert",
         "states": conv.states_visited,
@@ -268,6 +272,9 @@ def cmd_check_fsmd(args) -> int:
             raise UsageError(f"the scenario has no varmap and the outputs differ: {left} and {right}")
         var_map = {v: v for v in left}
     interp = interpretation(doc.interps, doc.default_seed)
+    # An interp line applied with the wrong arity is a scenario error, as in a net run.
+    check_arities(doc.interps, (e for machine in machines for t in machine.transitions
+                                for e in (*t.guard_set, *(a.expr for a in t.updates))))
     verdict = check_fsmd_equivalence(*machines, var_map, vectors, interp, doc.max_steps)
     print(_verdict_line(verdict))
     _write_json(args.json, {"command": "check-fsmd", "verdict": _verdict_json(verdict), "warnings": warnings})
@@ -336,8 +343,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 _PARSER = build_parser()  # parse_args never changes it, so one parser serves every call
 
+# The collector's generation-0 threshold while a command runs.  A command
+# allocates many tracked objects (interned terms, their keys, the indices of
+# each net) and leaves no cyclic garbage, so at the default of 700 it would
+# run several collections per command that find nothing to free.
+GC_THRESHOLD = 10_000
+
 
 def main(argv: Optional[list[str]] = None) -> int:
+    found = gc.get_threshold()
+    if 0 < found[0] < GC_THRESHOLD:  # 0 means automatic collection is off: leave it off
+        gc.set_threshold(GC_THRESHOLD, *found[1:])
+    try:
+        return _command(argv)
+    finally:
+        gc.set_threshold(*found)
+
+
+def _command(argv: Optional[list[str]]) -> int:
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as stop:

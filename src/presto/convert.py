@@ -73,8 +73,13 @@ def _conflict_groups(net: PresNet, enabled: list[str]) -> list[list[str]]:
     """Connected components of the "input places overlap" relation.
 
     ``enabled`` comes in declaration order, and so do the groups (by their
-    first member) and the members of each group.
+    first member) and the members of each group.  Where no two enabled
+    transitions share an input place, as at every marking of a net of
+    independent lanes, each transition is a group of its own.
     """
+    presets = [net.preset(t) for t in enabled]
+    if len(frozenset().union(*presets)) == sum(map(len, presets)):
+        return [[t] for t in enabled]
     parent = {t: t for t in enabled}
 
     def find(x: str) -> str:
@@ -84,8 +89,8 @@ def _conflict_groups(net: PresNet, enabled: list[str]) -> list[list[str]]:
         return x
 
     first_consumer: dict[str, str] = {}
-    for t in enabled:
-        for p in net.preset(t):
+    for t, preset in zip(enabled, presets):
+        for p in preset:
             other = first_consumer.setdefault(p, t)
             parent[find(t)] = find(other)
     groups: dict[str, list[str]] = {}
@@ -145,8 +150,10 @@ def construct_set_of_transitions(
 def fire_set(net: PresNet, m: frozenset[str], fs: FiringSet | tuple[str, ...]) -> frozenset[str]:
     """Successor marking: consume every input place, then produce every output place.
 
-    Raises :class:`UnsafeMarking` when a produced place is already marked
-    (and not consumed this step) or two fired transitions produce it.
+    Raises :class:`NotEnabled` when a transition is not enabled at ``m`` or
+    two transitions compete for a token, and :class:`UnsafeMarking` when a
+    produced place is already marked (and not consumed this step) or two
+    fired transitions produce it.
     """
     tids = fs.transitions if isinstance(fs, FiringSet) else tuple(fs)
     consumer: dict[str, str] = {}  # place -> the transition consuming it
@@ -157,13 +164,21 @@ def fire_set(net: PresNet, m: frozenset[str], fs: FiringSet | tuple[str, ...]) -
             if p in consumer:
                 raise NotEnabled(f"transitions {consumer[p]!r} and {tid!r} compete for a token")
             consumer[p] = tid
-    remaining = m.difference(consumer)
-    produced: set[str] = set()
-    for tid in tids:
-        for p in net.postset(tid):
-            if p in produced or p in remaining:
+    return _successor(net, m, tids)
+
+
+def _successor(net: PresNet, m: frozenset[str], tids: tuple[str, ...]) -> frozenset[str]:
+    """Consume and produce for transitions that are enabled at ``m`` and
+    share no input place; raises :class:`UnsafeMarking` like :func:`fire_set`."""
+    remaining = m.difference(*map(net.preset, tids))
+    posts = [net.postset(tid) for tid in tids]
+    produced = frozenset().union(*posts)
+    if len(produced) < sum(map(len, posts)) or not remaining.isdisjoint(produced):
+        seen: set[str] = set()  # name the first place that gets a second token
+        for p in itertools.chain.from_iterable(posts):
+            if p in seen or p in remaining:
                 raise UnsafeMarking(f"firing {sorted(tids)} puts a second token on {p!r}")
-            produced.add(p)
+            seen.add(p)
     return remaining | produced
 
 
@@ -194,9 +209,9 @@ def marking_step(net: PresNet, m: frozenset[str]) -> Step:
         dropped: list[Violation] = []
         sets = construct_set_of_transitions(net, m, dropped)
         successors: list[frozenset[str] | str] = []
-        for fs in sets:
+        for fs in sets:  # enabled at m, and no two members share an input place
             try:
-                successors.append(fire_set(net, m, fs))
+                successors.append(_successor(net, m, fs.transitions))
             except UnsafeMarking as err:
                 successors.append(str(err))
         # Where transitions are enabled, every combination of them is kept or dropped.

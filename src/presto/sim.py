@@ -99,11 +99,12 @@ class SeededInterpretation(dict):
     def __missing__(self, symbol: str) -> Callable[..., int]:
         import hashlib  # on first use: importing it would slow every command's start
 
+        seed = self.seed  # the function holds the seed, not the dict that holds the function
         coeffs: list[int] = []  # c0, c1, ... as far as a call has needed them
 
         def fn(*args: int) -> int:
             while len(coeffs) <= len(args):
-                digest = hashlib.sha256(f"{self.seed}:{symbol}:{len(coeffs)}".encode()).digest()
+                digest = hashlib.sha256(f"{seed}:{symbol}:{len(coeffs)}".encode()).digest()
                 c = int.from_bytes(digest[:4], "big") % 13 - 6
                 coeffs.append(c if c != 0 else 7)
             acc = coeffs[0]
@@ -132,10 +133,33 @@ def _interpreted(decl) -> Callable[..., int]:
 
     def fn(*args: int) -> int:
         if len(args) != arity:
-            raise ex.SortMismatch(f"{symbol} expects {arity} arguments, got {len(args)}")
+            raise _wrong_arity(symbol, arity, len(args))
         return body(dict(zip(params, args)), ex.NO_FUNCTIONS)  # a body applies no symbol of its own
 
     return fn
+
+
+def _wrong_arity(symbol: str, arity: int, got: int) -> ex.SortMismatch:
+    return ex.SortMismatch(f"{symbol} expects {arity} arguments, got {got}")
+
+
+def check_arities(decls: Iterable, terms: Iterable[ex.Expr]) -> None:
+    """Raise the :class:`~presto.expr.SortMismatch` that a call would
+    raise, for the first application in ``terms`` of an ``interp`` line's
+    symbol to the wrong number of arguments."""
+    arity = {decl.symbol: len(decl.params) for decl in decls}
+    if not arity:
+        return
+    seen: set[ex.Expr] = set()
+    stack = list(terms)[::-1]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        if type(node) is ex.Apply and len(node.args) != arity.get(node.symbol, len(node.args)):
+            raise _wrong_arity(node.symbol, arity[node.symbol], len(node.args))
+        stack.extend(reversed(node._kids))
 
 
 @dataclass
@@ -159,10 +183,11 @@ def _values(net: PresNet, ts: TokenState) -> dict[str, int]:
 
 class _Move:
     """A firing set of one marking in the form a step runs: ``holds`` is
-    its guard set compiled into one test, and ``effects`` the compiled
-    ``(fn, post places)`` of each transition."""
+    its guard set compiled into one test, ``effects`` the compiled
+    ``(fn, post places)`` of each transition, and ``marked`` the places of
+    the successor marking in the net's place order."""
 
-    __slots__ = ("fs", "holds", "effects", "successor")
+    __slots__ = ("fs", "holds", "effects", "successor", "marked")
 
     def __init__(self, net: PresNet, fs: FiringSet, successor) -> None:
         guards = tuple(ex.compiled(g) for g in fs.guard_set)
@@ -172,6 +197,7 @@ class _Move:
             self.holds = lambda values, functions: all(g(values, functions) for g in guards)
         self.effects = tuple((ex.compiled(net.transition(tid).fn), tuple(net.postset(tid))) for tid in fs.transitions)
         self.fs, self.successor = fs, successor
+        self.marked = () if type(successor) is str else tuple(filter(successor.__contains__, net.places))
 
 
 def _fire(
@@ -204,7 +230,7 @@ def _fire(
             produced[p] = value
     if type(move.successor) is str:
         raise UnsafeMarking(move.successor)
-    return move, {p: produced[p] if p in produced else ts[p] for p in move.successor}, len(candidates) > 1
+    return move, {p: produced[p] if p in produced else ts[p] for p in move.marked}, len(candidates) > 1
 
 
 def simulate_step(

@@ -12,6 +12,7 @@ from presto.convert import (
     _conflict_groups,
     construct_set_of_transitions,
     fire_set,
+    marking_step,
     pres_to_fsmd,
 )
 from presto.dsl import parse_expression, parse_pres
@@ -192,14 +193,17 @@ def test_kernel_agrees_with_brute_force_reference(name):
         dropped = {w.element for w in warnings}
         expected = [tuple(sorted(c, key=order.index)) for c in itertools.product(*groups) if "+".join(c) not in dropped]
         assert [fs.transitions for fs in sets] == (expected if enabled else [])
-        for fs in sets:
+        step = marking_step(net, m)
+        assert list(step.sets) == sets
+        for fs, successor in zip(sets, step.successors):
             consumed = set().union(*(net.preset(t) for t in fs.transitions))
             produced = [p for t in fs.transitions for p in net.postset(t)]
             if len(set(produced)) < len(produced) or set(produced) & (m - consumed):
-                with pytest.raises(UnsafeMarking):
+                with pytest.raises(UnsafeMarking) as unsafe:
                     fire_set(net, m, fs)
+                assert successor == str(unsafe.value)
             else:
-                assert fire_set(net, m, fs) == (m - consumed) | set(produced)
+                assert fire_set(net, m, fs) == (m - consumed) | set(produced) == successor
         for a, b in itertools.combinations(enabled, 2):
             if net.preset(a) & net.preset(b):
                 with pytest.raises(NotEnabled, match="compete for a token"):

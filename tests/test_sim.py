@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from presto.sim import (
     NoEnabledSet,
     RandomMaximal,
     SeededInterpretation,
+    check_arities,
     ValueConflict,
     confluence_check,
     interpretation,
@@ -168,7 +170,15 @@ class TestSimulateRun:
                 consumed = frozenset().union(*(net.preset(t) for t in fs.transitions))
                 produced = frozenset().union(*(net.postset(t) for t in fs.transitions))
                 assert frozenset(ts) == (marked - consumed) | produced
+                assert list(ts) == [p for p in net.places if p in ts]  # in place order, whatever the hashing
                 marked = frozenset(ts)
+
+    def test_tokens_come_in_the_nets_place_order(self, guard_split):
+        # demos/02 prints these dicts; their order must not follow string hashing.
+        for p3, marked in ((5, ["p4", "p5", "p6"]), (0, ["p7", "p4"])):  # p7 is declared before p4
+            run = simulate_run(guard_split, {"p7": 9, "p3": p3, "p2": 2, "p1": 1}, GUARD_SPLIT_INTERP)
+            assert [list(ts) for _, ts in run.trace] == [marked]
+            assert list(run.final_state) == marked
 
 
 class TestConfluence:
@@ -284,6 +294,35 @@ def test_interp_lines_become_functions_that_check_their_arity():
     assert seeded["f"](3, 1) == 7 and seeded["h"](2) == SeededInterpretation(11)["h"](2)
     with pytest.raises(SortMismatch, match="operand of '\\+' is not int-sorted"):  # compiled when built, unused or not
         interpretation(parse_scenario("scenario s { interp g(x) = (x > 0) + 1; }").interps)
+
+
+
+def test_seeded_functions_leave_no_cycle_behind():
+    # A symbol's function holds the seed, not the interpretation that holds
+    # the function, so dropping an interpretation frees it without the collector.
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        seeded = SeededInterpretation(11, {"k": lambda: 7})
+        assert [seeded["f"](3), seeded["g"](1, 2), seeded["k"]()] == [7, -2, 7]
+        del seeded
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def test_arities_are_checked_against_every_application():
+    doc = parse_scenario("scenario s { interp f(x, y) = x + y; interp k() = 7; }")
+    net = parse_pres("net n { place a marked; place o; transition t { pre a; post o; fn g(f(a, k()), a); "
+                     "guard f(a, a) > k(); } }")
+    t = net.transitions[0]
+    check_arities(doc.interps, [t.guard, t.fn])  # g has no interp line: any arity
+    check_arities([], [t.fn])
+    bad = parse_pres("net n { place a marked; place o; transition t { pre a; post o; fn a + g(k(a)); } }")
+    with pytest.raises(SortMismatch, match="^k expects 0 arguments, got 1$"):
+        check_arities(doc.interps, [t.fn, bad.transitions[0].fn])
 
 
 GROW = """
