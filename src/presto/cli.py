@@ -163,6 +163,11 @@ def cmd_convert(args) -> int:
     return 0
 
 
+def _terms(nets) -> list[ex.Expr]:
+    """The transfer functions and guards of the transitions of ``nets``."""
+    return [e for net in nets for t in net.transitions for e in (t.fn, t.guard) if e is not None]
+
+
 def _confluence(net: PresNet, vectors: list[dict], interp, schedules: int, seed: int, max_steps: int) -> Verdict:
     """The schedule-independence check on every input vector.
 
@@ -189,15 +194,14 @@ def cmd_simulate(args) -> int:
     doc = _load_scenario(args.scenario)
     interp = interpretation(doc.interps, doc.default_seed)
     max_steps = args.max_steps or doc.max_steps
-    left_net = _load_model(doc.resolve(doc.left)) if doc.left else None
+    nets = [(side, _load_model(doc.resolve(path))) for side, path in (("left", doc.left), ("right", doc.right)) if path]
+    if not all(isinstance(net, PresNet) for _, net in nets):
+        raise UsageError("simulate expects net models")
+    check_arities(doc.interps, _terms(net for _, net in nets))
+    left_net = nets[0][1] if doc.left else None
     runs = []
     worst = 0
-    for side, path in (("left", doc.resolve(doc.left)), ("right", doc.resolve(doc.right))):
-        if path is None:
-            continue
-        net = left_net if side == "left" else _load_model(path)
-        if not isinstance(net, PresNet):
-            raise UsageError("simulate expects net models")
+    for side, net in nets:
 
         def vector_for(vec: dict) -> dict:
             if side == "left" or left_net is None:
@@ -236,6 +240,7 @@ def cmd_check_pres(args) -> int:
         raise UsageError("check-pres expects net models")
     pm = PortMap(dict(doc.in_map), dict(doc.out_map))
     interp = interpretation(doc.interps, doc.default_seed)
+    check_arities(doc.interps, _terms((n1, n2)))
     strategy_name = args.strategy or doc.strategy
     warnings: list = []
     if doc.check == "cardinality":
@@ -272,7 +277,7 @@ def cmd_check_fsmd(args) -> int:
             raise UsageError(f"the scenario has no varmap and the outputs differ: {left} and {right}")
         var_map = {v: v for v in left}
     interp = interpretation(doc.interps, doc.default_seed)
-    # An interp line applied with the wrong arity is a scenario error, as in a net run.
+    # An interp line applied with the wrong arity is a scenario error, whether or not a run reaches it.
     check_arities(doc.interps, (e for machine in machines for t in machine.transitions
                                 for e in (*t.guard_set, *(a.expr for a in t.updates))))
     verdict = check_fsmd_equivalence(*machines, var_map, vectors, interp, doc.max_steps)

@@ -8,9 +8,10 @@ connectives.  All integer arithmetic is unbounded; values never wrap.
 Terms are hash-consed: every constructor looks its node up in one weak
 intern table, so two structurally equal terms are the same object and
 ``==``/``hash`` are the identity ones.  A node fixes its sort (``None``
-when ill-sorted) and free-variable set when it is built, and lazily
-caches its ordering key, its default normal form and its compiled
-closure.  All walks use explicit stacks (compiled closures call each
+when ill-sorted), free-variable set and height when it is built, and
+lazily caches its ordering key, its default normal form and its compiled
+closure.  A node that nothing refers to leaves the table at once, without
+a collection, and takes its caches with it.  All walks use explicit stacks (compiled closures call each
 other through the lowest 64 levels of a term only), so term depth is
 bounded by memory, not recursion.
 
@@ -92,8 +93,10 @@ _table: dict[tuple, _Ref] = {}
 
 
 def _drop(dead: _Ref, table: dict = _table) -> None:
-    if table.get(dead.key) is dead:
-        del table[dead.key]
+    key = dead.key
+    entry = table.pop(key, dead)
+    if entry is not dead:  # a newer node took the key: put it back
+        table[key] = entry
 
 
 _NO_VARS: frozenset[str] = frozenset()
@@ -104,11 +107,12 @@ _new = object.__new__
 class Expr:
     """Base class of the interned term nodes; build them with the subclass constructors.
 
-    Nodes are shared, so assignment is refused; only this module writes
-    them, through the setters of their slots.  Besides its fields a node
-    holds its children, its sort, its free variables and the lazy caches of
-    its ordering key, default normal form and compiled closure (with its
-    height, which the closure's recursion depth follows).
+    Nodes are shared, so assignment is refused.  A constructor writes a new
+    node's slots while it is still an instance of its class's writable twin
+    (see :func:`_writable`); the lazy caches are written later through the
+    setters of their slots.  Besides its fields a node holds its children,
+    its sort, its free variables, its height (leaves are 0) and the lazy
+    caches of its ordering key, default normal form and compiled closure.
     """
 
     __slots__ = ("_kids", "_sort", "_ord", "_fv", "_nf", "_fn", "_height", "__weakref__")
@@ -130,53 +134,22 @@ class Expr:
         return to_text(self)
 
 
-# The setters of the slots, bound once.  Writing through a slot's own
-# descriptor skips ``Expr.__setattr__`` and the lookup (and the check of the
-# class's ``__setattr__``) that ``object.__setattr__`` makes on every call.
-_set_kids, _set_sort, _set_ord, _set_fv, _set_nf, _set_fn, _set_height = (
-    getattr(Expr, name).__set__ for name in ("_kids", "_sort", "_ord", "_fv", "_nf", "_fn", "_height"))
+# The setters of the lazily filled slots, bound once.  Writing through a
+# slot's own descriptor skips ``Expr.__setattr__``.
+_set_ord, _set_nf, _set_fn = (getattr(Expr, name).__set__ for name in ("_ord", "_nf", "_fn"))
 
 
-def _intern(cls, key: tuple, fields: tuple, kids: tuple | None = None, sort=None) -> Expr:
-    """A new node with ``fields``, registered under ``key``; a leaf passes no ``kids`` or ``sort``."""
-    node = _new(cls)
-    cls._init(node, *fields)
-    _set_ord(node, None)
-    _set_fn(node, None)
-    if kids is not None:
-        fv = kids[0]._fv if kids else _NO_VARS  # shared with a child where no other child adds a variable
-        for k in kids[1:]:
-            if not k._fv <= fv:
-                fv = fv | k._fv
-        _set_kids(node, kids)
-        _set_sort(node, sort)
-        _set_fv(node, fv)
-        _set_nf(node, None)
-    _table[key] = entry = _Ref(node, _drop)
-    entry.key = key
-    return node
+def _writable(cls: type) -> type:
+    """A subclass of ``cls`` whose slots plain assignment writes.
 
-
-def _checked_sort(cls, op: str, kids: tuple):
-    """Sort of a new ``cls`` node over ``kids``, or ``None`` if an operand is badly sorted.
-
-    Raises ``ValueError`` for an operator ``cls`` does not have or a wrong
-    operand count, and ``TypeError`` for an operand that is not a term.
+    A constructor makes a new node as one, writes each slot with one
+    attribute store and then turns it into a ``cls`` by assigning
+    ``__class__``, which the two classes allow because the subclass adds no
+    slot.  A descriptor setter or ``object.__setattr__`` costs several
+    times as much per write.
     """
-    signature = _SIGNATURES.get((cls, op))
-    if signature is None:
-        if cls is not Apply:
-            raise ValueError(f"unknown {cls.__name__} operator {op!r}")
-        signature = _APPLY_SIGNATURE
-    low, high, operand, result = signature
-    if len(kids) < low or (high is not None and len(kids) > high):
-        raise ValueError(f"{op!r} takes {low if low == high else f'at least {low}'} operand(s), got {len(kids)}")
-    for k in kids:
-        if not isinstance(k, Expr):
-            raise TypeError(f"not an expression: {k!r}")
-        if k._sort is not operand:
-            return None
-    return result
+    return type(cls.__name__, (cls,), {"__slots__": (), "__module__": cls.__module__,
+                                       "__setattr__": object.__setattr__, "__delattr__": object.__delattr__})
 
 
 class _Leaf(Expr):
@@ -188,7 +161,24 @@ class _Leaf(Expr):
     def __new__(cls, value):
         key = (cls, value)
         node = (entry := _table.get(key)) and entry()
-        return node or _intern(cls, key, (cls._coerce(value),))
+        if node is not None:
+            return node
+        value = cls._coerce(value)
+        node = _new(cls._writable)
+        if cls is Var:
+            node.name = value
+            node._fv = frozenset((value,))
+        else:
+            node.value = value
+        node._ord = node._fn = None
+        node.__class__ = cls
+        _table[key] = entry = _Ref(node, _drop)
+        entry.key = key
+        return node
+
+    def _closure(self) -> Compiled:  # a constant's; a variable has its own
+        value = self.value
+        return lambda values, functions: value
 
 
 class IntConst(_Leaf):
@@ -207,17 +197,62 @@ class Var(_Leaf):
     __slots__ = _fields = ("name",)
     _sort, _coerce = INT, str
 
+    def _closure(self) -> Compiled:
+        name = self.name
+
+        def var(values, functions):
+            try:
+                return values[name]
+            except KeyError:
+                raise UnboundVariable(name) from None
+
+        return var
+
 
 class _Nary(Expr):
     """A head (function symbol or operator) over a tuple of operands of one sort."""
 
     __slots__ = ("args",)
+    # head -> (fewest operands, most operands or None, operand sort, result
+    # sort); a head missing from the table has the signature ``_any_head``.
+    _signatures: dict = {}
+    _any_head = None
 
     def __new__(cls, head: str, args: Iterable[Expr]):
         args = args if type(args) is tuple else tuple(args)
         key = (cls, head, args)
         node = (entry := _table.get(key)) and entry()
-        return node or _intern(cls, key, (head, args), args, _checked_sort(cls, head, args))
+        if node is not None:
+            return node
+        signature = cls._signatures.get(head, cls._any_head)
+        if signature is None:
+            raise ValueError(f"unknown {cls.__name__} operator {head!r}")
+        low, high, operand, sort = signature
+        if len(args) < low or (high is not None and len(args) > high):
+            raise ValueError(f"{head!r} takes {low if low == high else f'at least {low}'} operand(s), got {len(args)}")
+        fv, height = _NO_VARS, 1
+        for k in args:
+            if not isinstance(k, Expr):
+                raise TypeError(f"not an expression: {k!r}")
+            if k._sort is not operand:
+                sort = None
+            kfv, kheight = k._fv, k._height
+            if not kfv <= fv:  # shared with a child where no other child adds a variable
+                fv = fv | kfv if fv else kfv
+            if kheight >= height:
+                height = kheight + 1
+        node = _new(cls._writable)
+        if cls is Apply:
+            node.symbol = head
+        else:
+            node.op = head
+        node._kids = node.args = args
+        node._sort, node._fv, node._height = sort, fv, height
+        node._ord = node._nf = node._fn = None
+        node.__class__ = cls
+        _table[key] = entry = _Ref(node, _drop)
+        entry.key = key
+        return node
 
 
 class Apply(_Nary):
@@ -225,11 +260,36 @@ class Apply(_Nary):
 
     __slots__ = ("symbol",)
     _fields = ("symbol", "args")
+    _any_head = (0, None, INT, INT)  # any symbol over any number of integer operands
+
+    def _closure(self) -> Compiled:
+        symbol, args = self.symbol, self.args
+        if len(args) == 1:
+            arg = args[0]._fn
+
+            def apply1(values, functions):
+                value = arg(values, functions)
+                try:
+                    fn = functions[symbol]
+                except KeyError:
+                    raise UninterpretedSymbol(symbol) from None
+                return int(fn(value))
+
+            return apply1
+        fns = list(map(_fn_of, args))
+        return lambda values, functions: _apply(symbol, [f(values, functions) for f in fns], functions)
 
 
 class Arith(_Nary):
     __slots__ = ("op",)
     _fields = ("op", "args")
+
+    def _closure(self) -> Compiled:
+        op, args = self.op, self.args
+        if len(args) == 2:
+            return _binary(_BINARY[op], *args)
+        combine, fns = _ARITH_FUNCS[op], list(map(_fn_of, args))
+        return lambda values, functions: combine([f(values, functions) for f in fns])
 
 
 class Rel(Expr):
@@ -237,53 +297,45 @@ class Rel(Expr):
 
     def __new__(cls, op: str, lhs: Expr, rhs: Expr):
         key = (Rel, op, lhs, rhs)
-        kids = (lhs, rhs)
         node = (entry := _table.get(key)) and entry()
-        return node or _intern(Rel, key, (op, lhs, rhs), kids, _checked_sort(Rel, op, kids))
+        if node is not None:
+            return node
+        if op not in _REL_FUNCS:
+            raise ValueError(f"unknown Rel operator {op!r}")
+        for k in (lhs, rhs):
+            if not isinstance(k, Expr):
+                raise TypeError(f"not an expression: {k!r}")
+        node = _new(Rel._writable)
+        node.op, node.lhs, node.rhs, node._kids = op, lhs, rhs, (lhs, rhs)
+        node._sort = BOOL if lhs._sort is INT and rhs._sort is INT else None
+        node._fv = lhs._fv if rhs._fv <= lhs._fv else rhs._fv if lhs._fv <= rhs._fv else lhs._fv | rhs._fv
+        node._height = 1 + (lhs._height if lhs._height > rhs._height else rhs._height)
+        node._ord = node._nf = node._fn = None
+        node.__class__ = Rel
+        _table[key] = entry = _Ref(node, _drop)
+        entry.key = key
+        return node
+
+    def _closure(self) -> Compiled:
+        return _binary(_REL_FUNCS[self.op], self.lhs, self.rhs)
 
 
 class BoolOp(_Nary):
     __slots__ = ("op",)
     _fields = ("op", "args")
 
-
-# Each class's field initializer: ``cls._init(node, *fields)`` writes the
-# fields of a new node (and a variable's free-variable set).
-def _init_var(node: Var, name: str, set_name=Var.name.__set__) -> None:
-    set_name(node, name)
-    _set_fv(node, frozenset((name,)))
+    def _closure(self) -> Compiled:
+        combine, fns = _BOOL_FUNCS[self.op], list(map(_fn_of, self.args))
+        return lambda values, functions: combine([f(values, functions) for f in fns])
 
 
-def _nary_init(cls) -> Callable[[Expr, str, tuple], None]:
-    set_head, set_args = getattr(cls, cls._fields[0]).__set__, _Nary.args.__set__
+for _cls in (IntConst, BoolConst, Var, Apply, Arith, Rel, BoolOp):
+    _cls._writable = _writable(_cls)
+del _cls
 
-    def init(node: Expr, head: str, args: tuple) -> None:
-        set_head(node, head)
-        set_args(node, args)
-
-    return init
-
-
-def _init_rel(node: Rel, op: str, lhs: Expr, rhs: Expr,
-              set_op=Rel.op.__set__, set_lhs=Rel.lhs.__set__, set_rhs=Rel.rhs.__set__) -> None:
-    set_op(node, op)
-    set_lhs(node, lhs)
-    set_rhs(node, rhs)
-
-
-IntConst._init, BoolConst._init, Var._init, Rel._init = IntConst.value.__set__, BoolConst.value.__set__, _init_var, _init_rel
-Apply._init, Arith._init, BoolOp._init = (_nary_init(cls) for cls in (Apply, Arith, BoolOp))
-
-# (class, operator) -> (fewest operands, most operands or None, operand
-# sort, result sort); relations are binary, and an application takes any
-# symbol over any number of integer operands.
 _ARITY = {"neg": (1, 1), "-": (2, 2), "+": (2, None), "*": (2, None), "not": (1, 1), "and": (1, None), "or": (1, None)}
-_SIGNATURES = {
-    **{(Arith, op): (*_ARITY[op], INT, INT) for op in ARITH_OPS},
-    **{(Rel, op): (2, 2, INT, BOOL) for op in REL_OPS},
-    **{(BoolOp, op): (*_ARITY[op], BOOL, BOOL) for op in BOOL_OPS},
-}
-_APPLY_SIGNATURE = (0, None, INT, INT)
+Arith._signatures = {op: (*_ARITY[op], INT, INT) for op in ARITH_OPS}
+BoolOp._signatures = {op: (*_ARITY[op], BOOL, BOOL) for op in BOOL_OPS}
 
 
 # The meaning of applied symbols at run time: symbol -> total integer function.
@@ -397,7 +449,7 @@ _BINARY = {"+": operator.add, "*": operator.mul, "-": operator.sub}
 Compiled = Callable[[Mapping[str, int], Interpretation], Value]
 
 _EVAL_DEPTH = 64  # a subterm higher than this is evaluated by an explicit-stack walk
-_height_of, _fn_of = operator.attrgetter("_height"), operator.attrgetter("_fn")
+_fn_of = operator.attrgetter("_fn")
 
 
 def evaluate(e: Expr, env: Environment) -> Value:
@@ -413,74 +465,50 @@ def compiled(e: Expr) -> Compiled:
     :class:`SortMismatch` and keeps nothing, so it raises on every call.
     Every operand of ``and``/``or`` is evaluated, so which error a term
     raises never depends on short-circuiting.
+
+    One pass compiles the nodes that have no closure yet, children before
+    parents.  Each node's class builds its closure over its children's
+    (``_closure``); closures call each other, so a node higher than
+    ``_EVAL_DEPTH`` gets a closure that walks its subterms with an explicit
+    stack instead.  No closure holds its own node, so no node keeps itself
+    alive.
     """
     fn = e._fn if isinstance(e, Expr) else None
     if fn is None:
-        sort_of(e)
+        if not isinstance(e, Expr) or e._sort is None:
+            sort_of(e)  # raises; the children of a well-sorted node are well-sorted
         stack = [e]
-        while stack:  # children before parents
+        while stack:
             node = stack[-1]
+            waiting = len(stack)
             for k in node._kids:
                 if k._fn is None:
                     stack.append(k)
-            if stack[-1] is node:  # every child is compiled
+            if len(stack) == waiting:  # every child is compiled
                 stack.pop()
                 if node._fn is None:
-                    _set_fn(node, _compile(node))
+                    _set_fn(node, node._closure() if node._height <= _EVAL_DEPTH else _deep(node))
         fn = e._fn
     return fn
 
 
-def _compile(node: Expr) -> Compiled:
-    """The closure of ``node`` over its children's closures; sets the node's height.
+def _binary(op: Callable[[Value, Value], Value], lhs: Expr, rhs: Expr) -> Compiled:
+    """``op`` over two compiled operands; an integer constant is taken as its value."""
+    if type(rhs) is IntConst:
+        f, c = lhs._fn, rhs.value
+        return lambda values, functions: op(f(values, functions), c)
+    if type(lhs) is IntConst:
+        c, g = lhs.value, rhs._fn
+        return lambda values, functions: op(c, g(values, functions))
+    f, g = lhs._fn, rhs._fn
+    return lambda values, functions: op(f(values, functions), g(values, functions))
 
-    Closures call their children's closures, so a node higher than
-    ``_EVAL_DEPTH`` gets a closure that walks its subterms with an explicit
-    stack instead; it holds the children, never the node, so that no node
-    keeps itself alive.  A one-argument application and a two-operand
-    operator get a closure of their own that builds no operand list.
-    """
-    cls = type(node)
-    if cls is Var:
-        name = node.name
 
-        def var(values, functions):
-            try:
-                return values[name]
-            except KeyError:
-                raise UnboundVariable(name) from None
-
-        return var
-    if isinstance(node, _Leaf):
-        value = node.value
-        return lambda values, functions: value
+def _deep(node: Expr) -> Compiled:
+    """The closure of a node higher than ``_EVAL_DEPTH``; it holds the children, never the node."""
+    cls, kids = type(node), node._kids
     head = node.symbol if cls is Apply else node.op
-    height = 1 + max(map(_height_of, node._kids), default=0)
-    _set_height(node, height)
-    if height > _EVAL_DEPTH:
-        kids = node._kids
-        return lambda values, functions: _combine(cls, head, _eval_deep(kids, values, functions), functions)
-    fns = list(map(_fn_of, node._kids))
-    if cls is Apply:
-        if len(fns) == 1:
-            (arg,) = fns
-
-            def apply1(values, functions):
-                value = arg(values, functions)
-                try:
-                    fn = functions[head]
-                except KeyError:
-                    raise UninterpretedSymbol(head) from None
-                return int(fn(value))
-
-            return apply1
-        return lambda values, functions: _apply(head, [f(values, functions) for f in fns], functions)
-    if len(fns) == 2 and (cls is Rel or head in _BINARY):
-        op = _REL_FUNCS[head] if cls is Rel else _BINARY[head]
-        lhs, rhs = fns
-        return lambda values, functions: op(lhs(values, functions), rhs(values, functions))
-    combine = (_ARITH_FUNCS if cls is Arith else _BOOL_FUNCS)[head]
-    return lambda values, functions: combine([f(values, functions) for f in fns])
+    return lambda values, functions: _combine(cls, head, _eval_deep(kids, values, functions), functions)
 
 
 def _eval_deep(roots: tuple, values, functions) -> list:

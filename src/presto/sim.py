@@ -127,14 +127,25 @@ def interpretation(decls: Iterable, seed: Optional[int] = None) -> ex.Interpreta
 def _interpreted(decl) -> Callable[..., int]:
     """An ``interp`` line's body, compiled once, as a function of its
     parameters; a call with the wrong number of arguments raises
-    :class:`~presto.expr.SortMismatch`."""
+    :class:`~presto.expr.SortMismatch`.  A body applies no symbol of its
+    own, and its store of parameter values is built with one dict display
+    where there is one parameter, as there is in most lines."""
     symbol, params, body = decl.symbol, tuple(decl.params), ex.compiled(decl.body)
     arity = len(params)
+    if arity == 1:
+        (param,) = params
+
+        def fn(*args: int) -> int:
+            if len(args) != 1:
+                raise _wrong_arity(symbol, 1, len(args))
+            return body({param: args[0]}, ex.NO_FUNCTIONS)
+
+        return fn
 
     def fn(*args: int) -> int:
         if len(args) != arity:
             raise _wrong_arity(symbol, arity, len(args))
-        return body(dict(zip(params, args)), ex.NO_FUNCTIONS)  # a body applies no symbol of its own
+        return body(dict(zip(params, args)), ex.NO_FUNCTIONS)
 
     return fn
 
@@ -151,15 +162,18 @@ def check_arities(decls: Iterable, terms: Iterable[ex.Expr]) -> None:
     if not arity:
         return
     seen: set[ex.Expr] = set()
-    stack = list(terms)[::-1]
-    while stack:
+    stack = list(dict.fromkeys(terms))  # the nets of a check share most of their terms
+    stack.reverse()
+    while stack:  # first application first; a shared subterm is walked once
         node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        if type(node) is ex.Apply and len(node.args) != arity.get(node.symbol, len(node.args)):
-            raise _wrong_arity(node.symbol, arity[node.symbol], len(node.args))
-        stack.extend(reversed(node._kids))
+        kids = node._kids
+        if kids:
+            if node in seen:
+                continue
+            seen.add(node)
+            stack += reversed(kids)
+        if type(node) is ex.Apply and len(kids) != arity.get(node.symbol, len(kids)):
+            raise _wrong_arity(node.symbol, arity[node.symbol], len(kids))
 
 
 @dataclass
@@ -190,7 +204,7 @@ class _Move:
     __slots__ = ("fs", "holds", "effects", "successor", "marked")
 
     def __init__(self, net: PresNet, fs: FiringSet, successor) -> None:
-        guards = tuple(ex.compiled(g) for g in fs.guard_set)
+        guards = tuple(map(ex.compiled, fs.guard_set))
         if len(guards) == 1:
             self.holds = guards[0]
         else:

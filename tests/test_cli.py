@@ -6,7 +6,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-from presto import cli, corpus
+from presto import cli, corpus, expr as ex
 
 
 def run(capsys, *argv):
@@ -193,6 +193,19 @@ class TestChecks:
         # check-fsmd checks the arities before it walks the machines.
         code, out, err = run(capsys, "check-fsmd", str(scenario))
         assert (code, out, err) == (3, "", "error: SortMismatch: f expects 2 arguments, got 1\n")
+        # The wrong application sits on a branch that no run takes (a = 3):
+        # every command still checks it before it runs anything.
+        (tmp_path / "branch.pres").write_text("net branch {\n  place a marked; place o;\n"
+                                              "  transition t { pre a; post o; fn f(a); guard a > 100; }\n"
+                                              "  transition u { pre a; post o; fn a; guard a <= 100; }\n}\n")
+        scenario = tmp_path / "branch.scn"
+        scenario.write_text('scenario branch { model left = "branch.pres"; model right = "branch.pres";\n'
+                            "  inmap { a -> a; } outmap { o -> o; } varmap { o -> o; } inputs { a = 3; }\n"
+                            "  interp f(x, y) = x + y; }\n")
+        for argv in (["simulate"], ["simulate", "--schedules", "2"], ["check-pres"],
+                     ["check-pres", "--strategy", "sampled"], ["check-fsmd"]):
+            code, out, err = run(capsys, argv[0], str(scenario), *argv[1:])
+            assert (code, out, err) == (3, "", "error: SortMismatch: f expects 2 arguments, got 1\n"), argv
 
     def test_port_map_that_is_wrong_for_the_nets_exits_three(self, capsys, tmp_path):
         # addthree_a's in-port is Pa; Pm has a producer.
@@ -604,22 +617,42 @@ class TestCollector:
 
     def test_corpus_commands_leave_no_cyclic_garbage(self):
         # Commands may then run with a high generation-0 threshold: the
-        # collector has nothing of theirs to free.  --json is left out,
-        # because json's indenting encoder leaves a cycle of its own.
-        gc.collect()
-        left = {}
-        try:
-            for argv in _corpus_commands():
-                gc.set_debug(gc.DEBUG_SAVEALL)
-                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-                    cli.main(argv)
-                gc.collect()
-                gc.set_debug(0)
-                if gc.garbage:
-                    left[" ".join(argv)] = sorted({type(o).__name__ for o in gc.garbage})
-                gc.garbage.clear()
-                gc.collect()
-        finally:
+        # collector has nothing of theirs to free.  No command leaves a term
+        # behind either: nothing a command builds outlives it.  The commands
+        # run in a fresh process, where no term is shared with a net that
+        # this suite holds (a node's cached normal form lives as long as the
+        # node).
+        src, here = os.path.dirname(os.path.dirname(cli.__file__)), os.path.dirname(__file__)
+        child = subprocess.run(
+            [sys.executable, "-c", "import json; from test_cli import _leftovers; print(json.dumps(_leftovers()))"],
+            capture_output=True, text=True, check=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([src, here])},
+        )
+        assert json.loads(child.stdout) == {"garbage": {}, "terms": {}}
+
+
+def _leftovers() -> dict[str, dict]:
+    """What each corpus command leaves behind: the types of its cyclic
+    garbage, and how many more terms the intern table holds after it than
+    before the first command.  --json is left out, because json's indenting
+    encoder leaves a cycle of its own."""
+    gc.collect()
+    terms = len(ex._table)
+    left: dict[str, dict] = {"garbage": {}, "terms": {}}
+    try:
+        for argv in _corpus_commands():
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                cli.main(argv)
+            gc.collect()
             gc.set_debug(0)
+            if gc.garbage:
+                left["garbage"][" ".join(argv)] = sorted({type(o).__name__ for o in gc.garbage})
             gc.garbage.clear()
-        assert left == {}
+            gc.collect()
+            if len(ex._table) != terms:
+                left["terms"][" ".join(argv)] = len(ex._table) - terms
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    return left

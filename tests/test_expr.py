@@ -280,6 +280,9 @@ class TestHashConsing:
         (lambda: ex.Rel("<", X, 1), "TypeError: not an expression: 1"),
         (lambda: ex.Apply("f", (1,)), "TypeError: not an expression: 1"),
         (lambda: ex.Arith("*", (X, "y")), "TypeError: not an expression: 'y'"),
+        # A badly sorted operand does not stop the check of the ones after it.
+        (lambda: ex.Arith("+", (ex.TRUE, 1)), "TypeError: not an expression: 1"),
+        (lambda: ex.Rel("<", ex.TRUE, "x"), "TypeError: not an expression: 'x'"),
         (lambda: ex.IntConst("a"), "TypeError: 'str' object cannot be interpreted as an integer"),
     ])
     def test_constructor_errors_are_pinned(self, build, error):
