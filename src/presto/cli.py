@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
-from dataclasses import replace
 from typing import Optional
 
 from . import dot, dsl, expr as ex
@@ -70,6 +68,8 @@ def _verdict_line(v: Verdict) -> str:
     if v.reason:
         line += f"\n  reason: {v.reason}"
     if v.witness is not None:
+        import json  # on first use: importing it would slow every command's start
+
         line += f"\n  witness: {json.dumps(v.witness, sort_keys=True)}"
     return line
 
@@ -96,6 +96,8 @@ def _load_scenario(path: str) -> dsl.ScenarioDocument:
 def _write_json(path: Optional[str], payload: dict) -> None:
     if not path:
         return
+    import json
+
     payload = {"schemaVersion": SCHEMA_VERSION, **payload}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -153,9 +155,9 @@ def cmd_convert(args) -> int:
                 "target": t.target,
                 "guards": [str(g) for g in t.guard_set],
                 "updates": {a.target: str(a.expr) for a in t.updates},
-                "labels": [list(chain) for chain in conv.labels[i]],
+                "labels": [list(chain) for chain in labels],
             }
-            for i, t in enumerate(conv.fsmd.transitions)
+            for t, labels in zip(conv.fsmd.transitions, conv.labels)
         ],
         "warnings": [str(w) for w in conv.warnings],
     }
@@ -182,8 +184,10 @@ def _confluence(net: PresNet, vectors: list[dict], interp, schedules: int, seed:
         if verdict.status == EQUIVALENT:
             continue
         if len(vectors) > 1:
-            verdict = (replace(verdict, witness={"vector": inputs, **verdict.witness}) if verdict.witness
-                       else replace(verdict, reason=f"vector {json.dumps(inputs, sort_keys=True)}: {verdict.reason}"))
+            import json
+
+            verdict = (verdict._replace(witness={"vector": inputs, **verdict.witness}) if verdict.witness
+                       else verdict._replace(reason=f"vector {json.dumps(inputs, sort_keys=True)}: {verdict.reason}"))
         if verdict.status == NOT_EQUIVALENT:
             return verdict
         inconclusive = inconclusive or verdict

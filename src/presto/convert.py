@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from . import expr as ex
 from .fsmd import DuplicateTarget, Fsmd, FsmdTransition, UpdateSet
 from .pres import PresNet, Violation, classify_ports, enabled_transitions
+from .record import Record
 
 
 class ConvertError(Exception):
@@ -57,16 +57,26 @@ class FiringSet(NamedTuple):
     guard_set: tuple[ex.Expr, ...]
 
 
-@dataclass(frozen=True)
-class ConversionConfig:
+class _ConversionConfigFields(NamedTuple):
     state_bound: int = 10_000
     on_unsafe: str = "error"  # "error" | "reject" (drop the firing set, with a warning)
 
-    def __post_init__(self) -> None:
-        if self.state_bound < 1:
+
+class ConversionConfig(_ConversionConfigFields):
+    """The bounds of one conversion; built and copied (``_replace``) only
+    with a state bound of at least 1 and a known unsafe policy."""
+
+    __slots__ = ()
+
+    def __new__(cls, state_bound: int = 10_000, on_unsafe: str = "error") -> "ConversionConfig":
+        if state_bound < 1:
             raise ValueError("state_bound must be at least 1")
-        if self.on_unsafe not in ("error", "reject"):
-            raise ValueError(f"unknown unsafe policy {self.on_unsafe!r}")
+        if on_unsafe not in ("error", "reject"):
+            raise ValueError(f"unknown unsafe policy {on_unsafe!r}")
+        return tuple.__new__(cls, (state_bound, on_unsafe))
+
+    def _replace(self, **changes) -> "ConversionConfig":
+        return ConversionConfig(**{**self._asdict(), **changes})
 
 
 def _conflict_groups(net: PresNet, enabled: list[str]) -> list[list[str]]:
@@ -182,8 +192,7 @@ def _successor(net: PresNet, m: frozenset[str], tids: tuple[str, ...]) -> frozen
     return remaining | produced
 
 
-@dataclass(eq=False)
-class Step:
+class Step(Record):
     """What one marking of a net offers, computed once per net and marking.
 
     ``sets`` are the maximal firing sets in order, and ``successors`` the
@@ -192,14 +201,15 @@ class Step:
     holds the ``InconsistentGuards`` violations of the combinations left
     out, and ``enabled`` says whether any transition is structurally
     enabled.  ``moves`` is the simulator's compiled form of the sets, made
-    on its first use.
+    on its first use.  Steps compare and hash by identity.
     """
 
-    sets: tuple[FiringSet, ...]
-    successors: tuple[frozenset[str] | str, ...]
-    dropped: tuple[Violation, ...]
-    enabled: bool
-    moves: Optional[list] = None
+    __slots__ = _fields = ("sets", "successors", "dropped", "enabled", "moves")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, sets: tuple[FiringSet, ...], successors: tuple[frozenset[str] | str, ...],
+                 dropped: tuple[Violation, ...], enabled: bool, moves: Optional[list] = None) -> None:
+        self.sets, self.successors, self.dropped, self.enabled, self.moves = sets, successors, dropped, enabled, moves
 
 
 def marking_step(net: PresNet, m: frozenset[str]) -> Step:
@@ -219,33 +229,41 @@ def marking_step(net: PresNet, m: frozenset[str]) -> Step:
     return step
 
 
-@dataclass
-class Conversion:
-    """Converted machine plus the bookkeeping that ties it back to the net."""
+class Conversion(Record):
+    """Converted machine plus the bookkeeping that ties it back to the net.
 
-    fsmd: Fsmd
-    marking_of_state: dict[str, frozenset[str]]
-    # Per machine transition, one label per update: the applied-symbol
-    # chain of the update expression, or the net transition's own name
-    # for a pass-through (identity) update.
-    labels: list[list[tuple[str, ...]]]
-    firing_sets: dict[str, list[FiringSet]]
-    warnings: list[Violation] = field(default_factory=list)
+    ``fired`` holds the firing set of each machine transition, in the
+    machine's order; ``firing_sets`` holds every set of each state,
+    including those that ``on_unsafe="reject"`` left without a transition.
+    """
+
+    __slots__ = ("fsmd", "marking_of_state", "fired", "firing_sets", "warnings", "_labels")
+    _fields = ("fsmd", "marking_of_state", "labels", "firing_sets", "warnings")
+
+    def __init__(self, fsmd: Fsmd, marking_of_state: dict[str, frozenset[str]], fired: list[FiringSet],
+                 firing_sets: dict[str, list[FiringSet]], warnings: Optional[list[Violation]] = None) -> None:
+        self.fsmd, self.marking_of_state, self.fired, self.firing_sets = fsmd, marking_of_state, fired, firing_sets
+        self.warnings = [] if warnings is None else warnings
+        self._labels: Optional[list[list[tuple[str, ...]]]] = None
+
+    @property
+    def labels(self) -> list[list[tuple[str, ...]]]:
+        """Per machine transition, one label per update: the applied-symbol
+        chain of the update expression, or the net transition's own name
+        for a pass-through (identity) update.  Made on the first read."""
+        labels = self._labels
+        if labels is None:
+            labels = self._labels = [[ex.apply_chain(a.expr) or (tid,) for a, tid in zip(t.updates, fs.transitions)]
+                                     for t, fs in zip(self.fsmd.transitions, self.fired)]
+        return labels
 
     @property
     def states_visited(self) -> int:
         return len(self.marking_of_state)
 
 
-def _updates_for(net: PresNet, fs: FiringSet) -> tuple[UpdateSet, list[tuple[str, ...]]]:
-    pairs: list[tuple[str, ex.Expr]] = []
-    labels: list[tuple[str, ...]] = []
-    for tid in fs.transitions:
-        t = net.transition(tid)
-        pairs.append((net.postset_var(tid), t.fn))
-        chain = ex.apply_chain(t.fn)
-        labels.append(chain if chain else (tid,))
-    return UpdateSet.of(pairs), labels
+def _updates_for(net: PresNet, fs: FiringSet) -> UpdateSet:
+    return UpdateSet.of([(net.postset_var(tid), net.transition(tid).fn) for tid in fs.transitions])
 
 
 def pres_to_fsmd(net: PresNet, cfg: ConversionConfig = ConversionConfig()) -> Conversion:
@@ -265,7 +283,7 @@ def pres_to_fsmd(net: PresNet, cfg: ConversionConfig = ConversionConfig()) -> Co
     state_of: dict[frozenset[str], str] = {m0: "q0"}
     marking_of: dict[str, frozenset[str]] = {"q0": m0}
     transitions: list[FsmdTransition] = []
-    labels: list[list[tuple[str, ...]]] = []
+    fired: list[FiringSet] = []
     firing_sets: dict[str, list[FiringSet]] = {}
     warnings: list[Violation] = []
 
@@ -290,11 +308,11 @@ def pres_to_fsmd(net: PresNet, cfg: ConversionConfig = ConversionConfig()) -> Co
                 marking_of[name] = succ
                 work.append(succ)
             try:
-                updates, update_labels = _updates_for(net, fs)
+                updates = _updates_for(net, fs)
             except DuplicateTarget as err:
                 raise DuplicateTarget(err.name, f"firing set {'+'.join(fs.transitions)} at {q}") from None
             transitions.append(FsmdTransition(q, fs.guard_set, state_of[succ], updates))
-            labels.append(update_labels)
+            fired.append(fs)
 
     machine = Fsmd(
         name=net.name,
@@ -305,4 +323,4 @@ def pres_to_fsmd(net: PresNet, cfg: ConversionConfig = ConversionConfig()) -> Co
         outputs=outputs,
         transitions=tuple(transitions),
     )
-    return Conversion(machine, marking_of, labels, firing_sets, warnings)
+    return Conversion(machine, marking_of, fired, firing_sets, warnings)

@@ -36,15 +36,14 @@ from __future__ import annotations
 
 import os
 import re
-import string
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from . import expr as ex
 from .fsmd import Fsmd, FsmdTransition, UpdateSet, validate_fsmd
 from .pres import PresNet, Transition, Violation, validate_net
+from .record import Record
 
 RESERVED = {
     "net", "place", "marked", "var", "transition", "pre", "post", "fn", "guard",
@@ -95,7 +94,7 @@ _TOKEN = r'"[^"\n]*"|[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*|[0-9]+|->|<=|>=|!
 # first lexical error.
 _SCAN = re.compile(rf'[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*({_TOKEN}|[^ \t\r\n][\s\S]*|\Z)')
 _VALID = re.compile(_TOKEN)
-_NAME_START = frozenset(string.ascii_letters + "_")
+_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 
 
 def _shown(tok: str) -> str:
@@ -479,22 +478,38 @@ class InterpDecl(NamedTuple):
     body: ex.Expr
 
 
-@dataclass
-class ScenarioDocument:
-    name: str
-    left: Optional[str] = None
-    right: Optional[str] = None
-    check: str = "functional"  # cardinality | functional | fsmd
-    strategy: str = "symbolic"  # symbolic | sampled
-    in_map: dict[str, str] = field(default_factory=dict)
-    out_map: dict[str, str] = field(default_factory=dict)
-    var_map: dict[str, str] = field(default_factory=dict)
-    vectors: list[dict[str, int]] = field(default_factory=list)
-    interps: list[InterpDecl] = field(default_factory=list)
-    default_seed: Optional[int] = None
-    max_steps: int = 1_000
-    state_bound: int = 10_000
-    base_dir: str = "."
+class ScenarioDocument(Record):
+    """A scenario as read; the parser fills it clause by clause.  A map or
+    list left out is a new, empty one."""
+
+    __slots__ = _fields = ("name", "left", "right", "check", "strategy", "in_map", "out_map", "var_map", "vectors",
+                           "interps", "default_seed", "max_steps", "state_bound", "base_dir")
+
+    def __init__(
+        self,
+        name: str,
+        left: Optional[str] = None,
+        right: Optional[str] = None,
+        check: str = "functional",  # cardinality | functional | fsmd
+        strategy: str = "symbolic",  # symbolic | sampled
+        in_map: Optional[dict[str, str]] = None,
+        out_map: Optional[dict[str, str]] = None,
+        var_map: Optional[dict[str, str]] = None,
+        vectors: Optional[list[dict[str, int]]] = None,
+        interps: Optional[list[InterpDecl]] = None,
+        default_seed: Optional[int] = None,
+        max_steps: int = 1_000,
+        state_bound: int = 10_000,
+        base_dir: str = ".",
+    ) -> None:
+        self.name, self.left, self.right, self.check, self.strategy = name, left, right, check, strategy
+        self.in_map = {} if in_map is None else in_map
+        self.out_map = {} if out_map is None else out_map
+        self.var_map = {} if var_map is None else var_map
+        self.vectors = [] if vectors is None else vectors
+        self.interps = [] if interps is None else interps
+        self.default_seed, self.max_steps, self.state_bound = default_seed, max_steps, state_bound
+        self.base_dir = base_dir
 
     def resolve(self, path: Optional[str]) -> Optional[str]:
         if path is None:

@@ -24,7 +24,6 @@ otherwise the verdict is honest about being inconclusive.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -32,6 +31,7 @@ from . import expr as ex
 from .convert import ConversionConfig, pres_to_fsmd
 from .fsmd import Fsmd, fresh_store, machine_run, path_cover, path_transformation, validate_fsmd
 from .pres import PresNet, classify_ports
+from .record import Record
 from .sim import QUIESCENT, SimError, out_port_values, simulate_run, value_limit
 from .verdict import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT, Verdict
 
@@ -41,12 +41,19 @@ class PortMapError(Exception):
     in-ports and as many out-ports on both sides."""
 
 
-@dataclass(frozen=True)
-class PortMap:
-    """Bijections between the structural in-ports and out-ports of two nets."""
+class _PortMaps(NamedTuple):
+    in_map: dict[str, str]
+    out_map: dict[str, str]
 
-    in_map: dict[str, str] = field(default_factory=dict)
-    out_map: dict[str, str] = field(default_factory=dict)
+
+class PortMap(_PortMaps):
+    """Bijections between the structural in-ports and out-ports of two nets;
+    a map left out is a new, empty one."""
+
+    __slots__ = ()
+
+    def __new__(cls, in_map: Optional[dict[str, str]] = None, out_map: Optional[dict[str, str]] = None) -> "PortMap":
+        return tuple.__new__(cls, ({} if in_map is None else in_map, {} if out_map is None else out_map))
 
     def problems(self, n1: PresNet, n2: PresNet) -> list[str]:
         out: list[str] = []
@@ -333,11 +340,12 @@ Stores = tuple[dict[str, ex.Expr], dict[str, ex.Expr]]
 Classes = tuple[frozenset[tuple[int, str]], ...]  # blocks of (side, variable) with one value
 
 
-@dataclass
-class _Pair:
-    classes: Classes
-    trail: frozenset[tuple[int, str]]
-    origin: Stores  # the stores of the first arrival the pair was cut on
+class _Pair(Record):
+    __slots__ = _fields = ("classes", "trail", "origin")
+
+    def __init__(self, classes: Classes, trail: frozenset[tuple[int, str]], origin: Stores) -> None:
+        self.classes, self.trail = classes, trail
+        self.origin = origin  # the stores of the first arrival the pair was cut on
 
 
 class _Walk:

@@ -38,9 +38,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 from weakref import ref
 
 Value = Union[int, bool]
@@ -343,8 +342,7 @@ Interpretation = Mapping[str, Callable[..., int]]
 NO_FUNCTIONS: Interpretation = MappingProxyType({})  # read-only, for terms that apply no symbol
 
 
-@dataclass(frozen=True)
-class Environment:
+class Environment(NamedTuple):
     """Variable valuation plus interpretations for applied symbols.
 
     Interpretations are total integer functions; they are only needed
@@ -352,7 +350,7 @@ class Environment:
     """
 
     values: Mapping[str, int]
-    functions: Interpretation = field(default_factory=lambda: NO_FUNCTIONS)
+    functions: Interpretation = NO_FUNCTIONS
 
 
 TRUE = BoolConst(True)
@@ -470,8 +468,10 @@ def compiled(e: Expr) -> Compiled:
     parents.  Each node's class builds its closure over its children's
     (``_closure``); closures call each other, so a node higher than
     ``_EVAL_DEPTH`` gets a closure that walks its subterms with an explicit
-    stack instead.  No closure holds its own node, so no node keeps itself
-    alive.
+    stack instead.  An integer constant gets a closure only where one is
+    called: as the root, or under any node whose closure is not
+    :func:`_binary`'s.  No closure holds its own node, so no node keeps
+    itself alive.
     """
     fn = e._fn if isinstance(e, Expr) else None
     if fn is None:
@@ -483,6 +483,9 @@ def compiled(e: Expr) -> Compiled:
             waiting = len(stack)
             for k in node._kids:
                 if k._fn is None:
+                    if type(k) is IntConst and node._height <= _EVAL_DEPTH and (
+                            type(node) is Rel or type(node) is Arith and len(node._kids) == 2):
+                        continue  # _binary takes the constant's value and calls no closure of it
                     stack.append(k)
             if len(stack) == waiting:  # every child is compiled
                 stack.pop()
@@ -495,6 +498,9 @@ def compiled(e: Expr) -> Compiled:
 def _binary(op: Callable[[Value, Value], Value], lhs: Expr, rhs: Expr) -> Compiled:
     """``op`` over two compiled operands; an integer constant is taken as its value."""
     if type(rhs) is IntConst:
+        if type(lhs) is IntConst:
+            value = op(lhs.value, rhs.value)
+            return lambda values, functions: value
         f, c = lhs._fn, rhs.value
         return lambda values, functions: op(f(values, functions), c)
     if type(lhs) is IntConst:

@@ -17,11 +17,12 @@ variables live there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import starmap
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import expr as ex
 from .pres import Violation
+from .record import Record
 
 
 class FsmdError(Exception):
@@ -49,23 +50,33 @@ class Assignment(NamedTuple):
     expr: ex.Expr
 
 
-@dataclass(frozen=True)
-class UpdateSet:
-    """Parallel assignments; at most one per target variable."""
+class UpdateSet(Record):
+    """Parallel assignments; at most one per target variable.  Immutable,
+    and hashed by its assignments."""
 
-    assignments: tuple[Assignment, ...]
+    __slots__ = _fields = ("assignments",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "assignments", tuple(self.assignments))
+    def __init__(self, assignments: Iterable[Assignment]) -> None:
+        assignments = tuple(assignments)
         seen: set[str] = set()
-        for a in self.assignments:
+        for a in assignments:
             if a.target in seen:
                 raise DuplicateTarget(a.target)
             seen.add(a.target)
+        _set_assignments(self, assignments)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash((self.assignments,))
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[str, ex.Expr]]) -> "UpdateSet":
-        return cls(tuple(Assignment(t, e) for t, e in pairs))
+        return cls(tuple(starmap(Assignment, pairs)))
 
     def as_dict(self) -> dict[str, ex.Expr]:
         return {a.target: a.expr for a in self.assignments}
@@ -77,6 +88,9 @@ class UpdateSet:
         return iter(self.assignments)
 
 
+_set_assignments = UpdateSet.assignments.__set__  # the slot's own setter skips the refusing ``__setattr__``
+
+
 class FsmdTransition(NamedTuple):
     source: str
     guard_set: tuple[ex.Expr, ...]  # conjunction; compared as a normalized set
@@ -84,20 +98,18 @@ class FsmdTransition(NamedTuple):
     updates: UpdateSet
 
 
-@dataclass
-class Fsmd:
-    name: str
-    states: tuple[str, ...]
-    reset: str
-    inputs: frozenset[str]
-    storage: frozenset[str]
-    outputs: frozenset[str]
-    transitions: tuple[FsmdTransition, ...]
-    _outgoing: dict[str, list[FsmdTransition]] = field(init=False, repr=False, compare=False)
+class Fsmd(Record):
+    """A machine; ``_outgoing`` indexes its transitions by source state."""
 
-    def __post_init__(self) -> None:
-        self._outgoing = {}
-        for t in self.transitions:
+    __slots__ = ("name", "states", "reset", "inputs", "storage", "outputs", "transitions", "_outgoing")
+    _fields = ("name", "states", "reset", "inputs", "storage", "outputs", "transitions")
+
+    def __init__(self, name: str, states: tuple[str, ...], reset: str, inputs: frozenset[str],
+                 storage: frozenset[str], outputs: frozenset[str], transitions: tuple[FsmdTransition, ...]) -> None:
+        self.name, self.states, self.reset = name, states, reset
+        self.inputs, self.storage, self.outputs, self.transitions = inputs, storage, outputs, transitions
+        self._outgoing: dict[str, list[FsmdTransition]] = {}
+        for t in transitions:
             self._outgoing.setdefault(t.source, []).append(t)
 
     def variables(self) -> frozenset[str]:

@@ -16,10 +16,10 @@ readers that fill one at once compute the same value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Optional
 
 from . import expr as ex
+from .record import Record
 
 
 class PresError(Exception):
@@ -61,31 +61,39 @@ class Ports(NamedTuple):
     initially_marked: frozenset[str]
 
 
-@dataclass
-class PresNet:
-    """The net itself.  Mutation after construction is not supported."""
+class PresNet(Record):
+    """The net itself.  Mutation after construction is not supported.
 
-    name: str
-    places: tuple[str, ...]
-    var_of: Mapping[str, str]
-    transitions: tuple[Transition, ...]
-    input_arcs: frozenset[tuple[str, str]]  # (place, transition)
-    output_arcs: frozenset[tuple[str, str]]  # (transition, place)
-    initial_marking: frozenset[str]
-    _pre_t: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
-    _post_t: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
-    _pre_p: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
-    _post_p: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
-    order: dict[str, int] = field(init=False, repr=False, compare=False)  # transition id -> declaration index
-    steps: dict = field(init=False, repr=False, compare=False)  # marking -> convert.Step, filled on first use
-    ports: Optional[Ports] = field(init=False, repr=False, compare=False)  # set by the first classify_ports
+    Besides its fields a net holds its indices: the preset and postset of
+    each transition, the producers and consumers of each place, and the
+    declaration index of each transition (``order``) and place
+    (``place_order``).  ``steps`` maps a marking to its ``convert.Step``,
+    filled on first use, and ``ports`` is set by the first
+    :func:`classify_ports`.  None of these takes part in the repr or in
+    equality.
+    """
 
-    def __post_init__(self) -> None:
-        self.order = {t.id: i for i, t in enumerate(self.transitions)}
-        self.steps = {}
-        self.ports = None
-        self._pre_t, self._post_t, self._pre_p, self._post_p = _index(
-            self.order, self.places, self.input_arcs, self.output_arcs)
+    __slots__ = ("name", "places", "var_of", "transitions", "input_arcs", "output_arcs", "initial_marking",
+                 "_pre_t", "_post_t", "_pre_p", "_post_p", "order", "place_order", "steps", "ports")
+    _fields = ("name", "places", "var_of", "transitions", "input_arcs", "output_arcs", "initial_marking")
+
+    def __init__(self, name: str, places: tuple[str, ...], var_of: Mapping[str, str],
+                 transitions: tuple[Transition, ...], input_arcs: frozenset[tuple[str, str]],
+                 output_arcs: frozenset[tuple[str, str]], initial_marking: frozenset[str]) -> None:
+        self.name, self.places, self.var_of, self.transitions = name, places, var_of, transitions
+        self.input_arcs = input_arcs  # (place, transition)
+        self.output_arcs = output_arcs  # (transition, place)
+        self.initial_marking = initial_marking
+        self.order = {t.id: i for i, t in enumerate(transitions)}
+        self.place_order = {p: i for i, p in enumerate(places)}
+        self.steps: dict = {}
+        self.ports: Optional[Ports] = None
+        self._pre_t, self._post_t, self._pre_p, self._post_p = _index(self.order, places, input_arcs, output_arcs)
+
+    def _replace(self, **changes) -> "PresNet":
+        """A new net with ``changes`` applied to the fields; its indices and
+        its step table are built afresh."""
+        return PresNet(**{**{name: getattr(self, name) for name in self._fields}, **changes})
 
     def transition(self, tid: str) -> Transition:
         try:

@@ -23,13 +23,13 @@ transfer functions as closures compiled once (:func:`presto.expr.compiled`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from . import expr as ex
 from .convert import FiringSet, UnsafeMarking, marking_step
 from .fsmd import MAX_VALUE_BITS
 from .pres import PresNet, classify_ports
+from .record import Record
 from .verdict import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT, Verdict
 
 TokenState = dict  # place -> int, domain = currently marked places
@@ -176,13 +176,18 @@ def check_arities(decls: Iterable, terms: Iterable[ex.Expr]) -> None:
             raise _wrong_arity(node.symbol, arity[node.symbol], len(kids))
 
 
-@dataclass
-class RunOutcome:
-    status: str
-    final_state: TokenState
-    trace: list[tuple[FiringSet, TokenState]] = field(default_factory=list)
-    steps: int = 0
-    chose: bool = False  # some step had more than one firing set to choose from
+class RunOutcome(Record):
+    """How a run ended: its status, the tokens it ended with, the firing
+    set and tokens of each step, the number of steps, and whether some step
+    had more than one firing set to choose from (``chose``)."""
+
+    __slots__ = _fields = ("status", "final_state", "trace", "steps", "chose")
+
+    def __init__(self, status: str, final_state: TokenState,
+                 trace: Optional[list[tuple[FiringSet, TokenState]]] = None, steps: int = 0,
+                 chose: bool = False) -> None:
+        self.status, self.final_state, self.steps, self.chose = status, final_state, steps, chose
+        self.trace = [] if trace is None else trace
 
 
 def _values(net: PresNet, ts: TokenState) -> dict[str, int]:
@@ -211,7 +216,7 @@ class _Move:
             self.holds = lambda values, functions: all(g(values, functions) for g in guards)
         self.effects = tuple((ex.compiled(net.transition(tid).fn), tuple(net.postset(tid))) for tid in fs.transitions)
         self.fs, self.successor = fs, successor
-        self.marked = () if type(successor) is str else tuple(filter(successor.__contains__, net.places))
+        self.marked = () if type(successor) is str else tuple(sorted(successor, key=net.place_order.__getitem__))
 
 
 def _fire(

@@ -2,28 +2,38 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 EQUIVALENT = "Equivalent"
 NOT_EQUIVALENT = "NotEquivalent"
 INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class _VerdictFields(NamedTuple):
     status: str
     method: str
     witness: Optional[dict[str, Any]] = None  # required for NotEquivalent
     reason: Optional[str] = None  # required for Inconclusive
 
-    def __post_init__(self) -> None:
-        if self.status not in (EQUIVALENT, NOT_EQUIVALENT, INCONCLUSIVE):
-            raise ValueError(f"unknown verdict status {self.status!r}")
-        if self.status == NOT_EQUIVALENT and self.witness is None:
+
+class Verdict(_VerdictFields):
+    """A checker's answer; built and copied (``_replace``) only when its
+    status has what that status requires."""
+
+    __slots__ = ()
+
+    def __new__(cls, status: str, method: str, witness: Optional[dict[str, Any]] = None,
+                reason: Optional[str] = None) -> "Verdict":
+        if status not in (EQUIVALENT, NOT_EQUIVALENT, INCONCLUSIVE):
+            raise ValueError(f"unknown verdict status {status!r}")
+        if status == NOT_EQUIVALENT and witness is None:
             raise ValueError("NotEquivalent verdicts need a witness")
-        if self.status == INCONCLUSIVE and self.reason is None:
+        if status == INCONCLUSIVE and reason is None:
             raise ValueError("Inconclusive verdicts need a reason")
+        return tuple.__new__(cls, (status, method, witness, reason))
+
+    def _replace(self, **changes: Any) -> "Verdict":
+        return Verdict(**{**self._asdict(), **changes})
 
     @property
     def equivalent(self) -> bool:

@@ -303,3 +303,22 @@ class TestPresToFsmd:
         conv = pres_to_fsmd(net, ConversionConfig(on_unsafe="reject"))
         assert any(w.rule == "UnsafeMarking" for w in conv.warnings)
         assert len(conv.fsmd.transitions) == 0
+
+    def test_labels_are_made_on_first_read_for_the_transitions_kept(self, monkeypatch):
+        net = parse_pres("""
+        net partly {
+          place x marked; place y marked; place z; place w;
+          transition ta { pre x; post z; fn fa(x); guard x > 0; }
+          transition tc { pre x; post w; fn x; guard x <= 0; }
+          transition tb { pre y; post z; fn fb(y); }
+        }
+        """)
+        chains = []
+        real = ex.apply_chain
+        monkeypatch.setattr(ex, "apply_chain", lambda e: chains.append(e) or real(e))
+        conv = pres_to_fsmd(net, ConversionConfig(on_unsafe="reject"))
+        assert chains == []  # only a reader of the labels pays for them
+        ta_tb, tc_tb = conv.firing_sets["q0"]  # ta and tb both put a token on z: rejected
+        assert [t.source for t in conv.fsmd.transitions] == ["q0"] and conv.fired == [tc_tb]
+        assert conv.labels == [[("tc",), ("fb",)]] and len(chains) == 2
+        assert conv.labels is conv.labels and len(chains) == 2

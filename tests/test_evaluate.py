@@ -162,6 +162,31 @@ def test_deep_apply_nests_match_the_reference(depth):
         "UninterpretedSymbol", "no interpretation for function symbol 'h'")
 
 
+def test_a_constant_gets_a_closure_only_where_one_is_called():
+    # A binary operator holds its integer-constant operands' values.  Every
+    # other place a constant can sit calls its closure: the root, an n-ary
+    # or unary operator, an application and a node above the depth where
+    # closures call each other.  The constants are odd values, so that no
+    # other term compiled them first.
+    x = ex.Var("x")
+    nest = x
+    for _ in range(70):
+        nest = ex.Apply("f", (nest,))
+    env = ex.Environment({"x": 3}, {"f": lambda v: v + 1, "h": lambda v: 2 * v})
+    held = [ex.IntConst(v) for v in (80_001, 80_002, 80_003)]
+    called = [ex.IntConst(v) for v in (80_011, 80_012, 80_013, 80_014, 80_015)]
+    terms = [
+        ex.sub(ex.Apply("h", (x,)), held[0]), ex.Rel("<", held[1], x), ex.add(held[2], held[2]),
+        ex.add(x, called[0], x), ex.neg(called[1]), ex.Apply("h", (called[2],)), called[3], ex.add(nest, called[4]),
+    ]
+    for term in terms:
+        assert outcome(compiled, term, env) == outcome(reference, term, env)
+    assert [c._fn is None for c in held] == [True] * 3
+    assert [c._fn is None for c in called] == [False] * 5
+    assert ex.evaluate(ex.Rel(">", held[2], held[1]), env) is True and held[2]._fn is None
+    assert ex.evaluate(held[0], env) == 80_001 and held[0]._fn is not None  # compiled when it becomes a root
+
+
 def test_compiled_terms_leave_the_table_without_a_collection():
     # A closure holds its children's closures (a deep node's, its children),
     # never its own node, so dropping a term frees it by reference counts.

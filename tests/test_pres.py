@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from presto import corpus, expr as ex
@@ -85,8 +83,7 @@ class TestClassifyPorts:
     def test_stable_under_declaration_order(self, card_a):
         from presto.dsl import print_net
 
-        reordered = dataclasses.replace(
-            card_a,
+        reordered = card_a._replace(
             places=tuple(reversed(card_a.places)),
             transitions=tuple(reversed(card_a.transitions)),
         )
@@ -113,14 +110,14 @@ class TestValidate:
             assert validate_net(corpus.load_net(name)) == [], name
 
     def test_postset_variable_mismatch(self, guard_split):
-        broken = dataclasses.replace(guard_split, var_of={**guard_split.var_of, "p5": "p5"})
+        broken = guard_split._replace(var_of={**guard_split.var_of, "p5": "p5"})
         assert any(v.rule == "PostsetVariableMismatch" and v.element == "t2" for v in validate_net(broken))
 
     def test_guard_scope_violation(self, guard_split):
         foreign = ex.Rel(">", ex.Var("zz"), ex.IntConst(0))
         t2 = next(t for t in guard_split.transitions if t.id == "t2")
         patched = tuple(t._replace(guard=foreign) if t.id == "t2" else t for t in guard_split.transitions)
-        broken = dataclasses.replace(guard_split, transitions=patched)
+        broken = guard_split._replace(transitions=patched)
         assert any(v.rule == "GuardScopeViolation" and v.element == "t2" for v in validate_net(broken))
         assert t2.guard is not None
 
@@ -129,7 +126,7 @@ class TestValidate:
         assert any(v.rule == "FunctionScopeViolation" for v in validate_net(net))
 
     def test_dropped_arc_breaks_preset(self, card_a):
-        broken = dataclasses.replace(card_a, input_arcs=frozenset(a for a in card_a.input_arcs if a != ("A1", "t-e")))
+        broken = card_a._replace(input_arcs=frozenset(a for a in card_a.input_arcs if a != ("A1", "t-e")))
         assert any(v.rule == "EmptyPreset" and v.element == "t-e" for v in validate_net(broken))
 
     def test_unknown_arc_endpoints(self):

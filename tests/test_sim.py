@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 
 import pytest
 
@@ -180,6 +181,19 @@ class TestSimulateRun:
             assert [list(ts) for _, ts in run.trace] == [marked]
             assert list(run.final_state) == marked
 
+
+def test_a_12000_stage_chain_runs_in_linear_time():
+    stages = 12_000
+    lines = ["net chain {", "  place p0 marked;", *(f"  place p{i};" for i in range(1, stages + 1))]
+    lines += [f"  transition t{i} {{ pre p{i}; post p{i + 1}; fn p{i} + 1; }}" for i in range(stages)]
+    net = parse_pres("\n".join(lines + ["}"]) + "\n")
+    start = time.perf_counter()
+    run = simulate_run(net, {"p0": 0}, {}, max_steps=stages + 1)
+    elapsed = time.perf_counter() - start
+    assert (run.status, run.steps, run.final_state) == (QUIESCENT, stages, {f"p{stages}": stages})
+    # A loose bound: ordering each successor marking by a scan over all of
+    # the net's places is quadratic and needs several seconds at this size.
+    assert elapsed < 3.0, elapsed
 
 class TestConfluence:
     def test_conflict_free_jammer_is_schedule_independent(self, jammer_nonpipelined):

@@ -4,8 +4,6 @@ Each net fills its table lazily; what a warm table returns must be what a
 freshly parsed copy of the same net computes.
 """
 
-import dataclasses
-
 import pytest
 
 from presto import convert, corpus
@@ -87,13 +85,13 @@ def test_a_replaced_net_starts_with_an_empty_table():
     net = parse_pres(CONTRA_NET)
     pres_to_fsmd(net)
     assert net.steps
-    copy = dataclasses.replace(net, name="copy")
+    copy = net._replace(name="copy")
     assert copy.steps == {} and copy.steps is not net.steps
     assert net.steps
 
 
 def test_each_marking_is_computed_once_for_simulation_and_conversion(monkeypatch, jammer_nonpipelined):
-    net = dataclasses.replace(jammer_nonpipelined)
+    net = jammer_nonpipelined._replace()
     computed = []
     real = convert.construct_set_of_transitions
     monkeypatch.setattr(convert, "construct_set_of_transitions",
