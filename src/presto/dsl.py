@@ -30,6 +30,15 @@ so subtraction must be written with spaces: ``a - b``.  Integers are
 comments any other character (``é``, ``²``) is a stray character.  ``#``
 starts a line comment.  Expressions use standard precedence: ``*`` over
 ``+``/``-`` over relations over ``not``/``and``/``or``.
+
+A second value never replaces the first.  A second ``pre``, ``post``,
+``var``, ``fn`` or ``guard`` clause in one transition, a second ``reset``
+in a machine, a second ``model left``, ``model right``, ``check``,
+``strategy``, ``interp default``, ``maxsteps`` or ``statebound`` in a
+scenario, a second ``interp`` line for one symbol, a parameter named
+twice in one ``interp`` line, a place named twice in one ``inputs`` block
+and a name mapped twice by ``inmap``, ``outmap`` or ``varmap`` (in one
+block or in two) are each a syntax error at the second one.
 """
 
 from __future__ import annotations
@@ -116,6 +125,16 @@ _BOOLS = {"true": ex.TRUE, "false": ex.FALSE}
 
 
 class _Parser:
+    """A document's tokens and the reader's place in them.
+
+    The net and scenario readers and :meth:`expression` hold the index in
+    a local variable and check each token where they read it, so on
+    well-formed input they call no method per token; ``pos`` is written
+    back only around a call to :meth:`expression` and to point an error at
+    its token.  The machine reader goes through :meth:`expect`,
+    :meth:`name` and :meth:`name_list`.
+    """
+
     def __init__(self, text: str):
         self.text = text
         self.toks = _SCAN.findall(text)
@@ -141,34 +160,50 @@ class _Parser:
             out[name] = Span(line, starts[i] - lines[line - 1] + 1)
         return out
 
-    def fail(self, message: str) -> DslSyntaxError:
+    def fail(self, message: str, at: Optional[int] = None) -> DslSyntaxError:
+        """The error ``message`` at token ``at`` (by default the current one)."""
+        if at is not None:
+            self.pos = at
         return DslSyntaxError(message, self.spans({"": self.pos})[""])
 
+    def missing(self, value: str, at: int) -> DslSyntaxError:
+        """The error for token ``at``, which is not ``value``."""
+        return self.fail(f"expected {value!r}, found {_shown(self.toks[at])!r}", at)
+
+    def no_name(self, at: int, what: str = "identifier") -> DslSyntaxError:
+        """The error for token ``at``, which is not a name or is a reserved one."""
+        tok = self.toks[at]
+        if tok[:1] in _NAME_START:
+            return self.fail(f"{tok!r} is a reserved word", at)
+        return self.fail(f"expected {what}, found {_shown(tok)!r}", at)
+
     def expect(self, value: str) -> None:
-        tok = self.toks[self.pos]
-        if tok != value:
-            raise self.fail(f"expected {value!r}, found {_shown(tok)!r}")
+        if self.toks[self.pos] != value:
+            raise self.missing(value, self.pos)
         self.pos += 1
 
     def name(self, what: str = "identifier") -> str:
         tok = self.toks[self.pos]
-        if tok[:1] not in _NAME_START:
-            raise self.fail(f"expected {what}, found {_shown(tok)!r}")
-        if tok in RESERVED:
-            raise self.fail(f"{tok!r} is a reserved word")
+        if tok[:1] not in _NAME_START or tok in RESERVED:
+            raise self.no_name(self.pos, what)
         self.pos += 1
         return tok
 
+    def no_integer(self, at: int) -> DslSyntaxError:
+        """The error for token ``at``, which does not start an integer: at the token after a sign, if any."""
+        at += self.toks[at] == "-"
+        return self.fail(f"expected an integer, found {_shown(self.toks[at])!r}", at)
+
     def integer(self) -> int:
-        sign = 1
-        if self.toks[self.pos] == "-":
-            self.pos += 1
-            sign = -1
-        tok = self.toks[self.pos]
-        if not tok.isdigit():
-            raise self.fail(f"expected an integer, found {_shown(tok)!r}")
-        self.pos += 1
-        return sign * int(tok)
+        toks, i = self.toks, self.pos
+        tok = toks[i]
+        if tok.isdigit():
+            self.pos = i + 1
+            return int(tok)
+        if tok == "-" and toks[i + 1].isdigit():
+            self.pos = i + 2
+            return -int(toks[i + 1])
+        raise self.no_integer(i)
 
     def name_list(self) -> list[str]:
         names = [self.name()]
@@ -181,32 +216,101 @@ class _Parser:
         if self.toks[self.pos]:
             raise self.fail(f"trailing input after {what}")
 
-    # Expressions: precedence climbing over the binary operators, with
-    # `not` and unary minus as prefixes.  A level of nesting costs at most
-    # two stack frames, so MAX_NESTING stays well inside the recursion
-    # limit.
+    # Expressions: precedence climbing over the binary operators, with the
+    # operand read in place and `not` and unary minus as prefixes.  A level
+    # of nesting costs at most two stack frames, so MAX_NESTING stays well
+    # inside the recursion limit.
     def expression(self, level: int = 1) -> ex.Expr:
-        """An expression whose operators bind at least as tightly as ``level``."""
+        """An expression whose operators bind at least as tightly as ``level``.
+
+        A literal, a name, an application, a parenthesized expression, a
+        negated operand or (at ``level`` up to ``_NOT``) `not` and an
+        expression, then the binary operators that may follow it.
+        """
         toks = self.toks
-        if level <= _NOT and toks[self.pos] == "not":
-            self.pos += 1
+        i = self.pos
+        tok = toks[i]
+        top = _UNARY  # precedence of the operator at the root of ``out``
+        if tok[:1] in _NAME_START and tok not in RESERVED:
+            i += 1
+            if toks[i] != "(":
+                out = ex.Var(tok)
+            else:
+                self.pos = i = i + 1
+                self._deeper()
+                arg = toks[i]
+                if arg == ")":
+                    args: tuple[ex.Expr, ...] = ()
+                elif (arg.isdigit() or arg[:1] in _NAME_START and arg not in RESERVED) and toks[i + 1] == ")":
+                    args = (ex.IntConst(int(arg)) if arg.isdigit() else ex.Var(arg),)  # one literal or name
+                    i += 1
+                else:
+                    terms = [self.expression()]
+                    while toks[self.pos] == ",":
+                        self.pos += 1
+                        terms.append(self.expression())
+                    args = tuple(terms)
+                    i = self.pos
+                self.depth -= 1
+                if toks[i] != ")":
+                    raise self.missing(")", i)
+                i += 1
+                out = ex.Apply(tok, args)
+        elif tok.isdigit():
+            i += 1
+            out = ex.IntConst(int(tok))
+        elif tok == "(":
+            self.pos = i + 1
+            self._deeper()
+            out = self.expression()
+            self.depth -= 1
+            i = self.pos
+            if toks[i] != ")":
+                raise self.missing(")", i)
+            i += 1
+        elif tok == "-":
+            # A minus directly before a literal is the literal's sign, so
+            # `-5` is a constant while `-(5)` stays a negation node.
+            if toks[i + 1].isdigit():
+                out = ex.IntConst(-int(toks[i + 1]))
+                i += 2
+            else:
+                self.pos = i + 1
+                self._deeper()
+                out = ex.Arith("neg", (self.expression(_UNARY + 1),))  # above every binary operator: one operand
+                self.depth -= 1
+                i = self.pos
+        elif tok == "not" and level <= _NOT:
+            self.pos = i + 1
             self._deeper()
             out, top = ex.BoolOp("not", (self.expression(_NOT),)), _NOT
             self.depth -= 1
+            i = self.pos
+        elif tok in _BOOLS:
+            i += 1
+            out = _BOOLS[tok]
         else:
-            out, top = self._operand(), _UNARY  # ``top``: precedence of the operator at the root of ``out``
+            raise self.no_name(i, "an expression")
         while True:
-            op = toks[self.pos]
+            op = toks[i]
             prec = _BINARY.get(op)
             # Stop below ``level``, above what ``out`` may be an operand of,
             # and at a second relation (relations do not chain).
             if prec is None or prec < level or prec > top or prec == top == _REL:
+                self.pos = i
                 return out
-            self.pos += 1
-            rhs = self.expression(prec + 1)
-            if op in ("or", "and"):
+            tok = toks[i + 1]
+            if (tok.isdigit() or tok[:1] in _NAME_START and tok not in RESERVED and toks[i + 2] != "(") \
+                    and _BINARY.get(toks[i + 2], 0) <= prec:  # a literal or name that the next operator leaves alone
+                rhs = ex.IntConst(int(tok)) if tok.isdigit() else ex.Var(tok)
+                i += 2
+            else:
+                self.pos = i + 1
+                rhs = self.expression(prec + 1)
+                i = self.pos
+            if op == "or" or op == "and":
                 out = ex.BoolOp(op, (*out.args, rhs) if top == prec else (out, rhs))
-            elif op in ("+", "*"):
+            elif op == "+" or op == "*":
                 out = ex.Arith(op, (*out.args, rhs) if isinstance(out, ex.Arith) and out.op == op else (out, rhs))
             elif op == "-":
                 out = ex.Arith("-", (out, rhs))
@@ -219,48 +323,6 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise self.fail(f"expression nested deeper than {MAX_NESTING} levels")
-
-    def _operand(self) -> ex.Expr:
-        """A literal, a name, an application, a parenthesized expression or a negated operand."""
-        toks = self.toks
-        tok = toks[self.pos]
-        if tok.isdigit():
-            self.pos += 1
-            return ex.IntConst(int(tok))
-        if tok == "-":
-            # A minus directly before a literal is the literal's sign, so
-            # `-5` is a constant while `-(5)` stays a negation node.
-            if toks[self.pos + 1].isdigit():
-                return ex.IntConst(self.integer())
-            self.pos += 1
-            self._deeper()
-            inner = self._operand()
-            self.depth -= 1
-            return ex.Arith("neg", (inner,))
-        if tok in _BOOLS:
-            self.pos += 1
-            return _BOOLS[tok]
-        if tok == "(":
-            self.pos += 1
-            self._deeper()
-            inner = self.expression()
-            self.depth -= 1
-            self.expect(")")
-            return inner
-        symbol = self.name("an expression")
-        if toks[self.pos] != "(":
-            return ex.Var(symbol)
-        self.pos += 1
-        self._deeper()
-        args: list[ex.Expr] = []
-        if toks[self.pos] != ")":
-            args.append(self.expression())
-            while toks[self.pos] == ",":
-                self.pos += 1
-                args.append(self.expression())
-        self.depth -= 1
-        self.expect(")")
-        return ex.Apply(symbol, tuple(args))
 
 
 def parse_expression(text: str) -> ex.Expr:
@@ -276,120 +338,175 @@ def _net(p: _Parser) -> PresNet:
     name_at = p.pos
     net_name = p.name("net name")
     p.expect("{")
-    # Declarations as read: places as (name, marked, var, token index of the
-    # name) and transitions as [name, token index, pre, post, var, fn, guard].
-    places: list[tuple[str, bool, Optional[str], int]] = []
-    trans: list[list] = []
-    clauses = {"pre": (2, p.name_list), "post": (3, p.name_list), "var": (4, lambda: p.name("variable name")),
-               "fn": (5, p.expression), "guard": (6, p.expression)}
+    # The net as read; a transition's ``var`` clause is kept only where one
+    # is given.
+    places: list[str] = []
+    marked: list[str] = []
+    var_of: dict[str, str] = {}  # the places' own var clauses; every place's variable once resolved
+    transitions: list[Transition] = []
+    presets: dict[str, list[str]] = {}
+    postsets: dict[str, list[str]] = {}
+    overrides: dict[str, str] = {}
+    no_fn = False
 
-    # The loop reads tokens through the local index ``i`` and hands it to
-    # ``p.pos`` only for the parser's own readers and its errors.
     i = p.pos
-    while toks[i] != "}":
-        kind = toks[i]
-        p.pos = at = i + 1
+    while (kind := toks[i]) != "}":
         if kind == "place":
-            name = p.name("place name")
-            i = p.pos
-            marked = toks[i] == "marked"
-            i += marked  # step over the keyword when it is there
-            var = None
-            if toks[i] == "var":
-                p.pos = i + 1
-                var = p.name("variable name")
-                i = p.pos
-            if toks[i] != ";":
-                p.pos = i
-                p.expect(";")
-            places.append((name, marked, var, at))
-        elif kind == "transition":
-            decl = [p.name("transition name"), at, [], [], None, None, None]
-            p.expect("{")
-            i = p.pos
-            while toks[i] != "}":
-                clause = clauses.get(toks[i])
-                if clause is None:
-                    p.pos = i
-                    raise p.fail("expected pre, post, var, fn or guard")
-                p.pos = i + 1
-                decl[clause[0]] = clause[1]()
-                i = p.pos
-                if toks[i] != ";":
-                    p.expect(";")
+            name = toks[i + 1]
+            if name[:1] not in _NAME_START or name in RESERVED:
+                raise p.no_name(i + 1, "place name")
+            i += 2
+            if toks[i] == "marked":
+                marked.append(name)
                 i += 1
-            trans.append(decl)
+            if toks[i] == "var":
+                var = toks[i + 1]
+                if var[:1] not in _NAME_START or var in RESERVED:
+                    raise p.no_name(i + 1, "variable name")
+                var_of[name] = var
+                i += 2
+            if toks[i] != ";":
+                raise p.missing(";", i)
+            places.append(name)
+        elif kind == "transition":
+            name = toks[i + 1]
+            if name[:1] not in _NAME_START or name in RESERVED:
+                raise p.no_name(i + 1, "transition name")
+            if toks[i + 2] != "{":
+                raise p.missing("{", i + 2)
+            i += 3
+            pre = post = var = fn = guard = None
+            while (clause := toks[i]) != "}":
+                if clause == "pre" or clause == "post":
+                    if (pre if clause == "pre" else post) is not None:
+                        raise p.fail(f"{clause!r} given twice in transition {name}", i)
+                    i += 1
+                    ends = []
+                    while True:
+                        q = toks[i]
+                        if q[:1] not in _NAME_START or q in RESERVED:
+                            raise p.no_name(i)
+                        ends.append(q)
+                        if toks[i + 1] != ",":
+                            break
+                        i += 2
+                    i += 1
+                    if clause == "pre":
+                        pre = ends
+                    else:
+                        post = ends
+                elif clause == "fn" or clause == "guard":
+                    if (fn if clause == "fn" else guard) is not None:
+                        raise p.fail(f"{clause!r} given twice in transition {name}", i)
+                    p.pos = i + 1
+                    term = p.expression()
+                    i = p.pos
+                    if clause == "fn":
+                        fn = term
+                    else:
+                        guard = term
+                elif clause == "var":
+                    if var is not None:
+                        raise p.fail(f"'var' given twice in transition {name}", i)
+                    var = toks[i + 1]
+                    if var[:1] not in _NAME_START or var in RESERVED:
+                        raise p.no_name(i + 1, "variable name")
+                    overrides[name] = var
+                    i += 2
+                else:
+                    raise p.fail("expected pre, post, var, fn or guard", i)
+                if toks[i] != ";":
+                    raise p.missing(";", i)
+                i += 1
+            transitions.append(Transition(name, fn, guard))
+            presets[name] = pre or []
+            postsets[name] = post or []
+            no_fn = no_fn or fn is None
         else:
-            p.pos = i
-            raise p.fail("expected a place or transition declaration")
+            raise p.fail("expected a place or transition declaration", i)
         i += 1
     p.pos = i + 1
     p.end("the net")
 
     def spans() -> dict[str, Span]:
-        """line:col of the net's name and of each declared name (the last declaration of a name wins)."""
+        """line:col of the net's name and of each declared name (the last declaration of a name wins).
+
+        ``place`` and ``transition`` are reserved, so in a net read to its
+        end each one is a keyword with the declared name after it.
+        """
         where = {net_name: name_at}
-        where.update((name, at) for name, _, _, at in places)
-        where.update((name, at) for name, at, *_ in trans)
+        for keyword in ("place", "transition"):
+            where.update((toks[j + 1], j + 1) for j, tok in enumerate(toks) if tok == keyword)
         return p.spans(where)
 
     # The reader's own rules, on the declarations: they are the structure
     # rules of validate_net, which the net built below then holds by
-    # construction.
+    # construction.  Each group is tested on the sets first; its messages
+    # are gathered only when the test fails.
+    place_set = set(places)
+    if no_fn or len(place_set) < len(places) or len(presets) < len(transitions) or not place_set.isdisjoint(presets):
+        raise DslSemanticError(_declaration_violations(places, transitions), spans())
     violations: list[Violation] = []
-    seen: set[str] = set()
-    for name, _, _, _ in places:
-        if name in seen:
-            violations.append(Violation("DuplicateName", name, "place declared twice"))
-        seen.add(name)
-    place_names = set(seen)
-    for name, _, _, _, _, fn, _ in trans:
-        if name in seen:
-            violations.append(Violation("DuplicateName", name, "name already declared"))
-        seen.add(name)
-        if fn is None:
-            violations.append(Violation("MissingFunction", name, "transition has no fn clause"))
-    if violations:
-        raise DslSemanticError(violations, spans())
-
-    var_of = {name: var for name, _, var, _ in places if var is not None}
-    for name, _, pre, post, _, _, _ in trans:
-        for q in (*pre, *post):
-            if q not in place_names:
-                violations.append(Violation("UnknownPlace", q, f"in transition {name}"))
+    for tid, pre in presets.items():
+        post = postsets[tid]
+        if not (place_set.issuperset(pre) and place_set.issuperset(post)):
+            violations += [Violation("UnknownPlace", q, f"in transition {tid}") for q in (*pre, *post)
+                           if q not in place_set]
     if violations:
         raise DslSemanticError(violations, spans())
 
     # One variable per post-set: an explicit override wins, then any name
     # already fixed for a member, then the first post place's own name.
-    for name, _, _, post, var, _, _ in trans:
+    for tid, post in postsets.items():
+        var = overrides.get(tid)
+        if var is None and len(post) == 1:
+            var_of.setdefault(post[0], post[0])
+            continue
         fixed = {var_of[q] for q in post if q in var_of}
         if var is not None:
             fixed.add(var)
         if len(fixed) > 1:
-            violations.append(Violation("PostsetVariableMismatch", name, f"conflicting names {sorted(fixed)}"))
+            violations.append(Violation("PostsetVariableMismatch", tid, f"conflicting names {sorted(fixed)}"))
             continue
         shared = next(iter(fixed)) if fixed else (post[0] if post else None)
         for q in post:
             var_of[q] = shared
     if violations:
         raise DslSemanticError(violations, spans())
-    for name, _, _, _ in places:
+    for name in places:
         var_of.setdefault(name, name)
 
     net = PresNet(
         name=net_name,
-        places=tuple(name for name, _, _, _ in places),
+        places=tuple(places),
         var_of=var_of,
-        transitions=tuple(Transition(name, fn, guard) for name, _, _, _, _, fn, guard in trans),
-        input_arcs=frozenset((q, name) for name, _, pre, _, _, _, _ in trans for q in pre),
-        output_arcs=frozenset((name, q) for name, _, _, post, _, _, _ in trans for q in post),
-        initial_marking=frozenset(name for name, marked, _, _ in places if marked),
+        transitions=tuple(transitions),
+        input_arcs=frozenset([(q, tid) for tid, pre in presets.items() for q in pre]),
+        output_arcs=frozenset([(tid, q) for tid, post in postsets.items() for q in post]),
+        initial_marking=frozenset(marked),
+        sets=(presets, postsets),
     )
     issues = validate_net(net, structure=False)
     if issues:
         raise DslSemanticError(issues, spans())
     return net
+
+
+def _declaration_violations(places: list[str], transitions: list[Transition]) -> list[Violation]:
+    """Names declared twice and transitions without a fn clause, in the order of the declarations."""
+    violations: list[Violation] = []
+    seen: set[str] = set()
+    for name in places:
+        if name in seen:
+            violations.append(Violation("DuplicateName", name, "place declared twice"))
+        seen.add(name)
+    for name, fn, _ in transitions:
+        if name in seen:
+            violations.append(Violation("DuplicateName", name, "name already declared"))
+        seen.add(name)
+        if fn is None:
+            violations.append(Violation("MissingFunction", name, "transition has no fn clause"))
+    return violations
 
 
 def parse_pres(text: str) -> PresNet:
@@ -417,6 +534,8 @@ def _fsmd(p: _Parser) -> Fsmd:
                 where.setdefault(state, first + 2 * i)  # names alternate with commas
             p.expect(";")
         elif clause == "reset":
+            if reset is not None:
+                raise p.fail("'reset' given twice")
             p.pos += 1
             reset = p.name("state name")
             p.expect(";")
@@ -517,18 +636,6 @@ class ScenarioDocument(Record):
         return path if os.path.isabs(path) else os.path.join(self.base_dir, path)
 
 
-def _parse_map_block(p: _Parser) -> dict[str, str]:
-    out: dict[str, str] = {}
-    p.expect("{")
-    while p.toks[p.pos] != "}":
-        a = p.name()
-        p.expect("->")
-        out[a] = p.name()
-        p.expect(";")
-    p.pos += 1
-    return out
-
-
 _MAPS = {"inmap": "in_map", "outmap": "out_map", "varmap": "var_map"}
 _BOUNDS = {"maxsteps": "max_steps", "statebound": "state_bound"}
 _CHOICES = {"check": ("cardinality", "functional", "fsmd"), "strategy": ("symbolic", "sampled")}
@@ -540,68 +647,140 @@ def parse_scenario(text: str, base_dir: str = ".") -> ScenarioDocument:
     p.expect("scenario")
     doc = ScenarioDocument(name=p.name("scenario name"), base_dir=base_dir)
     p.expect("{")
-    while toks[p.pos] != "}":
-        clause = toks[p.pos]
-        p.pos += 1
-        if clause == "model":
-            side = toks[p.pos]
-            if side not in ("left", "right"):
-                raise p.fail("expected 'left' or 'right'")
-            p.pos += 1
-            p.expect("=")
-            if toks[p.pos][:1] != '"':
-                raise p.fail("expected a quoted file path")
-            setattr(doc, side, toks[p.pos][1:-1])
-            p.pos += 1
-            p.expect(";")
-        elif clause in _CHOICES:
-            *some, last = choices = _CHOICES[clause]
-            if toks[p.pos] not in choices:
-                raise p.fail(f"expected {', '.join(some)} or {last}")
-            setattr(doc, clause, toks[p.pos])
-            p.pos += 1
-            p.expect(";")
-        elif clause in _MAPS:
-            getattr(doc, _MAPS[clause]).update(_parse_map_block(p))
-        elif clause == "inputs":
-            p.expect("{")
+    given: set[str] = set()  # the clauses that set one field, as given: "model left", "check", ...
+    symbols: set[str] = set()  # the interpreted symbols
+
+    def once(key: str, at: int) -> None:
+        if key in given:
+            raise p.fail(f"{key!r} given twice", at)
+        given.add(key)
+
+    i = p.pos
+    while (clause := toks[i]) != "}":
+        i += 1
+        if clause in _MAPS:
+            pairs = getattr(doc, _MAPS[clause])
+            if toks[i] != "{":
+                raise p.missing("{", i)
+            i += 1
+            while (a := toks[i]) != "}":
+                if a[:1] not in _NAME_START or a in RESERVED:
+                    raise p.no_name(i)
+                if a in pairs:
+                    raise p.fail(f"{a!r} mapped twice in {clause}", i)
+                if toks[i + 1] != "->":
+                    raise p.missing("->", i + 1)
+                b = toks[i + 2]
+                if b[:1] not in _NAME_START or b in RESERVED:
+                    raise p.no_name(i + 2)
+                if toks[i + 3] != ";":
+                    raise p.missing(";", i + 3)
+                pairs[a] = b
+                i += 4
+            i += 1
+            continue
+        if clause == "inputs":
+            if toks[i] != "{":
+                raise p.missing("{", i)
+            i += 1
             vector: dict[str, int] = {}
-            while toks[p.pos] != "}":
-                place = p.name("place name")
-                p.expect("=")
-                vector[place] = p.integer()
-                p.expect(";")
-            p.pos += 1
+            while (place := toks[i]) != "}":
+                if place[:1] not in _NAME_START or place in RESERVED:
+                    raise p.no_name(i, "place name")
+                if place in vector:
+                    raise p.fail(f"place {place!r} given twice in inputs", i)
+                if toks[i + 1] != "=":
+                    raise p.missing("=", i + 1)
+                value = toks[i + 2]
+                if value.isdigit():
+                    vector[place] = int(value)
+                    i += 3
+                elif value == "-" and toks[i + 3].isdigit():
+                    vector[place] = -int(toks[i + 3])
+                    i += 4
+                else:
+                    raise p.no_integer(i + 2)
+                if toks[i] != ";":
+                    raise p.missing(";", i)
+                i += 1
+            i += 1
             doc.vectors.append(vector)
-        elif clause == "interp" and toks[p.pos] == "default":
-            p.pos += 1
-            p.expect("seeded")
+            continue
+        if clause == "model":
+            side = toks[i]
+            if side not in ("left", "right"):
+                raise p.fail("expected 'left' or 'right'", i)
+            once(f"model {side}", i - 1)
+            if toks[i + 1] != "=":
+                raise p.missing("=", i + 1)
+            if toks[i + 2][:1] != '"':
+                raise p.fail("expected a quoted file path", i + 2)
+            setattr(doc, side, toks[i + 2][1:-1])
+            i += 3
+        elif clause in _CHOICES:
+            once(clause, i - 1)
+            *some, last = choices = _CHOICES[clause]
+            if toks[i] not in choices:
+                raise p.fail(f"expected {', '.join(some)} or {last}", i)
+            setattr(doc, clause, toks[i])
+            i += 1
+        elif clause == "interp" and toks[i] == "default":
+            once("interp default", i - 1)
+            if toks[i + 1] != "seeded":
+                raise p.missing("seeded", i + 1)
+            p.pos = i + 2
             doc.default_seed = p.integer()
-            p.expect(";")
+            i = p.pos
         elif clause == "interp":
-            symbol = p.name("function symbol")
-            p.expect("(")
-            params = p.name_list() if toks[p.pos] != ")" else []
-            p.expect(")")
-            p.expect("=")
+            symbol = toks[i]
+            if symbol[:1] not in _NAME_START or symbol in RESERVED:
+                raise p.no_name(i, "function symbol")
+            if symbol in symbols:
+                raise p.fail(f"interp {symbol!r} given twice", i)
+            symbols.add(symbol)
+            if toks[i + 1] != "(":
+                raise p.missing("(", i + 1)
+            i += 2
+            params: list[str] = []
+            if toks[i] != ")":
+                while True:
+                    param = toks[i]
+                    if param[:1] not in _NAME_START or param in RESERVED:
+                        raise p.no_name(i)
+                    if param in params:
+                        raise p.fail(f"parameter {param!r} given twice in interp {symbol}", i)
+                    params.append(param)
+                    if toks[i + 1] != ",":
+                        break
+                    i += 2
+                i += 1
+            if toks[i] != ")":
+                raise p.missing(")", i)
+            if toks[i + 1] != "=":
+                raise p.missing("=", i + 1)
+            p.pos = i + 2
             body = p.expression()
-            p.expect(";")
+            i = p.pos
+            if toks[i] != ";":
+                raise p.missing(";", i)
             extra = ex.free_vars(body) - set(params)
             if extra:
                 raise DslSemanticError([Violation("UnknownVariable", symbol, f"interp body reads {sorted(extra)}")])
             doc.interps.append(InterpDecl(symbol, params, body))
         elif clause in _BOUNDS:
-            at = p.pos
+            once(clause, i - 1)
+            p.pos = i
             bound = p.integer()
             if bound < 1:
-                p.pos = at
-                raise p.fail(f"{clause} must be at least 1, found {bound}")
+                raise p.fail(f"{clause} must be at least 1, found {bound}", i)
             setattr(doc, _BOUNDS[clause], bound)
-            p.expect(";")
+            i = p.pos
         else:
-            p.pos -= 1
-            raise p.fail("unknown scenario clause")
-    p.pos += 1
+            raise p.fail("unknown scenario clause", i - 1)
+        if toks[i] != ";":
+            raise p.missing(";", i)
+        i += 1
+    p.pos = i + 1
     p.end("the scenario")
     return doc
 

@@ -16,7 +16,8 @@ readers that fill one at once compute the same value.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Optional
+from collections import defaultdict
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from . import expr as ex
 from .record import Record
@@ -79,7 +80,12 @@ class PresNet(Record):
 
     def __init__(self, name: str, places: tuple[str, ...], var_of: Mapping[str, str],
                  transitions: tuple[Transition, ...], input_arcs: frozenset[tuple[str, str]],
-                 output_arcs: frozenset[tuple[str, str]], initial_marking: frozenset[str]) -> None:
+                 output_arcs: frozenset[tuple[str, str]], initial_marking: frozenset[str],
+                 sets: Optional[tuple[Mapping[str, Iterable[str]], Mapping[str, Iterable[str]]]] = None) -> None:
+        """``sets``, when the caller has them, are the places of each
+        transition's input and output arcs, by transition: the reader hands
+        them so that its arcs are not grouped again.  They must say what
+        the arcs say; by default they are grouped from the arcs."""
         self.name, self.places, self.var_of, self.transitions = name, places, var_of, transitions
         self.input_arcs = input_arcs  # (place, transition)
         self.output_arcs = output_arcs  # (transition, place)
@@ -88,7 +94,9 @@ class PresNet(Record):
         self.place_order = {p: i for i, p in enumerate(places)}
         self.steps: dict = {}
         self.ports: Optional[Ports] = None
-        self._pre_t, self._post_t, self._pre_p, self._post_p = _index(self.order, places, input_arcs, output_arcs)
+        if sets is None:
+            sets = _by_transition(input_arcs, output_arcs)
+        self._pre_t, self._post_t, self._pre_p, self._post_p = _index(self.order, places, *sets)
 
     def _replace(self, **changes) -> "PresNet":
         """A new net with ``changes`` applied to the fields; its indices and
@@ -125,30 +133,40 @@ class PresNet(Record):
 _NO_ELEMENTS: frozenset[str] = frozenset()
 
 
-def _index(tids, places, input_arcs, output_arcs) -> tuple[dict[str, frozenset[str]], ...]:
-    """The preset and postset of each transition, and the producers and
-    consumers of each place, in that order.
-
-    The arcs are gathered in lists, and each list is frozen once; every
-    element with no arcs on a side shares one empty set.  An arc that names
-    an undeclared place or transition still counts for the element it does
-    name (:func:`validate_net` reports it).
-    """
-    pre_t: dict[str, list[str]] = {}
-    post_t: dict[str, list[str]] = {}
-    pre_p: dict[str, list[str]] = {}
-    post_p: dict[str, list[str]] = {}
+def _by_transition(input_arcs, output_arcs) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """The places of the input arcs and of the output arcs, by transition."""
+    pre_t: defaultdict[str, list[str]] = defaultdict(list)
+    post_t: defaultdict[str, list[str]] = defaultdict(list)
     for p, t in input_arcs:
-        pre_t.setdefault(t, []).append(p)
-        post_p.setdefault(p, []).append(t)
+        pre_t[t].append(p)
     for t, p in output_arcs:
-        post_t.setdefault(t, []).append(p)
-        pre_p.setdefault(p, []).append(t)
+        post_t[t].append(p)
+    return pre_t, post_t
+
+
+def _index(tids, places, pre_t, post_t) -> tuple[dict[str, frozenset[str]], ...]:
+    """The preset and postset of each transition, and the producers and
+    consumers of each place, in that order, from the places of each
+    transition's arcs.
+
+    Each group is frozen once; every element with no arcs on a side shares
+    one empty set.  An arc that names an undeclared place or transition
+    still counts for the element it does name (:func:`validate_net`
+    reports it).
+    """
+    pre_p: defaultdict[str, list[str]] = defaultdict(list)
+    post_p: defaultdict[str, list[str]] = defaultdict(list)
+    for t, ends in pre_t.items():
+        for p in ends:
+            post_p[p].append(t)
+    for t, ends in post_t.items():
+        for p in ends:
+            pre_p[p].append(t)
     indices = []
-    for keys, arcs in ((tids, pre_t), (tids, post_t), (places, pre_p), (places, post_p)):
+    for keys, groups in ((tids, pre_t), (tids, post_t), (places, pre_p), (places, post_p)):
         index = dict.fromkeys(keys, _NO_ELEMENTS)
-        for key, ends in arcs.items():
-            if key in index:
+        for key, ends in groups.items():
+            if ends and key in index:
                 index[key] = frozenset(ends)
         indices.append(index)
     return tuple(indices)
@@ -247,35 +265,40 @@ def validate_net(net: PresNet, structure: bool = True) -> list[Violation]:
             if p not in place_set:
                 out.append(Violation("UnknownPlace", p, "initial marking references an undeclared place"))
 
-    var_of = net.var_of
-    for t in net.transitions:
-        pre, post = net._pre_t[t.id], net._post_t[t.id]
+    var_of, pre_t, post_t = net.var_of, net._pre_t, net._post_t
+    for tid, fn, guard in net.transitions:
+        pre, post = pre_t[tid], post_t[tid]
         if not pre:
-            out.append(Violation("EmptyPreset", t.id, "transition has no input places"))
+            out.append(Violation("EmptyPreset", tid, "transition has no input places"))
         if not post:
-            out.append(Violation("EmptyPostset", t.id, "transition has no output places"))
+            out.append(Violation("EmptyPostset", tid, "transition has no output places"))
         if len(post) > 1:
             post_vars = {var_of[p] for p in post if p in var_of}
             if len(post_vars) > 1:
-                out.append(Violation("PostsetVariableMismatch", t.id, f"variables {sorted(post_vars)}"))
+                out.append(Violation("PostsetVariableMismatch", tid, f"variables {sorted(post_vars)}"))
 
-        scope = {var_of[p] for p in pre if p in var_of}
+        scope = set()  # filled by a loop: before Python 3.12 a set comprehension is one more call per transition
+        for p in pre:
+            if p in var_of:
+                scope.add(var_of[p])
         try:
-            if ex.sort_of(t.fn) != ex.INT:
-                out.append(Violation("IllSortedFunction", t.id, "fn is not integer-sorted"))
+            if ex.sort_of(fn) != ex.INT:
+                out.append(Violation("IllSortedFunction", tid, "fn is not integer-sorted"))
         except ex.SortMismatch as err:
-            out.append(Violation("IllSortedFunction", t.id, str(err)))
-        if not ex.free_vars(t.fn) <= scope:
-            for v in sorted(ex.free_vars(t.fn) - scope):
-                out.append(Violation("FunctionScopeViolation", t.id, f"fn reads {v!r} outside the input variables"))
-        if t.guard is not None:
+            out.append(Violation("IllSortedFunction", tid, str(err)))
+        reads = ex.free_vars(fn)
+        if not reads <= scope:
+            for v in sorted(reads - scope):
+                out.append(Violation("FunctionScopeViolation", tid, f"fn reads {v!r} outside the input variables"))
+        if guard is not None:
             try:
-                if ex.sort_of(t.guard) != ex.BOOL:
-                    out.append(Violation("IllSortedGuard", t.id, "guard is not boolean-sorted"))
+                if ex.sort_of(guard) != ex.BOOL:
+                    out.append(Violation("IllSortedGuard", tid, "guard is not boolean-sorted"))
             except ex.SortMismatch as err:
-                out.append(Violation("IllSortedGuard", t.id, str(err)))
-            if not ex.free_vars(t.guard) <= scope:
-                for v in sorted(ex.free_vars(t.guard) - scope):
-                    out.append(Violation("GuardScopeViolation", t.id, f"guard reads {v!r} outside the input variables"))
+                out.append(Violation("IllSortedGuard", tid, str(err)))
+            reads = ex.free_vars(guard)
+            if not reads <= scope:
+                for v in sorted(reads - scope):
+                    out.append(Violation("GuardScopeViolation", tid, f"guard reads {v!r} outside the input variables"))
 
     return out

@@ -6,7 +6,10 @@ suite run is reproducible from its seed.
 
 from __future__ import annotations
 
+import importlib.util
+import os
 import random
+import sys
 
 from presto import expr as ex
 from presto.fsmd import Fsmd, FsmdTransition, UpdateSet
@@ -185,3 +188,12 @@ def compile_program(name: str, program: list, duplicate_tails: bool = False) -> 
     emit(program, new(), duplicate_tails)
     return Fsmd(name, tuple(states), "s0", frozenset({"a", "b"}), frozenset(STORAGE), frozenset(STORAGE),
                 tuple(transitions))
+
+
+def perfbench_families():
+    """The benchmark's seeded pair generator, ``perfbench/families.py``."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "families.py")
+    spec = importlib.util.spec_from_file_location("perfbench_families", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return module

@@ -1,11 +1,14 @@
+import os
+import random
 import time
 
 import pytest
 
-from presto import corpus, expr as ex
+from presto import corpus, dsl, expr as ex
 from presto.convert import ConversionConfig, pres_to_fsmd
 from presto.dsl import (
     MAX_NESTING,
+    DslError,
     DslSemanticError,
     DslSyntaxError,
     parse_expression,
@@ -205,6 +208,45 @@ GOLDEN_ERRORS = [
     (parse_pres, "net n { place a\r\n; place ; }", "2:9: expected place name, found ';'"),
     (parse_fsmd, "fsmd m { states q0, q1; q0 q1 { } }", "1:28: expected '->', found 'q1'"),
     (parse_fsmd, "fsmd m { states q0; q0 -> q0 { x <= 1; ", "1:40: expected variable name, found 'eof'"),
+    (parse_pres, "net n { place a; transition place { } }", "1:29: 'place' is a reserved word"),
+    (parse_pres, "net n { place a; transition 5 { } }", "1:29: expected transition name, found '5'"),
+    (parse_pres, "net n { place a; transition t pre a; }", "1:31: expected '{', found 'pre'"),
+    (parse_pres, "net n { place a; transition t { pre a, ; post a; fn a; } }", "1:40: expected identifier, found ';'"),
+    (parse_pres, "net n { place a; transition t { pre a; post a,; fn a; } }", "1:47: expected identifier, found ';'"),
+    (parse_pres, "net n { place a; transition t { pre a; post a; var ; fn a; } }",
+     "1:52: expected variable name, found ';'"),
+    (parse_scenario, "scenario s { inmap { a -> b } }", "1:29: expected ';', found '}'"),
+    (parse_scenario, "scenario s { inputs { a 1; } }", "1:25: expected '=', found '1'"),
+    (parse_scenario, "scenario s { interp f(x = x; }", "1:25: expected ')', found '='"),
+    (parse_scenario, "scenario s { interp f(x) x; }", "1:26: expected '=', found 'x'"),
+    (parse_scenario, "scenario s { maxsteps 0; }", "1:23: maxsteps must be at least 1, found 0"),
+    (parse_expression, "f(", "1:3: expected an expression, found 'eof'"),
+    (parse_expression, "f(x", "1:4: expected ')', found 'eof'"),
+    (parse_expression, "a +", "1:4: expected an expression, found 'eof'"),
+    # A clause, key or parameter given a second time is an error at the
+    # second one, not a silent replacement of the first.
+    (parse_pres, "net n { place a; place c; place b; transition t { pre a; pre c; post b; fn c; } }",
+     "1:58: 'pre' given twice in transition t"),
+    (parse_pres, "net n { place a; transition t { pre a; post a; post a; fn a; } }",
+     "1:48: 'post' given twice in transition t"),
+    (parse_pres, "net n { place a; transition t { pre a; post a; fn a; fn 1; } }",
+     "1:54: 'fn' given twice in transition t"),
+    (parse_pres, "net n { place a; transition t { pre a; post a; fn a; guard a > 0; guard a < 0; } }",
+     "1:67: 'guard' given twice in transition t"),
+    (parse_pres, "net n { place a; transition t { var x; pre a; post a; var y; fn a; } }",
+     "1:55: 'var' given twice in transition t"),
+    (parse_scenario, "scenario s { interp f(x) = x;\n  interp f(y) = y; }", "2:10: interp 'f' given twice"),
+    (parse_scenario, "scenario s { interp g(x, x) = x; }", "1:26: parameter 'x' given twice in interp g"),
+    (parse_scenario, "scenario s { inputs { a = 1; a = 2; } }", "1:30: place 'a' given twice in inputs"),
+    (parse_scenario, "scenario s { inmap { a -> b; a -> c; } }", "1:30: 'a' mapped twice in inmap"),
+    (parse_scenario, "scenario s { outmap { a -> b; }\n  outmap { a -> b; } }", "2:12: 'a' mapped twice in outmap"),
+    (parse_scenario, "scenario s { varmap { a -> b; c -> d; a -> d; } }", "1:39: 'a' mapped twice in varmap"),
+    (parse_scenario, 'scenario s { model left = "a.pres"; model left = "b.pres"; }', "1:37: 'model left' given twice"),
+    (parse_scenario, "scenario s { check fsmd; check functional; }", "1:26: 'check' given twice"),
+    (parse_scenario, "scenario s { interp default seeded 1; interp default seeded 2; }",
+     "1:39: 'interp default' given twice"),
+    (parse_scenario, "scenario s { maxsteps 3; maxsteps 4; }", "1:26: 'maxsteps' given twice"),
+    (parse_fsmd, "fsmd m { states q0; reset q0; reset q0; }", "1:31: 'reset' given twice"),
 ]
 
 
@@ -324,3 +366,48 @@ def test_20000_transition_chain_parses_with_spans_in_linear_time():
     assert len(spans) == 1 + 20_001 + 20_000 + 1  # the net, its places, its transitions and the broken one
     assert str(spans["t19999"]) == "40002:14" and str(spans["p20000"]) == "20002:9"
     assert elapsed < 5.0, elapsed  # loose: finding each span by counting lines from the top is quadratic
+
+
+def _corpus_documents():
+    """Every bundled net, machine and scenario, as (parser, printer or None, file name, text)."""
+    root = os.path.dirname(corpus.corpus_path("racy"))
+    kinds = {".pres": (parse_pres, print_net), ".fsmd": (parse_fsmd, print_fsmd), ".scn": (parse_scenario, None)}
+    documents = []
+    for folder in (root, os.path.join(root, "mutations"), os.path.join(root, "scenarios")):
+        for name in sorted(os.listdir(folder)):
+            kind = kinds.get(os.path.splitext(name)[1])
+            if kind:
+                with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                    documents.append((*kind, name, fh.read()))
+    return documents
+
+
+def _mutated(text, rng):
+    """``text`` with one token, chosen by ``rng``, deleted, doubled or swapped with the next one."""
+    spans = [m.span(1) for m in dsl._SCAN.finditer(text) if m.group(1)]
+    k = rng.randrange(len(spans) - 1)
+    (s, e), (s2, e2) = spans[k], spans[k + 1]
+    edit = rng.choice(("delete", "duplicate", "swap"))
+    if edit == "delete":
+        return text[:s] + " " + text[e:]
+    if edit == "duplicate":
+        return text[:e] + " " + text[s:e] + text[e:]
+    return text[:s] + text[s2:e2] + text[e:s2] + text[s:e] + text[e2:]
+
+
+CORPUS_DOCUMENTS = _corpus_documents()
+
+
+@pytest.mark.parametrize("parse, show, name, text", CORPUS_DOCUMENTS, ids=[name for _, _, name, _ in CORPUS_DOCUMENTS])
+def test_a_document_with_one_token_edited_reads_or_fails_with_a_dsl_error(parse, show, name, text):
+    rng = random.Random(name)
+    for _ in range(40):
+        mutant = _mutated(text, rng)
+        try:
+            model = parse(mutant)
+        except DslError:
+            continue
+        if show is None:
+            assert isinstance(model, dsl.ScenarioDocument)
+        else:
+            assert parse(show(model)) == model, mutant

@@ -10,10 +10,7 @@ must end and never call a pair Equivalent that a run separates, either by
 their outputs or by one machine stopping where the other does not.
 """
 
-import importlib.util
-import os
 import random
-import sys
 import time
 
 import pytest
@@ -24,7 +21,7 @@ from presto.equiv import check_fsmd_equivalence
 from presto.fsmd import Fsmd, FsmdTransition, UpdateSet, path_enumerate, path_transformation, run_machine
 from presto.verdict import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT
 
-from _gen import compile_program, random_env, random_program, variant
+from _gen import compile_program, perfbench_families, random_env, random_program, variant
 
 OUTPUTS = {"c": "c", "d": "d"}
 
@@ -160,19 +157,10 @@ def test_a_looping_pair_whose_values_outgrow_the_bound_decides_within_seconds():
         assert _replays(verdict, left, right, functions, 500)
 
 
-def _families():
-    """The benchmark's seeded pair generator, ``perfbench/families.py``."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "families.py")
-    spec = importlib.util.spec_from_file_location("perfbench_families", path)
-    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("command", ["check-pres", "check-fsmd"])
 def test_twenty_guard_splits_in_a_row_decide_in_well_under_a_second(command, tmp_path, capsys):
     # 2^20 reset-to-terminal paths per machine, but two segments per split.
-    families = _families()
+    families = perfbench_families()
     pair = families.diamonds_pair(random.Random(1), "d20", 20)
     (tmp_path / "l.pres").write_text(families.net_text(pair.left))
     (tmp_path / "r.pres").write_text(families.net_text(pair.right))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from presto import corpus, expr as ex
@@ -12,7 +14,7 @@ from presto.pres import (
     validate_net,
 )
 
-from _gen import random_net
+from _gen import perfbench_families, random_net
 
 
 def tiny_net(**overrides) -> PresNet:
@@ -140,7 +142,8 @@ class TestValidate:
 
 def _indices(net: PresNet) -> list:
     """Every index of ``net``, entries in order."""
-    return [list(index.items()) for index in (net._pre_t, net._post_t, net._pre_p, net._post_p, net.order)]
+    return [list(index.items()) for index in (net._pre_t, net._post_t, net._pre_p, net._post_p, net.order,
+                                              net.place_order)]
 
 
 def _rebuilt(net: PresNet) -> PresNet:
@@ -149,12 +152,35 @@ def _rebuilt(net: PresNet) -> PresNet:
                    net.initial_marking)
 
 
-@pytest.mark.parametrize("source", [*(f"corpus:{name}" for name in corpus.NETS), *(f"random:{s}" for s in range(50))])
+def _family_nets() -> dict[str, PresNet]:
+    """Both nets of one pair of each benchmark family, read from the text the benchmark writes."""
+    families = perfbench_families()
+    nets = {}
+    for family, (make, sizes) in families.BUILDERS.items():
+        pair = make(random.Random(f"{family}:1"), family, sizes[len(sizes) // 2])
+        for side, net in (("left", pair.left), ("right", pair.right)):
+            nets[f"{family}:{side}"] = parse_pres(families.net_text(net))
+    return nets
+
+
+FAMILY_NETS = _family_nets()
+
+
+@pytest.mark.parametrize("source", [*(f"corpus:{name}" for name in corpus.NETS), *(f"random:{s}" for s in range(50)),
+                                    *FAMILY_NETS])
 def test_a_read_net_is_indexed_and_checked_like_one_built_in_code(source):
+    # The reader hands the net each transition's preset and postset; a net
+    # built in code groups its arcs itself.
     kind, name = source.split(":")
-    built = _rebuilt(corpus.load_net(name)) if kind == "corpus" else random_net(int(name))
+    if kind == "corpus":
+        built = _rebuilt(corpus.load_net(name))
+    elif kind == "random":
+        built = random_net(int(name))
+    else:
+        built = _rebuilt(FAMILY_NETS[source])
     read = parse_pres(print_net(built))
-    assert _indices(read) == _indices(built)
+    assert read == built == read._replace()
+    assert _indices(read) == _indices(built) == _indices(read._replace())
     assert validate_net(read) == validate_net(read, structure=False) == validate_net(built)
 
 
