@@ -103,7 +103,16 @@ _TOKEN = r'"[^"\n]*"|[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*|[0-9]+|->|<=|>=|!
 # first lexical error.
 _SCAN = re.compile(rf'[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*({_TOKEN}|[^ \t\r\n][\s\S]*|\Z)')
 _VALID = re.compile(_TOKEN)
-_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+
+
+def _is_name(tok: str) -> bool:
+    """Whether a token is an identifier that is not a reserved word.
+
+    A token starts with a letter, ``_``, a digit, ``"`` or punctuation, and
+    of these only letters and ``_`` sort from "A" to below "{", so one
+    chained comparison tells an identifier.
+    """
+    return "A" <= tok < "{" and tok not in RESERVED
 
 
 def _shown(tok: str) -> str:
@@ -173,7 +182,7 @@ class _Parser:
     def no_name(self, at: int, what: str = "identifier") -> DslSyntaxError:
         """The error for token ``at``, which is not a name or is a reserved one."""
         tok = self.toks[at]
-        if tok[:1] in _NAME_START:
+        if tok in RESERVED:
             return self.fail(f"{tok!r} is a reserved word", at)
         return self.fail(f"expected {what}, found {_shown(tok)!r}", at)
 
@@ -184,26 +193,21 @@ class _Parser:
 
     def name(self, what: str = "identifier") -> str:
         tok = self.toks[self.pos]
-        if tok[:1] not in _NAME_START or tok in RESERVED:
+        if not _is_name(tok):
             raise self.no_name(self.pos, what)
         self.pos += 1
         return tok
 
-    def no_integer(self, at: int) -> DslSyntaxError:
-        """The error for token ``at``, which does not start an integer: at the token after a sign, if any."""
-        at += self.toks[at] == "-"
-        return self.fail(f"expected an integer, found {_shown(self.toks[at])!r}", at)
-
     def integer(self) -> int:
-        toks, i = self.toks, self.pos
-        tok = toks[i]
-        if tok.isdigit():
-            self.pos = i + 1
-            return int(tok)
-        if tok == "-" and toks[i + 1].isdigit():
-            self.pos = i + 2
-            return -int(toks[i + 1])
-        raise self.no_integer(i)
+        sign = 1
+        if self.toks[self.pos] == "-":
+            self.pos += 1
+            sign = -1
+        tok = self.toks[self.pos]
+        if not tok.isdigit():
+            raise self.fail(f"expected an integer, found {_shown(tok)!r}")
+        self.pos += 1
+        return sign * int(tok)
 
     def name_list(self) -> list[str]:
         names = [self.name()]
@@ -231,19 +235,15 @@ class _Parser:
         i = self.pos
         tok = toks[i]
         top = _UNARY  # precedence of the operator at the root of ``out``
-        if tok[:1] in _NAME_START and tok not in RESERVED:
+        if _is_name(tok):
             i += 1
             if toks[i] != "(":
                 out = ex.Var(tok)
             else:
                 self.pos = i = i + 1
                 self._deeper()
-                arg = toks[i]
-                if arg == ")":
+                if toks[i] == ")":
                     args: tuple[ex.Expr, ...] = ()
-                elif (arg.isdigit() or arg[:1] in _NAME_START and arg not in RESERVED) and toks[i + 1] == ")":
-                    args = (ex.IntConst(int(arg)) if arg.isdigit() else ex.Var(arg),)  # one literal or name
-                    i += 1
                 else:
                     terms = [self.expression()]
                     while toks[self.pos] == ",":
@@ -299,15 +299,9 @@ class _Parser:
             if prec is None or prec < level or prec > top or prec == top == _REL:
                 self.pos = i
                 return out
-            tok = toks[i + 1]
-            if (tok.isdigit() or tok[:1] in _NAME_START and tok not in RESERVED and toks[i + 2] != "(") \
-                    and _BINARY.get(toks[i + 2], 0) <= prec:  # a literal or name that the next operator leaves alone
-                rhs = ex.IntConst(int(tok)) if tok.isdigit() else ex.Var(tok)
-                i += 2
-            else:
-                self.pos = i + 1
-                rhs = self.expression(prec + 1)
-                i = self.pos
+            self.pos = i + 1
+            rhs = self.expression(prec + 1)
+            i = self.pos
             if op == "or" or op == "and":
                 out = ex.BoolOp(op, (*out.args, rhs) if top == prec else (out, rhs))
             elif op == "+" or op == "*":
@@ -353,7 +347,7 @@ def _net(p: _Parser) -> PresNet:
     while (kind := toks[i]) != "}":
         if kind == "place":
             name = toks[i + 1]
-            if name[:1] not in _NAME_START or name in RESERVED:
+            if not _is_name(name):
                 raise p.no_name(i + 1, "place name")
             i += 2
             if toks[i] == "marked":
@@ -361,7 +355,7 @@ def _net(p: _Parser) -> PresNet:
                 i += 1
             if toks[i] == "var":
                 var = toks[i + 1]
-                if var[:1] not in _NAME_START or var in RESERVED:
+                if not _is_name(var):
                     raise p.no_name(i + 1, "variable name")
                 var_of[name] = var
                 i += 2
@@ -370,7 +364,7 @@ def _net(p: _Parser) -> PresNet:
             places.append(name)
         elif kind == "transition":
             name = toks[i + 1]
-            if name[:1] not in _NAME_START or name in RESERVED:
+            if not _is_name(name):
                 raise p.no_name(i + 1, "transition name")
             if toks[i + 2] != "{":
                 raise p.missing("{", i + 2)
@@ -384,7 +378,7 @@ def _net(p: _Parser) -> PresNet:
                     ends = []
                     while True:
                         q = toks[i]
-                        if q[:1] not in _NAME_START or q in RESERVED:
+                        if not _is_name(q):
                             raise p.no_name(i)
                         ends.append(q)
                         if toks[i + 1] != ",":
@@ -409,7 +403,7 @@ def _net(p: _Parser) -> PresNet:
                     if var is not None:
                         raise p.fail(f"'var' given twice in transition {name}", i)
                     var = toks[i + 1]
-                    if var[:1] not in _NAME_START or var in RESERVED:
+                    if not _is_name(var):
                         raise p.no_name(i + 1, "variable name")
                     overrides[name] = var
                     i += 2
@@ -664,14 +658,14 @@ def parse_scenario(text: str, base_dir: str = ".") -> ScenarioDocument:
                 raise p.missing("{", i)
             i += 1
             while (a := toks[i]) != "}":
-                if a[:1] not in _NAME_START or a in RESERVED:
+                if not _is_name(a):
                     raise p.no_name(i)
                 if a in pairs:
                     raise p.fail(f"{a!r} mapped twice in {clause}", i)
                 if toks[i + 1] != "->":
                     raise p.missing("->", i + 1)
                 b = toks[i + 2]
-                if b[:1] not in _NAME_START or b in RESERVED:
+                if not _is_name(b):
                     raise p.no_name(i + 2)
                 if toks[i + 3] != ";":
                     raise p.missing(";", i + 3)
@@ -685,21 +679,15 @@ def parse_scenario(text: str, base_dir: str = ".") -> ScenarioDocument:
             i += 1
             vector: dict[str, int] = {}
             while (place := toks[i]) != "}":
-                if place[:1] not in _NAME_START or place in RESERVED:
+                if not _is_name(place):
                     raise p.no_name(i, "place name")
                 if place in vector:
                     raise p.fail(f"place {place!r} given twice in inputs", i)
                 if toks[i + 1] != "=":
                     raise p.missing("=", i + 1)
-                value = toks[i + 2]
-                if value.isdigit():
-                    vector[place] = int(value)
-                    i += 3
-                elif value == "-" and toks[i + 3].isdigit():
-                    vector[place] = -int(toks[i + 3])
-                    i += 4
-                else:
-                    raise p.no_integer(i + 2)
+                p.pos = i + 2
+                vector[place] = p.integer()
+                i = p.pos
                 if toks[i] != ";":
                     raise p.missing(";", i)
                 i += 1
@@ -733,7 +721,7 @@ def parse_scenario(text: str, base_dir: str = ".") -> ScenarioDocument:
             i = p.pos
         elif clause == "interp":
             symbol = toks[i]
-            if symbol[:1] not in _NAME_START or symbol in RESERVED:
+            if not _is_name(symbol):
                 raise p.no_name(i, "function symbol")
             if symbol in symbols:
                 raise p.fail(f"interp {symbol!r} given twice", i)
@@ -745,7 +733,7 @@ def parse_scenario(text: str, base_dir: str = ".") -> ScenarioDocument:
             if toks[i] != ")":
                 while True:
                     param = toks[i]
-                    if param[:1] not in _NAME_START or param in RESERVED:
+                    if not _is_name(param):
                         raise p.no_name(i)
                     if param in params:
                         raise p.fail(f"parameter {param!r} given twice in interp {symbol}", i)

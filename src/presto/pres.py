@@ -85,7 +85,9 @@ class PresNet(Record):
         """``sets``, when the caller has them, are the places of each
         transition's input and output arcs, by transition: the reader hands
         them so that its arcs are not grouped again.  They must say what
-        the arcs say; by default they are grouped from the arcs."""
+        the arcs say, and nothing checks that at run time (the tests compare
+        each read net's indices with those of ``net._replace()``); by
+        default they are grouped from the arcs."""
         self.name, self.places, self.var_of, self.transitions = name, places, var_of, transitions
         self.input_arcs = input_arcs  # (place, transition)
         self.output_arcs = output_arcs  # (transition, place)
