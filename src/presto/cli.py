@@ -165,9 +165,12 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def _terms(nets) -> list[ex.Expr]:
-    """The transfer functions and guards of the transitions of ``nets``."""
-    return [e for net in nets for t in net.transitions for e in (t.fn, t.guard) if e is not None]
+def _terms(models) -> list[ex.Expr]:
+    """The terms of ``models`` as read: the transfer functions and guards of
+    a net's transitions, the guards and updates of a machine's."""
+    return [e for model in models for t in model.transitions
+            for e in ((t.fn, t.guard) if isinstance(model, PresNet) else (*t.guard_set, *(a.expr for a in t.updates)))
+            if e is not None]
 
 
 def _confluence(net: PresNet, vectors: list[dict], interp, schedules: int, seed: int, max_steps: int) -> Verdict:
@@ -203,6 +206,7 @@ def cmd_simulate(args) -> int:
         raise UsageError("simulate expects net models")
     check_arities(doc.interps, _terms(net for _, net in nets))
     left_net = nets[0][1] if doc.left else None
+    pm = PortMap(dict(doc.in_map), dict(doc.out_map))
     runs = []
     worst = 0
     for side, net in nets:
@@ -210,7 +214,6 @@ def cmd_simulate(args) -> int:
         def vector_for(vec: dict) -> dict:
             if side == "left" or left_net is None:
                 return dict(vec)
-            pm = PortMap(dict(doc.in_map), dict(doc.out_map))
             return derive_right_inputs(left_net, net, pm, dict(vec))
 
         if args.schedules > 1:
@@ -266,6 +269,7 @@ def cmd_check_fsmd(args) -> int:
     if not doc.left or not doc.right:
         raise UsageError("check-fsmd needs both a left and a right model")
     models = [_load_model(doc.resolve(side)) for side in (doc.left, doc.right)]
+    check_arities(doc.interps, _terms(models))
     converted = [_as_fsmd(model, doc.state_bound) for model in models]
     machines = [machine for machine, _ in converted]
     warnings = [str(w) for _, conv in converted if conv for w in conv.warnings]
@@ -281,9 +285,6 @@ def cmd_check_fsmd(args) -> int:
             raise UsageError(f"the scenario has no varmap and the outputs differ: {left} and {right}")
         var_map = {v: v for v in left}
     interp = interpretation(doc.interps, doc.default_seed)
-    # An interp line applied with the wrong arity is a scenario error, whether or not a run reaches it.
-    check_arities(doc.interps, (e for machine in machines for t in machine.transitions
-                                for e in (*t.guard_set, *(a.expr for a in t.updates))))
     verdict = check_fsmd_equivalence(*machines, var_map, vectors, interp, doc.max_steps)
     print(_verdict_line(verdict))
     _write_json(args.json, {"command": "check-fsmd", "verdict": _verdict_json(verdict), "warnings": warnings})

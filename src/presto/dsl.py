@@ -36,9 +36,10 @@ A second value never replaces the first.  A second ``pre``, ``post``,
 in a machine, a second ``model left``, ``model right``, ``check``,
 ``strategy``, ``interp default``, ``maxsteps`` or ``statebound`` in a
 scenario, a second ``interp`` line for one symbol, a parameter named
-twice in one ``interp`` line, a place named twice in one ``inputs`` block
-and a name mapped twice by ``inmap``, ``outmap`` or ``varmap`` (in one
-block or in two) are each a syntax error at the second one.
+twice in one ``interp`` line, a place named twice in one ``inputs`` block,
+a name mapped twice by ``inmap``, ``outmap`` or ``varmap`` (in one block
+or in two) and a variable updated twice in one machine transition are
+each a syntax error at the second one.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from . import expr as ex
-from .fsmd import Fsmd, FsmdTransition, UpdateSet, validate_fsmd
+from .fsmd import DuplicateTarget, Fsmd, FsmdTransition, UpdateSet, validate_fsmd
 from .pres import PresNet, Transition, Violation, validate_net
 from .record import Record
 
@@ -341,7 +342,6 @@ def _net(p: _Parser) -> PresNet:
     presets: dict[str, list[str]] = {}
     postsets: dict[str, list[str]] = {}
     overrides: dict[str, str] = {}
-    no_fn = False
 
     i = p.pos
     while (kind := toks[i]) != "}":
@@ -415,7 +415,6 @@ def _net(p: _Parser) -> PresNet:
             transitions.append(Transition(name, fn, guard))
             presets[name] = pre or []
             postsets[name] = post or []
-            no_fn = no_fn or fn is None
         else:
             raise p.fail("expected a place or transition declaration", i)
         i += 1
@@ -433,24 +432,12 @@ def _net(p: _Parser) -> PresNet:
             where.update((toks[j + 1], j + 1) for j, tok in enumerate(toks) if tok == keyword)
         return p.spans(where)
 
-    # The reader's own rules, on the declarations: they are the structure
-    # rules of validate_net, which the net built below then holds by
-    # construction.  Each group is tested on the sets first; its messages
-    # are gathered only when the test fails.
-    place_set = set(places)
-    if no_fn or len(place_set) < len(places) or len(presets) < len(transitions) or not place_set.isdisjoint(presets):
-        raise DslSemanticError(_declaration_violations(places, transitions), spans())
-    violations: list[Violation] = []
-    for tid, pre in presets.items():
-        post = postsets[tid]
-        if not (place_set.issuperset(pre) and place_set.issuperset(post)):
-            violations += [Violation("UnknownPlace", q, f"in transition {tid}") for q in (*pre, *post)
-                           if q not in place_set]
-    if violations:
-        raise DslSemanticError(violations, spans())
-
     # One variable per post-set: an explicit override wins, then any name
     # already fixed for a member, then the first post place's own name.
+    # ``var`` clauses are resolved before there is a net, so two names for
+    # one post-set are the reader's to report; validate_net holds every
+    # other rule.
+    violations: list[Violation] = []
     for tid, post in postsets.items():
         var = overrides.get(tid)
         if var is None and len(post) == 1:
@@ -480,27 +467,10 @@ def _net(p: _Parser) -> PresNet:
         initial_marking=frozenset(marked),
         sets=(presets, postsets),
     )
-    issues = validate_net(net, structure=False)
+    issues = validate_net(net)
     if issues:
         raise DslSemanticError(issues, spans())
     return net
-
-
-def _declaration_violations(places: list[str], transitions: list[Transition]) -> list[Violation]:
-    """Names declared twice and transitions without a fn clause, in the order of the declarations."""
-    violations: list[Violation] = []
-    seen: set[str] = set()
-    for name in places:
-        if name in seen:
-            violations.append(Violation("DuplicateName", name, "place declared twice"))
-        seen.add(name)
-    for name, fn, _ in transitions:
-        if name in seen:
-            violations.append(Violation("DuplicateName", name, "name already declared"))
-        seen.add(name)
-        if fn is None:
-            violations.append(Violation("MissingFunction", name, "transition has no fn clause"))
-    return violations
 
 
 def parse_pres(text: str) -> PresNet:
@@ -551,14 +521,20 @@ def _fsmd(p: _Parser) -> Fsmd:
                     guards.append(p.expression())
             p.expect("{")
             pairs: list[tuple[str, ex.Expr]] = []
+            targets_at: list[int] = []
             while toks[p.pos] != "}":
+                targets_at.append(p.pos)
                 target = p.name("variable name")
                 p.expect("<=")
                 pairs.append((target, p.expression()))
                 p.expect(";")
             p.pos += 1
+            try:
+                updates = UpdateSet.of(pairs)
+            except DuplicateTarget as err:  # the rule is UpdateSet's; the reader adds where it broke
+                raise p.fail(str(err), [j for j in targets_at if toks[j] == err.name][1]) from None
             where.setdefault(f"{src}->{dst}#{len(transitions)}", at)
-            transitions.append(FsmdTransition(src, tuple(guards), dst, UpdateSet.of(pairs)))
+            transitions.append(FsmdTransition(src, tuple(guards), dst, updates))
     p.pos += 1
     p.end("the machine")
     if reset is None:

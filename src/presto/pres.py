@@ -210,65 +210,74 @@ def enabled_transitions(net: PresNet, m: frozenset[str]) -> frozenset[str]:
     return frozenset(t for t in consumers if net._pre_t[t] <= m)
 
 
-def validate_net(net: PresNet, structure: bool = True) -> list[Violation]:
+def validate_net(net: PresNet) -> list[Violation]:
     """All well-formedness violations; an empty list means the net is sound.
 
-    The structure rules (duplicate names, arcs naming an undeclared place
-    or transition, places without a variable, undeclared marked places)
-    hold by construction for a net read from text, whose reader enforces
-    them on its declarations and passes ``structure=False``.  The content
-    rules (emptiness, presets and postsets, postset variables, and the
-    sorts and scope of each transition's terms) always run; the order of
-    the violations is the same either way.
+    Every net rule lives here, for a net read from text as for one built in
+    code.  The structure rules (duplicate names, transitions without a
+    ``fn``, arcs naming an undeclared place or transition, places without a
+    variable, undeclared marked places) each test the whole net on its
+    indices first and build their messages only when the test fails.  The
+    content rules (emptiness, presets and postsets, postset variables, and
+    the sorts and scope of each transition's terms) run on every transition
+    that has a ``fn``.  Violations come in declaration order, sorted within
+    a transition; arcs and marked places, which have no declaration order,
+    come sorted.
     """
     out: list[Violation] = []
-    if structure:
-        place_set = set(net.places)
-        trans_ids = [t.id for t in net.transitions]
-        trans_set = set(trans_ids)
-
+    places, transitions, place_order, order = net.places, net.transitions, net.place_order, net.order
+    if (len(place_order) < len(places) or len(order) < len(transitions) or not place_order.keys().isdisjoint(order)
+            or any(t.fn is None for t in transitions)):
         seen: set[str] = set()
-        for p in net.places:
+        for p in places:
             if p in seen:
                 out.append(Violation("DuplicateName", p, "place declared twice"))
             seen.add(p)
-        seen = set()
-        for tid in trans_ids:
+        for tid, fn, _ in transitions:
             if tid in seen:
-                out.append(Violation("DuplicateName", tid, "transition declared twice"))
+                out.append(Violation("DuplicateName", tid, "name already declared"))
             seen.add(tid)
-            if tid in place_set:
-                out.append(Violation("DuplicateName", tid, "name used for both a place and a transition"))
+            if fn is None:
+                out.append(Violation("MissingFunction", tid, "transition has no fn clause"))
 
-    if not net.places:
+    if not places:
         out.append(Violation("EmptyPlaces", net.name, "a net needs at least one place"))
-    if not net.transitions:
+    if not transitions:
         out.append(Violation("EmptyTransitions", net.name, "a net needs at least one transition"))
     if not net.input_arcs:
         out.append(Violation("EmptyInputArcs", net.name, "a net needs at least one input arc"))
 
-    if structure:
-        for p, t in net.input_arcs:
-            if p not in place_set:
-                out.append(Violation("UnknownPlace", p, f"input arc ({p}, {t})"))
-            if t not in trans_set:
+    # Each arc is in the index of its place and in that of its transition
+    # when these are declared, so an undeclared end leaves a count short.
+    var_of, pre_t, post_t = net.var_of, net._pre_t, net._post_t
+    inputs, outputs = len(net.input_arcs), len(net.output_arcs)
+    if (sum(map(len, pre_t.values())) < inputs or sum(map(len, net._post_p.values())) < inputs
+            or sum(map(len, post_t.values())) < outputs or sum(map(len, net._pre_p.values())) < outputs):
+        for tid in order:
+            for ends in (pre_t[tid], post_t[tid]):
+                out += [Violation("UnknownPlace", p, f"in transition {tid}")
+                        for p in sorted(ends.difference(place_order))]
+        for p, t in sorted(net.input_arcs):
+            if t not in order:
+                if p not in place_order:
+                    out.append(Violation("UnknownPlace", p, f"input arc ({p}, {t})"))
                 out.append(Violation("UnknownTransition", t, f"input arc ({p}, {t})"))
-        for t, p in net.output_arcs:
-            if p not in place_set:
-                out.append(Violation("UnknownPlace", p, f"output arc ({t}, {p})"))
-            if t not in trans_set:
+        for t, p in sorted(net.output_arcs):
+            if t not in order:
+                if p not in place_order:
+                    out.append(Violation("UnknownPlace", p, f"output arc ({t}, {p})"))
                 out.append(Violation("UnknownTransition", t, f"output arc ({t}, {p})"))
 
-        for p in net.places:
-            if p not in net.var_of:
-                out.append(Violation("MissingVariable", p, "place has no associated variable"))
+    if not place_order.keys() <= var_of.keys():
+        out += [Violation("MissingVariable", p, "place has no associated variable") for p in place_order
+                if p not in var_of]
+    if not place_order.keys() >= net.initial_marking:
+        out += [Violation("UnknownPlace", p, "initial marking references an undeclared place")
+                for p in sorted(net.initial_marking.difference(place_order))]
 
-        for p in net.initial_marking:
-            if p not in place_set:
-                out.append(Violation("UnknownPlace", p, "initial marking references an undeclared place"))
-
-    var_of, pre_t, post_t = net.var_of, net._pre_t, net._post_t
-    for tid, fn, guard in net.transitions:
+    for tid, fn, guard in transitions:
+        if fn is None:  # reported as MissingFunction
+            continue
         pre, post = pre_t[tid], post_t[tid]
         if not pre:
             out.append(Violation("EmptyPreset", tid, "transition has no input places"))

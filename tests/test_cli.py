@@ -190,7 +190,11 @@ class TestChecks:
         for argv in (["simulate"], ["check-pres", "--strategy", "sampled"]):
             code, out, err = run(capsys, argv[0], str(scenario), *argv[1:])
             assert (code, out, err) == (3, "", "error: SortMismatch: f expects 2 arguments, got 1\n"), argv
-        # check-fsmd checks the arities before it walks the machines.
+        # check-fsmd checks the arities on the nets as read, before it
+        # converts them: here the conversion would pass its state bound.
+        code, out, err = run(capsys, "check-fsmd", str(scenario))
+        assert (code, out, err) == (3, "", "error: SortMismatch: f expects 2 arguments, got 1\n")
+        scenario.write_text(scenario.read_text().replace("x + y; }", "x + y; statebound 1; }"))
         code, out, err = run(capsys, "check-fsmd", str(scenario))
         assert (code, out, err) == (3, "", "error: SortMismatch: f expects 2 arguments, got 1\n")
         # The wrong application sits on a branch that no run takes (a = 3):

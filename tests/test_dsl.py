@@ -247,6 +247,8 @@ GOLDEN_ERRORS = [
      "1:39: 'interp default' given twice"),
     (parse_scenario, "scenario s { maxsteps 3; maxsteps 4; }", "1:26: 'maxsteps' given twice"),
     (parse_fsmd, "fsmd m { states q0; reset q0; reset q0; }", "1:31: 'reset' given twice"),
+    (parse_fsmd, "fsmd m { states q0, q1; q0 -> q1 { y <= x; y <= x + 1; } }",
+     "1:44: two updates assign 'y' in one step"),
 ]
 
 
@@ -262,8 +264,8 @@ def _two_places(transition):
 
 
 # Every well-formedness rule that text can break, with the message and the
-# line:col of its element.  The reader checks names, places and post-set
-# variables on its declarations and leaves the rest to validate_net.
+# line:col of its element.  The reader resolves post-set variables and
+# leaves every other rule to validate_net.
 SEMANTIC_ERRORS = [
     ("net n { }", "1:5: EmptyPlaces: n (a net needs at least one place); "
                   "1:5: EmptyTransitions: n (a net needs at least one transition); "

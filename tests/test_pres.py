@@ -1,13 +1,18 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import presto
 from presto import corpus, expr as ex
-from presto.dsl import parse_pres, print_net
+from presto.dsl import DslSemanticError, parse_pres, print_net
 from presto.pres import (
     PresNet,
     Transition,
     UnknownElement,
+    Violation,
     adjacency,
     classify_ports,
     enabled_transitions,
@@ -181,19 +186,79 @@ def test_a_read_net_is_indexed_and_checked_like_one_built_in_code(source):
     read = parse_pres(print_net(built))
     assert read == built == read._replace()
     assert _indices(read) == _indices(built) == _indices(read._replace())
-    assert validate_net(read) == validate_net(read, structure=False) == validate_net(built)
+    assert validate_net(read) == validate_net(built)
 
 
-def test_the_reader_leaves_out_only_rules_its_declarations_enforce():
-    # Broken in both groups at once, a net built in code reports every rule in
-    # its fixed order, and without the structure rules the rest in the same order.
-    net = tiny_net(places=(), transitions=(Transition("t", ex.Var("zz")), Transition("t", ex.Var("a"))),
-                   input_arcs=frozenset(), initial_marking=frozenset({"a"}))
-    rules = [v.rule for v in validate_net(net)]
-    assert rules == ["DuplicateName", "EmptyPlaces", "EmptyInputArcs", "UnknownPlace", "UnknownPlace",
-                     "EmptyPreset", "FunctionScopeViolation", "EmptyPreset", "FunctionScopeViolation"]
-    structure = {"DuplicateName", "UnknownPlace", "UnknownTransition", "MissingVariable"}
-    assert [v.rule for v in validate_net(net, structure=False)] == [r for r in rules if r not in structure]
+def test_a_net_broken_in_both_rule_groups_reports_both_whether_read_or_built():
+    # The reader leaves every net rule to validate_net, so its report is the
+    # one a net built in code gets: structure faults and content faults together.
+    text = "net n {\n  place a marked;\n  place a;\n  transition t { pre a, ghost; post b; fn zz; }\n}\n"
+    with pytest.raises(DslSemanticError) as err:
+        parse_pres(text)
+    built = tiny_net(name="n", places=("a", "a"), transitions=(Transition("t", ex.Var("zz")),),
+                     input_arcs=frozenset({("a", "t"), ("ghost", "t")}))
+    assert err.value.violations == validate_net(built)
+    assert [str(v) for v in err.value.violations] == [
+        "DuplicateName: a (place declared twice)", "UnknownPlace: ghost (in transition t)",
+        "UnknownPlace: b (in transition t)", "FunctionScopeViolation: t (fn reads 'zz' outside the input variables)"]
+
+
+def test_a_transition_without_fn_is_reported_and_its_terms_are_not_checked():
+    net = tiny_net(transitions=(Transition("t", None, ex.Var("zz")),))
+    assert validate_net(net) == [Violation("MissingFunction", "t", "transition has no fn clause")]
+
+
+# A net that breaks every structure rule, as a program a child process can run.
+EVERY_STRUCTURE_RULE_BROKEN = """
+from presto import expr as ex
+from presto.pres import PresNet, Transition
+net = PresNet(
+    name="broken",
+    places=("a", "b", "a", "t"),
+    var_of={"a": "a"},
+    transitions=(Transition("t", ex.Var("a")), Transition("t", ex.Var("zz")), Transition("u", None)),
+    input_arcs=frozenset({("a", "t"), ("ghost", "t"), ("c", "t"), ("a", "v"), ("d", "w")}),
+    output_arcs=frozenset({("t", "b"), ("t", "e"), ("x", "b")}),
+    initial_marking=frozenset({"a", "m1", "m2", "m0"}),
+)
+"""
+
+
+def test_a_net_breaking_every_structure_rule_gets_one_report_whatever_the_hash_seed():
+    # Declaration order, sorted within a transition; arcs and marked places sorted.
+    scope: dict = {}
+    exec(EVERY_STRUCTURE_RULE_BROKEN, scope)
+    report = [str(v) for v in validate_net(scope["net"])]
+    assert report == [
+        "DuplicateName: a (place declared twice)",
+        "DuplicateName: t (name already declared)",
+        "DuplicateName: t (name already declared)",
+        "MissingFunction: u (transition has no fn clause)",
+        "UnknownPlace: c (in transition t)",
+        "UnknownPlace: ghost (in transition t)",
+        "UnknownPlace: e (in transition t)",
+        "UnknownTransition: v (input arc (a, v))",
+        "UnknownPlace: d (input arc (d, w))",
+        "UnknownTransition: w (input arc (d, w))",
+        "UnknownTransition: x (output arc (x, b))",
+        "MissingVariable: b (place has no associated variable)",
+        "MissingVariable: t (place has no associated variable)",
+        "UnknownPlace: m0 (initial marking references an undeclared place)",
+        "UnknownPlace: m1 (initial marking references an undeclared place)",
+        "UnknownPlace: m2 (initial marking references an undeclared place)",
+        "FunctionScopeViolation: t (fn reads 'zz' outside the input variables)",
+    ]
+    # -I would ignore PYTHONHASHSEED (it implies -E), so each child gets -s
+    # and an environment that holds the seed alone.
+    src = os.path.dirname(os.path.dirname(presto.__file__))
+    for seed in ("1", "2"):
+        child = subprocess.run(
+            [sys.executable, "-s", "-c", "import sys; sys.path.insert(0, sys.argv[1]); exec(sys.argv[2]); "
+             "from presto.pres import validate_net; print(*validate_net(net), sep='\\n')",
+             src, EVERY_STRUCTURE_RULE_BROKEN],
+            capture_output=True, text=True, env={"PYTHONHASHSEED": seed},
+        )
+        assert child.stdout.splitlines() == report, child.stderr
 
 
 def test_ports_are_classified_once_per_net(card_a):
