@@ -202,6 +202,8 @@ def cmd_simulate(args) -> int:
     interp = interpretation(doc.interps, doc.default_seed)
     max_steps = args.max_steps or doc.max_steps
     nets = [(side, _load_model(doc.resolve(path))) for side, path in (("left", doc.left), ("right", doc.right)) if path]
+    if not nets:
+        raise UsageError("simulate needs a left or a right model")
     if not all(isinstance(net, PresNet) for _, net in nets):
         raise UsageError("simulate expects net models")
     check_arities(doc.interps, _terms(net for _, net in nets))

@@ -274,7 +274,7 @@ def pres_to_fsmd(net: PresNet, cfg: ConversionConfig = ConversionConfig()) -> Co
     emitted in firing-set order per state.
     """
     ports = classify_ports(net)
-    written = {net.var_of[p] for _, p in net.output_arcs}
+    written = {net.var_of[p] for t in net.transitions for p in t.post}
     inputs = frozenset(net.var_of[p] for p in net.initial_marking) - written
     storage = frozenset(net.var_of[p] for p in net.places) - inputs
     outputs = frozenset(net.var_of[p] for p in ports.out_ports)

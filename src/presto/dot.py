@@ -21,10 +21,10 @@ def net_to_dot(net: PresNet) -> str:
         if t.guard is not None:
             label += f"\\nguard: {ex.to_text(t.guard)}"
         lines.append(f"  {_q(t.id)} [shape=box, label={_q(label)}];")
-    for p, t in sorted(net.input_arcs):
-        lines.append(f"  {_q(p)} -> {_q(t)};")
-    for t, p in sorted(net.output_arcs):
-        lines.append(f"  {_q(t)} -> {_q(p)};")
+    for p, tid in sorted((p, t.id) for t in net.transitions for p in t.pre):
+        lines.append(f"  {_q(p)} -> {_q(tid)};")
+    for tid, p in sorted((t.id, p) for t in net.transitions for p in t.post):
+        lines.append(f"  {_q(tid)} -> {_q(p)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

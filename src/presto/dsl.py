@@ -36,10 +36,11 @@ A second value never replaces the first.  A second ``pre``, ``post``,
 in a machine, a second ``model left``, ``model right``, ``check``,
 ``strategy``, ``interp default``, ``maxsteps`` or ``statebound`` in a
 scenario, a second ``interp`` line for one symbol, a parameter named
-twice in one ``interp`` line, a place named twice in one ``inputs`` block,
-a name mapped twice by ``inmap``, ``outmap`` or ``varmap`` (in one block
-or in two) and a variable updated twice in one machine transition are
-each a syntax error at the second one.
+twice in one ``interp`` line, a place named twice in one ``pre`` or
+``post`` list or in one ``inputs`` block, a name mapped twice by
+``inmap``, ``outmap`` or ``varmap`` (in one block or in two) and a
+variable updated twice in one machine transition are each a syntax error
+at the second one.
 """
 
 from __future__ import annotations
@@ -339,8 +340,7 @@ def _net(p: _Parser) -> PresNet:
     marked: list[str] = []
     var_of: dict[str, str] = {}  # the places' own var clauses; every place's variable once resolved
     transitions: list[Transition] = []
-    presets: dict[str, list[str]] = {}
-    postsets: dict[str, list[str]] = {}
+    postsets: dict[str, list[str]] = {}  # each transition's post places in the order given
     overrides: dict[str, str] = {}
 
     i = p.pos
@@ -370,11 +370,13 @@ def _net(p: _Parser) -> PresNet:
                 raise p.missing("{", i + 2)
             i += 3
             pre = post = var = fn = guard = None
+            postsets[name] = []
             while (clause := toks[i]) != "}":
                 if clause == "pre" or clause == "post":
                     if (pre if clause == "pre" else post) is not None:
                         raise p.fail(f"{clause!r} given twice in transition {name}", i)
                     i += 1
+                    first = i
                     ends = []
                     while True:
                         q = toks[i]
@@ -385,10 +387,15 @@ def _net(p: _Parser) -> PresNet:
                             break
                         i += 2
                     i += 1
+                    places_of = frozenset(ends)
+                    if len(places_of) < len(ends):
+                        k = next(k for k, q in enumerate(ends) if q in ends[:k])
+                        raise p.fail(f"place {ends[k]!r} given twice in {clause} of transition {name}", first + 2 * k)
                     if clause == "pre":
-                        pre = ends
+                        pre = places_of
                     else:
-                        post = ends
+                        post = places_of
+                        postsets[name] = ends
                 elif clause == "fn" or clause == "guard":
                     if (fn if clause == "fn" else guard) is not None:
                         raise p.fail(f"{clause!r} given twice in transition {name}", i)
@@ -412,9 +419,7 @@ def _net(p: _Parser) -> PresNet:
                 if toks[i] != ";":
                     raise p.missing(";", i)
                 i += 1
-            transitions.append(Transition(name, fn, guard))
-            presets[name] = pre or []
-            postsets[name] = post or []
+            transitions.append(Transition(name, pre or frozenset(), post or frozenset(), fn, guard))
         else:
             raise p.fail("expected a place or transition declaration", i)
         i += 1
@@ -457,16 +462,7 @@ def _net(p: _Parser) -> PresNet:
     for name in places:
         var_of.setdefault(name, name)
 
-    net = PresNet(
-        name=net_name,
-        places=tuple(places),
-        var_of=var_of,
-        transitions=tuple(transitions),
-        input_arcs=frozenset([(q, tid) for tid, pre in presets.items() for q in pre]),
-        output_arcs=frozenset([(tid, q) for tid, post in postsets.items() for q in post]),
-        initial_marking=frozenset(marked),
-        sets=(presets, postsets),
-    )
+    net = PresNet(net_name, tuple(places), var_of, tuple(transitions), frozenset(marked))
     issues = validate_net(net)
     if issues:
         raise DslSemanticError(issues, spans())
@@ -759,11 +755,9 @@ def print_net(net: PresNet) -> str:
             bits.append(f" var {net.var_of[place]}")
         lines.append("".join(bits) + ";")
     for t in net.transitions:
-        pre = ", ".join(sorted(net.preset(t.id)))
-        post = ", ".join(sorted(net.postset(t.id)))
         lines.append(f"  transition {t.id} {{")
-        lines.append(f"    pre {pre};")
-        lines.append(f"    post {post};")
+        lines.append(f"    pre {', '.join(sorted(t.pre))};")
+        lines.append(f"    post {', '.join(sorted(t.post))};")
         lines.append(f"    fn {ex.to_text(t.fn)};")
         if t.guard is not None:
             lines.append(f"    guard {ex.to_text(t.guard)};")

@@ -1,10 +1,11 @@
 """Valued, guarded Petri-net dataflow models (safe nets, 0/1 markings).
 
-A net is places plus transitions wired by input and output arcs.  Every
-place carries a variable; every transition carries an integer transfer
-expression ``fn`` over its input-place variables and an optional boolean
-guard over the same variables.  All places in one transition's post-set
-share a single variable, because the transition produces one value.
+A net is places plus transitions.  Every place carries a variable; every
+transition carries its pre-set and post-set (the places of its input and
+output arcs), an integer transfer expression ``fn`` over its input-place
+variables and an optional boolean guard over the same variables.  All
+places in one transition's post-set share a single variable, because the
+transition produces one value.
 
 Nets are treated as immutable after construction; all queries here are
 pure and safe for concurrent readers.  A net also carries a table of what
@@ -17,7 +18,7 @@ readers that fill one at once compute the same value.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from . import expr as ex
 from .record import Record
@@ -47,6 +48,8 @@ class Violation(NamedTuple):
 
 class Transition(NamedTuple):
     id: str
+    pre: frozenset[str]
+    post: frozenset[str]
     fn: ex.Expr
     guard: Optional[ex.Expr] = None  # absent means "always true"
 
@@ -66,39 +69,31 @@ class PresNet(Record):
     """The net itself.  Mutation after construction is not supported.
 
     Besides its fields a net holds its indices: the preset and postset of
-    each transition, the producers and consumers of each place, and the
-    declaration index of each transition (``order``) and place
-    (``place_order``).  ``steps`` maps a marking to its ``convert.Step``,
-    filled on first use, and ``ports`` is set by the first
-    :func:`classify_ports`.  None of these takes part in the repr or in
-    equality.
+    each transition (its own sets), the producers and consumers of each
+    place, and the declaration index of each transition (``order``) and
+    place (``place_order``).  A transition id declared twice is indexed by
+    its last declaration.  ``steps`` maps a marking to its
+    ``convert.Step``, filled on first use, and ``ports`` is set by the
+    first :func:`classify_ports`.  None of these takes part in the repr or
+    in equality.
     """
 
-    __slots__ = ("name", "places", "var_of", "transitions", "input_arcs", "output_arcs", "initial_marking",
+    __slots__ = ("name", "places", "var_of", "transitions", "initial_marking",
                  "_pre_t", "_post_t", "_pre_p", "_post_p", "order", "place_order", "steps", "ports")
-    _fields = ("name", "places", "var_of", "transitions", "input_arcs", "output_arcs", "initial_marking")
+    _fields = ("name", "places", "var_of", "transitions", "initial_marking")
 
     def __init__(self, name: str, places: tuple[str, ...], var_of: Mapping[str, str],
-                 transitions: tuple[Transition, ...], input_arcs: frozenset[tuple[str, str]],
-                 output_arcs: frozenset[tuple[str, str]], initial_marking: frozenset[str],
-                 sets: Optional[tuple[Mapping[str, Iterable[str]], Mapping[str, Iterable[str]]]] = None) -> None:
-        """``sets``, when the caller has them, are the places of each
-        transition's input and output arcs, by transition: the reader hands
-        them so that its arcs are not grouped again.  They must say what
-        the arcs say, and nothing checks that at run time (the tests compare
-        each read net's indices with those of ``net._replace()``); by
-        default they are grouped from the arcs."""
+                 transitions: tuple[Transition, ...], initial_marking: frozenset[str]) -> None:
         self.name, self.places, self.var_of, self.transitions = name, places, var_of, transitions
-        self.input_arcs = input_arcs  # (place, transition)
-        self.output_arcs = output_arcs  # (transition, place)
         self.initial_marking = initial_marking
         self.order = {t.id: i for i, t in enumerate(transitions)}
         self.place_order = {p: i for i, p in enumerate(places)}
         self.steps: dict = {}
         self.ports: Optional[Ports] = None
-        if sets is None:
-            sets = _by_transition(input_arcs, output_arcs)
-        self._pre_t, self._post_t, self._pre_p, self._post_p = _index(self.order, places, *sets)
+        self._pre_t = {t.id: t.pre for t in transitions}
+        self._post_t = {t.id: t.post for t in transitions}
+        self._pre_p = _by_place(places, self._post_t)
+        self._post_p = _by_place(places, self._pre_t)
 
     def _replace(self, **changes) -> "PresNet":
         """A new net with ``changes`` applied to the fields; its indices and
@@ -135,43 +130,23 @@ class PresNet(Record):
 _NO_ELEMENTS: frozenset[str] = frozenset()
 
 
-def _by_transition(input_arcs, output_arcs) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-    """The places of the input arcs and of the output arcs, by transition."""
-    pre_t: defaultdict[str, list[str]] = defaultdict(list)
-    post_t: defaultdict[str, list[str]] = defaultdict(list)
-    for p, t in input_arcs:
-        pre_t[t].append(p)
-    for t, p in output_arcs:
-        post_t[t].append(p)
-    return pre_t, post_t
+def _by_place(places, sets: Mapping[str, frozenset[str]]) -> dict[str, frozenset[str]]:
+    """For each declared place, the transitions whose set in ``sets`` (by
+    transition) holds it: its consumers from the presets, its producers
+    from the postsets.
 
-
-def _index(tids, places, pre_t, post_t) -> tuple[dict[str, frozenset[str]], ...]:
-    """The preset and postset of each transition, and the producers and
-    consumers of each place, in that order, from the places of each
-    transition's arcs.
-
-    Each group is frozen once; every element with no arcs on a side shares
-    one empty set.  An arc that names an undeclared place or transition
-    still counts for the element it does name (:func:`validate_net`
-    reports it).
+    Each group is frozen once; every place no set holds shares one empty
+    set.  An undeclared place is left out (:func:`validate_net` reports it).
     """
-    pre_p: defaultdict[str, list[str]] = defaultdict(list)
-    post_p: defaultdict[str, list[str]] = defaultdict(list)
-    for t, ends in pre_t.items():
+    groups: defaultdict[str, list[str]] = defaultdict(list)
+    for t, ends in sets.items():
         for p in ends:
-            post_p[p].append(t)
-    for t, ends in post_t.items():
-        for p in ends:
-            pre_p[p].append(t)
-    indices = []
-    for keys, groups in ((tids, pre_t), (tids, post_t), (places, pre_p), (places, post_p)):
-        index = dict.fromkeys(keys, _NO_ELEMENTS)
-        for key, ends in groups.items():
-            if ends and key in index:
-                index[key] = frozenset(ends)
-        indices.append(index)
-    return tuple(indices)
+            groups[p].append(t)
+    index = dict.fromkeys(places, _NO_ELEMENTS)
+    for p, ts in groups.items():
+        if p in index:
+            index[p] = frozenset(ts)
+    return index
 
 
 def adjacency(net: PresNet, element: str) -> Adjacency:
@@ -215,14 +190,14 @@ def validate_net(net: PresNet) -> list[Violation]:
 
     Every net rule lives here, for a net read from text as for one built in
     code.  The structure rules (duplicate names, transitions without a
-    ``fn``, arcs naming an undeclared place or transition, places without a
-    variable, undeclared marked places) each test the whole net on its
-    indices first and build their messages only when the test fails.  The
-    content rules (emptiness, presets and postsets, postset variables, and
-    the sorts and scope of each transition's terms) run on every transition
-    that has a ``fn``.  Violations come in declaration order, sorted within
-    a transition; arcs and marked places, which have no declaration order,
-    come sorted.
+    ``fn``, presets and postsets naming an undeclared place, places without
+    a variable, undeclared marked places) each test the net, or each
+    transition, on the indices first and build their messages only when
+    the test fails.  The content rules (emptiness, presets and postsets,
+    postset variables, and the sorts and scope of each transition's terms)
+    run on every transition that has a ``fn``, on its own sets.  Violations
+    come in declaration order, sorted within a transition; marked places,
+    which have no declaration order, come sorted.
     """
     out: list[Violation] = []
     places, transitions, place_order, order = net.places, net.transitions, net.place_order, net.order
@@ -233,52 +208,38 @@ def validate_net(net: PresNet) -> list[Violation]:
             if p in seen:
                 out.append(Violation("DuplicateName", p, "place declared twice"))
             seen.add(p)
-        for tid, fn, _ in transitions:
+        for tid, _, _, fn, _ in transitions:
             if tid in seen:
                 out.append(Violation("DuplicateName", tid, "name already declared"))
             seen.add(tid)
             if fn is None:
                 out.append(Violation("MissingFunction", tid, "transition has no fn clause"))
 
+    var_of, pre_t, post_t = net.var_of, net._pre_t, net._post_t
     if not places:
         out.append(Violation("EmptyPlaces", net.name, "a net needs at least one place"))
     if not transitions:
         out.append(Violation("EmptyTransitions", net.name, "a net needs at least one transition"))
-    if not net.input_arcs:
+    if not any(pre_t.values()):
         out.append(Violation("EmptyInputArcs", net.name, "a net needs at least one input arc"))
 
-    # Each arc is in the index of its place and in that of its transition
-    # when these are declared, so an undeclared end leaves a count short.
-    var_of, pre_t, post_t = net.var_of, net._pre_t, net._post_t
-    inputs, outputs = len(net.input_arcs), len(net.output_arcs)
-    if (sum(map(len, pre_t.values())) < inputs or sum(map(len, net._post_p.values())) < inputs
-            or sum(map(len, post_t.values())) < outputs or sum(map(len, net._pre_p.values())) < outputs):
-        for tid in order:
-            for ends in (pre_t[tid], post_t[tid]):
-                out += [Violation("UnknownPlace", p, f"in transition {tid}")
-                        for p in sorted(ends.difference(place_order))]
-        for p, t in sorted(net.input_arcs):
-            if t not in order:
-                if p not in place_order:
-                    out.append(Violation("UnknownPlace", p, f"input arc ({p}, {t})"))
-                out.append(Violation("UnknownTransition", t, f"input arc ({p}, {t})"))
-        for t, p in sorted(net.output_arcs):
-            if t not in order:
-                if p not in place_order:
-                    out.append(Violation("UnknownPlace", p, f"output arc ({t}, {p})"))
-                out.append(Violation("UnknownTransition", t, f"output arc ({t}, {p})"))
+    declared = place_order.keys()
+    for tid in order:
+        pre, post = pre_t[tid], post_t[tid]
+        if not (declared >= pre and declared >= post):
+            out += [Violation("UnknownPlace", p, f"in transition {tid}")
+                    for p in sorted((pre | post).difference(declared))]
 
-    if not place_order.keys() <= var_of.keys():
+    if not declared <= var_of.keys():
         out += [Violation("MissingVariable", p, "place has no associated variable") for p in place_order
                 if p not in var_of]
-    if not place_order.keys() >= net.initial_marking:
+    if not declared >= net.initial_marking:
         out += [Violation("UnknownPlace", p, "initial marking references an undeclared place")
                 for p in sorted(net.initial_marking.difference(place_order))]
 
-    for tid, fn, guard in transitions:
+    for tid, pre, post, fn, guard in transitions:
         if fn is None:  # reported as MissingFunction
             continue
-        pre, post = pre_t[tid], post_t[tid]
         if not pre:
             out.append(Violation("EmptyPreset", tid, "transition has no input places"))
         if not post:
@@ -288,10 +249,11 @@ def validate_net(net: PresNet) -> list[Violation]:
             if len(post_vars) > 1:
                 out.append(Violation("PostsetVariableMismatch", tid, f"variables {sorted(post_vars)}"))
 
+        # An undeclared place (reported above) reads as the variable the
+        # reader would give it, its own name, so its reads add no fault.
         scope = set()  # filled by a loop: before Python 3.12 a set comprehension is one more call per transition
         for p in pre:
-            if p in var_of:
-                scope.add(var_of[p])
+            scope.add(var_of.get(p, p))
         try:
             if ex.sort_of(fn) != ex.INT:
                 out.append(Violation("IllSortedFunction", tid, "fn is not integer-sorted"))

@@ -71,15 +71,13 @@ def random_net(seed: int) -> PresNet:
     rng = random.Random(seed)
     places = tuple(f"p{i}" for i in range(8))
     var_of = {p: rng.choice("xyz") for p in places}
-    transitions, input_arcs, output_arcs = [], set(), set()
+    transitions = []
     for i in range(7):
         pre = rng.sample(places, rng.randint(1, 3))
         v = ex.Var(var_of[pre[0]])
-        transitions.append(Transition(f"t{i}", v, ex.Rel(">", v, ex.IntConst(0)) if rng.random() < 0.6 else None))
-        input_arcs.update((p, f"t{i}") for p in pre)
-        output_arcs.add((f"t{i}", rng.choice(places)))
-    return PresNet(f"random{seed}", places, var_of, tuple(transitions),
-                   frozenset(input_arcs), frozenset(output_arcs), frozenset(rng.sample(places, 4)))
+        guard = ex.Rel(">", v, ex.IntConst(0)) if rng.random() < 0.6 else None
+        transitions.append(Transition(f"t{i}", frozenset(pre), frozenset({rng.choice(places)}), v, guard))
+    return PresNet(f"random{seed}", places, var_of, tuple(transitions), frozenset(rng.sample(places, 4)))
 
 
 # -- machine pairs -------------------------------------------------------------

@@ -436,6 +436,16 @@ class TestSimulate:
         assert out.splitlines()[1] == '  reason: vector {"a": 1}: seed 0 ended StepBoundExceeded after 4 steps', out
 
 
+    def test_a_scenario_without_a_model_is_a_usage_error(self, capsys, tmp_path):
+        scenario = tmp_path / "none.scn"
+        scenario.write_text("scenario s { inputs { a = 1; } }")
+        report = tmp_path / "none.json"
+        for extra in ((), ("--schedules", "3")):
+            code, out, err = run(capsys, "simulate", str(scenario), "--json", str(report), *extra)
+            assert (code, out, err) == (3, "", "error: simulate needs a left or a right model\n")
+            assert not report.exists()
+
+
 class TestValueBound:
     """Net runs end once a token value passes fsmd.MAX_VALUE_BITS.  The
     commands run in a child process with a timeout, so that a run that
@@ -485,7 +495,7 @@ class TestExportDot:
         assert code == 0
         assert out.count("shape=circle") == 7
         assert out.count("shape=box") == 3
-        arc_count = len(guard_split.input_arcs) + len(guard_split.output_arcs)
+        arc_count = sum(len(t.pre) + len(t.post) for t in guard_split.transitions)
         assert out.count(" -> ") == arc_count == 10
 
     def test_single_state_machine(self, capsys, tmp_path):

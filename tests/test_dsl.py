@@ -235,6 +235,10 @@ GOLDEN_ERRORS = [
      "1:67: 'guard' given twice in transition t"),
     (parse_pres, "net n { place a; transition t { var x; pre a; post a; var y; fn a; } }",
      "1:55: 'var' given twice in transition t"),
+    (parse_pres, "net n { place a; place b; transition t { pre a, b, a; post b; fn a; } }",
+     "1:52: place 'a' given twice in pre of transition t"),
+    (parse_pres, "net n { place a; place b; transition t { pre a; post b, b; fn a; } }",
+     "1:57: place 'b' given twice in post of transition t"),
     (parse_scenario, "scenario s { interp f(x) = x;\n  interp f(y) = y; }", "2:10: interp 'f' given twice"),
     (parse_scenario, "scenario s { interp g(x, x) = x; }", "1:26: parameter 'x' given twice in interp g"),
     (parse_scenario, "scenario s { inputs { a = 1; a = 2; } }", "1:30: place 'a' given twice in inputs"),

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import presto
-from presto import corpus, expr as ex
+from presto import corpus, dsl, expr as ex
 from presto.dsl import DslSemanticError, parse_pres, print_net
 from presto.pres import (
     PresNet,
@@ -22,14 +22,15 @@ from presto.pres import (
 from _gen import perfbench_families, random_net
 
 
+A, B = frozenset({"a"}), frozenset({"b"})
+
+
 def tiny_net(**overrides) -> PresNet:
     fields = dict(
         name="tiny",
         places=("a", "b"),
         var_of={"a": "a", "b": "b"},
-        transitions=(Transition("t", ex.Apply("f", (ex.Var("a"),))),),
-        input_arcs=frozenset({("a", "t")}),
-        output_arcs=frozenset({("t", "b")}),
+        transitions=(Transition("t", A, B, ex.Apply("f", (ex.Var("a"),))),),
         initial_marking=frozenset({"a"}),
     )
     fields.update(overrides)
@@ -72,8 +73,7 @@ class TestClassifyPorts:
         assert ports.out_ports == {"Pe", "Pf", "Pg"}
 
     def test_one_place_no_transition_net_is_invalid_instead(self):
-        net = tiny_net(places=("a",), var_of={"a": "a"},
-                       transitions=(), input_arcs=frozenset(), output_arcs=frozenset())
+        net = tiny_net(places=("a",), var_of={"a": "a"}, transitions=())
         rules = {v.rule for v in validate_net(net)}
         assert "EmptyTransitions" in rules and "EmptyInputArcs" in rules
 
@@ -129,19 +129,20 @@ class TestValidate:
         assert t2.guard is not None
 
     def test_function_scope_violation(self):
-        net = tiny_net(transitions=(Transition("t", ex.Var("zz")),))
+        net = tiny_net(transitions=(Transition("t", A, B, ex.Var("zz")),))
         assert any(v.rule == "FunctionScopeViolation" for v in validate_net(net))
 
     def test_dropped_arc_breaks_preset(self, card_a):
-        broken = card_a._replace(input_arcs=frozenset(a for a in card_a.input_arcs if a != ("A1", "t-e")))
+        patched = tuple(t._replace(pre=t.pre - {"A1"}) if t.id == "t-e" else t for t in card_a.transitions)
+        broken = card_a._replace(transitions=patched)
         assert any(v.rule == "EmptyPreset" and v.element == "t-e" for v in validate_net(broken))
 
     def test_unknown_arc_endpoints(self):
-        net = tiny_net(input_arcs=frozenset({("a", "t"), ("ghost", "t")}))
+        net = tiny_net(transitions=(Transition("t", frozenset({"a", "ghost"}), B, ex.Var("a")),))
         assert any(v.rule == "UnknownPlace" and v.element == "ghost" for v in validate_net(net))
 
     def test_guarded_transition_with_boolean_fn_rejected(self):
-        net = tiny_net(transitions=(Transition("t", ex.Rel("=", ex.Var("a"), ex.Var("a"))),))
+        net = tiny_net(transitions=(Transition("t", A, B, ex.Rel("=", ex.Var("a"), ex.Var("a"))),))
         assert any(v.rule == "IllSortedFunction" for v in validate_net(net))
 
 
@@ -153,8 +154,7 @@ def _indices(net: PresNet) -> list:
 
 def _rebuilt(net: PresNet) -> PresNet:
     """``net`` built in code from its fields."""
-    return PresNet(net.name, net.places, dict(net.var_of), net.transitions, net.input_arcs, net.output_arcs,
-                   net.initial_marking)
+    return PresNet(net.name, net.places, dict(net.var_of), net.transitions, net.initial_marking)
 
 
 def _family_nets() -> dict[str, PresNet]:
@@ -174,8 +174,8 @@ FAMILY_NETS = _family_nets()
 @pytest.mark.parametrize("source", [*(f"corpus:{name}" for name in corpus.NETS), *(f"random:{s}" for s in range(50)),
                                     *FAMILY_NETS])
 def test_a_read_net_is_indexed_and_checked_like_one_built_in_code(source):
-    # The reader hands the net each transition's preset and postset; a net
-    # built in code groups its arcs itself.
+    # A net read from text and one built in code from the same transitions
+    # get the same indices and the same report.
     kind, name = source.split(":")
     if kind == "corpus":
         built = _rebuilt(corpus.load_net(name))
@@ -195,16 +195,53 @@ def test_a_net_broken_in_both_rule_groups_reports_both_whether_read_or_built():
     text = "net n {\n  place a marked;\n  place a;\n  transition t { pre a, ghost; post b; fn zz; }\n}\n"
     with pytest.raises(DslSemanticError) as err:
         parse_pres(text)
-    built = tiny_net(name="n", places=("a", "a"), transitions=(Transition("t", ex.Var("zz")),),
-                     input_arcs=frozenset({("a", "t"), ("ghost", "t")}))
+    built = tiny_net(name="n", places=("a", "a"),
+                     transitions=(Transition("t", frozenset({"a", "ghost"}), B, ex.Var("zz")),))
     assert err.value.violations == validate_net(built)
     assert [str(v) for v in err.value.violations] == [
-        "DuplicateName: a (place declared twice)", "UnknownPlace: ghost (in transition t)",
-        "UnknownPlace: b (in transition t)", "FunctionScopeViolation: t (fn reads 'zz' outside the input variables)"]
+        "DuplicateName: a (place declared twice)", "UnknownPlace: b (in transition t)",
+        "UnknownPlace: ghost (in transition t)", "FunctionScopeViolation: t (fn reads 'zz' outside the input variables)"]
+
+
+def test_a_transition_declared_twice_is_indexed_by_its_last_declaration_whether_read_or_built(monkeypatch):
+    text = ("net n {\n  place a marked;\n  place b;\n  place c;\n"
+            "  transition t { pre a; post b; fn a; }\n  transition t { pre b; post c; fn b; }\n}\n")
+    built = PresNet("n", ("a", "b", "c"), {"a": "a", "b": "b", "c": "c"},
+                    (Transition("t", A, B, ex.Var("a")), Transition("t", B, frozenset({"c"}), ex.Var("b"))), A)
+    with pytest.raises(DslSemanticError) as err:
+        parse_pres(text)
+    assert err.value.violations == validate_net(built) == [Violation("DuplicateName", "t", "name already declared")]
+    monkeypatch.setattr(dsl, "validate_net", lambda net: [])  # keep the read net
+    read = parse_pres(text)
+    assert read == built
+    assert _indices(read) == _indices(built)
+    assert (read.preset("t"), read.postset("t"), read.transition("t").fn) == (B, {"c"}, ex.Var("b"))
+    assert adjacency(read, "a") == (frozenset(), frozenset())
+
+
+@pytest.mark.parametrize("name, edits, report", [
+    # The undeclared input place is reported; the fn that reads it is not.
+    ("addthree_a", [("place Pa marked", "place Px marked")], ["UnknownPlace: Pa (in transition u1)"]),
+    # Undeclared on both sides of one transition: one line.
+    ("addthree_b", [("place Paa marked", "place Px marked"), ("post Pmm", "post Paa")],
+     ["UnknownPlace: Paa (in transition w1)"]),
+    # Nor is the guard that reads an undeclared input place.
+    ("addthree_a", [("pre Pm;", "pre Pm, ghost;"), ("fn Pm + 2;", "fn Pm + 2; guard ghost > 0;")],
+     ["UnknownPlace: ghost (in transition u2)"]),
+])
+def test_an_undeclared_place_is_reported_once_and_nothing_follows_from_it(name, edits, report):
+    with open(corpus.corpus_path(name), encoding="utf-8") as fh:
+        text = fh.read()
+    for old, new in edits:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    with pytest.raises(DslSemanticError) as err:
+        parse_pres(text)
+    assert [str(v) for v in err.value.violations] == report
 
 
 def test_a_transition_without_fn_is_reported_and_its_terms_are_not_checked():
-    net = tiny_net(transitions=(Transition("t", None, ex.Var("zz")),))
+    net = tiny_net(transitions=(Transition("t", A, B, None, ex.Var("zz")),))
     assert validate_net(net) == [Violation("MissingFunction", "t", "transition has no fn clause")]
 
 
@@ -216,16 +253,18 @@ net = PresNet(
     name="broken",
     places=("a", "b", "a", "t"),
     var_of={"a": "a"},
-    transitions=(Transition("t", ex.Var("a")), Transition("t", ex.Var("zz")), Transition("u", None)),
-    input_arcs=frozenset({("a", "t"), ("ghost", "t"), ("c", "t"), ("a", "v"), ("d", "w")}),
-    output_arcs=frozenset({("t", "b"), ("t", "e"), ("x", "b")}),
+    transitions=(
+        Transition("t", frozenset({"a"}), frozenset({"b"}), ex.Var("a")),
+        Transition("t", frozenset({"a", "ghost", "c"}), frozenset({"b", "e", "c"}), ex.Var("zz")),
+        Transition("u", frozenset(), frozenset(), None),
+    ),
     initial_marking=frozenset({"a", "m1", "m2", "m0"}),
 )
 """
 
 
 def test_a_net_breaking_every_structure_rule_gets_one_report_whatever_the_hash_seed():
-    # Declaration order, sorted within a transition; arcs and marked places sorted.
+    # Declaration order, sorted within a transition; marked places sorted.
     scope: dict = {}
     exec(EVERY_STRUCTURE_RULE_BROKEN, scope)
     report = [str(v) for v in validate_net(scope["net"])]
@@ -235,12 +274,8 @@ def test_a_net_breaking_every_structure_rule_gets_one_report_whatever_the_hash_s
         "DuplicateName: t (name already declared)",
         "MissingFunction: u (transition has no fn clause)",
         "UnknownPlace: c (in transition t)",
-        "UnknownPlace: ghost (in transition t)",
         "UnknownPlace: e (in transition t)",
-        "UnknownTransition: v (input arc (a, v))",
-        "UnknownPlace: d (input arc (d, w))",
-        "UnknownTransition: w (input arc (d, w))",
-        "UnknownTransition: x (output arc (x, b))",
+        "UnknownPlace: ghost (in transition t)",
         "MissingVariable: b (place has no associated variable)",
         "MissingVariable: t (place has no associated variable)",
         "UnknownPlace: m0 (initial marking references an undeclared place)",

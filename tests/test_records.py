@@ -18,6 +18,7 @@ from presto.verdict import Verdict
 
 FN = parse_expression("f(a) + 1")
 GUARD = parse_expression("a > 0")
+PRE, POST = frozenset({"a"}), frozenset({"b"})
 
 
 def _records():
@@ -25,8 +26,8 @@ def _records():
         Violation("DuplicateName", "p1", "place declared twice"),
         Violation("A", "b"),
         Span(3, 14),
-        Transition("t1", FN, GUARD),
-        Transition("t2", ex.Var("a")),
+        Transition("t1", PRE, POST, FN, GUARD),
+        Transition("t2", PRE, POST, ex.Var("a")),
         FiringSet(("t1", "t2"), (GUARD,)),
     ]
 
@@ -36,9 +37,9 @@ PRINTED = [
      "DuplicateName: p1 (place declared twice)"),
     ("Violation(rule='A', element='b', detail='')", "A: b"),
     ("Span(line=3, col=14)", "3:14"),
-    ("Transition(id='t1', fn=Arith(op='+', args=(Apply(symbol='f', args=(Var(name='a'),)), IntConst(value=1))), "
+    ("Transition(id='t1', pre=frozenset({'a'}), post=frozenset({'b'}), fn=Arith(op='+', args=(Apply(symbol='f', args=(Var(name='a'),)), IntConst(value=1))), "
      "guard=Rel(op='>', lhs=Var(name='a'), rhs=IntConst(value=0)))",) * 2,
-    ("Transition(id='t2', fn=Var(name='a'), guard=None)",) * 2,
+    ("Transition(id='t2', pre=frozenset({'a'}), post=frozenset({'b'}), fn=Var(name='a'), guard=None)",) * 2,
     ("FiringSet(transitions=('t1', 't2'), guard_set=(Rel(op='>', lhs=Var(name='a'), rhs=IntConst(value=0)),))",) * 2,
 ]
 
@@ -55,18 +56,19 @@ def test_records_compare_and_hash_by_value():
         assert first == second and hash(first) == hash(second)
         assert len({first, second}) == 1
     assert Violation("A", "b") != Violation("A", "c")
-    assert Transition("t1", FN) != Transition("t1", FN, GUARD)
+    assert Transition("t1", PRE, POST, FN) != Transition("t1", PRE, POST, FN, GUARD)
+    assert Transition("t1", PRE, POST, FN) != Transition("t1", PRE, PRE, FN)
 
 
 def test_replace_gives_a_changed_copy():
-    t = Transition("t1", FN)
+    t = Transition("t1", PRE, POST, FN)
     guarded = t._replace(guard=GUARD)
-    assert guarded == Transition("t1", FN, GUARD) and t.guard is None
+    assert guarded == Transition("t1", PRE, POST, FN, GUARD) and t.guard is None
     assert Span(3, 14)._replace(col=1) == Span(3, 1)
 
 
 @pytest.mark.parametrize("record, field", [
-    (Violation("A", "b"), "detail"), (Span(3, 14), "line"), (Transition("t1", FN), "guard"),
+    (Violation("A", "b"), "detail"), (Span(3, 14), "line"), (Transition("t1", PRE, POST, FN), "guard"),
     (FiringSet(("t1",), ()), "transitions"),
 ])
 def test_fields_cannot_be_assigned(record, field):
@@ -79,8 +81,8 @@ FS = FiringSet(("t",), ())
 
 
 def _net() -> PresNet:
-    return PresNet("n", ("a", "b"), {"a": "x", "b": "y"}, (Transition("t", ex.Apply("f", (X,))),),
-                   frozenset({("a", "t")}), frozenset({("t", "b")}), frozenset({"a"}))
+    return PresNet("n", ("a", "b"), {"a": "x", "b": "y"}, (Transition("t", PRE, POST, ex.Apply("f", (X,))),),
+                   frozenset({"a"}))
 
 
 def _converted():
@@ -106,8 +108,8 @@ def _converted():
          "updates=UpdateSet(assignments=())),))"),
         (_net(),
          "PresNet(name='n', places=('a', 'b'), var_of={'a': 'x', 'b': 'y'}, transitions=(Transition(id='t', "
-         "fn=Apply(symbol='f', args=(Var(name='x'),)), guard=None),), input_arcs=frozenset({('a', 't')}), "
-         "output_arcs=frozenset({('t', 'b')}), initial_marking=frozenset({'a'}))"),
+         "pre=frozenset({'a'}), post=frozenset({'b'}), fn=Apply(symbol='f', args=(Var(name='x'),)), guard=None),), "
+         "initial_marking=frozenset({'a'}))"),
         (Step((FS,), (frozenset({"b"}),), (), True),
          "Step(sets=(FiringSet(transitions=('t',), guard_set=()),), successors=(frozenset({'b'}),), dropped=(), "
          "enabled=True, moves=None)"),

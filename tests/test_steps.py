@@ -67,8 +67,7 @@ def test_conversion_after_simulation_reports_the_dropped_sets():
 def _unsafe_net() -> PresNet:
     # t posts onto b, which is marked and not consumed.
     return PresNet("unsafe", ("a", "b"), {"a": "a", "b": "b"},
-                   (Transition("t", ex.Var("a")),), frozenset({("a", "t")}), frozenset({("t", "b")}),
-                   frozenset({"a", "b"}))
+                   (Transition("t", frozenset({"a"}), frozenset({"b"}), ex.Var("a")),), frozenset({"a", "b"}))
 
 
 def test_unsafe_marking_is_raised_on_every_run():
