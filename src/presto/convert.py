@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 from . import expr as ex
 from .fsmd import DuplicateTarget, Fsmd, FsmdTransition, UpdateSet
-from .pres import PresNet, Violation, classify_ports, enabled_transitions
+from .pres import PresNet, Transition, Violation, classify_ports, enabled_transitions
 from .record import Record
 
 
@@ -79,7 +79,7 @@ class ConversionConfig(_ConversionConfigFields):
         return ConversionConfig(**{**self._asdict(), **changes})
 
 
-def _conflict_groups(net: PresNet, enabled: list[str]) -> list[list[str]]:
+def _conflict_groups(enabled: list[Transition]) -> list[list[Transition]]:
     """Connected components of the "input places overlap" relation.
 
     ``enabled`` comes in declaration order, and so do the groups (by their
@@ -87,10 +87,10 @@ def _conflict_groups(net: PresNet, enabled: list[str]) -> list[list[str]]:
     transitions share an input place, as at every marking of a net of
     independent lanes, each transition is a group of its own.
     """
-    presets = [net.preset(t) for t in enabled]
+    presets = [t.pre for t in enabled]
     if len(frozenset().union(*presets)) == sum(map(len, presets)):
         return [[t] for t in enabled]
-    parent = {t: t for t in enabled}
+    parent = {t.id: t.id for t in enabled}
 
     def find(x: str) -> str:
         while parent[x] != x:
@@ -101,32 +101,28 @@ def _conflict_groups(net: PresNet, enabled: list[str]) -> list[list[str]]:
     first_consumer: dict[str, str] = {}
     for t, preset in zip(enabled, presets):
         for p in preset:
-            other = first_consumer.setdefault(p, t)
-            parent[find(t)] = find(other)
-    groups: dict[str, list[str]] = {}
+            other = first_consumer.setdefault(p, t.id)
+            parent[find(t.id)] = find(other)
+    groups: dict[str, list[Transition]] = {}
     for t in enabled:
-        groups.setdefault(find(t), []).append(t)
+        groups.setdefault(find(t.id), []).append(t)
     return list(groups.values())
 
 
-def _guard_decisions(net: PresNet, groups: list[list[str]], choice: tuple[str, ...]) -> Optional[list[ex.Expr]]:
-    """Guard set selecting this combination, or None when it contradicts itself."""
-    decided: list[ex.Expr] = []
-    for group, chosen in zip(groups, choice):
-        t = net.transition(chosen)
-        if t.guard is not None:
-            decided.append(t.guard)
-        elif len(group) == 2:
-            other = net.transition(group[0] if group[1] == chosen else group[1])
-            if other.guard is not None:
-                decided.append(ex.negate_guard(other.guard))
+def _decided(guard: ex.Expr) -> tuple[ex.Expr, ex.Expr, ex.Expr]:
+    """A guard decision with its normal form and the normal form of its negation."""
+    return guard, ex.normalize(guard), ex.normalize(ex.negate_guard(guard))
+
+
+def _guard_set(choice: tuple[tuple[list[str], list], ...]) -> Optional[tuple[ex.Expr, ...]]:
+    """Guard set of a combination's decisions, or None when it contradicts itself."""
     normals: dict[ex.Expr, ex.Expr] = {}
-    for g in decided:
-        n = ex.normalize(g)
-        if ex.normalize(ex.negate_guard(g)) in normals:
-            return None
-        normals.setdefault(n, g)
-    return list(normals.values())
+    for _, decided in choice:
+        for guard, normal, negated in decided:
+            if negated in normals:
+                return None
+            normals.setdefault(normal, guard)
+    return tuple(normals.values())
 
 
 def construct_set_of_transitions(
@@ -138,22 +134,42 @@ def construct_set_of_transitions(
     transitions produce one alternative per choice.  Combinations whose
     guard decisions contain both a guard and its negation are dropped
     (reported through ``warnings`` when given).
+
+    The product ranges over the groups that offer a choice.  Each run of
+    consecutive one-member groups is gathered once per marking into one
+    part with one option, so a combination still lists its members and
+    guard decisions in the order of the groups.
     """
-    order = net.order.__getitem__
-    enabled = sorted(enabled_transitions(net, m), key=order)
+    transitions, order = net.transitions, net.order
+    enabled = [transitions[i] for i in sorted(map(order.__getitem__, enabled_transitions(net, m)))]
     if not enabled:
         return []
-    groups = _conflict_groups(net, enabled)
+    parts: list[list[tuple[list[str], list]]] = []  # per part, its options: members and their guard decisions
+    for size, run in itertools.groupby(_conflict_groups(enabled), len):
+        if size == 1:  # a run of groups without a choice: one part with one option
+            alone = [group[0] for group in run]
+            parts.append([([t.id for t in alone], [_decided(t.guard) for t in alone if t.guard is not None])])
+            continue
+        for group in run:
+            options = []
+            for t in group:
+                guard = t.guard
+                if guard is None and size == 2:  # chosen unguarded, it decides against a guarded rival
+                    rival = group[0] if t is group[1] else group[1]
+                    guard = None if rival.guard is None else ex.negate_guard(rival.guard)
+                options.append(([t.id], [] if guard is None else [_decided(guard)]))
+            parts.append(options)
     sets: list[FiringSet] = []
-    for choice in itertools.product(*groups):
-        guards = _guard_decisions(net, groups, choice)
+    for choice in itertools.product(*parts):
+        chosen = [tid for ids, _ in choice for tid in ids]
+        guards = _guard_set(choice)
         if guards is None:
             if warnings is not None:
                 warnings.append(
-                    Violation("InconsistentGuards", "+".join(choice), "contradictory guard decisions; set dropped")
+                    Violation("InconsistentGuards", "+".join(chosen), "contradictory guard decisions; set dropped")
                 )
             continue
-        sets.append(FiringSet(tuple(sorted(choice, key=order)), tuple(guards)))
+        sets.append(FiringSet(tuple(sorted(chosen, key=order.__getitem__)), guards))
     return sets
 
 
@@ -174,20 +190,20 @@ def fire_set(net: PresNet, m: frozenset[str], fs: FiringSet | tuple[str, ...]) -
             if p in consumer:
                 raise NotEnabled(f"transitions {consumer[p]!r} and {tid!r} compete for a token")
             consumer[p] = tid
-    return _successor(net, m, tids)
+    return _successor(m, [net.transition(tid) for tid in tids])
 
 
-def _successor(net: PresNet, m: frozenset[str], tids: tuple[str, ...]) -> frozenset[str]:
+def _successor(m: frozenset[str], fired: list[Transition]) -> frozenset[str]:
     """Consume and produce for transitions that are enabled at ``m`` and
     share no input place; raises :class:`UnsafeMarking` like :func:`fire_set`."""
-    remaining = m.difference(*map(net.preset, tids))
-    posts = [net.postset(tid) for tid in tids]
+    remaining = m.difference(*[t.pre for t in fired])
+    posts = [t.post for t in fired]
     produced = frozenset().union(*posts)
     if len(produced) < sum(map(len, posts)) or not remaining.isdisjoint(produced):
         seen: set[str] = set()  # name the first place that gets a second token
         for p in itertools.chain.from_iterable(posts):
             if p in seen or p in remaining:
-                raise UnsafeMarking(f"firing {sorted(tids)} puts a second token on {p!r}")
+                raise UnsafeMarking(f"firing {sorted(t.id for t in fired)} puts a second token on {p!r}")
             seen.add(p)
     return remaining | produced
 
@@ -219,9 +235,10 @@ def marking_step(net: PresNet, m: frozenset[str]) -> Step:
         dropped: list[Violation] = []
         sets = construct_set_of_transitions(net, m, dropped)
         successors: list[frozenset[str] | str] = []
+        transitions, order = net.transitions, net.order
         for fs in sets:  # enabled at m, and no two members share an input place
             try:
-                successors.append(_successor(net, m, fs.transitions))
+                successors.append(_successor(m, [transitions[order[tid]] for tid in fs.transitions]))
             except UnsafeMarking as err:
                 successors.append(str(err))
         # Where transitions are enabled, every combination of them is kept or dropped.

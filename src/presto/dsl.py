@@ -98,8 +98,10 @@ class DslSemanticError(DslError):
 # Tokens are the token strings themselves; a token's kind is its first
 # character: a digit, a letter or ``_``, ``"`` (strings keep their quotes, so
 # a quoted "}" never passes for punctuation) or punctuation.  The end of the
-# text is the token "".
-_TOKEN = r'"[^"\n]*"|[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*|[0-9]+|->|<=|>=|!=|[{}(),;=<>+*-]'
+# text is the token "".  The alternatives come in about the order of how often
+# they occur, names and one-character punctuation first; a character that
+# starts a two-character operator is tried after the operators.
+_TOKEN = r'[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*|[{}(),;=+*]|[0-9]+|->|<=|>=|!=|[<>-]|"[^"\n]*"'
 # One match per token, after the blanks and comments before it.  A character
 # no token starts with takes the rest of the text, so the scan ends at the
 # first lexical error.

@@ -264,7 +264,7 @@ class Apply(_Nary):
     def _closure(self) -> Compiled:
         symbol, args = self.symbol, self.args
         if len(args) == 1:
-            arg = args[0]._fn
+            arg = _closure_of(args[0])
 
             def apply1(values, functions):
                 value = arg(values, functions)
@@ -275,7 +275,7 @@ class Apply(_Nary):
                 return int(fn(value))
 
             return apply1
-        fns = list(map(_fn_of, args))
+        fns = list(map(_closure_of, args))
         return lambda values, functions: _apply(symbol, [f(values, functions) for f in fns], functions)
 
 
@@ -287,7 +287,7 @@ class Arith(_Nary):
         op, args = self.op, self.args
         if len(args) == 2:
             return _binary(_BINARY[op], *args)
-        combine, fns = _ARITH_FUNCS[op], list(map(_fn_of, args))
+        combine, fns = _ARITH_FUNCS[op], list(map(_closure_of, args))
         return lambda values, functions: combine([f(values, functions) for f in fns])
 
 
@@ -324,7 +324,7 @@ class BoolOp(_Nary):
     _fields = ("op", "args")
 
     def _closure(self) -> Compiled:
-        combine, fns = _BOOL_FUNCS[self.op], list(map(_fn_of, self.args))
+        combine, fns = _BOOL_FUNCS[self.op], list(map(_closure_of, self.args))
         return lambda values, functions: combine([f(values, functions) for f in fns])
 
 
@@ -447,7 +447,6 @@ _BINARY = {"+": operator.add, "*": operator.mul, "-": operator.sub}
 Compiled = Callable[[Mapping[str, int], Interpretation], Value]
 
 _EVAL_DEPTH = 64  # a subterm higher than this is evaluated by an explicit-stack walk
-_fn_of = operator.attrgetter("_fn")
 
 
 def evaluate(e: Expr, env: Environment) -> Value:
@@ -464,34 +463,30 @@ def compiled(e: Expr) -> Compiled:
     Every operand of ``and``/``or`` is evaluated, so which error a term
     raises never depends on short-circuiting.
 
-    One pass compiles the nodes that have no closure yet, children before
-    parents.  Each node's class builds its closure over its children's
-    (``_closure``); closures call each other, so a node higher than
+    Each node's class builds its closure over the closures of the children
+    it calls (``_closure``), which :func:`_closure_of` builds first where
+    they have none yet.  Closures call each other, so a node higher than
     ``_EVAL_DEPTH`` gets a closure that walks its subterms with an explicit
-    stack instead.  An integer constant gets a closure only where one is
-    called: as the root, or under any node whose closure is not
-    :func:`_binary`'s.  No closure holds its own node, so no node keeps
-    itself alive.
+    stack instead, and builds no child's closure before its first call;
+    building therefore recurses at most ``_EVAL_DEPTH`` levels deep.  An
+    integer constant gets a closure only where one is called: as the root,
+    or under any node whose closure is not :func:`_binary`'s.  No closure
+    holds its own node, so no node keeps itself alive.
     """
     fn = e._fn if isinstance(e, Expr) else None
     if fn is None:
         if not isinstance(e, Expr) or e._sort is None:
             sort_of(e)  # raises; the children of a well-sorted node are well-sorted
-        stack = [e]
-        while stack:
-            node = stack[-1]
-            waiting = len(stack)
-            for k in node._kids:
-                if k._fn is None:
-                    if type(k) is IntConst and node._height <= _EVAL_DEPTH and (
-                            type(node) is Rel or type(node) is Arith and len(node._kids) == 2):
-                        continue  # _binary takes the constant's value and calls no closure of it
-                    stack.append(k)
-            if len(stack) == waiting:  # every child is compiled
-                stack.pop()
-                if node._fn is None:
-                    _set_fn(node, node._closure() if node._height <= _EVAL_DEPTH else _deep(node))
-        fn = e._fn
+        fn = _closure_of(e)
+    return fn
+
+
+def _closure_of(node: Expr) -> Compiled:
+    """The closure of a well-sorted node, built and kept on its first use."""
+    fn = node._fn
+    if fn is None:
+        fn = node._closure() if node._height <= _EVAL_DEPTH else _deep(node)
+        _set_fn(node, fn)
     return fn
 
 
@@ -501,12 +496,12 @@ def _binary(op: Callable[[Value, Value], Value], lhs: Expr, rhs: Expr) -> Compil
         if type(lhs) is IntConst:
             value = op(lhs.value, rhs.value)
             return lambda values, functions: value
-        f, c = lhs._fn, rhs.value
+        f, c = _closure_of(lhs), rhs.value
         return lambda values, functions: op(f(values, functions), c)
     if type(lhs) is IntConst:
-        c, g = lhs.value, rhs._fn
+        c, g = lhs.value, _closure_of(rhs)
         return lambda values, functions: op(c, g(values, functions))
-    f, g = lhs._fn, rhs._fn
+    f, g = _closure_of(lhs), _closure_of(rhs)
     return lambda values, functions: op(f(values, functions), g(values, functions))
 
 
@@ -528,7 +523,7 @@ def _eval_deep(roots: tuple, values, functions) -> list:
             stack.pop()
             continue
         if node._height <= _EVAL_DEPTH:
-            done[node] = node._fn(values, functions)
+            done[node] = _closure_of(node)(values, functions)
         else:
             pending = [k for k in node._kids if k not in done]
             if pending:

@@ -17,7 +17,6 @@ readers that fill one at once compute the same value.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Mapping, NamedTuple, Optional
 
 from . import expr as ex
@@ -69,17 +68,17 @@ class PresNet(Record):
     """The net itself.  Mutation after construction is not supported.
 
     Besides its fields a net holds its indices: the preset and postset of
-    each transition (its own sets), the producers and consumers of each
-    place, and the declaration index of each transition (``order``) and
-    place (``place_order``).  A transition id declared twice is indexed by
-    its last declaration.  ``steps`` maps a marking to its
+    each transition (its own sets), the consumers of each place in
+    declaration order, and the declaration index of each transition
+    (``order``) and place (``place_order``).  A transition id declared twice
+    is indexed by its last declaration.  ``steps`` maps a marking to its
     ``convert.Step``, filled on first use, and ``ports`` is set by the
     first :func:`classify_ports`.  None of these takes part in the repr or
     in equality.
     """
 
     __slots__ = ("name", "places", "var_of", "transitions", "initial_marking",
-                 "_pre_t", "_post_t", "_pre_p", "_post_p", "order", "place_order", "steps", "ports")
+                 "_pre_t", "_post_t", "_consumers", "order", "place_order", "steps", "ports")
     _fields = ("name", "places", "var_of", "transitions", "initial_marking")
 
     def __init__(self, name: str, places: tuple[str, ...], var_of: Mapping[str, str],
@@ -90,10 +89,16 @@ class PresNet(Record):
         self.place_order = {p: i for i, p in enumerate(places)}
         self.steps: dict = {}
         self.ports: Optional[Ports] = None
-        self._pre_t = {t.id: t.pre for t in transitions}
+        self._pre_t = pre_t = {t.id: t.pre for t in transitions}
         self._post_t = {t.id: t.post for t in transitions}
-        self._pre_p = _by_place(places, self._post_t)
-        self._post_p = _by_place(places, self._pre_t)
+        # One pass over the presets; an undeclared place is left out (validate_net
+        # reports it).  Producers, which only adjacency and classify_ports ask
+        # for, are read from the postsets.
+        self._consumers = consumers = dict.fromkeys(places, ())
+        for tid, pre in pre_t.items():
+            for p in pre:
+                if p in consumers:
+                    consumers[p] += (tid,)
 
     def _replace(self, **changes) -> "PresNet":
         """A new net with ``changes`` applied to the fields; its indices and
@@ -127,28 +132,6 @@ class PresNet(Record):
         return self.var_of[post[0]]
 
 
-_NO_ELEMENTS: frozenset[str] = frozenset()
-
-
-def _by_place(places, sets: Mapping[str, frozenset[str]]) -> dict[str, frozenset[str]]:
-    """For each declared place, the transitions whose set in ``sets`` (by
-    transition) holds it: its consumers from the presets, its producers
-    from the postsets.
-
-    Each group is frozen once; every place no set holds shares one empty
-    set.  An undeclared place is left out (:func:`validate_net` reports it).
-    """
-    groups: defaultdict[str, list[str]] = defaultdict(list)
-    for t, ends in sets.items():
-        for p in ends:
-            groups[p].append(t)
-    index = dict.fromkeys(places, _NO_ELEMENTS)
-    for p, ts in groups.items():
-        if p in index:
-            index[p] = frozenset(ts)
-    return index
-
-
 def adjacency(net: PresNet, element: str) -> Adjacency:
     """Pre-set and post-set of a place or transition.
 
@@ -157,8 +140,9 @@ def adjacency(net: PresNet, element: str) -> Adjacency:
     """
     if element in net._pre_t:
         return Adjacency(net._pre_t[element], net._post_t[element])
-    if element in net._pre_p:
-        return Adjacency(net._pre_p[element], net._post_p[element])
+    if element in net._consumers:
+        producers = frozenset(tid for tid, post in net._post_t.items() if element in post)
+        return Adjacency(producers, frozenset(net._consumers[element]))
     raise UnknownElement(element)
 
 
@@ -167,8 +151,9 @@ def classify_ports(net: PresNet) -> Ports:
     marking; classified on the first call and kept on the net."""
     ports = net.ports
     if ports is None:
-        in_ports = frozenset(p for p in net.places if not net._pre_p[p])
-        out_ports = frozenset(p for p in net.places if not net._post_p[p])
+        produced = set().union(*net._post_t.values())
+        in_ports = frozenset(p for p in net.places if p not in produced)
+        out_ports = frozenset(p for p in net.places if not net._consumers[p])
         ports = net.ports = Ports(in_ports, out_ports, net.initial_marking)
     return ports
 
@@ -181,8 +166,8 @@ def enabled_transitions(net: PresNet, m: frozenset[str]) -> frozenset[str]:
     places are looked at, so a transition without input places (which
     :func:`validate_net` rejects) is never enabled.
     """
-    consumers = set().union(*(net._post_p.get(p, ()) for p in m))
-    return frozenset(t for t in consumers if net._pre_t[t] <= m)
+    consumers, pre_t = net._consumers, net._pre_t
+    return frozenset([t for t in set().union(*[consumers[p] for p in m if p in consumers]) if pre_t[t] <= m])
 
 
 def validate_net(net: PresNet) -> list[Violation]:
@@ -224,11 +209,12 @@ def validate_net(net: PresNet) -> list[Violation]:
         out.append(Violation("EmptyInputArcs", net.name, "a net needs at least one input arc"))
 
     declared = place_order.keys()
-    for tid in order:
-        pre, post = pre_t[tid], post_t[tid]
-        if not (declared >= pre and declared >= post):
-            out += [Violation("UnknownPlace", p, f"in transition {tid}")
-                    for p in sorted((pre | post).difference(declared))]
+    if not declared >= set().union(*pre_t.values(), *post_t.values()):
+        for tid in order:
+            pre, post = pre_t[tid], post_t[tid]
+            if not (declared >= pre and declared >= post):
+                out += [Violation("UnknownPlace", p, f"in transition {tid}")
+                        for p in sorted((pre | post).difference(declared))]
 
     if not declared <= var_of.keys():
         out += [Violation("MissingVariable", p, "place has no associated variable") for p in place_order

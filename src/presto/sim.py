@@ -162,7 +162,7 @@ def check_arities(decls: Iterable, terms: Iterable[ex.Expr]) -> None:
     if not arity:
         return
     seen: set[ex.Expr] = set()
-    stack = list(dict.fromkeys(terms))  # the nets of a check share most of their terms
+    stack, Apply = list(dict.fromkeys(terms)), ex.Apply  # the nets of a check share most of their terms
     stack.reverse()
     while stack:  # first application first; a shared subterm is walked once
         node = stack.pop()
@@ -171,8 +171,8 @@ def check_arities(decls: Iterable, terms: Iterable[ex.Expr]) -> None:
             if node in seen:
                 continue
             seen.add(node)
-            stack += reversed(kids)
-        if type(node) is ex.Apply and len(kids) != arity.get(node.symbol, len(kids)):
+            stack += kids[::-1]
+        if type(node) is Apply and len(kids) != arity.get(node.symbol, len(kids)):
             raise _wrong_arity(node.symbol, arity[node.symbol], len(kids))
 
 
@@ -191,30 +191,39 @@ class RunOutcome(Record):
 
 
 def _values(net: PresNet, ts: TokenState) -> dict[str, int]:
-    """Variable -> value over the marked places, the store a step reads."""
-    values: dict[str, int] = {}
-    for p, value in ts.items():
-        v = net.var_of[p]
-        if values.setdefault(v, value) != value:
-            raise ValueConflict(f"marked places sharing variable {v!r} hold {values[v]} and {value}")
+    """Variable -> value over the marked places, the store a step reads.  Only
+    where two marked places share a variable are the places read one by one,
+    for the :class:`ValueConflict` of the first two that disagree."""
+    var_of = net.var_of
+    values = {var_of[p]: value for p, value in ts.items()}
+    if len(values) < len(ts):
+        seen: dict[str, int] = {}
+        for p, value in ts.items():
+            v = var_of[p]
+            if seen.setdefault(v, value) != value:
+                raise ValueConflict(f"marked places sharing variable {v!r} hold {seen[v]} and {value}")
     return values
 
 
 class _Move:
     """A firing set of one marking in the form a step runs: ``holds`` is
-    its guard set compiled into one test, ``effects`` the compiled
-    ``(fn, post places)`` of each transition, and ``marked`` the places of
-    the successor marking in the net's place order."""
+    its guard set compiled into one test, or None for an empty guard set,
+    which always holds; ``effects`` the compiled ``(fn, post places)`` of
+    each transition, and ``marked`` the places of the successor marking in
+    the net's place order."""
 
     __slots__ = ("fs", "holds", "effects", "successor", "marked")
 
     def __init__(self, net: PresNet, fs: FiringSet, successor) -> None:
         guards = tuple(map(ex.compiled, fs.guard_set))
-        if len(guards) == 1:
+        if not guards:
+            self.holds = None
+        elif len(guards) == 1:
             self.holds = guards[0]
         else:
             self.holds = lambda values, functions: all(g(values, functions) for g in guards)
-        self.effects = tuple((ex.compiled(net.transition(tid).fn), tuple(net.postset(tid))) for tid in fs.transitions)
+        fired = [net.transitions[i] for i in map(net.order.__getitem__, fs.transitions)]
+        self.effects = tuple([(ex.compiled(t.fn), tuple(t.post)) for t in fired])
         self.fs, self.successor = fs, successor
         self.marked = () if type(successor) is str else tuple(sorted(successor, key=net.place_order.__getitem__))
 
@@ -231,7 +240,7 @@ def _fire(
         moves = step.moves = [_Move(net, fs, succ) for fs, succ in zip(step.sets, step.successors)]
     # A set's guard_set holds its chosen guards and the negated guards of
     # the competitors it was carved out against; all must hold.
-    candidates = [move for move in moves if move.holds(values, interp)]
+    candidates = [move for move in moves if move.holds is None or move.holds(values, interp)]
     if not candidates:
         raise NoEnabledSet(step.enabled)
     if isinstance(policy, RandomMaximal):
@@ -271,7 +280,12 @@ def simulate_run(
     policy: SchedulePolicy = MaximalStep(),
     max_steps: int = 1_000,
 ) -> RunOutcome:
-    """Iterate steps from the initial token assignment until rest or a bound."""
+    """Iterate steps from the initial token assignment until rest or a bound.
+
+    Each step's tokens are a new dict that the trace keeps as it is, so the
+    last trace entry is the outcome's ``final_state`` itself; no caller in
+    presto changes either, and one that wants to copies it first.
+    """
     marking = frozenset(inputs)
     if marking != frozenset(net.initial_marking):
         raise SimError(
@@ -293,7 +307,7 @@ def simulate_run(
         if step == max_steps:
             return RunOutcome(STEP_BOUND_EXCEEDED, ts, trace, max_steps, chose)
         ts, marking, chose = after, move.successor, chose or choice
-        trace.append((move.fs, dict(ts)))
+        trace.append((move.fs, ts))
 
 
 def out_port_values(net: PresNet, ts: TokenState) -> dict[str, int]:

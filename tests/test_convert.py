@@ -187,7 +187,7 @@ def test_kernel_agrees_with_brute_force_reference(name):
         enabled = [t for t in order if net.preset(t) <= m]
         assert enabled_transitions(net, m) == set(enabled)
         groups = _reference_groups(net, enabled)
-        assert _conflict_groups(net, enabled) == groups
+        assert [[t.id for t in group] for group in _conflict_groups(list(map(net.transition, enabled)))] == groups
         warnings = []
         sets = construct_set_of_transitions(net, m, warnings)
         dropped = {w.element for w in warnings}

@@ -6,12 +6,15 @@ with an explicit stack so that it takes the 5000-deep nests too.
 """
 
 import gc
+import io
 import math
 import operator
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from presto import cli, corpus
 from presto import expr as ex
 
 from _gen import SYMBOLS, VARS, random_bool_expr, random_env, random_expr, random_int_expr
@@ -204,3 +207,60 @@ def test_compiled_terms_leave_the_table_without_a_collection():
         assert len(ex._table) == size
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_terms_above_the_closure_depth_match_the_reference(seed):
+    # Random terms hung under and over nests higher than the depth where
+    # closures stop calling each other: a deep node builds the closures of
+    # the subterms it calls only when it is first called, and a subterm that
+    # another term compiled first is shared.
+    rng = random.Random(seed)
+    kinds = set()
+    for _ in range(60):
+        e = random_int_expr(rng)
+        for _ in range(rng.randint(60, 70)):
+            e = ex.Apply(rng.choice(SYMBOLS), (e,)) if rng.random() < 0.7 else ex.add(e, random_int_expr(rng, 2))
+        for term in (e, ex.Rel("<", random_int_expr(rng, 2), e), ex.add(random_int_expr(rng), e, e)):
+            env = _variant_env(rng)
+            if rng.random() < 0.5:
+                ex.compiled(rng.choice(term._kids))  # a subterm compiled first, as another root
+            expected = outcome(reference, term, env)
+            assert outcome(compiled, term, env) == expected
+            assert outcome(compiled, term, env) == expected
+            kinds.add(expected[0])
+    assert {"value", "UnboundVariable", "UninterpretedSymbol"} <= kinds
+
+
+def test_a_command_compiles_each_term_at_most_once_and_keeps_none(monkeypatch, tmp_path):
+    # Every closure is built through a class's _closure or through _deep;
+    # counting those calls by node shows that no node is compiled twice in a
+    # command.  The intern table then holds as many terms as before the
+    # commands, so no closure outlives its command by keeping a term alive.
+    # The net in tmp_path has names no other test uses, so its terms are
+    # new to the table and are all compiled in the command, the nest above
+    # the depth where closures stop calling each other among them.
+    nest = "once-f(" * 70 + "once-a" + ")" * 70
+    (tmp_path / "once.pres").write_text("net once { place once-a marked; place once-b;\n"
+                                        f"  transition once-t {{ pre once-a; post once-b; fn {nest} + 1; }} }}\n")
+    (tmp_path / "once.scn").write_text('scenario once { model left = "once.pres"; inputs { once-a = 2; }\n'
+                                       "  interp once-f(x) = 2 * x - 1; }\n")
+    built: list[ex.Expr] = []  # holds the nodes, so that no id is reused while counting
+    for cls in (ex.IntConst, ex.BoolConst, ex.Var, ex.Apply, ex.Arith, ex.Rel, ex.BoolOp):
+        monkeypatch.setattr(cls, "_closure", lambda node, real=cls._closure: built.append(node) or real(node))
+    monkeypatch.setattr(ex, "_deep", lambda node, real=ex._deep: built.append(node) or real(node))
+    gc.collect()
+    terms = len(ex._table)
+    for argv in (["simulate", str(tmp_path / "once.scn"), "--schedules", "3"],
+                 *([cmd, corpus.scenario_path(name), *rest] for name, cmd, *rest in (
+                     ("racy", "simulate", "--schedules", "10"), ("guard_split", "simulate"),
+                     ("addthree", "check-pres", "--strategy", "sampled"), ("jammer", "simulate", "--schedules", "4"),
+                     ("cardinality", "check-pres"), ("jammer_swapped", "check-fsmd")))):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            cli.main(argv)
+        assert len({id(node) for node in built}) == len(built), argv
+        if argv[1].endswith("once.scn"):
+            assert len(built) > 64 and ex.Apply("once-f", (ex.Var("once-a"),)) in built
+        built.clear()
+    gc.collect()
+    assert len(ex._table) == terms

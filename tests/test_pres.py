@@ -148,7 +148,7 @@ class TestValidate:
 
 def _indices(net: PresNet) -> list:
     """Every index of ``net``, entries in order."""
-    return [list(index.items()) for index in (net._pre_t, net._post_t, net._pre_p, net._post_p, net.order,
+    return [list(index.items()) for index in (net._pre_t, net._post_t, net._consumers, net.order,
                                               net.place_order)]
 
 

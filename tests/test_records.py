@@ -219,7 +219,7 @@ def test_a_replaced_net_is_equal_and_indexed_afresh():
     net = corpus.load_net("guard_split")
     copy = net._replace()
     assert copy == net and copy is not net
-    assert copy.order == net.order and copy.place_order == net.place_order and copy._pre_p == net._pre_p
+    assert copy.order == net.order and copy.place_order == net.place_order and copy._consumers == net._consumers
     with pytest.raises(TypeError):
         net._replace(colour="red")
 
