@@ -28,15 +28,11 @@ from typing import NamedTuple, Optional
 
 from . import expr as ex
 from .fsmd import DuplicateTarget, Fsmd, FsmdTransition, UpdateSet
-from .pres import PresNet, Transition, Violation, classify_ports, enabled_transitions
+from .pres import PresError, PresNet, Transition, Violation, classify_ports, enabled_transitions
 from .record import Record
 
 
 class ConvertError(Exception):
-    pass
-
-
-class NotEnabled(ConvertError):
     pass
 
 
@@ -173,29 +169,10 @@ def construct_set_of_transitions(
     return sets
 
 
-def fire_set(net: PresNet, m: frozenset[str], fs: FiringSet | tuple[str, ...]) -> frozenset[str]:
-    """Successor marking: consume every input place, then produce every output place.
-
-    Raises :class:`NotEnabled` when a transition is not enabled at ``m`` or
-    two transitions compete for a token, and :class:`UnsafeMarking` when a
-    produced place is already marked (and not consumed this step) or two
-    fired transitions produce it.
-    """
-    tids = fs.transitions if isinstance(fs, FiringSet) else tuple(fs)
-    consumer: dict[str, str] = {}  # place -> the transition consuming it
-    for tid in tids:
-        if tid not in net.order or not net.preset(tid) <= m:
-            raise NotEnabled(f"transition {tid!r} is not enabled at {sorted(m)}")
-        for p in net.preset(tid):
-            if p in consumer:
-                raise NotEnabled(f"transitions {consumer[p]!r} and {tid!r} compete for a token")
-            consumer[p] = tid
-    return _successor(m, [net.transition(tid) for tid in tids])
-
-
 def _successor(m: frozenset[str], fired: list[Transition]) -> frozenset[str]:
     """Consume and produce for transitions that are enabled at ``m`` and
-    share no input place; raises :class:`UnsafeMarking` like :func:`fire_set`."""
+    share no input place; raises :class:`UnsafeMarking` when a place
+    would get a second token."""
     remaining = m.difference(*[t.pre for t in fired])
     posts = [t.post for t in fired]
     produced = frozenset().union(*posts)
@@ -250,16 +227,17 @@ class Conversion(Record):
     """Converted machine plus the bookkeeping that ties it back to the net.
 
     ``fired`` holds the firing set of each machine transition, in the
-    machine's order; ``firing_sets`` holds every set of each state,
-    including those that ``on_unsafe="reject"`` left without a transition.
+    machine's order.  Every set of a state, including those that
+    ``on_unsafe="reject"`` left without a transition, is in the
+    :func:`marking_step` of its marking.
     """
 
-    __slots__ = ("fsmd", "marking_of_state", "fired", "firing_sets", "warnings", "_labels")
-    _fields = ("fsmd", "marking_of_state", "labels", "firing_sets", "warnings")
+    __slots__ = ("fsmd", "marking_of_state", "fired", "warnings", "_labels")
+    _fields = ("fsmd", "marking_of_state", "labels", "warnings")
 
     def __init__(self, fsmd: Fsmd, marking_of_state: dict[str, frozenset[str]], fired: list[FiringSet],
-                 firing_sets: dict[str, list[FiringSet]], warnings: Optional[list[Violation]] = None) -> None:
-        self.fsmd, self.marking_of_state, self.fired, self.firing_sets = fsmd, marking_of_state, fired, firing_sets
+                 warnings: Optional[list[Violation]] = None) -> None:
+        self.fsmd, self.marking_of_state, self.fired = fsmd, marking_of_state, fired
         self.warnings = [] if warnings is None else warnings
         self._labels: Optional[list[list[tuple[str, ...]]]] = None
 
@@ -280,7 +258,12 @@ class Conversion(Record):
 
 
 def _updates_for(net: PresNet, fs: FiringSet) -> UpdateSet:
-    return UpdateSet.of([(net.postset_var(tid), net.transition(tid).fn) for tid in fs.transitions])
+    pairs = []
+    for t in map(net.transition, fs.transitions):
+        if not t.post:  # a net built in code reaches here unvalidated
+            raise PresError(f"transition {t.id!r} has an empty post-set")
+        pairs.append((net.var_of[min(t.post)], t.fn))
+    return UpdateSet.of(pairs)
 
 
 def pres_to_fsmd(net: PresNet, cfg: ConversionConfig = ConversionConfig()) -> Conversion:
@@ -301,7 +284,6 @@ def pres_to_fsmd(net: PresNet, cfg: ConversionConfig = ConversionConfig()) -> Co
     marking_of: dict[str, frozenset[str]] = {"q0": m0}
     transitions: list[FsmdTransition] = []
     fired: list[FiringSet] = []
-    firing_sets: dict[str, list[FiringSet]] = {}
     warnings: list[Violation] = []
 
     work: deque[frozenset[str]] = deque([m0])
@@ -310,7 +292,6 @@ def pres_to_fsmd(net: PresNet, cfg: ConversionConfig = ConversionConfig()) -> Co
         q = state_of[m]
         step = marking_step(net, m)
         warnings += step.dropped
-        firing_sets[q] = list(step.sets)
         for fs, succ in zip(step.sets, step.successors):
             if type(succ) is str:
                 if cfg.on_unsafe == "reject":
@@ -340,4 +321,4 @@ def pres_to_fsmd(net: PresNet, cfg: ConversionConfig = ConversionConfig()) -> Co
         outputs=outputs,
         transitions=tuple(transitions),
     )
-    return Conversion(machine, marking_of, fired, firing_sets, warnings)
+    return Conversion(machine, marking_of, fired, warnings)

@@ -78,9 +78,6 @@ class UpdateSet(Record):
     def of(cls, pairs: Iterable[tuple[str, ex.Expr]]) -> "UpdateSet":
         return cls(tuple(starmap(Assignment, pairs)))
 
-    def as_dict(self) -> dict[str, ex.Expr]:
-        return {a.target: a.expr for a in self.assignments}
-
     def __len__(self) -> int:
         return len(self.assignments)
 
@@ -99,7 +96,7 @@ class FsmdTransition(NamedTuple):
 
 
 class Fsmd(Record):
-    """A machine; ``_outgoing`` indexes its transitions by source state."""
+    """A machine; ``_outgoing`` indexes its transitions by source state, a tuple each."""
 
     __slots__ = ("name", "states", "reset", "inputs", "storage", "outputs", "transitions", "_outgoing")
     _fields = ("name", "states", "reset", "inputs", "storage", "outputs", "transitions")
@@ -108,15 +105,16 @@ class Fsmd(Record):
                  storage: frozenset[str], outputs: frozenset[str], transitions: tuple[FsmdTransition, ...]) -> None:
         self.name, self.states, self.reset = name, states, reset
         self.inputs, self.storage, self.outputs, self.transitions = inputs, storage, outputs, transitions
-        self._outgoing: dict[str, list[FsmdTransition]] = {}
+        outgoing: dict[str, list[FsmdTransition]] = {}
         for t in transitions:
-            self._outgoing.setdefault(t.source, []).append(t)
+            outgoing.setdefault(t.source, []).append(t)
+        self._outgoing = {state: tuple(ts) for state, ts in outgoing.items()}
 
     def variables(self) -> frozenset[str]:
         return self.inputs | self.storage
 
-    def outgoing(self, state: str) -> list[FsmdTransition]:
-        return list(self._outgoing.get(state, ()))
+    def outgoing(self, state: str) -> tuple[FsmdTransition, ...]:
+        return self._outgoing.get(state, ())
 
     def terminal_states(self) -> frozenset[str]:
         return frozenset(s for s in self.states if s not in self._outgoing)
@@ -338,25 +336,19 @@ def path_transformation(
 MAX_VALUE_BITS = 4096
 
 
-def run_machine(
-    m: Fsmd, values: Mapping[str, int], functions: ex.Interpretation = ex.NO_FUNCTIONS, max_steps: int = 1_000
-) -> Optional[dict[str, int]]:
-    """Concrete run from ``values``: the store at the terminal state reached.
-
-    Each step takes the one transition whose guard set holds; ``None`` when
-    none or several hold, no terminal state is reached within ``max_steps``
-    steps, or an update yields a value of more than ``MAX_VALUE_BITS``
-    bits.  A run may always take ``len(m.states)`` steps, which is as many
-    as a run that visits no state twice can need.
-    """
-    return machine_run(m, values, functions, max_steps)[0]
-
-
 def machine_run(
     m: Fsmd, values: Mapping[str, int], functions: ex.Interpretation = ex.NO_FUNCTIONS, max_steps: int = 1_000
 ) -> tuple[Optional[dict[str, int]], str]:
-    """:func:`run_machine`'s store, and for a run that ended without one,
-    what ended it: ``"got stuck"``, too many steps or too wide a value."""
+    """Concrete run from ``values``: the store at the terminal state
+    reached, and for a run that ended without one (``None``), what ended it.
+
+    Each step takes the one transition whose guard set holds; the run
+    ``"got stuck"`` when none or several hold, and it also ends when no
+    terminal state is reached within ``max_steps`` steps or an update
+    yields a value of more than ``MAX_VALUE_BITS`` bits.  A run may always
+    take ``len(m.states)`` steps, which is as many as a run that visits no
+    state twice can need.
+    """
     store, state = dict(values), m.reset
     steps = max(max_steps, len(m.states))
     for _ in range(steps):

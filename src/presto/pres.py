@@ -67,18 +67,18 @@ class Ports(NamedTuple):
 class PresNet(Record):
     """The net itself.  Mutation after construction is not supported.
 
-    Besides its fields a net holds its indices: the preset and postset of
-    each transition (its own sets), the consumers of each place in
-    declaration order, and the declaration index of each transition
-    (``order``) and place (``place_order``).  A transition id declared twice
-    is indexed by its last declaration.  ``steps`` maps a marking to its
+    Besides its fields a net holds its indices: the ids of the consumers of
+    each place in declaration order, and the declaration index of each
+    transition (``order``) and place (``place_order``).  A transition id
+    declared twice is indexed by its last declaration, and
+    :meth:`transition` looks an id up.  ``steps`` maps a marking to its
     ``convert.Step``, filled on first use, and ``ports`` is set by the
     first :func:`classify_ports`.  None of these takes part in the repr or
     in equality.
     """
 
     __slots__ = ("name", "places", "var_of", "transitions", "initial_marking",
-                 "_pre_t", "_post_t", "_consumers", "order", "place_order", "steps", "ports")
+                 "_consumers", "order", "place_order", "steps", "ports")
     _fields = ("name", "places", "var_of", "transitions", "initial_marking")
 
     def __init__(self, name: str, places: tuple[str, ...], var_of: Mapping[str, str],
@@ -89,14 +89,12 @@ class PresNet(Record):
         self.place_order = {p: i for i, p in enumerate(places)}
         self.steps: dict = {}
         self.ports: Optional[Ports] = None
-        self._pre_t = pre_t = {t.id: t.pre for t in transitions}
-        self._post_t = {t.id: t.post for t in transitions}
         # One pass over the presets; an undeclared place is left out (validate_net
         # reports it).  Producers, which only adjacency and classify_ports ask
         # for, are read from the postsets.
         self._consumers = consumers = dict.fromkeys(places, ())
-        for tid, pre in pre_t.items():
-            for p in pre:
+        for tid, i in self.order.items():
+            for p in transitions[i].pre:
                 if p in consumers:
                     consumers[p] += (tid,)
 
@@ -111,26 +109,6 @@ class PresNet(Record):
         except KeyError:
             raise UnknownElement(tid) from None
 
-    def preset(self, tid: str) -> frozenset[str]:
-        """Input places of a transition."""
-        try:
-            return self._pre_t[tid]
-        except KeyError:
-            raise UnknownElement(tid) from None
-
-    def postset(self, tid: str) -> frozenset[str]:
-        """Output places of a transition."""
-        try:
-            return self._post_t[tid]
-        except KeyError:
-            raise UnknownElement(tid) from None
-
-    def postset_var(self, tid: str) -> str:
-        post = sorted(self.postset(tid))
-        if not post:
-            raise PresError(f"transition {tid!r} has an empty post-set")
-        return self.var_of[post[0]]
-
 
 def adjacency(net: PresNet, element: str) -> Adjacency:
     """Pre-set and post-set of a place or transition.
@@ -138,10 +116,12 @@ def adjacency(net: PresNet, element: str) -> Adjacency:
     For a transition these are its input and output places; for a place,
     the transitions producing into it and consuming from it.
     """
-    if element in net._pre_t:
-        return Adjacency(net._pre_t[element], net._post_t[element])
+    if element in net.order:
+        t = net.transition(element)
+        return Adjacency(t.pre, t.post)
     if element in net._consumers:
-        producers = frozenset(tid for tid, post in net._post_t.items() if element in post)
+        transitions = net.transitions
+        producers = frozenset(tid for tid, i in net.order.items() if element in transitions[i].post)
         return Adjacency(producers, frozenset(net._consumers[element]))
     raise UnknownElement(element)
 
@@ -151,7 +131,8 @@ def classify_ports(net: PresNet) -> Ports:
     marking; classified on the first call and kept on the net."""
     ports = net.ports
     if ports is None:
-        produced = set().union(*net._post_t.values())
+        transitions = net.transitions
+        produced = set().union(*[transitions[i].post for i in net.order.values()])
         in_ports = frozenset(p for p in net.places if p not in produced)
         out_ports = frozenset(p for p in net.places if not net._consumers[p])
         ports = net.ports = Ports(in_ports, out_ports, net.initial_marking)
@@ -166,8 +147,9 @@ def enabled_transitions(net: PresNet, m: frozenset[str]) -> frozenset[str]:
     places are looked at, so a transition without input places (which
     :func:`validate_net` rejects) is never enabled.
     """
-    consumers, pre_t = net._consumers, net._pre_t
-    return frozenset([t for t in set().union(*[consumers[p] for p in m if p in consumers]) if pre_t[t] <= m])
+    consumers, order, transitions = net._consumers, net.order, net.transitions
+    return frozenset([t for t in set().union(*[consumers[p] for p in m if p in consumers])
+                      if transitions[order[t]].pre <= m])
 
 
 def validate_net(net: PresNet) -> list[Violation]:
@@ -200,18 +182,18 @@ def validate_net(net: PresNet) -> list[Violation]:
             if fn is None:
                 out.append(Violation("MissingFunction", tid, "transition has no fn clause"))
 
-    var_of, pre_t, post_t = net.var_of, net._pre_t, net._post_t
+    var_of = net.var_of
+    last = [transitions[i] for i in order.values()]  # each id's last declaration
     if not places:
         out.append(Violation("EmptyPlaces", net.name, "a net needs at least one place"))
     if not transitions:
         out.append(Violation("EmptyTransitions", net.name, "a net needs at least one transition"))
-    if not any(pre_t.values()):
+    if not any(t.pre for t in last):
         out.append(Violation("EmptyInputArcs", net.name, "a net needs at least one input arc"))
 
     declared = place_order.keys()
-    if not declared >= set().union(*pre_t.values(), *post_t.values()):
-        for tid in order:
-            pre, post = pre_t[tid], post_t[tid]
+    if not declared >= set().union(*[t.pre for t in last], *[t.post for t in last]):
+        for tid, pre, post, _, _ in last:
             if not (declared >= pre and declared >= post):
                 out += [Violation("UnknownPlace", p, f"in transition {tid}")
                         for p in sorted((pre | post).difference(declared))]

@@ -44,20 +44,8 @@ class SimError(Exception):
     pass
 
 
-class NoEnabledSet(SimError):
-    """No firing set is concretely available; callers split quiescence from deadlock."""
-
-    def __init__(self, structurally_enabled: bool):
-        super().__init__("no firing set has all guards true")
-        self.structurally_enabled = structurally_enabled
-
-
 class ValueConflict(SimError):
     """Two marked input places share a variable but hold different values."""
-
-
-class ValueBound(SimError):
-    """A transfer function gave a value of more than ``MAX_VALUE_BITS`` bits."""
 
 
 def value_limit(*statuses: str) -> str:
@@ -228,51 +216,6 @@ class _Move:
         self.marked = () if type(successor) is str else tuple(sorted(successor, key=net.place_order.__getitem__))
 
 
-def _fire(
-    net: PresNet, ts: TokenState, marking: frozenset[str], interp, policy: SchedulePolicy, rng
-) -> tuple[_Move, TokenState, bool]:
-    """The move chosen at ``marking`` (the domain of ``ts``), the tokens
-    after it, and whether there was more than one move to choose from."""
-    values = _values(net, ts)
-    step = marking_step(net, marking)
-    moves = step.moves
-    if moves is None:
-        moves = step.moves = [_Move(net, fs, succ) for fs, succ in zip(step.sets, step.successors)]
-    # A set's guard_set holds its chosen guards and the negated guards of
-    # the competitors it was carved out against; all must hold.
-    candidates = [move for move in moves if move.holds is None or move.holds(values, interp)]
-    if not candidates:
-        raise NoEnabledSet(step.enabled)
-    if isinstance(policy, RandomMaximal):
-        # Draw even from a single candidate, so that a seed always makes the same choices.
-        chooser = rng if rng is not None else random.Random(policy.seed)
-        move = chooser.choice(candidates)
-    else:
-        move = candidates[0]
-    produced: dict[str, int] = {}
-    for fn, posts in move.effects:
-        value = fn(values, interp)
-        if value.bit_length() > MAX_VALUE_BITS:
-            raise ValueBound(f"a value of {value.bit_length()} bits")
-        for p in posts:
-            produced[p] = value
-    if type(move.successor) is str:
-        raise UnsafeMarking(move.successor)
-    return move, {p: produced[p] if p in produced else ts[p] for p in move.marked}, len(candidates) > 1
-
-
-def simulate_step(
-    net: PresNet,
-    ts: TokenState,
-    interp: ex.Interpretation,
-    policy: SchedulePolicy = MaximalStep(),
-    rng: Optional[random.Random] = None,
-) -> tuple[FiringSet, TokenState]:
-    """Fire one maximal step chosen by the policy; values read the pre-step state."""
-    move, after, _ = _fire(net, ts, frozenset(ts), interp, policy, rng)
-    return move.fs, after
-
-
 def simulate_run(
     net: PresNet,
     inputs: TokenState,
@@ -282,9 +225,11 @@ def simulate_run(
 ) -> RunOutcome:
     """Iterate steps from the initial token assignment until rest or a bound.
 
-    Each step's tokens are a new dict that the trace keeps as it is, so the
-    last trace entry is the outcome's ``final_state`` itself; no caller in
-    presto changes either, and one that wants to copies it first.
+    Each step fires one maximal step chosen by the policy, and its values
+    read the pre-step state.  Each step's tokens are a new dict that the
+    trace keeps as it is, so the last trace entry is the outcome's
+    ``final_state`` itself; no caller in presto changes either, and one
+    that wants to copies it first.
     """
     marking = frozenset(inputs)
     if marking != frozenset(net.initial_marking):
@@ -293,20 +238,36 @@ def simulate_run(
         )
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    rng = random.Random(policy.seed) if isinstance(policy, RandomMaximal) else None
+    rng = random.Random(policy.seed) if isinstance(policy, RandomMaximal) else None  # None takes the first move
     ts = dict(inputs)
     trace: list[tuple[FiringSet, TokenState]] = []
     chose = False
     for step in range(max_steps + 1):  # the last step only probes whether the run is at rest
-        try:
-            move, after, choice = _fire(net, ts, marking, interp, policy, rng)
-        except NoEnabledSet as stop:
-            return RunOutcome(DEADLOCK if stop.structurally_enabled else QUIESCENT, ts, trace, step, chose)
-        except ValueBound:
-            return RunOutcome(VALUE_BOUND_EXCEEDED, ts, trace, step, chose)
+        values = _values(net, ts)
+        offered = marking_step(net, marking)
+        moves = offered.moves
+        if moves is None:
+            moves = offered.moves = [_Move(net, fs, succ) for fs, succ in zip(offered.sets, offered.successors)]
+        # A set's guard_set holds its chosen guards and the negated guards of
+        # the competitors it was carved out against; all must hold.
+        candidates = [move for move in moves if move.holds is None or move.holds(values, interp)]
+        if not candidates:
+            return RunOutcome(DEADLOCK if offered.enabled else QUIESCENT, ts, trace, step, chose)
+        # Draw even from a single candidate, so that a seed always makes the same choices.
+        move = candidates[0] if rng is None else rng.choice(candidates)
+        produced: dict[str, int] = {}
+        for fn, posts in move.effects:
+            value = fn(values, interp)
+            if value.bit_length() > MAX_VALUE_BITS:
+                return RunOutcome(VALUE_BOUND_EXCEEDED, ts, trace, step, chose)
+            for p in posts:
+                produced[p] = value
+        if type(move.successor) is str:
+            raise UnsafeMarking(move.successor)
         if step == max_steps:
             return RunOutcome(STEP_BOUND_EXCEEDED, ts, trace, max_steps, chose)
-        ts, marking, chose = after, move.successor, chose or choice
+        ts = {p: produced[p] if p in produced else ts[p] for p in move.marked}
+        marking, chose = move.successor, chose or len(candidates) > 1
         trace.append((move.fs, ts))
 
 

@@ -10,7 +10,7 @@ import time
 
 from presto import corpus, expr as ex
 from presto.cli import main as cli_main
-from presto.convert import construct_set_of_transitions, fire_set, pres_to_fsmd
+from presto.convert import marking_step, pres_to_fsmd
 from presto.dsl import parse_expression
 from presto.equiv import PortMap, check_cardinality, check_fsmd_equivalence, check_functional, Sampled, Symbolic, derive_right_inputs
 from presto.fsmd import apply_update_set, path_enumerate, path_transformation, UpdateSet
@@ -51,11 +51,11 @@ def test_criterion_1_guard_split_reproduction(guard_split):
         assert list(out[1].guard_set) == [ex.negate_guard(g)]
         assert conv.marking_of_state[out[0].target] == {"p4", "p5", "p6"}
         assert conv.marking_of_state[out[1].target] == {"p4", "p7"}
-        assert out[0].updates.as_dict() == {
+        assert dict(out[0].updates) == {
             "p4": parse_expression("f_t1(p1, p2)"),
             "p6": parse_expression("f_t2(p3)"),
         }
-        assert out[1].updates.as_dict() == {
+        assert dict(out[1].updates) == {
             "p4": parse_expression("f_t1(p1, p2)"),
             "p7": parse_expression("f_t3(p7)"),
         }
@@ -65,8 +65,8 @@ def test_criterion_2_jammer_conversions(jammer_nonpipelined, jammer_pipelined):
     with _Clock("criterion 2a: stepwise jammer conversion", 1.0):
         conv = pres_to_fsmd(jammer_nonpipelined)
         assert len(conv.fsmd.states) == 16
-        assert all(len(s) == 1 for q, s in conv.firing_sets.items()
-                   if conv.marking_of_state[q] != conv.marking_of_state["q15"])
+        assert all(len(marking_step(jammer_nonpipelined, m).sets) == 1 for m in conv.marking_of_state.values()
+                   if m != conv.marking_of_state["q15"])
         assert [sorted(row) for row in conv.labels] == [sorted(row) for row in STEPWISE_ROWS]
     with _Clock("criterion 2b: pipelined jammer conversion", 1.0):
         conv = pres_to_fsmd(jammer_pipelined)
@@ -190,16 +190,15 @@ def test_criterion_6_property_suites(jammer_nonpipelined, guard_split, racy):
         while checked < 1000:
             net = rng.choice(nets)
             marking = frozenset(p for p in net.places if rng.random() < 0.5) | net.initial_marking
-            sets = construct_set_of_transitions(net, marking)
-            if not sets:
+            step = marking_step(net, marking)
+            if not step.sets:
                 continue
-            fs = rng.choice(sets)
-            try:
-                nxt = fire_set(net, marking, fs)
-            except Exception:
+            fs, nxt = rng.choice(list(zip(step.sets, step.successors)))
+            if type(nxt) is str:  # a second token on some place
                 continue
-            consumed = frozenset().union(*(net.preset(t) for t in fs.transitions))
-            produced = frozenset().union(*(net.postset(t) for t in fs.transitions))
+            fired = list(map(net.transition, fs.transitions))
+            consumed = frozenset().union(*(t.pre for t in fired))
+            produced = frozenset().union(*(t.post for t in fired))
             assert nxt == (marking - consumed) | produced
             checked += 1
 

@@ -6,17 +6,15 @@ import pytest
 from presto import corpus, expr as ex
 from presto.convert import (
     ConversionConfig,
-    NotEnabled,
     StateBoundExceeded,
     UnsafeMarking,
     _conflict_groups,
     construct_set_of_transitions,
-    fire_set,
     marking_step,
     pres_to_fsmd,
 )
 from presto.dsl import parse_expression, parse_pres
-from presto.pres import enabled_transitions
+from presto.pres import PresError, PresNet, Transition, enabled_transitions
 
 from _gen import random_net
 
@@ -88,7 +86,7 @@ class TestConstructSetOfTransitions:
         conflict_free = []
         for r in range(1, len(enabled) + 1):
             for combo in itertools.combinations(enabled, r):
-                presets = [net.preset(t) for t in combo]
+                presets = [net.transition(t).pre for t in combo]
                 if all(not (a & b) for a, b in itertools.combinations(presets, 2)):
                     conflict_free.append(set(combo))
         maximal = [s for s in conflict_free if not any(s < other for other in conflict_free)]
@@ -116,9 +114,9 @@ class TestConstructSetOfTransitions:
 
 class TestFireSet:
     def test_guard_branch_markings(self, guard_split):
-        m0 = guard_split.initial_marking
-        assert fire_set(guard_split, m0, ("t1", "t2")) == {"p4", "p5", "p6"}
-        assert fire_set(guard_split, m0, ("t1", "t3")) == {"p4", "p7"}
+        step = marking_step(guard_split, guard_split.initial_marking)
+        assert [fs.transitions for fs in step.sets] == [("t1", "t2"), ("t1", "t3")]
+        assert step.successors == ({"p4", "p5", "p6"}, {"p4", "p7"})
 
     def test_self_loop_consume_then_produce(self):
         net = parse_pres(
@@ -130,15 +128,9 @@ class TestFireSet:
             }
             """
         )
-        assert fire_set(net, frozenset({"p", "q"}), ("t",)) == {"p"}
-
-    def test_not_enabled(self, guard_split):
-        with pytest.raises(NotEnabled):
-            fire_set(guard_split, frozenset({"p1", "p2", "p3"}), ("t2",))
-
-    def test_conflicting_pair_rejected(self, guard_split):
-        with pytest.raises(NotEnabled):
-            fire_set(guard_split, guard_split.initial_marking, ("t2", "t3"))
+        step = marking_step(net, frozenset({"p", "q"}))
+        assert [fs.transitions for fs in step.sets] == [("t",), ("s",)]
+        assert step.successors == ({"p"}, {"p", "r"})
 
     def test_unsafe_collision(self):
         net = parse_pres(
@@ -150,8 +142,9 @@ class TestFireSet:
             }
             """
         )
-        with pytest.raises(UnsafeMarking):
-            fire_set(net, net.initial_marking, ("ta", "tb"))
+        step = marking_step(net, net.initial_marking)
+        assert [fs.transitions for fs in step.sets] == [("ta", "tb")]
+        assert step.successors == ("firing ['ta', 'tb'] puts a second token on 'z'",)
 
 
 def _reference_groups(net, enabled):
@@ -164,7 +157,7 @@ def _reference_groups(net, enabled):
         while frontier:
             a = frontier.pop()
             for b in enabled:
-                if b not in group and net.preset(a) & net.preset(b):
+                if b not in group and net.transition(a).pre & net.transition(b).pre:
                     group.append(b)
                     frontier.append(b)
         seen.update(group)
@@ -177,14 +170,15 @@ def test_kernel_agrees_with_brute_force_reference(name):
     # The indexed kernel against the definitions: enabled means the whole
     # preset is marked, conflict groups are components of preset overlap,
     # firing sets come in product order with declaration-ordered members,
-    # and firing consumes every preset and produces every postset.
+    # and firing consumes every preset and produces every postset, unless a
+    # place would get a second token.
     net = random_net(int(name[6:])) if name.startswith("random") else corpus.load_net(name)
     order = [t.id for t in net.transitions]
     rng = random.Random(name)
     markings = [frozenset(net.places), frozenset(net.initial_marking)]
     markings += [frozenset(p for p in net.places if rng.random() < rng.random()) for _ in range(60)]
     for m in markings:
-        enabled = [t for t in order if net.preset(t) <= m]
+        enabled = [t.id for t in net.transitions if t.pre <= m]
         assert enabled_transitions(net, m) == set(enabled)
         groups = _reference_groups(net, enabled)
         assert [[t.id for t in group] for group in _conflict_groups(list(map(net.transition, enabled)))] == groups
@@ -196,18 +190,13 @@ def test_kernel_agrees_with_brute_force_reference(name):
         step = marking_step(net, m)
         assert list(step.sets) == sets
         for fs, successor in zip(sets, step.successors):
-            consumed = set().union(*(net.preset(t) for t in fs.transitions))
-            produced = [p for t in fs.transitions for p in net.postset(t)]
+            fired = list(map(net.transition, fs.transitions))
+            consumed = set().union(*(t.pre for t in fired))
+            produced = [p for t in fired for p in t.post]
             if len(set(produced)) < len(produced) or set(produced) & (m - consumed):
-                with pytest.raises(UnsafeMarking) as unsafe:
-                    fire_set(net, m, fs)
-                assert successor == str(unsafe.value)
+                assert successor.startswith(f"firing {sorted(fs.transitions)} puts a second token on ")
             else:
-                assert fire_set(net, m, fs) == (m - consumed) | set(produced) == successor
-        for a, b in itertools.combinations(enabled, 2):
-            if net.preset(a) & net.preset(b):
-                with pytest.raises(NotEnabled, match="compete for a token"):
-                    fire_set(net, m, (a, b))
+                assert successor == (m - consumed) | set(produced)
 
 
 class TestPresToFsmd:
@@ -222,11 +211,11 @@ class TestPresToFsmd:
         assert list(out[1].guard_set) == [ex.negate_guard(g)]
         assert conv.marking_of_state[out[0].target] == {"p4", "p5", "p6"}
         assert conv.marking_of_state[out[1].target] == {"p4", "p7"}
-        assert out[0].updates.as_dict() == {
+        assert dict(out[0].updates) == {
             "p4": parse_expression("f_t1(p1, p2)"),
             "p6": parse_expression("f_t2(p3)"),
         }
-        assert out[1].updates.as_dict() == {
+        assert dict(out[1].updates) == {
             "p4": parse_expression("f_t1(p1, p2)"),
             "p7": parse_expression("f_t3(p7)"),
         }
@@ -249,7 +238,7 @@ class TestPresToFsmd:
         conv = pres_to_fsmd(net)
         assert len(conv.fsmd.states) == 2
         assert len(conv.fsmd.transitions) == 1
-        assert conv.fsmd.transitions[0].updates.as_dict() == {"b": parse_expression("f(a)")}
+        assert dict(conv.fsmd.transitions[0].updates) == {"b": parse_expression("f(a)")}
 
     def test_conversion_is_deterministic(self, jammer_pipelined):
         a = pres_to_fsmd(jammer_pipelined)
@@ -261,29 +250,40 @@ class TestPresToFsmd:
     def test_stepwise_jammer_shape_and_labels(self, jammer_nonpipelined):
         conv = pres_to_fsmd(jammer_nonpipelined)
         assert len(conv.fsmd.states) == 16
-        assert all(len(sets) <= 1 for sets in conv.firing_sets.values())
+        assert all(len(marking_step(jammer_nonpipelined, m).sets) <= 1 for m in conv.marking_of_state.values())
         assert [sorted(row) for row in conv.labels] == [sorted(row) for row in STEPWISE_ROWS]
 
     def test_pipelined_jammer_shape_and_labels(self, jammer_pipelined):
         conv = pres_to_fsmd(jammer_pipelined)
         assert len(conv.fsmd.states) == 10
-        assert all(len(sets) <= 1 for sets in conv.firing_sets.values())
+        assert all(len(marking_step(jammer_pipelined, m).sets) <= 1 for m in conv.marking_of_state.values())
         assert [sorted(row) for row in conv.labels] == [sorted(row) for row in PIPELINED_ROWS]
 
     def test_updates_cover_exactly_the_produced_variables(self, guard_split, jammer_nonpipelined):
         for net in (guard_split, jammer_nonpipelined):
             conv = pres_to_fsmd(net)
-            for q, sets in conv.firing_sets.items():
-                for fs, t in zip(sets, [t for t in conv.fsmd.transitions if t.source == q]):
-                    produced = {net.postset_var(tid) for tid in fs.transitions}
+            for q, m in conv.marking_of_state.items():
+                for fs, t in zip(marking_step(net, m).sets, [t for t in conv.fsmd.transitions if t.source == q]):
+                    produced = {net.var_of[min(net.transition(tid).post)] for tid in fs.transitions}
                     assert {a.target for a in t.updates} == produced
                     readers = set(fs.transitions)
                     for tid, other in itertools.product(fs.transitions, net.transitions):
-                        if net.preset(tid) & net.preset(other.id):
+                        if net.transition(tid).pre & other.pre:
                             readers.add(other.id)
-                    scope = {net.var_of[p] for tid in readers for p in net.preset(tid)}
+                    scope = {net.var_of[p] for tid in readers for p in net.transition(tid).pre}
                     for g in t.guard_set:
                         assert ex.free_vars(g) <= scope
+
+    def test_empty_postset_is_an_error_naming_the_transition(self):
+        # A net built in code reaches the converter without validate_net,
+        # which would report the empty post-set as EmptyPostset.
+        a = frozenset({"a"})
+        net = PresNet("sink", ("a", "b"), {"a": "a", "b": "b"},
+                      (Transition("keep", a, frozenset({"b"}), ex.Var("a")),
+                       Transition("drop", a, frozenset(), ex.Var("a"))), a)
+        assert enabled_transitions(net, a) == {"keep", "drop"}
+        with pytest.raises(PresError, match="^transition 'drop' has an empty post-set$"):
+            pres_to_fsmd(net)
 
     def test_state_bound(self, addthree_a):
         with pytest.raises(StateBoundExceeded):
@@ -318,7 +318,7 @@ class TestPresToFsmd:
         monkeypatch.setattr(ex, "apply_chain", lambda e: chains.append(e) or real(e))
         conv = pres_to_fsmd(net, ConversionConfig(on_unsafe="reject"))
         assert chains == []  # only a reader of the labels pays for them
-        ta_tb, tc_tb = conv.firing_sets["q0"]  # ta and tb both put a token on z: rejected
+        ta_tb, tc_tb = marking_step(net, conv.marking_of_state["q0"]).sets  # ta and tb both put a token on z: rejected
         assert [t.source for t in conv.fsmd.transitions] == ["q0"] and conv.fired == [tc_tb]
         assert conv.labels == [[("tc",), ("fb",)]] and len(chains) == 2
         assert conv.labels is conv.labels and len(chains) == 2

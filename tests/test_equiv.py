@@ -15,7 +15,7 @@ from presto.equiv import (
     check_functional,
     derive_right_inputs,
 )
-from presto.fsmd import Fsmd, FsmdTransition, UpdateSet, run_machine
+from presto.fsmd import Fsmd, FsmdTransition, UpdateSet, machine_run
 from presto.sim import QUIESCENT, SeededInterpretation, out_port_values, simulate_run
 from presto.verdict import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT
 
@@ -287,10 +287,12 @@ def test_fsmd_verdicts_agree_with_concrete_runs():
         seen[verdict.status] += 1
         if verdict.status == NOT_EQUIVALENT:
             vector = verdict.witness["vector"]
-            assert run_machine(left, vector, functions)["y"] != run_machine(right, vector, functions)["y"], case
+            left_y, right_y = (machine_run(m, vector, functions)[0]["y"] for m in (left, right))
+            assert left_y != right_y, case
         elif verdict.status == EQUIVALENT:
             for env in [*envs, *(random_env(rng) for _ in range(4))]:
-                assert run_machine(left, env.values, functions)["y"] == run_machine(right, env.values, functions)["y"]
+                left_y, right_y = (machine_run(m, env.values, functions)[0]["y"] for m in (left, right))
+                assert left_y == right_y
     assert seen[EQUIVALENT] > 50 and seen[NOT_EQUIVALENT] > 50, seen
 
 
@@ -305,7 +307,7 @@ class TestLoops:
         verdict = check_fsmd_equivalence(m1, m2, {"s": "s"}, [{"n": 0}, {"n": 4}], max_steps=64)
         assert verdict.status == NOT_EQUIVALENT
         assert verdict.witness["vector"] == {"n": 4} and verdict.witness["values"] == [6, 12]
-        assert run_machine(m1, {"n": 4})["s"] != run_machine(m2, {"n": 4})["s"]
+        assert machine_run(m1, {"n": 4})[0]["s"] != machine_run(m2, {"n": 4})[0]["s"]
         # A run that cannot finish the loop confirms nothing.
         verdict = check_fsmd_equivalence(m1, m2, {"s": "s"}, [{"n": 0}, {"n": 4}], max_steps=5)
         assert verdict.status == INCONCLUSIVE

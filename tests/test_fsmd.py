@@ -23,7 +23,6 @@ from presto.fsmd import (
     path_cover,
     path_enumerate,
     path_transformation,
-    run_machine,
     validate_fsmd,
 )
 
@@ -68,6 +67,14 @@ class TestApplyUpdateSet:
             apply_update_set(UpdateSet.of([("z", X)]), {"x": X})
         with pytest.raises(UnknownVariable):
             apply_update_set(UpdateSet.of([("x", ex.Var("zz"))]), {"x": X})
+
+
+def test_outgoing_hands_out_each_states_tuple_as_it_is():
+    # path_enumerate and machine_run ask for it on every step and only iterate it.
+    first, second = step("q0", "q1"), step("q0", "q2")
+    m = machine([first, step("q1", "q3"), second])
+    assert m.outgoing("q0") == (first, second) and m.outgoing("q0") is m.outgoing("q0")
+    assert m.outgoing("q3") == () and m.terminal_states() == {"q2", "q3"}
 
 
 class TestPathEnumerate:
@@ -204,27 +211,27 @@ class TestRunMachine:
                      step("q0", "q2", [ex.Rel("<=", X, ex.IntConst(0))], [("y", X)]),
                      step("q1", "q3", (), [("y", ex.add(Y, X))])])
         f = {"f": lambda v: 10 * v}
-        assert run_machine(m, {"x": 2}, f) == {"x": 2, "y": 22}
-        assert run_machine(m, {"x": -2}, f) == {"x": -2, "y": -2}
+        assert machine_run(m, {"x": 2}, f)[0] == {"x": 2, "y": 22}
+        assert machine_run(m, {"x": -2}, f)[0] == {"x": -2, "y": -2}
 
     def test_updates_read_the_pre_step_store(self):
         m = machine([step("q0", "q1", (), [("x", Y), ("y", X)])], states=("q0", "q1"), inputs=(), storage=("x", "y"))
-        assert run_machine(m, {"x": 1, "y": 2}) == {"x": 2, "y": 1}
+        assert machine_run(m, {"x": 1, "y": 2})[0] == {"x": 2, "y": 1}
 
     def test_a_run_through_a_loop_takes_up_to_max_steps(self):
         m = corpus.load_fsmd("sum_loop")  # n = 4: one step in, four passes, one step out
-        assert run_machine(m, {"n": 4})["s"] == 6
-        assert run_machine(m, {"n": 4}, max_steps=6)["s"] == 6
-        assert run_machine(m, {"n": 4}, max_steps=5) is None
+        assert machine_run(m, {"n": 4})[0]["s"] == 6
+        assert machine_run(m, {"n": 4}, max_steps=6)[0]["s"] == 6
+        assert machine_run(m, {"n": 4}, max_steps=5)[0] is None
 
     def test_stuck_ambiguous_and_looping_runs_have_no_store(self):
         positive = ex.Rel(">", X, ex.IntConst(0))
         stuck = machine([step("q0", "q1", [positive])], states=("q0", "q1"))
-        assert run_machine(stuck, {"x": 0}) is None
+        assert machine_run(stuck, {"x": 0})[0] is None
         ambiguous = machine([step("q0", "q1", [positive]), step("q0", "q2", ())], states=("q0", "q1", "q2"))
-        assert run_machine(ambiguous, {"x": 1}) is None
+        assert machine_run(ambiguous, {"x": 1})[0] is None
         loop = machine([step("q0", "q1"), step("q1", "q0")], states=("q0", "q1"))
-        assert run_machine(loop, {"x": 1}) is None
+        assert machine_run(loop, {"x": 1})[0] is None
 
     def test_a_run_whose_values_outgrow_the_bound_ends_without_a_store(self):
         # Squaring doubles the bit length on every pass: 2 ** (2 ** 13) has
@@ -233,7 +240,6 @@ class TestRunMachine:
                           step("q0", "q1", [ex.Rel("<=", X, ex.IntConst(0))])],
                          states=("q0", "q1"), inputs=(), storage=("x",), outputs=("x",))
         start = time.perf_counter()
-        assert run_machine(square, {"x": 2}) is None
         assert machine_run(square, {"x": 2}) == (None, f"made a value of more than {MAX_VALUE_BITS} bits")
         assert time.perf_counter() - start < 1.0
         assert machine_run(square, {"x": 0}) == ({"x": 0}, "")
@@ -350,7 +356,7 @@ def test_20000_state_chain_is_cut_in_linear_time():
 
 
 def test_20000_state_chain_is_walked_in_linear_time():
-    # Each step of path_enumerate and run_machine looks up one state's
+    # Each step of path_enumerate and machine_run looks up one state's
     # outgoing transitions; scanning every transition there instead makes
     # this walk quadratic (tens of seconds).  The bound is loose.
     stages = 20_000
@@ -358,7 +364,7 @@ def test_20000_state_chain_is_walked_in_linear_time():
     functions = {f"f{k}": (lambda a: a % 5) for k in range(12)}
     start = time.perf_counter()
     enum = path_enumerate(m, m.reset, m.terminal_states())
-    store = run_machine(m, {"x": 3}, functions)
+    store = machine_run(m, {"x": 3}, functions)[0]
     assert time.perf_counter() - start < 5
     assert len(enum.paths) == 1 and len(enum.paths[0]) == stages
     expected = 3

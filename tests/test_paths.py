@@ -18,8 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from presto import cli, equiv, expr as ex
 from presto.equiv import check_fsmd_equivalence
-from presto.fsmd import (Fsmd, FsmdTransition, UpdateSet, machine_run, path_enumerate, path_transformation,
-                         run_machine)
+from presto.fsmd import Fsmd, FsmdTransition, UpdateSet, machine_run, path_enumerate, path_transformation
 from presto.verdict import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT
 
 from _gen import compile_program, perfbench_families, random_env, random_program, variant
@@ -55,7 +54,7 @@ def runs(m1, m2, vectors, functions, max_steps=1_000):
     out = []
     for vector in vectors:
         try:
-            s1, s2 = run_machine(m1, vector, functions, max_steps), run_machine(m2, vector, functions, max_steps)
+            s1, s2 = (machine_run(m, vector, functions, max_steps)[0] for m in (m1, m2))
         except ex.ExprError:
             continue
         if s1 is not None and s2 is not None:
@@ -105,7 +104,8 @@ def _pair(seed, loops):
 def _replays(verdict, left, right, functions, max_steps=1_000):
     vector = verdict.witness["vector"]
     p, q = verdict.witness["variable_pair"]
-    return run_machine(left, vector, functions, max_steps)[p] != run_machine(right, vector, functions, max_steps)[q]
+    left_store, right_store = (machine_run(m, vector, functions, max_steps)[0] for m in (left, right))
+    return left_store[p] != right_store[q]
 
 
 def test_walk_agrees_with_whole_path_enumeration_on_loop_free_pairs():

@@ -148,8 +148,7 @@ class TestValidate:
 
 def _indices(net: PresNet) -> list:
     """Every index of ``net``, entries in order."""
-    return [list(index.items()) for index in (net._pre_t, net._post_t, net._consumers, net.order,
-                                              net.place_order)]
+    return [list(index.items()) for index in (net._consumers, net.order, net.place_order)]
 
 
 def _rebuilt(net: PresNet) -> PresNet:
@@ -215,7 +214,8 @@ def test_a_transition_declared_twice_is_indexed_by_its_last_declaration_whether_
     read = parse_pres(text)
     assert read == built
     assert _indices(read) == _indices(built)
-    assert (read.preset("t"), read.postset("t"), read.transition("t").fn) == (B, {"c"}, ex.Var("b"))
+    t = read.transition("t")
+    assert (t.pre, t.post, t.fn) == (B, {"c"}, ex.Var("b"))
     assert adjacency(read, "a") == (frozenset(), frozenset())
 
 

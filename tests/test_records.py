@@ -118,8 +118,7 @@ def _converted():
          "storage=frozenset({'y'}), outputs=frozenset({'y'}), transitions=(FsmdTransition(source='q0', guard_set=(), "
          "target='q1', updates=UpdateSet(assignments=(Assignment(target='y', expr=Apply(symbol='f', "
          "args=(Var(name='x'),))),))),)), marking_of_state={'q0': frozenset({'a'}), 'q1': frozenset({'b'})}, "
-         "labels=[[('f',)]], firing_sets={'q0': [FiringSet(transitions=('t',), guard_set=())], 'q1': []}, "
-         "warnings=[])"),
+         "labels=[[('f',)]], warnings=[])"),
         (ScenarioDocument("s", left="a.pres"),
          "ScenarioDocument(name='s', left='a.pres', right=None, check='functional', strategy='symbolic', in_map={}, "
          "out_map={}, var_map={}, vectors=[], interps=[], default_seed=None, max_steps=1000, state_bound=10000, "

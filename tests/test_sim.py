@@ -5,6 +5,7 @@ import time
 import pytest
 
 from presto import sim
+from presto.convert import UnsafeMarking
 from presto.dsl import parse_pres, parse_scenario
 from presto.expr import SortMismatch
 from presto.fsmd import MAX_VALUE_BITS
@@ -14,7 +15,6 @@ from presto.sim import (
     STEP_BOUND_EXCEEDED,
     VALUE_BOUND_EXCEEDED,
     MaximalStep,
-    NoEnabledSet,
     RandomMaximal,
     SeededInterpretation,
     check_arities,
@@ -23,7 +23,6 @@ from presto.sim import (
     interpretation,
     out_port_values,
     simulate_run,
-    simulate_step,
     trace_json,
 )
 
@@ -47,9 +46,9 @@ class TestSimulateStep:
             }
             """
         )
-        fired, ts = simulate_step(net, {"a": 2}, {})
-        assert fired.transitions == ("t",)
-        assert ts == {"b": 5}
+        run = simulate_run(net, {"a": 2}, {}, max_steps=1)
+        (fired, ts), = run.trace
+        assert (run.status, fired.transitions, ts) == (QUIESCENT, ("t",), {"b": 5})
 
     def test_nullary_transfer_function_and_guard(self):
         net = parse_pres(
@@ -76,24 +75,27 @@ class TestSimulateStep:
             """
         )
         # t and s conflict on q; the set containing t keeps p's token as is
-        fired, ts = simulate_step(net, {"p": 11, "q": 4}, {})
-        assert ts["p"] == 11
+        run = simulate_run(net, {"p": 11, "q": 4}, {}, max_steps=1)
+        (fired, ts), = run.trace
+        assert (run.status, fired.transitions, ts) == (QUIESCENT, ("t",), {"p": 11})
 
     def test_false_guard_selects_the_negated_branch(self, guard_split):
         ts = {"p1": 1, "p2": 2, "p3": 0, "p7": 9}
-        fired, out = simulate_step(guard_split, ts, GUARD_SPLIT_INTERP)
-        assert fired.transitions == ("t1", "t3")
-        assert out == {"p4": 3, "p7": 9}
+        run = simulate_run(guard_split, ts, GUARD_SPLIT_INTERP, max_steps=1)
+        (fired, out), = run.trace
+        assert (run.status, fired.transitions, out) == (QUIESCENT, ("t1", "t3"), {"p4": 3, "p7": 9})
 
     def test_true_guard_selects_the_guarded_branch(self, guard_split):
         ts = {"p1": 1, "p2": 2, "p3": 5, "p7": 9}
-        fired, out = simulate_step(guard_split, ts, GUARD_SPLIT_INTERP)
-        assert fired.transitions == ("t1", "t2")
-        assert out == {"p4": 3, "p5": 10, "p6": 10}
+        run = simulate_run(guard_split, ts, GUARD_SPLIT_INTERP, max_steps=1)
+        (fired, out), = run.trace
+        assert (run.status, fired.transitions, out) == (QUIESCENT, ("t1", "t2"), {"p4": 3, "p5": 10, "p6": 10})
 
     def test_no_enabled_set(self, guard_split):
-        with pytest.raises(NoEnabledSet):
-            simulate_step(guard_split, {"p1": 1}, GUARD_SPLIT_INTERP)
+        # t1 needs p1 and p2, so a run from p1 alone is at rest before its first step.
+        net = guard_split._replace(initial_marking=frozenset({"p1"}))
+        run = simulate_run(net, {"p1": 1}, GUARD_SPLIT_INTERP, max_steps=1)
+        assert (run.status, run.steps, run.trace, run.final_state) == (QUIESCENT, 0, [], {"p1": 1})
 
 
     def test_marked_places_sharing_a_variable_must_agree(self):
@@ -168,8 +170,8 @@ class TestSimulateRun:
             run = simulate_run(net, vector, SeededInterpretation(1), RandomMaximal(7), 64)
             marked = frozenset(vector)
             for fs, ts in run.trace:
-                consumed = frozenset().union(*(net.preset(t) for t in fs.transitions))
-                produced = frozenset().union(*(net.postset(t) for t in fs.transitions))
+                consumed = frozenset().union(*(net.transition(t).pre for t in fs.transitions))
+                produced = frozenset().union(*(net.transition(t).post for t in fs.transitions))
                 assert frozenset(ts) == (marked - consumed) | produced
                 assert list(ts) == [p for p in net.places if p in ts]  # in place order, whatever the hashing
                 marked = frozenset(ts)
@@ -358,3 +360,23 @@ def test_a_run_ends_when_a_token_value_outgrows_the_bound():
     assert verdict.status == "Inconclusive"
     limit = f"(a token value passed the {MAX_VALUE_BITS}-bit limit)"
     assert verdict.reason == f"seed 0 ended ValueBoundExceeded after 11 steps {limit}"
+
+
+def test_the_last_step_only_probes_value_bound_then_safety_then_step_bound():
+    # At step max_steps the run only looks whether it could go on; what that
+    # step would do is tested in this order: a value past the bound, a second
+    # token on a place, and only then the step bound.
+    grow = parse_pres(GROW)
+    ends = [simulate_run(grow, {"a": 3}, {}, max_steps=n) for n in (10, 11, 40)]
+    assert [(run.status, run.steps) for run in ends] == [
+        (STEP_BOUND_EXCEEDED, 10), (VALUE_BOUND_EXCEEDED, 11), (VALUE_BOUND_EXCEEDED, 11)]
+    chain = parse_pres("""
+        net refill {
+          place a marked; place b; place c marked;
+          transition t1 { pre a; post b; fn a; }
+          transition t2 { pre b; post c; fn b; }
+        }
+    """)
+    for max_steps in (1, 2):
+        with pytest.raises(UnsafeMarking, match="second token on 'c'"):
+            simulate_run(chain, {"a": 1, "c": 2}, {}, max_steps=max_steps)

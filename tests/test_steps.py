@@ -180,7 +180,7 @@ def _indices_by_definition(net: PresNet) -> None:
         assert net._consumers[p] == consumers, p
         assert adjacency(net, p) == (producers, frozenset(consumers)), p
     for t in net.transitions:
-        assert (net.preset(t.id), net.postset(t.id)) == (t.pre, t.post)
+        assert net.transition(t.id) == t
         assert adjacency(net, t.id) == (t.pre, t.post)
     ports = classify_ports(net)
     assert ports.in_ports == {p for p in net.places if not any(p in t.post for t in net.transitions)}
