@@ -11,9 +11,10 @@ group where an unguarded transition wins over a guarded one the loser's
 guard is recorded negated.  Firing sets whose guard decisions contradict
 each other syntactically are dropped with a warning.
 
-What a marking offers (its firing sets, their successor markings and the
-dropped sets) is computed once per net and marking, in the net's step
-table (:func:`marking_step`), which the simulator reads too.
+What a marking offers, its conflict groups with their options, is computed
+once per net and marking in the net's step table (:func:`marking_step`),
+with a cache of the choices made ready to fire that the simulator shares.
+Only conversion builds the product (:func:`construct_set_of_transitions`).
 
 The machine's interface follows the marking: inputs are the variables of
 initially marked places that no transition writes, storage the rest,
@@ -110,8 +111,8 @@ def _decided(guard: ex.Expr) -> tuple[ex.Expr, ex.Expr, ex.Expr]:
     return guard, ex.normalize(guard), ex.normalize(ex.negate_guard(guard))
 
 
-def _guard_set(choice: tuple[tuple[list[str], list], ...]) -> Optional[tuple[ex.Expr, ...]]:
-    """Guard set of a combination's decisions, or None when it contradicts itself."""
+def _guard_set(choice: list[tuple[tuple[Transition, ...], tuple]]) -> Optional[tuple[ex.Expr, ...]]:
+    """Guard set of a choice's decisions, or None when it contradicts itself."""
     normals: dict[ex.Expr, ex.Expr] = {}
     for _, decided in choice:
         for guard, normal, negated in decided:
@@ -121,30 +122,21 @@ def _guard_set(choice: tuple[tuple[list[str], list], ...]) -> Optional[tuple[ex.
     return tuple(normals.values())
 
 
-def construct_set_of_transitions(
-    net: PresNet, m: frozenset[str], warnings: Optional[list[Violation]] = None
-) -> list[FiringSet]:
-    """All maximal firing sets available at a marking, in deterministic order.
+def _parts(net: PresNet, m: frozenset[str]) -> tuple[tuple[tuple[tuple[Transition, ...], tuple], ...], ...]:
+    """The conflict groups enabled at ``m`` as parts with their options.
 
-    Unguarded, conflict-free transitions appear in every set; conflicting
-    transitions produce one alternative per choice.  Combinations whose
-    guard decisions contain both a guard and its negation are dropped
-    (reported through ``warnings`` when given).
-
-    The product ranges over the groups that offer a choice.  Each run of
-    consecutive one-member groups is gathered once per marking into one
-    part with one option, so a combination still lists its members and
-    guard decisions in the order of the groups.
+    A group that offers a choice is one part, with one option per member; a
+    run of consecutive one-member groups is one part with one option.  An
+    option pairs its transitions, in declaration order, with its guard
+    decisions (see :func:`_decided`).
     """
     transitions, order = net.transitions, net.order
     enabled = [transitions[i] for i in sorted(map(order.__getitem__, enabled_transitions(net, m)))]
-    if not enabled:
-        return []
-    parts: list[list[tuple[list[str], list]]] = []  # per part, its options: members and their guard decisions
+    parts = []
     for size, run in itertools.groupby(_conflict_groups(enabled), len):
         if size == 1:  # a run of groups without a choice: one part with one option
-            alone = [group[0] for group in run]
-            parts.append([([t.id for t in alone], [_decided(t.guard) for t in alone if t.guard is not None])])
+            alone = tuple([group[0] for group in run])
+            parts.append(((alone, tuple([_decided(t.guard) for t in alone if t.guard is not None])),))
             continue
         for group in run:
             options = []
@@ -153,83 +145,98 @@ def construct_set_of_transitions(
                 if guard is None and size == 2:  # chosen unguarded, it decides against a guarded rival
                     rival = group[0] if t is group[1] else group[1]
                     guard = None if rival.guard is None else ex.negate_guard(rival.guard)
-                options.append(([t.id], [] if guard is None else [_decided(guard)]))
-            parts.append(options)
-    sets: list[FiringSet] = []
-    for choice in itertools.product(*parts):
-        chosen = [tid for ids, _ in choice for tid in ids]
-        guards = _guard_set(choice)
-        if guards is None:
-            if warnings is not None:
-                warnings.append(
-                    Violation("InconsistentGuards", "+".join(chosen), "contradictory guard decisions; set dropped")
-                )
-            continue
-        sets.append(FiringSet(tuple(sorted(chosen, key=order.__getitem__)), guards))
-    return sets
-
-
-def _successor(m: frozenset[str], fired: list[Transition]) -> frozenset[str]:
-    """Consume and produce for transitions that are enabled at ``m`` and
-    share no input place; raises :class:`UnsafeMarking` when a place
-    would get a second token."""
-    remaining = m.difference(*[t.pre for t in fired])
-    posts = [t.post for t in fired]
-    produced = frozenset().union(*posts)
-    if len(produced) < sum(map(len, posts)) or not remaining.isdisjoint(produced):
-        seen: set[str] = set()  # name the first place that gets a second token
-        for p in itertools.chain.from_iterable(posts):
-            if p in seen or p in remaining:
-                raise UnsafeMarking(f"firing {sorted(t.id for t in fired)} puts a second token on {p!r}")
-            seen.add(p)
-    return remaining | produced
+                options.append(((t,), () if guard is None else (_decided(guard),)))
+            parts.append(tuple(options))
+    return tuple(parts)
 
 
 class Step(Record):
     """What one marking of a net offers, computed once per net and marking.
 
-    ``sets`` are the maximal firing sets in order, and ``successors`` the
-    marking each one leads to or, where firing it would put a second token
-    on a place, the message of that :class:`UnsafeMarking`.  ``dropped``
-    holds the ``InconsistentGuards`` violations of the combinations left
-    out, and ``enabled`` says whether any transition is structurally
-    enabled.  ``moves`` is the simulator's compiled form of the sets, made
-    on its first use.  Steps compare and hash by identity.
+    ``parts`` (see :func:`_parts`) are empty where nothing is structurally
+    enabled; a maximal step takes one option of each.  ``firings`` is the
+    per-choice cache of :func:`firing`.  Steps compare and hash by identity.
     """
 
-    __slots__ = _fields = ("sets", "successors", "dropped", "enabled", "moves")
+    __slots__ = _fields = ("parts", "firings")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, sets: tuple[FiringSet, ...], successors: tuple[frozenset[str] | str, ...],
-                 dropped: tuple[Violation, ...], enabled: bool, moves: Optional[list] = None) -> None:
-        self.sets, self.successors, self.dropped, self.enabled, self.moves = sets, successors, dropped, enabled, moves
+    def __init__(self, parts: tuple) -> None:
+        self.parts, self.firings = parts, {}
 
 
 def marking_step(net: PresNet, m: frozenset[str]) -> Step:
     """The :class:`Step` of marking ``m`` from ``net``'s table, computed on the first call."""
     step = net.steps.get(m)
     if step is None:
-        dropped: list[Violation] = []
-        sets = construct_set_of_transitions(net, m, dropped)
-        successors: list[frozenset[str] | str] = []
-        transitions, order = net.transitions, net.order
-        for fs in sets:  # enabled at m, and no two members share an input place
-            try:
-                successors.append(_successor(m, [transitions[order[tid]] for tid in fs.transitions]))
-            except UnsafeMarking as err:
-                successors.append(str(err))
-        # Where transitions are enabled, every combination of them is kept or dropped.
-        step = net.steps[m] = Step(tuple(sets), tuple(successors), tuple(dropped), bool(sets or dropped))
+        step = net.steps[m] = Step(_parts(net, m))
     return step
+
+
+def firing(net: PresNet, m: frozenset[str], step: Step, at: tuple[int, ...]) -> Optional[tuple]:
+    """The choice of option ``at[i]`` of each part of ``step`` (the step of
+    ``m``) as ``(fs, fired, successor, marked)``: its :class:`FiringSet`, its
+    transitions in declaration order, the marking it leads to (or the
+    :class:`UnsafeMarking` message) and that marking's places in place order;
+    None where its guard decisions contradict each other.  Made on the first
+    call and kept in ``step.firings``."""
+    firings = step.firings
+    if at in firings:
+        return firings[at]
+    choice = [options[i] for options, i in zip(step.parts, at)]
+    guards = _guard_set(choice)
+    if guards is None:
+        firings[at] = None
+        return None
+    fired = [t for members, _ in choice for t in members]
+    if len(choice) > 1:  # one option already lists its members in declaration order
+        fired.sort(key=lambda t: net.order[t.id])
+    # The members are enabled at m and share no input place: consume, then produce.
+    remaining = m.difference(*[t.pre for t in fired])
+    posts = [t.post for t in fired]
+    successor, marked = remaining.union(*posts), ()
+    if len(successor) < len(remaining) + sum(map(len, posts)):  # a place gets a second token: name the first
+        flat = [p for post in posts for p in post]
+        p = next(p for i, p in enumerate(flat) if p in remaining or p in flat[:i])
+        successor = f"firing {sorted(t.id for t in fired)} puts a second token on {p!r}"
+    else:
+        marked = tuple(sorted(successor, key=net.place_order.__getitem__))
+    made = firings[at] = (FiringSet(tuple([t.id for t in fired]), guards), tuple(fired), successor, marked)
+    return made
+
+
+def construct_set_of_transitions(
+    net: PresNet, m: frozenset[str], warnings: Optional[list[Violation]] = None
+) -> list[tuple]:
+    """All maximal firing sets of a marking, in deterministic order, as :func:`firing` makes them.
+
+    They are the product over the parts of the marking's step, the last part
+    running fastest; each lists its members in declaration order and its
+    guard decisions in the order of the parts.  Combinations whose guard
+    decisions contain both a guard and its negation are dropped (reported
+    through ``warnings`` when given).
+    """
+    step = marking_step(net, m)
+    if not step.parts:
+        return []
+    made: list[tuple] = []
+    for at in itertools.product(*[range(len(options)) for options in step.parts]):
+        f = firing(net, m, step, at)
+        if f is not None:
+            made.append(f)
+        elif warnings is not None:
+            chosen = "+".join([t.id for options, i in zip(step.parts, at) for t in options[i][0]])
+            warnings.append(Violation("InconsistentGuards", chosen, "contradictory guard decisions; set dropped"))
+    return made
 
 
 class Conversion(Record):
     """Converted machine plus the bookkeeping that ties it back to the net.
 
     ``fired`` holds the firing set of each machine transition, in the
-    machine's order.  Every set of a state, including those that
-    ``on_unsafe="reject"`` left without a transition, is in the
-    :func:`marking_step` of its marking.
+    machine's order.  The sets of a state, including those that
+    ``on_unsafe="reject"`` left without a transition, are the product that
+    :func:`construct_set_of_transitions` makes of its marking's step.
     """
 
     __slots__ = ("fsmd", "marking_of_state", "fired", "warnings", "_labels")
@@ -257,9 +264,9 @@ class Conversion(Record):
         return len(self.marking_of_state)
 
 
-def _updates_for(net: PresNet, fs: FiringSet) -> UpdateSet:
+def _updates_for(net: PresNet, fired: tuple[Transition, ...]) -> UpdateSet:
     pairs = []
-    for t in map(net.transition, fs.transitions):
+    for t in fired:
         if not t.post:  # a net built in code reaches here unvalidated
             raise PresError(f"transition {t.id!r} has an empty post-set")
         pairs.append((net.var_of[min(t.post)], t.fn))
@@ -290,9 +297,7 @@ def pres_to_fsmd(net: PresNet, cfg: ConversionConfig = ConversionConfig()) -> Co
     while work:
         m = work.popleft()
         q = state_of[m]
-        step = marking_step(net, m)
-        warnings += step.dropped
-        for fs, succ in zip(step.sets, step.successors):
+        for fs, members, succ, _ in construct_set_of_transitions(net, m, warnings):
             if type(succ) is str:
                 if cfg.on_unsafe == "reject":
                     warnings.append(Violation("UnsafeMarking", "+".join(fs.transitions), succ))
@@ -306,7 +311,7 @@ def pres_to_fsmd(net: PresNet, cfg: ConversionConfig = ConversionConfig()) -> Co
                 marking_of[name] = succ
                 work.append(succ)
             try:
-                updates = _updates_for(net, fs)
+                updates = _updates_for(net, members)
             except DuplicateTarget as err:
                 raise DuplicateTarget(err.name, f"firing set {'+'.join(fs.transitions)} at {q}") from None
             transitions.append(FsmdTransition(q, fs.guard_set, state_of[succ], updates))

@@ -9,8 +9,9 @@ transition produces one value.
 
 Nets are treated as immutable after construction; all queries here are
 pure and safe for concurrent readers.  A net also carries a table of what
-each marking offers, which conversion and simulation fill lazily (see
-:func:`presto.convert.marking_step`), and its ports, which
+each marking offers, its conflict groups with their options and the choices
+made ready to fire, which conversion and simulation fill lazily and share
+(see :func:`presto.convert.marking_step`), and its ports, which
 :func:`classify_ports` keeps on first use; both are deterministic, so two
 readers that fill one at once compute the same value.
 """

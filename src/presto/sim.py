@@ -1,23 +1,25 @@
 """Concrete-token execution of nets.
 
-Tokens carry integers; a step picks one firing set whose guards all hold
-under the current token values, consumes the input tokens and produces
-output tokens valued by each transition's transfer expression.  All
-fired transitions read the pre-step state.  Uninterpreted function
-symbols need an interpretation (:data:`presto.expr.Interpretation`): a
-scenario's ``interp`` lines (:func:`interpretation`), and small affine
+Tokens carry integers; a step takes one option of each conflict group
+whose guards all hold under the current token values, consumes the input
+tokens and produces output tokens valued by each transition's transfer
+expression.  All fired transitions read the pre-step state.  Uninterpreted
+function symbols need an interpretation (:data:`presto.expr.Interpretation`):
+a scenario's ``interp`` lines (:func:`interpretation`), and small affine
 maps derived deterministically from a seed per symbol.
 
-Runs stop at quiescence (nothing structurally enabled), deadlock
-(structurally enabled transitions exist but every guard fails), a step
-bound, or once a token value written has more than
+Runs stop at quiescence (nothing structurally enabled), deadlock (a
+conflict group has no option whose guards hold, which blocks the whole
+step), a step bound, or once a token value written has more than
 :data:`presto.fsmd.MAX_VALUE_BITS` bits.  Fixing the policy seed makes a
 run bit-for-bit reproducible, which is what the schedule-independence
 check exploits.
 
 A step reads the net's step table (:func:`presto.convert.marking_step`),
-which the converter fills too, and runs the firing sets' guards and
-transfer functions as closures compiled once (:func:`presto.expr.compiled`).
+which the converter fills too.  It tests each group's options, never their
+product, fires the choice that the step's per-choice cache makes ready
+(:func:`presto.convert.firing`), and runs guards and transfer functions as
+closures compiled once (:func:`presto.expr.compiled`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import random
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from . import expr as ex
-from .convert import FiringSet, UnsafeMarking, marking_step
+from .convert import FiringSet, UnsafeMarking, firing, marking_step
 from .fsmd import MAX_VALUE_BITS
 from .pres import PresNet, classify_ports
 from .record import Record
@@ -54,7 +56,7 @@ def value_limit(*statuses: str) -> str:
 
 
 class MaximalStep:
-    """Always take the first maximal firing set (deterministic)."""
+    """Take the first option that holds in each conflict group (deterministic)."""
 
 
 class RandomMaximal(NamedTuple):
@@ -193,29 +195,6 @@ def _values(net: PresNet, ts: TokenState) -> dict[str, int]:
     return values
 
 
-class _Move:
-    """A firing set of one marking in the form a step runs: ``holds`` is
-    its guard set compiled into one test, or None for an empty guard set,
-    which always holds; ``effects`` the compiled ``(fn, post places)`` of
-    each transition, and ``marked`` the places of the successor marking in
-    the net's place order."""
-
-    __slots__ = ("fs", "holds", "effects", "successor", "marked")
-
-    def __init__(self, net: PresNet, fs: FiringSet, successor) -> None:
-        guards = tuple(map(ex.compiled, fs.guard_set))
-        if not guards:
-            self.holds = None
-        elif len(guards) == 1:
-            self.holds = guards[0]
-        else:
-            self.holds = lambda values, functions: all(g(values, functions) for g in guards)
-        fired = [net.transitions[i] for i in map(net.order.__getitem__, fs.transitions)]
-        self.effects = tuple([(ex.compiled(t.fn), tuple(t.post)) for t in fired])
-        self.fs, self.successor = fs, successor
-        self.marked = () if type(successor) is str else tuple(sorted(successor, key=net.place_order.__getitem__))
-
-
 def simulate_run(
     net: PresNet,
     inputs: TokenState,
@@ -238,37 +217,50 @@ def simulate_run(
         )
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    rng = random.Random(policy.seed) if isinstance(policy, RandomMaximal) else None  # None takes the first move
+    rng = random.Random(policy.seed) if isinstance(policy, RandomMaximal) else None  # None takes the first options
     ts = dict(inputs)
     trace: list[tuple[FiringSet, TokenState]] = []
     chose = False
     for step in range(max_steps + 1):  # the last step only probes whether the run is at rest
         values = _values(net, ts)
         offered = marking_step(net, marking)
-        moves = offered.moves
-        if moves is None:
-            moves = offered.moves = [_Move(net, fs, succ) for fs, succ in zip(offered.sets, offered.successors)]
-        # A set's guard_set holds its chosen guards and the negated guards of
-        # the competitors it was carved out against; all must hold.
-        candidates = [move for move in moves if move.holds is None or move.holds(values, interp)]
-        if not candidates:
-            return RunOutcome(DEADLOCK if offered.enabled else QUIESCENT, ts, trace, step, chose)
-        # Draw even from a single candidate, so that a seed always makes the same choices.
-        move = candidates[0] if rng is None else rng.choice(candidates)
+        if not offered.parts:
+            return RunOutcome(QUIESCENT, ts, trace, step, chose)
+        held, count = [], 1  # per part, the indices of the options whose guards all hold; their product
+        for options in offered.parts:
+            holding = []  # a loop, not all() over a generator, which would cost more than most tests
+            for i, (_, decided) in enumerate(options):
+                for guard, _, _ in decided:
+                    if not ex.compiled(guard)(values, interp):
+                        break
+                else:
+                    holding.append(i)
+            if not holding:  # one conflict group with no holding option blocks the whole step
+                return RunOutcome(DEADLOCK, ts, trace, step, chose)
+            held.append(holding)
+            count *= len(holding)
+        # One draw, decoded with the last part running fastest, picks what rng.choice would from the
+        # product's holding sets; a seed draws even from one, so that it always makes the same choices.
+        draw = 0 if rng is None else rng.randrange(count)
+        at = []
+        for holding in reversed(held):
+            draw, i = divmod(draw, len(holding))
+            at.append(holding[i])
+        fs, fired, successor, marked = firing(net, marking, offered, tuple(at[::-1]))
         produced: dict[str, int] = {}
-        for fn, posts in move.effects:
-            value = fn(values, interp)
+        for t in fired:
+            value = ex.compiled(t.fn)(values, interp)
             if value.bit_length() > MAX_VALUE_BITS:
                 return RunOutcome(VALUE_BOUND_EXCEEDED, ts, trace, step, chose)
-            for p in posts:
+            for p in t.post:
                 produced[p] = value
-        if type(move.successor) is str:
-            raise UnsafeMarking(move.successor)
+        if type(successor) is str:
+            raise UnsafeMarking(successor)
         if step == max_steps:
             return RunOutcome(STEP_BOUND_EXCEEDED, ts, trace, max_steps, chose)
-        ts = {p: produced[p] if p in produced else ts[p] for p in move.marked}
-        marking, chose = move.successor, chose or len(candidates) > 1
-        trace.append((move.fs, ts))
+        ts = {p: produced[p] if p in produced else ts[p] for p in marked}
+        marking, chose = successor, chose or count > 1
+        trace.append((fs, ts))
 
 
 def out_port_values(net: PresNet, ts: TokenState) -> dict[str, int]:

@@ -10,7 +10,7 @@ import time
 
 from presto import corpus, expr as ex
 from presto.cli import main as cli_main
-from presto.convert import marking_step, pres_to_fsmd
+from presto.convert import construct_set_of_transitions, pres_to_fsmd
 from presto.dsl import parse_expression
 from presto.equiv import PortMap, check_cardinality, check_fsmd_equivalence, check_functional, Sampled, Symbolic, derive_right_inputs
 from presto.fsmd import apply_update_set, path_enumerate, path_transformation, UpdateSet
@@ -65,8 +65,8 @@ def test_criterion_2_jammer_conversions(jammer_nonpipelined, jammer_pipelined):
     with _Clock("criterion 2a: stepwise jammer conversion", 1.0):
         conv = pres_to_fsmd(jammer_nonpipelined)
         assert len(conv.fsmd.states) == 16
-        assert all(len(marking_step(jammer_nonpipelined, m).sets) == 1 for m in conv.marking_of_state.values()
-                   if m != conv.marking_of_state["q15"])
+        assert all(len(construct_set_of_transitions(jammer_nonpipelined, m)) == 1
+                   for m in conv.marking_of_state.values() if m != conv.marking_of_state["q15"])
         assert [sorted(row) for row in conv.labels] == [sorted(row) for row in STEPWISE_ROWS]
     with _Clock("criterion 2b: pipelined jammer conversion", 1.0):
         conv = pres_to_fsmd(jammer_pipelined)
@@ -190,13 +190,12 @@ def test_criterion_6_property_suites(jammer_nonpipelined, guard_split, racy):
         while checked < 1000:
             net = rng.choice(nets)
             marking = frozenset(p for p in net.places if rng.random() < 0.5) | net.initial_marking
-            step = marking_step(net, marking)
-            if not step.sets:
+            made = construct_set_of_transitions(net, marking)
+            if not made:
                 continue
-            fs, nxt = rng.choice(list(zip(step.sets, step.successors)))
+            _, fired, nxt, _ = rng.choice(made)
             if type(nxt) is str:  # a second token on some place
                 continue
-            fired = list(map(net.transition, fs.transitions))
             consumed = frozenset().union(*(t.pre for t in fired))
             produced = frozenset().union(*(t.post for t in fired))
             assert nxt == (marking - consumed) | produced

@@ -60,7 +60,7 @@ PIPELINED_ROWS = [
 
 class TestConstructSetOfTransitions:
     def test_guard_split_alternatives(self, guard_split):
-        sets = construct_set_of_transitions(guard_split, guard_split.initial_marking)
+        sets = [fs for fs, *_ in construct_set_of_transitions(guard_split, guard_split.initial_marking)]
         assert [fs.transitions for fs in sets] == [("t1", "t2"), ("t1", "t3")]
         g = parse_expression("g(p3) != 0")
         assert list(sets[0].guard_set) == [g]
@@ -79,7 +79,7 @@ class TestConstructSetOfTransitions:
             }
             """
         )
-        sets = construct_set_of_transitions(net, net.initial_marking)
+        sets = [fs for fs, *_ in construct_set_of_transitions(net, net.initial_marking)]
         assert [fs.transitions for fs in sets] == [("ta", "tb")]
         # brute force: of all conflict-free subsets, only the maximal one is emitted
         enabled = sorted(enabled_transitions(net, net.initial_marking))
@@ -107,16 +107,18 @@ class TestConstructSetOfTransitions:
         )
         warnings = []
         sets = construct_set_of_transitions(net, net.initial_marking, warnings)
-        assert [fs.transitions for fs in sets] == [("ga", "gc"), ("gb", "gd")]
+        assert [fs.transitions for fs, *_ in sets] == [("ga", "gc"), ("gb", "gd")]
         assert len(warnings) == 2
         assert all(w.rule == "InconsistentGuards" for w in warnings)
 
 
 class TestFireSet:
     def test_guard_branch_markings(self, guard_split):
-        step = marking_step(guard_split, guard_split.initial_marking)
-        assert [fs.transitions for fs in step.sets] == [("t1", "t2"), ("t1", "t3")]
-        assert step.successors == ({"p4", "p5", "p6"}, {"p4", "p7"})
+        made = construct_set_of_transitions(guard_split, guard_split.initial_marking)
+        assert [fs.transitions for fs, *_ in made] == [("t1", "t2"), ("t1", "t3")]
+        assert all(fired == tuple(map(guard_split.transition, fs.transitions)) for fs, fired, _, _ in made)
+        assert [succ for _, _, succ, _ in made] == [{"p4", "p5", "p6"}, {"p4", "p7"}]
+        assert [marked for *_, marked in made] == [("p4", "p5", "p6"), ("p7", "p4")]  # the net's place order
 
     def test_self_loop_consume_then_produce(self):
         net = parse_pres(
@@ -128,9 +130,9 @@ class TestFireSet:
             }
             """
         )
-        step = marking_step(net, frozenset({"p", "q"}))
-        assert [fs.transitions for fs in step.sets] == [("t",), ("s",)]
-        assert step.successors == ({"p"}, {"p", "r"})
+        made = construct_set_of_transitions(net, frozenset({"p", "q"}))
+        assert [fs.transitions for fs, *_ in made] == [("t",), ("s",)]
+        assert [succ for _, _, succ, _ in made] == [{"p"}, {"p", "r"}]
 
     def test_unsafe_collision(self):
         net = parse_pres(
@@ -142,9 +144,9 @@ class TestFireSet:
             }
             """
         )
-        step = marking_step(net, net.initial_marking)
-        assert [fs.transitions for fs in step.sets] == [("ta", "tb")]
-        assert step.successors == ("firing ['ta', 'tb'] puts a second token on 'z'",)
+        ((fs, _, succ, marked),) = construct_set_of_transitions(net, net.initial_marking)
+        assert fs.transitions == ("ta", "tb")
+        assert succ == "firing ['ta', 'tb'] puts a second token on 'z'" and marked == ()
 
 
 def _reference_groups(net, enabled):
@@ -186,11 +188,10 @@ def test_kernel_agrees_with_brute_force_reference(name):
         sets = construct_set_of_transitions(net, m, warnings)
         dropped = {w.element for w in warnings}
         expected = [tuple(sorted(c, key=order.index)) for c in itertools.product(*groups) if "+".join(c) not in dropped]
-        assert [fs.transitions for fs in sets] == (expected if enabled else [])
-        step = marking_step(net, m)
-        assert list(step.sets) == sets
-        for fs, successor in zip(sets, step.successors):
-            fired = list(map(net.transition, fs.transitions))
+        assert [fs.transitions for fs, *_ in sets] == (expected if enabled else [])
+        assert bool(marking_step(net, m).parts) == bool(enabled)
+        for fs, fired, successor, _ in sets:
+            assert fired == tuple(map(net.transition, fs.transitions))
             consumed = set().union(*(t.pre for t in fired))
             produced = [p for t in fired for p in t.post]
             if len(set(produced)) < len(produced) or set(produced) & (m - consumed):
@@ -250,20 +251,22 @@ class TestPresToFsmd:
     def test_stepwise_jammer_shape_and_labels(self, jammer_nonpipelined):
         conv = pres_to_fsmd(jammer_nonpipelined)
         assert len(conv.fsmd.states) == 16
-        assert all(len(marking_step(jammer_nonpipelined, m).sets) <= 1 for m in conv.marking_of_state.values())
+        assert all(len(construct_set_of_transitions(jammer_nonpipelined, m)) <= 1
+                   for m in conv.marking_of_state.values())
         assert [sorted(row) for row in conv.labels] == [sorted(row) for row in STEPWISE_ROWS]
 
     def test_pipelined_jammer_shape_and_labels(self, jammer_pipelined):
         conv = pres_to_fsmd(jammer_pipelined)
         assert len(conv.fsmd.states) == 10
-        assert all(len(marking_step(jammer_pipelined, m).sets) <= 1 for m in conv.marking_of_state.values())
+        assert all(len(construct_set_of_transitions(jammer_pipelined, m)) <= 1 for m in conv.marking_of_state.values())
         assert [sorted(row) for row in conv.labels] == [sorted(row) for row in PIPELINED_ROWS]
 
     def test_updates_cover_exactly_the_produced_variables(self, guard_split, jammer_nonpipelined):
         for net in (guard_split, jammer_nonpipelined):
             conv = pres_to_fsmd(net)
             for q, m in conv.marking_of_state.items():
-                for fs, t in zip(marking_step(net, m).sets, [t for t in conv.fsmd.transitions if t.source == q]):
+                sets = [fs for fs, *_ in construct_set_of_transitions(net, m)]
+                for fs, t in zip(sets, [t for t in conv.fsmd.transitions if t.source == q]):
                     produced = {net.var_of[min(net.transition(tid).post)] for tid in fs.transitions}
                     assert {a.target for a in t.updates} == produced
                     readers = set(fs.transitions)
@@ -318,7 +321,8 @@ class TestPresToFsmd:
         monkeypatch.setattr(ex, "apply_chain", lambda e: chains.append(e) or real(e))
         conv = pres_to_fsmd(net, ConversionConfig(on_unsafe="reject"))
         assert chains == []  # only a reader of the labels pays for them
-        ta_tb, tc_tb = marking_step(net, conv.marking_of_state["q0"]).sets  # ta and tb both put a token on z: rejected
+        # ta and tb both put a token on z: rejected
+        ta_tb, tc_tb = [fs for fs, *_ in construct_set_of_transitions(net, conv.marking_of_state["q0"])]
         assert [t.source for t in conv.fsmd.transitions] == ["q0"] and conv.fired == [tc_tb]
         assert conv.labels == [[("tc",), ("fb",)]] and len(chains) == 2
         assert conv.labels is conv.labels and len(chains) == 2

@@ -110,9 +110,9 @@ def _converted():
          "PresNet(name='n', places=('a', 'b'), var_of={'a': 'x', 'b': 'y'}, transitions=(Transition(id='t', "
          "pre=frozenset({'a'}), post=frozenset({'b'}), fn=Apply(symbol='f', args=(Var(name='x'),)), guard=None),), "
          "initial_marking=frozenset({'a'}))"),
-        (Step((FS,), (frozenset({"b"}),), (), True),
-         "Step(sets=(FiringSet(transitions=('t',), guard_set=()),), successors=(frozenset({'b'}),), dropped=(), "
-         "enabled=True, moves=None)"),
+        (Step(((((_net().transitions[0],), ()),),)),
+         "Step(parts=((((Transition(id='t', pre=frozenset({'a'}), post=frozenset({'b'}), fn=Apply(symbol='f', "
+         "args=(Var(name='x'),)), guard=None),), ()),),), firings={})"),
         (pres_to_fsmd(_net()),
          "Conversion(fsmd=Fsmd(name='n', states=('q0', 'q1'), reset='q0', inputs=frozenset({'x'}), "
          "storage=frozenset({'y'}), outputs=frozenset({'y'}), transitions=(FsmdTransition(source='q0', guard_set=(), "

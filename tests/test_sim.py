@@ -137,6 +137,27 @@ class TestSimulateRun:
         assert run.steps == 0
         assert run.final_state == {"a": 0}
 
+    def test_one_group_without_a_holding_guard_blocks_the_whole_step(self):
+        # The guards of ta1, ta2 and tb1 hold, but tc, alone in its group,
+        # fails: no maximal step exists, so nothing fires at all.
+        net = parse_pres(
+            """
+            net splits {
+              place a marked; place b marked; place c marked;
+              place x; place y; place z;
+              transition ta1 { pre a; post x; fn a + 1; guard a > 0; }
+              transition ta2 { pre a; post x; fn a - 1; guard a > 1; }
+              transition tc { pre c; post z; fn c + 3; guard c >= 0; }
+              transition tb1 { pre b; post y; fn b * 2; guard b > 2; }
+              transition tb2 { pre b; post y; fn b; }
+            }
+            """
+        )
+        inputs = {"a": 5, "b": 3, "c": -1}
+        for policy in (MaximalStep(), RandomMaximal(0)):
+            run = simulate_run(net, dict(inputs), {}, policy)
+            assert (run.status, run.steps, run.final_state, run.trace) == (DEADLOCK, 0, inputs, [])
+
     def test_wrong_input_domain_rejected(self, addthree_a):
         with pytest.raises(Exception):
             simulate_run(addthree_a, {"Pm": 2}, {})

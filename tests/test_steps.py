@@ -1,7 +1,8 @@
 """The per-marking step table that conversion and simulation share.
 
 Each net fills its table lazily; what a warm table returns must be what a
-freshly parsed copy of the same net computes.
+freshly parsed copy of the same net computes, and a concrete run must
+choose what a draw from the product of the firing sets would.
 """
 
 import itertools
@@ -11,12 +12,27 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from presto import convert, corpus
+from presto import convert, corpus, sim
 from presto import expr as ex
 from presto.convert import ConvertError, FiringSet, UnsafeMarking, marking_step, pres_to_fsmd
 from presto.dsl import parse_pres, print_net
+from presto.fsmd import MAX_VALUE_BITS
 from presto.pres import PresNet, Transition, Violation, adjacency, classify_ports
-from presto.sim import MaximalStep, RandomMaximal, SeededInterpretation, SimError, simulate_run, trace_json
+from presto.sim import (
+    DEADLOCK,
+    QUIESCENT,
+    STEP_BOUND_EXCEEDED,
+    VALUE_BOUND_EXCEEDED,
+    MaximalStep,
+    RandomMaximal,
+    RunOutcome,
+    SeededInterpretation,
+    SimError,
+    confluence_check,
+    simulate_run,
+    trace_json,
+)
+from presto.verdict import NOT_EQUIVALENT
 
 from _gen import random_net
 import test_cli
@@ -97,14 +113,14 @@ def test_a_replaced_net_starts_with_an_empty_table():
 def test_each_marking_is_computed_once_for_simulation_and_conversion(monkeypatch, jammer_nonpipelined):
     net = jammer_nonpipelined._replace()
     computed = []
-    real = convert.construct_set_of_transitions
-    monkeypatch.setattr(convert, "construct_set_of_transitions",
-                        lambda net, m, warnings=None: computed.append(m) or real(net, m, warnings))
+    real = convert._parts
+    monkeypatch.setattr(convert, "_parts", lambda net, m: computed.append(m) or real(net, m))
     vector = {"sig": 3, "th": 5, "tr": 1, "om": 2, "mp": 4, "dp": 6}
     for seed in range(3):
-        simulate_run(net, dict(vector), SeededInterpretation(11), RandomMaximal(seed), 64)
+        run = simulate_run(net, dict(vector), SeededInterpretation(11), RandomMaximal(seed), 64)
     conv = pres_to_fsmd(net)
     assert len(computed) == len(set(computed)) == conv.states_visited
+    assert {id(fs) for fs, _ in run.trace} <= {id(fs) for fs in conv.fired}  # one cache made the sets for both
     assert marking_step(net, net.initial_marking) is net.steps[net.initial_marking]
 
 
@@ -195,12 +211,15 @@ def _steps_by_definition(net: PresNet, starts=(), limit: int = 150) -> int:
     work = deque(seen)
     while work:
         m = work.popleft()
-        step = marking_step(net, m)
+        warnings = []
+        made = convert.construct_set_of_transitions(net, m, warnings)
         sets, successors, dropped, enabled = _reference_step(net, m)
-        assert list(step.sets) == sets, sorted(m)  # the sets, their members and their guards, each in order
-        assert list(step.successors) == successors, sorted(m)
-        assert [str(v) for v in step.dropped] == [str(v) for v in dropped], sorted(m)
-        assert step.enabled == enabled
+        assert [fs for fs, *_ in made] == sets, sorted(m)  # the sets, their members and their guards, each in order
+        assert [succ for _, _, succ, _ in made] == successors, sorted(m)
+        in_place_order = [() if type(s) is str else tuple(sorted(s, key=net.place_order.get)) for s in successors]
+        assert [marked for *_, marked in made] == in_place_order, sorted(m)
+        assert [str(v) for v in warnings] == [str(v) for v in dropped], sorted(m)
+        assert bool(marking_step(net, m).parts) == enabled
         for succ in successors:
             if type(succ) is not str and succ not in seen and len(seen) < limit:
                 seen.add(succ)
@@ -224,3 +243,88 @@ def test_step_table_and_indices_match_the_definitions_on_the_corpus(name):
     net = corpus.load_net(name)
     _indices_by_definition(net)
     assert _steps_by_definition(net) >= 1
+
+
+# -- concrete runs against the product of the firing sets ---------------------------
+#
+# The reference run steps over the product: it takes the marking's firing
+# sets, keeps those whose guards all hold, and draws one with rng.choice.
+# The simulator, which tests each conflict group's options and makes one
+# draw over their product, must take the same sets from every seed.
+
+
+def _psplits(k: int) -> str:
+    """k independent lanes, each a choice between two guarded transitions
+    that both hold where 0 < xj < 3."""
+    lanes = [f"place x{j} marked; place o{j};"
+             f" transition hi_{j} {{ pre x{j}; post o{j}; fn f(x{j}) + 1; guard x{j} > 0; }}"
+             f" transition lo_{j} {{ pre x{j}; post o{j}; fn g(x{j}); guard x{j} < 3; }}" for j in range(k)]
+    return "net psplits {\n" + "\n".join(lanes) + "\n}\n"
+
+
+def _reference_run(net: PresNet, inputs: dict, interp, policy, max_steps: int) -> RunOutcome:
+    rng = random.Random(policy.seed) if isinstance(policy, RandomMaximal) else None
+    marking, ts, trace, chose = frozenset(inputs), dict(inputs), [], False
+    for step in range(max_steps + 1):
+        values = sim._values(net, ts)
+        dropped = []
+        made = convert.construct_set_of_transitions(net, marking, dropped)
+        candidates = [f for f in made if all(ex.compiled(g)(values, interp) for g in f[0].guard_set)]
+        if not candidates:
+            return RunOutcome(DEADLOCK if made or dropped else QUIESCENT, ts, trace, step, chose)
+        fs, fired, successor, marked = candidates[0] if rng is None else rng.choice(candidates)
+        produced = {}
+        for t in fired:
+            value = ex.compiled(t.fn)(values, interp)
+            if value.bit_length() > MAX_VALUE_BITS:
+                return RunOutcome(VALUE_BOUND_EXCEEDED, ts, trace, step, chose)
+            produced.update(dict.fromkeys(t.post, value))
+        if type(successor) is str:
+            raise UnsafeMarking(successor)
+        if step == max_steps:
+            return RunOutcome(STEP_BOUND_EXCEEDED, ts, trace, max_steps, chose)
+        ts = {p: produced[p] if p in produced else ts[p] for p in marked}
+        marking, chose = successor, chose or len(candidates) > 1
+        trace.append((fs, ts))
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except (SimError, ConvertError, ex.ExprError) as err:
+        return type(err).__name__, str(err)
+
+
+def _runs_agree_with_the_reference(net: PresNet, rng: random.Random) -> None:
+    names = sorted({net.var_of[p] for p in net.initial_marking})
+    value = {v: rng.randint(-3, 3) for v in names}
+    inputs = {p: value[net.var_of[p]] for p in net.initial_marking}
+    interp = SeededInterpretation(rng.randrange(100))
+    twin = net._replace()  # the reference fills a table of its own
+    for policy in (MaximalStep(), *map(RandomMaximal, range(10))):
+        run = _outcome(simulate_run, net, dict(inputs), interp, policy, 24)
+        assert run == _outcome(_reference_run, twin, dict(inputs), interp, policy, 24), policy
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_runs_choose_per_group_as_the_product_would_on_random_nets(seed):
+    _runs_agree_with_the_reference(random_net(seed), random.Random(seed))
+
+
+@pytest.mark.parametrize("name", corpus.NETS + ("psplits",))
+def test_runs_choose_per_group_as_the_product_would_on_the_corpus(name):
+    net = parse_pres(_psplits(5)) if name == "psplits" else corpus.load_net(name)
+    for seed in range(8):
+        _runs_agree_with_the_reference(net, random.Random(seed))
+
+
+def test_a_run_through_independent_choices_is_linear_in_the_lanes():
+    # 2**64 firing sets at the first marking; a run picks one option per lane.
+    net = parse_pres(_psplits(64))
+    inputs = {f"x{j}": 1 + j % 2 for j in range(64)}  # both guards of every lane hold
+    interp = {"f": lambda a: 2 * a, "g": lambda a: a - 3}
+    run = simulate_run(net, inputs, interp, RandomMaximal(0))
+    assert run.status == QUIESCENT and run.chose
+    assert sum(len(step.firings) for step in net.steps.values()) <= run.steps
+    assert confluence_check(net, inputs, interp, schedules=4).status == NOT_EQUIVALENT
