@@ -8,8 +8,6 @@ closes with the schedule-independence check on a net built to diverge.
 
 from presto import (
     PortMap,
-    Sampled,
-    Symbolic,
     check_cardinality,
     check_fsmd_equivalence,
     check_functional,
@@ -30,8 +28,8 @@ print()
 print("== functional: addthree pair (adds three, decomposed two ways) ==")
 f1, f2 = corpus.load_net("addthree_a"), corpus.load_net("addthree_b")
 pm5 = PortMap({"Pa": "Paa"}, {"Pe": "Pee"})
-print("symbolic:", check_functional(f1, f2, pm5, Symbolic(), [{"Pa": 2}], {}))
-sampled = check_functional(f1, f2, pm5, Sampled(), [{"Pa": 2}], {})
+print("symbolic:", check_functional(f1, f2, pm5, "symbolic", [{"Pa": 2}], {}))
+sampled = check_functional(f1, f2, pm5, "sampled", [{"Pa": 2}], {})
 print("sampled: ", sampled, "->", sampled.witness["samples"][0]["out_values"])
 
 print()

@@ -10,23 +10,23 @@ path equivalence.
 from . import convert, dot, dsl, equiv, expr, fsmd, pres, sim, verdict
 from .convert import ConversionConfig, FiringSet, pres_to_fsmd
 from .dsl import parse_expression, parse_fsmd, parse_pres, parse_scenario, print_fsmd, print_net
-from .equiv import PortMap, Sampled, Symbolic, check_cardinality, check_fsmd_equivalence, check_functional
+from .equiv import PortMap, check_cardinality, check_fsmd_equivalence, check_functional
 from .expr import Environment, evaluate, normalize, structurally_equivalent, substitute
 from .fsmd import Fsmd, apply_update_set, path_enumerate, path_transformation, validate_fsmd
 from .pres import PresNet, adjacency, classify_ports, enabled_transitions, validate_net
-from .sim import MaximalStep, RandomMaximal, SeededInterpretation, confluence_check, simulate_run
+from .sim import SeededInterpretation, confluence_check, simulate_run
 from .verdict import Verdict
 
 __all__ = [
-    "ConversionConfig", "Environment", "FiringSet", "Fsmd", "MaximalStep", "PortMap",
-    "PresNet", "RandomMaximal", "Sampled", "SeededInterpretation", "Symbolic", "Verdict",
-    "adjacency", "apply_update_set", "check_cardinality", "check_fsmd_equivalence",
-    "check_functional", "classify_ports", "confluence_check", "convert", "dot", "dsl",
+    "ConversionConfig", "Environment", "FiringSet", "Fsmd", "PortMap", "PresNet",
+    "SeededInterpretation", "Verdict", "adjacency", "apply_update_set",
+    "check_cardinality", "check_fsmd_equivalence", "check_functional",
+    "classify_ports", "confluence_check", "convert", "dot", "dsl",
     "enabled_transitions", "equiv", "evaluate", "expr", "fsmd", "normalize",
-    "parse_expression", "parse_fsmd", "parse_pres", "parse_scenario", "path_enumerate",
-    "path_transformation", "pres", "pres_to_fsmd", "print_fsmd", "print_net", "sim",
-    "simulate_run", "structurally_equivalent", "substitute", "validate_fsmd",
-    "validate_net", "verdict",
+    "parse_expression", "parse_fsmd", "parse_pres", "parse_scenario",
+    "path_enumerate", "path_transformation", "pres", "pres_to_fsmd", "print_fsmd",
+    "print_net", "sim", "simulate_run", "structurally_equivalent", "substitute",
+    "validate_fsmd", "validate_net", "verdict",
 ]
 
 __version__ = "0.1.0"

@@ -21,8 +21,6 @@ from .convert import ConversionConfig, Conversion, ConvertError, pres_to_fsmd
 from .equiv import (
     PortMap,
     PortMapError,
-    Sampled,
-    Symbolic,
     check_cardinality,
     check_functional,
     check_fsmd_equivalence,
@@ -32,9 +30,7 @@ from .fsmd import Fsmd, FsmdError
 from .pres import PresNet
 from .sim import (
     QUIESCENT,
-    MaximalStep,
     SimError,
-    RandomMaximal,
     check_arities,
     confluence_check,
     interpretation,
@@ -142,6 +138,8 @@ def cmd_convert(args) -> int:
             fh.write(text)
     else:
         print(text, end="")
+    for w in conv.warnings:
+        print(f"warning: {w}", file=sys.stderr)
     print(f"states: {conv.states_visited}", file=sys.stderr)
     if not args.json:
         return 0
@@ -227,8 +225,7 @@ def cmd_simulate(args) -> int:
             continue
         for vector in doc.vectors or [{}]:
             inputs = vector_for(vector)
-            policy = RandomMaximal(args.seed) if args.seed is not None else MaximalStep()
-            run = simulate_run(net, inputs, interp, policy, max_steps)
+            run = simulate_run(net, inputs, interp, args.seed, max_steps)
             outs = out_port_values(net, run.final_state)
             ended = f"{run.status} after {run.steps} steps{value_limit(run.status)}"
             print(f"{side} ({net.name}): {ended}; out-ports {outs}")
@@ -255,8 +252,7 @@ def cmd_check_pres(args) -> int:
     if doc.check == "cardinality":
         verdict = check_cardinality(n1, n2, pm, doc.vectors, interp, doc.max_steps)
     else:
-        strategy = Sampled() if strategy_name == "sampled" else Symbolic()
-        verdict = check_functional(n1, n2, pm, strategy, doc.vectors, interp, doc.max_steps,
+        verdict = check_functional(n1, n2, pm, strategy_name, doc.vectors, interp, doc.max_steps,
                                    doc.state_bound, warnings)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)

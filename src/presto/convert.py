@@ -195,8 +195,8 @@ def firing(net: PresNet, m: frozenset[str], step: Step, at: tuple[int, ...]) -> 
     remaining = m.difference(*[t.pre for t in fired])
     posts = [t.post for t in fired]
     successor, marked = remaining.union(*posts), ()
-    if len(successor) < len(remaining) + sum(map(len, posts)):  # a place gets a second token: name the first
-        flat = [p for post in posts for p in post]
+    if len(successor) < len(remaining) + sum(map(len, posts)):  # a place gets a second token
+        flat = sorted([p for post in posts for p in post], key=net.place_order.__getitem__)  # name the first in place order
         p = next(p for i, p in enumerate(flat) if p in remaining or p in flat[:i])
         successor = f"firing {sorted(t.id for t in fired)} puts a second token on {p!r}"
     else:

@@ -79,29 +79,20 @@ def _bijection_problems(kind: str, mapping: dict[str, str], left: frozenset[str]
     return out
 
 
-class Sampled:
-    """Decide by running both nets on the scenario's input vectors."""
-
-
-class Symbolic:
-    """Decide by comparing converted path transformations; sample only to
-    confirm a structural mismatch as a real counterexample."""
-
-
 def derive_right_inputs(n1: PresNet, n2: PresNet, pm: PortMap, vector: dict) -> dict:
     """Initial tokens for the right net.
 
     Values travel through the in-port map first; initially marked places
-    the map does not reach fall back to a same-named place in the vector,
-    then to any vector place carrying the same variable (two input places
-    sharing one variable receive one value).
+    the map does not reach, taken in place order, fall back to a same-named
+    place in the vector, then to any vector place carrying the same
+    variable (two input places sharing one variable receive one value).
     """
     inv: dict[str, int] = {}
     for p, v in vector.items():
         if p in pm.in_map:
             inv[pm.in_map[p]] = v
     by_var = {n1.var_of.get(p, p): v for p, v in vector.items()}
-    for q in n2.initial_marking:
+    for q in sorted(n2.initial_marking, key=n2.place_order.__getitem__):
         if q in inv:
             continue
         if q in vector:
@@ -184,7 +175,7 @@ def check_functional(
     n1: PresNet,
     n2: PresNet,
     pm: PortMap,
-    strategy: Sampled | Symbolic,
+    strategy: str,
     vectors: Sequence[dict],
     interp: ex.Interpretation,
     max_steps: int = 1_000,
@@ -193,19 +184,25 @@ def check_functional(
 ) -> Verdict:
     """Cardinality equivalence plus equal out-port token values.
 
-    Each vector is simulated once per net; those runs serve the
-    cardinality check, the sampled comparison and the confirmation of a
-    symbolic difference.  The symbolic strategy converts both nets with
-    at most ``state_bound`` states each and adds their conversion
-    warnings to ``warnings``, if given.
+    ``strategy`` is a scenario's ``"sampled"`` (compare the out-port
+    values of both nets' runs per vector) or ``"symbolic"`` (compare the
+    converted path transformations, and sample only to confirm a
+    structural mismatch as a real counterexample); any other value raises
+    :class:`ValueError`.  Each vector is simulated once per net; those
+    runs serve the cardinality check, the sampled comparison and the
+    confirmation of a symbolic difference.  The symbolic strategy converts
+    both nets with at most ``state_bound`` states each and adds their
+    conversion warnings to ``warnings``, if given.
     """
+    if strategy not in ("sampled", "symbolic"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     samples: list = []
     card = check_cardinality(n1, n2, pm, vectors, interp, max_steps, samples)
     if not card.equivalent:
         return card
     places = sorted(pm.out_map.items())
 
-    if isinstance(strategy, Sampled):
+    if strategy == "sampled":
         method = "functional/sampled (holds for the supplied vectors only)"
         witness = _separating(samples, places, "out_place_pair")
         if witness is not None:

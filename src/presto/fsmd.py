@@ -50,42 +50,27 @@ class Assignment(NamedTuple):
     expr: ex.Expr
 
 
-class UpdateSet(Record):
-    """Parallel assignments; at most one per target variable.  Immutable,
-    and hashed by its assignments."""
+class UpdateSet(tuple):
+    """Parallel assignments, a tuple of :class:`Assignment`; at most one
+    per target variable."""
 
-    __slots__ = _fields = ("assignments",)
+    __slots__ = ()
 
-    def __init__(self, assignments: Iterable[Assignment]) -> None:
-        assignments = tuple(assignments)
+    def __new__(cls, assignments: Iterable[Assignment]) -> "UpdateSet":
+        self = super().__new__(cls, assignments)
         seen: set[str] = set()
-        for a in assignments:
+        for a in self:
             if a.target in seen:
                 raise DuplicateTarget(a.target)
             seen.add(a.target)
-        _set_assignments(self, assignments)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __hash__(self) -> int:
-        return hash((self.assignments,))
+        return self
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[str, ex.Expr]]) -> "UpdateSet":
-        return cls(tuple(starmap(Assignment, pairs)))
+        return cls(starmap(Assignment, pairs))
 
-    def __len__(self) -> int:
-        return len(self.assignments)
-
-    def __iter__(self):
-        return iter(self.assignments)
-
-
-_set_assignments = UpdateSet.assignments.__set__  # the slot's own setter skips the refusing ``__setattr__``
+    def __repr__(self) -> str:
+        return f"UpdateSet(assignments={tuple(self)!r})"
 
 
 class FsmdTransition(NamedTuple):

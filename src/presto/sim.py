@@ -11,9 +11,10 @@ maps derived deterministically from a seed per symbol.
 Runs stop at quiescence (nothing structurally enabled), deadlock (a
 conflict group has no option whose guards hold, which blocks the whole
 step), a step bound, or once a token value written has more than
-:data:`presto.fsmd.MAX_VALUE_BITS` bits.  Fixing the policy seed makes a
-run bit-for-bit reproducible, which is what the schedule-independence
-check exploits.
+:data:`presto.fsmd.MAX_VALUE_BITS` bits.  A run without a seed takes the
+first holding option of each group; a run with one draws its choices
+from that seed alone, so it is bit-for-bit reproducible, which is what
+the schedule-independence check exploits.
 
 A step reads the net's step table (:func:`presto.convert.marking_step`),
 which the converter fills too.  It tests each group's options, never their
@@ -25,7 +26,7 @@ closures compiled once (:func:`presto.expr.compiled`).
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Optional
 
 from . import expr as ex
 from .convert import FiringSet, UnsafeMarking, firing, marking_step
@@ -53,19 +54,6 @@ class ValueConflict(SimError):
 def value_limit(*statuses: str) -> str:
     """A note naming the value bound when one of ``statuses`` ended a run on it, else ``""``."""
     return f" (a token value passed the {MAX_VALUE_BITS}-bit limit)" if VALUE_BOUND_EXCEEDED in statuses else ""
-
-
-class MaximalStep:
-    """Take the first option that holds in each conflict group (deterministic)."""
-
-
-class RandomMaximal(NamedTuple):
-    """Uniform choice among the available maximal firing sets."""
-
-    seed: int
-
-
-SchedulePolicy = Union[MaximalStep, RandomMaximal]
 
 
 class SeededInterpretation(dict):
@@ -199,16 +187,18 @@ def simulate_run(
     net: PresNet,
     inputs: TokenState,
     interp: ex.Interpretation,
-    policy: SchedulePolicy = MaximalStep(),
+    seed: Optional[int] = None,
     max_steps: int = 1_000,
 ) -> RunOutcome:
     """Iterate steps from the initial token assignment until rest or a bound.
 
-    Each step fires one maximal step chosen by the policy, and its values
-    read the pre-step state.  Each step's tokens are a new dict that the
-    trace keeps as it is, so the last trace entry is the outcome's
-    ``final_state`` itself; no caller in presto changes either, and one
-    that wants to copies it first.
+    Each step fires one maximal step, and its values read the pre-step
+    state.  Without a ``seed`` a step takes the first option that holds in
+    each conflict group; with one, it draws uniformly among the maximal
+    firing sets whose guards hold, from ``random.Random(seed)``.  Each
+    step's tokens are a new dict that the trace keeps as it is, so the
+    last trace entry is the outcome's ``final_state`` itself; no caller in
+    presto changes either, and one that wants to copies it first.
     """
     marking = frozenset(inputs)
     if marking != frozenset(net.initial_marking):
@@ -217,7 +207,7 @@ def simulate_run(
         )
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    rng = random.Random(policy.seed) if isinstance(policy, RandomMaximal) else None  # None takes the first options
+    rng = None if seed is None else random.Random(seed)  # None takes the first options
     ts = dict(inputs)
     trace: list[tuple[FiringSet, TokenState]] = []
     chose = False
@@ -287,7 +277,7 @@ def confluence_check(
         raise ValueError("confluence needs at least two schedules")
     outcomes: list[tuple[int, RunOutcome]] = []
     for i in range(schedules):
-        run = simulate_run(net, inputs, interp, RandomMaximal(seed + i), max_steps)
+        run = simulate_run(net, inputs, interp, seed + i, max_steps)
         outcomes.append((seed + i, run))
         if not run.chose:
             break

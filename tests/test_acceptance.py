@@ -12,9 +12,9 @@ from presto import corpus, expr as ex
 from presto.cli import main as cli_main
 from presto.convert import construct_set_of_transitions, pres_to_fsmd
 from presto.dsl import parse_expression
-from presto.equiv import PortMap, check_cardinality, check_fsmd_equivalence, check_functional, Sampled, Symbolic, derive_right_inputs
+from presto.equiv import PortMap, check_cardinality, check_fsmd_equivalence, check_functional, derive_right_inputs
 from presto.fsmd import apply_update_set, path_enumerate, path_transformation, UpdateSet
-from presto.sim import QUIESCENT, RandomMaximal, SeededInterpretation, confluence_check, simulate_run, trace_json
+from presto.sim import QUIESCENT, SeededInterpretation, confluence_check, simulate_run, trace_json
 
 from _gen import random_env, random_expr, random_int_expr
 from test_convert import PIPELINED_ROWS, STEPWISE_ROWS
@@ -94,8 +94,8 @@ def test_criterion_4_port_and_value_examples(card_a, card_b, addthree_a, addthre
         assert cli_main(["check-pres", corpus.scenario_path("cardinality")]) == 0
 
         pm5 = PortMap({"Pa": "Paa"}, {"Pe": "Pee"})
-        assert check_functional(addthree_a, addthree_b, pm5, Symbolic(), [{"Pa": 2}], {}).equivalent
-        sampled = check_functional(addthree_a, addthree_b, pm5, Sampled(), [{"Pa": 2}], {})
+        assert check_functional(addthree_a, addthree_b, pm5, "symbolic", [{"Pa": 2}], {}).equivalent
+        sampled = check_functional(addthree_a, addthree_b, pm5, "sampled", [{"Pa": 2}], {})
         assert sampled.equivalent
         assert sampled.witness["samples"][0]["out_values"] == [{"Pe": 5}, {"Pee": 5}]
         assert cli_main(["check-pres", corpus.scenario_path("addthree"), "--strategy", "sampled"]) == 0
@@ -212,8 +212,8 @@ def test_criterion_6_property_suites(jammer_nonpipelined, guard_split, racy):
                 guard_split_net, {"p1": rng.randint(-5, 5), "p2": rng.randint(-5, 5), "p3": value, "p7": 9})
             interp = {"f_t1": lambda a, b: a + b, "f_t2": lambda a: 2 * a, "f_t3": lambda a: a,
                       "g": lambda a: a, "keep": lambda a: a, "flip": lambda a: -a}
-            first = simulate_run(net, dict(vector), interp, RandomMaximal(seed), 16)
-            second = simulate_run(net, dict(vector), interp, RandomMaximal(seed), 16)
+            first = simulate_run(net, dict(vector), interp, seed, 16)
+            second = simulate_run(net, dict(vector), interp, seed, 16)
             assert trace_json(first) == trace_json(second)
 
     with _Clock("criterion 6f: symbolic and concrete execution agree (1000)", 60.0):

@@ -2,11 +2,18 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
+from hypothesis import given, settings, strategies as st
+
 from presto import cli, corpus, expr as ex
+from presto.dsl import print_net
+
+from _gen import random_net
 
 
 def run(capsys, *argv):
@@ -92,15 +99,33 @@ class TestConvert:
 
     def test_write_conflict_is_a_modelling_error(self, capsys, tmp_path):
         # Two transitions of one firing set post places of the variable y.
-        from presto.dsl import print_net
-
-        from _gen import random_net
-
         net = tmp_path / "random4.pres"
         net.write_text(print_net(random_net(4)))
         code, out, err = run(capsys, "convert", str(net), "--on-unsafe", "reject")
         assert (code, out) == (3, "")
         assert err == "error: DuplicateTarget: two updates assign 'y' in one step (firing set t0+t4 at q0)\n"
+
+    UNSAFE_NET = """
+        net unsafe {
+          place a marked; place b marked; place c; place d;
+          transition t1 { pre a; post c, d; fn a; }
+          transition t2 { pre b; post c, d; fn b; }
+        }
+        """
+
+    def test_conversion_warnings_are_printed(self, capsys, tmp_path):
+        unsafe, contra = tmp_path / "unsafe.pres", tmp_path / "contra.pres"
+        unsafe.write_text(self.UNSAFE_NET)
+        contra.write_text(TestChecks.CONTRA_NET)
+        report = tmp_path / "report.json"
+        code, _, err = run(capsys, "convert", str(unsafe), "--on-unsafe", "reject", "--json", str(report))
+        assert code == 0
+        assert err == "warning: UnsafeMarking: t1+t2 (firing ['t1', 't2'] puts a second token on 'c')\nstates: 1\n"
+        assert json.loads(report.read_text())["warnings"] == [err.splitlines()[0][len("warning: "):]]
+        code, _, err = run(capsys, "convert", str(contra), "--json", str(report))
+        warnings = json.loads(report.read_text())["warnings"]
+        assert code == 0 and len(warnings) == 2 and all("InconsistentGuards" in w for w in warnings)
+        assert err.splitlines() == [f"warning: {w}" for w in warnings] + ["states: 3"]
 
     def test_bounds_below_one_are_usage_errors(self, capsys, tmp_path):
         for argv in (["convert", corpus.corpus_path("card_a"), "--state-bound", "0"],
@@ -574,6 +599,69 @@ class TestOneProcess:
             capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join([src, here])},
         )
         assert json.loads(child.stdout) == forwards
+
+
+def _hash_seeded(seed: str, folder, *argv: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of the CLI in a fresh process under
+    ``PYTHONHASHSEED=seed``.  -I would ignore the seed (it implies -E), so
+    the child gets -s and an environment that holds the seed and the path
+    alone."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    child = subprocess.run([sys.executable, "-s", "-m", "presto.cli", *argv], capture_output=True, text=True,
+                           cwd=folder, env={"PYTHONHASHSEED": seed, "PYTHONPATH": src}, timeout=60)
+    return child.returncode, child.stdout, child.stderr
+
+
+class TestHashSeeds:
+    """Messages that name one place of several name the first in place order,
+    whatever the seed of string hashing."""
+
+    def test_an_unsafe_firing_names_the_first_doubly_marked_place(self, tmp_path):
+        (tmp_path / "unsafe.pres").write_text(TestConvert.UNSAFE_NET)
+        for seed in ("1", "6"):  # seeds under which 'd' came first in the post-set
+            assert _hash_seeded(seed, tmp_path, "convert", "unsafe.pres") == (
+                3, "", "error: UnsafeMarking: firing ['t1', 't2'] puts a second token on 'c'\n"), seed
+
+    def test_right_inputs_are_derived_in_place_order(self, tmp_path):
+        (tmp_path / "left.pres").write_text("net left { place a marked; place b; transition t { pre a; post b; fn a; } }")
+        (tmp_path / "right.pres").write_text(
+            "net right { place p marked; place q marked; place r; transition u { pre p, q; post r; fn p; } }")
+        (tmp_path / "two.scn").write_text(
+            'scenario two { model left = "left.pres"; model right = "right.pres"; inputs { a = 1; } }')
+        for seed in ("1", "2"):  # under seed 1 'q' came first in the initial marking
+            assert _hash_seeded(seed, tmp_path, "simulate", "two.scn") == (
+                3, "left (left): Quiescent after 1 steps; out-ports {'b': 1}\n",
+                "error: SimError: no input value derivable for initially marked place 'p'\n"), seed
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_exit_codes_on_random_nets(seed):
+    # Exit code 1 means a confirmed NotEquivalent, which only a schedule
+    # check can find here, with the two seeds that diverged.
+    net = random_net(seed)
+    rng = random.Random(seed)
+    value = {v: rng.randint(-3, 3) for v in sorted(set(net.var_of.values()))}  # one per variable
+    inputs = "".join(f" {p} = {value[net.var_of[p]]};" for p in sorted(net.initial_marking))
+    with tempfile.TemporaryDirectory() as folder:
+        net_file, scenario, report = (os.path.join(folder, name) for name in ("net.pres", "net.scn", "report.json"))
+        with open(net_file, "w", encoding="utf-8") as fh:
+            fh.write(print_net(net))
+        with open(scenario, "w", encoding="utf-8") as fh:
+            fh.write(f'scenario s {{ model left = "net.pres"; inputs {{{inputs} }} interp default seeded {seed}; }}')
+        for argv in (["validate", net_file], ["convert", net_file], ["export-dot", net_file],
+                     ["simulate", scenario], ["simulate", scenario, "--seed", "1"],
+                     ["simulate", scenario, "--schedules", "4", "--json", report]):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = cli.main(argv)
+            assert "internal error" not in err.getvalue(), (argv, err.getvalue())
+            if code == 1 and "--schedules" in argv:
+                with open(report, encoding="utf-8") as fh:
+                    witness = json.load(fh)["runs"][0]["confluence"]["witness"]
+                assert len(set(witness["seeds"])) == 2, argv
+            else:
+                assert code in (0, 2, 3), (argv, code)
 
 
 def _corpus_commands() -> list[list[str]]:

@@ -8,8 +8,6 @@ from presto.dsl import parse_fsmd, parse_pres
 from presto.equiv import (
     PortMap,
     PortMapError,
-    Sampled,
-    Symbolic,
     check_cardinality,
     check_fsmd_equivalence,
     check_functional,
@@ -75,30 +73,34 @@ class TestCardinality:
 
 class TestFunctional:
     def test_addthree_symbolic(self, addthree_a, addthree_b):
-        verdict = check_functional(addthree_a, addthree_b, ADDTHREE_PM, Symbolic(), ADDTHREE_VECTORS, {})
+        verdict = check_functional(addthree_a, addthree_b, ADDTHREE_PM, "symbolic", ADDTHREE_VECTORS, {})
         assert verdict.status == EQUIVALENT
 
     def test_addthree_sampled_shows_five_and_five(self, addthree_a, addthree_b):
-        verdict = check_functional(addthree_a, addthree_b, ADDTHREE_PM, Sampled(), ADDTHREE_VECTORS, {})
+        verdict = check_functional(addthree_a, addthree_b, ADDTHREE_PM, "sampled", ADDTHREE_VECTORS, {})
         assert verdict.status == EQUIVALENT
         assert verdict.witness["samples"][0]["out_values"] == [{"Pe": 5}, {"Pee": 5}]
 
     def test_identical_nets_symbolic(self, addthree_a):
-        verdict = check_functional(addthree_a, addthree_a, PortMap.identity(addthree_a), Symbolic(), ADDTHREE_VECTORS, {})
+        verdict = check_functional(addthree_a, addthree_a, PortMap.identity(addthree_a), "symbolic", ADDTHREE_VECTORS, {})
         assert verdict.status == EQUIVALENT
 
     def test_plus_four_mutant_not_equivalent(self, addthree_a):
         mutant = corpus.load_net("addthree_b_plus4")
-        verdict = check_functional(addthree_a, mutant, ADDTHREE_PM, Sampled(), ADDTHREE_VECTORS, {})
+        verdict = check_functional(addthree_a, mutant, ADDTHREE_PM, "sampled", ADDTHREE_VECTORS, {})
         assert verdict.status == NOT_EQUIVALENT
         assert verdict.witness["values"] == [5, 6]
         # the witness replays: feed the inputs back into the simulator
         run2 = simulate_run(mutant, derive_right_inputs(addthree_a, mutant, ADDTHREE_PM, verdict.witness["vector"]), {})
         assert out_port_values(mutant, run2.final_state) == {"Pee": 6}
 
+    def test_an_unknown_strategy_is_refused(self, addthree_a, addthree_b):
+        with pytest.raises(ValueError, match="unknown strategy 'fast'"):
+            check_functional(addthree_a, addthree_b, ADDTHREE_PM, "fast", ADDTHREE_VECTORS, {})
+
     def test_plus_four_mutant_symbolic_confirms_by_sampling(self, addthree_a):
         mutant = corpus.load_net("addthree_b_plus4")
-        verdict = check_functional(addthree_a, mutant, ADDTHREE_PM, Symbolic(), ADDTHREE_VECTORS, {})
+        verdict = check_functional(addthree_a, mutant, ADDTHREE_PM, "symbolic", ADDTHREE_VECTORS, {})
         assert verdict.status == NOT_EQUIVALENT
 
     def test_reflexivity_over_loop_free_corpus(self):
@@ -116,7 +118,7 @@ class TestFunctional:
         for name in corpus.NETS:
             net = corpus.load_net(name)
             verdict = check_functional(
-                net, net, PortMap.identity(net), Symbolic(), vectors_by_net[name], SeededInterpretation(2)
+                net, net, PortMap.identity(net), "symbolic", vectors_by_net[name], SeededInterpretation(2)
             )
             assert verdict.status == EQUIVALENT, (name, verdict)
 
@@ -131,7 +133,7 @@ class TestFunctional:
             """
         )
         verdict = check_functional(branched, addthree_a, PortMap({"Pa": "Pa"}, {"Pe": "Pe"}),
-                                   Symbolic(), [{"Pa": 2}], {})
+                                   "symbolic", [{"Pa": 2}], {})
         assert verdict.status == INCONCLUSIVE
         assert "multipath" in verdict.reason
 
@@ -148,10 +150,10 @@ class TestFunctional:
             )
 
         pm = PortMap({"Pa": "Pa"}, {"Pe": "Pe"})
-        verdict = check_functional(branched(0), branched(1), pm, Symbolic(), [{"Pa": 5}], {})
+        verdict = check_functional(branched(0), branched(1), pm, "symbolic", [{"Pa": 5}], {})
         assert verdict.status == INCONCLUSIVE
         assert "multipath" in verdict.reason
-        verdict = check_functional(branched(0), branched(1), pm, Symbolic(), [{"Pa": 5}, {"Pa": 0}], {})
+        verdict = check_functional(branched(0), branched(1), pm, "symbolic", [{"Pa": 5}, {"Pa": 0}], {})
         assert verdict.status == NOT_EQUIVALENT
         assert verdict.witness["vector"] == {"Pa": 0}
         assert verdict.witness["values"] == [3, -3]
@@ -167,7 +169,7 @@ class TestFunctional:
         monkeypatch.setattr(equiv, "simulate_run", counting)
         mutant = corpus.load_net("addthree_b_plus4")
         vectors = [{"Pa": 2}, {"Pa": 7}, {"Pa": -1}]
-        for strategy in (Sampled(), Symbolic()):
+        for strategy in ("sampled", "symbolic"):
             calls.clear()
             verdict = check_functional(addthree_a, mutant, ADDTHREE_PM, strategy, vectors, {})
             assert verdict.status == NOT_EQUIVALENT, strategy
@@ -238,7 +240,7 @@ class TestSymmetryAndSoundness:
         inv4 = PortMap({v: k for k, v in CARD_PM.in_map.items()}, {v: k for k, v in CARD_PM.out_map.items()})
         assert check_cardinality(card_b, card_a, inv4, [{"Paa": 1, "Pbb": 2}], INTERP).status == EQUIVALENT
         inv5 = PortMap({"Paa": "Pa"}, {"Pee": "Pe"})
-        assert check_functional(addthree_b, addthree_a, inv5, Symbolic(), [{"Paa": 2}], {}).status == EQUIVALENT
+        assert check_functional(addthree_b, addthree_a, inv5, "symbolic", [{"Paa": 2}], {}).status == EQUIVALENT
 
     def test_fsmd_symmetry(self, jammer_nonpipelined, jammer_pipelined):
         m1 = pres_to_fsmd(jammer_nonpipelined).fsmd
@@ -317,11 +319,11 @@ class TestLoops:
     def test_count_down_nets(self):
         countdown, by_two = corpus.load_net("countdown"), corpus.load_net("countdown_by_two")
         pm = PortMap({}, {"o": "o"})
-        for strategy in (Symbolic(), Sampled()):
+        for strategy in ("symbolic", "sampled"):
             verdict = check_functional(countdown, by_two, pm, strategy, [{"a": 3}], {})
             assert verdict.status == NOT_EQUIVALENT, strategy
             assert verdict.witness["values"] == [0, -1]
-        assert check_functional(countdown, countdown, pm, Symbolic(), [{"a": 3}], {}).status == EQUIVALENT
+        assert check_functional(countdown, countdown, pm, "symbolic", [{"a": 3}], {}).status == EQUIVALENT
 
     def test_a_machine_that_loops_forever_is_not_equivalent_to_one_that_stops(self):
         # The guard of q1's self-loop always holds and its exit guard never
@@ -372,6 +374,6 @@ def test_symbolic_check_validates_both_conversions(addthree_a):
         }
         """
     )
-    verdict = check_functional(racing, addthree_a, PortMap({"Pa": "Pa"}, {"Pe": "Pe"}), Symbolic(), [], {})
+    verdict = check_functional(racing, addthree_a, PortMap({"Pa": "Pa"}, {"Pe": "Pe"}), "symbolic", [], {})
     assert verdict.status == INCONCLUSIVE
     assert verdict.reason.startswith("left conversion invalid: NondeterministicF")

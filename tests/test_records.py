@@ -11,7 +11,7 @@ from presto import corpus, expr as ex
 from presto.convert import ConversionConfig, FiringSet, Step, pres_to_fsmd
 from presto.dsl import ScenarioDocument, Span, parse_expression
 from presto.equiv import PortMap, _Pair
-from presto.fsmd import DuplicateTarget, Fsmd, FsmdTransition, UpdateSet
+from presto.fsmd import Assignment, DuplicateTarget, Fsmd, FsmdTransition, UpdateSet
 from presto.pres import PresNet, Transition, Violation
 from presto.sim import RunOutcome
 from presto.verdict import Verdict
@@ -143,7 +143,8 @@ def test_converted_records_print_as_the_dataclasses_did(index):
 
 # The frozen dataclasses hashed the tuple of their fields (and raised where a
 # field is a dict); the others were unhashable, except Step, which compared
-# and hashed by identity.
+# and hashed by identity.  An UpdateSet is now the tuple of its assignments,
+# and hashes as that tuple.
 FROZEN = (Verdict, ConversionConfig, ex.Environment, PortMap, UpdateSet)
 
 
@@ -156,7 +157,7 @@ def test_converted_records_compare_and_hash_as_the_dataclasses_did(index):
         return
     assert first == second and not first != second
     assert first != object() and first != Verdict("Equivalent", "other")
-    fields = tuple(getattr(first, name) for name in first._fields)
+    fields = tuple(first) if type(first) is UpdateSet else tuple(getattr(first, name) for name in first._fields)
     try:
         expected = hash(fields) if type(first) in FROZEN else None
     except TypeError:
@@ -204,7 +205,16 @@ def test_update_sets_are_immutable_and_refuse_a_second_assignment():
         updates.assignments = ()
     with pytest.raises(DuplicateTarget):
         UpdateSet.of([("y", X), ("y", ex.IntConst(1))])
-    assert list(updates) == list(updates.assignments) and len(updates) == 1
+    assert updates == (Assignment("y", X),) and isinstance(updates, tuple) and len(updates) == 1
+
+
+def test_the_package_exports_resolve_and_take_plain_values():
+    for name in presto.__all__:
+        assert getattr(presto, name) is not None, name
+    # A check's strategy is its name and a run's schedule is its seed; no class stands for either.
+    removed = {"Sampled", "Symbolic", "MaximalStep", "RandomMaximal", "SchedulePolicy"}
+    assert not removed & set(presto.__all__)
+    assert not [name for module in (presto, presto.sim, presto.equiv) for name in removed if hasattr(module, name)]
 
 
 def test_maps_and_lists_left_out_are_new_ones():

@@ -14,8 +14,6 @@ from presto.sim import (
     QUIESCENT,
     STEP_BOUND_EXCEEDED,
     VALUE_BOUND_EXCEEDED,
-    MaximalStep,
-    RandomMaximal,
     SeededInterpretation,
     check_arities,
     ValueConflict,
@@ -154,8 +152,8 @@ class TestSimulateRun:
             """
         )
         inputs = {"a": 5, "b": 3, "c": -1}
-        for policy in (MaximalStep(), RandomMaximal(0)):
-            run = simulate_run(net, dict(inputs), {}, policy)
+        for seed in (None, 0):
+            run = simulate_run(net, dict(inputs), {}, seed)
             assert (run.status, run.steps, run.final_state, run.trace) == (DEADLOCK, 0, inputs, [])
 
     def test_wrong_input_domain_rejected(self, addthree_a):
@@ -168,27 +166,27 @@ class TestSimulateRun:
         assert run.steps == 1
 
     def test_stepwise_jammer_quiesces_in_fifteen_steps(self, jammer_nonpipelined):
-        run = simulate_run(jammer_nonpipelined, dict(JAMMER_VECTOR), SeededInterpretation(11), RandomMaximal(0), 64)
+        run = simulate_run(jammer_nonpipelined, dict(JAMMER_VECTOR), SeededInterpretation(11), 0, 64)
         assert run.status == QUIESCENT
         assert run.steps == 15
         assert set(out_port_values(jammer_nonpipelined, run.final_state)) == {"out"}
 
     def test_pipelined_jammer_quiesces_in_nine_steps(self, jammer_pipelined):
         vector = {"sigE": 3, "sigA": 3, "th": 5, "tr": 1, "om": 2, "mp": 4, "dp": 6}
-        run = simulate_run(jammer_pipelined, vector, SeededInterpretation(11), MaximalStep(), 64)
+        run = simulate_run(jammer_pipelined, vector, SeededInterpretation(11), None, 64)
         assert run.status == QUIESCENT
         assert run.steps == 9
 
     def test_reproducible_under_fixed_seed(self, racy):
-        a = simulate_run(racy, {"a": 2}, SeededInterpretation(3), RandomMaximal(42), 8)
-        b = simulate_run(racy, {"a": 2}, SeededInterpretation(3), RandomMaximal(42), 8)
+        a = simulate_run(racy, {"a": 2}, SeededInterpretation(3), 42, 8)
+        b = simulate_run(racy, {"a": 2}, SeededInterpretation(3), 42, 8)
         assert trace_json(a) == trace_json(b)
 
     def test_token_conservation_along_traces(self, jammer_nonpipelined, guard_split):
         rng = random.Random(0)
         for net, vector in ((jammer_nonpipelined, dict(JAMMER_VECTOR)),
                             (guard_split, {"p1": 1, "p2": 2, "p3": rng.randint(-3, 3), "p7": 9})):
-            run = simulate_run(net, vector, SeededInterpretation(1), RandomMaximal(7), 64)
+            run = simulate_run(net, vector, SeededInterpretation(1), 7, 64)
             marked = frozenset(vector)
             for fs, ts in run.trace:
                 consumed = frozenset().union(*(net.transition(t).pre for t in fs.transitions))
@@ -237,7 +235,7 @@ class TestConfluence:
     def test_a_run_that_offers_no_choice_is_run_once(self, jammer_nonpipelined, racy, monkeypatch):
         runs = []
         real = sim.simulate_run
-        monkeypatch.setattr(sim, "simulate_run", lambda *args: runs.append(args[3].seed) or real(*args))
+        monkeypatch.setattr(sim, "simulate_run", lambda *args: runs.append(args[3]) or real(*args))
         verdict = confluence_check(jammer_nonpipelined, dict(JAMMER_VECTOR), SeededInterpretation(11), 10, 0, 64)
         assert verdict.equivalent and runs == [0]
         runs.clear()
@@ -258,7 +256,7 @@ class TestConfluence:
             """
         )
         for seed in range(10):
-            run = simulate_run(net, {"a": 1}, {}, RandomMaximal(seed), 8)
+            run = simulate_run(net, {"a": 1}, {}, seed, 8)
             rng = random.Random(seed)
             rng.choice([0])
             assert run.chose and run.trace[1][0].transitions == rng.choice([("left",), ("right",)]), seed
