@@ -6,15 +6,14 @@ them.  Everything is immutable, and three operations do the real work:
 evaluation, simultaneous substitution, and canonical normalization.
 """
 
-from presto import Environment, evaluate, normalize, structurally_equivalent, substitute
+from presto import evaluate, normalize, structurally_equivalent, substitute
 from presto.dsl import parse_expression
 from presto.expr import negate_guard, to_text
 
 print("== parsing and evaluation ==")
 e = parse_expression("detect(sig) * 2 + offset")
 print("term:          ", to_text(e))
-env = Environment({"sig": 5, "offset": 3}, {"detect": lambda v: v + 10})
-print("value at sig=5:", evaluate(e, env))
+print("value at sig=5:", evaluate(e, {"sig": 5, "offset": 3}, {"detect": lambda v: v + 10}))
 
 print()
 print("== substitution composes transformations ==")

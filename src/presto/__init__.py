@@ -8,17 +8,17 @@ path equivalence.
 """
 
 from . import convert, dot, dsl, equiv, expr, fsmd, pres, sim, verdict
-from .convert import ConversionConfig, FiringSet, pres_to_fsmd
+from .convert import FiringSet, pres_to_fsmd
 from .dsl import parse_expression, parse_fsmd, parse_pres, parse_scenario, print_fsmd, print_net
 from .equiv import PortMap, check_cardinality, check_fsmd_equivalence, check_functional
-from .expr import Environment, evaluate, normalize, structurally_equivalent, substitute
+from .expr import evaluate, normalize, structurally_equivalent, substitute
 from .fsmd import Fsmd, apply_update_set, path_enumerate, path_transformation, validate_fsmd
 from .pres import PresNet, adjacency, classify_ports, enabled_transitions, validate_net
 from .sim import SeededInterpretation, confluence_check, simulate_run
 from .verdict import Verdict
 
 __all__ = [
-    "ConversionConfig", "Environment", "FiringSet", "Fsmd", "PortMap", "PresNet",
+    "FiringSet", "Fsmd", "PortMap", "PresNet",
     "SeededInterpretation", "Verdict", "adjacency", "apply_update_set",
     "check_cardinality", "check_fsmd_equivalence", "check_functional",
     "classify_ports", "confluence_check", "convert", "dot", "dsl",

@@ -17,7 +17,7 @@ import sys
 from typing import Optional
 
 from . import dot, dsl, expr as ex
-from .convert import ConversionConfig, Conversion, ConvertError, pres_to_fsmd
+from .convert import Conversion, ConvertError, pres_to_fsmd
 from .equiv import (
     PortMap,
     PortMapError,
@@ -107,7 +107,7 @@ def _verdict_json(v: Verdict) -> dict:
 def _as_fsmd(model, state_bound: int) -> tuple[Fsmd, Optional[Conversion]]:
     if isinstance(model, Fsmd):
         return model, None
-    conv = pres_to_fsmd(model, ConversionConfig(state_bound=state_bound))
+    conv = pres_to_fsmd(model, state_bound)
     return conv.fsmd, conv
 
 
@@ -131,7 +131,7 @@ def cmd_convert(args) -> int:
     net = _load_model(args.net)
     if not isinstance(net, PresNet):
         raise UsageError("convert expects a net file")
-    conv = pres_to_fsmd(net, ConversionConfig(state_bound=args.state_bound, on_unsafe=args.on_unsafe))
+    conv = pres_to_fsmd(net, args.state_bound, args.on_unsafe)
     text = dsl.print_fsmd(conv.fsmd)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -238,6 +238,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_check_pres(args) -> int:
     doc = _load_scenario(args.scenario)
+    if doc.check == "fsmd":
+        raise UsageError("the scenario asks for check fsmd, which check-pres does not run; use check-fsmd")
     if not doc.left or not doc.right:
         raise UsageError("check-pres needs both a left and a right model")
     n1 = _load_model(doc.resolve(doc.left))
@@ -264,6 +266,8 @@ def cmd_check_pres(args) -> int:
 
 def cmd_check_fsmd(args) -> int:
     doc = _load_scenario(args.scenario)
+    if doc.check == "cardinality":
+        raise UsageError("the scenario asks for check cardinality, which check-fsmd does not run; use check-pres")
     if not doc.left or not doc.right:
         raise UsageError("check-fsmd needs both a left and a right model")
     models = [_load_model(doc.resolve(side)) for side in (doc.left, doc.right)]

@@ -54,28 +54,6 @@ class FiringSet(NamedTuple):
     guard_set: tuple[ex.Expr, ...]
 
 
-class _ConversionConfigFields(NamedTuple):
-    state_bound: int = 10_000
-    on_unsafe: str = "error"  # "error" | "reject" (drop the firing set, with a warning)
-
-
-class ConversionConfig(_ConversionConfigFields):
-    """The bounds of one conversion; built and copied (``_replace``) only
-    with a state bound of at least 1 and a known unsafe policy."""
-
-    __slots__ = ()
-
-    def __new__(cls, state_bound: int = 10_000, on_unsafe: str = "error") -> "ConversionConfig":
-        if state_bound < 1:
-            raise ValueError("state_bound must be at least 1")
-        if on_unsafe not in ("error", "reject"):
-            raise ValueError(f"unknown unsafe policy {on_unsafe!r}")
-        return tuple.__new__(cls, (state_bound, on_unsafe))
-
-    def _replace(self, **changes) -> "ConversionConfig":
-        return ConversionConfig(**{**self._asdict(), **changes})
-
-
 def _conflict_groups(enabled: list[Transition]) -> list[list[Transition]]:
     """Connected components of the "input places overlap" relation.
 
@@ -273,13 +251,20 @@ def _updates_for(net: PresNet, fired: tuple[Transition, ...]) -> UpdateSet:
     return UpdateSet.of(pairs)
 
 
-def pres_to_fsmd(net: PresNet, cfg: ConversionConfig = ConversionConfig()) -> Conversion:
+def pres_to_fsmd(net: PresNet, state_bound: int = 10_000, on_unsafe: str = "error") -> Conversion:
     """Explore reachable markings breadth-first and emit the machine.
 
-    The result is deterministic: states are named ``q0, q1, ...`` in
-    discovery order (``q0`` is the initial marking) and transitions are
-    emitted in firing-set order per state.
+    At most ``state_bound`` (at least 1) markings become states.  A firing
+    set that would make the net unsafe raises under ``on_unsafe="error"``;
+    under ``"reject"`` it is dropped with a warning.  The result is
+    deterministic: states are named ``q0, q1, ...`` in discovery order
+    (``q0`` is the initial marking) and transitions are emitted in
+    firing-set order per state.
     """
+    if state_bound < 1:
+        raise ValueError("state_bound must be at least 1")
+    if on_unsafe not in ("error", "reject"):
+        raise ValueError(f"unknown unsafe policy {on_unsafe!r}")
     ports = classify_ports(net)
     written = {net.var_of[p] for t in net.transitions for p in t.post}
     inputs = frozenset(net.var_of[p] for p in net.initial_marking) - written
@@ -299,13 +284,13 @@ def pres_to_fsmd(net: PresNet, cfg: ConversionConfig = ConversionConfig()) -> Co
         q = state_of[m]
         for fs, members, succ, _ in construct_set_of_transitions(net, m, warnings):
             if type(succ) is str:
-                if cfg.on_unsafe == "reject":
+                if on_unsafe == "reject":
                     warnings.append(Violation("UnsafeMarking", "+".join(fs.transitions), succ))
                     continue
                 raise UnsafeMarking(succ)
             if succ not in state_of:
-                if len(state_of) >= cfg.state_bound:
-                    raise StateBoundExceeded(cfg.state_bound)
+                if len(state_of) >= state_bound:
+                    raise StateBoundExceeded(state_bound)
                 name = f"q{len(state_of)}"
                 state_of[succ] = name
                 marking_of[name] = succ

@@ -28,7 +28,7 @@ from functools import cache
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import expr as ex
-from .convert import ConversionConfig, pres_to_fsmd
+from .convert import pres_to_fsmd
 from .fsmd import Fsmd, fresh_store, machine_run, path_cover, path_transformation, validate_fsmd
 from .pres import PresNet, classify_ports
 from .record import Record
@@ -41,19 +41,11 @@ class PortMapError(Exception):
     in-ports and as many out-ports on both sides."""
 
 
-class _PortMaps(NamedTuple):
+class PortMap(NamedTuple):
+    """Bijections between the structural in-ports and out-ports of two nets."""
+
     in_map: dict[str, str]
     out_map: dict[str, str]
-
-
-class PortMap(_PortMaps):
-    """Bijections between the structural in-ports and out-ports of two nets;
-    a map left out is a new, empty one."""
-
-    __slots__ = ()
-
-    def __new__(cls, in_map: Optional[dict[str, str]] = None, out_map: Optional[dict[str, str]] = None) -> "PortMap":
-        return tuple.__new__(cls, ({} if in_map is None else in_map, {} if out_map is None else out_map))
 
     def problems(self, n1: PresNet, n2: PresNet) -> list[str]:
         out: list[str] = []
@@ -211,7 +203,7 @@ def check_functional(
             "samples": [{"vector": vector, "out_values": [out1, out2]} for vector, out1, out2 in samples]})
 
     method = "functional/symbolic (normalized path transformations)"
-    conv1, conv2 = (pres_to_fsmd(net, ConversionConfig(state_bound=state_bound)) for net in (n1, n2))
+    conv1, conv2 = (pres_to_fsmd(net, state_bound) for net in (n1, n2))
     if warnings is not None:
         warnings += conv1.warnings + conv2.warnings
     invalid = _invalid(conv1.fsmd, conv2.fsmd, "conversion")

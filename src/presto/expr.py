@@ -17,10 +17,9 @@ bounded by memory, not recursion.
 
 Three operations carry the weight of the toolkit:
 
-* :func:`evaluate` gives a term its mathematical value under an
-  :class:`Environment` (variable values plus interpretations for the
-  uninterpreted symbols), by calling the closure :func:`compiled` builds
-  once per node.
+* :func:`evaluate` gives a term its mathematical value under variable
+  values and an :data:`Interpretation` of the uninterpreted symbols, by
+  calling the closure :func:`compiled` builds once per node.
 * :func:`substitute` performs simultaneous replacement of variables by
   terms, which is how symbolic stores compose updates along a path.
 * :func:`normalize` rewrites a term into a canonical form so that two
@@ -39,7 +38,7 @@ from __future__ import annotations
 import math
 import operator
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 from weakref import ref
 
 Value = Union[int, bool]
@@ -342,17 +341,6 @@ Interpretation = Mapping[str, Callable[..., int]]
 NO_FUNCTIONS: Interpretation = MappingProxyType({})  # read-only, for terms that apply no symbol
 
 
-class Environment(NamedTuple):
-    """Variable valuation plus interpretations for applied symbols.
-
-    Interpretations are total integer functions; they are only needed
-    when an expression containing applications is evaluated.
-    """
-
-    values: Mapping[str, int]
-    functions: Interpretation = NO_FUNCTIONS
-
-
 TRUE = BoolConst(True)
 FALSE = BoolConst(False)
 
@@ -449,9 +437,10 @@ Compiled = Callable[[Mapping[str, int], Interpretation], Value]
 _EVAL_DEPTH = 64  # a subterm higher than this is evaluated by an explicit-stack walk
 
 
-def evaluate(e: Expr, env: Environment) -> Value:
-    """Value of ``e`` under ``env``; unbounded integer arithmetic, sort-checked when first compiled."""
-    return compiled(e)(env.values, env.functions)
+def evaluate(e: Expr, values: Mapping[str, int], functions: Interpretation = NO_FUNCTIONS) -> Value:
+    """Value of ``e`` under the variable ``values`` and the interpretations of
+    its symbols; unbounded integer arithmetic, sort-checked when first compiled."""
+    return compiled(e)(values, functions)
 
 
 def compiled(e: Expr) -> Compiled:

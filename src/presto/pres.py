@@ -62,7 +62,6 @@ class Adjacency(NamedTuple):
 class Ports(NamedTuple):
     in_ports: frozenset[str]
     out_ports: frozenset[str]
-    initially_marked: frozenset[str]
 
 
 class PresNet(Record):
@@ -128,15 +127,15 @@ def adjacency(net: PresNet, element: str) -> Adjacency:
 
 
 def classify_ports(net: PresNet) -> Ports:
-    """In-ports (no producer), out-ports (no consumer) and the initial
-    marking; classified on the first call and kept on the net."""
+    """In-ports (no producer) and out-ports (no consumer); classified on the
+    first call and kept on the net."""
     ports = net.ports
     if ports is None:
         transitions = net.transitions
         produced = set().union(*[transitions[i].post for i in net.order.values()])
         in_ports = frozenset(p for p in net.places if p not in produced)
         out_ports = frozenset(p for p in net.places if not net._consumers[p])
-        ports = net.ports = Ports(in_ports, out_ports, net.initial_marking)
+        ports = net.ports = Ports(in_ports, out_ports)
     return ports
 
 

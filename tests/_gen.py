@@ -55,13 +55,14 @@ def random_expr(rng: random.Random, depth: int = 4, variables=VARS) -> ex.Expr:
     return random_bool_expr(rng, depth - 1, variables) if rng.random() < 0.3 else random_int_expr(rng, depth, variables)
 
 
-def random_env(rng: random.Random, variables=VARS) -> ex.Environment:
+def random_env(rng: random.Random, variables=VARS) -> tuple[dict, dict]:
+    """Random values of ``variables`` and random affine interpretations of the symbols."""
     values = {v: rng.randint(-20, 20) for v in variables}
     functions = {}
     for s in SYMBOLS:
         c0, c1, c2 = (rng.randint(-5, 5) for _ in range(3))
         functions[s] = (lambda c0, c1, c2: lambda *args: c0 + sum(c * a for c, a in zip((c1, c2), args)))(c0, c1, c2)
-    return ex.Environment(values, functions)
+    return values, functions
 
 
 def random_net(seed: int) -> PresNet:

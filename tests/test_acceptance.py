@@ -117,7 +117,7 @@ def test_criterion_5_mutation_sensitivity(capsys):
         swapped = corpus.load_net("jammer_pipelined_swapped")
         interp = SeededInterpretation(11)
         left = simulate_run(jam, dict(JAMMER_VECTOR), interp, max_steps=64)
-        right = simulate_run(swapped, derive_right_inputs(jam, swapped, PortMap(), dict(JAMMER_VECTOR)),
+        right = simulate_run(swapped, derive_right_inputs(jam, swapped, PortMap({}, {}), dict(JAMMER_VECTOR)),
                              interp, max_steps=64)
         assert left.final_state["out"] != right.final_state["out2"]
         flipped += 1
@@ -154,8 +154,8 @@ def test_criterion_6_property_suites(jammer_nonpipelined, guard_split, racy):
         rng = random.Random(601)
         for _ in range(1000):
             e = random_expr(rng, depth=6)
-            env = random_env(rng)
-            assert ex.evaluate(ex.normalize(e), env) == ex.evaluate(e, env)
+            values, functions = random_env(rng)
+            assert ex.evaluate(ex.normalize(e), values, functions) == ex.evaluate(e, values, functions)
             assert ex.normalize(ex.normalize(e)) == ex.normalize(e)
 
     with _Clock("criterion 6b: substitution simultaneity (1000)", 60.0):
@@ -163,13 +163,11 @@ def test_criterion_6_property_suites(jammer_nonpipelined, guard_split, racy):
         for _ in range(1000):
             e = random_expr(rng, depth=5)
             bindings = {v: random_int_expr(rng, 3) for v in ("a", "b", "c")}
-            env = random_env(rng)
-            composed = dict(env.values)
+            values, functions = random_env(rng)
+            composed = dict(values)
             for v, repl in bindings.items():
-                composed[v] = ex.evaluate(repl, env)
-            assert ex.evaluate(ex.substitute(e, bindings), env) == ex.evaluate(
-                e, ex.Environment(composed, env.functions)
-            )
+                composed[v] = ex.evaluate(repl, values, functions)
+            assert ex.evaluate(ex.substitute(e, bindings), values, functions) == ex.evaluate(e, composed, functions)
 
     with _Clock("criterion 6c: parallel updates read pre-step state (1000)", 60.0):
         rng = random.Random(603)
@@ -178,10 +176,10 @@ def test_criterion_6_property_suites(jammer_nonpipelined, guard_split, racy):
             targets = rng.sample(variables, rng.randint(1, 4))
             updates = UpdateSet.of([(t, random_int_expr(rng, 3, variables)) for t in targets])
             store = {v: ex.Var(v) for v in variables}
-            env = random_env(rng)
+            values, functions = random_env(rng)
             out = apply_update_set(updates, store)
             for assign in updates:
-                assert ex.evaluate(out[assign.target], env) == ex.evaluate(assign.expr, env)
+                assert ex.evaluate(out[assign.target], values, functions) == ex.evaluate(assign.expr, values, functions)
 
     with _Clock("criterion 6d: firing conserves tokens (1000)", 60.0):
         rng = random.Random(604)
@@ -236,7 +234,7 @@ def test_criterion_6_property_suites(jammer_nonpipelined, guard_split, racy):
             chosen = None
             for path in path_enumerate(machine, machine.reset, machine.terminal_states()).paths:
                 pt = path_transformation(machine, path)
-                if ex.evaluate(pt.condition, ex.Environment(env_values, interp)):
+                if ex.evaluate(pt.condition, env_values, interp):
                     chosen = pt
                     break
             assert chosen is not None, name
@@ -245,7 +243,7 @@ def test_criterion_6_property_suites(jammer_nonpipelined, guard_split, racy):
             assert state in machine.terminal_states()
             for p in sorted(final_marking):
                 v = net.var_of[p]
-                expected = ex.evaluate(chosen.transform[v], ex.Environment(env_values, interp))
+                expected = ex.evaluate(chosen.transform[v], env_values, interp)
                 assert run.final_state[p] == expected, (name, p)
 
     total = time.perf_counter() - start

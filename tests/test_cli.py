@@ -8,6 +8,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from presto import cli, corpus, expr as ex
@@ -155,6 +156,28 @@ class TestChecks:
         code, out, _ = run(capsys, "check-fsmd", corpus.scenario_path("jammer"))
         assert code == 0
         assert "Equivalent" in out
+
+    @pytest.mark.parametrize("command, refused, other", [("check-pres", "fsmd", "check-fsmd"),
+                                                         ("check-fsmd", "cardinality", "check-pres")])
+    def test_a_check_the_command_does_not_run_is_refused(self, capsys, tmp_path, command, refused, other):
+        # Run as another check, a scenario gets a wrong verdict: by cardinality,
+        # jammer is NotEquivalent, the pair that check-fsmd finds Equivalent.
+        message = f"error: the scenario asks for check {refused}, which {command} does not run; use {other}\n"
+        names = [name for name in corpus.SCENARIOS if corpus.load_scenario(name).check == refused]
+        assert len(names) == (4 if refused == "fsmd" else 3)
+        report = tmp_path / "report.json"
+        for name in names:
+            for extra in ([], ["--strategy", "sampled"]) if command == "check-pres" else ([],):
+                argv = (command, corpus.scenario_path(name), *extra, "--json", str(report))
+                assert run(capsys, *argv) == (3, "", message), argv
+                assert not report.exists()
+        # Refused before the scenario's models are looked at.
+        lone = tmp_path / "lone.scn"
+        lone.write_text(f"scenario lone {{ check {refused}; }}\n")
+        assert run(capsys, command, str(lone)) == (3, "", message)
+        # The other command runs it, and check functional stays open to both.
+        assert run(capsys, other, corpus.scenario_path(names[0]))[0] == 0
+        assert run(capsys, command, corpus.scenario_path("countdown_by_two"))[0] == 1
 
     def test_check_pres_cardinality_cardinality(self, capsys):
         code, out, _ = run(capsys, "check-pres", corpus.scenario_path("cardinality"))

@@ -5,7 +5,6 @@ import pytest
 
 from presto import corpus, expr as ex
 from presto.convert import (
-    ConversionConfig,
     StateBoundExceeded,
     UnsafeMarking,
     _conflict_groups,
@@ -290,7 +289,7 @@ class TestPresToFsmd:
 
     def test_state_bound(self, addthree_a):
         with pytest.raises(StateBoundExceeded):
-            pres_to_fsmd(addthree_a, ConversionConfig(state_bound=1))
+            pres_to_fsmd(addthree_a, state_bound=1)
 
     def test_unsafe_policy_error_and_reject(self):
         src = """
@@ -302,8 +301,8 @@ class TestPresToFsmd:
         """
         net = parse_pres(src)
         with pytest.raises(UnsafeMarking):
-            pres_to_fsmd(net, ConversionConfig(on_unsafe="error"))
-        conv = pres_to_fsmd(net, ConversionConfig(on_unsafe="reject"))
+            pres_to_fsmd(net, on_unsafe="error")
+        conv = pres_to_fsmd(net, on_unsafe="reject")
         assert any(w.rule == "UnsafeMarking" for w in conv.warnings)
         assert len(conv.fsmd.transitions) == 0
 
@@ -319,7 +318,7 @@ class TestPresToFsmd:
         chains = []
         real = ex.apply_chain
         monkeypatch.setattr(ex, "apply_chain", lambda e: chains.append(e) or real(e))
-        conv = pres_to_fsmd(net, ConversionConfig(on_unsafe="reject"))
+        conv = pres_to_fsmd(net, on_unsafe="reject")
         assert chains == []  # only a reader of the labels pays for them
         # ta and tb both put a token on z: rejected
         ta_tb, tc_tb = [fs for fs, *_ in construct_set_of_transitions(net, conv.marking_of_state["q0"])]

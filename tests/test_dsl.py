@@ -5,7 +5,7 @@ import time
 import pytest
 
 from presto import corpus, dsl, expr as ex
-from presto.convert import ConversionConfig, pres_to_fsmd
+from presto.convert import pres_to_fsmd
 from presto.dsl import (
     MAX_NESTING,
     DslError,
@@ -156,8 +156,7 @@ class TestScenarioParsing:
     def test_interp_bodies_evaluate(self):
         doc = corpus.load_scenario("guard_split")
         decl = next(d for d in doc.interps if d.symbol == "f_t1")
-        env = ex.Environment(dict(zip(decl.params, (2, 3))))
-        assert ex.evaluate(decl.body, env) == 5
+        assert ex.evaluate(decl.body, dict(zip(decl.params, (2, 3)))) == 5
 
     def test_interp_body_scope_checked(self):
         with pytest.raises(DslSemanticError):
@@ -341,7 +340,7 @@ def test_random_nets_and_their_conversions_round_trip(seed):
     net = random_net(seed)
     assert parse_pres(print_net(net)) == net
     try:
-        machine = pres_to_fsmd(net, ConversionConfig(on_unsafe="reject")).fsmd
+        machine = pres_to_fsmd(net, on_unsafe="reject").fsmd
     except DuplicateTarget:  # a firing set writes one variable twice
         return
     issues = validate_fsmd(machine)

@@ -201,7 +201,7 @@ class TestFsmdEquivalence:
         interp = SeededInterpretation(11)
         vector = {"sig": 3, "th": 5, "tr": 1, "om": 2, "mp": 4, "dp": 6}
         run1 = simulate_run(jammer_nonpipelined, vector, interp, max_steps=64)
-        run2 = simulate_run(mutant, derive_right_inputs(jammer_nonpipelined, mutant, PortMap(), vector),
+        run2 = simulate_run(mutant, derive_right_inputs(jammer_nonpipelined, mutant, PortMap({}, {}), vector),
                             interp, max_steps=64)
         assert run1.final_state["out"] != run2.final_state["out2"]
 
@@ -258,7 +258,7 @@ class TestSymmetryAndSoundness:
             interp = SeededInterpretation(rng.randint(0, 10**6))
             run1 = simulate_run(jammer_nonpipelined, vector, interp, max_steps=64)
             run2 = simulate_run(jammer_pipelined,
-                                derive_right_inputs(jammer_nonpipelined, jammer_pipelined, PortMap(), vector),
+                                derive_right_inputs(jammer_nonpipelined, jammer_pipelined, PortMap({}, {}), vector),
                                 interp, max_steps=64)
             assert run1.status == QUIESCENT and run2.status == QUIESCENT
             assert run1.final_state["out"] == run2.final_state["out2"], (case, vector)
@@ -284,16 +284,16 @@ def test_fsmd_verdicts_agree_with_concrete_runs():
         left = _split_machine("l", ex.Rel(op, lhs, rhs), *branches)
         right = _split_machine("r", ex.Rel(ex.MIRROR[op], rhs, lhs), *other)
         envs = [random_env(rng) for _ in range(4)]
-        functions = envs[0].functions
-        verdict = check_fsmd_equivalence(left, right, {"y": "y"}, [e.values for e in envs], functions)
+        functions = envs[0][1]
+        verdict = check_fsmd_equivalence(left, right, {"y": "y"}, [values for values, _ in envs], functions)
         seen[verdict.status] += 1
         if verdict.status == NOT_EQUIVALENT:
             vector = verdict.witness["vector"]
             left_y, right_y = (machine_run(m, vector, functions)[0]["y"] for m in (left, right))
             assert left_y != right_y, case
         elif verdict.status == EQUIVALENT:
-            for env in [*envs, *(random_env(rng) for _ in range(4))]:
-                left_y, right_y = (machine_run(m, env.values, functions)[0]["y"] for m in (left, right))
+            for values, _ in [*envs, *(random_env(rng) for _ in range(4))]:
+                left_y, right_y = (machine_run(m, values, functions)[0]["y"] for m in (left, right))
                 assert left_y == right_y
     assert seen[EQUIVALENT] > 50 and seen[NOT_EQUIVALENT] > 50, seen
 

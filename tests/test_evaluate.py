@@ -56,20 +56,15 @@ def reference(root: ex.Expr, values, functions):
 
 def outcome(run, e, env):
     try:
-        return "value", run(e, env.values, env.functions)
+        return "value", run(e, *env)
     except ex.ExprError as err:
         return type(err).__name__, str(err)
 
 
-def compiled(e, values, functions):
-    return ex.evaluate(e, ex.Environment(values, functions))
-
-
-def _variant_env(rng: random.Random) -> ex.Environment:
-    """A random environment, sometimes missing a variable or a symbol, or with
-    an interpretation that returns ``True`` or a numeric string."""
-    env = random_env(rng)
-    values, functions = dict(env.values), dict(env.functions)
+def _variant_env(rng: random.Random) -> tuple[dict, dict]:
+    """Random values and interpretations, sometimes missing a variable or a
+    symbol, or with an interpretation that returns ``True`` or a numeric string."""
+    values, functions = random_env(rng)
     if rng.random() < 0.25:
         del values[rng.choice(VARS)]
     if rng.random() < 0.25:
@@ -78,7 +73,7 @@ def _variant_env(rng: random.Random) -> ex.Environment:
         functions[rng.choice(SYMBOLS)] = lambda *args: True
     if rng.random() < 0.25:
         functions[rng.choice(SYMBOLS)] = lambda *args: str(sum(args) % 7)
-    return ex.Environment(values, functions)
+    return values, functions
 
 
 def _ill_sorted(rng: random.Random) -> ex.Expr:
@@ -95,8 +90,8 @@ def test_compiled_evaluation_matches_the_reference(seed):
         e = _ill_sorted(rng) if rng.random() < 0.05 else random_expr(rng)
         env = _variant_env(rng)
         expected = outcome(reference, e, env)
-        assert outcome(compiled, e, env) == expected, e
-        assert outcome(compiled, e, env) == expected, e  # a failed compile leaves nothing behind
+        assert outcome(ex.evaluate, e, env) == expected, e
+        assert outcome(ex.evaluate, e, env) == expected, e  # a failed compile leaves nothing behind
         kinds.add(expected[0])
     assert kinds == {"value", "UnboundVariable", "UninterpretedSymbol", "SortMismatch"}
 
@@ -108,24 +103,24 @@ def test_every_operand_of_and_and_or_is_evaluated():
     for op, first in (("and", ex.FALSE), ("or", ex.TRUE), ("and", ex.negate_guard(x_pos)), ("or", x_pos)):
         for later, error in ((unbound, ex.UnboundVariable), (missing, ex.UninterpretedSymbol)):
             e = ex.BoolOp(op, (first, later))
-            env = ex.Environment({"x": 4})
+            env = ({"x": 4}, ex.NO_FUNCTIONS)
             with pytest.raises(error):
-                ex.evaluate(e, env)
-            assert outcome(compiled, e, env) == outcome(reference, e, env)
+                ex.evaluate(e, *env)
+            assert outcome(ex.evaluate, e, env) == outcome(reference, e, env)
 
 
 def test_interpretations_are_coerced_to_integers():
     e = ex.add(ex.Apply("F", (ex.Var("a"),)), ex.Apply("G", (ex.Var("a"), ex.IntConst(2))))
-    env = ex.Environment({"a": 5}, {"F": lambda v: True, "G": lambda v, w: str(v * w)})
-    assert ex.evaluate(e, env) == reference(e, env.values, env.functions) == 11
+    env = ({"a": 5}, {"F": lambda v: True, "G": lambda v, w: str(v * w)})
+    assert ex.evaluate(e, *env) == reference(e, *env) == 11
 
 
 def test_ill_sorted_terms_raise_on_every_call():
     bad = ex.Apply("F", (ex.Rel("=", ex.Var("a"), ex.IntConst(1)),))
-    env = ex.Environment({"a": 1}, {"F": abs})
+    env = ({"a": 1}, {"F": abs})
     for _ in range(3):
-        assert outcome(compiled, bad, env) == outcome(reference, bad, env)
-        assert outcome(compiled, bad, env)[0] == "SortMismatch"
+        assert outcome(ex.evaluate, bad, env) == outcome(reference, bad, env)
+        assert outcome(ex.evaluate, bad, env)[0] == "SortMismatch"
 
 
 def test_nullary_applications_are_evaluated():
@@ -133,13 +128,13 @@ def test_nullary_applications_are_evaluated():
     nest = k
     for _ in range(100):  # above the depth where closures stop calling each other
         nest = ex.Apply("f", (nest,))
-    env = ex.Environment({"x": 2}, {"k": lambda: 5, "f": lambda v: v + 1})
+    env = ({"x": 2}, {"k": lambda: 5, "f": lambda v: v + 1})
     for term in (k, ex.add(k, ex.Var("x")), ex.Apply("f", (k,)), nest, ex.Rel("<", nest, k)):
-        assert outcome(compiled, term, env) == outcome(reference, term, env)
-    assert ex.evaluate(k, env) == 5
-    assert ex.evaluate(nest, env) == 105
-    missing = ex.Environment({"x": 2}, {"f": lambda v: v + 1})
-    assert outcome(compiled, nest, missing) == outcome(reference, nest, missing) == (
+        assert outcome(ex.evaluate, term, env) == outcome(reference, term, env)
+    assert ex.evaluate(k, *env) == 5
+    assert ex.evaluate(nest, *env) == 105
+    missing = ({"x": 2}, {"f": lambda v: v + 1})
+    assert outcome(ex.evaluate, nest, missing) == outcome(reference, nest, missing) == (
         "UninterpretedSymbol", "no interpretation for function symbol 'k'")
 
 
@@ -149,19 +144,19 @@ def test_deep_apply_nests_match_the_reference(depth):
     for _ in range(depth):
         e = ex.Apply("f", (e,))
     wide = ex.add(e, ex.Apply("g", (e, ex.Var("y"))))  # shares the nest under a higher node
-    env = ex.Environment({"x": 3, "y": 1}, {"f": lambda v: v + 1, "g": lambda v, w: v * w})
+    env = ({"x": 3, "y": 1}, {"f": lambda v: v + 1, "g": lambda v, w: v * w})
     for term in (e, wide, ex.Rel("<", ex.IntConst(0), wide)):
-        assert outcome(compiled, term, env) == outcome(reference, term, env)
-    assert ex.evaluate(wide, env) == 2 * (3 + depth)
-    missing = ex.Environment({"x": 3}, {"f": lambda v: v + 1, "g": lambda v, w: v * w})
-    assert outcome(compiled, wide, missing) == outcome(reference, wide, missing) == (
+        assert outcome(ex.evaluate, term, env) == outcome(reference, term, env)
+    assert ex.evaluate(wide, *env) == 2 * (3 + depth)
+    missing = ({"x": 3}, {"f": lambda v: v + 1, "g": lambda v, w: v * w})
+    assert outcome(ex.evaluate, wide, missing) == outcome(reference, wide, missing) == (
         "UnboundVariable", "unbound variable 'y'")
     # Two failing operands: the left one's error is raised, as the reference does.
     both = ex.add(ex.Apply("g", (e, ex.Var("y"))), ex.Apply("h", (e,)))
-    assert outcome(compiled, both, missing) == outcome(reference, both, missing) == (
+    assert outcome(ex.evaluate, both, missing) == outcome(reference, both, missing) == (
         "UnboundVariable", "unbound variable 'y'")
     swapped = ex.add(ex.Apply("h", (e,)), ex.Apply("g", (e, ex.Var("y"))))
-    assert outcome(compiled, swapped, missing) == outcome(reference, swapped, missing) == (
+    assert outcome(ex.evaluate, swapped, missing) == outcome(reference, swapped, missing) == (
         "UninterpretedSymbol", "no interpretation for function symbol 'h'")
 
 
@@ -175,7 +170,7 @@ def test_a_constant_gets_a_closure_only_where_one_is_called():
     nest = x
     for _ in range(70):
         nest = ex.Apply("f", (nest,))
-    env = ex.Environment({"x": 3}, {"f": lambda v: v + 1, "h": lambda v: 2 * v})
+    env = ({"x": 3}, {"f": lambda v: v + 1, "h": lambda v: 2 * v})
     held = [ex.IntConst(v) for v in (80_001, 80_002, 80_003)]
     called = [ex.IntConst(v) for v in (80_011, 80_012, 80_013, 80_014, 80_015)]
     terms = [
@@ -183,17 +178,17 @@ def test_a_constant_gets_a_closure_only_where_one_is_called():
         ex.add(x, called[0], x), ex.neg(called[1]), ex.Apply("h", (called[2],)), called[3], ex.add(nest, called[4]),
     ]
     for term in terms:
-        assert outcome(compiled, term, env) == outcome(reference, term, env)
+        assert outcome(ex.evaluate, term, env) == outcome(reference, term, env)
     assert [c._fn is None for c in held] == [True] * 3
     assert [c._fn is None for c in called] == [False] * 5
-    assert ex.evaluate(ex.Rel(">", held[2], held[1]), env) is True and held[2]._fn is None
-    assert ex.evaluate(held[0], env) == 80_001 and held[0]._fn is not None  # compiled when it becomes a root
+    assert ex.evaluate(ex.Rel(">", held[2], held[1]), *env) is True and held[2]._fn is None
+    assert ex.evaluate(held[0], *env) == 80_001 and held[0]._fn is not None  # compiled when it becomes a root
 
 
 def test_compiled_terms_leave_the_table_without_a_collection():
     # A closure holds its children's closures (a deep node's, its children),
     # never its own node, so dropping a term frees it by reference counts.
-    env = ex.Environment({"leak-x": 1}, {"leak-f": lambda v: v + 1})
+    env = ({"leak-x": 1}, {"leak-f": lambda v: v + 1})
     gc.collect()
     gc.disable()
     try:
@@ -201,7 +196,7 @@ def test_compiled_terms_leave_the_table_without_a_collection():
         e = ex.Var("leak-x")
         for _ in range(100):
             e = ex.Apply("leak-f", (e,))
-        assert ex.evaluate(ex.add(e, ex.IntConst(7)), env) == 108
+        assert ex.evaluate(ex.add(e, ex.IntConst(7)), *env) == 108
         assert len(ex._table) > size
         del e
         assert len(ex._table) == size
@@ -226,8 +221,8 @@ def test_random_terms_above_the_closure_depth_match_the_reference(seed):
             if rng.random() < 0.5:
                 ex.compiled(rng.choice(term._kids))  # a subterm compiled first, as another root
             expected = outcome(reference, term, env)
-            assert outcome(compiled, term, env) == expected
-            assert outcome(compiled, term, env) == expected
+            assert outcome(ex.evaluate, term, env) == expected
+            assert outcome(ex.evaluate, term, env) == expected
             kinds.add(expected[0])
     assert {"value", "UnboundVariable", "UninterpretedSymbol"} <= kinds
 

@@ -15,36 +15,36 @@ A, B, C, X, Y = (ex.Var(n) for n in "abcxy")
 
 
 def env(values=None, functions=None):
-    return ex.Environment(values or {}, functions or {})
+    return values or {}, functions or {}
 
 
 class TestEvaluate:
     def test_additive_identity(self):
-        assert ex.evaluate(ex.add(ex.IntConst(0), X), env({"x": 7})) == 7
+        assert ex.evaluate(ex.add(ex.IntConst(0), X), *env({"x": 7})) == 7
 
     def test_affine(self):
-        assert ex.evaluate(ex.add(X, ex.IntConst(3)), env({"x": 2})) == 5
+        assert ex.evaluate(ex.add(X, ex.IntConst(3)), *env({"x": 2})) == 5
 
     def test_relation_over_product(self):
         e = ex.Rel(">", ex.mul(A, B), ex.IntConst(10))
-        assert ex.evaluate(e, env({"a": 3, "b": 4})) is True
+        assert ex.evaluate(e, *env({"a": 3, "b": 4})) is True
 
     def test_unbounded_integers(self):
         big = ex.mul(ex.IntConst(10**30), ex.IntConst(10**30))
-        assert ex.evaluate(big, env()) == 10**60
+        assert ex.evaluate(big, *env()) == 10**60
 
     def test_unbound_variable(self):
         with pytest.raises(ex.UnboundVariable):
-            ex.evaluate(X, env())
+            ex.evaluate(X, *env())
 
     def test_uninterpreted_symbol(self):
         with pytest.raises(ex.UninterpretedSymbol):
-            ex.evaluate(ex.Apply("f", (X,)), env({"x": 1}))
+            ex.evaluate(ex.Apply("f", (X,)), *env({"x": 1}))
 
     def test_sort_mismatch(self):
         bad = ex.Arith("+", (ex.Rel("=", X, X), X))
         with pytest.raises(ex.SortMismatch):
-            ex.evaluate(bad, env({"x": 1}))
+            ex.evaluate(bad, *env({"x": 1}))
         with pytest.raises(ex.SortMismatch):
             ex.sort_of(bad)
 
@@ -66,7 +66,7 @@ class TestSubstitute:
         rng = random.Random(7)
         for _ in range(50):
             vals = {"x": rng.randint(-9, 9), "y": rng.randint(-9, 9)}
-            assert ex.evaluate(swapped, env(vals)) == vals["y"] + vals["x"]
+            assert ex.evaluate(swapped, *env(vals)) == vals["y"] + vals["x"]
 
     def test_bool_replacement_rejected(self):
         with pytest.raises(ex.SortMismatch):
@@ -86,7 +86,7 @@ class TestNormalize:
         assert n != ex.IntConst(0)
         # brute-force evaluation oracle over a small range
         for v in range(-5, 6):
-            assert ex.evaluate(n, env({"x": v})) == ex.evaluate(e, env({"x": v})) == 0
+            assert ex.evaluate(n, *env({"x": v})) == ex.evaluate(e, *env({"x": v})) == 0
 
     def test_x_minus_x_collects_to_zero(self):
         assert ex.normalize(ex.sub(X, X), collect_terms=True) == ex.IntConst(0)
@@ -141,8 +141,8 @@ class TestStructuralEquivalence:
         assert not ex.structurally_equivalent(fg, gf)
         # witness interpretation: f adds one, g doubles
         witness = env({"x": 1}, {"f": lambda v: v + 1, "g": lambda v: 2 * v})
-        assert ex.evaluate(fg, witness) == 3
-        assert ex.evaluate(gf, witness) == 4
+        assert ex.evaluate(fg, *witness) == 3
+        assert ex.evaluate(gf, *witness) == 4
 
     def test_sort_mismatch(self):
         with pytest.raises(ex.SortMismatch):
@@ -182,8 +182,8 @@ _expr_strategy = st.integers(min_value=0, max_value=10**9).map(
 def test_normalize_preserves_evaluation(seed):
     rng = random.Random(seed)
     e = random_expr(rng, depth=6)
-    environment = random_env(rng)
-    assert ex.evaluate(ex.normalize(e), environment) == ex.evaluate(e, environment)
+    values, functions = random_env(rng)
+    assert ex.evaluate(ex.normalize(e), values, functions) == ex.evaluate(e, values, functions)
 
 
 @settings(max_examples=200, deadline=None)
@@ -200,12 +200,12 @@ def test_substitute_then_evaluate_composes(seed):
     rng = random.Random(seed)
     e = random_expr(rng, depth=5)
     bindings = {v: random_int_expr(rng, 3) for v in ("a", "b")}
-    environment = random_env(rng)
-    composed = dict(environment.values)
+    values, functions = random_env(rng)
+    composed = dict(values)
     for v, repl in bindings.items():
-        composed[v] = ex.evaluate(repl, environment)
-    lhs = ex.evaluate(ex.substitute(e, bindings), environment)
-    rhs = ex.evaluate(e, ex.Environment(composed, environment.functions))
+        composed[v] = ex.evaluate(repl, values, functions)
+    lhs = ex.evaluate(ex.substitute(e, bindings), values, functions)
+    rhs = ex.evaluate(e, composed, functions)
     assert lhs == rhs
 
 
@@ -315,7 +315,7 @@ class TestHashConsing:
             with pytest.raises(ex.SortMismatch):
                 ex.substitute(X, {"x": e})
             with pytest.raises(ex.SortMismatch):
-                ex.evaluate(e, env({"x": 1, "y": 2}, {"f": abs}))
+                ex.evaluate(e, *env({"x": 1, "y": 2}, {"f": abs}))
 
     def test_unreferenced_terms_leave_the_table(self):
         size = len(ex._table)
@@ -365,8 +365,8 @@ def test_deep_terms_evaluate_without_recursion(build):
             expected = expected + 1
         else:
             expected = expected + i if i % 2 else 2 * expected
-    assert ex.evaluate(e, env({"x": 3}, {"f": lambda v: v + 1})) == expected
-    assert ex.evaluate(ex.Rel("<", ex.IntConst(0), e), env({"x": 3}, {"f": lambda v: v + 1})) is (expected > 0)
+    assert ex.evaluate(e, *env({"x": 3}, {"f": lambda v: v + 1})) == expected
+    assert ex.evaluate(ex.Rel("<", ex.IntConst(0), e), *env({"x": 3}, {"f": lambda v: v + 1})) is (expected > 0)
 
 
 def test_substitute_reads_only_the_bindings_of_free_variables():

@@ -303,10 +303,10 @@ def test_parallel_update_reads_pre_step_values(seed):
     updates = UpdateSet.of([(t, random_int_expr(rng, 3, variables)) for t in targets])
     store = {v: ex.Var(v) for v in variables}
     values = {v: rng.randint(-10, 10) for v in variables}
-    env = ex.Environment(values, {s: (lambda *a: sum(a) + 1) for s in ("F", "G", "H")})
+    functions = {s: (lambda *a: sum(a) + 1) for s in ("F", "G", "H")}
     out = apply_update_set(updates, store)
     for assign in updates:
-        assert ex.evaluate(out[assign.target], env) == ex.evaluate(assign.expr, env)
+        assert ex.evaluate(out[assign.target], values, functions) == ex.evaluate(assign.expr, values, functions)
     for v in variables:
         if v not in {a.target for a in updates}:
             assert out[v] == ex.Var(v)

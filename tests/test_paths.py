@@ -98,7 +98,7 @@ def _pair(seed, loops):
     if len(right.states) > 300:  # copied tails grow exponentially with the branches in a row
         right = compile_program("r", other)
     envs = [random_env(rng) for _ in range(4)]
-    return left, right, [env.values for env in envs], envs[0].functions, rng
+    return left, right, [values for values, _ in envs], envs[0][1], rng
 
 
 def _replays(verdict, left, right, functions, max_steps=1_000):
@@ -124,7 +124,7 @@ def test_walk_agrees_with_whole_path_enumeration_on_loop_free_pairs():
         if verdict.status == NOT_EQUIVALENT:
             assert _replays(verdict, left, right, functions), seed
         elif verdict.status == EQUIVALENT:
-            more = [random_env(rng).values for _ in range(4)]
+            more = [random_env(rng)[0] for _ in range(4)]
             assert not separated(runs(left, right, vectors + more, functions)), seed
         seen[verdict.status, oracle] = seen.get((verdict.status, oracle), 0) + 1
     assert seen[EQUIVALENT, EQUIVALENT] > 50 and seen[NOT_EQUIVALENT, NOT_EQUIVALENT] > 20, seen
@@ -146,7 +146,7 @@ def test_walk_on_looping_pairs_ends_and_never_contradicts_a_run(seed):
     if verdict.status == NOT_EQUIVALENT:
         assert _replays(verdict, left, right, functions, 500)
     elif verdict.status == EQUIVALENT:
-        more = vectors + [random_env(rng).values for _ in range(8)]
+        more = vectors + [random_env(rng)[0] for _ in range(8)]
         assert not separated(runs(left, right, more, functions, 500))
         for vector in more:
             ends = [machine_run(m, vector, functions, 500) for m in (left, right)]

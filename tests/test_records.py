@@ -8,7 +8,7 @@ import pytest
 
 import presto
 from presto import corpus, expr as ex
-from presto.convert import ConversionConfig, FiringSet, Step, pres_to_fsmd
+from presto.convert import FiringSet, Step, pres_to_fsmd
 from presto.dsl import ScenarioDocument, Span, parse_expression
 from presto.equiv import PortMap, _Pair
 from presto.fsmd import Assignment, DuplicateTarget, Fsmd, FsmdTransition, UpdateSet
@@ -95,11 +95,7 @@ def _converted():
          "Verdict(status='NotEquivalent', method='m', witness={'x': 1}, reason=None)"),
         (Verdict("Inconclusive", "m", reason="r"),
          "Verdict(status='Inconclusive', method='m', witness=None, reason='r')"),
-        (ConversionConfig(), "ConversionConfig(state_bound=10000, on_unsafe='error')"),
-        (ConversionConfig(5, "reject"), "ConversionConfig(state_bound=5, on_unsafe='reject')"),
-        (ex.Environment({"x": 1}), "Environment(values={'x': 1}, functions=mappingproxy({}))"),
         (PortMap({"a": "b"}, {"c": "d"}), "PortMap(in_map={'a': 'b'}, out_map={'c': 'd'})"),
-        (PortMap(), "PortMap(in_map={}, out_map={})"),
         (UpdateSet.of([("y", X)]), "UpdateSet(assignments=(Assignment(target='y', expr=Var(name='x')),))"),
         (Fsmd("m", ("q0", "q1"), "q0", frozenset({"x"}), frozenset({"y"}), frozenset({"y"}),
               (FsmdTransition("q0", (), "q1", UpdateSet(())),)),
@@ -145,7 +141,7 @@ def test_converted_records_print_as_the_dataclasses_did(index):
 # field is a dict); the others were unhashable, except Step, which compared
 # and hashed by identity.  An UpdateSet is now the tuple of its assignments,
 # and hashes as that tuple.
-FROZEN = (Verdict, ConversionConfig, ex.Environment, PortMap, UpdateSet)
+FROZEN = (Verdict, PortMap, UpdateSet)
 
 
 @pytest.mark.parametrize("index", range(CONVERTED))
@@ -174,7 +170,6 @@ def test_a_changed_field_breaks_equality():
     assert UpdateSet.of([("y", X)]) != UpdateSet.of([("z", X)])
     assert RunOutcome("Deadlock", {}) != RunOutcome("Deadlock", {}, steps=1)
     assert ScenarioDocument("s") != ScenarioDocument("s", check="fsmd")
-    assert ConversionConfig() != ConversionConfig(on_unsafe="reject")
 
 
 @pytest.mark.parametrize("build, message", [
@@ -182,9 +177,8 @@ def test_a_changed_field_breaks_equality():
     (lambda: Verdict("NotEquivalent", "m"), "NotEquivalent verdicts need a witness"),
     (lambda: Verdict("Inconclusive", "m"), "Inconclusive verdicts need a reason"),
     (lambda: Verdict("Equivalent", "m")._replace(status="NotEquivalent"), "NotEquivalent verdicts need a witness"),
-    (lambda: ConversionConfig(0), "state_bound must be at least 1"),
-    (lambda: ConversionConfig(on_unsafe="ignore"), "unknown unsafe policy 'ignore'"),
-    (lambda: ConversionConfig()._replace(state_bound=0), "state_bound must be at least 1"),
+    (lambda: pres_to_fsmd(_net(), state_bound=0), "state_bound must be at least 1"),
+    (lambda: pres_to_fsmd(_net(), on_unsafe="ignore"), "unknown unsafe policy 'ignore'"),
 ])
 def test_validated_records_refuse_bad_fields_on_copy_too(build, message):
     with pytest.raises(ValueError) as err:
@@ -211,14 +205,16 @@ def test_update_sets_are_immutable_and_refuse_a_second_assignment():
 def test_the_package_exports_resolve_and_take_plain_values():
     for name in presto.__all__:
         assert getattr(presto, name) is not None, name
-    # A check's strategy is its name and a run's schedule is its seed; no class stands for either.
-    removed = {"Sampled", "Symbolic", "MaximalStep", "RandomMaximal", "SchedulePolicy"}
+    # A check's strategy is its name and a run's schedule is its seed; conversion takes its
+    # bounds and evaluation its values and interpretations as they are.  No class stands for any.
+    removed = {"Sampled", "Symbolic", "MaximalStep", "RandomMaximal", "SchedulePolicy", "ConversionConfig",
+               "Environment"}
     assert not removed & set(presto.__all__)
-    assert not [name for module in (presto, presto.sim, presto.equiv) for name in removed if hasattr(module, name)]
+    modules = (presto, presto.sim, presto.equiv, presto.convert, presto.expr)
+    assert not [name for module in modules for name in removed if hasattr(module, name)]
 
 
 def test_maps_and_lists_left_out_are_new_ones():
-    assert PortMap().in_map is not PortMap().in_map
     first, second = ScenarioDocument("a"), ScenarioDocument("b")
     first.vectors.append({"p": 1})
     assert second.vectors == [] and RunOutcome("Deadlock", {}).trace is not RunOutcome("Deadlock", {}).trace

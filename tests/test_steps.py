@@ -96,7 +96,7 @@ def test_unsafe_marking_is_raised_on_every_run():
             simulate_run(net, {"a": 1, "b": 2}, {})
     with pytest.raises(UnsafeMarking):
         pres_to_fsmd(net)
-    assert pres_to_fsmd(net, convert.ConversionConfig(on_unsafe="reject")).warnings[0].rule == "UnsafeMarking"
+    assert pres_to_fsmd(net, on_unsafe="reject").warnings[0].rule == "UnsafeMarking"
 
 
 def test_a_replaced_net_starts_with_an_empty_table():
