@@ -96,6 +96,7 @@ def _converted():
         (Verdict("Inconclusive", "m", reason="r"),
          "Verdict(status='Inconclusive', method='m', witness=None, reason='r')"),
         (PortMap({"a": "b"}, {"c": "d"}), "PortMap(in_map={'a': 'b'}, out_map={'c': 'd'})"),
+        (PortMap({}, {}), "PortMap(in_map={}, out_map={})"),
         (UpdateSet.of([("y", X)]), "UpdateSet(assignments=(Assignment(target='y', expr=Var(name='x')),))"),
         (Fsmd("m", ("q0", "q1"), "q0", frozenset({"x"}), frozenset({"y"}), frozenset({"y"}),
               (FsmdTransition("q0", (), "q1", UpdateSet(())),)),
@@ -115,9 +116,19 @@ def _converted():
          "target='q1', updates=UpdateSet(assignments=(Assignment(target='y', expr=Apply(symbol='f', "
          "args=(Var(name='x'),))),))),)), marking_of_state={'q0': frozenset({'a'}), 'q1': frozenset({'b'})}, "
          "labels=[[('f',)]], warnings=[])"),
+        (pres_to_fsmd(_net(), 2, "reject"),
+         "Conversion(fsmd=Fsmd(name='n', states=('q0', 'q1'), reset='q0', inputs=frozenset({'x'}), "
+         "storage=frozenset({'y'}), outputs=frozenset({'y'}), transitions=(FsmdTransition(source='q0', guard_set=(), "
+         "target='q1', updates=UpdateSet(assignments=(Assignment(target='y', expr=Apply(symbol='f', "
+         "args=(Var(name='x'),))),))),)), marking_of_state={'q0': frozenset({'a'}), 'q1': frozenset({'b'})}, "
+         "labels=[[('f',)]], warnings=[])"),
         (ScenarioDocument("s", left="a.pres"),
          "ScenarioDocument(name='s', left='a.pres', right=None, check='functional', strategy='symbolic', in_map={}, "
          "out_map={}, var_map={}, vectors=[], interps=[], default_seed=None, max_steps=1000, state_bound=10000, "
+         "base_dir='.')"),
+        (ScenarioDocument("s", left="a.pres", check="fsmd", state_bound=5),
+         "ScenarioDocument(name='s', left='a.pres', right=None, check='fsmd', strategy='symbolic', in_map={}, "
+         "out_map={}, var_map={}, vectors=[], interps=[], default_seed=None, max_steps=1000, state_bound=5, "
          "base_dir='.')"),
         (_Pair((frozenset({(0, "x")}),), frozenset(), ({}, {})),
          "_Pair(classes=(frozenset({(0, 'x')}),), trail=frozenset(), origin=({}, {}))"),
@@ -125,6 +136,8 @@ def _converted():
          "RunOutcome(status='Quiescent', final_state={'b': 1}, trace=[(FiringSet(transitions=('t',), guard_set=()), "
          "{'b': 1})], steps=1, chose=False)"),
         (RunOutcome("Deadlock", {}), "RunOutcome(status='Deadlock', final_state={}, trace=[], steps=0, chose=False)"),
+        (RunOutcome("Quiescent", {"b": 1}, [], 0, True),
+         "RunOutcome(status='Quiescent', final_state={'b': 1}, trace=[], steps=0, chose=True)"),
     ]
 
 
@@ -179,6 +192,7 @@ def test_a_changed_field_breaks_equality():
     (lambda: Verdict("Equivalent", "m")._replace(status="NotEquivalent"), "NotEquivalent verdicts need a witness"),
     (lambda: pres_to_fsmd(_net(), state_bound=0), "state_bound must be at least 1"),
     (lambda: pres_to_fsmd(_net(), on_unsafe="ignore"), "unknown unsafe policy 'ignore'"),
+    (lambda: pres_to_fsmd(_net(), -1, "reject"), "state_bound must be at least 1"),
 ])
 def test_validated_records_refuse_bad_fields_on_copy_too(build, message):
     with pytest.raises(ValueError) as err:
