@@ -94,10 +94,15 @@ def _write_json(path: Optional[str], payload: dict) -> None:
         return
     import json
 
-    payload = {"schemaVersion": SCHEMA_VERSION, **payload}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(path, json.dumps({"schemaVersion": SCHEMA_VERSION, **payload}, indent=2, sort_keys=True) + "\n")
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise UsageError(str(err)) from None
 
 
 def _verdict_json(v: Verdict) -> dict:
@@ -134,8 +139,7 @@ def cmd_convert(args) -> int:
     conv = pres_to_fsmd(net, args.state_bound, args.on_unsafe)
     text = dsl.print_fsmd(conv.fsmd)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.output, text)
     else:
         print(text, end="")
     for w in conv.warnings:
@@ -297,8 +301,7 @@ def cmd_export_dot(args) -> int:
     model = _load_model(args.file)
     text = dot.export_dot(model)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.output, text)
     else:
         print(text, end="")
     return 0

@@ -547,9 +547,15 @@ def _confirmed(
     """The verdict on a path comparison: a difference is NotEquivalent only
     when a sample separates one of the output ``pairs`` (the differing pair
     is tried first), else Inconclusive, with ``ran`` telling which vectors
-    could be run."""
+    could be run.  A match is Equivalent only when no sample separates the
+    outputs either: a run that does is a fault of the conversion or of the
+    walk, and it is NotEquivalent with that run as the witness."""
     if diff is None:
-        return Verdict(EQUIVALENT, method)
+        witness = _separating(samples, pairs, pair_key)
+        if witness is None:
+            return Verdict(EQUIVALENT, method)
+        reason = "the walk had matched every path, yet a scenario vector separates the outputs: a fault in presto"
+        return Verdict(NOT_EQUIVALENT, method + "+sampled", witness=witness, reason=reason)
     if isinstance(diff, str):
         return Verdict(INCONCLUSIVE, method, reason=diff)
     witness = _separating(samples, sorted(pairs, key=lambda pair: pair != diff.pair), pair_key)

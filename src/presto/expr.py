@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import operator
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 from weakref import ref
 
 Value = Union[int, bool]
@@ -367,26 +367,6 @@ def conj(args: Iterable[Expr]) -> Expr:
     return BoolOp("and", terms) if len(terms) > 1 else terms[0] if terms else TRUE
 
 
-def _postorder(root: Expr, ready: Callable[[Expr], bool]) -> Iterator[Expr]:
-    """The nodes under ``root`` that are not ``ready``, children before parents.
-
-    The caller makes each yielded node ready before asking for the next, so
-    a shared subterm is yielded once and its parents find it done.
-    """
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if ready(node):
-            stack.pop()
-            continue
-        pending = [k for k in node._kids if not ready(k)]
-        if pending:
-            stack.extend(reversed(pending))
-        else:
-            stack.pop()
-            yield node
-
-
 def sort_of(e: Expr) -> str:
     """Return the sort of a well-sorted expression, raising :class:`SortMismatch` otherwise."""
     if not isinstance(e, Expr):
@@ -557,26 +537,32 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
     sort-checked), and subterms that mention none of them are kept as they
     are, so the cost does not grow with the size of ``bindings``.
     """
-    fv = e._fv
-    if len(bindings) < len(fv):
-        bound = frozenset(name for name in bindings if name in fv)
-    else:
-        bound = frozenset(name for name in fv if name in bindings)
+    bound = e._fv & bindings.keys()
     if not bound:
         return e
-    for name in bound:
-        if sort_of(bindings[name]) is not INT:
-            raise SortMismatch(f"replacement for {name!r} is not integer-sorted: {bindings[name]}")
-    if not e._kids:
-        return bindings[e.name]
+    # ``done`` maps each bound variable to its replacement and each rebuilt
+    # node to its new term; a node missing from it keeps its own term.
     done: dict[Expr, Expr] = {}
-    for node in _postorder(e, lambda n: n in done or bound.isdisjoint(n._fv)):
-        if not node._kids:
-            done[node] = bindings[node.name]
-        else:
-            kids = [done.get(k, k) for k in node._kids]
-            same = all(map(operator.is_, kids, node._kids))
-            done[node] = node if same else _rebuild(node, kids)
+    for name in bound:
+        new = bindings[name]
+        if not isinstance(new, Expr) or new._sort is not INT:
+            sort_of(new)  # raises for a non-term or an ill-sorted one
+            raise SortMismatch(f"replacement for {name!r} is not integer-sorted: {new}")
+        done[Var(name)] = new
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if node in done:  # the root as a bound variable, or a shared subterm pushed twice
+            stack.pop()
+            continue
+        kids = node._kids
+        pending = [k for k in kids if k not in done and not bound.isdisjoint(k._fv)]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        new_kids = [done.get(k, k) for k in kids]
+        done[node] = node if all(map(operator.is_, new_kids, kids)) else _rebuild(node, new_kids)
     return done[e]
 
 
@@ -599,7 +585,17 @@ def _own_key(e: Expr) -> tuple:
 def _key(e: Expr) -> tuple:
     k = e._ord
     if k is None:
-        for node in _postorder(e, lambda n: n._ord is not None):
+        stack = [e]
+        while stack:
+            node = stack[-1]
+            if node._ord is not None:  # a shared subterm pushed twice
+                stack.pop()
+                continue
+            pending = [c for c in node._kids if c._ord is None]
+            if pending:
+                stack += pending
+                continue
+            stack.pop()
             _set_ord(node, _own_key(node))
         k = e._ord
     return k
@@ -613,21 +609,42 @@ def normalize(e: Expr, collect_terms: bool = False) -> Expr:
     terms are only folded, flattened and sorted.  Default normal forms are
     cached on the nodes; collected ones are memoized within the call.
     """
-    sort_of(e)
+    if not isinstance(e, Expr) or e._sort is None:
+        sort_of(e)  # raises; the children of a well-sorted node are well-sorted
     if collect_terms:
         memo: dict[Expr, Expr] = {}
-        for node in _postorder(e, memo.__contains__):
-            memo[node] = _norm_node(node, [memo[k] for k in node._kids], True)
+        stack = [e]
+        while stack:
+            node = stack[-1]
+            if node in memo:  # a shared subterm pushed twice
+                stack.pop()
+                continue
+            kids = node._kids
+            pending = [k for k in kids if k not in memo]
+            if pending:
+                stack += pending
+                continue
+            stack.pop()
+            memo[node] = _norm_node(node, [memo[k] for k in kids], True)
         return memo[e]
-    if e._nf is None:
-        for node in _postorder(e, lambda n: n._nf is not None):
-            nf = _norm_node(node, [_cached_nf(k) for k in node._kids], False)
+    nf = e._nf
+    if nf is None:
+        stack = [e]
+        while stack:
+            node = stack[-1]
+            if node._nf is not None:  # a shared subterm pushed twice
+                stack.pop()
+                continue
+            kids = node._kids
+            pending = [k for k in kids if k._nf is None]
+            if pending:
+                stack += pending
+                continue
+            stack.pop()
+            nf = _norm_node(node, [k if k._nf is _SAME else k._nf for k in kids], False)
             _set_nf(node, _SAME if nf is node else nf)
-    return _cached_nf(e)
-
-
-def _cached_nf(e: Expr) -> Expr:
-    return e if e._nf is _SAME else e._nf
+        nf = e._nf
+    return e if nf is _SAME else nf
 
 
 def _norm_node(e: Expr, kids: list, collect: bool) -> Expr:

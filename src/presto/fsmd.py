@@ -126,12 +126,10 @@ def apply_update_set(u: UpdateSet, store: SymbolicStore) -> dict[str, ex.Expr]:
 def _updated(u: UpdateSet, store: SymbolicStore) -> dict[str, ex.Expr]:
     """The new terms of the variables ``u`` assigns, read through ``store``."""
     new = {}
+    scope = store.keys()
     for a in u:
-        if a.target not in store:
-            raise UnknownVariable(a.target)
-        missing = [v for v in ex.free_vars(a.expr) if v not in store]
-        if missing:
-            raise UnknownVariable(min(missing))
+        if a.target not in scope or not ex.free_vars(a.expr) <= scope:
+            raise UnknownVariable(a.target if a.target not in scope else min(ex.free_vars(a.expr) - scope))
         new[a.target] = ex.substitute(a.expr, store)
     return new
 

@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from presto import cli, corpus, expr as ex
+from presto import cli, corpus, equiv, expr as ex
 from presto.dsl import print_net
 
 from _gen import random_net
@@ -143,6 +143,19 @@ class TestConvert:
                 assert run(capsys, command, str(scenario)) == (3, "", f"error: {found}\n"), command
 
 
+@pytest.mark.parametrize("argv", [
+    ("check-pres", corpus.scenario_path("addthree"), "--json"),
+    ("convert", corpus.corpus_path("addthree_a"), "-o"),
+    ("export-dot", corpus.corpus_path("addthree_a"), "-o"),
+])
+def test_an_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv):
+    missing = str(tmp_path / "missing" / "out")
+    code, _, err = run(capsys, *argv, missing)
+    assert code == 3
+    assert err.endswith(f"error: [Errno 2] No such file or directory: {missing!r}\n")
+    assert "internal error" not in err
+
+
 class TestChecks:
     def test_looping_corpus_pairs(self, capsys):
         assert run(capsys, "check-fsmd", corpus.scenario_path("sum_loop"))[0] == 0
@@ -199,6 +212,17 @@ class TestChecks:
         assert run(capsys, "check-pres", corpus.scenario_path("cardinality_unmarked_port"))[0] == 1
         assert run(capsys, "check-pres", corpus.scenario_path("addthree_plus4"))[0] == 1
         assert run(capsys, "check-fsmd", corpus.scenario_path("jammer_swapped"))[0] == 1
+
+    def test_check_pres_symbolic_match_is_checked_against_the_runs(self, capsys, monkeypatch):
+        # A walk that matches every path while a scenario vector separates
+        # the outputs points at a fault in presto: the run is the witness.
+        scenario = corpus.scenario_path("addthree_plus4")
+        monkeypatch.setattr(equiv, "_match_paths", lambda *args: None)
+        code, out, err = run(capsys, "check-pres", scenario, "--strategy", "symbolic")
+        assert (code, err) == (1, "")
+        assert out.startswith("NotEquivalent  [functional/symbolic (normalized path transformations)+sampled]\n")
+        assert "reason: the walk had matched every path" in out
+        assert 'witness: {"out_place_pair": ["Pe", "Pee"], "values": [5, 6], "vector": {"Pa": 2}}' in out
 
     def test_inconclusive_exits_two(self, capsys, tmp_path):
         branched = tmp_path / "branched.pres"

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from presto import expr as ex
 from presto.dsl import parse_expression
 
-from _gen import random_env, random_expr, random_int_expr
+from _gen import VARS, random_env, random_expr, random_int_expr
 
 A, B, C, X, Y = (ex.Var(n) for n in "abcxy")
 
@@ -230,6 +230,76 @@ def test_printer_parser_round_trip(seed):
     assert ex.normalize(once) == ex.normalize(e)
 
 
+# The walks against plain recursive references.  The references recurse
+# over the public fields and cache nothing; the normal-form one reuses the
+# one-node rewrite ``_norm_node``, so it checks the walk, not the rules.
+def _operands(e):
+    return (e.lhs, e.rhs) if type(e) is ex.Rel else getattr(e, "args", ())
+
+
+def _rebuilt(e, kids):
+    if type(e) is ex.Rel:
+        return ex.Rel(e.op, *kids)
+    return type(e)(e.symbol if type(e) is ex.Apply else e.op, tuple(kids))
+
+
+def _ref_substitute(e, bindings):
+    if type(e) is ex.Var:
+        return bindings.get(e.name, e)
+    kids = _operands(e)
+    return _rebuilt(e, [_ref_substitute(k, bindings) for k in kids]) if kids else e
+
+
+def _ref_normalize(e, collect):
+    return ex._norm_node(e, [_ref_normalize(k, collect) for k in _operands(e)], collect)
+
+
+def _ref_key(e):
+    cls = type(e)
+    if cls in (ex.IntConst, ex.BoolConst):
+        return (0, int(cls is ex.BoolConst), int(e.value))
+    if cls is ex.Var:
+        return (1, e.name)
+    if cls is ex.Rel:
+        return (4, e.op, _ref_key(e.lhs), _ref_key(e.rhs))
+    rank, head = (2, e.symbol) if cls is ex.Apply else (3 if cls is ex.Arith else 5, e.op)
+    return (rank, head, len(e.args), tuple(map(_ref_key, e.args)))
+
+
+def _as_bool(e):
+    return e if ex.sort_of(e) == ex.BOOL else ex.Rel("<", e, ex.IntConst(0))
+
+
+def _subterms(e):
+    out = [e]
+    for k in _operands(e):
+        out += _subterms(k)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_walks_agree_with_recursive_references(seed):
+    rng = random.Random(seed)
+    e = random_expr(rng, depth=6)
+    subterms = _subterms(e)
+    # A root that holds one subterm twice, so that every walk meets a node
+    # it has already finished; and cached keys and normal forms on random
+    # subterms, so that the walks stop at a cache partway down.
+    root = ex.BoolOp("and", (_as_bool(e), _as_bool(rng.choice(subterms))))
+    warm = rng.sample(subterms, rng.randint(0, len(subterms)))
+    for t in warm[: len(warm) // 2]:
+        ex._key(t)
+    assert ex._key(root) == _ref_key(root)
+    for t in warm:
+        ex.normalize(t)
+    for collect in (False, True):
+        assert ex.normalize(root, collect_terms=collect) is _ref_normalize(root, collect)
+    bindings = {v: random_int_expr(rng, 3) for v in rng.sample(VARS, rng.randint(0, len(VARS)))}
+    bindings["unused"] = ex.TRUE  # a binding of no free variable is never read
+    assert ex.substitute(root, bindings) is _ref_substitute(root, bindings)
+
+
 # Hash-consing: equal terms are one object, built once and shared.
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9))
@@ -316,6 +386,23 @@ class TestHashConsing:
                 ex.substitute(X, {"x": e})
             with pytest.raises(ex.SortMismatch):
                 ex.evaluate(e, *env({"x": 1, "y": 2}, {"f": abs}))
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: ex.normalize(1), "TypeError: not an expression: 1"),
+        (lambda: ex.normalize(ex.Apply("f", (ex.Rel("=", X, Y),)), collect_terms=True),
+         "SortMismatch: operand of 'f' is not int-sorted: x = y"),
+        (lambda: ex.normalize(ex.BoolOp("not", (X,))), "SortMismatch: operand of 'not' is not bool-sorted: x"),
+        (lambda: ex.normalize(ex.add(ex.Apply("f", (ex.TRUE,)), X)), "SortMismatch: operand of 'f' is not int-sorted: true"),
+        (lambda: ex.substitute(X, {"x": 1}), "TypeError: not an expression: 1"),
+        (lambda: ex.substitute(ex.add(X, Y), {"x": ex.Rel("<", ex.TRUE, X)}),
+         "SortMismatch: operand of '<' is not int-sorted: true"),
+        (lambda: ex.substitute(ex.add(X, Y), {"x": ex.TRUE}), "SortMismatch: replacement for 'x' is not integer-sorted: true"),
+        (lambda: ex.substitute(X, {"x": ex.Rel("=", X, Y)}), "SortMismatch: replacement for 'x' is not integer-sorted: x = y"),
+    ])
+    def test_walk_errors_are_pinned(self, call, error):
+        with pytest.raises((TypeError, ex.SortMismatch)) as err:
+            call()
+        assert f"{err.type.__name__}: {err.value}" == error
 
     def test_unreferenced_terms_leave_the_table(self):
         size = len(ex._table)

@@ -67,6 +67,12 @@ class TestApplyUpdateSet:
             apply_update_set(UpdateSet.of([("z", X)]), {"x": X})
         with pytest.raises(UnknownVariable):
             apply_update_set(UpdateSet.of([("x", ex.Var("zz"))]), {"x": X})
+        # The target is named first, then the least free variable outside the store.
+        reads = ex.add(ex.Var("zz"), ex.Var("yy"), X)
+        for updates, name in ((UpdateSet.of([("z", reads)]), "z"), (UpdateSet.of([("x", reads)]), "yy")):
+            with pytest.raises(UnknownVariable, match=f"^variable {name!r} is not in the store domain$") as err:
+                apply_update_set(updates, {"x": X})
+            assert err.value.name == name
 
 
 def test_outgoing_hands_out_each_states_tuple_as_it_is():
