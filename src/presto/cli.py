@@ -120,15 +120,15 @@ def cmd_validate(args) -> int:
     try:
         model = _load_model(args.file)
     except dsl.DslSemanticError as err:
+        _write_json(args.json, {"command": "validate", "ok": False, "violations": [str(v) for v in err.violations]})
         print("invalid:")
         for v in err.violations:
             at = err.spans.get(v.element)
             print(f"  {at}: {v}" if at else f"  {v}")
-        _write_json(args.json, {"command": "validate", "ok": False, "violations": [str(v) for v in err.violations]})
         return 3
+    _write_json(args.json, {"command": "validate", "ok": True, "violations": []})
     kind = "fsmd" if isinstance(model, Fsmd) else "net"
     print(f"ok: {kind} {model.name} is well-formed")
-    _write_json(args.json, {"command": "validate", "ok": True, "violations": []})
     return 0
 
 
@@ -140,14 +140,18 @@ def cmd_convert(args) -> int:
     text = dsl.print_fsmd(conv.fsmd)
     if args.output:
         _write(args.output, text)
-    else:
-        print(text, end="")
     for w in conv.warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"states: {conv.states_visited}", file=sys.stderr)
-    if not args.json:
-        return 0
-    report = {
+    if args.json:
+        _write_json(args.json, _conversion_json(conv))
+    if not args.output:
+        print(text, end="")
+    return 0
+
+
+def _conversion_json(conv: Conversion) -> dict:
+    return {
         "command": "convert",
         "states": conv.states_visited,
         "state_markings": {q: sorted(m) for q, m in conv.marking_of_state.items()},
@@ -163,8 +167,6 @@ def cmd_convert(args) -> int:
         ],
         "warnings": [str(w) for w in conv.warnings],
     }
-    _write_json(args.json, report)
-    return 0
 
 
 def _terms(models) -> list[ex.Expr]:
@@ -211,32 +213,39 @@ def cmd_simulate(args) -> int:
     check_arities(doc.interps, _terms(net for _, net in nets))
     left_net = nets[0][1] if doc.left else None
     pm = PortMap(dict(doc.in_map), dict(doc.out_map))
-    runs = []
+    runs: list[dict] = []
+    lines: list[str] = []  # stdout, printed once the report is written
     worst = 0
-    for side, net in nets:
+    try:
+        for side, net in nets:
 
-        def vector_for(vec: dict) -> dict:
-            if side == "left" or left_net is None:
-                return dict(vec)
-            return derive_right_inputs(left_net, net, pm, dict(vec))
+            def vector_for(vec: dict) -> dict:
+                if side == "left" or left_net is None:
+                    return dict(vec)
+                return derive_right_inputs(left_net, net, pm, dict(vec))
 
-        if args.schedules > 1:
-            verdict = _confluence(net, [vector_for(vector) for vector in doc.vectors or [{}]], interp,
-                                  args.schedules, args.seed or 0, max_steps)
-            print(f"{side} ({net.name}): {_verdict_line(verdict)}")
-            runs.append({"model": side, "confluence": _verdict_json(verdict)})
-            worst = max(worst, verdict.exit_code())
-            continue
-        for vector in doc.vectors or [{}]:
-            inputs = vector_for(vector)
-            run = simulate_run(net, inputs, interp, args.seed, max_steps)
-            outs = out_port_values(net, run.final_state)
-            ended = f"{run.status} after {run.steps} steps{value_limit(run.status)}"
-            print(f"{side} ({net.name}): {ended}; out-ports {outs}")
-            runs.append({"model": side, "vector": inputs, **trace_json(run), "out_ports": outs})
-            if run.status != QUIESCENT:
-                worst = max(worst, 2)
+            if args.schedules > 1:
+                verdict = _confluence(net, [vector_for(vector) for vector in doc.vectors or [{}]], interp,
+                                      args.schedules, args.seed or 0, max_steps)
+                lines.append(f"{side} ({net.name}): {_verdict_line(verdict)}")
+                runs.append({"model": side, "confluence": _verdict_json(verdict)})
+                worst = max(worst, verdict.exit_code())
+                continue
+            for vector in doc.vectors or [{}]:
+                inputs = vector_for(vector)
+                run = simulate_run(net, inputs, interp, args.seed, max_steps)
+                outs = out_port_values(net, run.final_state)
+                ended = f"{run.status} after {run.steps} steps{value_limit(run.status)}"
+                lines.append(f"{side} ({net.name}): {ended}; out-ports {outs}")
+                runs.append({"model": side, "vector": inputs, **trace_json(run), "out_ports": outs})
+                if run.status != QUIESCENT:
+                    worst = max(worst, 2)
+    except Exception:  # an error ends the command, after the lines of the runs made before it
+        if lines:
+            print("\n".join(lines))
+        raise
     _write_json(args.json, {"command": "simulate", "runs": runs})
+    print("\n".join(lines))  # every net has a line for each vector, or one for a run without vectors
     return worst
 
 
@@ -262,9 +271,9 @@ def cmd_check_pres(args) -> int:
                                    doc.state_bound, warnings)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    print(_verdict_line(verdict))
     _write_json(args.json, {"command": "check-pres", "check": doc.check, "strategy": strategy_name,
                             "verdict": _verdict_json(verdict), "warnings": [str(w) for w in warnings]})
+    print(_verdict_line(verdict))
     return verdict.exit_code()
 
 
@@ -292,8 +301,8 @@ def cmd_check_fsmd(args) -> int:
         var_map = {v: v for v in left}
     interp = interpretation(doc.interps, doc.default_seed)
     verdict = check_fsmd_equivalence(*machines, var_map, vectors, interp, doc.max_steps)
-    print(_verdict_line(verdict))
     _write_json(args.json, {"command": "check-fsmd", "verdict": _verdict_json(verdict), "warnings": warnings})
+    print(_verdict_line(verdict))
     return verdict.exit_code()
 
 

@@ -15,6 +15,10 @@ What a marking offers, its conflict groups with their options, is computed
 once per net and marking in the net's step table (:func:`marking_step`),
 with a cache of the choices made ready to fire that the simulator shares.
 Only conversion builds the product (:func:`construct_set_of_transitions`).
+An option holds its guard decisions as written, each checked to be
+bool-sorted when its marking's step is built; a choice normalizes its
+decisions and their negations only where it holds two or more, the only
+choices that can contradict themselves or repeat a decision.
 
 The machine's interface follows the marking: inputs are the variables of
 initially marked places that no transition writes, storage the rest,
@@ -28,7 +32,7 @@ from collections import deque
 from typing import NamedTuple, Optional
 
 from . import expr as ex
-from .fsmd import DuplicateTarget, Fsmd, FsmdTransition, UpdateSet
+from .fsmd import Assignment, DuplicateTarget, Fsmd, FsmdTransition, UpdateSet
 from .pres import PresError, PresNet, Transition, Violation, classify_ports, enabled_transitions
 from .record import Record
 
@@ -58,13 +62,8 @@ def _conflict_groups(enabled: list[Transition]) -> list[list[Transition]]:
     """Connected components of the "input places overlap" relation.
 
     ``enabled`` comes in declaration order, and so do the groups (by their
-    first member) and the members of each group.  Where no two enabled
-    transitions share an input place, as at every marking of a net of
-    independent lanes, each transition is a group of its own.
+    first member) and the members of each group.
     """
-    presets = [t.pre for t in enabled]
-    if len(frozenset().union(*presets)) == sum(map(len, presets)):
-        return [[t] for t in enabled]
     parent = {t.id: t.id for t in enabled}
 
     def find(x: str) -> str:
@@ -74,8 +73,8 @@ def _conflict_groups(enabled: list[Transition]) -> list[list[Transition]]:
         return x
 
     first_consumer: dict[str, str] = {}
-    for t, preset in zip(enabled, presets):
-        for p in preset:
+    for t in enabled:
+        for p in t.pre:
             other = first_consumer.setdefault(p, t.id)
             parent[find(t.id)] = find(other)
     groups: dict[str, list[Transition]] = {}
@@ -84,19 +83,24 @@ def _conflict_groups(enabled: list[Transition]) -> list[list[Transition]]:
     return list(groups.values())
 
 
-def _decided(guard: ex.Expr) -> tuple[ex.Expr, ex.Expr, ex.Expr]:
-    """A guard decision with its normal form and the normal form of its negation."""
-    return guard, ex.normalize(guard), ex.normalize(ex.negate_guard(guard))
+def _decision(guard: ex.Expr) -> ex.Expr:
+    """``guard``, once bool-sorted; else what normalizing it and its negation raises."""
+    if getattr(guard, "_sort", None) is not ex.BOOL:
+        ex.normalize(guard)
+        ex.normalize(ex.negate_guard(guard))
+    return guard
 
 
-def _guard_set(choice: list[tuple[tuple[Transition, ...], tuple]]) -> Optional[tuple[ex.Expr, ...]]:
-    """Guard set of a choice's decisions, or None when it contradicts itself."""
+def _guard_set(decisions: tuple[ex.Expr, ...]) -> Optional[tuple[ex.Expr, ...]]:
+    """Guard set of a choice's decisions, or None when it contradicts itself.  Only
+    two or more decisions can contradict or repeat one another, so only they are normalized."""
+    if len(decisions) < 2:
+        return decisions
     normals: dict[ex.Expr, ex.Expr] = {}
-    for _, decided in choice:
-        for guard, normal, negated in decided:
-            if negated in normals:
-                return None
-            normals.setdefault(normal, guard)
+    for guard in decisions:
+        if ex.normalize(ex.negate_guard(guard)) in normals:
+            return None
+        normals.setdefault(ex.normalize(guard), guard)
     return tuple(normals.values())
 
 
@@ -104,17 +108,23 @@ def _parts(net: PresNet, m: frozenset[str]) -> tuple[tuple[tuple[tuple[Transitio
     """The conflict groups enabled at ``m`` as parts with their options.
 
     A group that offers a choice is one part, with one option per member; a
-    run of consecutive one-member groups is one part with one option.  An
-    option pairs its transitions, in declaration order, with its guard
-    decisions (see :func:`_decided`).
+    run of consecutive one-member groups is one part with one option, and
+    where no two enabled transitions share an input place that is the only
+    part.  An option pairs its transitions, in declaration order, with its
+    guard decisions as written (see :func:`_decision`).
     """
     transitions, order = net.transitions, net.order
     enabled = [transitions[i] for i in sorted(map(order.__getitem__, enabled_transitions(net, m)))]
+    if not enabled:
+        return ()
+    presets = [t.pre for t in enabled]
+    if len(frozenset().union(*presets)) == sum(map(len, presets)):  # no conflict: one part with one option
+        return (((tuple(enabled), tuple([_decision(t.guard) for t in enabled if t.guard is not None])),),)
     parts = []
     for size, run in itertools.groupby(_conflict_groups(enabled), len):
         if size == 1:  # a run of groups without a choice: one part with one option
             alone = tuple([group[0] for group in run])
-            parts.append(((alone, tuple([_decided(t.guard) for t in alone if t.guard is not None])),))
+            parts.append(((alone, tuple([_decision(t.guard) for t in alone if t.guard is not None])),))
             continue
         for group in run:
             options = []
@@ -123,7 +133,7 @@ def _parts(net: PresNet, m: frozenset[str]) -> tuple[tuple[tuple[tuple[Transitio
                 if guard is None and size == 2:  # chosen unguarded, it decides against a guarded rival
                     rival = group[0] if t is group[1] else group[1]
                     guard = None if rival.guard is None else ex.negate_guard(rival.guard)
-                options.append(((t,), () if guard is None else (_decided(guard),)))
+                options.append(((t,), () if guard is None else (_decision(guard),)))
             parts.append(tuple(options))
     return tuple(parts)
 
@@ -161,25 +171,32 @@ def firing(net: PresNet, m: frozenset[str], step: Step, at: tuple[int, ...]) -> 
     firings = step.firings
     if at in firings:
         return firings[at]
-    choice = [options[i] for options, i in zip(step.parts, at)]
-    guards = _guard_set(choice)
+    parts = step.parts
+    if len(parts) == 1:  # one option already lists its members in declaration order
+        fired, decisions = parts[0][at[0]]
+    else:
+        choice = [options[i] for options, i in zip(parts, at)]
+        fired = tuple(sorted([t for members, _ in choice for t in members], key=lambda t: net.order[t.id]))
+        decisions = tuple([guard for _, guards in choice for guard in guards])
+    guards = _guard_set(decisions)
     if guards is None:
         firings[at] = None
         return None
-    fired = [t for members, _ in choice for t in members]
-    if len(choice) > 1:  # one option already lists its members in declaration order
-        fired.sort(key=lambda t: net.order[t.id])
     # The members are enabled at m and share no input place: consume, then produce.
-    remaining = m.difference(*[t.pre for t in fired])
-    posts = [t.post for t in fired]
-    successor, marked = remaining.union(*posts), ()
+    if len(fired) == 1:  # one difference and one union
+        remaining, posts = m - fired[0].pre, (fired[0].post,)
+        successor = remaining | posts[0]
+    else:
+        remaining, posts = m.difference(*[t.pre for t in fired]), [t.post for t in fired]
+        successor = remaining.union(*posts)
+    marked = ()
     if len(successor) < len(remaining) + sum(map(len, posts)):  # a place gets a second token
         flat = sorted([p for post in posts for p in post], key=net.place_order.__getitem__)  # name the first in place order
         p = next(p for i, p in enumerate(flat) if p in remaining or p in flat[:i])
         successor = f"firing {sorted(t.id for t in fired)} puts a second token on {p!r}"
     else:
-        marked = tuple(sorted(successor, key=net.place_order.__getitem__))
-    made = firings[at] = (FiringSet(tuple([t.id for t in fired]), guards), tuple(fired), successor, marked)
+        marked = tuple(successor) if len(successor) == 1 else tuple(sorted(successor, key=net.place_order.__getitem__))
+    made = firings[at] = (FiringSet(tuple([t.id for t in fired]), guards), fired, successor, marked)
     return made
 
 
@@ -195,15 +212,18 @@ def construct_set_of_transitions(
     through ``warnings`` when given).
     """
     step = marking_step(net, m)
-    if not step.parts:
+    parts = step.parts
+    if not parts:
         return []
     made: list[tuple] = []
-    for at in itertools.product(*[range(len(options)) for options in step.parts]):
+    choices = [(i,) for i in range(len(parts[0]))] if len(parts) == 1 else itertools.product(
+        *[range(len(options)) for options in parts])
+    for at in choices:
         f = firing(net, m, step, at)
         if f is not None:
             made.append(f)
         elif warnings is not None:
-            chosen = "+".join([t.id for options, i in zip(step.parts, at) for t in options[i][0]])
+            chosen = "+".join([t.id for options, i in zip(parts, at) for t in options[i][0]])
             warnings.append(Violation("InconsistentGuards", chosen, "contradictory guard decisions; set dropped"))
     return made
 
@@ -243,12 +263,12 @@ class Conversion(Record):
 
 
 def _updates_for(net: PresNet, fired: tuple[Transition, ...]) -> UpdateSet:
-    pairs = []
+    var_of, updates = net.var_of, []
     for t in fired:
         if not t.post:  # a net built in code reaches here unvalidated
             raise PresError(f"transition {t.id!r} has an empty post-set")
-        pairs.append((net.var_of[min(t.post)], t.fn))
-    return UpdateSet.of(pairs)
+        updates.append(Assignment(var_of[min(t.post)], t.fn))
+    return UpdateSet(updates)
 
 
 def pres_to_fsmd(net: PresNet, state_bound: int = 10_000, on_unsafe: str = "error") -> Conversion:

@@ -58,11 +58,12 @@ class UpdateSet(tuple):
 
     def __new__(cls, assignments: Iterable[Assignment]) -> "UpdateSet":
         self = super().__new__(cls, assignments)
-        seen: set[str] = set()
-        for a in self:
-            if a.target in seen:
-                raise DuplicateTarget(a.target)
-            seen.add(a.target)
+        if len(self) > 1:
+            seen: set[str] = set()
+            for a in self:
+                if a.target in seen:
+                    raise DuplicateTarget(a.target)
+                seen.add(a.target)
         return self
 
     @classmethod

@@ -208,20 +208,23 @@ def simulate_run(
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     rng = None if seed is None else random.Random(seed)  # None takes the first options
+    steps, var_of, compiled = net.steps, net.var_of, ex.compiled
     ts = dict(inputs)
     trace: list[tuple[FiringSet, TokenState]] = []
     chose = False
     for step in range(max_steps + 1):  # the last step only probes whether the run is at rest
-        values = _values(net, ts)
-        offered = marking_step(net, marking)
+        values = {var_of[p]: value for p, value in ts.items()}
+        if len(values) < len(ts):  # marked places share a variable: _values raises where they disagree
+            values = _values(net, ts)
+        offered = steps.get(marking) or marking_step(net, marking)
         if not offered.parts:
             return RunOutcome(QUIESCENT, ts, trace, step, chose)
         held, count = [], 1  # per part, the indices of the options whose guards all hold; their product
         for options in offered.parts:
             holding = []  # a loop, not all() over a generator, which would cost more than most tests
-            for i, (_, decided) in enumerate(options):
-                for guard, _, _ in decided:
-                    if not ex.compiled(guard)(values, interp):
+            for i, (_, guards) in enumerate(options):
+                for guard in guards:
+                    if not compiled(guard)(values, interp):
                         break
                 else:
                     holding.append(i)
@@ -229,17 +232,20 @@ def simulate_run(
                 return RunOutcome(DEADLOCK, ts, trace, step, chose)
             held.append(holding)
             count *= len(holding)
-        # One draw, decoded with the last part running fastest, picks what rng.choice would from the
-        # product's holding sets; a seed draws even from one, so that it always makes the same choices.
-        draw = 0 if rng is None else rng.randrange(count)
-        at = []
-        for holding in reversed(held):
-            draw, i = divmod(draw, len(holding))
-            at.append(holding[i])
-        fs, fired, successor, marked = firing(net, marking, offered, tuple(at[::-1]))
+        if rng is None:
+            at = tuple([holding[0] for holding in held])
+        else:
+            # One draw, decoded with the last part running fastest, picks what rng.choice would from the
+            # product's holding sets; a seed draws even from one, so that it always makes the same choices.
+            draw, at = rng.randrange(count), []
+            for holding in reversed(held):
+                draw, i = divmod(draw, len(holding))
+                at.append(holding[i])
+            at = tuple(at[::-1])
+        fs, fired, successor, marked = offered.firings.get(at) or firing(net, marking, offered, at)
         produced: dict[str, int] = {}
         for t in fired:
-            value = ex.compiled(t.fn)(values, interp)
+            value = compiled(t.fn)(values, interp)
             if value.bit_length() > MAX_VALUE_BITS:
                 return RunOutcome(VALUE_BOUND_EXCEEDED, ts, trace, step, chose)
             for p in t.post:

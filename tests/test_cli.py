@@ -147,13 +147,23 @@ class TestConvert:
     ("check-pres", corpus.scenario_path("addthree"), "--json"),
     ("convert", corpus.corpus_path("addthree_a"), "-o"),
     ("export-dot", corpus.corpus_path("addthree_a"), "-o"),
+    ("convert", corpus.corpus_path("addthree_a"), "--json"),
+    ("validate", corpus.corpus_path("addthree_a"), "--json"),
+    ("validate", corpus.corpus_path("dup_guard_key"), "--json"),
+    ("simulate", corpus.scenario_path("addthree"), "--json"),
+    ("simulate", corpus.scenario_path("racy"), "--schedules", "4", "--json"),
+    ("check-pres", corpus.scenario_path("addthree_plus4"), "--strategy", "sampled", "--json"),
+    ("check-fsmd", corpus.scenario_path("jammer"), "--json"),
 ])
 def test_an_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv):
+    # Every output file is written before the first line on stdout, so a
+    # command that cannot write one prints no result that its exit code denies.
     missing = str(tmp_path / "missing" / "out")
-    code, _, err = run(capsys, *argv, missing)
+    code, out, err = run(capsys, *argv, missing)
     assert code == 3
     assert err.endswith(f"error: [Errno 2] No such file or directory: {missing!r}\n")
     assert "internal error" not in err
+    assert out == ""
 
 
 class TestChecks:

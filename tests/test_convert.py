@@ -1,7 +1,9 @@
 import itertools
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from presto import corpus, expr as ex
 from presto.convert import (
@@ -13,9 +15,11 @@ from presto.convert import (
     pres_to_fsmd,
 )
 from presto.dsl import parse_expression, parse_pres
-from presto.pres import PresError, PresNet, Transition, enabled_transitions
+from presto.fsmd import machine_run
+from presto.pres import PresError, PresNet, Transition, classify_ports, enabled_transitions
+from presto.sim import QUIESCENT, SeededInterpretation, SimError, simulate_run
 
-from _gen import random_net
+from _gen import perfbench_families, random_net
 
 # Canonical per-step update labels for the two jammer conversions.  Each
 # entry is one update's applied-symbol chain (innermost first); identity
@@ -325,3 +329,116 @@ class TestPresToFsmd:
         assert [t.source for t in conv.fsmd.transitions] == ["q0"] and conv.fired == [tc_tb]
         assert conv.labels == [[("tc",), ("fb",)]] and len(chains) == 2
         assert conv.labels is conv.labels and len(chains) == 2
+
+
+# -- guard decisions, normalized only where a choice holds two or more ---------
+
+
+def _guarded(guard: ex.Expr, rival: bool) -> PresNet:
+    """A net built in code whose transition t is guarded by ``guard``; with
+    ``rival``, an unguarded u competes for t's input place and decides
+    against t's guard."""
+    a, b = frozenset({"a"}), frozenset({"b"})
+    transitions = (Transition("t", a, b, ex.Var("x"), guard),) + ((Transition("u", a, b, ex.Var("x")),) if rival else ())
+    return PresNet("sorts", ("a", "b"), {"a": "x", "b": "y"}, transitions, a)
+
+
+@pytest.mark.parametrize("rival", [False, True])
+@pytest.mark.parametrize("guard, message", [
+    (ex.Var("x"), "operand of 'not' is not bool-sorted: x"),
+    (ex.Arith("+", (ex.TRUE, ex.Var("x"))), "operand of '+' is not int-sorted: true"),
+])
+def test_a_guard_that_is_not_bool_sorted_raises_when_its_step_is_built(guard, message, rival):
+    # A guard read from text is sort-checked by the reader; one built in code
+    # is checked when its marking's step is built, for conversion and runs alike.
+    with pytest.raises(ex.SortMismatch, match=f"^{re.escape(message)}$"):
+        pres_to_fsmd(_guarded(guard, rival))
+    with pytest.raises(ex.SortMismatch, match=f"^{re.escape(message)}$"):
+        simulate_run(_guarded(guard, rival), {"a": 1}, ex.NO_FUNCTIONS)
+
+
+def test_choices_of_at_most_one_decision_normalize_nothing(monkeypatch):
+    # Every choice of a diamonds net takes one branch of one split: its one
+    # guard decision can neither contradict nor repeat another.
+    families = perfbench_families()
+    pair = families.diamonds_pair(random.Random(3), "d", 5)
+    nets = [parse_pres(families.net_text(net)) for net in (pair.left, pair.right)]
+    calls = []
+    real = ex.normalize
+    monkeypatch.setattr(ex, "normalize", lambda *args: calls.append(args) or real(*args))
+    guarded = 0
+    for net in nets:
+        guarded += sum(len(t.guard_set) for t in pres_to_fsmd(net).fsmd.transitions)
+        for vector in pair.vectors:
+            assert simulate_run(net, vector, SeededInterpretation(1)).status == QUIESCENT
+    assert guarded == 2 * 2 * 5 and calls == []
+
+
+def test_two_or_more_decisions_are_still_normalized():
+    # Two independent transitions whose guards read one shared variable: one
+    # choice holds both decisions, contradictory in the first net and equal
+    # after normalizing in the second, which keeps the first as written.
+    text = """
+    net shared {
+      place a marked var v; place b marked var v; place x; place y;
+      transition ta { pre a; post x; fn v + 1; guard v > 0; }
+      transition tb { pre b; post y; fn v - 1; guard %s; }
+    }
+    """
+    contradictory = pres_to_fsmd(parse_pres(text % "v <= 0"))
+    assert [str(w) for w in contradictory.warnings] == [
+        "InconsistentGuards: ta+tb (contradictory guard decisions; set dropped)"]
+    assert contradictory.fsmd.transitions == ()
+    duplicate = pres_to_fsmd(parse_pres(text % "0 < v"))
+    assert duplicate.warnings == [] and [t.guard_set for t in duplicate.fsmd.transitions] == [
+        (parse_expression("v > 0"),)]
+
+
+# -- converted machines against their nets' runs ------------------------------
+
+FAMILIES = perfbench_families()
+
+
+def _family_case(data, family: str):
+    """A net of a benchmark pair drawn over seed, size, side and mutation,
+    with the pair's vectors and its interpretation."""
+    make, sizes = FAMILIES.BUILDERS[family]
+    seed = data.draw(st.integers(0, 10_000), label="seed")
+    rng = random.Random(seed)
+    pair = make(rng, f"{family}{seed}", data.draw(st.sampled_from(sizes), label="size"))
+    if data.draw(st.booleans(), label="mutant"):
+        FAMILIES.mutate(rng, pair, family, seed)
+    side = data.draw(st.sampled_from([pair.left, pair.right]), label="side")
+    interp = {symbol: (lambda x, a=a, b=b: a * x + b) for symbol, (a, b) in pair.interp.items()}
+    return parse_pres(FAMILIES.net_text(side)), pair.vectors, interp
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_converted_machines_agree_with_their_nets_runs(data):
+    # A run that chose among firing sets, ended without quiescence or raised
+    # has no one machine run to agree with; every other run ends in a
+    # terminal state of the machine with the net's out-port values.
+    source = data.draw(st.sampled_from(["corpus", *FAMILIES.BUILDERS]), label="source")
+    if source == "corpus":
+        net = corpus.load_net(data.draw(st.sampled_from(corpus.NETS), label="net"))
+        marked = sorted(net.initial_marking)
+        vectors = [dict(zip(marked, values)) for values in
+                   data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=len(marked), max_size=len(marked)),
+                                      min_size=1, max_size=3), label="vectors")]
+        interp = SeededInterpretation(data.draw(st.integers(0, 99), label="interp"))
+    else:
+        net, vectors, interp = _family_case(data, source)
+    machine = pres_to_fsmd(net).fsmd
+    out_ports = classify_ports(net).out_ports
+    for vector in vectors:
+        try:
+            run = simulate_run(net, vector, interp)
+        except SimError:
+            continue
+        if run.chose or run.status != QUIESCENT:
+            continue
+        store, ended = machine_run(machine, {net.var_of[p]: v for p, v in vector.items()}, interp)
+        assert store is not None, ended
+        assert {p: store[net.var_of[p]] for p in out_ports if p in run.final_state} == {
+            p: run.final_state[p] for p in out_ports if p in run.final_state}
