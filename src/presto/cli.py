@@ -213,26 +213,22 @@ def cmd_simulate(args) -> int:
     check_arities(doc.interps, _terms(net for _, net in nets))
     left_net = nets[0][1] if doc.left else None
     pm = PortMap(dict(doc.in_map), dict(doc.out_map))
+    # Every net's inputs are derived before the first run, so that an input
+    # that cannot be derived ends the command before it prints a result.
+    vectors = [[dict(vector) if side == "left" or left_net is None else derive_right_inputs(left_net, net, pm, vector)
+                for vector in doc.vectors or [{}]] for side, net in nets]
     runs: list[dict] = []
     lines: list[str] = []  # stdout, printed once the report is written
     worst = 0
     try:
-        for side, net in nets:
-
-            def vector_for(vec: dict) -> dict:
-                if side == "left" or left_net is None:
-                    return dict(vec)
-                return derive_right_inputs(left_net, net, pm, dict(vec))
-
+        for (side, net), net_vectors in zip(nets, vectors):
             if args.schedules > 1:
-                verdict = _confluence(net, [vector_for(vector) for vector in doc.vectors or [{}]], interp,
-                                      args.schedules, args.seed or 0, max_steps)
+                verdict = _confluence(net, net_vectors, interp, args.schedules, args.seed or 0, max_steps)
                 lines.append(f"{side} ({net.name}): {_verdict_line(verdict)}")
                 runs.append({"model": side, "confluence": _verdict_json(verdict)})
                 worst = max(worst, verdict.exit_code())
                 continue
-            for vector in doc.vectors or [{}]:
-                inputs = vector_for(vector)
+            for inputs in net_vectors:
                 run = simulate_run(net, inputs, interp, args.seed, max_steps)
                 outs = out_port_values(net, run.final_state)
                 ended = f"{run.status} after {run.steps} steps{value_limit(run.status)}"

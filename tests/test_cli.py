@@ -557,8 +557,8 @@ class TestValueBound:
         calls.append(["check-fsmd", str(tmp_path / "square.scn")])
         src, here = os.path.dirname(os.path.dirname(cli.__file__)), os.path.dirname(__file__)
         child = subprocess.run(
-            [sys.executable, "-c", "import json, sys; from test_cli import _in_order; calls = json.loads(sys.argv[1]); "
-             "print(json.dumps(_in_order(calls, range(len(calls)), sys.argv[2])))",
+            [sys.executable, "-c", "import json, sys; from test_determinism import _in_order; "
+             "calls = json.loads(sys.argv[1]); print(json.dumps(_in_order(calls, range(len(calls)), sys.argv[2])))",
              json.dumps([(argv, False) for argv in calls]), str(tmp_path)],
             capture_output=True, text=True, check=True, timeout=60,
             env={**os.environ, "PYTHONPATH": os.pathsep.join([src, here])},
@@ -606,89 +606,6 @@ class TestStyling:
     def test_not_a_tty_means_plain(self, capsys):
         _, out, _ = run(capsys, "check-fsmd", corpus.scenario_path("jammer"))
         assert "\x1b[" not in out
-
-
-def _in_order(calls, order, folder):
-    """Exit code, stdout, stderr and --json report of each call, made in ``order`` in this process."""
-    seen = {}
-    for i in order:
-        argv, takes_json = calls[i]
-        report = os.path.join(folder, f"{i}.json")
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.main(argv + ["--json", report] if takes_json else argv)
-        text = None
-        if takes_json:
-            with open(report, encoding="utf-8") as fh:
-                text = fh.read()
-            os.remove(report)
-        seen[str(i)] = [code, out.getvalue(), err.getvalue(), text]
-    return seen
-
-
-class TestOneProcess:
-    def test_calls_give_the_same_results_in_any_order(self, tmp_path, monkeypatch):
-        """One parser serves every call in a process, so no call may see what an earlier one did."""
-        racy, addthree = corpus.scenario_path("racy"), corpus.scenario_path("addthree")
-        calls = [  # (argv, whether it takes --json)
-            (["convert", corpus.corpus_path("jammer_pipelined"), "--on-unsafe", "reject"], True),
-            (["convert", corpus.corpus_path("jammer_pipelined")], True),
-            (["simulate", racy, "--seed", "3"], True),
-            (["simulate", racy], True),
-            (["simulate", racy, "--schedules", "10"], True),
-            (["--help"], False),
-            (["simulate", racy, "--max-steps", "0"], False),
-            (["validate", corpus.corpus_path("guard_split")], True),
-            (["check-pres", addthree, "--strategy", "sampled"], True),
-            (["check-pres", addthree], True),
-        ]
-        monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal's width
-        forwards = _in_order(calls, range(len(calls)), tmp_path)
-        assert [forwards[str(i)][0] for i in range(len(calls))] == [0, 0, 0, 0, 1, 0, 3, 0, 0, 0]
-        assert forwards["5"][1].startswith("usage: presto")
-        assert _in_order(calls, reversed(range(len(calls))), tmp_path) == forwards
-        # A fresh process, in reverse, also catches state that the first call here leaves for all later ones.
-        src, here = os.path.dirname(os.path.dirname(cli.__file__)), os.path.dirname(__file__)
-        child = subprocess.run(
-            [sys.executable, "-c", "import json, sys; from test_cli import _in_order; calls = json.loads(sys.argv[1]); "
-             "print(json.dumps(_in_order(calls, reversed(range(len(calls))), sys.argv[2])))",
-             json.dumps(calls), str(tmp_path)],
-            capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join([src, here])},
-        )
-        assert json.loads(child.stdout) == forwards
-
-
-def _hash_seeded(seed: str, folder, *argv: str) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of the CLI in a fresh process under
-    ``PYTHONHASHSEED=seed``.  -I would ignore the seed (it implies -E), so
-    the child gets -s and an environment that holds the seed and the path
-    alone."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    child = subprocess.run([sys.executable, "-s", "-m", "presto.cli", *argv], capture_output=True, text=True,
-                           cwd=folder, env={"PYTHONHASHSEED": seed, "PYTHONPATH": src}, timeout=60)
-    return child.returncode, child.stdout, child.stderr
-
-
-class TestHashSeeds:
-    """Messages that name one place of several name the first in place order,
-    whatever the seed of string hashing."""
-
-    def test_an_unsafe_firing_names_the_first_doubly_marked_place(self, tmp_path):
-        (tmp_path / "unsafe.pres").write_text(TestConvert.UNSAFE_NET)
-        for seed in ("1", "6"):  # seeds under which 'd' came first in the post-set
-            assert _hash_seeded(seed, tmp_path, "convert", "unsafe.pres") == (
-                3, "", "error: UnsafeMarking: firing ['t1', 't2'] puts a second token on 'c'\n"), seed
-
-    def test_right_inputs_are_derived_in_place_order(self, tmp_path):
-        (tmp_path / "left.pres").write_text("net left { place a marked; place b; transition t { pre a; post b; fn a; } }")
-        (tmp_path / "right.pres").write_text(
-            "net right { place p marked; place q marked; place r; transition u { pre p, q; post r; fn p; } }")
-        (tmp_path / "two.scn").write_text(
-            'scenario two { model left = "left.pres"; model right = "right.pres"; inputs { a = 1; } }')
-        for seed in ("1", "2"):  # under seed 1 'q' came first in the initial marking
-            assert _hash_seeded(seed, tmp_path, "simulate", "two.scn") == (
-                3, "left (left): Quiescent after 1 steps; out-ports {'b': 1}\n",
-                "error: SimError: no input value derivable for initially marked place 'p'\n"), seed
 
 
 @settings(max_examples=500, deadline=None)

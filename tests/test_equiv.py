@@ -361,6 +361,20 @@ class TestLoops:
         verdict = check_fsmd_equivalence(left, corpus.load_fsmd("sum_loop_commuted"), {"s": "s"})
         assert verdict.status == EQUIVALENT
 
+    def test_a_loop_pair_keeps_the_classes_that_every_arrival_agrees_on(self):
+        # After a round of the loop the left a and b hold one term, so the
+        # latest arrival at (q1, q1) alone would put them in one class, which
+        # the first arrival (a = 0, b = 1) denies.  With the classes of every
+        # arrival kept apart, the vector n = 2 separates the outputs.
+        text = ("fsmd {name} {{ states q0, q1, q2; reset q0; inputs n; storage a, b; outputs b;\n"
+                "  q0 -> q1 {{ a <= 0; b <= 1; }}\n"
+                "  q1 -> q1 when a < n {{ a <= a + 1; b <= {b} + 1; }}\n"
+                "  q1 -> q2 when a >= n {{ }}\n}}")
+        left, right = (parse_fsmd(text.format(name=name, b=b)) for name, b in (("left", "a"), ("right", "b")))
+        verdict = check_fsmd_equivalence(left, right, {"b": "b"}, [{"n": 2}])
+        assert verdict.exit_code() == 1, verdict
+        assert verdict.witness["values"] == [2, 3]
+
 
 def test_symbolic_check_validates_both_conversions(addthree_a):
     # Two unguarded transitions compete for Pa: the conversion emits two
