@@ -24,8 +24,7 @@ otherwise the verdict is honest about being inconclusive.
 from __future__ import annotations
 
 import heapq
-from functools import cache
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import expr as ex
 from .convert import pres_to_fsmd
@@ -178,13 +177,12 @@ def check_functional(
 
     ``strategy`` is a scenario's ``"sampled"`` (compare the out-port
     values of both nets' runs per vector) or ``"symbolic"`` (compare the
-    converted path transformations, and sample only to confirm a
-    structural mismatch as a real counterexample); any other value raises
-    :class:`ValueError`.  Each vector is simulated once per net; those
-    runs serve the cardinality check, the sampled comparison and the
-    confirmation of a symbolic difference.  The symbolic strategy converts
-    both nets with at most ``state_bound`` states each and adds their
-    conversion warnings to ``warnings``, if given.
+    converted path transformations; a run must confirm a difference, and
+    a run that separates the outputs refutes a match); any other value
+    raises :class:`ValueError`.  Each vector is simulated once per net,
+    before any path is compared, and those runs serve every check here.
+    The symbolic strategy converts both nets with at most ``state_bound``
+    states each and adds their conversion warnings to ``warnings``, if given.
     """
     if strategy not in ("sampled", "symbolic"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -213,7 +211,7 @@ def check_functional(
     # the in-port map, so transformations range over one vocabulary.
     rename = {n2.var_of[q]: ex.Var(n1.var_of[p]) for p, q in pm.in_map.items() if n2.var_of[q] != n1.var_of[p]}
     outputs = {(p, q): (n1.var_of[p], n2.var_of[q]) for p, q in places}
-    diff = _match_paths(conv1.fsmd, conv2.fsmd, outputs, rename, lambda: samples)
+    diff = _match_paths(conv1.fsmd, conv2.fsmd, outputs, rename, samples)
     return _confirmed(method, diff, places, "out_place_pair", samples)
 
 
@@ -228,9 +226,10 @@ def check_fsmd_equivalence(
     """Segment-by-segment comparison of two machines over corresponding outputs.
 
     Input/storage variable names are expected to coincide where the
-    transforms mention them.  A difference is confirmed by running both
-    machines on ``vectors`` (variable -> value) for at most ``max_steps``
-    steps, with ``interp`` for the applied symbols.
+    transforms mention them.  Before the walk, both machines run on
+    ``vectors`` (variable -> value) for at most ``max_steps`` steps, with
+    ``interp`` for the applied symbols; the runs confirm a difference or
+    refute a match, as in :func:`check_functional`.
     """
     method = "fsmd-paths (matched by normalized condition)"
     invalid = _invalid(m1, m2, "machine")
@@ -240,10 +239,8 @@ def check_fsmd_equivalence(
         reason = f"output map must biject {sorted(m1.outputs)} onto {sorted(m2.outputs)}"
         return Verdict(INCONCLUSIVE, method, reason=reason)
     outputs = {pair: pair for pair in sorted(var_map.items())}
-    vectors = list(vectors)
-    runs = cache(lambda: _machine_samples(m1, m2, vectors, interp, max_steps))
-    diff = _match_paths(m1, m2, outputs, {}, lambda: runs()[0])
-    samples, ran = runs() if isinstance(diff, _Mismatch) else ([], "")
+    samples, ran = _machine_samples(m1, m2, list(vectors), interp, max_steps)
+    diff = _match_paths(m1, m2, outputs, {}, samples)
     return _confirmed(method, diff, list(outputs), "variable_pair", samples, ran)
 
 
@@ -264,12 +261,15 @@ class _Mismatch(NamedTuple):
     trail: frozenset[tuple[int, str]] = frozenset()  # (side, cutpoint) a new walk may run through instead
 
 
+Sample = tuple[dict, dict, dict]  # (input vector, left outputs, right outputs), outputs keyed by label
+
+
 def _match_paths(
     m1: Fsmd,
     m2: Fsmd,
     outputs: dict[tuple[str, str], tuple[str, str]],
     rename: dict[str, ex.Expr],
-    samples: Callable[[], list["Sample"]],
+    samples: list[Sample],
 ) -> Union[None, str, _Mismatch]:
     """Compare two machines segment by segment between corresponding cutpoints.
 
@@ -291,8 +291,8 @@ def _match_paths(
     the other advances alone, that lead back to where they started are a
     mismatch: the moving machine can loop forever there.
 
-    A cut can hide a relation between two symbols, so when no sample
-    (``samples()`` gives them) separates a mismatch found under cuts, those
+    A cut can hide a relation between two symbols, so when none of
+    ``samples`` separates the outputs of a mismatch found under cuts, those
     cutpoints are walked through, each at most once, and the walk starts
     again; with no cuts left the walk compares whole paths.  Differing
     outputs that still differ on a pair of whole paths are final at once.
@@ -309,11 +309,12 @@ def _match_paths(
         if not machine.terminal_states() & cover.segments.keys():
             return "no reset-to-terminal path"
     entry = (fresh_store(m1), {v: rename.get(v, ex.Var(v)) for v in m2.variables()})
+    separated = _separating(samples, list(outputs), "") is not None
     uncut: tuple[set[str], set[str]] = (set(), set())
     while True:
         walk = _Walk(machines, covers, outputs, uncut)
         diff = walk.run(entry)
-        if not isinstance(diff, _Mismatch) or _separating(samples(), list(outputs), "") is not None:
+        if not isinstance(diff, _Mismatch) or separated:
             return diff
         if diff.pair is not None and walk.differs_on_whole_paths(diff):
             return diff
@@ -536,9 +537,6 @@ def _meet(first: Classes, second: Classes) -> Classes:
         for x in block:
             out.setdefault((i, block_of[x]), set()).add(x)
     return tuple(frozenset(block) for block in out.values())
-
-
-Sample = tuple[dict, dict, dict]  # (input vector, left outputs, right outputs), outputs keyed by label
 
 
 def _confirmed(

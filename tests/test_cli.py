@@ -234,6 +234,17 @@ class TestChecks:
         assert "reason: the walk had matched every path" in out
         assert 'witness: {"out_place_pair": ["Pe", "Pee"], "values": [5, 6], "vector": {"Pa": 2}}' in out
 
+    def test_check_fsmd_match_is_checked_against_the_runs(self, capsys, monkeypatch):
+        # The same check under check-fsmd: both machines run every vector
+        # before the walk, so a match that a run contradicts is no Equivalent.
+        scenario = corpus.scenario_path("sum_loop_double")
+        monkeypatch.setattr(equiv, "_match_paths", lambda *args: None)
+        code, out, err = run(capsys, "check-fsmd", scenario)
+        assert (code, err) == (1, "")
+        assert out.startswith("NotEquivalent  [fsmd-paths (matched by normalized condition)+sampled]\n")
+        assert "reason: the walk had matched every path" in out
+        assert 'witness: {"values": [6, 12], "variable_pair": ["s", "s"], "vector": {"n": 4}}' in out
+
     def test_inconclusive_exits_two(self, capsys, tmp_path):
         branched = tmp_path / "branched.pres"
         branched.write_text(
@@ -389,6 +400,12 @@ class TestChecks:
         code, out, _ = run(capsys, "check-fsmd", scenario)
         assert code == 0, out
         assert out.startswith("Equivalent")
+
+    def test_check_fsmd_vectors_that_cannot_run_leave_a_match_alone(self, capsys, tmp_path):
+        # No interpretation for f: every run raises UninterpretedSymbol and
+        # is skipped, and the match stands as the walk found it.
+        scenario = self._machine_pair(tmp_path, "q0 -> q1 { y <= f(x); }", "q0 -> q1 { y <= f(x); }")
+        assert run(capsys, "check-fsmd", scenario) == (0, "Equivalent  [fsmd-paths (matched by normalized condition)]\n", "")
 
     def test_check_fsmd_unconfirmed_difference_is_inconclusive(self, capsys, tmp_path):
         scenario = self._machine_pair(tmp_path, "q0 -> q1 { y <= x * (x + 1); }", "q0 -> q1 { y <= x * x + x; }")

@@ -303,6 +303,9 @@ class TestLoops:
         m1, m2 = corpus.load_fsmd("sum_loop"), corpus.load_fsmd("sum_loop_commuted")
         assert check_fsmd_equivalence(m1, m2, {"s": "s"}).status == EQUIVALENT
         assert check_fsmd_equivalence(m2, m1, {"s": "s"}).status == EQUIVALENT
+        # n = 4 needs six steps; a run cut at five confirms and denies nothing.
+        verdict = check_fsmd_equivalence(m1, m2, {"s": "s"}, [{"n": 4}], max_steps=5)
+        assert verdict.status == EQUIVALENT, verdict
 
     def test_sum_loop_adding_twice_is_confirmed_by_a_run_through_the_loop(self):
         m1, m2 = corpus.load_fsmd("sum_loop"), corpus.load_fsmd("sum_loop_double")
@@ -361,7 +364,7 @@ class TestLoops:
         verdict = check_fsmd_equivalence(left, corpus.load_fsmd("sum_loop_commuted"), {"s": "s"})
         assert verdict.status == EQUIVALENT
 
-    def test_a_loop_pair_keeps_the_classes_that_every_arrival_agrees_on(self):
+    def test_a_loop_pair_keeps_the_classes_that_every_arrival_agrees_on(self, monkeypatch):
         # After a round of the loop the left a and b hold one term, so the
         # latest arrival at (q1, q1) alone would put them in one class, which
         # the first arrival (a = 0, b = 1) denies.  With the classes of every
@@ -373,6 +376,14 @@ class TestLoops:
         left, right = (parse_fsmd(text.format(name=name, b=b)) for name, b in (("left", "a"), ("right", "b")))
         verdict = check_fsmd_equivalence(left, right, {"b": "b"}, [{"n": 2}])
         assert verdict.exit_code() == 1, verdict
+        assert verdict.witness["values"] == [2, 3]
+        # A walk that follows the latest arrival alone matches every path;
+        # the vector, run before the walk, still separates the outputs.
+        monkeypatch.setattr(equiv, "_meet", lambda first, second: second)
+        verdict = check_fsmd_equivalence(left, right, {"b": "b"}, [{"n": 2}])
+        assert verdict.exit_code() == 1, verdict
+        assert verdict.method == "fsmd-paths (matched by normalized condition)+sampled"
+        assert verdict.reason.endswith("a fault in presto")
         assert verdict.witness["values"] == [2, 3]
 
 
