@@ -26,7 +26,7 @@ from .equiv import (
     check_fsmd_equivalence,
     derive_right_inputs,
 )
-from .fsmd import Fsmd, FsmdError
+from .fsmd import Fsmd, FsmdError, validate_fsmd
 from .pres import PresNet
 from .sim import (
     QUIESCENT,
@@ -140,17 +140,18 @@ def cmd_convert(args) -> int:
     text = dsl.print_fsmd(conv.fsmd)
     if args.output:
         _write(args.output, text)
-    for w in conv.warnings:
+    warnings = conv.warnings + validate_fsmd(conv.fsmd)  # a machine that validate rejects is still written
+    for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"states: {conv.states_visited}", file=sys.stderr)
     if args.json:
-        _write_json(args.json, _conversion_json(conv))
+        _write_json(args.json, _conversion_json(conv, warnings))
     if not args.output:
         print(text, end="")
     return 0
 
 
-def _conversion_json(conv: Conversion) -> dict:
+def _conversion_json(conv: Conversion, warnings: list) -> dict:
     return {
         "command": "convert",
         "states": conv.states_visited,
@@ -165,7 +166,7 @@ def _conversion_json(conv: Conversion) -> dict:
             }
             for t, labels in zip(conv.fsmd.transitions, conv.labels)
         ],
-        "warnings": [str(w) for w in conv.warnings],
+        "warnings": [str(w) for w in warnings],
     }
 
 

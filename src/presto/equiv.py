@@ -36,8 +36,9 @@ from .verdict import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT, Verdict
 
 
 class PortMapError(Exception):
-    """A port map that is no bijection between nets that have one: as many
-    in-ports and as many out-ports on both sides."""
+    """A port map that is no bijection between nets that have one (as many
+    in-ports and as many out-ports on both sides), or a variable map that is
+    no bijection between two machines' outputs."""
 
 
 class PortMap(NamedTuple):
@@ -229,15 +230,16 @@ def check_fsmd_equivalence(
     transforms mention them.  Before the walk, both machines run on
     ``vectors`` (variable -> value) for at most ``max_steps`` steps, with
     ``interp`` for the applied symbols; the runs confirm a difference or
-    refute a match, as in :func:`check_functional`.
+    refute a match, as in :func:`check_functional`.  A ``var_map`` that is
+    no bijection of the outputs raises :class:`PortMapError`.
     """
     method = "fsmd-paths (matched by normalized condition)"
     invalid = _invalid(m1, m2, "machine")
     if invalid:
         return Verdict(INCONCLUSIVE, method, reason=invalid)
-    if _bijection_problems("output", var_map, m1.outputs, m2.outputs):
-        reason = f"output map must biject {sorted(m1.outputs)} onto {sorted(m2.outputs)}"
-        return Verdict(INCONCLUSIVE, method, reason=reason)
+    problems = _bijection_problems("output", var_map, m1.outputs, m2.outputs)
+    if problems:
+        raise PortMapError(f"the output map is not a bijection: {'; '.join(problems)}")
     outputs = {pair: pair for pair in sorted(var_map.items())}
     samples, ran = _machine_samples(m1, m2, list(vectors), interp, max_steps)
     diff = _match_paths(m1, m2, outputs, {}, samples)

@@ -9,7 +9,7 @@ Terms are hash-consed: every constructor looks its node up in one weak
 intern table, so two structurally equal terms are the same object and
 ``==``/``hash`` are the identity ones.  A node fixes its sort (``None``
 when ill-sorted), free-variable set and height when it is built, and
-lazily caches its ordering key, its default normal form and its compiled
+lazily caches its ordering key, its normal form and its compiled
 closure.  A node that nothing refers to leaves the table at once, without
 a collection, and takes its caches with it.  All walks use explicit stacks (compiled closures call each
 other through the lowest 64 levels of a term only), so term depth is
@@ -110,7 +110,7 @@ class Expr:
     (see :func:`_writable`); the lazy caches are written later through the
     setters of their slots.  Besides its fields a node holds its children,
     its sort, its free variables, its height (leaves are 0) and the lazy
-    caches of its ordering key, default normal form and compiled closure.
+    caches of its ordering key, normal form and compiled closure.
     """
 
     __slots__ = ("_kids", "_sort", "_ord", "_fv", "_nf", "_fn", "_height", "__weakref__")
@@ -601,32 +601,15 @@ def _key(e: Expr) -> tuple:
     return k
 
 
-def normalize(e: Expr, collect_terms: bool = False) -> Expr:
+def normalize(e: Expr) -> Expr:
     """Canonical form of a well-sorted expression.
 
-    With ``collect_terms`` the additive like-term collection is enabled
-    (``x - x`` becomes ``0``, ``2*x + x`` becomes ``3*x``); by default
-    terms are only folded, flattened and sorted.  Default normal forms are
-    cached on the nodes; collected ones are memoized within the call.
+    Terms are folded, flattened and sorted; like terms are not collected,
+    so ``x - x`` stays the sum ``x + -x``.  Normal forms are cached on the
+    nodes.
     """
     if not isinstance(e, Expr) or e._sort is None:
         sort_of(e)  # raises; the children of a well-sorted node are well-sorted
-    if collect_terms:
-        memo: dict[Expr, Expr] = {}
-        stack = [e]
-        while stack:
-            node = stack[-1]
-            if node in memo:  # a shared subterm pushed twice
-                stack.pop()
-                continue
-            kids = node._kids
-            pending = [k for k in kids if k not in memo]
-            if pending:
-                stack += pending
-                continue
-            stack.pop()
-            memo[node] = _norm_node(node, [memo[k] for k in kids], True)
-        return memo[e]
     nf = e._nf
     if nf is None:
         stack = [e]
@@ -641,13 +624,13 @@ def normalize(e: Expr, collect_terms: bool = False) -> Expr:
                 stack += pending
                 continue
             stack.pop()
-            nf = _norm_node(node, [k if k._nf is _SAME else k._nf for k in kids], False)
+            nf = _norm_node(node, [k if k._nf is _SAME else k._nf for k in kids])
             _set_nf(node, _SAME if nf is node else nf)
         nf = e._nf
     return e if nf is _SAME else nf
 
 
-def _norm_node(e: Expr, kids: list, collect: bool) -> Expr:
+def _norm_node(e: Expr, kids: list) -> Expr:
     """Normal form of ``e`` given the normal forms of its children."""
     cls = type(e)
     if not kids:
@@ -658,8 +641,8 @@ def _norm_node(e: Expr, kids: list, collect: bool) -> Expr:
         if e.op == "neg":
             return _norm_neg(kids[0])
         if e.op == "-":
-            return _norm_ring("+", [kids[0], _norm_neg(kids[1])], collect)
-        return _norm_ring(e.op, kids, collect)
+            return _norm_ring("+", [kids[0], _norm_neg(kids[1])])
+        return _norm_ring(e.op, kids)
     if cls is Rel:
         lhs, rhs = kids
         if type(lhs) is IntConst and type(rhs) is IntConst:
@@ -684,7 +667,7 @@ def _flatten(op: str, args: Iterable[Expr]) -> list[Expr]:
     return [x for a in args for x in (a.args if type(a) in (Arith, BoolOp) and a.op == op else (a,))]
 
 
-def _norm_ring(op: str, kids: list, collect: bool) -> Expr:
+def _norm_ring(op: str, kids: list) -> Expr:
     """Flattened ``+`` or ``*``: constants folded into one leading operand, the rest sorted."""
     flat = _flatten(op, kids)
     unit = 0 if op == "+" else 1
@@ -692,33 +675,10 @@ def _norm_ring(op: str, kids: list, collect: bool) -> Expr:
     rest = [a for a in flat if type(a) is not IntConst]
     if op == "*" and const == 0:
         return IntConst(0)
-    if collect and op == "+":
-        const, rest = _collect_terms(const, rest)
     rest.sort(key=_key)
     if const != unit or not rest:
         rest.insert(0, IntConst(const))
     return rest[0] if len(rest) == 1 else Arith(op, tuple(rest))
-
-
-def _collect_terms(const: int, operands: list[Expr]) -> tuple[int, list[Expr]]:
-    coeffs: dict[Expr, int] = {}  # term -> coefficient; no term is a sum, negation or constant
-    todo = [(a, 1) for a in operands]  # negations, constant factors and inner sums are peeled
-    while todo:
-        term, c = todo.pop()
-        op = term.op if type(term) is Arith else None
-        if type(term) is IntConst:
-            const += c * term.value
-        elif op == "neg":
-            todo.append((term.args[0], -c))
-        elif op == "+":
-            todo.extend((t, c) for t in term.args)
-        elif op == "*" and type(term.args[0]) is IntConst:
-            tail = term.args[1:]
-            todo.append((tail[0] if len(tail) == 1 else Arith("*", tail), c * term.args[0].value))
-        else:
-            coeffs[term] = coeffs.get(term, 0) + c
-    return const, [t if c == 1 else Arith("neg", (t,)) if c == -1 else Arith("*", tuple(_flatten("*", (IntConst(c), t))))
-                   for t, c in coeffs.items() if c]
 
 
 def _norm_bool(op: str, kids: list) -> Expr:
@@ -743,7 +703,7 @@ def negate_guard(g: Expr) -> Expr:
     return BoolOp("not", (g,))
 
 
-def structurally_equivalent(e1: Expr, e2: Expr, collect_terms: bool = False) -> bool:
+def structurally_equivalent(e1: Expr, e2: Expr) -> bool:
     """True iff the two terms have identical normal forms.
 
     A true result guarantees semantic equality; a false result proves
@@ -751,7 +711,7 @@ def structurally_equivalent(e1: Expr, e2: Expr, collect_terms: bool = False) -> 
     """
     if sort_of(e1) != sort_of(e2):
         raise SortMismatch("cannot compare expressions of different sorts")
-    return normalize(e1, collect_terms) is normalize(e2, collect_terms)
+    return normalize(e1) is normalize(e2)
 
 
 # Pretty-printer.  Precedence, loosest to tightest: or, and, not,

@@ -128,6 +128,22 @@ class TestConvert:
         assert code == 0 and len(warnings) == 2 and all("InconsistentGuards" in w for w in warnings)
         assert err.splitlines() == [f"warning: {w}" for w in warnings] + ["states: 3"]
 
+    CHOICE_NET = ("net n { place a marked; place b; place c; transition t1 { pre a; post b; fn a + 1; } "
+                  "transition t2 { pre a; post c; fn a + 2; } }")
+
+    def test_a_machine_that_validate_rejects_is_written_with_a_warning(self, capsys, tmp_path):
+        # Both transitions consume a alone and have no guard, so the machine
+        # has two q0 entries with one guard set.
+        net, machine, report = tmp_path / "choice.pres", tmp_path / "choice.fsmd", tmp_path / "choice.json"
+        net.write_text(self.CHOICE_NET)
+        code, out, err = run(capsys, "convert", str(net), "-o", str(machine), "--json", str(report))
+        assert (code, out) == (0, "")
+        warning = "NondeterministicF: q0->q2#1 (duplicate (state, guard set) entry)"
+        assert err == f"warning: {warning}\nstates: 3\n"
+        assert json.loads(report.read_text())["warnings"] == [warning]
+        code, out, _ = run(capsys, "validate", str(machine))
+        assert code == 3 and warning in out
+
     def test_bounds_below_one_are_usage_errors(self, capsys, tmp_path):
         for argv in (["convert", corpus.corpus_path("card_a"), "--state-bound", "0"],
                      ["simulate", corpus.scenario_path("addthree"), "--max-steps", "0"],
@@ -445,6 +461,12 @@ class TestChecks:
         code, out, err = run(capsys, "check-fsmd", str(scenario))
         assert (code, out) == (3, "")
         assert err == "error: the scenario has no varmap and the outputs differ: ['out'] and ['out2']\n"
+
+    def test_check_fsmd_varmap_that_is_no_bijection_is_a_scenario_error(self, capsys, tmp_path):
+        scenario = self._machine_pair(tmp_path, "q0 -> q1 { y <= x; }", "q0 -> q1 { y <= x; }")
+        (tmp_path / "pair.scn").write_text((tmp_path / "pair.scn").read_text().replace("y -> y;", "y -> z;"))
+        assert run(capsys, "check-fsmd", scenario) == (
+            3, "", "error: the output map is not a bijection: output map image ['z'] != ['y']\n")
 
     def test_check_fsmd_report_lists_no_warnings_for_clean_nets(self, capsys, tmp_path):
         report = tmp_path / "jammer.json"

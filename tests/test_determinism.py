@@ -97,6 +97,8 @@ def _commands(made) -> list[tuple[str, list[str], int]]:
         ("guard_split_dot", ["export-dot", model("guard_split")], 0),
         ("undeclared", ["validate", net("undeclared.pres"), "--json", "undeclared.json"], 3),
         ("splits_convert", ["convert", net("splits.pres"), "-o", "splits.fsmd", "--json", "splits_convert.json"], 0),
+        # Written with a NondeterministicF warning: validate rejects the machine.
+        ("choice_convert", ["convert", net("choice.pres"), "-o", "choice.fsmd", "--json", "choice_convert.json"], 0),
         ("splits_simulate", ["simulate", net("splits.scn"), "--schedules", "4", "--json", "splits_simulate.json"], 1),
         ("psplits_simulate", ["simulate", str(made / "psplits.scn"), "--schedules", "4",
                               "--json", "psplits_simulate.json"], 1),

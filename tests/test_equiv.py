@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -207,8 +208,8 @@ class TestFsmdEquivalence:
 
     def test_var_map_must_biject_outputs(self, jammer_nonpipelined):
         m1 = pres_to_fsmd(jammer_nonpipelined).fsmd
-        verdict = check_fsmd_equivalence(m1, m1, {"out": "nope"})
-        assert verdict.status == INCONCLUSIVE
+        with pytest.raises(PortMapError, match=re.escape("output map image ['nope'] != ['out']")):
+            check_fsmd_equivalence(m1, m1, {"out": "nope"})
 
     def test_looping_machine_is_inconclusive(self):
         loop = Fsmd("loop", ("q0", "q1"), "q0", frozenset({"x"}), frozenset({"y"}), frozenset({"y"}),

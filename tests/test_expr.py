@@ -80,31 +80,13 @@ class TestNormalize:
     def test_constant_folding(self):
         assert ex.normalize(ex.add(ex.IntConst(2), ex.IntConst(3))) == ex.IntConst(5)
 
-    def test_x_minus_x_default_keeps_terms(self):
+    def test_x_minus_x_keeps_its_terms(self):
         e = ex.sub(X, X)
         n = ex.normalize(e)
         assert n != ex.IntConst(0)
         # brute-force evaluation oracle over a small range
         for v in range(-5, 6):
             assert ex.evaluate(n, *env({"x": v})) == ex.evaluate(e, *env({"x": v})) == 0
-
-    def test_x_minus_x_collects_to_zero(self):
-        assert ex.normalize(ex.sub(X, X), collect_terms=True) == ex.IntConst(0)
-
-    def test_like_terms_collect(self):
-        e = ex.add(ex.mul(ex.IntConst(2), X), X)
-        assert ex.normalize(e, collect_terms=True) == ex.Arith("*", (ex.IntConst(3), X))
-
-    def test_collect_peels_signs_and_inner_sums(self):
-        m1 = ex.IntConst(-1)
-        # -x * -1 + x is 2 * x, and -((x + y) * -1) + z is a flat sum
-        e1 = ex.add(ex.mul(ex.neg(X), m1), X)
-        assert ex.normalize(e1, collect_terms=True) == ex.Arith("*", (ex.IntConst(2), X))
-        e2 = ex.add(ex.neg(ex.mul(ex.add(X, Y), m1)), ex.Var("z"))
-        assert ex.normalize(e2, collect_terms=True) == ex.normalize(ex.add(X, Y, ex.Var("z")))
-        for e in (e1, e2):
-            once = ex.normalize(e, collect_terms=True)
-            assert ex.normalize(once, collect_terms=True) is once
 
     def test_double_negation(self):
         assert ex.normalize(ex.neg(ex.neg(X))) == X
@@ -187,11 +169,11 @@ def test_normalize_preserves_evaluation(seed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=0, max_value=10**9), st.booleans())
-def test_normalize_idempotent(seed, collect):
+@given(st.integers(min_value=0, max_value=10**9))
+def test_normalize_idempotent(seed):
     e = random_expr(random.Random(seed), depth=6)
-    once = ex.normalize(e, collect_terms=collect)
-    assert ex.normalize(once, collect_terms=collect) == once
+    once = ex.normalize(e)
+    assert ex.normalize(once) == once
 
 
 @settings(max_examples=200, deadline=None)
@@ -250,8 +232,8 @@ def _ref_substitute(e, bindings):
     return _rebuilt(e, [_ref_substitute(k, bindings) for k in kids]) if kids else e
 
 
-def _ref_normalize(e, collect):
-    return ex._norm_node(e, [_ref_normalize(k, collect) for k in _operands(e)], collect)
+def _ref_normalize(e):
+    return ex._norm_node(e, [_ref_normalize(k) for k in _operands(e)])
 
 
 def _ref_key(e):
@@ -293,8 +275,7 @@ def test_walks_agree_with_recursive_references(seed):
     assert ex._key(root) == _ref_key(root)
     for t in warm:
         ex.normalize(t)
-    for collect in (False, True):
-        assert ex.normalize(root, collect_terms=collect) is _ref_normalize(root, collect)
+    assert ex.normalize(root) is _ref_normalize(root)
     bindings = {v: random_int_expr(rng, 3) for v in rng.sample(VARS, rng.randint(0, len(VARS)))}
     bindings["unused"] = ex.TRUE  # a binding of no free variable is never read
     assert ex.substitute(root, bindings) is _ref_substitute(root, bindings)
@@ -389,7 +370,7 @@ class TestHashConsing:
 
     @pytest.mark.parametrize("call, error", [
         (lambda: ex.normalize(1), "TypeError: not an expression: 1"),
-        (lambda: ex.normalize(ex.Apply("f", (ex.Rel("=", X, Y),)), collect_terms=True),
+        (lambda: ex.normalize(ex.Apply("f", (ex.Rel("=", X, Y),))),
          "SortMismatch: operand of 'f' is not int-sorted: x = y"),
         (lambda: ex.normalize(ex.BoolOp("not", (X,))), "SortMismatch: operand of 'not' is not bool-sorted: x"),
         (lambda: ex.normalize(ex.add(ex.Apply("f", (ex.TRUE,)), X)), "SortMismatch: operand of 'f' is not int-sorted: true"),
@@ -440,7 +421,7 @@ def test_deep_terms_stay_within_the_recursion_limit(build):
     assert ex.substitute(swapped, {"y": X}) is ex.substitute(e, {"x": ex.Apply("g", (X,))})
     n = ex.normalize(e)
     assert ex.normalize(n) is n
-    assert ex.normalize(swapped, collect_terms=True) is not None
+    assert ex.normalize(ex.normalize(swapped)) is ex.normalize(swapped)
 
 
 @pytest.mark.parametrize("build", [_apply_nest, _ring_nest])
