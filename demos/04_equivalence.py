@@ -22,21 +22,21 @@ from presto.sim import SeededInterpretation
 print("== cardinality: cardinality pair ==")
 n1, n2 = corpus.load_net("card_a"), corpus.load_net("card_b")
 pm = PortMap({"Pa": "Paa", "Pb": "Pbb"}, {"Pe": "Pee", "Pf": "Pff", "Pg": "Pgg"})
-print(check_cardinality(n1, n2, pm, [{"Pa": 1, "Pb": 2}], SeededInterpretation(5)))
+print(check_cardinality(n1, n2, pm, [{"Pa": 1, "Pb": 2}], SeededInterpretation(5)).status)
 
 print()
 print("== functional: addthree pair (adds three, decomposed two ways) ==")
 f1, f2 = corpus.load_net("addthree_a"), corpus.load_net("addthree_b")
 pm5 = PortMap({"Pa": "Paa"}, {"Pe": "Pee"})
-print("symbolic:", check_functional(f1, f2, pm5, "symbolic", [{"Pa": 2}], {}))
+print("symbolic:", check_functional(f1, f2, pm5, "symbolic", [{"Pa": 2}], {}).status)
 sampled = check_functional(f1, f2, pm5, "sampled", [{"Pa": 2}], {})
-print("sampled: ", sampled, "->", sampled.witness["samples"][0]["out_values"])
+print("sampled: ", sampled.status, "->", sampled.witness["samples"][0]["out_values"])
 
 print()
 print("== machines: the two jammer versions ==")
 m1 = pres_to_fsmd(corpus.load_net("jammer_nonpipelined")).fsmd
 m2 = pres_to_fsmd(corpus.load_net("jammer_pipelined")).fsmd
-print(check_fsmd_equivalence(m1, m2, {"out": "out2"}))
+print(check_fsmd_equivalence(m1, m2, {"out": "out2"}).status)
 t1 = path_transformation(m1, path_enumerate(m1, m1.reset, m1.terminal_states()).paths[0])
 print("composed output transformation (shared by both):")
 print(" ", to_text(normalize(t1.transform["out"]))[:120], "...")

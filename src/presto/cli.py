@@ -109,13 +109,6 @@ def _verdict_json(v: Verdict) -> dict:
     return {"status": v.status, "method": v.method, "witness": v.witness, "reason": v.reason}
 
 
-def _as_fsmd(model, state_bound: int) -> tuple[Fsmd, Optional[Conversion]]:
-    if isinstance(model, Fsmd):
-        return model, None
-    conv = pres_to_fsmd(model, state_bound)
-    return conv.fsmd, conv
-
-
 def cmd_validate(args) -> int:
     try:
         model = _load_model(args.file)
@@ -202,63 +195,64 @@ def _confluence(net: PresNet, vectors: list[dict], interp, schedules: int, seed:
     return inconclusive or verdict
 
 
-def cmd_simulate(args) -> int:
+def _scenario(args, nets: bool) -> tuple[dsl.ScenarioDocument, dict, ex.Interpretation]:
+    """The scenario that ``args`` names, its models by side and its
+    interpretation, read and checked in one order for every scenario
+    command: the scenario; the refusal of the other command's check; the
+    models (one or two for ``simulate``, both for a check); machine models
+    where ``nets`` asks for nets; the arities of the interp lines; and last
+    the interpretation."""
     doc = _load_scenario(args.scenario)
-    interp = interpretation(doc.interps, doc.default_seed)
-    max_steps = args.max_steps or doc.max_steps
-    nets = [(side, _load_model(doc.resolve(path))) for side, path in (("left", doc.left), ("right", doc.right)) if path]
-    if not nets:
+    command = args.command
+    runner = {"fsmd": "check-fsmd", "cardinality": "check-pres"}.get(doc.check, command)
+    if command != "simulate" and runner != command:
+        raise UsageError(f"the scenario asks for check {doc.check}, which {command} does not run; use {runner}")
+    if command == "simulate" and not (doc.left or doc.right):
         raise UsageError("simulate needs a left or a right model")
-    if not all(isinstance(net, PresNet) for _, net in nets):
-        raise UsageError("simulate expects net models")
-    check_arities(doc.interps, _terms(net for _, net in nets))
-    left_net = nets[0][1] if doc.left else None
+    if command != "simulate" and not (doc.left and doc.right):
+        raise UsageError(f"{command} needs both a left and a right model")
+    models = {side: _load_model(doc.resolve(path)) for side, path in (("left", doc.left), ("right", doc.right)) if path}
+    if nets and not all(isinstance(model, PresNet) for model in models.values()):
+        raise UsageError(f"{command} expects net models")
+    check_arities(doc.interps, _terms(models.values()))
+    return doc, models, interpretation(doc.interps, doc.default_seed)
+
+
+def cmd_simulate(args) -> int:
+    doc, nets, interp = _scenario(args, nets=True)
+    left_net = nets.get("left")
     pm = PortMap(dict(doc.in_map), dict(doc.out_map))
     # Every net's inputs are derived before the first run, so that an input
-    # that cannot be derived ends the command before it prints a result.
+    # that cannot be derived is the error reported, whatever a run would raise.
     vectors = [[dict(vector) if side == "left" or left_net is None else derive_right_inputs(left_net, net, pm, vector)
-                for vector in doc.vectors or [{}]] for side, net in nets]
+                for vector in doc.vectors or [{}]] for side, net in nets.items()]
     runs: list[dict] = []
-    lines: list[str] = []  # stdout, printed once the report is written
+    lines: list[str] = []  # stdout, printed once every run has ended and the report is written
     worst = 0
-    try:
-        for (side, net), net_vectors in zip(nets, vectors):
-            if args.schedules > 1:
-                verdict = _confluence(net, net_vectors, interp, args.schedules, args.seed or 0, max_steps)
-                lines.append(f"{side} ({net.name}): {_verdict_line(verdict)}")
-                runs.append({"model": side, "confluence": _verdict_json(verdict)})
-                worst = max(worst, verdict.exit_code())
-                continue
-            for inputs in net_vectors:
-                run = simulate_run(net, inputs, interp, args.seed, max_steps)
-                outs = out_port_values(net, run.final_state)
-                ended = f"{run.status} after {run.steps} steps{value_limit(run.status)}"
-                lines.append(f"{side} ({net.name}): {ended}; out-ports {outs}")
-                runs.append({"model": side, "vector": inputs, **trace_json(run), "out_ports": outs})
-                if run.status != QUIESCENT:
-                    worst = max(worst, 2)
-    except Exception:  # an error ends the command, after the lines of the runs made before it
-        if lines:
-            print("\n".join(lines))
-        raise
+    for (side, net), net_vectors in zip(nets.items(), vectors):
+        if args.schedules > 1:
+            verdict = _confluence(net, net_vectors, interp, args.schedules, args.seed or 0, doc.max_steps)
+            lines.append(f"{side} ({net.name}): {_verdict_line(verdict)}")
+            runs.append({"model": side, "confluence": _verdict_json(verdict)})
+            worst = max(worst, verdict.exit_code())
+            continue
+        for inputs in net_vectors:
+            run = simulate_run(net, inputs, interp, args.seed, doc.max_steps)
+            outs = out_port_values(net, run.final_state)
+            ended = f"{run.status} after {run.steps} steps{value_limit(run.status)}"
+            lines.append(f"{side} ({net.name}): {ended}; out-ports {outs}")
+            runs.append({"model": side, "vector": inputs, **trace_json(run), "out_ports": outs})
+            if run.status != QUIESCENT:
+                worst = max(worst, 2)
     _write_json(args.json, {"command": "simulate", "runs": runs})
     print("\n".join(lines))  # every net has a line for each vector, or one for a run without vectors
     return worst
 
 
 def cmd_check_pres(args) -> int:
-    doc = _load_scenario(args.scenario)
-    if doc.check == "fsmd":
-        raise UsageError("the scenario asks for check fsmd, which check-pres does not run; use check-fsmd")
-    if not doc.left or not doc.right:
-        raise UsageError("check-pres needs both a left and a right model")
-    n1 = _load_model(doc.resolve(doc.left))
-    n2 = _load_model(doc.resolve(doc.right))
-    if not isinstance(n1, PresNet) or not isinstance(n2, PresNet):
-        raise UsageError("check-pres expects net models")
+    doc, nets, interp = _scenario(args, nets=True)
+    n1, n2 = nets.values()
     pm = PortMap(dict(doc.in_map), dict(doc.out_map))
-    interp = interpretation(doc.interps, doc.default_seed)
-    check_arities(doc.interps, _terms((n1, n2)))
     strategy_name = args.strategy or doc.strategy
     warnings: list = []
     if doc.check == "cardinality":
@@ -275,20 +269,15 @@ def cmd_check_pres(args) -> int:
 
 
 def cmd_check_fsmd(args) -> int:
-    doc = _load_scenario(args.scenario)
-    if doc.check == "cardinality":
-        raise UsageError("the scenario asks for check cardinality, which check-fsmd does not run; use check-pres")
-    if not doc.left or not doc.right:
-        raise UsageError("check-fsmd needs both a left and a right model")
-    models = [_load_model(doc.resolve(side)) for side in (doc.left, doc.right)]
-    check_arities(doc.interps, _terms(models))
-    converted = [_as_fsmd(model, doc.state_bound) for model in models]
-    machines = [machine for machine, _ in converted]
-    warnings = [str(w) for _, conv in converted if conv for w in conv.warnings]
+    doc, models, interp = _scenario(args, nets=False)
+    conversions = {side: pres_to_fsmd(model, doc.state_bound)
+                   for side, model in models.items() if isinstance(model, PresNet)}
+    machines = [conversions[side].fsmd if side in conversions else model for side, model in models.items()]
+    warnings = [str(w) for conv in conversions.values() for w in conv.warnings]
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     # Scenario vectors name places; the machines read the places' variables.
-    var_of = models[0].var_of if isinstance(models[0], PresNet) else {}
+    var_of = models["left"].var_of if isinstance(models["left"], PresNet) else {}
     vectors = [{var_of.get(p, p): v for p, v in vector.items()} for vector in doc.vectors]
     var_map = dict(doc.var_map)
     if not var_map:  # without a varmap, machines with one set of outputs compare name by name
@@ -296,7 +285,6 @@ def cmd_check_fsmd(args) -> int:
         if left != right:
             raise UsageError(f"the scenario has no varmap and the outputs differ: {left} and {right}")
         var_map = {v: v for v in left}
-    interp = interpretation(doc.interps, doc.default_seed)
     verdict = check_fsmd_equivalence(*machines, var_map, vectors, interp, doc.max_steps)
     _write_json(args.json, {"command": "check-fsmd", "verdict": _verdict_json(verdict), "warnings": warnings})
     print(_verdict_line(verdict))
@@ -342,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a scenario's models on its input vectors")
     p.add_argument("scenario")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-steps", type=_bound, default=None)
     p.add_argument("--schedules", type=_bound, default=1, help="with N>1, run a schedule-independence check")
     p.add_argument("--json")
 

@@ -493,7 +493,7 @@ def _fsmd(p: _Parser) -> Fsmd:
             first = p.pos
             for i, state in enumerate(p.name_list()):
                 states.append(state)
-                where.setdefault(state, first + 2 * i)  # names alternate with commas
+                where[state] = first + 2 * i  # names alternate with commas; a duplicate is named where it is
             p.expect(";")
         elif clause == "reset":
             if reset is not None:

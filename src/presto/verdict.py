@@ -41,9 +41,3 @@ class Verdict(_VerdictFields):
 
     def exit_code(self) -> int:
         return {EQUIVALENT: 0, NOT_EQUIVALENT: 1, INCONCLUSIVE: 2}[self.status]
-
-    def __str__(self) -> str:
-        parts = [self.status, f"[{self.method}]"]
-        if self.reason:
-            parts.append(f"reason: {self.reason}")
-        return " ".join(parts)

@@ -189,10 +189,11 @@ def compile_program(name: str, program: list, duplicate_tails: bool = False) -> 
                 tuple(transitions))
 
 
-def perfbench_families():
-    """The benchmark's seeded pair generator, ``perfbench/families.py``."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "families.py")
-    spec = importlib.util.spec_from_file_location("perfbench_families", path)
+def perfbench(name: str):
+    """A module of the benchmark, loaded from ``perfbench/<name>.py``: its
+    seeded pair generator ``families`` or its tracer ``tracing``."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
     spec.loader.exec_module(module)
     return module

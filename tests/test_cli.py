@@ -59,6 +59,28 @@ class TestValidate:
             assert (code, out) == (3, "")
             assert err == f"error: {at}: stray character {char!r}\n"
 
+    def test_every_machine_rule_is_reported_where_it_broke(self, capsys, tmp_path):
+        # A duplicate is named at its second declaration, as in a net;
+        # elements that the text does not declare have no line:col.
+        machine = tmp_path / "bad.fsmd"
+        machine.write_text("fsmd m {\n  states q0, q1, q0;\n  reset q9;\n  inputs x;\n  storage y;\n  outputs y, z;\n"
+                           "  q0 -> q7 when x { y <= x > 1; }\n  q5 -> q1 when w > 0 { y <= v; x <= 1; }\n}\n")
+        report = ["2:18: DuplicateName: q0 (state declared twice)",
+                  "UnknownState: q9 (reset state is not declared)",
+                  "UnknownVariable: z (output is neither storage nor input)",
+                  "UnknownState: q7 (q0->q7#0)",
+                  "7:3: IllSortedGuard: q0->q7#0 (x)",
+                  "7:3: IllSortedUpdate: q0->q7#0 (y <= x > 1)",
+                  "UnknownState: q5 (q5->q1#1)",
+                  "UnknownVariable: w (guard of q5->q1#1)",
+                  "UnknownVariable: v (update of y in q5->q1#1)",
+                  "IllegalTarget: x (update in q5->q1#1)"]
+        out = "invalid:\n" + "".join(f"  {line}\n" for line in report)
+        assert run(capsys, "validate", str(machine)) == (3, out, "")
+        machine.write_text("fsmd m { inputs x; }")
+        assert run(capsys, "validate", str(machine)) == (
+            3, "invalid:\n  1:6: MissingReset: m (no states and no reset)\n", "")
+
     def test_internal_error_exits_three_without_traceback(self, capsys, monkeypatch):
         def explode(args):
             raise RecursionError("maximum recursion depth exceeded")
@@ -146,7 +168,6 @@ class TestConvert:
 
     def test_bounds_below_one_are_usage_errors(self, capsys, tmp_path):
         for argv in (["convert", corpus.corpus_path("card_a"), "--state-bound", "0"],
-                     ["simulate", corpus.scenario_path("addthree"), "--max-steps", "0"],
                      ["simulate", corpus.scenario_path("racy"), "--schedules", "0"]):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (3, ""), argv
@@ -221,6 +242,35 @@ class TestChecks:
     def test_check_pres_cardinality_cardinality(self, capsys):
         code, out, _ = run(capsys, "check-pres", corpus.scenario_path("cardinality"))
         assert code == 0
+
+    SPLIT_NET = ("net {name} {{\n  place a marked; place b; place c;\n"
+                 "  transition t1 {{ pre a; post b; fn a; guard a > {k}; }}\n"
+                 "  transition t2 {{ pre a; post c; fn a; guard a <= {k}; }}\n}}\n")
+
+    def _cardinality(self, tmp_path, right: str, extra: str = "") -> str:
+        (tmp_path / "l.pres").write_text(self.SPLIT_NET.format(name="l", k=0))
+        (tmp_path / "r.pres").write_text(right)
+        scenario = tmp_path / "card.scn"
+        scenario.write_text('scenario card { model left = "l.pres"; model right = "r.pres"; check cardinality;\n'
+                            f"  inmap {{ a -> a; }} outmap {{ b -> b; c -> c; }} inputs {{ a = 3; }} {extra}}}\n")
+        return str(scenario)
+
+    def test_cardinality_compares_where_the_runs_rest(self, capsys, tmp_path):
+        # Condition 3: with a = 3 the left net rests with b marked, the
+        # right one (thresholds 5) with c marked.
+        scenario = self._cardinality(tmp_path, self.SPLIT_NET.format(name="r", k=5))
+        code, out, err = run(capsys, "check-pres", scenario)
+        assert (code, err) == (1, "")
+        assert out.endswith('\n  witness: {"condition": 3, "marked": [true, false], "place_pair": ["b", "b"], '
+                            '"vector": {"a": 3}}\n'), out
+        # A right run that never rests leaves no marking to compare.
+        spin = ("net r {\n  place a marked; place x; place b; place c;\n  transition t0 { pre a; post x; fn a; }\n"
+                "  transition spin { pre x; post x; fn x + 1; }\n"
+                "  transition tb { pre x; post b; fn x; guard x < 0; }\n"
+                "  transition tc { pre x; post c; fn x; guard x < -100; }\n}\n")
+        code, out, err = run(capsys, "check-pres", self._cardinality(tmp_path, spin, "maxsteps 5; "))
+        assert (code, err) == (2, "")
+        assert out.endswith("\n  reason: runs ended Quiescent/StepBoundExceeded; no resting marking to compare\n"), out
 
     def test_check_pres_addthree_both_strategies(self, capsys, tmp_path):
         for strategy in ("symbolic", "sampled"):
@@ -565,6 +615,61 @@ class TestSimulate:
             code, out, err = run(capsys, "simulate", str(scenario), "--json", str(report), *extra)
             assert (code, out, err) == (3, "", "error: simulate needs a left or a right model\n")
             assert not report.exists()
+
+
+class TestScenarioFrontEnd:
+    """simulate, check-pres and check-fsmd read a scenario in one order: the
+    scenario, the refusal of the other command's check, the models, their
+    kind, the arities of the interp lines and then the interpretation."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("check-pres", corpus.scenario_path("racy")), "check-pres needs both a left and a right model"),
+        (("check-fsmd", corpus.scenario_path("racy")), "check-fsmd needs both a left and a right model"),
+        (("simulate", corpus.scenario_path("sum_loop")), "simulate expects net models"),
+        (("convert", corpus.corpus_path("sum_loop")), "convert expects a net file"),
+    ])
+    def test_usage_errors(self, capsys, tmp_path, argv, message):
+        report = tmp_path / "report.json"
+        assert run(capsys, *argv, "--json", str(report)) == (3, "", f"error: {message}\n")
+        assert not report.exists()
+
+    def test_check_pres_expects_net_models(self, capsys, tmp_path):
+        scenario = tmp_path / "machines.scn"
+        scenario.write_text(f'scenario machines {{ model left = "{corpus.corpus_path("sum_loop")}";\n'
+                            f'  model right = "{corpus.corpus_path("sum_loop_commuted")}"; check functional; }}\n')
+        assert run(capsys, "check-pres", str(scenario)) == (3, "", "error: check-pres expects net models\n")
+
+    def test_a_state_bound_that_is_no_integer_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "convert", corpus.corpus_path("card_a"), "--state-bound", "x")
+        assert (code, out) == (3, "")
+        assert err.endswith("error: argument --state-bound: invalid int value: 'x'\n"), err
+
+    def test_a_missing_model_is_reported_before_the_interpretation(self, capsys, tmp_path):
+        # g's body is ill-sorted too, but the models come first under every command.
+        scenario = tmp_path / "order.scn"
+        scenario.write_text('scenario order { model left = "missing.pres";\n'
+                            f'  model right = "{corpus.corpus_path("card_a")}"; interp g(x) = (x > 0) + 1; }}\n')
+        missing = tmp_path / "missing.pres"
+        for command in ("simulate", "check-pres", "check-fsmd"):
+            assert run(capsys, command, str(scenario)) == (
+                3, "", f"error: [Errno 2] No such file or directory: '{missing}'\n"), command
+
+    def test_a_run_that_fails_prints_no_run(self, capsys, tmp_path):
+        # a = 1 takes t1 and rests; a = 0 applies f, which has no interp line.
+        (tmp_path / "late.pres").write_text(
+            "net late {\n  place a marked; place b; place c;\n  transition t1 { pre a; post b; fn a; guard a > 0; }\n"
+            "  transition t2 { pre a; post c; fn f(a); guard a <= 0; }\n}\n")
+        scenario = tmp_path / "late.scn"
+        scenario.write_text('scenario late { model left = "late.pres"; inputs { a = 1; } inputs { a = 0; } }\n')
+        report = tmp_path / "late.json"
+        for extra in ((), ("--schedules", "2")):
+            assert run(capsys, "simulate", str(scenario), "--json", str(report), *extra) == (
+                3, "", "error: UninterpretedSymbol: no interpretation for function symbol 'f'\n"), extra
+            assert not report.exists()
+        # The left net runs; the right one's inputs do not match its marking.
+        for extra in ((), ("--schedules", "4")):
+            assert run(capsys, "simulate", corpus.scenario_path("cardinality_unmarked_port"), *extra) == (
+                3, "", "error: SimError: input domain ['Paa', 'Pbb'] does not match the initial marking ['Paa']\n")
 
 
 class TestValueBound:

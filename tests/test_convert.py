@@ -19,7 +19,7 @@ from presto.fsmd import machine_run
 from presto.pres import PresError, PresNet, Transition, classify_ports, enabled_transitions
 from presto.sim import QUIESCENT, SeededInterpretation, SimError, simulate_run
 
-from _gen import perfbench_families, random_net
+from _gen import perfbench, random_net
 
 # Canonical per-step update labels for the two jammer conversions.  Each
 # entry is one update's applied-symbol chain (innermost first); identity
@@ -360,7 +360,7 @@ def test_a_guard_that_is_not_bool_sorted_raises_when_its_step_is_built(guard, me
 def test_choices_of_at_most_one_decision_normalize_nothing(monkeypatch):
     # Every choice of a diamonds net takes one branch of one split: its one
     # guard decision can neither contradict nor repeat another.
-    families = perfbench_families()
+    families = perfbench("families")
     pair = families.diamonds_pair(random.Random(3), "d", 5)
     nets = [parse_pres(families.net_text(net)) for net in (pair.left, pair.right)]
     calls = []
@@ -396,7 +396,7 @@ def test_two_or_more_decisions_are_still_normalized():
 
 # -- converted machines against their nets' runs ------------------------------
 
-FAMILIES = perfbench_families()
+FAMILIES = perfbench("families")
 
 
 def _family_case(data, family: str):

@@ -229,7 +229,7 @@ class TestOneProcess:
             (["simulate", racy], True),
             (["simulate", racy, "--schedules", "10"], True),
             (["--help"], False),
-            (["simulate", racy, "--max-steps", "0"], False),
+            (["simulate", racy, "--schedules", "0"], False),
             (["validate", corpus.corpus_path("guard_split")], True),
             (["check-pres", addthree, "--strategy", "sampled"], True),
             (["check-pres", addthree], True),

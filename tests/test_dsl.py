@@ -117,6 +117,10 @@ class TestFsmdParsing:
         assert m.reset == "q0"
         assert m.transitions == ()
 
+    def test_a_machine_without_reset_resets_at_its_first_state(self):
+        m = parse_fsmd("fsmd m { states q1, q0; q1 -> q0 { } }")
+        assert (m.reset, m.states) == ("q1", ("q1", "q0"))
+
     def test_duplicate_guard_key_rejected(self):
         with open(corpus.corpus_path("dup_guard_key"), encoding="utf-8") as fh:
             src = fh.read()

@@ -21,7 +21,7 @@ from presto.equiv import check_fsmd_equivalence
 from presto.fsmd import Fsmd, FsmdTransition, UpdateSet, machine_run, path_enumerate, path_transformation
 from presto.verdict import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT
 
-from _gen import compile_program, perfbench_families, random_env, random_program, variant
+from _gen import compile_program, perfbench, random_env, random_program, variant
 
 OUTPUTS = {"c": "c", "d": "d"}
 
@@ -171,7 +171,7 @@ def test_a_looping_pair_whose_values_outgrow_the_bound_decides_within_seconds():
 @pytest.mark.parametrize("command", ["check-pres", "check-fsmd"])
 def test_twenty_guard_splits_in_a_row_decide_in_well_under_a_second(command, tmp_path, capsys):
     # 2^20 reset-to-terminal paths per machine, but two segments per split.
-    families = perfbench_families()
+    families = perfbench("families")
     pair = families.diamonds_pair(random.Random(1), "d20", 20)
     (tmp_path / "l.pres").write_text(families.net_text(pair.left))
     (tmp_path / "r.pres").write_text(families.net_text(pair.right))

@@ -19,7 +19,7 @@ from presto.pres import (
     validate_net,
 )
 
-from _gen import perfbench_families, random_net
+from _gen import perfbench, random_net
 
 
 A, B = frozenset({"a"}), frozenset({"b"})
@@ -157,7 +157,7 @@ def _rebuilt(net: PresNet) -> PresNet:
 
 def _family_nets() -> dict[str, PresNet]:
     """Both nets of one pair of each benchmark family, read from the text the benchmark writes."""
-    families = perfbench_families()
+    families = perfbench("families")
     nets = {}
     for family, (make, sizes) in families.BUILDERS.items():
         pair = make(random.Random(f"{family}:1"), family, sizes[len(sizes) // 2])
