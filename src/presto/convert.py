@@ -143,14 +143,19 @@ class Step(Record):
 
     ``parts`` (see :func:`_parts`) are empty where nothing is structurally
     enabled; a maximal step takes one option of each.  ``firings`` is the
-    per-choice cache of :func:`firing`.  Steps compare and hash by identity.
+    per-choice cache of :func:`firing`, which conversion and runs share.
+    ``plans`` belongs to runs alone: per choice a run has fired, that choice
+    ready to fire again (see :func:`presto.sim._plan`); conversion makes
+    none, and the plans take no part in the repr.  Steps compare and hash
+    by identity.
     """
 
-    __slots__ = _fields = ("parts", "firings")
+    __slots__ = ("parts", "firings", "plans")
+    _fields = ("parts", "firings")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, parts: tuple) -> None:
-        self.parts, self.firings = parts, {}
+        self.parts, self.firings, self.plans = parts, {}, {}
 
 
 def marking_step(net: PresNet, m: frozenset[str]) -> Step:

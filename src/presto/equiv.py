@@ -78,15 +78,18 @@ def derive_right_inputs(n1: PresNet, n2: PresNet, pm: PortMap, vector: dict) -> 
     the map does not reach, taken in place order, fall back to a same-named
     place in the vector, then to any vector place carrying the same
     variable (two input places sharing one variable receive one value).
+    Only those places are sorted, so where the map reaches every initially
+    marked place nothing is.
     """
     inv: dict[str, int] = {}
     for p, v in vector.items():
         if p in pm.in_map:
             inv[pm.in_map[p]] = v
+    unreached = n2.initial_marking.difference(inv)
+    if not unreached:
+        return inv
     by_var = {n1.var_of.get(p, p): v for p, v in vector.items()}
-    for q in sorted(n2.initial_marking, key=n2.place_order.__getitem__):
-        if q in inv:
-            continue
+    for q in sorted(unreached, key=n2.place_order.__getitem__):
         if q in vector:
             inv[q] = vector[q]
         elif n2.var_of.get(q, q) in by_var:
@@ -131,6 +134,7 @@ def check_cardinality(
                 },
             )
 
+    out_order = sorted(pm.out_map)
     for vector in vectors:
         try:
             run1 = simulate_run(n1, dict(vector), interp, max_steps=max_steps)
@@ -144,7 +148,7 @@ def check_cardinality(
                 reason=f"runs ended {run1.status}/{run2.status}; no resting marking to compare"
                        + value_limit(run1.status, run2.status),
             )
-        for p in sorted(pm.out_map):
+        for p in out_order:
             left = p in run1.final_state
             right = pm.out_map[p] in run2.final_state
             if left != right:

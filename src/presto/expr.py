@@ -450,6 +450,19 @@ def compiled(e: Expr) -> Compiled:
     return fn
 
 
+def compiled_ahead(e: Expr) -> Compiled:
+    """:func:`compiled` ``e``, for a plan made before a run evaluates it.
+
+    Where compiling raises, the result is a function that raises it again
+    on each call, so that an ill-sorted term raises where the run
+    evaluates it and nowhere else, as :func:`compiled` called there would.
+    """
+    try:
+        return compiled(e)
+    except (SortMismatch, TypeError):
+        return lambda values, functions: compiled(e)(values, functions)
+
+
 def _closure_of(node: Expr) -> Compiled:
     """The closure of a well-sorted node, built and kept on its first use."""
     fn = node._fn
@@ -535,7 +548,9 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
     replacement terms are never re-visited, ``{x -> y, y -> x}`` swaps.
     Only the bindings of ``e``'s free variables are looked at (and
     sort-checked), and subterms that mention none of them are kept as they
-    are, so the cost does not grow with the size of ``bindings``.
+    are, so the cost does not grow with the size of ``bindings``.  A binding
+    of a variable to its own :class:`Var` changes nothing and is skipped, so
+    a store that maps every variable to itself returns ``e`` unwalked.
     """
     bound = e._fv & bindings.keys()
     if not bound:
@@ -545,10 +560,16 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
     done: dict[Expr, Expr] = {}
     for name in bound:
         new = bindings[name]
+        if type(new) is Var and new.name == name:
+            continue
         if not isinstance(new, Expr) or new._sort is not INT:
             sort_of(new)  # raises for a non-term or an ill-sorted one
             raise SortMismatch(f"replacement for {name!r} is not integer-sorted: {new}")
         done[Var(name)] = new
+    if len(done) < len(bound):
+        if not done:
+            return e
+        bound = {v.name for v in done}
     stack = [e]
     while stack:
         node = stack[-1]

@@ -82,9 +82,12 @@ class FsmdTransition(NamedTuple):
 
 
 class Fsmd(Record):
-    """A machine; ``_outgoing`` indexes its transitions by source state, a tuple each."""
+    """A machine; ``_outgoing`` indexes its transitions by source state, a
+    tuple each, and ``_plans`` holds what :func:`machine_run` makes of a
+    state's transitions, filled on first use.  Neither takes part in the
+    repr or in equality."""
 
-    __slots__ = ("name", "states", "reset", "inputs", "storage", "outputs", "transitions", "_outgoing")
+    __slots__ = ("name", "states", "reset", "inputs", "storage", "outputs", "transitions", "_outgoing", "_plans")
     _fields = ("name", "states", "reset", "inputs", "storage", "outputs", "transitions")
 
     def __init__(self, name: str, states: tuple[str, ...], reset: str, inputs: frozenset[str],
@@ -95,6 +98,7 @@ class Fsmd(Record):
         for t in transitions:
             outgoing.setdefault(t.source, []).append(t)
         self._outgoing = {state: tuple(ts) for state, ts in outgoing.items()}
+        self._plans: dict[str, tuple] = {}
 
     def variables(self) -> frozenset[str]:
         return self.inputs | self.storage
@@ -331,24 +335,46 @@ def machine_run(
     terminal state is reached within ``max_steps`` steps or an update
     yields a value of more than ``MAX_VALUE_BITS`` bits.  A run may always
     take ``len(m.states)`` steps, which is as many as a run that visits no
-    state twice can need.
+    state twice can need.  Every outgoing transition's guards are tested,
+    each set up to its first that fails, before a step decides, so an
+    error in any of them is raised whatever the others hold.  A state's
+    guards and updates are compiled once per machine (:func:`_plan`).
     """
-    store, state = dict(values), m.reset
+    store, state, plans = dict(values), m.reset, m._plans
     steps = max(max_steps, len(m.states))
     for _ in range(steps):
-        outgoing = m.outgoing(state)
-        if not outgoing:
+        plan = plans.get(state)
+        if plan is None:
+            plan = _plan(m, state)
+        if not plan:
             return store, ""
-        taken = [t for t in outgoing if all(ex.compiled(g)(store, functions) for g in t.guard_set)]
-        if len(taken) != 1:
+        taken, held = None, 0
+        for option in plan:
+            for guard in option[0]:
+                if not guard(store, functions):
+                    break
+            else:
+                taken, held = option, held + 1
+        if held != 1:
             return None, "got stuck"
-        updates = {a.target: ex.compiled(a.expr)(store, functions) for a in taken[0].updates}
-        for value in updates.values():
+        _, updates, state = taken
+        updated = {target: update(store, functions) for target, update in updates}
+        for value in updated.values():
             if value.bit_length() > MAX_VALUE_BITS:
                 return None, f"made a value of more than {MAX_VALUE_BITS} bits"
-        store.update(updates)
-        state = taken[0].target
+        store.update(updated)
     return (None, f"took more than {steps} steps") if m.outgoing(state) else (store, "")
+
+
+def _plan(m: Fsmd, state: str) -> tuple:
+    """Each outgoing transition of ``state`` as ``(guards, updates, target)``,
+    its guards and its updates' terms compiled (``updates`` pairs each target
+    with its term's closure), kept in ``m._plans``; ``()`` at a terminal state."""
+    ahead = ex.compiled_ahead
+    plan = m._plans[state] = tuple([(tuple(map(ahead, t.guard_set)),
+                                     tuple([(a.target, ahead(a.expr)) for a in t.updates]), t.target)
+                                    for t in m.outgoing(state)])
+    return plan
 
 
 def validate_fsmd(m: Fsmd) -> list[Violation]:

@@ -62,6 +62,7 @@ class Adjacency(NamedTuple):
 class Ports(NamedTuple):
     in_ports: frozenset[str]
     out_ports: frozenset[str]
+    out_order: tuple[str, ...]  # the out-ports sorted by name, as runs report their values
 
 
 class PresNet(Record):
@@ -127,15 +128,15 @@ def adjacency(net: PresNet, element: str) -> Adjacency:
 
 
 def classify_ports(net: PresNet) -> Ports:
-    """In-ports (no producer) and out-ports (no consumer); classified on the
-    first call and kept on the net."""
+    """In-ports (no producer) and out-ports (no consumer), and the out-ports
+    sorted by name; classified on the first call and kept on the net."""
     ports = net.ports
     if ports is None:
         transitions = net.transitions
         produced = set().union(*[transitions[i].post for i in net.order.values()])
         in_ports = frozenset(p for p in net.places if p not in produced)
         out_ports = frozenset(p for p in net.places if not net._consumers[p])
-        ports = net.ports = Ports(in_ports, out_ports)
+        ports = net.ports = Ports(in_ports, out_ports, tuple(sorted(out_ports)))
     return ports
 
 

@@ -18,9 +18,10 @@ the schedule-independence check exploits.
 
 A step reads the net's step table (:func:`presto.convert.marking_step`),
 which the converter fills too.  It tests each group's options, never their
-product, fires the choice that the step's per-choice cache makes ready
-(:func:`presto.convert.firing`), and runs guards and transfer functions as
-closures compiled once (:func:`presto.expr.compiled`).
+product, and fires the chosen options through the step's plan for that
+choice, made from :func:`presto.convert.firing`'s on its first fire
+(:func:`_plan`); guards and transfer functions run as closures compiled
+once (:func:`presto.expr.compiled`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import random
 from typing import Callable, Iterable, Optional
 
 from . import expr as ex
-from .convert import FiringSet, UnsafeMarking, firing, marking_step
+from .convert import FiringSet, Step, UnsafeMarking, firing, marking_step
 from .fsmd import MAX_VALUE_BITS
 from .pres import PresNet, classify_ports
 from .record import Record
@@ -195,10 +196,14 @@ def simulate_run(
     Each step fires one maximal step, and its values read the pre-step
     state.  Without a ``seed`` a step takes the first option that holds in
     each conflict group; with one, it draws uniformly among the maximal
-    firing sets whose guards hold, from ``random.Random(seed)``.  Each
-    step's tokens are a new dict that the trace keeps as it is, so the
-    last trace entry is the outcome's ``final_state`` itself; no caller in
-    presto changes either, and one that wants to copies it first.
+    firing sets whose guards hold, from ``random.Random(seed)``.  The
+    generator is made at the first step that has more than one set to draw
+    from, and it first draws once from each one-set step before it, so
+    every seed keeps the choices it always made, and a run that never
+    chooses makes no generator.  Each step's tokens are a new dict that
+    the trace keeps as it is, so the last trace entry is the outcome's
+    ``final_state`` itself; no caller in presto changes either, and one
+    that wants to copies it first.
     """
     marking = frozenset(inputs)
     if marking != frozenset(net.initial_marking):
@@ -207,7 +212,7 @@ def simulate_run(
         )
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    rng = None if seed is None else random.Random(seed)  # None takes the first options
+    rng = None  # made at the first real choice of a seeded run
     steps, var_of, compiled = net.steps, net.var_of, ex.compiled
     ts = dict(inputs)
     trace: list[tuple[FiringSet, TokenState]] = []
@@ -219,7 +224,8 @@ def simulate_run(
         offered = steps.get(marking) or marking_step(net, marking)
         if not offered.parts:
             return RunOutcome(QUIESCENT, ts, trace, step, chose)
-        held, count = [], 1  # per part, the indices of the options whose guards all hold; their product
+        # Per part, the indices of the options whose guards all hold and the first of them; their product.
+        held, first, count = [], [], 1
         for options in offered.parts:
             holding = []  # a loop, not all() over a generator, which would cost more than most tests
             for i, (_, guards) in enumerate(options):
@@ -232,9 +238,12 @@ def simulate_run(
                 return RunOutcome(DEADLOCK, ts, trace, step, chose)
             held.append(holding)
             count *= len(holding)
-        if rng is None:
-            at = tuple([holding[0] for holding in held])
-        else:
+            first.append(holding[0])
+        if seed is not None and (count > 1 or rng is not None):
+            if rng is None:  # the first real choice: first replay the draw of each earlier, one-set step
+                rng = random.Random(seed)
+                for _ in range(step):
+                    rng.randrange(1)
             # One draw, decoded with the last part running fastest, picks what rng.choice would from the
             # product's holding sets; a seed draws even from one, so that it always makes the same choices.
             draw, at = rng.randrange(count), []
@@ -242,26 +251,47 @@ def simulate_run(
                 draw, i = divmod(draw, len(holding))
                 at.append(holding[i])
             at = tuple(at[::-1])
-        fs, fired, successor, marked = offered.firings.get(at) or firing(net, marking, offered, at)
-        produced: dict[str, int] = {}
-        for t in fired:
-            value = compiled(t.fn)(values, interp)
+        else:
+            at = tuple(first)
+        fs, fns, successor, marked, source = offered.plans.get(at) or _plan(net, marking, offered, at)
+        made = []
+        for fn in fns:
+            value = fn(values, interp)
             if value.bit_length() > MAX_VALUE_BITS:
                 return RunOutcome(VALUE_BOUND_EXCEEDED, ts, trace, step, chose)
-            for p in t.post:
-                produced[p] = value
+            made.append(value)
         if type(successor) is str:
             raise UnsafeMarking(successor)
         if step == max_steps:
             return RunOutcome(STEP_BOUND_EXCEEDED, ts, trace, max_steps, chose)
-        ts = {p: produced[p] if p in produced else ts[p] for p in marked}
+        ts = {p: made[source[p]] if p in source else ts[p] for p in marked}
         marking, chose = successor, chose or count > 1
         trace.append((fs, ts))
 
 
+def _plan(net: PresNet, m: frozenset[str], step: Step, at: tuple[int, ...]) -> Optional[tuple]:
+    """The choice ``at`` of ``step`` (the step of ``m``) ready to fire, as
+    ``(fs, fns, successor, marked, source)``: :func:`~presto.convert.firing`'s
+    ``fs``, ``successor`` and ``marked``, the fired transitions' ``fn``
+    compiled, in declaration order, and ``source``, which maps each place
+    they mark to the index in ``fns`` of the one that marks it.  None where
+    ``firing`` gives None.  Made on the first call and kept in ``step.plans``."""
+    made = step.firings.get(at) or firing(net, m, step, at)
+    if made is None:
+        return None
+    fs, fired, successor, marked = made
+    fns, source = [], {}  # one loop: this runs at the first fire of every choice
+    for t in fired:
+        for p in t.post:
+            source[p] = len(fns)
+        fns.append(ex.compiled_ahead(t.fn))
+    plan = step.plans[at] = (fs, tuple(fns), successor, marked, source)
+    return plan
+
+
 def out_port_values(net: PresNet, ts: TokenState) -> dict[str, int]:
-    ports = classify_ports(net)
-    return {p: ts[p] for p in sorted(ports.out_ports) if p in ts}
+    """The tokens of ``ts`` on the net's out-ports, by out-port name."""
+    return {p: ts[p] for p in classify_ports(net).out_order if p in ts}
 
 
 def confluence_check(

@@ -100,6 +100,8 @@ def _commands(made) -> list[tuple[str, list[str], int]]:
         # Written with a NondeterministicF warning: validate rejects the machine.
         ("choice_convert", ["convert", net("choice.pres"), "-o", "choice.fsmd", "--json", "choice_convert.json"], 0),
         ("splits_simulate", ["simulate", net("splits.scn"), "--schedules", "4", "--json", "splits_simulate.json"], 1),
+        # Its first choice comes at its third step; seeds 0 and 1 end apart.
+        ("late_simulate", ["simulate", net("late.scn"), "--schedules", "4", "--json", "late_simulate.json"], 1),
         ("psplits_simulate", ["simulate", str(made / "psplits.scn"), "--schedules", "4",
                               "--json", "psplits_simulate.json"], 1),
         ("psplits_sampled", ["check-pres", str(made / "psplits.scn"), "--strategy", "sampled",

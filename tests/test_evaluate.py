@@ -9,6 +9,7 @@ import gc
 import io
 import math
 import operator
+import os
 import random
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -246,11 +247,17 @@ def test_a_command_compiles_each_term_at_most_once_and_keeps_none(monkeypatch, t
     monkeypatch.setattr(ex, "_deep", lambda node, real=ex._deep: built.append(node) or real(node))
     gc.collect()
     terms = len(ex._table)
+    # Runs compile through the plans of their nets' steps and their machines'
+    # states: convert builds none, check-fsmd runs converted machines, and the
+    # late net's seeded schedules choose after steps without a choice.
+    late = os.path.join(os.path.dirname(os.path.abspath(__file__)), "determinism", "late.scn")
     for argv in (["simulate", str(tmp_path / "once.scn"), "--schedules", "3"],
+                 ["convert", corpus.corpus_path("jammer_pipelined"), "-o", str(tmp_path / "jammer.fsmd")],
+                 ["simulate", late, "--schedules", "4", "--seed", "5"],
                  *([cmd, corpus.scenario_path(name), *rest] for name, cmd, *rest in (
                      ("racy", "simulate", "--schedules", "10"), ("guard_split", "simulate"),
                      ("addthree", "check-pres", "--strategy", "sampled"), ("jammer", "simulate", "--schedules", "4"),
-                     ("cardinality", "check-pres"), ("jammer_swapped", "check-fsmd")))):
+                     ("cardinality", "check-pres"), ("jammer_swapped", "check-fsmd"), ("jammer", "check-fsmd")))):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             cli.main(argv)
         assert len({id(node) for node in built}) == len(built), argv

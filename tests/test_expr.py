@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from presto import expr as ex
 from presto.dsl import parse_expression
+from presto.fsmd import Fsmd, fresh_store
 
 from _gen import VARS, random_env, random_expr, random_int_expr
 
@@ -465,6 +466,20 @@ def test_substitute_reads_only_the_bindings_of_free_variables():
     big = ex.Apply("g", (ex.Apply("f", (Y,)), X))
     out = ex.substitute(big, {"x": A})
     assert out.args[0] is big.args[0]  # the subterm without x is kept, not rebuilt
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_substitute_skips_the_bindings_of_a_variable_to_itself(seed):
+    # fresh_store maps every variable to its own Var; through it a term comes
+    # back as itself, and a store that mixes such bindings with real ones
+    # substitutes as the real ones alone.
+    rng = random.Random(seed)
+    e = random_expr(rng, 4)
+    store = fresh_store(Fsmd("m", ("q0",), "q0", frozenset(VARS), frozenset(), frozenset(), ()))
+    assert ex.substitute(e, store) is e
+    real = {v: random_int_expr(rng, 2) for v in rng.sample(VARS, rng.randint(1, len(VARS)))}
+    assert ex.substitute(e, {**store, **real}) is ex.substitute(e, real)
 
 
 def test_substitute_costs_do_not_grow_with_the_store():

@@ -26,7 +26,8 @@ from presto.fsmd import (
     validate_fsmd,
 )
 
-from _gen import random_int_expr
+import _reference
+from _gen import SYMBOLS, compile_program, random_int_expr, random_program
 
 X, Y = ex.Var("x"), ex.Var("y")
 
@@ -250,6 +251,20 @@ class TestRunMachine:
         assert time.perf_counter() - start < 1.0
         assert machine_run(square, {"x": 0}) == ({"x": 0}, "")
 
+    def test_an_ill_sorted_term_raises_only_where_a_run_evaluates_it(self):
+        # A machine built in code is not validated: its state's plan holds the
+        # ill-sorted update and guard, and a run raises what compiling them
+        # raises where it evaluates them, and only there.
+        bad = ex.add(X, ex.TRUE)
+        positive, bad_guard = ex.Rel(">", X, ex.IntConst(0)), ex.Rel(">", bad, ex.IntConst(0))
+        m = machine([step("q0", "q1", [positive], [("y", X)]),
+                     step("q0", "q2", [ex.negate_guard(positive), bad_guard], [("y", bad)])], states=("q0", "q1", "q2"))
+        message = "operand of '\\+' is not int-sorted: true"
+        assert machine_run(m, {"x": 1}) == ({"x": 1, "y": 1}, "")
+        for _ in range(2):
+            with pytest.raises(ex.SortMismatch, match=message):
+                machine_run(m, {"x": 0})
+
     def test_machine_run_says_what_ended_a_run(self):
         positive = ex.Rel(">", X, ex.IntConst(0))
         stuck = machine([step("q0", "q1", [positive])], states=("q0", "q1"))
@@ -377,3 +392,59 @@ def test_20000_state_chain_is_walked_in_linear_time():
     for i in range(1, stages + 1):
         expected = expected % 5 * 2 + i
     assert store[f"v{stages}"] == expected
+
+
+# Values for the differential machine runs: small ones, and one that any
+# update that keeps it or adds to it takes past the value bound.
+VALUES = (-3, -1, 0, 1, 2, 5, 9, 2 ** MAX_VALUE_BITS)
+
+
+def _machine_case(case: int):
+    """The fields of a compiled random program's machine, perhaps with one
+    transition dropped (a run can get stuck, or rest early) or one guard set
+    emptied (two transitions can hold at once), its inputs, functions
+    (perhaps missing a symbol) and a step bound."""
+    rng = random.Random(case)
+    m = compile_program("m", random_program(rng, 3, loops=True))
+    transitions = list(m.transitions)
+    roll = rng.random()
+    if roll < 0.2:
+        transitions.pop(rng.randrange(len(transitions)))
+    elif roll < 0.4 and any(t.guard_set for t in transitions):
+        i = rng.choice([i for i, t in enumerate(transitions) if t.guard_set])
+        transitions[i] = transitions[i]._replace(guard_set=())
+    values = {v: rng.choice(VALUES) for v in ("a", "b", "c", "d") if v in "ab" or rng.random() < 0.7}
+    functions = {s: (lambda c0, c1: lambda *args: c0 + c1 * sum(args))(rng.randint(-3, 3), rng.randint(-2, 2))
+                 for s in SYMBOLS if rng.random() < 0.9}
+    fields = (m.name, m.states, m.reset, m.inputs, m.storage, m.outputs, tuple(transitions))
+    return fields, values, functions, rng.randint(1, 40)
+
+
+def _machine_outcome(run, *args):
+    try:
+        return run(*args)
+    except Exception as err:  # compared with what the reference raises
+        return type(err), str(err)
+
+
+def _machine_agrees_with_the_reference(case: int):
+    fields, values, functions, max_steps = _machine_case(case)
+    expected = _machine_outcome(_reference.machine_run, Fsmd(*fields), dict(values), functions, max_steps)
+    m = Fsmd(*fields)
+    for _ in range(2):  # the second run reads the plans the first one made
+        assert _machine_outcome(machine_run, m, dict(values), functions, max_steps) == expected, case
+    return expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_machine_runs_agree_with_the_reference_loop(case):
+    _machine_agrees_with_the_reference(case)
+
+
+def test_the_differential_machine_cases_reach_every_end():
+    ends = set()
+    for case in range(300):
+        store, why = _machine_agrees_with_the_reference(case)
+        ends.add(store.__name__ if isinstance(store, type) else why.split(" ")[0] if why else "rest")
+    assert ends >= {"rest", "got", "took", "made", "UnboundVariable", "UninterpretedSymbol"}

@@ -1,14 +1,17 @@
 import gc
+import os
 import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from presto import sim
+from presto import expr as ex, sim
 from presto.convert import UnsafeMarking
 from presto.dsl import parse_pres, parse_scenario
 from presto.expr import SortMismatch
 from presto.fsmd import MAX_VALUE_BITS
+from presto.pres import PresNet, Transition
 from presto.sim import (
     DEADLOCK,
     QUIESCENT,
@@ -23,6 +26,9 @@ from presto.sim import (
     simulate_run,
     trace_json,
 )
+
+import _reference
+from _gen import random_net
 
 GUARD_SPLIT_INTERP = {
     "f_t1": lambda a, b: a + b,
@@ -381,6 +387,20 @@ def test_a_run_ends_when_a_token_value_outgrows_the_bound():
     assert verdict.reason == f"seed 0 ended ValueBoundExceeded after 11 steps {limit}"
 
 
+def test_an_ill_sorted_fn_raises_only_where_a_run_evaluates_it():
+    # A net built in code is not validated.  Its step's plan holds u's
+    # ill-sorted fn; t fires first, so a value past the bound ends the run
+    # before u is evaluated, and otherwise u raises what compiling it raises.
+    bad = ex.add(ex.Var("b"), ex.TRUE)
+    net = PresNet("bad", ("a", "b", "c", "d"), {p: p for p in "abcd"},
+                  (Transition("t", frozenset({"a"}), frozenset({"c"}), ex.Var("a")),
+                   Transition("u", frozenset({"b"}), frozenset({"d"}), bad)), frozenset({"a", "b"}))
+    for _ in range(2):
+        assert simulate_run(net, {"a": 2 ** MAX_VALUE_BITS, "b": 1}, {}).status == VALUE_BOUND_EXCEEDED
+        with pytest.raises(SortMismatch, match="operand of '\\+' is not int-sorted: true"):
+            simulate_run(net, {"a": 1, "b": 1}, {})
+
+
 def test_the_last_step_only_probes_value_bound_then_safety_then_step_bound():
     # At step max_steps the run only looks whether it could go on; what that
     # step would do is tested in this order: a value past the bound, a second
@@ -399,3 +419,81 @@ def test_the_last_step_only_probes_value_bound_then_safety_then_step_bound():
     for max_steps in (1, 2):
         with pytest.raises(UnsafeMarking, match="second token on 'c'"):
             simulate_run(chain, {"a": 1, "c": 2}, {}, max_steps=max_steps)
+
+
+LATE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "determinism", "late.pres")
+
+
+def test_a_seed_that_first_chooses_late_keeps_its_schedule():
+    # The late net offers one set at its first two steps, a race at the third,
+    # one set at the fourth and a race at the fifth.  A seeded run makes its
+    # generator only at the third step; these schedules, pinned from runs that
+    # drew at every step, show that it first draws once for each step before.
+    with open(LATE) as fh:
+        net = parse_pres(fh.read())
+    schedules = []
+    for seed in range(16):
+        run = simulate_run(net, {"a": 5}, {}, seed)
+        assert (run.status, run.steps, run.chose) == (QUIESCENT, 5, True)
+        schedules.append(" ".join([t for fs, _ in run.trace for t in fs.transitions] + [str(run.final_state["f"])]))
+    assert schedules == [
+        "s1 s2 r1 s3 q2 65", "s1 s2 r2 s3 q2 5", "s1 s2 r1 s3 q1 67", "s1 s2 r2 s3 q1 7",
+        "s1 s2 r1 s3 q2 65", "s1 s2 r1 s3 q1 67", "s1 s2 r2 s3 q1 7", "s1 s2 r2 s3 q1 7",
+        "s1 s2 r2 s3 q1 7", "s1 s2 r2 s3 q1 7", "s1 s2 r2 s3 q1 7", "s1 s2 r2 s3 q1 7",
+        "s1 s2 r2 s3 q2 5", "s1 s2 r1 s3 q1 67", "s1 s2 r2 s3 q2 5", "s1 s2 r1 s3 q1 67",
+    ]
+
+
+# Token values for the differential runs: small ones, which guards `v > 0`
+# tell apart, and one past the value bound.
+TOKENS = (-2, -1, 0, 1, 2, 3, 2 ** MAX_VALUE_BITS)
+
+
+def _run_outcome(run, *args):
+    """What ``run(*args)`` ends with: the outcome's fields and repr, and whether
+    the last trace entry is its final state itself; or the error's type and message."""
+    try:
+        out = run(*args)
+    except Exception as err:  # compared with what the reference raises
+        return type(err), str(err)
+    last = out.trace[-1][1] is out.final_state if out.trace else None
+    return out.status, out.steps, out.chose, out.trace, out.final_state, repr(out), last
+
+
+def _differential_case(case: int):
+    """A random net, its inputs (mostly one value per variable, so that shared
+    variables mostly agree), a seed or None, and a step bound."""
+    rng = random.Random(case)
+    net_seed = rng.randrange(10 ** 6)
+    net = random_net(net_seed)
+    by_var = {v: rng.choice(TOKENS) for v in "xyz"}
+    inputs = {p: by_var[net.var_of[p]] if rng.random() < 0.9 else rng.choice(TOKENS)
+              for p in sorted(net.initial_marking, key=net.place_order.__getitem__)}
+    seed = None if rng.random() < 0.4 else rng.randrange(2 ** 32)
+    return net_seed, inputs, seed, rng.randint(1, 8)
+
+
+def _agrees_with_the_reference(case: int):
+    net_seed, inputs, seed, max_steps = _differential_case(case)
+    net = random_net(net_seed)
+    expected = _run_outcome(_reference.simulate_run, random_net(net_seed), dict(inputs), {}, seed, max_steps)
+    for _ in range(2):  # the second run reads the plans the first one made
+        assert _run_outcome(simulate_run, net, dict(inputs), {}, seed, max_steps) == expected, case
+    return expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_runs_agree_with_the_reference_loop(case):
+    _agrees_with_the_reference(case)
+
+
+def test_the_differential_cases_reach_every_end():
+    ends = set()
+    for case in range(400):
+        expected = _agrees_with_the_reference(case)
+        ends.add(expected[0] if isinstance(expected[0], str) else expected[0].__name__)
+        if expected[0] == QUIESCENT and expected[2]:
+            ends.add("chose")
+    assert ends >= {QUIESCENT, DEADLOCK, STEP_BOUND_EXCEEDED, VALUE_BOUND_EXCEEDED, "ValueConflict",
+                    "UnsafeMarking", "chose"}
