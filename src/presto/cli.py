@@ -195,9 +195,9 @@ def _confluence(net: PresNet, vectors: list[dict], interp, schedules: int, seed:
     return inconclusive or verdict
 
 
-def _scenario(args, nets: bool) -> tuple[dsl.ScenarioDocument, dict, ex.Interpretation]:
-    """The scenario that ``args`` names, its models by side and its
-    interpretation, read and checked in one order for every scenario
+def _scenario(args, nets: bool) -> tuple[dsl.ScenarioDocument, dict, PortMap, ex.Interpretation]:
+    """The scenario that ``args`` names, its models by side, its port map and
+    its interpretation, read and checked in one order for every scenario
     command: the scenario; the refusal of the other command's check; the
     models (one or two for ``simulate``, both for a check); machine models
     where ``nets`` asks for nets; the arities of the interp lines; and last
@@ -215,13 +215,12 @@ def _scenario(args, nets: bool) -> tuple[dsl.ScenarioDocument, dict, ex.Interpre
     if nets and not all(isinstance(model, PresNet) for model in models.values()):
         raise UsageError(f"{command} expects net models")
     check_arities(doc.interps, _terms(models.values()))
-    return doc, models, interpretation(doc.interps, doc.default_seed)
+    return doc, models, PortMap(dict(doc.in_map), dict(doc.out_map)), interpretation(doc.interps, doc.default_seed)
 
 
 def cmd_simulate(args) -> int:
-    doc, nets, interp = _scenario(args, nets=True)
+    doc, nets, pm, interp = _scenario(args, nets=True)
     left_net = nets.get("left")
-    pm = PortMap(dict(doc.in_map), dict(doc.out_map))
     # Every net's inputs are derived before the first run, so that an input
     # that cannot be derived is the error reported, whatever a run would raise.
     vectors = [[dict(vector) if side == "left" or left_net is None else derive_right_inputs(left_net, net, pm, vector)
@@ -250,43 +249,35 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check_pres(args) -> int:
-    doc, nets, interp = _scenario(args, nets=True)
+    doc, nets, pm, interp = _scenario(args, nets=True)
     n1, n2 = nets.values()
-    pm = PortMap(dict(doc.in_map), dict(doc.out_map))
-    strategy_name = args.strategy or doc.strategy
+    strategy = args.strategy or doc.strategy
     warnings: list = []
     if doc.check == "cardinality":
         verdict = check_cardinality(n1, n2, pm, doc.vectors, interp, doc.max_steps)
     else:
-        verdict = check_functional(n1, n2, pm, strategy_name, doc.vectors, interp, doc.max_steps,
-                                   doc.state_bound, warnings)
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    _write_json(args.json, {"command": "check-pres", "check": doc.check, "strategy": strategy_name,
-                            "verdict": _verdict_json(verdict), "warnings": [str(w) for w in warnings]})
-    print(_verdict_line(verdict))
-    return verdict.exit_code()
+        verdict = check_functional(n1, n2, pm, strategy, doc.vectors, interp, doc.max_steps, doc.state_bound, warnings)
+    return _report(args, verdict, warnings, check=doc.check, strategy=strategy)
 
 
 def cmd_check_fsmd(args) -> int:
-    doc, models, interp = _scenario(args, nets=False)
-    conversions = {side: pres_to_fsmd(model, doc.state_bound)
-                   for side, model in models.items() if isinstance(model, PresNet)}
-    machines = [conversions[side].fsmd if side in conversions else model for side, model in models.items()]
-    warnings = [str(w) for conv in conversions.values() for w in conv.warnings]
+    doc, models, pm, interp = _scenario(args, nets=False)
+    left, right = models.values()
+    if isinstance(left, PresNet) != isinstance(right, PresNet):
+        raise UsageError("check-fsmd expects two nets or two machines")
+    warnings: list = []
+    verdict = check_fsmd_equivalence(left, right, dict(doc.var_map), doc.vectors, interp, doc.max_steps, pm,
+                                     doc.state_bound, warnings)
+    return _report(args, verdict, warnings)
+
+
+def _report(args, verdict: Verdict, warnings: list, **fields) -> int:
+    """The end of both checks: the conversion warnings on stderr, the
+    ``--json`` report with ``fields``, the verdict line, and its exit code."""
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    # Scenario vectors name places; the machines read the places' variables.
-    var_of = models["left"].var_of if isinstance(models["left"], PresNet) else {}
-    vectors = [{var_of.get(p, p): v for p, v in vector.items()} for vector in doc.vectors]
-    var_map = dict(doc.var_map)
-    if not var_map:  # without a varmap, machines with one set of outputs compare name by name
-        left, right = (sorted(machine.outputs) for machine in machines)
-        if left != right:
-            raise UsageError(f"the scenario has no varmap and the outputs differ: {left} and {right}")
-        var_map = {v: v for v in left}
-    verdict = check_fsmd_equivalence(*machines, var_map, vectors, interp, doc.max_steps)
-    _write_json(args.json, {"command": "check-fsmd", "verdict": _verdict_json(verdict), "warnings": warnings})
+    _write_json(args.json, {"command": args.command, **fields, "verdict": _verdict_json(verdict),
+                            "warnings": [str(w) for w in warnings]})
     print(_verdict_line(verdict))
     return verdict.exit_code()
 

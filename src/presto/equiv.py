@@ -4,21 +4,22 @@ Cardinality equivalence of two nets: ports correspond one-to-one, the
 initially marked in-ports correspond under the in-port map, and after
 execution the marked out-ports correspond under the out-port map.
 Functional equivalence adds equal token values at corresponding
-out-ports, decided either symbolically (convert both nets and compare
-their paths) or by sampling (compare the out-port values of both nets'
-runs per input vector).  Machine equivalence compares two FSMDs
-directly under an output-variable bijection.
+out-ports, decided either symbolically or by sampling (compare the
+out-port values of both nets' runs per input vector).  Machine
+equivalence compares two FSMDs under an output-variable bijection.
 
-Both symbolic routes share one path comparison: cut both machines at
-their cutpoints, walk the pairs of corresponding cutpoints from the reset
-states, pair the segments leaving each pair by normalized condition, and
-require equal normalized transforms for every mapped output where both
-machines stop.  Loops are decided by the correspondence of variables that
-holds on every arrival at a pair.  The comparison is sound but
-incomplete: normalization is structural, so a difference is only a
-disproof when a scenario vector confirms it, that is when concrete runs
-of the two models on that vector give different mapped outputs;
-otherwise the verdict is honest about being inconclusive.
+Both symbolic checks lower a net pair to machines in one way (:func:`_lower`)
+and share one path comparison: cut both machines at their cutpoints, walk
+the pairs of corresponding cutpoints from the reset states, pair the
+segments leaving each pair by normalized condition, and require equal
+normalized transforms for every mapped output where both machines stop.
+Loops are decided by the correspondence of variables that holds on every
+arrival at a pair.  The comparison is sound but incomplete: normalization
+is structural, so a difference is only a disproof when a scenario vector
+confirms it, that is when concrete runs of the two models on that vector
+give different mapped outputs; otherwise the verdict is honest about being
+inconclusive.  Symbolic functional equivalence also checks each conversion
+against its net's runs (translation validation).
 """
 
 from __future__ import annotations
@@ -100,17 +101,12 @@ def derive_right_inputs(n1: PresNet, n2: PresNet, pm: PortMap, vector: dict) -> 
 
 
 def check_cardinality(
-    n1: PresNet,
-    n2: PresNet,
-    pm: PortMap,
-    vectors: Sequence[dict],
-    interp: ex.Interpretation,
-    max_steps: int = 1_000,
-    samples: Optional[list] = None,
+    n1: PresNet, n2: PresNet, pm: PortMap, vectors: Sequence[dict], interp: ex.Interpretation,
+    max_steps: int = 1_000, runs: Optional[list] = None,
 ) -> Verdict:
     """Port bijection, initial-marking correspondence, and out-port marking
     correspondence after execution of every supplied input vector.  Each
-    vector's out-port values go to ``samples``, if given, for reuse.  Nets
+    vector and its two runs go to ``runs``, if given, for reuse.  Nets
     with as many in-ports and out-ports have a port bijection, so for them a
     map that is none raises :class:`PortMapError` instead of condition 1."""
     method = "cardinality(in-port marking correspondence under f_in)"
@@ -121,18 +117,10 @@ def check_cardinality(
             raise PortMapError(f"the port map is not a bijection: {'; '.join(problems)}")
         return Verdict(NOT_EQUIVALENT, method, witness={"condition": 1, "port_map": problems})
 
-    in1 = classify_ports(n1).in_ports
-    for p in sorted(in1):
+    for p in sorted(classify_ports(n1).in_ports):
         if (p in n1.initial_marking) != (pm.in_map[p] in n2.initial_marking):
-            return Verdict(
-                NOT_EQUIVALENT,
-                method,
-                witness={
-                    "condition": 2,
-                    "place_pair": [p, pm.in_map[p]],
-                    "detail": "initial marking does not correspond",
-                },
-            )
+            witness = {"condition": 2, "place_pair": [p, pm.in_map[p]], "detail": "initial marking does not correspond"}
+            return Verdict(NOT_EQUIVALENT, method, witness=witness)
 
     out_order = sorted(pm.out_map)
     for vector in vectors:
@@ -142,112 +130,124 @@ def check_cardinality(
         except SimError as err:
             return Verdict(INCONCLUSIVE, method, reason=str(err))
         if run1.status != QUIESCENT or run2.status != QUIESCENT:
-            return Verdict(
-                INCONCLUSIVE,
-                method,
-                reason=f"runs ended {run1.status}/{run2.status}; no resting marking to compare"
-                       + value_limit(run1.status, run2.status),
-            )
+            reason = f"runs ended {run1.status}/{run2.status}; no resting marking to compare"
+            return Verdict(INCONCLUSIVE, method, reason=reason + value_limit(run1.status, run2.status))
         for p in out_order:
-            left = p in run1.final_state
-            right = pm.out_map[p] in run2.final_state
-            if left != right:
-                return Verdict(
-                    NOT_EQUIVALENT,
-                    method,
-                    witness={
-                        "condition": 3,
-                        "place_pair": [p, pm.out_map[p]],
-                        "marked": [left, right],
-                        "vector": dict(vector),
-                    },
-                )
-        if samples is not None:
-            samples.append((dict(vector), out_port_values(n1, run1.final_state), out_port_values(n2, run2.final_state)))
+            marked = [p in run1.final_state, pm.out_map[p] in run2.final_state]
+            if marked[0] != marked[1]:
+                witness = {"condition": 3, "place_pair": [p, pm.out_map[p]], "marked": marked, "vector": dict(vector)}
+                return Verdict(NOT_EQUIVALENT, method, witness=witness)
+        if runs is not None:
+            runs.append((dict(vector), run1, run2))
     return Verdict(EQUIVALENT, method)
 
 
 def check_functional(
-    n1: PresNet,
-    n2: PresNet,
-    pm: PortMap,
-    strategy: str,
-    vectors: Sequence[dict],
-    interp: ex.Interpretation,
-    max_steps: int = 1_000,
-    state_bound: int = 10_000,
-    warnings: Optional[list] = None,
+    n1: PresNet, n2: PresNet, pm: PortMap, strategy: str, vectors: Sequence[dict], interp: ex.Interpretation,
+    max_steps: int = 1_000, state_bound: int = 10_000, warnings: Optional[list] = None,
 ) -> Verdict:
     """Cardinality equivalence plus equal out-port token values.
 
     ``strategy`` is a scenario's ``"sampled"`` (compare the out-port
     values of both nets' runs per vector) or ``"symbolic"`` (compare the
-    converted path transformations; a run must confirm a difference, and
-    a run that separates the outputs refutes a match); any other value
-    raises :class:`ValueError`.  Each vector is simulated once per net,
-    before any path is compared, and those runs serve every check here.
-    The symbolic strategy converts both nets with at most ``state_bound``
-    states each and adds their conversion warnings to ``warnings``, if given.
+    paths of the machines that :func:`_lower` makes of the nets); any other
+    value raises :class:`ValueError`.  Each vector is simulated once per
+    net, before any path is compared, and those runs serve every check
+    here: they confirm a difference or refute a match.  Each machine runs
+    once per vector too: one that ends apart from its net's run at a marked
+    out-port, where that run made no choice, is a fault of the conversion,
+    and the verdict is Inconclusive.
     """
     if strategy not in ("sampled", "symbolic"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    samples: list = []
-    card = check_cardinality(n1, n2, pm, vectors, interp, max_steps, samples)
+    runs: list = []
+    card = check_cardinality(n1, n2, pm, vectors, interp, max_steps, runs)
     if not card.equivalent:
         return card
-    places = sorted(pm.out_map.items())
+    samples = [(vector, out_port_values(n1, run1.final_state), out_port_values(n2, run2.final_state))
+               for vector, run1, run2 in runs]
 
     if strategy == "sampled":
         method = "functional/sampled (holds for the supplied vectors only)"
-        witness = _separating(samples, places, "out_place_pair")
+        witness = _separating(samples, sorted(pm.out_map.items()), "out_place_pair")
         if witness is not None:
             return Verdict(NOT_EQUIVALENT, method, witness=witness)
         return Verdict(EQUIVALENT, method, witness={
             "samples": [{"vector": vector, "out_values": [out1, out2]} for vector, out1, out2 in samples]})
 
     method = "functional/symbolic (normalized path transformations)"
-    conv1, conv2 = (pres_to_fsmd(net, state_bound) for net in (n1, n2))
-    if warnings is not None:
-        warnings += conv1.warnings + conv2.warnings
-    invalid = _invalid(conv1.fsmd, conv2.fsmd, "conversion")
-    if invalid:
-        return Verdict(INCONCLUSIVE, method, reason=invalid)
-    # Rename the right net's input variables into the left net's, through
-    # the in-port map, so transformations range over one vocabulary.
-    rename = {n2.var_of[q]: ex.Var(n1.var_of[p]) for p, q in pm.in_map.items() if n2.var_of[q] != n1.var_of[p]}
-    outputs = {(p, q): (n1.var_of[p], n2.var_of[q]) for p, q in places}
-    diff = _match_paths(conv1.fsmd, conv2.fsmd, outputs, rename, samples)
-    return _confirmed(method, diff, places, "out_place_pair", samples)
+    low = _lower(n1, n2, pm, {}, vectors, state_bound, warnings)
+    reason = low.invalid or _unfaithful((n1, n2), runs, _machine_ends(low, interp, max_steps))
+    if reason:
+        return Verdict(INCONCLUSIVE, method, reason=reason)
+    return _compare(method, low, low.outputs, samples, "out_place_pair")
 
 
 def check_fsmd_equivalence(
-    m1: Fsmd,
-    m2: Fsmd,
-    var_map: dict[str, str],
-    vectors: Iterable[dict] = (),
-    interp: ex.Interpretation = ex.NO_FUNCTIONS,
-    max_steps: int = 1_000,
+    m1: Union[Fsmd, PresNet], m2: Union[Fsmd, PresNet], var_map: dict[str, str], vectors: Iterable[dict] = (),
+    interp: ex.Interpretation = ex.NO_FUNCTIONS, max_steps: int = 1_000, pm: Optional[PortMap] = None,
+    state_bound: int = 10_000, warnings: Optional[list] = None,
 ) -> Verdict:
     """Segment-by-segment comparison of two machines over corresponding outputs.
 
-    Input/storage variable names are expected to coincide where the
-    transforms mention them.  Before the walk, both machines run on
-    ``vectors`` (variable -> value) for at most ``max_steps`` steps, with
-    ``interp`` for the applied symbols; the runs confirm a difference or
-    refute a match, as in :func:`check_functional`.  A ``var_map`` that is
-    no bijection of the outputs raises :class:`PortMapError`.
+    Two nets are lowered to machines first (:func:`_lower`, with ``pm``'s
+    maps, ``state_bound`` and ``warnings``).  ``var_map`` pairs the outputs;
+    an empty one leaves that to the nets' out-port map, or else pairs them
+    by name.  Outputs left unpaired, or a map that is no bijection of the
+    outputs, raise :class:`PortMapError`.  Before the walk, both machines
+    run on every one of ``vectors`` (variable -> value; place -> value for
+    nets) for at most ``max_steps`` steps, with ``interp`` for the applied
+    symbols; the runs confirm a difference or refute a match.
     """
     method = "fsmd-paths (matched by normalized condition)"
-    invalid = _invalid(m1, m2, "machine")
-    if invalid:
-        return Verdict(INCONCLUSIVE, method, reason=invalid)
-    problems = _bijection_problems("output", var_map, m1.outputs, m2.outputs)
+    if isinstance(m1, PresNet):
+        low = _lower(m1, m2, pm or PortMap({}, {}), var_map, vectors, state_bound, warnings)
+    else:
+        low = _Lowering((m1, m2), _invalid(m1, m2, "machine"), {}, {pair: pair for pair in var_map.items()},
+                        [(vector, vector) for vector in vectors])
+    m1, m2 = low.machines
+    outputs = {pair: pair for pair in sorted(low.outputs.values() or [(v, v) for v in m1.outputs])}
+    problems = _bijection_problems("output", dict(outputs.values()), m1.outputs, m2.outputs)
     if problems:
-        raise PortMapError(f"the output map is not a bijection: {'; '.join(problems)}")
-    outputs = {pair: pair for pair in sorted(var_map.items())}
-    samples, ran = _machine_samples(m1, m2, list(vectors), interp, max_steps)
-    diff = _match_paths(m1, m2, outputs, {}, samples)
-    return _confirmed(method, diff, list(outputs), "variable_pair", samples, ran)
+        unpaired = f"the scenario has no varmap and the outputs differ: {sorted(m1.outputs)} and {sorted(m2.outputs)}"
+        raise PortMapError(f"the output map is not a bijection: {'; '.join(problems)}" if low.outputs else unpaired)
+    if low.invalid:
+        return Verdict(INCONCLUSIVE, method, reason=low.invalid)
+    samples, failure = [], ""
+    for (values, _), ((out1, why1), (out2, why2)) in zip(low.inputs, _machine_ends(low, interp, max_steps)):
+        failure = failure or why1 or why2
+        if out1 is not None and out2 is not None:
+            samples.append((dict(values), out1, out2))
+    ran = f" ({len(samples)} of {len(low.inputs)} vectors ran{': ' + failure if failure else ''})"
+    return _compare(method, low, outputs, samples, "variable_pair", ran)
+
+
+class _Lowering(NamedTuple):  # two models as machines that read one vocabulary
+    machines: tuple[Fsmd, Fsmd]
+    invalid: str  # the first well-formedness violation of either machine, or ""
+    rename: dict[str, ex.Expr]  # right input variable -> the left variable it reads as
+    outputs: dict[tuple[str, str], tuple[str, str]]  # label pair -> output variable pair
+    inputs: list[tuple[dict, dict]]  # per vector, the left and the right machine's inputs
+
+
+def _lower(n1: PresNet, n2: PresNet, pm: PortMap, var_map: dict[str, str], vectors: Iterable[dict],
+           state_bound: int, warnings: Optional[list]) -> _Lowering:
+    """Both nets converted (at most ``state_bound`` states each, warnings
+    added to ``warnings``, if given), validated, and read in one vocabulary:
+    the right net's input variables are renamed to the left's through the
+    in-port map; ``var_map`` pairs the outputs, or else the out-port map
+    does through each net's variables, labelled by out-port; and each
+    machine gets the inputs its net's run gets, the vector on the left and
+    :func:`derive_right_inputs` on the right, keyed by that net's variables."""
+    conv1, conv2 = (pres_to_fsmd(net, state_bound) for net in (n1, n2))
+    if warnings is not None:
+        warnings += conv1.warnings + conv2.warnings
+    rename = {n2.var_of[q]: ex.Var(n1.var_of[p]) for p, q in pm.in_map.items() if n2.var_of[q] != n1.var_of[p]}
+    outputs = ({pair: pair for pair in var_map.items()} if var_map else
+               {(p, q): (n1.var_of[p], n2.var_of[q]) for p, q in sorted(pm.out_map.items())})
+    inputs = [({n1.var_of[p]: v for p, v in vector.items()},
+               {n2.var_of[q]: v for q, v in derive_right_inputs(n1, n2, pm, vector).items()}) for vector in vectors]
+    return _Lowering((conv1.fsmd, conv2.fsmd), _invalid(conv1.fsmd, conv2.fsmd, "conversion"), rename, outputs, inputs)
 
 
 def _invalid(m1: Fsmd, m2: Fsmd, what: str) -> str:
@@ -256,6 +256,38 @@ def _invalid(m1: Fsmd, m2: Fsmd, what: str) -> str:
         issues = validate_fsmd(machine)
         if issues:
             return f"{tag} {what} invalid: {issues[0]}"
+    return ""
+
+
+def _machine_ends(low: _Lowering, interp: ex.Interpretation, max_steps: int) -> list[list[tuple]]:
+    """Per vector, each machine's run on its inputs: ``(final store, "")``,
+    or ``(None, why)`` for one that reached no terminal state."""
+    def end(machine: Fsmd, values: dict) -> tuple[Optional[dict], str]:
+        try:
+            store, why = machine_run(machine, values, interp, max_steps)
+        except ex.ExprError as err:
+            return None, f"{type(err).__name__} {getattr(err, 'name', str(err))!r}"
+        return store, why and f"a run {why}"
+    return [[end(machine, values) for machine, values in zip(low.machines, pair)] for pair in low.inputs]
+
+
+def _unfaithful(nets: tuple[PresNet, PresNet], runs: list, ends: list) -> str:
+    """The first side, vector and marked out-port where a machine's run ends
+    apart from its net's run, else ``""``.  A net run that chose among
+    firing sets or did not come to rest is no run to agree with."""
+    for (vector, *net_runs), machine_ends in zip(runs, ends):
+        for side, net, run, (store, why) in zip(("left", "right"), nets, net_runs, machine_ends):
+            outs = out_port_values(net, run.final_state)
+            got = {p: store.get(net.var_of[p]) for p in outs} if store is not None else None
+            if run.chose or run.status != QUIESCENT or got == outs:
+                continue
+            import json  # on first use: only a fault of presto's needs it
+
+            at = f"the conversion of {side!r} disagrees with its net on vector {json.dumps(vector, sort_keys=True)}"
+            if got is None:
+                return f"{at}: the net came to rest and its machine did not ({why})"
+            p = next(p for p in outs if got[p] != outs[p])
+            return f"{at} at out-port {p!r}: {got[p]} against {outs[p]}"
     return ""
 
 
@@ -545,24 +577,25 @@ def _meet(first: Classes, second: Classes) -> Classes:
     return tuple(frozenset(block) for block in out.values())
 
 
-def _confirmed(
-    method: str, diff: Union[None, str, _Mismatch], pairs: list, pair_key: str, samples: Iterable[Sample], ran: str = ""
-) -> Verdict:
-    """The verdict on a path comparison: a difference is NotEquivalent only
-    when a sample separates one of the output ``pairs`` (the differing pair
-    is tried first), else Inconclusive, with ``ran`` telling which vectors
-    could be run.  A match is Equivalent only when no sample separates the
-    outputs either: a run that does is a fault of the conversion or of the
-    walk, and it is NotEquivalent with that run as the witness."""
+def _compare(method: str, low: _Lowering, outputs: dict, samples: list[Sample], pair_key: str, ran="") -> Verdict:
+    """The verdict of :func:`_match_paths` on ``low``'s machines over
+    ``outputs`` (label pair -> variable pair), with ``samples`` keyed by
+    label: a difference is NotEquivalent only when a sample separates one
+    of the output pairs (the differing pair is tried first), else
+    Inconclusive, with ``ran`` telling which vectors could be run.  A match
+    is Equivalent only when no sample separates the outputs either: a run
+    that does is a fault of the conversion or of the walk, and it is
+    NotEquivalent with that run as the witness."""
+    diff = _match_paths(*low.machines, outputs, low.rename, samples)
     if diff is None:
-        witness = _separating(samples, pairs, pair_key)
+        witness = _separating(samples, list(outputs), pair_key)
         if witness is None:
             return Verdict(EQUIVALENT, method)
         reason = "the walk had matched every path, yet a scenario vector separates the outputs: a fault in presto"
         return Verdict(NOT_EQUIVALENT, method + "+sampled", witness=witness, reason=reason)
     if isinstance(diff, str):
         return Verdict(INCONCLUSIVE, method, reason=diff)
-    witness = _separating(samples, sorted(pairs, key=lambda pair: pair != diff.pair), pair_key)
+    witness = _separating(samples, sorted(outputs, key=lambda pair: pair != diff.pair), pair_key)
     if witness is None:
         return Verdict(INCONCLUSIVE, method, reason=f"{diff.reason} and no scenario vector separates the outputs{ran}")
     witness["condition"] = str(diff.condition)
@@ -580,21 +613,3 @@ def _separating(samples: Iterable[Sample], pairs: list, pair_key: str) -> Option
             if v1 is not None and v2 is not None and v1 != v2:
                 return {"vector": vector, pair_key: [p, q], "values": [v1, v2]}
     return None
-
-
-def _machine_samples(m1: Fsmd, m2: Fsmd, vectors: list[dict], interp, max_steps: int) -> tuple[list[Sample], str]:
-    """Both machines' final stores per vector that both runs finish, and a
-    note saying how many vectors that was and why the first other failed."""
-    samples: list[Sample] = []
-    failure = ""
-    for vector in vectors:
-        try:
-            (out1, why1), (out2, why2) = (machine_run(m, vector, interp, max_steps) for m in (m1, m2))
-        except ex.ExprError as err:
-            failure = failure or f"{type(err).__name__} {getattr(err, 'name', str(err))!r}"
-            continue
-        if out1 is None or out2 is None:
-            failure = failure or f"a run {why1 or why2}"
-            continue
-        samples.append((dict(vector), out1, out2))
-    return samples, f" ({len(samples)} of {len(vectors)} vectors ran{': ' + failure if failure else ''})"

@@ -89,6 +89,7 @@ def _commands(made) -> list[tuple[str, list[str], int]]:
         ("addthree_sampled", ["check-pres", scenario("addthree"), "--strategy", "sampled",
                               "--json", "addthree_sampled.json"], 0),
         ("jammer", ["check-fsmd", scenario("jammer"), "--json", "jammer.json"], 0),
+        ("addthree_check_fsmd", ["check-fsmd", scenario("addthree"), "--json", "addthree_check_fsmd.json"], 0),
         # A looping matched pair: its vector runs on both machines before the walk.
         ("sum_loop", ["check-fsmd", scenario("sum_loop"), "--json", "sum_loop.json"], 0),
         # A check fsmd scenario: check-pres refuses it.
