@@ -253,10 +253,14 @@ def cmd_check_pres(args) -> int:
     n1, n2 = nets.values()
     strategy = args.strategy or doc.strategy
     warnings: list = []
-    if doc.check == "cardinality":
-        verdict = check_cardinality(n1, n2, pm, doc.vectors, interp, doc.max_steps)
-    else:
-        verdict = check_functional(n1, n2, pm, strategy, doc.vectors, interp, doc.max_steps, doc.state_bound, warnings)
+    try:
+        if doc.check == "cardinality":
+            verdict = check_cardinality(n1, n2, pm, doc.vectors, interp, doc.max_steps)
+        else:
+            verdict = check_functional(n1, n2, pm, strategy, doc.vectors, interp, doc.max_steps, doc.state_bound,
+                                       warnings)
+    finally:
+        _warn(warnings)
     return _report(args, verdict, warnings, check=doc.check, strategy=strategy)
 
 
@@ -266,16 +270,24 @@ def cmd_check_fsmd(args) -> int:
     if isinstance(left, PresNet) != isinstance(right, PresNet):
         raise UsageError("check-fsmd expects two nets or two machines")
     warnings: list = []
-    verdict = check_fsmd_equivalence(left, right, dict(doc.var_map), doc.vectors, interp, doc.max_steps, pm,
-                                     doc.state_bound, warnings)
+    try:
+        verdict = check_fsmd_equivalence(left, right, dict(doc.var_map), doc.vectors, interp, doc.max_steps, pm,
+                                         doc.state_bound, warnings)
+    finally:
+        _warn(warnings)
     return _report(args, verdict, warnings)
 
 
-def _report(args, verdict: Verdict, warnings: list, **fields) -> int:
-    """The end of both checks: the conversion warnings on stderr, the
-    ``--json`` report with ``fields``, the verdict line, and its exit code."""
+def _warn(warnings: list) -> None:
+    """The conversion warnings of a check on stderr, also where the check
+    raised after a conversion, such as at outputs left unpaired."""
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
+
+
+def _report(args, verdict: Verdict, warnings: list, **fields) -> int:
+    """The end of both checks: the ``--json`` report with ``fields`` and
+    ``warnings``, the verdict line, and its exit code."""
     _write_json(args.json, {"command": args.command, **fields, "verdict": _verdict_json(verdict),
                             "warnings": [str(w) for w in warnings]})
     print(_verdict_line(verdict))

@@ -106,9 +106,10 @@ def check_cardinality(
 ) -> Verdict:
     """Port bijection, initial-marking correspondence, and out-port marking
     correspondence after execution of every supplied input vector.  Each
-    vector and its two runs go to ``runs``, if given, for reuse.  Nets
-    with as many in-ports and out-ports have a port bijection, so for them a
-    map that is none raises :class:`PortMapError` instead of condition 1."""
+    vector, the right net's inputs derived from it and the two runs go to
+    ``runs``, if given, for reuse.  Nets with as many in-ports and out-ports
+    have a port bijection, so for them a map that is none raises
+    :class:`PortMapError` instead of condition 1."""
     method = "cardinality(in-port marking correspondence under f_in)"
     problems = pm.problems(n1, n2)
     if problems:
@@ -126,7 +127,8 @@ def check_cardinality(
     for vector in vectors:
         try:
             run1 = simulate_run(n1, dict(vector), interp, max_steps=max_steps)
-            run2 = simulate_run(n2, derive_right_inputs(n1, n2, pm, dict(vector)), interp, max_steps=max_steps)
+            inputs2 = derive_right_inputs(n1, n2, pm, dict(vector))
+            run2 = simulate_run(n2, inputs2, interp, max_steps=max_steps)
         except SimError as err:
             return Verdict(INCONCLUSIVE, method, reason=str(err))
         if run1.status != QUIESCENT or run2.status != QUIESCENT:
@@ -138,7 +140,7 @@ def check_cardinality(
                 witness = {"condition": 3, "place_pair": [p, pm.out_map[p]], "marked": marked, "vector": dict(vector)}
                 return Verdict(NOT_EQUIVALENT, method, witness=witness)
         if runs is not None:
-            runs.append((dict(vector), run1, run2))
+            runs.append((dict(vector), inputs2, run1, run2))
     return Verdict(EQUIVALENT, method)
 
 
@@ -165,7 +167,7 @@ def check_functional(
     if not card.equivalent:
         return card
     samples = [(vector, out_port_values(n1, run1.final_state), out_port_values(n2, run2.final_state))
-               for vector, run1, run2 in runs]
+               for vector, _, run1, run2 in runs]
 
     if strategy == "sampled":
         method = "functional/sampled (holds for the supplied vectors only)"
@@ -176,8 +178,8 @@ def check_functional(
             "samples": [{"vector": vector, "out_values": [out1, out2]} for vector, out1, out2 in samples]})
 
     method = "functional/symbolic (normalized path transformations)"
-    low = _lower(n1, n2, pm, {}, vectors, state_bound, warnings)
-    reason = low.invalid or _unfaithful((n1, n2), runs, _machine_ends(low, interp, max_steps))
+    low = _lower(n1, n2, pm, {}, [(vector, inputs2) for vector, inputs2, *_ in runs], state_bound, warnings)
+    reason = low.invalid or _unfaithful((n1, n2), runs, samples, _machine_ends(low, interp, max_steps))
     if reason:
         return Verdict(INCONCLUSIVE, method, reason=reason)
     return _compare(method, low, low.outputs, samples, "out_place_pair")
@@ -201,7 +203,10 @@ def check_fsmd_equivalence(
     """
     method = "fsmd-paths (matched by normalized condition)"
     if isinstance(m1, PresNet):
-        low = _lower(m1, m2, pm or PortMap({}, {}), var_map, vectors, state_bound, warnings)
+        pm = pm or PortMap({}, {})
+        # A generator: the right inputs are derived after both nets are converted.
+        low = _lower(m1, m2, pm, var_map, ((v, derive_right_inputs(m1, m2, pm, v)) for v in vectors),
+                     state_bound, warnings)
     else:
         low = _Lowering((m1, m2), _invalid(m1, m2, "machine"), {}, {pair: pair for pair in var_map.items()},
                         [(vector, vector) for vector in vectors])
@@ -230,23 +235,27 @@ class _Lowering(NamedTuple):  # two models as machines that read one vocabulary
     inputs: list[tuple[dict, dict]]  # per vector, the left and the right machine's inputs
 
 
-def _lower(n1: PresNet, n2: PresNet, pm: PortMap, var_map: dict[str, str], vectors: Iterable[dict],
+def _lower(n1: PresNet, n2: PresNet, pm: PortMap, var_map: dict[str, str], vectors: Iterable[tuple[dict, dict]],
            state_bound: int, warnings: Optional[list]) -> _Lowering:
     """Both nets converted (at most ``state_bound`` states each, warnings
     added to ``warnings``, if given), validated, and read in one vocabulary:
     the right net's input variables are renamed to the left's through the
     in-port map; ``var_map`` pairs the outputs, or else the out-port map
     does through each net's variables, labelled by out-port; and each
-    machine gets the inputs its net's run gets, the vector on the left and
-    :func:`derive_right_inputs` on the right, keyed by that net's variables."""
-    conv1, conv2 = (pres_to_fsmd(net, state_bound) for net in (n1, n2))
+    machine gets the inputs its net's run gets, keyed by that net's
+    variables: ``vectors`` holds per vector the left and the right net's
+    initial tokens, and is read after the conversions."""
+    conv1 = pres_to_fsmd(n1, state_bound)
+    if warnings is not None:  # before the right net's conversion, which may raise
+        warnings += conv1.warnings
+    conv2 = pres_to_fsmd(n2, state_bound)
     if warnings is not None:
-        warnings += conv1.warnings + conv2.warnings
+        warnings += conv2.warnings
     rename = {n2.var_of[q]: ex.Var(n1.var_of[p]) for p, q in pm.in_map.items() if n2.var_of[q] != n1.var_of[p]}
     outputs = ({pair: pair for pair in var_map.items()} if var_map else
                {(p, q): (n1.var_of[p], n2.var_of[q]) for p, q in sorted(pm.out_map.items())})
-    inputs = [({n1.var_of[p]: v for p, v in vector.items()},
-               {n2.var_of[q]: v for q, v in derive_right_inputs(n1, n2, pm, vector).items()}) for vector in vectors]
+    inputs = [({n1.var_of[p]: v for p, v in left.items()}, {n2.var_of[q]: v for q, v in right.items()})
+              for left, right in vectors]
     return _Lowering((conv1.fsmd, conv2.fsmd), _invalid(conv1.fsmd, conv2.fsmd, "conversion"), rename, outputs, inputs)
 
 
@@ -271,13 +280,13 @@ def _machine_ends(low: _Lowering, interp: ex.Interpretation, max_steps: int) -> 
     return [[end(machine, values) for machine, values in zip(low.machines, pair)] for pair in low.inputs]
 
 
-def _unfaithful(nets: tuple[PresNet, PresNet], runs: list, ends: list) -> str:
+def _unfaithful(nets: tuple[PresNet, PresNet], runs: list, samples: list, ends: list) -> str:
     """The first side, vector and marked out-port where a machine's run ends
-    apart from its net's run, else ``""``.  A net run that chose among
-    firing sets or did not come to rest is no run to agree with."""
-    for (vector, *net_runs), machine_ends in zip(runs, ends):
-        for side, net, run, (store, why) in zip(("left", "right"), nets, net_runs, machine_ends):
-            outs = out_port_values(net, run.final_state)
+    apart from its net's run, else ``""``; ``samples`` holds the out-port
+    values of ``runs``.  A net run that chose among firing sets or did not
+    come to rest is no run to agree with."""
+    for (vector, _, *net_runs), (_, *net_outs), machine_ends in zip(runs, samples, ends):
+        for side, net, run, outs, (store, why) in zip(("left", "right"), nets, net_runs, net_outs, machine_ends):
             got = {p: store.get(net.var_of[p]) for p in outs} if store is not None else None
             if run.chose or run.status != QUIESCENT or got == outs:
                 continue
@@ -343,21 +352,21 @@ def _match_paths(
             return "no terminal state (the machine loops)"
     machines = (m1, m2)
     covers = tuple(path_cover(m, [pair[side] for pair in outputs.values()]) for side, m in enumerate(machines))
-    for machine, cover in zip(machines, covers):
-        if not machine.terminal_states() & cover.segments.keys():
-            return "no reset-to-terminal path"
-    entry = (fresh_store(m1), {v: rename.get(v, ex.Var(v)) for v in m2.variables()})
+    if not (covers[0].terminal and covers[1].terminal):
+        return "no reset-to-terminal path"
+    identity = (fresh_store(m1), fresh_store(m2))
+    entry = (identity[0], {v: rename.get(v, term) for v, term in identity[1].items()})
     separated = _separating(samples, list(outputs), "") is not None
     uncut: tuple[set[str], set[str]] = (set(), set())
     while True:
-        walk = _Walk(machines, covers, outputs, uncut)
+        walk = _Walk(machines, covers, identity, outputs, uncut)
         diff = walk.run(entry)
         if not isinstance(diff, _Mismatch) or separated:
             return diff
         if diff.pair is not None and walk.differs_on_whole_paths(diff):
             return diff
         more = [(side, c) for side, c in diff.trail if c not in uncut[side]
-                and c not in covers[side].cyclic and covers[side].segments[c] != ((),)]
+                and c not in covers[side].cyclic and c not in covers[side].terminal]
         if not more:
             return diff
         for side, c in more:
@@ -377,11 +386,13 @@ class _Pair(Record):
 
 
 class _Walk:
-    """One walk of :func:`_match_paths`; ``uncut`` holds, per side, the
-    cutpoints that paths run through instead of stopping at."""
+    """One walk of :func:`_match_paths`; ``identity`` holds each machine's
+    identity store and ``uncut``, per side, the cutpoints that paths run
+    through instead of stopping at."""
 
-    def __init__(self, machines, covers, outputs, uncut) -> None:
-        self.machines, self.covers, self.outputs, self.uncut = machines, covers, outputs, uncut
+    def __init__(self, machines, covers, identity, outputs, uncut) -> None:
+        self.machines, self.covers, self.identity = machines, covers, identity
+        self.outputs, self.uncut = outputs, uncut
         self.pairs: dict[tuple[str, str], _Pair] = {}
         self.queue: list[tuple[int, int, str, str]] = []  # heap of pairs to walk from, by rank
         self.queued: set[tuple[str, str]] = set()
@@ -425,7 +436,7 @@ class _Walk:
         # The side that waits at its cutpoint while the other advances: a
         # terminal state facing one that is not, or the branching side of a
         # one-sided move.  Either way the other side has a single move.
-        stops = [self.covers[side].segments[c] == ((),) for side, c in enumerate(at)]
+        stops = [c in self.covers[side].terminal for side, c in enumerate(at)]
         waits = stops.index(True) if stops.count(True) == 1 else None
         if len(moves) != len(left) or len(moves) != len(right):
             waits, moves = self._one_sided(at, stores, keyed)
@@ -451,7 +462,7 @@ class _Walk:
         rest in each: that side advances alone.  No move when neither side
         has such a step."""
         for side in (0, 1):
-            if list(keyed[side]) == [ex.TRUE] and self.covers[side].segments[at[side]] != ((),):
+            if list(keyed[side]) == [ex.TRUE] and at[side] not in self.covers[side].terminal:
                 mine, stay = keyed[side][ex.TRUE], (at[1 - side], stores[1 - side])
                 return 1 - side, [(ex.TRUE, *((mine, stay) if side == 0 else (stay, mine)))]
         return None, []
@@ -497,7 +508,7 @@ class _Walk:
 
     def _arrive(self, at: tuple[str, str], stores: Stores, key: ex.Expr, trail: frozenset) -> Optional[_Mismatch]:
         c1, c2 = at
-        if self.covers[0].segments[c1] == ((),) and self.covers[1].segments[c2] == ((),):
+        if c1 in self.covers[0].terminal and c2 in self.covers[1].terminal:
             for labels, (v1, v2) in self.outputs.items():
                 e1, e2 = ex.normalize(stores[0][v1]), ex.normalize(stores[1][v2])
                 if e1 is not e2:
@@ -547,7 +558,7 @@ class _Walk:
         """The live variables at ``at`` grouped by the normal form of their term."""
         blocks: dict[ex.Expr, list[tuple[int, str]]] = {}
         for side in (0, 1):
-            for v in sorted(self.covers[side].live[at[side]]):
+            for v in self.covers[side].live_sorted[at[side]]:
                 blocks.setdefault(ex.normalize(stores[side][v]), []).append((side, v))
         return tuple(frozenset(block) for block in blocks.values())
 
@@ -557,7 +568,7 @@ class _Walk:
         of right variables only), which no parsed model can contain; dead
         variables are never read and keep their names."""
         suffix = f"@{at[0]}" if at[0] == at[1] else f"@{at[0]}/{at[1]}"
-        stores = tuple({v: ex.Var(v) for v in m.variables()} for m in self.machines)
+        stores = (dict(self.identity[0]), dict(self.identity[1]))
         for block in pair.classes:
             side, v = min(block)
             symbol = ex.Var(v + ("'" if side else "") + suffix)
@@ -568,11 +579,13 @@ class _Walk:
 
 
 def _meet(first: Classes, second: Classes) -> Classes:
-    """Blocks of variables that share a block in both partitions."""
+    """Blocks of variables that share a block in both partitions, in the
+    order of ``first`` and, within a block of it, of their least variable,
+    whatever the hash seed."""
     block_of = {x: i for i, block in enumerate(second) for x in block}
     out: dict[tuple[int, int], set] = {}
     for i, block in enumerate(first):
-        for x in block:
+        for x in sorted(block):
             out.setdefault((i, block_of[x]), set()).add(x)
     return tuple(frozenset(block) for block in out.values())
 

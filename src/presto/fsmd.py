@@ -125,18 +125,22 @@ def guard_key(guard_set: Iterable[ex.Expr]) -> frozenset[ex.Expr]:
 
 def apply_update_set(u: UpdateSet, store: SymbolicStore) -> dict[str, ex.Expr]:
     """One parallel step: every right-hand side is read through the pre-step store."""
-    return {**store, **_updated(u, store)}
+    out = dict(store)
+    _fold(u, out)
+    return out
 
 
-def _updated(u: UpdateSet, store: SymbolicStore) -> dict[str, ex.Expr]:
-    """The new terms of the variables ``u`` assigns, read through ``store``."""
-    new = {}
+def _fold(u: UpdateSet, store: dict[str, ex.Expr]) -> None:
+    """Apply ``u`` to ``store`` in place: every right-hand side is read
+    through the pre-step store before any target is written, so swaps work."""
     scope = store.keys()
+    terms = []
     for a in u:
         if a.target not in scope or not ex.free_vars(a.expr) <= scope:
             raise UnknownVariable(a.target if a.target not in scope else min(ex.free_vars(a.expr) - scope))
-        new[a.target] = ex.substitute(a.expr, store)
-    return new
+        terms.append(ex.substitute(a.expr, store))
+    for a, term in zip(u, terms):
+        store[a.target] = term
 
 
 class UncutCycle(FsmdError):
@@ -204,19 +208,23 @@ class PathCover(NamedTuple):
     some path from it reads before writing them (at a terminal state, the
     outputs that are compared), ``cyclic`` holds the cutpoints that lie on a
     cycle, and ``rank`` numbers the cutpoints so that, off the cycles, each
-    comes before the cutpoints its segments reach.
+    comes before the cutpoints its segments reach.  ``terminal`` holds the
+    reached terminal states and ``live_sorted`` each cutpoint's live
+    variables in sorted order, so a walk need not derive them per arrival.
     """
 
     segments: dict[str, tuple[tuple[FsmdTransition, ...], ...]]
     live: dict[str, frozenset[str]]
     cyclic: frozenset[str]
     rank: dict[str, int]
+    terminal: frozenset[str]
+    live_sorted: dict[str, tuple[str, ...]]
 
 
 def path_cover(m: Fsmd, outputs: Iterable[str]) -> PathCover:
     """Cut ``m`` at its cutpoints.  Liveness flows backwards over the
     segments, each summarised once by what it reads and writes, until
-    nothing changes: one pass in postorder where nothing loops."""
+    nothing changes: one pass in postorder where no cutpoint is cyclic."""
     cut = cutpoints(m)
     segments: dict[str, tuple[tuple[FsmdTransition, ...], ...]] = {}
 
@@ -273,8 +281,12 @@ def path_cover(m: Fsmd, outputs: Iterable[str]) -> PathCover:
             if new != live[c]:
                 live[c] = frozenset(new)
                 changed = True
+        if not cyclic:  # postorder puts each target before its source, so one pass is exact
+            break
     rank = {c: i for i, c in enumerate(reversed(postorder))}
-    return PathCover(segments, live, frozenset(cyclic), rank)
+    terminal = frozenset(c for c in postorder if segments[c] == ((),))
+    live_sorted = {c: tuple(sorted(vs)) for c, vs in live.items()}
+    return PathCover(segments, live, frozenset(cyclic), rank, terminal, live_sorted)
 
 
 def _reads_before_writes(path: Sequence[FsmdTransition]) -> tuple[frozenset[str], frozenset[str]]:
@@ -282,8 +294,10 @@ def _reads_before_writes(path: Sequence[FsmdTransition]) -> tuple[frozenset[str]
     reads: set[str] = set()
     writes: set[str] = set()
     for step in path:
-        for e in (*step.guard_set, *(a.expr for a in step.updates)):
-            reads.update(v for v in ex.free_vars(e) if v not in writes)
+        for g in step.guard_set:
+            reads |= ex.free_vars(g) - writes
+        for a in step.updates:
+            reads |= ex.free_vars(a.expr) - writes
         writes.update(a.target for a in step.updates)
     return frozenset(reads), frozenset(writes)
 
@@ -313,7 +327,7 @@ def path_transformation(
             raise BrokenPath(f"step from {step.source!r} does not continue at {at!r}")
         for g in step.guard_set:
             conds.append(ex.substitute(g, store))
-        store.update(_updated(step.updates, store))
+        _fold(step.updates, store)
         at = step.target
     return PathTransformation(ex.conj(conds), store)
 
@@ -395,12 +409,15 @@ def validate_fsmd(m: Fsmd) -> list[Violation]:
     assignable = m.outputs | m.storage
     keys: set[tuple[str, frozenset[ex.Expr]]] = set()
     for i, t in enumerate(m.transitions):
+        key = (t.source, guard_key(t.guard_set))
+        if key not in keys and _well_formed(t, states, variables, assignable):
+            keys.add(key)
+            continue
         label = f"{t.source}->{t.target}#{i}"
         if t.source not in states:
             out.append(Violation("UnknownState", t.source, label))
         if t.target not in states:
             out.append(Violation("UnknownState", t.target, label))
-        key = (t.source, guard_key(t.guard_set))
         if key in keys:
             out.append(Violation("NondeterministicF", label, "duplicate (state, guard set) entry"))
         keys.add(key)
@@ -423,3 +440,21 @@ def validate_fsmd(m: Fsmd) -> list[Violation]:
             for v in sorted(ex.free_vars(a.expr) - variables):
                 out.append(Violation("UnknownVariable", v, f"update of {a.target} in {label}"))
     return out
+
+
+def _well_formed(t: FsmdTransition, states: set[str], variables: frozenset[str], assignable: frozenset[str]) -> bool:
+    """Whether ``t`` keeps every rule :func:`validate_fsmd` checks of one
+    transition: known states, well-sorted guards and updates over known
+    variables, and assignable targets."""
+    if t.source not in states or t.target not in states:
+        return False
+    try:
+        for g in t.guard_set:
+            if ex.sort_of(g) != ex.BOOL or not ex.free_vars(g) <= variables:
+                return False
+        for a in t.updates:
+            if a.target not in assignable or ex.sort_of(a.expr) != ex.INT or not ex.free_vars(a.expr) <= variables:
+                return False
+    except ex.SortMismatch:
+        return False
+    return True

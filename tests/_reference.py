@@ -1,22 +1,31 @@
-"""The concrete-run loops as they were before runs kept plans, verbatim, as
-the reference that the differential properties of tests/test_sim.py and
-tests/test_fsmd.py compare the program's loops with.
+"""Earlier versions of the program's loops, kept verbatim as the reference
+that the differential properties of tests/test_sim.py and tests/test_fsmd.py
+compare the program with.
 
-They compile each guard, transfer function and update at every step, and a
-seeded net run seeds its generator before its first step and draws at every
-step.  They read the net's step table (``marking_step`` and ``firing``) and
-the machine's transitions as the program does.
+The concrete-run loops are those from before runs kept plans.  They compile
+each guard, transfer function and update at every step, and a seeded net
+run seeds its generator before its first step and draws at every step.  They
+read the net's step table (``marking_step`` and ``firing``) and the
+machine's transitions as the program does.
+
+The symbolic fold, the path cover and machine validation are those from
+before the cover kept each machine's facts: the fold merges a new dict of
+updated terms into the store at every step, the cover runs its liveness
+fixpoint until a pass changes nothing, and validation builds each
+transition's label and messages whether or not it breaks a rule.  The cover
+returns its four fields as a plain tuple.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from presto import expr as ex
 from presto.convert import FiringSet, UnsafeMarking, firing, marking_step
-from presto.fsmd import MAX_VALUE_BITS, Fsmd
-from presto.pres import PresNet
+from presto.fsmd import (MAX_VALUE_BITS, BrokenPath, Fsmd, FsmdTransition, PathTransformation, SymbolicStore,
+                         UnknownVariable, UpdateSet, cutpoints, fresh_store, guard_key, path_enumerate)
+from presto.pres import PresNet, Violation
 from presto.sim import (DEADLOCK, QUIESCENT, STEP_BOUND_EXCEEDED, VALUE_BOUND_EXCEEDED, RunOutcome, SimError,
                         TokenState, _values)
 
@@ -106,3 +115,149 @@ def machine_run(
         store.update(updates)
         state = taken[0].target
     return (None, f"took more than {steps} steps") if m.outgoing(state) else (store, "")
+
+
+def apply_update_set(u: UpdateSet, store: SymbolicStore) -> dict[str, ex.Expr]:
+    return {**store, **_updated(u, store)}
+
+
+def _updated(u: UpdateSet, store: SymbolicStore) -> dict[str, ex.Expr]:
+    new = {}
+    scope = store.keys()
+    for a in u:
+        if a.target not in scope or not ex.free_vars(a.expr) <= scope:
+            raise UnknownVariable(a.target if a.target not in scope else min(ex.free_vars(a.expr) - scope))
+        new[a.target] = ex.substitute(a.expr, store)
+    return new
+
+
+def path_transformation(
+    m: Fsmd, path: Sequence[FsmdTransition], store: Optional[SymbolicStore] = None
+) -> PathTransformation:
+    store = fresh_store(m) if store is None else dict(store)
+    conds: list[ex.Expr] = []
+    at = m.reset if not path else path[0].source
+    for step in path:
+        if step.source != at:
+            raise BrokenPath(f"step from {step.source!r} does not continue at {at!r}")
+        for g in step.guard_set:
+            conds.append(ex.substitute(g, store))
+        store.update(_updated(step.updates, store))
+        at = step.target
+    return PathTransformation(ex.conj(conds), store)
+
+
+def path_cover(m: Fsmd, outputs: Iterable[str]) -> tuple:
+    cut = cutpoints(m)
+    segments: dict[str, tuple[tuple[FsmdTransition, ...], ...]] = {}
+
+    def successors(c: str) -> Iterator[str]:
+        segments[c] = tuple(p for p in path_enumerate(m, c, cut).paths if p) or ((),)
+        return iter([seg[-1].target for seg in segments[c] if seg])
+
+    index: dict[str, int] = {m.reset: 0}
+    low = dict(index)
+    component, on_component = [m.reset], {m.reset}
+    work = [(m.reset, successors(m.reset))]
+    postorder: list[str] = []
+    cyclic: set[str] = set()
+    while work:
+        c, todo = work[-1]
+        for d in todo:
+            if d not in index:
+                index[d] = low[d] = len(index)
+                component.append(d)
+                on_component.add(d)
+                work.append((d, successors(d)))
+                break
+            if d in on_component:
+                low[c] = min(low[c], index[d])
+        else:
+            work.pop()
+            postorder.append(c)
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[c])
+            if low[c] == index[c]:
+                members = [component.pop()]
+                while members[-1] != c:
+                    members.append(component.pop())
+                on_component.difference_update(members)
+                if len(members) > 1 or any(seg and seg[-1].target == c for seg in segments[c]):
+                    cyclic.update(members)
+
+    flows = {c: [(_reads_before_writes(seg), seg[-1].target if seg else None) for seg in segments[c]]
+             for c in postorder}
+    outputs = frozenset(outputs)
+    live = dict.fromkeys(postorder, frozenset())
+    changed = True
+    while changed:
+        changed = False
+        for c in postorder:
+            new = set()
+            for (reads, writes), target in flows[c]:
+                new |= reads
+                new |= (live[target] - writes) if target is not None else outputs
+            if new != live[c]:
+                live[c] = frozenset(new)
+                changed = True
+    rank = {c: i for i, c in enumerate(reversed(postorder))}
+    return segments, live, frozenset(cyclic), rank
+
+
+def _reads_before_writes(path: Sequence[FsmdTransition]) -> tuple[frozenset[str], frozenset[str]]:
+    reads: set[str] = set()
+    writes: set[str] = set()
+    for step in path:
+        for e in (*step.guard_set, *(a.expr for a in step.updates)):
+            reads.update(v for v in ex.free_vars(e) if v not in writes)
+        writes.update(a.target for a in step.updates)
+    return frozenset(reads), frozenset(writes)
+
+
+def validate_fsmd(m: Fsmd) -> list[Violation]:
+    out: list[Violation] = []
+    states = set(m.states)
+    seen: set[str] = set()
+    for s in m.states:
+        if s in seen:
+            out.append(Violation("DuplicateName", s, "state declared twice"))
+        seen.add(s)
+    if m.reset not in states:
+        out.append(Violation("UnknownState", m.reset, "reset state is not declared"))
+    bad_outputs = m.outputs - (m.storage | m.inputs)
+    for v in sorted(bad_outputs):
+        out.append(Violation("UnknownVariable", v, "output is neither storage nor input"))
+
+    variables = m.inputs | m.storage
+    assignable = m.outputs | m.storage
+    keys: set[tuple[str, frozenset[ex.Expr]]] = set()
+    for i, t in enumerate(m.transitions):
+        label = f"{t.source}->{t.target}#{i}"
+        if t.source not in states:
+            out.append(Violation("UnknownState", t.source, label))
+        if t.target not in states:
+            out.append(Violation("UnknownState", t.target, label))
+        key = (t.source, guard_key(t.guard_set))
+        if key in keys:
+            out.append(Violation("NondeterministicF", label, "duplicate (state, guard set) entry"))
+        keys.add(key)
+        for g in t.guard_set:
+            try:
+                if ex.sort_of(g) != ex.BOOL:
+                    out.append(Violation("IllSortedGuard", label, str(g)))
+            except ex.SortMismatch as err:
+                out.append(Violation("IllSortedGuard", label, str(err)))
+            for v in sorted(ex.free_vars(g) - variables):
+                out.append(Violation("UnknownVariable", v, f"guard of {label}"))
+        for a in t.updates:
+            if a.target not in assignable:
+                out.append(Violation("IllegalTarget", a.target, f"update in {label}"))
+            try:
+                if ex.sort_of(a.expr) != ex.INT:
+                    out.append(Violation("IllSortedUpdate", label, f"{a.target} <= {a.expr}"))
+            except ex.SortMismatch as err:
+                out.append(Violation("IllSortedUpdate", label, str(err)))
+            for v in sorted(ex.free_vars(a.expr) - variables):
+                out.append(Violation("UnknownVariable", v, f"update of {a.target} in {label}"))
+    return out

@@ -326,6 +326,25 @@ class TestChecks:
         assert verdicts[0]["status"] == verdicts[1]["status"]
         assert all(("vector" in verdict["witness"]) == (code == 1) for verdict in verdicts if verdict["witness"])
 
+    @pytest.mark.parametrize("name, command, code, stdout", [
+        ("diamonds7", "check-fsmd", 0, "Equivalent  [fsmd-paths (matched by normalized condition)]\n"),
+        ("diamonds7", "check-pres", 0, "Equivalent  [functional/symbolic (normalized path transformations)]\n"),
+        ("diamonds7_mutant", "check-fsmd", 1,
+         "NotEquivalent  [fsmd-paths (matched by normalized condition)+sampled]\n"
+         '  witness: {"condition": "-2803 < d6@q6", "normal_forms": ["3 * g12(d6@q6)", "4 * g12(d6@q6)"], '
+         '"values": [-18729, -24972], "variable_pair": ["out", "out2"], "vector": {"x": -27}}\n'),
+        ("diamonds7_mutant", "check-pres", 1,
+         "NotEquivalent  [functional/symbolic (normalized path transformations)+sampled]\n"
+         '  witness: {"condition": "-2803 < d6@q6", "normal_forms": ["3 * g12(d6@q6)", "4 * g12(d6@q6)"], '
+         '"out_place_pair": ["out", "out2"], "values": [-18729, -24972], "vector": {"x": -27}}\n'),
+    ])
+    def test_the_walk_on_seven_guard_splits(self, capsys, name, command, code, stdout):
+        # Two pairs of the benchmark's diamonds family at seven splits in a
+        # row (128 paths per net): a rewritten copy, and a mutant whose last
+        # split's high branch scales by 4 instead of 3, found on that path.
+        scenario = os.path.join(os.path.dirname(os.path.abspath(__file__)), "walk", f"{name}.scn")
+        assert run(capsys, command, scenario) == (code, stdout, "")
+
     def test_a_conversion_that_disagrees_with_its_net_is_inconclusive(self, capsys, monkeypatch):
         # Every update of the conversion writes 0.  Both machines agree with
         # each other, and the walk would match them, but the left machine ends
@@ -452,6 +471,34 @@ class TestChecks:
         assert err.splitlines() == [f"warning: {w}" for w in warnings]
         assert "warning" not in out
         assert out.startswith(("Equivalent", "NotEquivalent", "Inconclusive"))
+
+    def test_check_fsmd_prints_conversion_warnings_before_an_error(self, capsys, tmp_path):
+        # With neither varmap nor outmap the outputs pair by name, which is
+        # only found out once both nets are converted.
+        (tmp_path / "contra.pres").write_text(self.CONTRA_NET)
+        renamed = self.CONTRA_NET.replace("place z;", "place y;").replace("post z;", "post y;")
+        (tmp_path / "renamed.pres").write_text(renamed)
+        scenario = tmp_path / "renamed.scn"
+        scenario.write_text('scenario r { model left = "contra.pres"; model right = "renamed.pres"; check fsmd; }')
+        code, out, err = run(capsys, "check-fsmd", str(scenario))
+        lines = err.splitlines()
+        assert (code, out) == (3, "")
+        assert len(lines) == 5 and all(line.startswith("warning: InconsistentGuards") for line in lines[:4])
+        assert lines[4] == ("error: the scenario has no varmap and the outputs differ: "
+                            "['u', 'v', 'w', 'z'] and ['u', 'v', 'w', 'y']")
+        # The left net's warnings also come before an error in the right net's conversion.
+        (tmp_path / "long.pres").write_text(
+            "net long { place x1 marked var xx; place x2 marked var xx; place a; place u; place v; place w; place z;"
+            " transition t0 { pre x1; post a; fn xx; } transition t1 { pre a; post u; fn a; }"
+            " transition t2 { pre x2; post w; fn xx; } transition t3 { pre u; post v; fn u; }"
+            " transition t4 { pre v; post z; fn v; } }")
+        scenario.write_text('scenario r { model left = "contra.pres"; model right = "long.pres"; check fsmd;'
+                            " varmap { u -> u; v -> v; w -> w; z -> z; } statebound 3; }")
+        code, out, err = run(capsys, "check-fsmd", str(scenario))
+        lines = err.splitlines()
+        assert (code, out, len(lines)) == (3, "", 3)
+        assert all(line.startswith("warning: InconsistentGuards") for line in lines[:2])
+        assert lines[2] == "error: StateBoundExceeded: conversion exceeded the state bound of 3"
 
     def test_check_pres_surfaces_conversion_warnings_and_honours_statebound(self, capsys, tmp_path):
         (tmp_path / "contra.pres").write_text(self.CONTRA_NET)

@@ -95,6 +95,9 @@ def _commands(made) -> list[tuple[str, list[str], int]]:
         # A check fsmd scenario: check-pres refuses it.
         ("jammer_check_pres", ["check-pres", scenario("jammer"), "--json", "jammer_check_pres.json"], 3),
         ("countdown_by_two", ["check-fsmd", scenario("countdown_by_two"), "--json", "countdown_by_two.json"], 1),
+        # A class of the loop pair splits into blocks with no partner: the
+        # reason names the first of them.
+        ("lonely", ["check-fsmd", net("lonely.scn"), "--json", "lonely.json"], 2),
         ("guard_split_dot", ["export-dot", model("guard_split")], 0),
         ("undeclared", ["validate", net("undeclared.pres"), "--json", "undeclared.json"], 3),
         ("splits_convert", ["convert", net("splits.pres"), "-o", "splits.fsmd", "--json", "splits_convert.json"], 0),

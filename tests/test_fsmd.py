@@ -27,7 +27,7 @@ from presto.fsmd import (
 )
 
 import _reference
-from _gen import SYMBOLS, compile_program, random_int_expr, random_program
+from _gen import SYMBOLS, VARS, compile_program, random_bool_expr, random_int_expr, random_program
 
 X, Y = ex.Var("x"), ex.Var("y")
 
@@ -448,3 +448,165 @@ def test_the_differential_machine_cases_reach_every_end():
         store, why = _machine_agrees_with_the_reference(case)
         ends.add(store.__name__ if isinstance(store, type) else why.split(" ")[0] if why else "rest")
     assert ends >= {"rest", "got", "took", "made", "UnboundVariable", "UninterpretedSymbol"}
+
+
+# -- the symbolic fold, the path cover and validation against tests/_reference.py
+
+def _fold_case(case: int):
+    """A random path of up to six steps over VARS whose update sets are often
+    parallel swaps or rotations, an entry store (``None`` for the identity
+    one, or random terms), and now and then a step that reads or writes a
+    variable outside the store, or that does not continue the path."""
+    rng = random.Random(case)
+    transitions = []
+    for i in range(rng.randint(0, 6)):
+        targets = rng.sample(VARS, rng.randint(0, len(VARS)))
+        if rng.random() < 0.6:  # each target reads the next one's pre-step value: a swap, a rotation
+            updates = [(t, ex.Var(s)) for t, s in zip(targets, targets[1:] + targets[:1])]
+        else:
+            updates = [(t, random_int_expr(rng, 2)) for t in targets]
+        if updates and rng.random() < 0.5:  # one term that also reads another variable or constant
+            t, term = updates[0]
+            updates[0] = (t, ex.add(term, random_int_expr(rng, 1)))
+        if rng.random() < 0.05:  # a target outside the store, or a term that reads one
+            free = [v for v in VARS if v not in targets] or ["e"]
+            updates.append(("e", ex.Var("a")) if rng.random() < 0.5 else (rng.choice(free), ex.Var("e")))
+        guards = [random_bool_expr(rng, 2) for _ in range(rng.randint(0, 2))]
+        source = f"q{i}" if rng.random() > 0.03 else "elsewhere"
+        transitions.append(FsmdTransition(source, tuple(guards), f"q{i + 1}", UpdateSet.of(updates)))
+    states = tuple(f"q{i}" for i in range(len(transitions) + 1))
+    m = Fsmd("m", states, "q0", frozenset("ab"), frozenset("cd"), frozenset("cd"), tuple(transitions))
+    store = None if rng.random() < 0.5 else {v: random_int_expr(rng, 2) for v in VARS}
+    return m, tuple(transitions), store
+
+
+def _fold_outcome(fold, *args):
+    """The condition and the store, in order, of a fold, or what it raised."""
+    pt = _machine_outcome(fold, *args)
+    return pt if isinstance(pt[0], type) else (pt.condition, list(pt.transform.items()))
+
+
+def _fold_agrees_with_the_reference(case: int):
+    m, path, store = _fold_case(case)
+    entry = None if store is None else dict(store)
+    expected = _fold_outcome(_reference.path_transformation, m, path, store)
+    assert _fold_outcome(path_transformation, m, path, store) == expected, case
+    assert store == entry  # the entry store is not changed
+    for step in path:  # each step alone, from the identity store
+        identity = fresh_store(m)
+        assert _machine_outcome(apply_update_set, step.updates, identity) == \
+            _machine_outcome(_reference.apply_update_set, step.updates, identity), case
+    return expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_the_fold_agrees_with_step_by_step_updates(case):
+    _fold_agrees_with_the_reference(case)
+
+
+def test_the_differential_fold_cases_reach_swaps_and_every_error():
+    ends, swaps = set(), 0
+    for case in range(300):
+        outcome = _fold_agrees_with_the_reference(case)
+        ends.add(outcome[0].__name__ if isinstance(outcome[0], type) else "folded")
+        m, path, _ = _fold_case(case)
+        swaps += any(len(t.updates) > 1 and all(type(a.expr) is ex.Var for a in t.updates) for t in path)
+    assert ends == {"folded", "UnknownVariable", "BrokenPath"} and swaps > 50
+
+
+def _graph_machine(rng: random.Random) -> Fsmd:
+    """Up to seven states with up to three transitions each to any state, so
+    that cycles nest and overlap, some states are unreachable and some terminal."""
+    states = tuple(f"q{i}" for i in range(rng.randint(1, 7)))
+    transitions = []
+    for s in states:
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            guards = (random_bool_expr(rng, 1),) if rng.random() < 0.7 else ()
+            updates = [(t, random_int_expr(rng, 1)) for t in rng.sample(("c", "d"), rng.randint(0, 2))]
+            transitions.append(FsmdTransition(s, guards, rng.choice(states), UpdateSet.of(updates)))
+    return Fsmd("g", states, "q0", frozenset("ab"), frozenset("cd"), frozenset("cd"), tuple(transitions))
+
+
+def _cover_agrees_with_the_reference(case: int):
+    rng = random.Random(case)
+    if rng.random() < 0.5:
+        m = _graph_machine(rng)
+    else:
+        m = compile_program("p", random_program(rng, 3, loops=rng.random() < 0.7), duplicate_tails=rng.random() < 0.3)
+    outputs = rng.sample(VARS, rng.randint(0, 3))
+    cover = path_cover(m, outputs)
+    assert cover[:4] == _reference.path_cover(m, outputs), case
+    assert cover.terminal == {c for c in cover.segments if not m.outgoing(c)}, case
+    assert cover.live_sorted == {c: tuple(sorted(vs)) for c, vs in cover.live.items()}, case
+    return cover
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_the_path_cover_agrees_with_the_reference(case):
+    _cover_agrees_with_the_reference(case)
+
+
+def test_the_differential_covers_are_cyclic_and_acyclic():
+    covers = [_cover_agrees_with_the_reference(case) for case in range(300)]
+    cyclic = sum(bool(c.cyclic) for c in covers)
+    assert 50 < cyclic < 250 and sum(len(c.cyclic) > 2 for c in covers) > 10
+
+
+def _faulty_machine(case: int) -> Fsmd:
+    """A compiled random program's machine with up to three faults injected,
+    each of a rule that :func:`validate_fsmd` checks."""
+    rng = random.Random(case)
+    m = compile_program("m", random_program(rng, 2, loops=True))
+    states, reset, outputs, transitions = list(m.states), m.reset, m.outputs, list(m.transitions)
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        i = rng.randrange(len(transitions))
+        t = transitions[i]
+        fault = rng.randrange(11)
+        if fault == 0:
+            states.append(rng.choice(states))
+        elif fault == 1:
+            reset = "nowhere"
+        elif fault == 2:
+            outputs = outputs | {"e"}
+        elif fault == 3:
+            transitions[i] = t._replace(source="nowhere") if rng.random() < 0.5 else t._replace(target="nowhere")
+        elif fault == 4:  # the same guard set, perhaps in another order
+            transitions.insert(rng.randrange(len(transitions) + 1), t._replace(guard_set=t.guard_set[::-1]))
+        elif fault == 5:
+            transitions[i] = t._replace(guard_set=(*t.guard_set, random_int_expr(rng, 1)))
+        elif fault == 6:
+            transitions[i] = t._replace(guard_set=(*t.guard_set, ex.Rel("<", ex.Var("e"), ex.Var("a"))))
+        else:
+            target = rng.choice(("a", "b", "c", "d"))  # a and b are inputs
+            term = (ex.Var("e"), random_bool_expr(rng, 1), ex.add(ex.Var(rng.choice(VARS)), ex.Rel("<", X, Y)),
+                    random_int_expr(rng, 2))[fault - 7]
+            kept = [(a.target, a.expr) for a in t.updates if a.target != target]
+            transitions[i] = t._replace(updates=UpdateSet.of([*kept, (target, term)]))
+    return Fsmd(m.name, tuple(states), reset, m.inputs, m.storage, outputs, tuple(transitions))
+
+
+def _validation_agrees_with_the_reference(case: int):
+    m = _faulty_machine(case)
+    expected = _machine_outcome(_reference.validate_fsmd, m)
+    got = _machine_outcome(validate_fsmd, m)
+    assert got == expected, case
+    if isinstance(expected, list):
+        assert [str(v) for v in got] == [str(v) for v in expected], case
+    return expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_validation_agrees_with_the_reference(case):
+    _validation_agrees_with_the_reference(case)
+
+
+def test_the_differential_faults_break_every_rule():
+    rules = set()
+    for case in range(300):
+        outcome = _validation_agrees_with_the_reference(case)
+        rules |= {v.rule for v in outcome} if isinstance(outcome, list) else {"raised"}
+    assert rules == {"DuplicateName", "UnknownState", "UnknownVariable", "NondeterministicF", "IllSortedGuard",
+                     "IllegalTarget", "IllSortedUpdate"}
