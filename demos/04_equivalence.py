@@ -58,7 +58,7 @@ print(verdict.status, "- the spectrum branch applies f after FFT instead of befo
 print()
 print("== schedule independence ==")
 jam = corpus.load_net("jammer_nonpipelined")
-print("jammer:", confluence_check(jam, vec, SeededInterpretation(11), 10, 0, 64).status)
+print("jammer:", confluence_check(jam, [vec], SeededInterpretation(11), 10, 0, 64).status)
 racy = corpus.load_net("racy")
-verdict = confluence_check(racy, {"a": 2}, SeededInterpretation(3), 10, 0, 8)
+verdict = confluence_check(racy, [{"a": 2}], SeededInterpretation(3), 10, 0, 8)
 print("racy:  ", verdict.status, "- seeds", verdict.witness["seeds"], "reach", verdict.witness["out_ports"])

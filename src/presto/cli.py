@@ -39,7 +39,7 @@ from .sim import (
     trace_json,
     value_limit,
 )
-from .verdict import EQUIVALENT, NOT_EQUIVALENT, Verdict
+from .verdict import Verdict
 
 SCHEMA_VERSION = 1
 
@@ -85,10 +85,6 @@ def _load_model(path: str):
     return dsl.parse_pres(text)
 
 
-def _load_scenario(path: str) -> dsl.ScenarioDocument:
-    return dsl.parse_scenario(_read(path), base_dir=os.path.dirname(os.path.abspath(path)))
-
-
 def _write_json(path: Optional[str], payload: dict) -> None:
     if not path:
         return
@@ -103,10 +99,6 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
     except OSError as err:
         raise UsageError(str(err)) from None
-
-
-def _verdict_json(v: Verdict) -> dict:
-    return {"status": v.status, "method": v.method, "witness": v.witness, "reason": v.reason}
 
 
 def cmd_validate(args) -> int:
@@ -134,8 +126,7 @@ def cmd_convert(args) -> int:
     if args.output:
         _write(args.output, text)
     warnings = conv.warnings + validate_fsmd(conv.fsmd)  # a machine that validate rejects is still written
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    _warn(warnings)
     print(f"states: {conv.states_visited}", file=sys.stderr)
     if args.json:
         _write_json(args.json, _conversion_json(conv, warnings))
@@ -171,30 +162,6 @@ def _terms(models) -> list[ex.Expr]:
             if e is not None]
 
 
-def _confluence(net: PresNet, vectors: list[dict], interp, schedules: int, seed: int, max_steps: int) -> Verdict:
-    """The schedule-independence check on every input vector.
-
-    NotEquivalent if the schedules diverge on some vector, else
-    Inconclusive if some vector's runs do not come to rest, else
-    Equivalent.  Where there are several vectors, a witness or reason
-    names the vector it comes from.
-    """
-    inconclusive = None
-    for inputs in vectors:
-        verdict = confluence_check(net, inputs, interp, schedules=schedules, seed=seed, max_steps=max_steps)
-        if verdict.status == EQUIVALENT:
-            continue
-        if len(vectors) > 1:
-            import json
-
-            verdict = (verdict._replace(witness={"vector": inputs, **verdict.witness}) if verdict.witness
-                       else verdict._replace(reason=f"vector {json.dumps(inputs, sort_keys=True)}: {verdict.reason}"))
-        if verdict.status == NOT_EQUIVALENT:
-            return verdict
-        inconclusive = inconclusive or verdict
-    return inconclusive or verdict
-
-
 def _scenario(args, nets: bool) -> tuple[dsl.ScenarioDocument, dict, PortMap, ex.Interpretation]:
     """The scenario that ``args`` names, its models by side, its port map and
     its interpretation, read and checked in one order for every scenario
@@ -202,7 +169,7 @@ def _scenario(args, nets: bool) -> tuple[dsl.ScenarioDocument, dict, PortMap, ex
     models (one or two for ``simulate``, both for a check); machine models
     where ``nets`` asks for nets; the arities of the interp lines; and last
     the interpretation."""
-    doc = _load_scenario(args.scenario)
+    doc = dsl.parse_scenario(_read(args.scenario))
     command = args.command
     runner = {"fsmd": "check-fsmd", "cardinality": "check-pres"}.get(doc.check, command)
     if command != "simulate" and runner != command:
@@ -211,7 +178,9 @@ def _scenario(args, nets: bool) -> tuple[dsl.ScenarioDocument, dict, PortMap, ex
         raise UsageError("simulate needs a left or a right model")
     if command != "simulate" and not (doc.left and doc.right):
         raise UsageError(f"{command} needs both a left and a right model")
-    models = {side: _load_model(doc.resolve(path)) for side, path in (("left", doc.left), ("right", doc.right)) if path}
+    folder = os.path.dirname(os.path.abspath(args.scenario))  # join keeps an absolute model path as given
+    models = {side: _load_model(os.path.join(folder, path))
+              for side, path in (("left", doc.left), ("right", doc.right)) if path}
     if nets and not all(isinstance(model, PresNet) for model in models.values()):
         raise UsageError(f"{command} expects net models")
     check_arities(doc.interps, _terms(models.values()))
@@ -230,9 +199,9 @@ def cmd_simulate(args) -> int:
     worst = 0
     for (side, net), net_vectors in zip(nets.items(), vectors):
         if args.schedules > 1:
-            verdict = _confluence(net, net_vectors, interp, args.schedules, args.seed or 0, doc.max_steps)
+            verdict = confluence_check(net, net_vectors, interp, args.schedules, args.seed or 0, doc.max_steps)
             lines.append(f"{side} ({net.name}): {_verdict_line(verdict)}")
-            runs.append({"model": side, "confluence": _verdict_json(verdict)})
+            runs.append({"model": side, "confluence": verdict._asdict()})
             worst = max(worst, verdict.exit_code())
             continue
         for inputs in net_vectors:
@@ -279,8 +248,9 @@ def cmd_check_fsmd(args) -> int:
 
 
 def _warn(warnings: list) -> None:
-    """The conversion warnings of a check on stderr, also where the check
-    raised after a conversion, such as at outputs left unpaired."""
+    """Conversion warnings on stderr: those of ``convert``, and those of a
+    check, also where the check raised after a conversion, such as at
+    outputs left unpaired."""
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
 
@@ -288,7 +258,7 @@ def _warn(warnings: list) -> None:
 def _report(args, verdict: Verdict, warnings: list, **fields) -> int:
     """The end of both checks: the ``--json`` report with ``fields`` and
     ``warnings``, the verdict line, and its exit code."""
-    _write_json(args.json, {"command": args.command, **fields, "verdict": _verdict_json(verdict),
+    _write_json(args.json, {"command": args.command, **fields, "verdict": verdict._asdict(),
                             "warnings": [str(w) for w in warnings]})
     print(_verdict_line(verdict))
     return verdict.exit_code()

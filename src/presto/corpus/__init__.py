@@ -88,6 +88,5 @@ def load_fsmd(name: str) -> Fsmd:
 
 
 def load_scenario(name: str) -> dsl.ScenarioDocument:
-    path = os.path.join(_ROOT, "scenarios", f"{name}.scn")
-    with open(path, encoding="utf-8") as fh:
-        return dsl.parse_scenario(fh.read(), base_dir=os.path.dirname(path))
+    with open(scenario_path(name), encoding="utf-8") as fh:
+        return dsl.parse_scenario(fh.read())

@@ -45,7 +45,6 @@ at the second one.
 
 from __future__ import annotations
 
-import os
 import re
 from bisect import bisect_right
 from itertools import accumulate
@@ -567,10 +566,11 @@ class InterpDecl(NamedTuple):
 
 class ScenarioDocument(Record):
     """A scenario as read; the parser fills it clause by clause.  A map or
-    list left out is a new, empty one."""
+    list left out is a new, empty one.  Model paths are kept as written; the
+    reader of the file joins a relative one to the file's folder."""
 
     __slots__ = _fields = ("name", "left", "right", "check", "strategy", "in_map", "out_map", "var_map", "vectors",
-                           "interps", "default_seed", "max_steps", "state_bound", "base_dir")
+                           "interps", "default_seed", "max_steps", "state_bound")
 
     def __init__(
         self,
@@ -587,7 +587,6 @@ class ScenarioDocument(Record):
         default_seed: Optional[int] = None,
         max_steps: int = 1_000,
         state_bound: int = 10_000,
-        base_dir: str = ".",
     ) -> None:
         self.name, self.left, self.right, self.check, self.strategy = name, left, right, check, strategy
         self.in_map = {} if in_map is None else in_map
@@ -596,12 +595,6 @@ class ScenarioDocument(Record):
         self.vectors = [] if vectors is None else vectors
         self.interps = [] if interps is None else interps
         self.default_seed, self.max_steps, self.state_bound = default_seed, max_steps, state_bound
-        self.base_dir = base_dir
-
-    def resolve(self, path: Optional[str]) -> Optional[str]:
-        if path is None:
-            return None
-        return path if os.path.isabs(path) else os.path.join(self.base_dir, path)
 
 
 _MAPS = {"inmap": "in_map", "outmap": "out_map", "varmap": "var_map"}
@@ -609,11 +602,12 @@ _BOUNDS = {"maxsteps": "max_steps", "statebound": "state_bound"}
 _CHOICES = {"check": ("cardinality", "functional", "fsmd"), "strategy": ("symbolic", "sampled")}
 
 
-def parse_scenario(text: str, base_dir: str = ".") -> ScenarioDocument:
+def parse_scenario(text: str) -> ScenarioDocument:
+    """The scenario document in ``text``; its model paths are not resolved."""
     p = _Parser(text)
     toks = p.toks
     p.expect("scenario")
-    doc = ScenarioDocument(name=p.name("scenario name"), base_dir=base_dir)
+    doc = ScenarioDocument(name=p.name("scenario name"))
     p.expect("{")
     given: set[str] = set()  # the clauses that set one field, as given: "model left", "check", ...
     symbols: set[str] = set()  # the interpreted symbols

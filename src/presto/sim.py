@@ -14,7 +14,8 @@ step), a step bound, or once a token value written has more than
 :data:`presto.fsmd.MAX_VALUE_BITS` bits.  A run without a seed takes the
 first holding option of each group; a run with one draws its choices
 from that seed alone, so it is bit-for-bit reproducible, which is what
-the schedule-independence check exploits.
+the schedule-independence check over a scenario's input vectors
+(:func:`confluence_check`) exploits.
 
 A step reads the net's step table (:func:`presto.convert.marking_step`),
 which the converter fills too.  It tests each group's options, never their
@@ -296,28 +297,53 @@ def out_port_values(net: PresNet, ts: TokenState) -> dict[str, int]:
 
 def confluence_check(
     net: PresNet,
-    inputs: TokenState,
+    vectors: list[TokenState],
     interp: ex.Interpretation,
     schedules: int = 10,
     seed: int = 0,
     max_steps: int = 1_000,
 ) -> Verdict:
-    """Run several randomized maximal schedules and compare what reaches the out-ports.
+    """Run several randomized maximal schedules on each input vector and
+    compare what reaches the out-ports.
 
-    Equivalent means every schedule quiesced with identical out-port
-    tokens; a difference is returned with the two diverging traces.  A run
-    in which no step had more than one firing set to choose from is the
-    run of every seed, so then the first schedule is the only one run.
+    NotEquivalent on the first vector whose schedules diverge, with two
+    diverging traces; else Inconclusive on the first vector whose runs do
+    not come to rest; else Equivalent.  With several vectors, the witness
+    (key ``"vector"``) or the reason names the vector.  A run in which no
+    step had more than one firing set to choose from is the run of every
+    seed, so then the first schedule is the only one run.
     """
     if schedules < 2:
         raise ValueError("confluence needs at least two schedules")
+    if not vectors:
+        raise ValueError("confluence needs at least one input vector")
+    method = f"confluence(schedules={schedules}, seed={seed})"
+    inconclusive = None
+    for inputs in vectors:
+        verdict = _confluence(net, inputs, interp, schedules, seed, max_steps, method)
+        if verdict is None:
+            continue
+        if len(vectors) > 1:
+            import json  # on first use: importing it would slow every command's start
+
+            verdict = (verdict._replace(witness={"vector": inputs, **verdict.witness}) if verdict.witness
+                       else verdict._replace(reason=f"vector {json.dumps(inputs, sort_keys=True)}: {verdict.reason}"))
+        if verdict.status == NOT_EQUIVALENT:
+            return verdict
+        inconclusive = inconclusive or verdict
+    return inconclusive or Verdict(EQUIVALENT, method)
+
+
+def _confluence(net: PresNet, inputs: TokenState, interp: ex.Interpretation, schedules: int, seed: int,
+                max_steps: int, method: str) -> Optional[Verdict]:
+    """The verdict on one vector's schedules, or None where they all quiesce
+    with the same out-port tokens."""
     outcomes: list[tuple[int, RunOutcome]] = []
     for i in range(schedules):
         run = simulate_run(net, inputs, interp, seed + i, max_steps)
         outcomes.append((seed + i, run))
         if not run.chose:
             break
-    method = f"confluence(schedules={schedules}, seed={seed})"
     for s, run in outcomes:
         if run.status != QUIESCENT:
             reason = f"seed {s} ended {run.status} after {run.steps} steps{value_limit(run.status)}"
@@ -336,7 +362,7 @@ def confluence_check(
                     "traces": [trace_json(base), trace_json(run)],
                 },
             )
-    return Verdict(EQUIVALENT, method)
+    return None
 
 
 def trace_json(run: RunOutcome) -> dict:

@@ -254,10 +254,10 @@ def test_criterion_6_property_suites(jammer_nonpipelined, guard_split, racy):
 def test_criterion_7_confluence(jammer_nonpipelined, jammer_pipelined, racy):
     with _Clock("criterion 7: schedule independence", 10.0):
         interp = SeededInterpretation(11)
-        assert confluence_check(jammer_nonpipelined, dict(JAMMER_VECTOR), interp, 10, 0, 64).equivalent
+        assert confluence_check(jammer_nonpipelined, [dict(JAMMER_VECTOR)], interp, 10, 0, 64).equivalent
         pipe_vector = {"sigE": 3, "sigA": 3, "th": 5, "tr": 1, "om": 2, "mp": 4, "dp": 6}
-        assert confluence_check(jammer_pipelined, pipe_vector, interp, 10, 0, 64).equivalent
-        verdict = confluence_check(racy, {"a": 2}, SeededInterpretation(3), 10, 0, 8)
+        assert confluence_check(jammer_pipelined, [pipe_vector], interp, 10, 0, 64).equivalent
+        verdict = confluence_check(racy, [{"a": 2}], SeededInterpretation(3), 10, 0, 8)
         assert verdict.status == "NotEquivalent"
         left, right = verdict.witness["traces"]
         assert left["trace"] != right["trace"]

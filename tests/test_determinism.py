@@ -82,6 +82,8 @@ def _commands(made) -> list[tuple[str, list[str], int]]:
     net = functools.partial(os.path.join, NETS)
     return [
         ("racy", ["simulate", scenario("racy"), "--schedules", "10", "--json", "racy.json"], 1),
+        # The second vector diverges; its model path is read from the scenario's folder.
+        ("racy_vectors", ["simulate", net("racy_vectors.scn"), "--schedules", "10", "--json", "racy_vectors.json"], 1),
         ("guard_split", ["simulate", scenario("guard_split"), "--json", "guard_split.json"], 0),
         ("convert", ["convert", model("jammer_pipelined"), "-o", "jammer_pipelined.fsmd", "--json", "convert.json"], 0),
         ("addthree", ["check-pres", scenario("addthree"), "--json", "addthree.json"], 0),

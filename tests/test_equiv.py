@@ -368,16 +368,18 @@ class TestLoops:
         verdict = check_fsmd_equivalence(left, corpus.load_fsmd("sum_loop_commuted"), {"s": "s"})
         assert verdict.status == EQUIVALENT
 
-    def test_a_loop_pair_keeps_the_classes_that_every_arrival_agrees_on(self, monkeypatch):
-        # After a round of the loop the left a and b hold one term, so the
-        # latest arrival at (q1, q1) alone would put them in one class, which
-        # the first arrival (a = 0, b = 1) denies.  With the classes of every
-        # arrival kept apart, the vector n = 2 separates the outputs.
-        text = ("fsmd {name} {{ states q0, q1, q2; reset q0; inputs n; storage a, b; outputs b;\n"
+    # After a round of the loop the left a and b hold one term, so the
+    # latest arrival at (q1, q1) alone would put them in one class, which
+    # the first arrival (a = 0, b = 1) denies.
+    ARRIVALS = ("fsmd {name} {{ states q0, q1, q2; reset q0; inputs n; storage a, b; outputs b;\n"
                 "  q0 -> q1 {{ a <= 0; b <= 1; }}\n"
                 "  q1 -> q1 when a < n {{ a <= a + 1; b <= {b} + 1; }}\n"
                 "  q1 -> q2 when a >= n {{ }}\n}}")
-        left, right = (parse_fsmd(text.format(name=name, b=b)) for name, b in (("left", "a"), ("right", "b")))
+
+    def test_a_loop_pair_keeps_the_classes_that_every_arrival_agrees_on(self, monkeypatch):
+        # With the classes of every arrival kept apart, the vector n = 2
+        # separates the outputs.
+        left, right = (parse_fsmd(self.ARRIVALS.format(name=name, b=b)) for name, b in (("left", "a"), ("right", "b")))
         verdict = check_fsmd_equivalence(left, right, {"b": "b"}, [{"n": 2}])
         assert verdict.exit_code() == 1, verdict
         assert verdict.witness["values"] == [2, 3]
@@ -389,6 +391,14 @@ class TestLoops:
         assert verdict.method == "fsmd-paths (matched by normalized condition)+sampled"
         assert verdict.reason.endswith("a fault in presto")
         assert verdict.witness["values"] == [2, 3]
+
+    def test_without_a_vector_the_walk_alone_keeps_the_loop_pair_apart(self):
+        # No run can refute a match here, so a walk that followed the latest
+        # arrival alone would make this pair Equivalent.
+        left, right = (parse_fsmd(self.ARRIVALS.format(name=name, b=b)) for name, b in (("left", "a"), ("right", "b")))
+        verdict = check_fsmd_equivalence(left, right, {"b": "b"}, [])
+        assert verdict.status == INCONCLUSIVE
+        assert verdict.reason.startswith("no correspondence for 'b' at cutpoints (q1, q1), which lie on a loop")
 
 
 def test_symbolic_check_validates_both_conversions(addthree_a):

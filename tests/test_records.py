@@ -124,12 +124,10 @@ def _converted():
          "labels=[[('f',)]], warnings=[])"),
         (ScenarioDocument("s", left="a.pres"),
          "ScenarioDocument(name='s', left='a.pres', right=None, check='functional', strategy='symbolic', in_map={}, "
-         "out_map={}, var_map={}, vectors=[], interps=[], default_seed=None, max_steps=1000, state_bound=10000, "
-         "base_dir='.')"),
+         "out_map={}, var_map={}, vectors=[], interps=[], default_seed=None, max_steps=1000, state_bound=10000)"),
         (ScenarioDocument("s", left="a.pres", check="fsmd", state_bound=5),
          "ScenarioDocument(name='s', left='a.pres', right=None, check='fsmd', strategy='symbolic', in_map={}, "
-         "out_map={}, var_map={}, vectors=[], interps=[], default_seed=None, max_steps=1000, state_bound=5, "
-         "base_dir='.')"),
+         "out_map={}, var_map={}, vectors=[], interps=[], default_seed=None, max_steps=1000, state_bound=5)"),
         (_Pair((frozenset({(0, "x")}),), frozenset(), ({}, {})),
          "_Pair(classes=(frozenset({(0, 'x')}),), trail=frozenset(), origin=({}, {}))"),
         (RunOutcome("Quiescent", {"b": 1}, [(FS, {"b": 1})], 1),

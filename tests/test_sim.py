@@ -224,7 +224,7 @@ def test_a_12000_stage_chain_runs_in_linear_time():
 
 class TestConfluence:
     def test_conflict_free_jammer_is_schedule_independent(self, jammer_nonpipelined):
-        verdict = confluence_check(jammer_nonpipelined, dict(JAMMER_VECTOR), SeededInterpretation(11), 10, 0, 64)
+        verdict = confluence_check(jammer_nonpipelined, [dict(JAMMER_VECTOR)], SeededInterpretation(11), 10, 0, 64)
         assert verdict.equivalent
 
     def test_single_transition_net_trivially_confluent(self):
@@ -236,16 +236,16 @@ class TestConfluence:
             }
             """
         )
-        assert confluence_check(net, {"a": 1}, {}, 3, 0, 8).equivalent
+        assert confluence_check(net, [{"a": 1}], {}, 3, 0, 8).equivalent
 
     def test_a_run_that_offers_no_choice_is_run_once(self, jammer_nonpipelined, racy, monkeypatch):
         runs = []
         real = sim.simulate_run
         monkeypatch.setattr(sim, "simulate_run", lambda *args: runs.append(args[3]) or real(*args))
-        verdict = confluence_check(jammer_nonpipelined, dict(JAMMER_VECTOR), SeededInterpretation(11), 10, 0, 64)
+        verdict = confluence_check(jammer_nonpipelined, [dict(JAMMER_VECTOR)], SeededInterpretation(11), 10, 0, 64)
         assert verdict.equivalent and runs == [0]
         runs.clear()
-        assert confluence_check(racy, {"a": 2}, SeededInterpretation(3), 10, 0, 8).status == "NotEquivalent"
+        assert confluence_check(racy, [{"a": 2}], SeededInterpretation(3), 10, 0, 8).status == "NotEquivalent"
         assert runs == list(range(10))  # every schedule of a net that offers a choice
 
     def test_seeds_keep_their_schedules(self):
@@ -268,11 +268,47 @@ class TestConfluence:
             assert run.chose and run.trace[1][0].transitions == rng.choice([("left",), ("right",)]), seed
 
     def test_racy_net_diverges_with_two_traces(self, racy):
-        verdict = confluence_check(racy, {"a": 2}, SeededInterpretation(3), 10, 0, 8)
+        verdict = confluence_check(racy, [{"a": 2}], SeededInterpretation(3), 10, 0, 8)
         assert verdict.status == "NotEquivalent"
         left, right = verdict.witness["traces"]
         assert left["trace"] != right["trace"]
         assert verdict.witness["out_ports"][0] != verdict.witness["out_ports"][1]
+
+    # With a < 0 the token loops on a forever; with 0 < a < 5 two
+    # transitions race for it; with a >= 5 only grab-b takes it.
+    LOOP_OR_RACE = """
+        net mixed {
+          place a marked; place b; place c;
+          transition loop { pre a; post a; fn a; guard a < 0; }
+          transition grab-b { pre a; post b; fn a; guard a > 0; }
+          transition grab-c { pre a; post c; fn a + 1; guard a > 0 and a < 5; }
+        }
+        """
+
+    def test_a_divergence_on_a_later_vector_outranks_a_run_that_does_not_rest(self):
+        net = parse_pres(self.LOOP_OR_RACE)
+        verdict = confluence_check(net, [{"a": -1}, {"a": 2}, {"a": 7}], {}, 10, 0, 8)
+        assert verdict.status == "NotEquivalent"
+        assert verdict.witness["vector"] == {"a": 2}
+        assert verdict.witness["out_ports"][0] != verdict.witness["out_ports"][1]
+
+    def test_the_first_vector_whose_runs_do_not_rest_is_named(self):
+        net = parse_pres(self.LOOP_OR_RACE)
+        verdict = confluence_check(net, [{"a": 7}, {"a": -1}, {"a": -2}], {}, 10, 0, 8)
+        assert verdict.status == "Inconclusive"
+        assert verdict.reason == 'vector {"a": -1}: seed 0 ended StepBoundExceeded after 8 steps'
+        assert confluence_check(net, [{"a": 7}, {"a": 9}], {}, 10, 0, 8).equivalent
+
+    def test_a_single_vector_is_not_named(self):
+        net = parse_pres(self.LOOP_OR_RACE)
+        diverged = confluence_check(net, [{"a": 2}], {}, 10, 0, 8)
+        assert diverged.status == "NotEquivalent" and "vector" not in diverged.witness
+        stuck = confluence_check(net, [{"a": -1}], {}, 10, 0, 8)
+        assert stuck.reason == "seed 0 ended StepBoundExceeded after 8 steps"
+
+    def test_no_vector_is_refused(self, racy):
+        with pytest.raises(ValueError, match="at least one input vector"):
+            confluence_check(racy, [], SeededInterpretation(3), 10, 0, 8)
 
 
 def test_explicit_interpretations_take_precedence_over_the_seeded_map():
@@ -381,7 +417,7 @@ def test_a_run_ends_when_a_token_value_outgrows_the_bound():
     run = simulate_run(net, {"a": 3}, {}, max_steps=40)
     assert (run.status, run.steps) == (VALUE_BOUND_EXCEEDED, 11)
     assert 2048 < run.final_state["a"].bit_length() <= MAX_VALUE_BITS
-    verdict = confluence_check(net, {"a": 3}, {}, 4, 0, 40)
+    verdict = confluence_check(net, [{"a": 3}], {}, 4, 0, 40)
     assert verdict.status == "Inconclusive"
     limit = f"(a token value passed the {MAX_VALUE_BITS}-bit limit)"
     assert verdict.reason == f"seed 0 ended ValueBoundExceeded after 11 steps {limit}"

@@ -326,4 +326,4 @@ def test_a_run_through_independent_choices_is_linear_in_the_lanes():
     run = simulate_run(net, inputs, interp, 0)
     assert run.status == QUIESCENT and run.chose
     assert sum(len(step.firings) for step in net.steps.values()) <= run.steps
-    assert confluence_check(net, inputs, interp, schedules=4).status == NOT_EQUIVALENT
+    assert confluence_check(net, [inputs], interp, schedules=4).status == NOT_EQUIVALENT
