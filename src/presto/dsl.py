@@ -51,7 +51,7 @@ from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from . import expr as ex
-from .fsmd import DuplicateTarget, Fsmd, FsmdTransition, UpdateSet, validate_fsmd
+from .fsmd import DuplicateTarget, Fsmd, FsmdTransition, UpdateSet, transition_label, validate_fsmd
 from .pres import PresNet, Transition, Violation, validate_net
 from .record import Record
 
@@ -530,8 +530,9 @@ def _fsmd(p: _Parser) -> Fsmd:
                 updates = UpdateSet.of(pairs)
             except DuplicateTarget as err:  # the rule is UpdateSet's; the reader adds where it broke
                 raise p.fail(str(err), [j for j in targets_at if toks[j] == err.name][1]) from None
-            where.setdefault(f"{src}->{dst}#{len(transitions)}", at)
-            transitions.append(FsmdTransition(src, tuple(guards), dst, updates))
+            t = FsmdTransition(src, tuple(guards), dst, updates)
+            where.setdefault(transition_label(t, len(transitions)), at)
+            transitions.append(t)
     p.pos += 1
     p.end("the machine")
     if reset is None:

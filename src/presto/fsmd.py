@@ -391,14 +391,29 @@ def _plan(m: Fsmd, state: str) -> tuple:
     return plan
 
 
+def transition_label(t: FsmdTransition, i: int) -> str:
+    """The name of ``t``, the ``i``-th transition of its machine, in a violation."""
+    return f"{t.source}->{t.target}#{i}"
+
+
 def validate_fsmd(m: Fsmd) -> list[Violation]:
+    """All well-formedness violations; an empty list means the machine is sound.
+
+    The declaration rules come first (duplicate states, the reset state,
+    outputs); then one pass tests each transition's rules once, in this
+    order: known source and target, a (state, guard set) entry no earlier
+    transition has, then each guard (bool-sorted, over known variables) and
+    each update (assignable target, int-sorted term over known variables).
+    A transition is named, by :func:`transition_label`, only in a violation.
+    A guard set with an ill-sorted guard cannot be normalized: it gets no
+    entry, so it is never a duplicate, and the guard is an IllSortedGuard.
+    """
     out: list[Violation] = []
-    states = set(m.states)
-    seen: set[str] = set()
+    states: set[str] = set()
     for s in m.states:
-        if s in seen:
+        if s in states:
             out.append(Violation("DuplicateName", s, "state declared twice"))
-        seen.add(s)
+        states.add(s)
     if m.reset not in states:
         out.append(Violation("UnknownState", m.reset, "reset state is not declared"))
     bad_outputs = m.outputs - (m.storage | m.inputs)
@@ -409,52 +424,36 @@ def validate_fsmd(m: Fsmd) -> list[Violation]:
     assignable = m.outputs | m.storage
     keys: set[tuple[str, frozenset[ex.Expr]]] = set()
     for i, t in enumerate(m.transitions):
-        key = (t.source, guard_key(t.guard_set))
-        if key not in keys and _well_formed(t, states, variables, assignable):
-            keys.add(key)
-            continue
-        label = f"{t.source}->{t.target}#{i}"
         if t.source not in states:
-            out.append(Violation("UnknownState", t.source, label))
+            out.append(Violation("UnknownState", t.source, transition_label(t, i)))
         if t.target not in states:
-            out.append(Violation("UnknownState", t.target, label))
+            out.append(Violation("UnknownState", t.target, transition_label(t, i)))
+        try:
+            key = (t.source, guard_key(t.guard_set))
+        except ex.SortMismatch:  # reported below as IllSortedGuard
+            key = None
         if key in keys:
-            out.append(Violation("NondeterministicF", label, "duplicate (state, guard set) entry"))
-        keys.add(key)
+            out.append(Violation("NondeterministicF", transition_label(t, i), "duplicate (state, guard set) entry"))
+        elif key is not None:
+            keys.add(key)
         for g in t.guard_set:
             try:
                 if ex.sort_of(g) != ex.BOOL:
-                    out.append(Violation("IllSortedGuard", label, str(g)))
+                    out.append(Violation("IllSortedGuard", transition_label(t, i), str(g)))
             except ex.SortMismatch as err:
-                out.append(Violation("IllSortedGuard", label, str(err)))
-            for v in sorted(ex.free_vars(g) - variables):
-                out.append(Violation("UnknownVariable", v, f"guard of {label}"))
+                out.append(Violation("IllSortedGuard", transition_label(t, i), str(err)))
+            if not ex.free_vars(g) <= variables:
+                out += [Violation("UnknownVariable", v, f"guard of {transition_label(t, i)}")
+                        for v in sorted(ex.free_vars(g) - variables)]
         for a in t.updates:
             if a.target not in assignable:
-                out.append(Violation("IllegalTarget", a.target, f"update in {label}"))
+                out.append(Violation("IllegalTarget", a.target, f"update in {transition_label(t, i)}"))
             try:
                 if ex.sort_of(a.expr) != ex.INT:
-                    out.append(Violation("IllSortedUpdate", label, f"{a.target} <= {a.expr}"))
+                    out.append(Violation("IllSortedUpdate", transition_label(t, i), f"{a.target} <= {a.expr}"))
             except ex.SortMismatch as err:
-                out.append(Violation("IllSortedUpdate", label, str(err)))
-            for v in sorted(ex.free_vars(a.expr) - variables):
-                out.append(Violation("UnknownVariable", v, f"update of {a.target} in {label}"))
+                out.append(Violation("IllSortedUpdate", transition_label(t, i), str(err)))
+            if not ex.free_vars(a.expr) <= variables:
+                out += [Violation("UnknownVariable", v, f"update of {a.target} in {transition_label(t, i)}")
+                        for v in sorted(ex.free_vars(a.expr) - variables)]
     return out
-
-
-def _well_formed(t: FsmdTransition, states: set[str], variables: frozenset[str], assignable: frozenset[str]) -> bool:
-    """Whether ``t`` keeps every rule :func:`validate_fsmd` checks of one
-    transition: known states, well-sorted guards and updates over known
-    variables, and assignable targets."""
-    if t.source not in states or t.target not in states:
-        return False
-    try:
-        for g in t.guard_set:
-            if ex.sort_of(g) != ex.BOOL or not ex.free_vars(g) <= variables:
-                return False
-        for a in t.updates:
-            if a.target not in assignable or ex.sort_of(a.expr) != ex.INT or not ex.free_vars(a.expr) <= variables:
-                return False
-    except ex.SortMismatch:
-        return False
-    return True

@@ -193,11 +193,10 @@ def validate_net(net: PresNet) -> list[Violation]:
         out.append(Violation("EmptyInputArcs", net.name, "a net needs at least one input arc"))
 
     declared = place_order.keys()
-    if not declared >= set().union(*[t.pre for t in last], *[t.post for t in last]):
-        for tid, pre, post, _, _ in last:
-            if not (declared >= pre and declared >= post):
-                out += [Violation("UnknownPlace", p, f"in transition {tid}")
-                        for p in sorted((pre | post).difference(declared))]
+    for tid, pre, post, _, _ in last:
+        if not (declared >= pre and declared >= post):
+            out += [Violation("UnknownPlace", p, f"in transition {tid}")
+                    for p in sorted((pre | post).difference(declared))]
 
     if not declared <= var_of.keys():
         out += [Violation("MissingVariable", p, "place has no associated variable") for p in place_order

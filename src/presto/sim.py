@@ -270,17 +270,16 @@ def simulate_run(
         trace.append((fs, ts))
 
 
-def _plan(net: PresNet, m: frozenset[str], step: Step, at: tuple[int, ...]) -> Optional[tuple]:
+def _plan(net: PresNet, m: frozenset[str], step: Step, at: tuple[int, ...]) -> tuple:
     """The choice ``at`` of ``step`` (the step of ``m``) ready to fire, as
     ``(fs, fns, successor, marked, source)``: :func:`~presto.convert.firing`'s
     ``fs``, ``successor`` and ``marked``, the fired transitions' ``fn``
     compiled, in declaration order, and ``source``, which maps each place
-    they mark to the index in ``fns`` of the one that marks it.  None where
-    ``firing`` gives None.  Made on the first call and kept in ``step.plans``."""
-    made = step.firings.get(at) or firing(net, m, step, at)
-    if made is None:
-        return None
-    fs, fired, successor, marked = made
+    they mark to the index in ``fns`` of the one that marks it.  A run picks
+    only options whose guards all hold, and ``firing`` gives None only for
+    guard decisions that contradict each other, which never all hold.  Made
+    on the first call and kept in ``step.plans``."""
+    fs, fired, successor, marked = step.firings.get(at) or firing(net, m, step, at)
     fns, source = [], {}  # one loop: this runs at the first fire of every choice
     for t in fired:
         for p in t.post:

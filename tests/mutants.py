@@ -1,5 +1,5 @@
-"""A table of one-line mutants of presto's sources, each with the tests
-expected to kill it.
+"""A table of small mutants of presto's sources, most of one line, each with
+the tests expected to kill it.
 
 Run it from anywhere with ``python tests/mutants.py``; the tier-1 suite does
 not collect it, because its name does not start with ``test_``.
@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
-TIME_LIMIT = 60  # seconds per row; each row of the table ends in 1 to 4 s on two cores
+TIME_LIMIT = 60  # seconds per row; each row of the table ends in 1 to 6 s on two cores
 HYPOTHESIS_SEED = "0"
 
 
@@ -95,6 +95,71 @@ MUTANTS = [
            'verdict._replace(witness={"vector": inputs, **verdict.witness})', "verdict",
            ("test_sim.py::TestConfluence::test_a_divergence_on_a_later_vector_outranks_a_run_that_does_not_rest",
             "test_cli.py::TestSimulate::test_schedule_independence_is_checked_on_every_vector")),
+    # The walk matching every path: only a check against the runs, or a
+    # witness that names the normal forms, tells a mismatch from a match.
+    Mutant("walk_matches_everything", "equiv.py",
+           "diff = walk.run(entry)", "diff = None",
+           ("test_equiv.py::TestFsmdEquivalence::test_swapped_composition_not_equivalent",
+            "test_cli.py::TestChecks::test_check_fsmd_unconfirmed_difference_is_inconclusive")),
+    # The step table of conflict groups (sim.py, convert.py).
+    Mutant("draws_decoded_first_part_fastest", "sim.py",
+           "for holding in reversed(held):\n                draw, i = divmod(draw, len(holding))\n"
+           "                at.append(holding[i])\n            at = tuple(at[::-1])",
+           "for holding in held:\n                draw, i = divmod(draw, len(holding))\n"
+           "                at.append(holding[i])\n            at = tuple(at)",
+           ("test_steps.py::test_runs_choose_per_group_as_the_product_would_on_the_corpus",)),
+    Mutant("part_without_holding_option_skipped", "sim.py",
+           "                return RunOutcome(DEADLOCK, ts, trace, step, chose)", "                continue",
+           ("test_sim.py::TestSimulateRun::test_one_group_without_a_holding_guard_blocks_the_whole_step",)),
+    Mutant("chose_means_several_parts", "sim.py",
+           "chose or count > 1", "chose or len(offered.parts) > 1",
+           ("test_steps.py::test_runs_choose_per_group_as_the_product_would_on_the_corpus",)),
+    Mutant("firing_rebuilt_on_every_call", "convert.py",
+           "    if at in firings:", "    if False:",
+           ("test_steps.py::test_each_marking_is_computed_once_for_simulation_and_conversion",)),
+    # The term walks (expr.py): a node finished before all its pending children.
+    Mutant("key_walk_skips_first_child", "expr.py",
+           "pending = [c for c in node._kids if c._ord is None]",
+           "pending = [c for c in node._kids if c._ord is None][1:]",
+           ("test_expr.py::test_walks_agree_with_recursive_references",)),
+    Mutant("normalize_walk_skips_first_child", "expr.py",
+           "pending = [k for k in kids if k._nf is None]", "pending = [k for k in kids if k._nf is None][1:]",
+           ("test_expr.py::test_walks_agree_with_recursive_references",)),
+    Mutant("substitute_walk_skips_first_child", "expr.py",
+           "pending = [k for k in kids if k not in done and not bound.isdisjoint(k._fv)]",
+           "pending = [k for k in kids if k not in done and not bound.isdisjoint(k._fv)][1:]",
+           ("test_expr.py::test_walks_agree_with_recursive_references",)),
+    # The conversion, against its net's runs.
+    Mutant("guard_sets_dropped", "convert.py",
+           "FsmdTransition(q, fs.guard_set, state_of[succ], updates)", "FsmdTransition(q, (), state_of[succ], updates)",
+           ("test_convert.py::test_converted_machines_agree_with_their_nets_runs",)),
+    Mutant("successor_keeps_its_input_place", "convert.py",
+           "remaining, posts = m - fired[0].pre, (fired[0].post,)", "remaining, posts = m, (fired[0].post,)",
+           ("test_convert.py::test_converted_machines_agree_with_their_nets_runs",)),
+    Mutant("updates_take_the_first_fn", "convert.py",
+           "updates.append(Assignment(var_of[min(t.post)], t.fn))",
+           "updates.append(Assignment(var_of[min(t.post)], fired[0].fn))",
+           ("test_convert.py::test_converted_machines_agree_with_their_nets_runs",)),
+    # Determinism (equiv.py, cli.py).
+    Mutant("right_inputs_in_hash_order", "equiv.py",
+           "for q in sorted(unreached, key=n2.place_order.__getitem__):",
+           "for q in (q for q in n2.initial_marking if q in unreached):",
+           ("test_determinism.py::TestHashSeeds::test_right_inputs_are_derived_in_place_order",)),
+    Mutant("terms_kept_past_a_command", "cli.py",
+           "def _terms(models) -> list[ex.Expr]:",
+           "def _terms(models, _kept=[]) -> list[ex.Expr]:\n    _kept.append(tuple(models))",
+           ("test_determinism.py::test_one_process_gives_what_fresh_processes_give",)),
+    Mutant("collector_thresholds_not_restored", "cli.py",
+           "        gc.set_threshold(*found)", "        pass",
+           ("test_cli.py::TestCollector::test_main_restores_the_thresholds_it_found_on_every_exit",
+            "test_determinism.py::test_one_process_gives_what_fresh_processes_give")),
+    # Machine validation (fsmd.py).
+    Mutant("guard_set_entries_not_recorded", "fsmd.py",
+           "            keys.add(key)", "            pass",
+           ("test_cli.py::TestValidate::test_duplicate_guard_key_exits_three",)),
+    Mutant("ill_sorted_guards_share_an_entry", "fsmd.py",
+           "        elif key is not None:", "        else:",
+           ("test_cli.py::TestValidate::test_an_ill_sorted_machine_guard_is_reported_where_it_broke",)),
 ]
 
 

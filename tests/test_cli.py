@@ -82,6 +82,23 @@ class TestValidate:
         assert run(capsys, "validate", str(machine)) == (
             3, "invalid:\n  1:6: MissingReset: m (no states and no reset)\n", "")
 
+    def test_an_ill_sorted_machine_guard_is_reported_where_it_broke(self, capsys, tmp_path):
+        # The guard set cannot be normalized, so it has no (state, guard set)
+        # entry: two such transitions are not duplicates of each other.
+        machine = tmp_path / "m.fsmd"
+        transition = "  q0 -> q1 when x > 0 and 1 { }\n"
+        machine.write_text("fsmd m {\n  states q0, q1;\n  inputs x;\n" + transition + "}\n")
+        report = "invalid:\n  4:3: IllSortedGuard: q0->q1#0 (operand of 'and' is not bool-sorted: 1)\n"
+        assert run(capsys, "validate", str(machine)) == (3, report, "")
+        scenario = tmp_path / "m.scn"
+        scenario.write_text('scenario s { model left = "m.fsmd"; model right = "m.fsmd"; check fsmd;\n'
+                            "  inputs { x = 1; } }\n")
+        assert run(capsys, "check-fsmd", str(scenario)) == (
+            3, "", "error: 4:3: IllSortedGuard: q0->q1#0 (operand of 'and' is not bool-sorted: 1)\n")
+        machine.write_text("fsmd m {\n  states q0, q1;\n  inputs x;\n" + transition * 2 + "}\n")
+        assert run(capsys, "validate", str(machine)) == (3, report + (
+            "  5:3: IllSortedGuard: q0->q1#1 (operand of 'and' is not bool-sorted: 1)\n"), "")
+
     def test_internal_error_exits_three_without_traceback(self, capsys, monkeypatch):
         def explode(args):
             raise RecursionError("maximum recursion depth exceeded")
@@ -530,6 +547,22 @@ class TestChecks:
             "  varmap { y -> y; } inputs { x = 3; } inputs { x = -2; } }\n"
         )
         return str(scenario)
+
+    @pytest.mark.parametrize("left, reason", [
+        # Both transitions hold at x = 1; their guard sets differ as sets, so
+        # the machine validates, and the walk finds one condition twice.
+        ("states q0, q1, q2;\n  q0 -> q1 when x > 0 { z <= 1; }\n  q0 -> q2 when 0 < x, true { z <= 2; }",
+         "multipath: two paths share one condition"),
+        ("states q0, q1;\n  q0 -> q0 { z <= z + 1; }", "no reset-to-terminal path"),
+    ])
+    def test_check_fsmd_walks_that_cannot_match_are_inconclusive(self, capsys, tmp_path, left, reason):
+        for name, body in (("left", left), ("right", "states q0, q1;\n  q0 -> q1 when x > 0 { z <= 1; }")):
+            (tmp_path / f"{name}.fsmd").write_text(f"fsmd {name} {{\n  inputs x; storage z; outputs z;\n  {body}\n}}\n")
+        scenario = tmp_path / "pair.scn"
+        scenario.write_text('scenario pair { model left = "left.fsmd"; model right = "right.fsmd"; check fsmd;\n'
+                            "  varmap { z -> z; } inputs { x = 1; } }\n")
+        assert run(capsys, "check-fsmd", str(scenario)) == (
+            2, f"Inconclusive  [fsmd-paths (matched by normalized condition)]\n  reason: {reason}\n", "")
 
     def test_check_fsmd_oriented_relations_are_equivalent(self, capsys, tmp_path):
         scenario = self._machine_pair(

@@ -221,6 +221,15 @@ class TestFsmdEquivalence:
         verdict = check_fsmd_equivalence(loop, loop, {"y": "y"})
         assert verdict.status == INCONCLUSIVE
 
+    def test_an_invalid_machine_is_inconclusive(self):
+        def machine(target):
+            return Fsmd("m", ("q0", "q1"), "q0", frozenset({"x"}), frozenset({"y"}), frozenset({"y"}),
+                        (FsmdTransition("q0", (), "q1", UpdateSet.of([(target, ex.IntConst(1))])),))
+
+        verdict = check_fsmd_equivalence(machine("x"), machine("y"), {"y": "y"})
+        assert verdict.status == INCONCLUSIVE
+        assert verdict.reason == "left machine invalid: IllegalTarget: x (update in q0->q1#0)"
+
     def test_any_mapped_output_can_confirm_a_difference(self):
         x = ex.Var("x")
         one = ex.IntConst(1)

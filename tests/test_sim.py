@@ -374,6 +374,13 @@ def test_interp_lines_become_functions_that_check_their_arity():
 
 
 
+def test_a_one_parameter_function_checks_its_arity():
+    (f,) = interpretation(parse_scenario("scenario s { interp f(x) = x + 1; }").interps).values()
+    assert f(2) == 3
+    with pytest.raises(SortMismatch, match="^f expects 1 arguments, got 2$"):
+        f(2, 3)
+
+
 def test_seeded_functions_leave_no_cycle_behind():
     # A symbol's function holds the seed, not the interpretation that holds
     # the function, so dropping an interpretation frees it without the collector.
